@@ -19,13 +19,9 @@ from msplit.splitting import CoarseSystem, SplitConfig
 
 
 def make_cs(cmat, bmat, sizes, z0):
-    off = np.concatenate([[0], np.cumsum(sizes)])
-    boxes = [slice(off[q], off[q + 1]) for q in range(len(sizes))]
     return CoarseSystem(
-        block_sizes=tuple(int(s) for s in sizes),
-        mass_blocks=[[cmat[q, r].copy() for r in boxes] for q in boxes],
-        stiff_blocks=[[bmat[q, r].copy() for r in boxes] for q in boxes],
-        rhs=lambda t: np.zeros(off[-1]),
+        block_sizes=tuple(int(s) for s in sizes), mass=cmat, stiff=bmat,
+        rhs=lambda t: np.zeros(sum(sizes)),
         z0=np.asarray(z0, dtype=float))
 
 

@@ -174,16 +174,14 @@ class FineSystem:
     """Assembled fine-grid operators with Dirichlet rows eliminated.
 
     ``mass`` and ``stiffness`` act on interior fine nodes in the grid's node
-    order; the ``*_full`` variants keep all nodes and no boundary conditions,
-    which the local multiscale constructions slice into.
+    order; local constructions assemble their own all-node matrices with
+    :func:`local_matrices`.
     """
 
     grid: GridPair
     kappa_cells: np.ndarray
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix
-    mass_full: sp.csr_matrix
-    stiffness_full: sp.csr_matrix
     source: Optional[Callable] = None
     initial: Optional[Callable] = None
 
@@ -211,16 +209,12 @@ def assemble(g: GridPair, kappa: Permeability, source=None, initial=None) -> Fin
     projection onto the coarse space.
     """
     kappa_cells = kappa.cell_values(g)
-    cells = np.arange(g.n_fine_cells, dtype=np.int64)
-    mass_unit, stiff_unit = _mass_stiff_units(g)
-    n = g.n_fine_nodes
-    mass_full = _assemble_from_cells(g, cells, np.ones(len(cells)), mass_unit, n)
-    stiff_full = _assemble_from_cells(g, cells, kappa_cells.ravel(), stiff_unit, n)
+    mass_all, stiff_all = local_matrices(g, kappa_cells, np.arange(g.n_fine_cells),
+                                         np.arange(g.n_fine_nodes))
     keep = g.interior_fine_ids
-    mass = mass_full[keep][:, keep].tocsr()
-    stiff = stiff_full[keep][:, keep].tocsr()
-    return FineSystem(grid=g, kappa_cells=kappa_cells, mass=mass, stiffness=stiff,
-                      mass_full=mass_full, stiffness_full=stiff_full,
+    return FineSystem(grid=g, kappa_cells=kappa_cells,
+                      mass=mass_all[keep][:, keep].tocsr(),
+                      stiffness=stiff_all[keep][:, keep].tocsr(),
                       source=source, initial=initial)
 
 

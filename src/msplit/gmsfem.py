@@ -7,7 +7,10 @@ interior coarse edges. A generalized spectral problem between the
 permeability-weighted energy and a scaled mass form selects the dominant
 modes, which are localized by the bilinear partition of unity and
 energy-orthonormalized within the neighborhood. The resulting columns form
-the prolongation from coarse coefficients to interior fine nodes.
+the prolongation from coarse coefficients to interior fine nodes: one sparse
+matrix whose columns are grouped by mode block, so the Galerkin projection
+yields the coarse operators directly in the block order the split scheme
+slices.
 """
 
 from __future__ import annotations
@@ -93,22 +96,18 @@ class OfflineBasis:
 class Prolongation:
     """Sparse prolongation from coarse coefficients to interior fine nodes.
 
-    ``full`` orders columns neighborhood-major (all modes of the first node,
-    then the second, ...). ``parts[q]`` gathers mode block ``q`` of every
-    neighborhood; stacking the parts reorders columns by ``perm``:
-    ``full[:, perm] @ z_stacked == sum_q parts[q] @ z_q``.
+    Columns are ordered mode block by mode block, the order of the stacked
+    coarse vectors: block ``q`` holds modes ``m_q .. m_q + b_q`` of every
+    neighborhood, node-major, so mode ``k`` of the ``i``-th neighborhood sits
+    in column ``n_nodes * m_q + i * b_q + (k - m_q)``.
     """
 
-    full: sp.csr_matrix
-    parts: list
+    matrix: sp.csr_matrix
     block_sizes: tuple
-    col_node: np.ndarray
-    col_rank: np.ndarray
-    perm: np.ndarray
 
     @property
     def n_columns(self) -> int:
-        return self.full.shape[1]
+        return self.matrix.shape[1]
 
 
 class _CellSolver:
@@ -367,7 +366,7 @@ def build_offline(fs: FineSystem, n_modes: int, *, orthonormalize: bool = True,
 
 
 def assemble_prolongation(basis: OfflineBasis, blocks) -> Prolongation:
-    """Assemble the prolongation and its mode-block slices.
+    """Assemble the prolongation with its columns in mode-block order.
 
     ``blocks`` partitions the per-node mode count: block q takes modes
     ``offset_q .. offset_q + blocks[q]`` of every neighborhood.
@@ -378,49 +377,34 @@ def assemble_prolongation(basis: OfflineBasis, blocks) -> Prolongation:
     if sum(blocks) != basis.n_modes:
         raise ValueError(
             f"block sizes {blocks} do not sum to the mode count {basis.n_modes}")
-    n_rows = len(basis.grid.interior_fine_ids)
     ell = basis.n_modes
     n_nb = len(basis.nodes)
-
-    def build(cols_of_nb):
-        rows, cols, vals = [], [], []
-        meta_node, meta_rank = [], []
-        col = 0
-        for i in range(n_nb):
-            sup = basis.supports[i]
-            for rank in cols_of_nb:
-                rows.append(sup)
-                cols.append(np.full(len(sup), col, dtype=np.int64))
-                vals.append(basis.vectors[i][:, rank])
-                meta_node.append(basis.nodes[i])
-                meta_rank.append(rank)
-                col += 1
-        mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n_rows, col)).tocsr()
-        return mat, np.array(meta_node), np.array(meta_rank)
-
-    full, col_node, col_rank = build(range(ell))
-    parts = []
-    perm = []
+    column = np.empty((n_nb, ell), dtype=np.int64)
     offset = 0
     for b in blocks:
-        part, _, _ = build(range(offset, offset + b))
-        parts.append(part)
-        for i in range(n_nb):
-            for rank in range(offset, offset + b):
-                perm.append(i * ell + rank)
+        column[:, offset:offset + b] = (n_nb * offset + b * np.arange(n_nb)[:, None]
+                                        + np.arange(b)[None, :])
         offset += b
-    return Prolongation(full=full, parts=parts, block_sizes=blocks,
-                        col_node=col_node, col_rank=col_rank,
-                        perm=np.array(perm, dtype=np.int64))
+    rows = np.concatenate([np.repeat(sup, ell) for sup in basis.supports])
+    cols = np.concatenate([np.tile(column[i], len(sup))
+                           for i, sup in enumerate(basis.supports)])
+    vals = np.concatenate([vec.ravel() for vec in basis.vectors])
+    matrix = sp.coo_matrix((vals, (rows, cols)),
+                           shape=(len(basis.grid.interior_fine_ids), n_nb * ell)).tocsr()
+    return Prolongation(matrix=matrix, block_sizes=blocks)
+
+
+def _galerkin(prol: sp.csr_matrix, fine: sp.csr_matrix) -> np.ndarray:
+    """Dense, exactly symmetric projection prol^T fine prol."""
+    coarse = prol.T @ (fine @ prol)
+    return (0.5 * (coarse + coarse.T)).toarray()
 
 
 def project_coarse(fs: FineSystem, prol: Prolongation,
                    initial: str = "moments") -> CoarseSystem:
     """Galerkin projection of the fine system onto the block basis.
 
-    Returns the block coarse mass/stiffness, the projected forcing, and the
+    Returns the coarse mass/stiffness, the projected forcing, and the
     initial coarse coefficients. With ``initial="moments"`` the coefficients
     are the pairings of the initial field with each basis function; with
     ``initial="projection"`` they are additionally left-solved with the coarse
@@ -433,46 +417,24 @@ def project_coarse(fs: FineSystem, prol: Prolongation,
     """
     if initial not in ("moments", "projection"):
         raise ValueError(f"unknown initial-vector mode {initial!r}")
-    parts = prol.parts
-    p = len(parts)
-    mass_blocks = [[None] * p for _ in range(p)]
-    stiff_blocks = [[None] * p for _ in range(p)]
-    for r in range(p):
-        mr = fs.mass @ parts[r]
-        ar = fs.stiffness @ parts[r]
-        for q in range(r + 1):
-            cqr = (parts[q].T @ mr).toarray()
-            bqr = (parts[q].T @ ar).toarray()
-            if q == r:
-                cqr = 0.5 * (cqr + cqr.T)
-                bqr = 0.5 * (bqr + bqr.T)
-                mass_blocks[q][r] = cqr
-                stiff_blocks[q][r] = bqr
-            else:
-                mass_blocks[q][r] = cqr
-                mass_blocks[r][q] = cqr.T.copy()
-                stiff_blocks[q][r] = bqr
-                stiff_blocks[r][q] = bqr.T.copy()
-
-    sizes = tuple(part.shape[1] for part in parts)
+    pmat = prol.matrix
     source = fs.source
     time_dependent = getattr(source, "time_dependent", source is not None)
 
-    def project(vec):
-        return np.concatenate([part.T @ vec for part in parts])
-
     if time_dependent:
         def rhs(t: float) -> np.ndarray:
-            return project(fineassembly.load(fs.grid, source, t))
+            return pmat.T @ fineassembly.load(fs.grid, source, t)
     else:
-        static = project(fineassembly.load(fs.grid, source, 0.0))
+        static = pmat.T @ fineassembly.load(fs.grid, source, 0.0)
 
         def rhs(t: float) -> np.ndarray:
             return static
 
-    cs = CoarseSystem(block_sizes=sizes, mass_blocks=mass_blocks,
-                      stiff_blocks=stiff_blocks, rhs=rhs,
-                      z0=np.zeros(sum(sizes)))
+    n_nodes = prol.n_columns // sum(prol.block_sizes)
+    cs = CoarseSystem(block_sizes=tuple(n_nodes * b for b in prol.block_sizes),
+                      mass=_galerkin(pmat, fs.mass),
+                      stiff=_galerkin(pmat, fs.stiffness), rhs=rhs,
+                      z0=np.zeros(prol.n_columns))
     try:
         mass_factor = scipy.linalg.cho_factor(cs.mass, lower=True)
         scipy.linalg.cho_factor(cs.stiff, lower=True)
@@ -482,7 +444,7 @@ def project_coarse(fs: FineSystem, prol: Prolongation,
         ) from exc
     u0 = fs.initial_vector()
     if np.any(u0):
-        moments = project(fs.mass @ u0)
+        moments = pmat.T @ (fs.mass @ u0)
         if initial == "moments":
             cs.z0 = moments
         else:

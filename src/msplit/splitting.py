@@ -12,8 +12,11 @@ block-diagonal split the blocks decouple completely; with the lower-triangular
 split they are solved in forward order. The first step is one unsplit backward
 Euler step. Sufficient stability conditions are checked as matrix inequalities
 (theta_m*C1 - C/2 and theta_s*B1 - B/4 positive definite) and, when they hold,
-a discrete energy is recorded and must not grow faster than the forcing term
-allows.
+a discrete energy is recorded and must not grow faster than the forcing term,
+measured in the C^-1 norm, allows.
+
+C and B are each held once, as dense matrices whose rows and columns are
+grouped into mode blocks; a split shares them and adds only C1 and B1.
 """
 
 from __future__ import annotations
@@ -51,11 +54,15 @@ VARIANTS = ("block-diagonal", "lower-triangular")
 
 @dataclass
 class CoarseSystem:
-    """Block coarse mass/stiffness with projected forcing and initial state."""
+    """Coarse mass/stiffness with projected forcing and initial state.
+
+    ``mass`` and ``stiff`` are dense and exactly symmetric; their rows and
+    columns are grouped into consecutive mode blocks of ``block_sizes``.
+    """
 
     block_sizes: tuple
-    mass_blocks: list
-    stiff_blocks: list
+    mass: np.ndarray
+    stiff: np.ndarray
     rhs: Callable[[float], np.ndarray]
     z0: np.ndarray
 
@@ -71,14 +78,6 @@ class CoarseSystem:
     def offsets(self) -> np.ndarray:
         return np.concatenate([[0], np.cumsum(self.block_sizes)])
 
-    @cached_property
-    def mass(self) -> np.ndarray:
-        return np.block(self.mass_blocks)
-
-    @cached_property
-    def stiff(self) -> np.ndarray:
-        return np.block(self.stiff_blocks)
-
     def slices(self):
         off = self.offsets
         return [slice(off[q], off[q + 1]) for q in range(self.n_blocks)]
@@ -88,28 +87,29 @@ class CoarseSystem:
 class SplitParts:
     """Additive two-part splits of the coarse mass and stiffness.
 
-    ``mass_main``/``stiff_main`` are the implicitly treated parts (C1, B1);
-    the rests always satisfy main + rest = full operator.
+    ``mass``/``stiff`` are the coarse system's own operators (shared, not
+    copied); ``mass_main``/``stiff_main`` are the implicitly treated parts
+    (C1, B1), and the rests C2 = C - C1, B2 = B - B1 are formed on access.
     """
 
     variant: str
     block_sizes: tuple
+    mass: np.ndarray
+    stiff: np.ndarray
     mass_main: np.ndarray
-    mass_rest: np.ndarray
     stiff_main: np.ndarray
-    stiff_rest: np.ndarray
 
     @property
     def n_blocks(self) -> int:
         return len(self.block_sizes)
 
     @property
-    def mass(self) -> np.ndarray:
-        return self.mass_main + self.mass_rest
+    def mass_rest(self) -> np.ndarray:
+        return self.mass - self.mass_main
 
     @property
-    def stiff(self) -> np.ndarray:
-        return self.stiff_main + self.stiff_rest
+    def stiff_rest(self) -> np.ndarray:
+        return self.stiff - self.stiff_main
 
     @cached_property
     def offsets(self) -> np.ndarray:
@@ -147,8 +147,8 @@ def make_split(cs: CoarseSystem, variant: str = "block-diagonal") -> SplitParts:
                     mass_main[slq, slr] = 0.5 * mass[slq, slr]
                     stiff_main[slq, slr] = 0.5 * stiff[slq, slr]
     return SplitParts(variant=variant, block_sizes=tuple(cs.block_sizes),
-                      mass_main=mass_main, mass_rest=mass - mass_main,
-                      stiff_main=stiff_main, stiff_rest=stiff - stiff_main)
+                      mass=mass, stiff=stiff,
+                      mass_main=mass_main, stiff_main=stiff_main)
 
 
 @dataclass(frozen=True)
@@ -241,11 +241,11 @@ class _StepOperator:
 
     def __init__(self, parts: SplitParts, config: SplitConfig):
         tm, ts, tau = config.theta_mass, config.theta_stiff, config.tau
-        self.parts = parts
         self.tau = tau
+        mass_rest = parts.mass_rest
         self.go_now = (tau * (1.0 - ts) * parts.stiff_main + tau * parts.stiff_rest
-                       + (1.0 - 2.0 * tm) * parts.mass_main + parts.mass_rest)
-        self.go_prev = (1.0 - tm) * parts.mass_main + parts.mass_rest
+                       + (1.0 - 2.0 * tm) * parts.mass_main + mass_rest)
+        self.go_prev = (1.0 - tm) * parts.mass_main + mass_rest
         lhs = tm * parts.mass_main + tau * ts * parts.stiff_main
         self.slices = parts.slices()
         self.diag_factors = [
@@ -338,12 +338,48 @@ def _check_finite(z: np.ndarray, step: int) -> None:
         raise NumericalError(f"non-finite state at step {step}")
 
 
+# time levels that trajectory post-processing handles per matrix product:
+# large enough for BLAS, small enough that the temporaries stay far below
+# the stored trajectory itself
+TRAJECTORY_CHUNK = 256
+
+
+def _energy_monitor(parts: SplitParts, config: SplitConfig, states: np.ndarray,
+                    forcing: np.ndarray):
+    """Discrete energy and both sides of the a priori bound of a finished run.
+
+    E_n = |z^n - z^{n-1}|^2_D / tau^2 + |(z^n + z^{n-1})/2|^2_B with D the
+    damping matrix, for n = 1..N. The bound compares |(z^{n+1} + z^n)/2|^2_B
+    with E_1 + (tau/2) sum_{k=2}^{n+1} |f^k|^2_{C^-1} for n = 1..N-1, where
+    ``forcing`` stacks f^2 .. f^N.
+    """
+    tau = config.tau
+    damping = damping_matrix(parts, config)
+    mass_factor = DenseSpdFactor(parts.mass, context="energy bound")
+    n_steps = len(states) - 1
+    energy = np.empty(n_steps)
+    potential = np.empty(n_steps)
+    work = np.empty(len(forcing))
+    for lo in range(0, n_steps, TRAJECTORY_CHUNK):
+        rows = slice(lo, lo + TRAJECTORY_CHUNK)
+        now, prev = states[1:][rows], states[:-1][rows]
+        diffs = now - prev
+        means = 0.5 * (now + prev)
+        potential[rows] = np.einsum("ij,ij->i", means @ parts.stiff, means)
+        energy[rows] = (np.einsum("ij,ij->i", diffs @ damping, diffs) / tau ** 2
+                        + potential[rows])
+        f = forcing[rows]
+        work[rows] = 0.5 * tau * np.einsum("ij,ji->i", f, mass_factor.solve(f.T))
+    return energy, potential[1:], energy[0] + np.cumsum(work)
+
+
 def march(cs: CoarseSystem, parts: SplitParts, config: SplitConfig,
           record_energy: bool = True) -> Trajectory:
     """Run the split scheme from t = 0 to t_final.
 
     The stability certificate is evaluated up front; on failure the run
-    proceeds with a warning and without the energy monitor.
+    proceeds with a warning and without the energy monitor, which otherwise
+    is evaluated from the stored states once the march is done.
     """
     cert = check_stability(parts, config.theta_mass, config.theta_stiff)
     if not cert.passed:
@@ -352,6 +388,7 @@ def march(cs: CoarseSystem, parts: SplitParts, config: SplitConfig,
     tau = config.tau
     states = np.empty((n_steps + 1, cs.dim))
     states[0] = cs.z0
+    forcing = np.empty((max(n_steps - 1, 0), cs.dim))
     step_seconds = np.empty(n_steps)
 
     tic = time.perf_counter()
@@ -359,39 +396,16 @@ def march(cs: CoarseSystem, parts: SplitParts, config: SplitConfig,
     step_seconds[0] = time.perf_counter() - tic
     _check_finite(states[1], 1)
 
-    monitor = record_energy and cert.passed
-    energy = bound_lhs = bound_rhs = None
-    if monitor:
-        dmat = damping_matrix(parts, config)
-        bmat = parts.stiff
-        energy = np.empty(n_steps)
-        bound_lhs = np.empty(max(n_steps - 1, 0))
-        bound_rhs = np.empty(max(n_steps - 1, 0))
-
-        def energy_at(n):
-            diff = states[n] - states[n - 1]
-            mean = 0.5 * (states[n] + states[n - 1])
-            return (diff @ (dmat @ diff)) / tau ** 2 + mean @ (bmat @ mean)
-
-        energy[0] = energy_at(1)
-        diff1 = states[1] - states[0]
-        mean1 = 0.5 * (states[1] + states[0])
-        running_rhs = ((diff1 @ (dmat @ diff1)) / tau ** 2
-                       + mean1 @ (bmat @ mean1))
-
     op = _StepOperator(parts, config)
     for n in range(1, n_steps):
         tic = time.perf_counter()
-        f_next = cs.rhs((n + 1) * tau)
-        states[n + 1] = op.step(states[n], states[n - 1], f_next)
+        forcing[n - 1] = cs.rhs((n + 1) * tau)
+        states[n + 1] = op.step(states[n], states[n - 1], forcing[n - 1])
         step_seconds[n] = time.perf_counter() - tic
         _check_finite(states[n + 1], n + 1)
-        if monitor:
-            energy[n] = energy_at(n + 1)
-            mean = 0.5 * (states[n + 1] + states[n])
-            running_rhs += 0.5 * tau * float(f_next @ f_next)
-            bound_lhs[n - 1] = mean @ (parts.stiff @ mean)
-            bound_rhs[n - 1] = running_rhs
+    energy = bound_lhs = bound_rhs = None
+    if record_energy and cert.passed:
+        energy, bound_lhs, bound_rhs = _energy_monitor(parts, config, states, forcing)
     return Trajectory(states=states, tau=tau, scheme="split",
                       theta_mass=config.theta_mass, theta_stiff=config.theta_stiff,
                       variant=parts.variant, certificate=cert, energy=energy,
@@ -455,11 +469,13 @@ def error_recursion_diag(parts: SplitParts, reference: Trajectory,
     z = split.states
     n_steps = split.n_steps
     residuals = np.empty(max(n_steps - 1, 0))
+    mass_rest = parts.mass_rest
+    coupling_mat = mass_rest + tau * parts.stiff_rest
     for n in range(1, n_steps):
-        rhs = (cmat @ err[n] + parts.mass_rest @ (z[n] - z[n - 1])
-               - (parts.mass_rest + tau * parts.stiff_rest) @ (z[n + 1] - z[n]))
+        rhs = (cmat @ err[n] + mass_rest @ (z[n] - z[n - 1])
+               - coupling_mat @ (z[n + 1] - z[n]))
         residuals[n - 1] = np.abs(lhs_mat @ err[n + 1] - rhs).max()
-    coupling = float(np.linalg.norm(parts.mass_rest + tau * parts.stiff_rest, "fro"))
+    coupling = float(np.linalg.norm(coupling_mat, "fro"))
     error_norms = np.linalg.norm(err, axis=1)
     return RecursionReport(residuals=residuals, coupling_norm=coupling,
                            error_norms=error_norms)

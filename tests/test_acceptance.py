@@ -33,12 +33,9 @@ def _line(num, ok, detail):
 def _make_cs(cmat, bmat, sizes, forcing=None, z0=None):
     sizes = tuple(int(s) for s in sizes)
     off = np.concatenate([[0], np.cumsum(sizes)])
-    boxes = [slice(off[q], off[q + 1]) for q in range(len(sizes))]
     vec = np.zeros(off[-1]) if forcing is None else np.asarray(forcing, float)
     return splitting.CoarseSystem(
-        block_sizes=sizes,
-        mass_blocks=[[cmat[q, r].copy() for r in boxes] for q in boxes],
-        stiff_blocks=[[bmat[q, r].copy() for r in boxes] for q in boxes],
+        block_sizes=sizes, mass=cmat, stiff=bmat,
         rhs=lambda t: vec,
         z0=np.zeros(off[-1]) if z0 is None else np.asarray(z0, float))
 
@@ -255,7 +252,7 @@ def test_acceptance_7_offline_matches_brute_force():
     basis = gmsfem.build_offline(fs, 3)
     prol = gmsfem.assemble_prolongation(basis, (1, 2))
     cs = gmsfem.project_coarse(fs, prol)
-    rmat = sp.hstack(prol.parts).toarray()
+    rmat = prol.matrix.toarray()
     dmass_all, dstiff_all = dense_q1_matrices(g, fs.kappa_cells)
     keep = g.interior_fine_ids
     coarse_dev = max(

@@ -183,11 +183,30 @@ def test_reconstruct_fine_matches_parts(tiny_pipe):
     pipe = tiny_pipe
     rng = np.random.default_rng(2)
     z = rng.standard_normal(pipe.prol.n_columns)
-    want = sum(pipe.prol.parts[q] @ z[sl]
-               for q, sl in enumerate(pipe.coarse.slices()))
+    want = np.zeros(pipe.fs.n_dof)
+    n_nb = len(pipe.basis.nodes)
+    mode = 0
+    for b, sl in zip(pipe.prol.block_sizes, pipe.coarse.slices()):
+        coeffs = z[sl].reshape(n_nb, b)
+        for i, sup in enumerate(pipe.basis.supports):
+            want[sup] += pipe.basis.vectors[i][:, mode:mode + b] @ coeffs[i]
+        mode += b
     assert np.allclose(driver.reconstruct_fine(pipe.prol, z), want, atol=1e-14)
     with pytest.raises(ValueError, match="coefficients"):
         driver.reconstruct_fine(pipe.prol, z[:-1])
+
+
+def test_fem_coarse_run_satisfies_a_priori_bound(tiny_pipe):
+    # FEM coarse masses have eigenvalues far below one, so the forcing
+    # enters the bound in the C^-1 norm, not the Euclidean one
+    config = tiny_pipe.config
+    parts = splitting.make_split(tiny_pipe.coarse, config.variant)
+    scfg = splitting.SplitConfig(tau=config.tau, t_final=config.t_final,
+                                 theta_mass=config.theta_mass,
+                                 theta_stiff=config.theta_stiff)
+    traj = splitting.march(tiny_pipe.coarse, parts, scfg)
+    assert traj.bound_margin is not None
+    assert traj.bound_margin >= -1e-9 * np.max(traj.bound_rhs)
 
 
 def test_compare_guards_and_zero_error(tiny_pipe):

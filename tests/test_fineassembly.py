@@ -14,36 +14,46 @@ def kappa_smooth():
     return Permeability.from_callable(lambda x, y: 1.0 + x + 2.0 * y * y)
 
 
+def all_node_matrices(g, fs):
+    """Mass and stiffness over every fine node, no boundary conditions."""
+    return local_matrices(g, fs.kappa_cells, np.arange(g.n_fine_cells),
+                          np.arange(g.n_fine_nodes))
+
+
 def test_assembly_matches_quadrature_oracle():
     g = build_grids(2, 2, 2)
     fs = assemble(g, kappa_smooth())
     mass, stiff = dense_q1_matrices(g, fs.kappa_cells)
-    assert np.allclose(fs.mass_full.toarray(), mass, atol=1e-12)
-    assert np.allclose(fs.stiffness_full.toarray(), stiff, atol=1e-12)
+    mass_all, stiff_all = all_node_matrices(g, fs)
+    assert np.allclose(mass_all.toarray(), mass, atol=1e-12)
+    assert np.allclose(stiff_all.toarray(), stiff, atol=1e-12)
 
 
 def test_assembly_oracle_on_rectangular_grid():
     g = build_grids(3, 2, 2)
     fs = assemble(g, kappa_smooth())
     mass, stiff = dense_q1_matrices(g, fs.kappa_cells)
-    assert np.allclose(fs.mass_full.toarray(), mass, atol=1e-12)
-    assert np.allclose(fs.stiffness_full.toarray(), stiff, atol=1e-12)
+    mass_all, stiff_all = all_node_matrices(g, fs)
+    assert np.allclose(mass_all.toarray(), mass, atol=1e-12)
+    assert np.allclose(stiff_all.toarray(), stiff, atol=1e-12)
 
 
 def test_mass_total_and_stiffness_null_space():
     g = build_grids(4, 4, 3)
     fs = assemble(g, kappa_smooth())
+    mass_all, stiff_all = all_node_matrices(g, fs)
     ones = np.ones(g.n_fine_nodes)
-    assert ones @ (fs.mass_full @ ones) == pytest.approx(1.0, abs=1e-12)
-    assert np.abs(fs.stiffness_full @ ones).max() < 1e-12
+    assert ones @ (mass_all @ ones) == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(stiff_all @ ones).max() < 1e-12
 
 
 def test_energy_of_linear_field():
     # u = x has unit energy for unit permeability on the unit square
     g = build_grids(3, 5, 2)
     fs = assemble(g, Permeability.constant(1.0))
+    _, stiff_all = all_node_matrices(g, fs)
     x, _ = g.fine_coords
-    assert x @ (fs.stiffness_full @ x) == pytest.approx(1.0, abs=1e-12)
+    assert x @ (stiff_all @ x) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_interpolated_sine_norms():
@@ -66,7 +76,8 @@ def test_load_of_unit_source_is_mass_row_sum():
     g = build_grids(3, 3, 3)
     fs = assemble(g, kappa_smooth())
     vec = load(g, lambda t, x, y: np.ones_like(x))
-    expected = (fs.mass_full @ np.ones(g.n_fine_nodes))[g.interior_fine_ids]
+    mass_all, _ = all_node_matrices(g, fs)
+    expected = (mass_all @ np.ones(g.n_fine_nodes))[g.interior_fine_ids]
     assert np.allclose(vec, expected, atol=1e-14)
 
 

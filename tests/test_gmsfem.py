@@ -222,24 +222,60 @@ def test_prolongation_shapes_and_metadata(small):
     basis = gmsfem.build_offline(fs, 4)
     prol = gmsfem.assemble_prolongation(basis, (1, 3))
     n_nb = len(basis.nodes)
-    assert prol.full.shape == (fs.n_dof, 4 * n_nb)
-    assert [p.shape[1] for p in prol.parts] == [n_nb, 3 * n_nb]
-    assert sorted(prol.perm) == list(range(4 * n_nb))
-    assert set(prol.col_node) == set(int(n) for n in basis.nodes)
-    assert np.all(prol.col_rank < 4)
+    assert prol.matrix.shape == (fs.n_dof, 4 * n_nb)
+    assert prol.n_columns == 4 * n_nb
+    assert prol.block_sizes == (1, 3)
+    # every column lives on the support of exactly one neighborhood
+    csc = prol.matrix.tocsc()
+    for col in range(prol.n_columns):
+        rows = csc.indices[csc.indptr[col]:csc.indptr[col + 1]]
+        assert len(rows) > 0
+        assert any(np.all(np.isin(rows, sup)) for sup in basis.supports)
 
 
 def test_prolongation_block_identity(small):
     g, fs = small
     basis = gmsfem.build_offline(fs, 4)
     prol = gmsfem.assemble_prolongation(basis, (2, 2))
+    # per-block parts built straight from the basis, node-major within a block
+    parts = []
+    mode_offset = 0
+    for b in prol.block_sizes:
+        part = np.zeros((fs.n_dof, b * len(basis.nodes)))
+        for i, sup in enumerate(basis.supports):
+            part[sup, i * b:(i + 1) * b] = basis.vectors[i][:, mode_offset:mode_offset + b]
+        parts.append(part)
+        mode_offset += b
     rng = np.random.default_rng(7)
     z = rng.standard_normal(prol.n_columns)
-    lhs = prol.full[:, prol.perm] @ z
-    offsets = np.cumsum([0] + [p.shape[1] for p in prol.parts])
-    rhs = sum(prol.parts[q] @ z[offsets[q]:offsets[q + 1]]
-              for q in range(len(prol.parts)))
+    lhs = prol.matrix @ z
+    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
+    rhs = sum(parts[q] @ z[offsets[q]:offsets[q + 1]]
+              for q in range(len(parts)))
     assert np.max(np.abs(lhs - rhs)) < 1e-13
+
+
+def test_prolongation_columns_follow_block_order():
+    # four interior coarse nodes, so node-major and mode-major orders differ
+    g = GridPair(3, 3, 3)
+    fs = assemble(g, Permeability.from_callable(wavy_kappa))
+    basis = gmsfem.build_offline(fs, 4)
+    n_nb = len(basis.nodes)
+    assert n_nb == 4
+    for blocks in ((1, 3), (2, 2)):
+        prol = gmsfem.assemble_prolongation(basis, blocks)
+        assert prol.block_sizes == blocks
+        assert prol.matrix.shape == (fs.n_dof, 4 * n_nb)
+        dense = prol.matrix.toarray()
+        mode_offset = 0
+        for b in blocks:
+            for i, sup in enumerate(basis.supports):
+                for k in range(mode_offset, mode_offset + b):
+                    col = n_nb * mode_offset + i * b + (k - mode_offset)
+                    want = np.zeros(fs.n_dof)
+                    want[sup] = basis.vectors[i][:, k]
+                    assert np.array_equal(dense[:, col], want), (blocks, i, k)
+            mode_offset += b
 
 
 def test_prolongation_validates_blocks(small):
@@ -254,8 +290,8 @@ def test_prolongation_validates_blocks(small):
 def test_dof_counts_on_production_grid(ex1):
     prol6 = gmsfem.assemble_prolongation(ex1["basis6"], (1, 5))
     prol10 = gmsfem.assemble_prolongation(ex1["basis10"], (1, 9))
-    assert prol6.full.shape[1] == 1350
-    assert prol10.full.shape[1] == 2250
+    assert prol6.matrix.shape[1] == 1350
+    assert prol10.matrix.shape[1] == 2250
 
 
 # --- coarse projection ---
@@ -265,21 +301,20 @@ def test_coarse_blocks_match_projected_operators(small):
     basis = gmsfem.build_offline(fs, 4)
     prol = gmsfem.assemble_prolongation(basis, (1, 3))
     cs = gmsfem.project_coarse(fs, prol)
-    stacked = sp.hstack(prol.parts).tocsr()
-    want_mass = (stacked.T @ fs.mass @ stacked).toarray()
-    want_stiff = (stacked.T @ fs.stiffness @ stacked).toarray()
+    pmat = prol.matrix
+    want_mass = (pmat.T @ fs.mass @ pmat).toarray()
+    want_stiff = (pmat.T @ fs.stiffness @ pmat).toarray()
     assert np.max(np.abs(cs.mass - want_mass)) < 1e-12
     assert np.max(np.abs(cs.stiff - want_stiff)) < 1e-12
 
 
-def test_coarse_off_diagonal_blocks_are_transposes(small):
+def test_coarse_operators_are_exactly_symmetric(small):
     g, fs = small
     basis = gmsfem.build_offline(fs, 4)
     prol = gmsfem.assemble_prolongation(basis, (2, 2))
     cs = gmsfem.project_coarse(fs, prol)
-    assert np.array_equal(cs.mass_blocks[0][1], cs.mass_blocks[1][0].T)
-    assert np.array_equal(cs.stiff_blocks[0][1], cs.stiff_blocks[1][0].T)
-    assert np.array_equal(cs.mass_blocks[0][0], cs.mass_blocks[0][0].T)
+    assert np.array_equal(cs.mass, cs.mass.T)
+    assert np.array_equal(cs.stiff, cs.stiff.T)
 
 
 def test_coarse_rhs_projects_load(small):
@@ -288,7 +323,7 @@ def test_coarse_rhs_projects_load(small):
     prol = gmsfem.assemble_prolongation(basis, (3,))
     cs = gmsfem.project_coarse(fs, prol)
     t = 0.75
-    want = prol.parts[0].T @ fs.load(t)
+    want = prol.matrix.T @ fs.load(t)
     assert np.allclose(cs.rhs(t), want, atol=1e-14)
 
 
@@ -296,8 +331,7 @@ def test_initial_vector_moments_and_projection(small):
     g, fs = small
     basis = gmsfem.build_offline(fs, 4)
     prol = gmsfem.assemble_prolongation(basis, (1, 3))
-    moments = np.concatenate(
-        [p.T @ (fs.mass @ fs.initial_vector()) for p in prol.parts])
+    moments = prol.matrix.T @ (fs.mass @ fs.initial_vector())
     cs_m = gmsfem.project_coarse(fs, prol, initial="moments")
     assert np.allclose(cs_m.z0, moments, atol=1e-14)
     cs_p = gmsfem.project_coarse(fs, prol, initial="projection")
@@ -313,8 +347,8 @@ def test_projection_initial_reconstructs_l2_projection(small):
     basis = gmsfem.build_offline(fs, 4)
     prol = gmsfem.assemble_prolongation(basis, (4,))
     cs = gmsfem.project_coarse(fs, prol, initial="projection")
-    recon = prol.parts[0] @ cs.z0
-    resid = prol.parts[0].T @ (fs.mass @ (fs.initial_vector() - recon))
+    recon = prol.matrix @ cs.z0
+    resid = prol.matrix.T @ (fs.mass @ (fs.initial_vector() - recon))
     assert np.max(np.abs(resid)) < 1e-10
 
 

@@ -15,12 +15,8 @@ from _oracles import dense_split_step, random_spd
 def make_cs(cmat, bmat, sizes, forcing=None, z0=None):
     """Wrap dense operators into a block coarse system."""
     sizes = tuple(sizes)
-    off = np.concatenate([[0], np.cumsum(sizes)])
-    dim = off[-1]
+    dim = sum(sizes)
     assert cmat.shape == (dim, dim)
-    boxes = [slice(off[q], off[q + 1]) for q in range(len(sizes))]
-    mass_blocks = [[cmat[q, r].copy() for r in boxes] for q in boxes]
-    stiff_blocks = [[bmat[q, r].copy() for r in boxes] for q in boxes]
     if forcing is None:
         forcing = np.zeros(dim)
     if callable(forcing):
@@ -32,8 +28,8 @@ def make_cs(cmat, bmat, sizes, forcing=None, z0=None):
             return vec
     if z0 is None:
         z0 = np.zeros(dim)
-    return splitting.CoarseSystem(block_sizes=sizes, mass_blocks=mass_blocks,
-                                  stiff_blocks=stiff_blocks, rhs=rhs,
+    return splitting.CoarseSystem(block_sizes=sizes, mass=cmat, stiff=bmat,
+                                  rhs=rhs,
                                   z0=np.asarray(z0, dtype=float))
 
 
