@@ -21,11 +21,11 @@ from .gmsfem import (OfflineBasis, Prolongation, assemble_basis,
                      dump_basis, load_basis, offline_modes, project_coarse,
                      spectral_mass_weight, spectral_matrices)
 from .grid import GridPair, Neighborhood, build_grids, neighborhood, partition_of_unity
-from .linalg import NumericalError, cholesky_check, eig_gsym, factorize_spd, solve_spd
+from .linalg import NumericalError, eig_gsym, factorize_spd
 from .splitting import (CoarseSystem, RecursionReport, SplitConfig, SplitParts,
                         StabilityCertificate, Trajectory, backward_euler,
                         check_stability, damping_matrix, error_recursion_diag,
-                        init_first_step, make_split, march, split_step)
+                        make_split, march, split_step)
 
 __version__ = "0.1.0"
 
@@ -43,10 +43,9 @@ __all__ = [
     "spectral_matrices",
     "GridPair", "Neighborhood", "build_grids", "neighborhood",
     "partition_of_unity",
-    "NumericalError", "cholesky_check", "eig_gsym", "factorize_spd",
-    "solve_spd",
+    "NumericalError", "eig_gsym", "factorize_spd",
     "CoarseSystem", "RecursionReport", "SplitConfig", "SplitParts",
     "StabilityCertificate", "Trajectory", "backward_euler", "check_stability",
-    "damping_matrix", "error_recursion_diag", "init_first_step", "make_split",
-    "march", "split_step",
+    "damping_matrix", "error_recursion_diag", "make_split", "march",
+    "split_step",
 ]

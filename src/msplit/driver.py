@@ -473,14 +473,16 @@ def _fine_reference_errors(pipe: Pipeline, split: Trajectory) -> dict:
     return {"fine_e_l2": err_l2 / ref_l2, "fine_e_a": err_en / ref_en}
 
 
-def _run_setting(pipe: Pipeline, coarse, blocks, theta_mass, theta_stiff, tau,
-                 variant) -> tuple:
-    """One reference + split pair on a prepared coarse system."""
-    config = pipe.config
+def _run_setting(pipe: Pipeline, coarse, blocks, theta_mass, theta_stiff,
+                 reference: Trajectory, variant) -> tuple:
+    """One split run on a prepared coarse system against its reference.
+
+    The split runs on the backward Euler reference's time step.
+    """
+    tau = reference.tau
     parts = splitting.make_split(coarse, variant)
-    scfg = SplitConfig(tau=tau, t_final=config.t_final,
+    scfg = SplitConfig(tau=tau, t_final=pipe.config.t_final,
                        theta_mass=theta_mass, theta_stiff=theta_stiff)
-    reference = splitting.backward_euler(coarse, tau, config.t_final)
     split = splitting.march(coarse, parts, scfg)
     report = compare(reference, split, pipe.prol, pipe.fs)
     report.meta.update({
@@ -494,7 +496,7 @@ def _run_setting(pipe: Pipeline, coarse, blocks, theta_mass, theta_stiff, tau,
         "coarse_dofs": coarse.dim,
         "fine_dofs": pipe.fs.n_dof,
     })
-    return reference, split, report
+    return split, report
 
 
 def run_example(config: ExperimentConfig) -> ErrorReport:
@@ -506,9 +508,10 @@ def run_example(config: ExperimentConfig) -> ErrorReport:
     print(f"offline stage: {pipe.seconds_offline:.2f} s "
           f"(assembly {pipe.seconds_assemble:.2f} s)")
     tic = time.perf_counter()
-    reference, split, report = _run_setting(
+    reference = splitting.backward_euler(pipe.coarse, config.tau, config.t_final)
+    split, report = _run_setting(
         pipe, pipe.coarse, config.blocks, config.theta_mass, config.theta_stiff,
-        config.tau, config.variant)
+        reference, config.variant)
     print(split.certificate.describe())
     print(f"time stepping: {time.perf_counter() - tic:.2f} s "
           f"for {split.n_steps} steps")
@@ -571,6 +574,8 @@ def sweep(config: ExperimentConfig, axis: str) -> list:
 
     os.makedirs(config.output_dir, exist_ok=True)
     rows = []
+    # settings that share blocks and tau share one backward Euler reference
+    reference_key = reference = None
     for label, override in settings:
         blocks = override.get("blocks", config.blocks)
         tau = override.get("tau", config.tau)
@@ -586,9 +591,13 @@ def sweep(config: ExperimentConfig, axis: str) -> list:
             else:
                 setting_pipe = pipe
                 coarse = pipe.coarse
-            _, split, report = _run_setting(setting_pipe, coarse, blocks,
-                                            theta_mass, theta_stiff, tau,
-                                            config.variant)
+            if (blocks, tau) != reference_key:
+                reference_key = reference = None
+                reference = splitting.backward_euler(coarse, tau, config.t_final)
+                reference_key = (blocks, tau)
+            split, report = _run_setting(setting_pipe, coarse, blocks,
+                                         theta_mass, theta_stiff, reference,
+                                         config.variant)
         except NumericalError as exc:
             logger.error("setting %s failed: %s", label, exc)
             rows.append((label, None, None))

@@ -22,10 +22,8 @@ __all__ = [
     "SpdFactor",
     "DenseSpdFactor",
     "factorize_spd",
-    "solve_spd",
     "eig_gsym",
-    "cholesky_check",
-    "smallest_pivot",
+    "cholesky_margin",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -35,19 +33,6 @@ CG_MAXITER = 5000
 
 class NumericalError(RuntimeError):
     """A factorization or solve could not deliver its accuracy contract."""
-
-
-def require_symmetric(mat, tol: float = 1e-12, name: str = "matrix") -> None:
-    """Raise if ``mat`` is not numerically symmetric."""
-    if mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{name} is not square: {mat.shape}")
-    if sp.issparse(mat):
-        gap = abs(mat - mat.T).max()
-    else:
-        gap = np.abs(mat - mat.T).max()
-    scale = abs(mat).max() if sp.issparse(mat) else np.abs(mat).max()
-    if gap > tol * max(scale, 1.0):
-        raise ValueError(f"{name} is not symmetric (max asymmetry {gap:.3e})")
 
 
 class SpdFactor:
@@ -78,13 +63,6 @@ class SpdFactor:
                 return x
         return self._cg(rhs, rhs_norm)
 
-    def solve_many(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve for each column of a dense right-hand side block."""
-        out = np.empty_like(np.asarray(rhs, dtype=float))
-        for j in range(rhs.shape[1]):
-            out[:, j] = self.solve(rhs[:, j])
-        return out
-
     def _cg(self, rhs, rhs_norm):
         diag = self.mat.diagonal()
         if np.any(diag <= 0.0):
@@ -107,11 +85,6 @@ def factorize_spd(mat, tol: float = DEFAULT_TOL, context: str = "") -> SpdFactor
     return SpdFactor(mat, tol=tol, context=context)
 
 
-def solve_spd(mat, rhs: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Solve an SPD system to ||A x - b|| <= tol * ||b||."""
-    return SpdFactor(mat, tol=tol).solve(rhs)
-
-
 class DenseSpdFactor:
     """Dense Cholesky factorization for the coarse time-stepping blocks."""
 
@@ -124,7 +97,9 @@ class DenseSpdFactor:
             raise NumericalError(f"Cholesky factorization{where} failed: {exc}") from exc
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return scipy.linalg.cho_solve(self._factor, rhs)
+        # the factor was checked finite when it was made; callers check
+        # their right-hand sides or the solutions
+        return scipy.linalg.cho_solve(self._factor, rhs, check_finite=False)
 
 
 @dataclass
@@ -160,41 +135,22 @@ def eig_gsym(astiff: np.ndarray, smass: np.ndarray, context: str = "") -> EigRes
     return EigResult(values=values, vectors=vectors)
 
 
-def _pivots(mat: np.ndarray):
-    """Cholesky pivots diag(L)^2, or None if the factorization breaks down."""
-    try:
-        chol = np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        return None
-    d = np.diagonal(chol)
-    return d * d
+def cholesky_margin(mat: np.ndarray) -> tuple:
+    """Positive definiteness of a symmetric matrix from one Cholesky factorization.
 
-
-def cholesky_check(mat: np.ndarray) -> bool:
-    """True iff a Cholesky factorization completes with healthy pivots.
-
-    Pivots must exceed the floor 1e-14 * max|A|; a zero matrix fails.
-    """
-    mat = np.asarray(mat, dtype=float)
-    scale = np.abs(mat).max() if mat.size else 0.0
-    if scale == 0.0:
-        return False
-    pivots = _pivots(mat)
-    if pivots is None:
-        return False
-    return bool(pivots.min() > PIVOT_FLOOR * scale)
-
-
-def smallest_pivot(mat: np.ndarray) -> float:
-    """Smallest Cholesky pivot of a symmetric matrix.
-
-    When the factorization breaks down, falls back to the smallest eigenvalue
-    (non-positive in that case) so callers still get a signed margin.
+    Returns ``(ok, margin)``. ``ok`` is True iff the factorization completes
+    with every pivot diag(L)^2 above the floor 1e-14 * max|A|; a zero or empty
+    matrix fails. ``margin`` is the smallest pivot or, when the factorization
+    breaks down, the smallest eigenvalue (non-positive in that case), so
+    callers still get a signed margin; it is 0 for an empty matrix.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.size == 0:
-        return 0.0
-    pivots = _pivots(mat)
-    if pivots is None:
-        return float(np.linalg.eigvalsh(mat).min())
-    return float(pivots.min())
+        return False, 0.0
+    try:
+        chol = np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        return False, float(np.linalg.eigvalsh(mat).min())
+    d = np.diagonal(chol)
+    margin = float((d * d).min())
+    return bool(margin > PIVOT_FLOOR * np.abs(mat).max()), margin

@@ -5,15 +5,22 @@ one additive part of each operator implicitly:
 
     C1 (theta_m * (z^{n+1} - z^n)/tau + (1 - theta_m) * (z^n - z^{n-1})/tau)
       + C2 (z^n - z^{n-1})/tau
-      + B1 (theta_s * z^{n+1} + (1 - theta_s) * z^n) + B2 z^n = f^{n+1},
+      + B1 (theta_s * z^{n+1} + (1 - theta_s) * z^n) + B2 z^n = f^{n+1}.
 
-which reduces to one solve with theta_m*C1 + tau*theta_s*B1 per step. With the
-block-diagonal split the blocks decouple completely; with the lower-triangular
-split they are solved in forward order. The first step is one unsplit backward
-Euler step. Sufficient stability conditions are checked as matrix inequalities
-(theta_m*C1 - C/2 and theta_s*B1 - B/4 positive definite) and, when they hold,
-a discrete energy is recorded and must not grow faster than the forcing term,
-measured in the C^-1 norm, allows.
+With C2 = C - C1 and B2 = B - B1 this is the increment form
+
+    (theta_m*C1 + tau*theta_s*B1) (z^{n+1} - z^n)
+      = tau * (f^{n+1} - B z^n) - (C - theta_m*C1) (z^n - z^{n-1}),
+
+one solve with theta_m*C1 + tau*theta_s*B1 per step, factored once per run.
+With the block-diagonal split the blocks decouple completely; with the
+lower-triangular split they are solved in forward order. The first step is
+one unsplit backward Euler step, the same step the backward Euler reference
+takes. Sufficient stability conditions are checked as matrix inequalities
+(theta_m*C1 - C/2 and theta_s*B1 - B/4 positive definite, one Cholesky
+factorization each) and, when they hold, a discrete energy is recorded and
+must not grow faster than the forcing term, measured in the C^-1 norm,
+allows.
 
 C and B are each held once, as dense matrices whose rows and columns are
 grouped into mode blocks; a split shares them and adds only C1 and B1.
@@ -29,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import DenseSpdFactor, NumericalError, cholesky_check, smallest_pivot
+from .linalg import DenseSpdFactor, NumericalError, cholesky_margin
 
 __all__ = [
     "CoarseSystem",
@@ -40,7 +47,6 @@ __all__ = [
     "RecursionReport",
     "make_split",
     "check_stability",
-    "init_first_step",
     "split_step",
     "march",
     "backward_euler",
@@ -212,6 +218,15 @@ def _sym(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
+def _conditions(parts: SplitParts, theta_mass: float, theta_stiff: float):
+    """The certified matrices theta_m*sym(C1) - C/2 and theta_s*sym(B1) - B/4.
+
+    Both are exactly symmetric, because C and B are.
+    """
+    return (theta_mass * _sym(parts.mass_main) - 0.5 * parts.mass,
+            theta_stiff * _sym(parts.stiff_main) - 0.25 * parts.stiff)
+
+
 def check_stability(parts: SplitParts, theta_mass: float,
                     theta_stiff: float) -> StabilityCertificate:
     """Evaluate the sufficient stability conditions of a split.
@@ -221,13 +236,14 @@ def check_stability(parts: SplitParts, theta_mass: float,
     together with the simple p-block parameter rule.
     """
     p = parts.n_blocks
-    mass_test = theta_mass * _sym(parts.mass_main) - 0.5 * parts.mass
-    stiff_test = theta_stiff * _sym(parts.stiff_main) - 0.25 * parts.stiff
+    mass_test, stiff_test = _conditions(parts, theta_mass, theta_stiff)
+    mass_ok, mass_margin = cholesky_margin(mass_test)
+    stiff_ok, stiff_margin = cholesky_margin(stiff_test)
     return StabilityCertificate(
-        mass_ok=cholesky_check(mass_test),
-        stiff_ok=cholesky_check(stiff_test),
-        mass_margin=smallest_pivot(_sym(mass_test)),
-        stiff_margin=smallest_pivot(_sym(stiff_test)),
+        mass_ok=mass_ok,
+        stiff_ok=stiff_ok,
+        mass_margin=mass_margin,
+        stiff_margin=stiff_margin,
         rule_mass_ok=bool(theta_mass >= 0.5 * p - 1e-12),
         rule_stiff_ok=bool(theta_stiff >= 0.25 * p - 1e-12),
         theta_mass=theta_mass,
@@ -237,22 +253,28 @@ def check_stability(parts: SplitParts, theta_mass: float,
 
 
 class _StepOperator:
-    """Precomputed matrices and factorizations for repeated split steps."""
+    """Block factors and explicit operators of the increment-form split step.
+
+    Besides the factored implicit part theta_m*C1 + tau*theta_s*B1 a step
+    reads only the shared stiffness B and lag = C - theta_m*C1.
+    """
 
     def __init__(self, parts: SplitParts, config: SplitConfig):
         tm, ts, tau = config.theta_mass, config.theta_stiff, config.tau
         self.tau = tau
-        mass_rest = parts.mass_rest
-        self.go_now = (tau * (1.0 - ts) * parts.stiff_main + tau * parts.stiff_rest
-                       + (1.0 - 2.0 * tm) * parts.mass_main + mass_rest)
-        self.go_prev = (1.0 - tm) * parts.mass_main + mass_rest
-        lhs = tm * parts.mass_main + tau * ts * parts.stiff_main
+        self.stiff = parts.stiff
+        self.lag = parts.mass - tm * parts.mass_main
         self.slices = parts.slices()
+
+        def implicit(rows, cols):
+            return (tm * parts.mass_main[rows, cols]
+                    + tau * ts * parts.stiff_main[rows, cols])
+
         self.diag_factors = [
-            DenseSpdFactor(lhs[sl, sl], context=f"step block {q}")
+            DenseSpdFactor(implicit(sl, sl), context=f"step block {q}")
             for q, sl in enumerate(self.slices)]
         if parts.variant == "lower-triangular":
-            self.lower = [[lhs[slq, slr] for slr in self.slices[:q]]
+            self.lower = [[implicit(slq, slr) for slr in self.slices[:q]]
                           for q, slq in enumerate(self.slices)]
         else:
             self.lower = None
@@ -269,11 +291,11 @@ class _StepOperator:
 
     def step(self, z_now: np.ndarray, z_prev: np.ndarray,
              f_next: np.ndarray) -> np.ndarray:
-        rhs = self.tau * f_next - self.go_now @ z_now + self.go_prev @ z_prev
+        rhs = self.tau * (f_next - self.stiff @ z_now) - self.lag @ (z_now - z_prev)
         if not np.isfinite(rhs).all():
             raise NumericalError("non-finite right-hand side in a split step; "
                                  "the previous states have overflowed")
-        return self.solve(rhs)
+        return z_now + self.solve(rhs)
 
 
 def split_step(parts: SplitParts, config: SplitConfig, z_now: np.ndarray,
@@ -282,18 +304,25 @@ def split_step(parts: SplitParts, config: SplitConfig, z_now: np.ndarray,
     return _StepOperator(parts, config).step(z_now, z_prev, f_next)
 
 
-def init_first_step(cs: CoarseSystem, tau: float) -> np.ndarray:
-    """First state from one unsplit backward Euler step."""
-    lhs = DenseSpdFactor(cs.mass + tau * cs.stiff, context="first step")
-    return lhs.solve(tau * cs.rhs(tau) + cs.mass @ cs.z0)
+def _euler_step(cs: CoarseSystem, tau: float, context: str):
+    """Unsplit backward Euler step (C + tau*B) z^{n+1} = tau*f^{n+1} + C z^n.
+
+    Factors C + tau*B once; the returned step ignores z^{n-1}.
+    """
+    factor = DenseSpdFactor(cs.mass + tau * cs.stiff, context=context)
+    mass = cs.mass
+
+    def step(z_now, z_prev, f_next):
+        return factor.solve(tau * f_next + mass @ z_now)
+
+    return step
 
 
 def damping_matrix(parts: SplitParts, config: SplitConfig) -> np.ndarray:
     """Weight matrix of the difference term in the discrete energy."""
-    tau = config.tau
-    return (tau * (config.theta_mass * _sym(parts.mass_main) - 0.5 * parts.mass)
-            + tau ** 2 * (config.theta_stiff * _sym(parts.stiff_main)
-                          - 0.25 * parts.stiff))
+    mass_test, stiff_test = _conditions(parts, config.theta_mass,
+                                        config.theta_stiff)
+    return config.tau * mass_test + config.tau ** 2 * stiff_test
 
 
 @dataclass
@@ -333,9 +362,32 @@ class Trajectory:
         return float(np.min(self.bound_rhs - self.bound_lhs))
 
 
-def _check_finite(z: np.ndarray, step: int) -> None:
-    if not np.all(np.isfinite(z)):
-        raise NumericalError(f"non-finite state at step {step}")
+class _Run:
+    """States z^0 .. z^N of one time integration, filled step by step.
+
+    Also records f^{n+1} in ``forcing[n]`` and the wall time of each step,
+    and stops at the first non-finite state.
+    """
+
+    def __init__(self, cs: CoarseSystem, tau: float, n_steps: int):
+        self.cs = cs
+        self.tau = tau
+        self.states = np.empty((n_steps + 1, cs.dim))
+        self.states[0] = cs.z0
+        self.forcing = np.empty((n_steps, cs.dim))
+        self.step_seconds = np.empty(n_steps)
+
+    def advance(self, steps: range, step) -> None:
+        """Set z^{n+1} = step(z^n, z^{n-1}, f^{n+1}) for each n in ``steps``."""
+        rhs, tau = self.cs.rhs, self.tau
+        states, forcing, seconds = self.states, self.forcing, self.step_seconds
+        for n in steps:
+            tic = time.perf_counter()
+            forcing[n] = rhs((n + 1) * tau)
+            states[n + 1] = step(states[n], states[n - 1], forcing[n])
+            seconds[n] = time.perf_counter() - tic
+            if not np.isfinite(states[n + 1]).all():
+                raise NumericalError(f"non-finite state at step {n + 1}")
 
 
 # time levels that trajectory post-processing handles per matrix product:
@@ -385,49 +437,29 @@ def march(cs: CoarseSystem, parts: SplitParts, config: SplitConfig,
     if not cert.passed:
         logger.warning("%s; continuing without energy monitor", cert.describe())
     n_steps = config.n_steps
-    tau = config.tau
-    states = np.empty((n_steps + 1, cs.dim))
-    states[0] = cs.z0
-    forcing = np.empty((max(n_steps - 1, 0), cs.dim))
-    step_seconds = np.empty(n_steps)
-
-    tic = time.perf_counter()
-    states[1] = init_first_step(cs, tau)
-    step_seconds[0] = time.perf_counter() - tic
-    _check_finite(states[1], 1)
-
-    op = _StepOperator(parts, config)
-    for n in range(1, n_steps):
-        tic = time.perf_counter()
-        forcing[n - 1] = cs.rhs((n + 1) * tau)
-        states[n + 1] = op.step(states[n], states[n - 1], forcing[n - 1])
-        step_seconds[n] = time.perf_counter() - tic
-        _check_finite(states[n + 1], n + 1)
+    run = _Run(cs, config.tau, n_steps)
+    # the first step's factor of C + tau*B is freed before the split's own
+    # factors are built, so the two never coexist
+    run.advance(range(1), _euler_step(cs, config.tau, "first step"))
+    run.advance(range(1, n_steps), _StepOperator(parts, config).step)
     energy = bound_lhs = bound_rhs = None
     if record_energy and cert.passed:
-        energy, bound_lhs, bound_rhs = _energy_monitor(parts, config, states, forcing)
-    return Trajectory(states=states, tau=tau, scheme="split",
+        energy, bound_lhs, bound_rhs = _energy_monitor(parts, config, run.states,
+                                                       run.forcing[1:])
+    return Trajectory(states=run.states, tau=config.tau, scheme="split",
                       theta_mass=config.theta_mass, theta_stiff=config.theta_stiff,
                       variant=parts.variant, certificate=cert, energy=energy,
                       bound_lhs=bound_lhs, bound_rhs=bound_rhs,
-                      step_seconds=step_seconds)
+                      step_seconds=run.step_seconds)
 
 
 def backward_euler(cs: CoarseSystem, tau: float, t_final: float) -> Trajectory:
     """Unsplit backward Euler reference run on the same coarse system."""
-    config = SplitConfig(tau=tau, t_final=t_final)  # validates the step count
-    n_steps = config.n_steps
-    states = np.empty((n_steps + 1, cs.dim))
-    states[0] = cs.z0
-    step_seconds = np.empty(n_steps)
-    lhs = DenseSpdFactor(cs.mass + tau * cs.stiff, context="backward Euler")
-    for n in range(n_steps):
-        tic = time.perf_counter()
-        states[n + 1] = lhs.solve(tau * cs.rhs((n + 1) * tau) + cs.mass @ states[n])
-        step_seconds[n] = time.perf_counter() - tic
-        _check_finite(states[n + 1], n + 1)
-    return Trajectory(states=states, tau=tau, scheme="backward-euler",
-                      step_seconds=step_seconds)
+    n_steps = SplitConfig(tau=tau, t_final=t_final).n_steps  # validates the step count
+    run = _Run(cs, tau, n_steps)
+    run.advance(range(n_steps), _euler_step(cs, tau, "backward Euler"))
+    return Trajectory(states=run.states, tau=tau, scheme="backward-euler",
+                      step_seconds=run.step_seconds)
 
 
 @dataclass

@@ -20,8 +20,6 @@ from conftest import rng_for
 from _oracles import (charpoly_eigs, dense_q1_matrices, oracle_snapshots,
                       random_spd)
 
-import scipy.sparse as sp
-
 TAU0 = 1e-3
 T_FINAL = 0.25
 

@@ -295,6 +295,22 @@ def test_sweep_params_axis(tmp_path):
     assert named.exists()
 
 
+def test_sweep_params_axis_shares_one_reference(tmp_path, monkeypatch):
+    calls = []
+    euler = splitting.backward_euler
+
+    def counted(*args):
+        calls.append(args[1:])
+        return euler(*args)
+
+    monkeypatch.setattr(splitting, "backward_euler", counted)
+    rows = driver.sweep(tiny_config(output_dir=str(tmp_path / "sweep")), "params")
+    assert calls == [(0.05, 0.2)]
+    single = driver.run_example(tiny_config(
+        output_dir=str(tmp_path / "one"), theta_mass=1.5, theta_stiff=0.75))
+    assert rows[1][1:] == (single.e_l2, single.e_a)
+
+
 def test_sweep_rejects_unknown_axis(tmp_path):
     with pytest.raises(ConfigError, match="unknown sweep axis"):
         driver.sweep(tiny_config(output_dir=str(tmp_path)), "everything")

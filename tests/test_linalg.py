@@ -3,42 +3,30 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from msplit.linalg import (NumericalError, cholesky_check, eig_gsym,
-                           factorize_spd, require_symmetric, smallest_pivot,
-                           solve_spd)
+from msplit.linalg import NumericalError, cholesky_margin, eig_gsym, factorize_spd
 
 from _oracles import charpoly_eigs, random_spd
 from conftest import rng_for
 
 
-def test_solve_spd_matches_dense_oracle():
-    rng = rng_for("solve_spd_oracle")
+def test_factorize_spd_matches_dense_oracle():
+    rng = rng_for("factorize_spd_oracle")
     for n in (1, 2, 7, 19, 32):
         mat = random_spd(rng, n)
         rhs = rng.standard_normal(n)
-        x = solve_spd(sp.csr_matrix(mat), rhs)
+        x = factorize_spd(sp.csr_matrix(mat)).solve(rhs)
         assert np.allclose(x, np.linalg.solve(mat, rhs), atol=1e-10, rtol=1e-10)
 
 
-def test_solve_spd_zero_rhs():
+def test_factorize_spd_zero_rhs():
     mat = sp.csr_matrix(np.eye(3))
-    assert np.array_equal(solve_spd(mat, np.zeros(3)), np.zeros(3))
-
-
-def test_factorize_solve_many():
-    rng = rng_for("solve_many")
-    mat = random_spd(rng, 9)
-    rhs = rng.standard_normal((9, 4))
-    factor = factorize_spd(sp.csr_matrix(mat))
-    block = factor.solve_many(rhs)
-    for j in range(4):
-        assert np.array_equal(block[:, j], factor.solve(rhs[:, j]))
+    assert np.array_equal(factorize_spd(mat).solve(np.zeros(3)), np.zeros(3))
 
 
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(2, 10), seed=st.integers(0, 2**31 - 1),
        a=st.floats(-3, 3), b=st.floats(-3, 3))
-def test_solve_spd_is_linear(n, seed, a, b):
+def test_factorize_spd_is_linear(n, seed, a, b):
     rng = np.random.default_rng(seed)
     mat = sp.csr_matrix(random_spd(rng, n))
     r1 = rng.standard_normal(n)
@@ -87,28 +75,19 @@ def test_eig_gsym_rejects_indefinite_mass():
         eig_gsym(a, -np.eye(4))
 
 
-def test_cholesky_check():
+def test_cholesky_margin_definiteness():
     rng = rng_for("chol_check")
-    assert cholesky_check(random_spd(rng, 5))
-    assert not cholesky_check(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    assert not cholesky_check(np.zeros((3, 3)))
+    assert cholesky_margin(random_spd(rng, 5))[0]
+    assert not cholesky_margin(np.array([[1.0, 2.0], [2.0, 1.0]]))[0]
+    assert not cholesky_margin(np.zeros((3, 3)))[0]
     # positive definite but with a pivot below the relative floor
     nearly = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-16]])
-    assert not cholesky_check(nearly)
+    assert not cholesky_margin(nearly)[0]
 
 
-def test_smallest_pivot():
+def test_cholesky_margin_values():
     diag = np.diag([4.0, 9.0, 1.0])
-    assert smallest_pivot(diag) == pytest.approx(1.0)
+    assert cholesky_margin(diag) == (True, pytest.approx(1.0))
     indef = np.array([[1.0, 3.0], [3.0, 1.0]])
-    assert smallest_pivot(indef) == pytest.approx(-2.0)
-    assert smallest_pivot(np.zeros((0, 0))) == 0.0
-
-
-def test_require_symmetric():
-    require_symmetric(np.eye(3))
-    require_symmetric(sp.eye(3, format="csr"))
-    with pytest.raises(ValueError):
-        require_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        require_symmetric(np.zeros((2, 3)))
+    assert cholesky_margin(indef) == (False, pytest.approx(-2.0))
+    assert cholesky_margin(np.zeros((0, 0))) == (False, 0.0)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from msplit import splitting
 from msplit.linalg import NumericalError
 
-from _oracles import dense_split_step, random_spd
+from _oracles import dense_backward_euler, dense_split_step, random_spd
 
 
 def make_cs(cmat, bmat, sizes, forcing=None, z0=None):
@@ -133,17 +133,35 @@ def test_split_step_is_linear(alpha):
     assert np.allclose(scaled, alpha * one, atol=1e-10, rtol=1e-10)
 
 
-def test_init_first_step_matches_dense_solve():
+def test_backward_euler_matches_dense_oracle():
     rng = np.random.default_rng(17)
     cmat = random_spd(rng, 5)
     bmat = random_spd(rng, 5)
     fvec = rng.standard_normal(5)
     z0 = rng.standard_normal(5)
-    cs = make_cs(cmat, bmat, (2, 3), forcing=fvec, z0=z0)
+
+    def forcing(t):
+        return np.sin(3.0 * t) * fvec
+
+    cs = make_cs(cmat, bmat, (2, 3), forcing=forcing, z0=z0)
     tau = 0.05
-    got = splitting.init_first_step(cs, tau)
-    want = np.linalg.solve(cmat + tau * bmat, tau * fvec + cmat @ z0)
-    assert np.max(np.abs(got - want)) < 1e-12
+    got = splitting.backward_euler(cs, tau, 1.0).states
+    want = dense_backward_euler(cmat, bmat, forcing, z0, tau, 20)
+    assert np.max(np.abs(got - want)) < 1e-12 * np.abs(want).max()
+
+
+def test_march_first_step_is_the_backward_euler_step():
+    rng = np.random.default_rng(19)
+    cmat = random_spd(rng, 7)
+    bmat = random_spd(rng, 7)
+    cs = make_cs(cmat, bmat, (2, 3, 2), forcing=lambda t: t * np.arange(7.0),
+                 z0=rng.standard_normal(7))
+    parts = splitting.make_split(cs, "lower-triangular")
+    config = splitting.SplitConfig(tau=0.1, t_final=0.5,
+                                   theta_mass=2.0, theta_stiff=1.0)
+    split = splitting.march(cs, parts, config)
+    euler = splitting.backward_euler(cs, 0.1, 0.5)
+    assert np.array_equal(split.states[1], euler.states[1])
 
 
 # --- whole runs ---
@@ -348,6 +366,19 @@ def test_march_raises_on_nonfinite_state():
     config = splitting.SplitConfig(tau=1.0, t_final=1.0)
     with pytest.raises(NumericalError, match="non-finite"):
         splitting.march(cs, parts, config, record_energy=False)
+
+
+def test_overflowing_backward_euler_rhs_is_numerical_error():
+    # every input is finite but tau*f + C z^0 overflows; both the reference
+    # and the split's first step must stop with the package's own error
+    cs = make_cs(np.array([[1e300]]), np.eye(1), (1,), z0=np.array([1e10]))
+    parts = splitting.make_split(cs, "block-diagonal")
+    config = splitting.SplitConfig(tau=1.0, t_final=1.0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalError, match="non-finite"):
+            splitting.backward_euler(cs, 1.0, 1.0)
+        with pytest.raises(NumericalError, match="non-finite"):
+            splitting.march(cs, parts, config)
 
 
 def test_march_reports_unstable_growth_as_numerical_error():
