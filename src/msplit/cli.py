@@ -28,8 +28,6 @@ def _add_config_arg(parser):
 
 
 def _add_common(parser):
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for the offline stage")
     parser.add_argument("--output", default=None,
                         help="directory for CSV and field outputs")
 
@@ -55,24 +53,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_off = sub.add_parser("offline", help="build the multiscale basis only")
     _add_config_arg(p_off)
-    p_off.add_argument("--threads", type=int, default=None)
     p_off.add_argument("--dump-basis", default=None, metavar="PATH",
                        help="write the basis to a plain text file")
 
     p_chk = sub.add_parser("check-stability",
                            help="evaluate the splitting stability certificate")
     _add_config_arg(p_chk)
-    p_chk.add_argument("--threads", type=int, default=None)
     return parser
 
 
 def _load_config(args) -> driver.ExperimentConfig:
     config = driver.resolve_config(args.config)
     updates = {}
-    if getattr(args, "threads", None) is not None:
-        if args.threads < 1:
-            raise ConfigError("threads must be at least 1")
-        updates["threads"] = args.threads
     if getattr(args, "output", None) is not None:
         updates["output_dir"] = args.output
     if getattr(args, "dump_fields", False):
@@ -96,13 +88,12 @@ def _cmd_offline(args) -> int:
     config = _load_config(args)
     tic = time.perf_counter()
     _, fs = driver.build_problem(config)
-    modes = gmsfem.offline_modes(fs, config.modes, threads=config.threads)
-    basis = gmsfem.assemble_basis(fs, modes, config.modes,
-                                  orthonormalize=config.orthonormalize)
-    seconds = time.perf_counter() - tic
-    print(f"fine dofs: {fs.n_dof}")
-    print(f"coarse dofs: {basis.n_columns}")
-    print(f"offline stage: {seconds:.2f} s")
+    seconds_assemble = time.perf_counter() - tic
+    tic = time.perf_counter()
+    basis = gmsfem.build_offline(fs, config.modes,
+                                 orthonormalize=config.orthonormalize)
+    driver.report_offline(fs.n_dof, basis.n_columns,
+                          time.perf_counter() - tic, seconds_assemble)
     lam = basis.eigenvalues
     print(f"eigenvalue range: [{lam.min():.6e}, {lam.max():.6e}]")
     if args.dump_basis:

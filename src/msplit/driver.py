@@ -38,6 +38,7 @@ __all__ = [
     "synthetic_channels",
     "build_problem",
     "build_pipeline",
+    "report_offline",
     "reconstruct_fine",
     "compare",
     "run_example",
@@ -136,7 +137,6 @@ class ExperimentConfig:
     t_final: float = 0.25
     variant: str = "block-diagonal"
     orthonormalize: bool = True
-    threads: int = 1
     output_dir: str = "."
     dump_fields: bool = False
     fine_reference: bool = False
@@ -176,16 +176,10 @@ class ExperimentConfig:
                 f"unknown initial_vector mode {self.initial_vector!r}")
         if self.variant not in splitting.VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
-        if self.theta_mass <= 0.0 or self.theta_stiff <= 0.0:
-            raise ConfigError("scheme weights must be positive")
-        if self.tau <= 0.0 or self.t_final <= 0.0:
-            raise ConfigError("tau and t_final must be positive")
-        ratio = self.t_final / self.tau
-        if abs(ratio - round(ratio)) > 1e-8 * max(ratio, 1.0) or round(ratio) < 1:
-            raise ConfigError(f"tau = {self.tau} does not divide t_final = "
-                              f"{self.t_final}")
-        if self.threads < 1:
-            raise ConfigError("threads must be at least 1")
+        try:
+            SplitConfig(self.tau, self.t_final, self.theta_mass, self.theta_stiff)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         for pair in self.params_sweep:
             if len(pair) != 2 or pair[0] <= 0 or pair[1] <= 0:
                 raise ConfigError(f"bad params_sweep entry {pair!r}")
@@ -238,7 +232,7 @@ _PARSERS = {
     "initial_vector": str, "modes": int, "blocks": _parse_blocks,
     "theta_mass": float, "theta_stiff": float,
     "tau": float, "t_final": float, "variant": str,
-    "orthonormalize": _parse_bool, "threads": int,
+    "orthonormalize": _parse_bool,
     "output_dir": str, "dump_fields": _parse_bool, "fine_reference": _parse_bool,
     "tau_sweep": _parse_float_list, "params_sweep": _parse_params_sweep,
     "blocks_sweep": _parse_blocks_sweep,
@@ -350,7 +344,6 @@ class Pipeline:
     config: ExperimentConfig
     grid: GridPair
     fs: fineassembly.FineSystem
-    modes: list
     basis: gmsfem.OfflineBasis
     prol: gmsfem.Prolongation
     coarse: splitting.CoarseSystem
@@ -363,15 +356,27 @@ def build_pipeline(config: ExperimentConfig) -> Pipeline:
     g, fs = build_problem(config)
     t_assemble = time.perf_counter() - tic
     tic = time.perf_counter()
-    modes = gmsfem.offline_modes(fs, config.modes, threads=config.threads)
-    basis = gmsfem.assemble_basis(fs, modes, config.modes,
-                                  orthonormalize=config.orthonormalize)
+    basis = gmsfem.build_offline(fs, config.modes,
+                                 orthonormalize=config.orthonormalize)
     prol = gmsfem.assemble_prolongation(basis, config.blocks)
     coarse = gmsfem.project_coarse(fs, prol, initial=config.initial_vector)
     t_offline = time.perf_counter() - tic
-    return Pipeline(config=config, grid=g, fs=fs, modes=modes, basis=basis,
-                    prol=prol, coarse=coarse, seconds_assemble=t_assemble,
+    return Pipeline(config=config, grid=g, fs=fs, basis=basis, prol=prol,
+                    coarse=coarse, seconds_assemble=t_assemble,
                     seconds_offline=t_offline)
+
+
+def report_offline(fine_dofs: int, coarse_dofs: int, seconds_offline: float,
+                   seconds_assemble: float) -> None:
+    """Print the size and offline-time lines that every command starts with.
+
+    The offline time covers the work after fine assembly, which is reported
+    in parentheses on its own.
+    """
+    print(f"fine dofs: {fine_dofs}")
+    print(f"coarse dofs: {coarse_dofs}")
+    print(f"offline stage: {seconds_offline:.2f} s "
+          f"(assembly {seconds_assemble:.2f} s)")
 
 
 def reconstruct_fine(prol: gmsfem.Prolongation, z: np.ndarray) -> np.ndarray:
@@ -503,10 +508,8 @@ def run_example(config: ExperimentConfig) -> ErrorReport:
     """Run one experiment end to end and write its CSV outputs."""
     config.validate()
     pipe = build_pipeline(config)
-    print(f"fine dofs: {pipe.fs.n_dof}")
-    print(f"coarse dofs: {pipe.coarse.dim}")
-    print(f"offline stage: {pipe.seconds_offline:.2f} s "
-          f"(assembly {pipe.seconds_assemble:.2f} s)")
+    report_offline(pipe.fs.n_dof, pipe.coarse.dim, pipe.seconds_offline,
+                   pipe.seconds_assemble)
     tic = time.perf_counter()
     reference = splitting.backward_euler(pipe.coarse, config.tau, config.t_final)
     split, report = _run_setting(
@@ -550,9 +553,8 @@ def sweep(config: ExperimentConfig, axis: str) -> list:
         raise ConfigError(f"unknown sweep axis {axis!r}; pick tau, params or blocks")
     config.validate()
     pipe = build_pipeline(config)
-    print(f"fine dofs: {pipe.fs.n_dof}")
-    print(f"coarse dofs: {pipe.coarse.dim}")
-    print(f"offline stage: {pipe.seconds_offline:.2f} s")
+    report_offline(pipe.fs.n_dof, pipe.coarse.dim, pipe.seconds_offline,
+                   pipe.seconds_assemble)
 
     settings = []
     if axis == "tau":

@@ -425,8 +425,7 @@ def _energy_monitor(parts: SplitParts, config: SplitConfig, states: np.ndarray,
     return energy, potential[1:], energy[0] + np.cumsum(work)
 
 
-def march(cs: CoarseSystem, parts: SplitParts, config: SplitConfig,
-          record_energy: bool = True) -> Trajectory:
+def march(cs: CoarseSystem, parts: SplitParts, config: SplitConfig) -> Trajectory:
     """Run the split scheme from t = 0 to t_final.
 
     The stability certificate is evaluated up front; on failure the run
@@ -443,7 +442,7 @@ def march(cs: CoarseSystem, parts: SplitParts, config: SplitConfig,
     run.advance(range(1), _euler_step(cs, config.tau, "first step"))
     run.advance(range(1, n_steps), _StepOperator(parts, config).step)
     energy = bound_lhs = bound_rhs = None
-    if record_energy and cert.passed:
+    if cert.passed:
         energy, bound_lhs, bound_rhs = _energy_monitor(parts, config, run.states,
                                                        run.forcing[1:])
     return Trajectory(states=run.states, tau=config.tau, scheme="split",

@@ -130,7 +130,7 @@ def test_acceptance_4_tau_convergence(ex1):
     for tau in (4 * TAU0, 2 * TAU0, TAU0, TAU0 / 2, TAU0 / 4):
         tau = driver._snap_tau(tau, T_FINAL)
         config = SplitConfig(tau=tau, t_final=T_FINAL)
-        split = splitting.march(coarse, parts, config, record_energy=False)
+        split = splitting.march(coarse, parts, config)
         taus.append(tau)
         errs.append(np.linalg.norm(split.states[-1] - ref_final) / ref_norm)
     order = np.polyfit(np.log(taus), np.log(errs), 1)[0]
@@ -285,7 +285,7 @@ def test_acceptance_8_error_recursion(ex1, ex1_split15):
     prol, coarse = ex1_split15
     parts = splitting.make_split(coarse, "block-diagonal")
     config = SplitConfig(tau=TAU0, t_final=T_FINAL)
-    split = splitting.march(coarse, parts, config, record_energy=False)
+    split = splitting.march(coarse, parts, config)
     euler = splitting.backward_euler(coarse, TAU0, T_FINAL)
     report = splitting.error_recursion_diag(parts, euler, split)
     ok = report.max_residual <= 1e-8
@@ -314,7 +314,7 @@ def test_high_contrast_trend():
         coarse = gmsfem.project_coarse(fs, prol)
         parts = splitting.make_split(coarse, "block-diagonal")
         scfg = SplitConfig(tau=pipe_config.tau, t_final=T_FINAL)
-        split = splitting.march(coarse, parts, scfg, record_energy=False)
+        split = splitting.march(coarse, parts, scfg)
         euler = splitting.backward_euler(coarse, pipe_config.tau, T_FINAL)
         errors[blocks] = driver.compare(euler, split, prol, fs).e_a
     ok = errors[(1, 9)] < errors[(5, 5)]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import subprocess
 import sys
 
@@ -108,11 +109,10 @@ def test_resolve_config_name_and_path(tmp_path):
     (dict(initial_vector="l2"), "unknown initial_vector"),
     (dict(variant="jacobi"), "unknown variant"),
     (dict(theta_mass=0.0), "weights must be positive"),
-    (dict(threads=0), "threads"),
+    (dict(blocks_sweep=((1, 1),)), "blocks_sweep"),
     (dict(nx_coarse=1), "at least 2 coarse cells"),
     (dict(tau_sweep=(0.05, -0.01)), "tau_sweep"),
     (dict(params_sweep=((1.0, 0.0),)), "params_sweep"),
-    (dict(blocks_sweep=((1, 1),)), "blocks_sweep"),
 ])
 def test_config_validation_errors(overrides, needle):
     with pytest.raises(ConfigError, match=needle):
@@ -340,11 +340,12 @@ def test_cli_offline_dump_roundtrip(tmp_path, capsys):
     path = tmp_path / "exp.cfg"
     path.write_text(TINY_TEXT)
     dump = tmp_path / "basis.txt"
-    code = cli.main(["offline", str(path), "--dump-basis", str(dump),
-                     "--threads", "2"])
+    code = cli.main(["offline", str(path), "--dump-basis", str(dump)])
     assert code == 0
     out = capsys.readouterr().out
     assert "coarse dofs: 27" in out
+    assert re.search(r"^offline stage: \d+\.\d\d s \(assembly \d+\.\d\d s\)$",
+                     out, re.MULTILINE)
     basis = gmsfem.load_basis(dump)
     assert basis.n_modes == 3
     assert len(basis.nodes) == 9
@@ -357,6 +358,20 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("modes = 0\n")
     assert cli.main(["run", str(bad)]) == 2
+
+
+def test_cli_rejects_the_removed_threads_knob(tmp_path, capsys):
+    # the offline stage is serial: a config key or flag for threads is an error
+    path = tmp_path / "exp.cfg"
+    path.write_text(TINY_TEXT + "threads = 2\n")
+    assert cli.main(["run", str(path)]) == 2
+    assert "unknown config key 'threads'" in capsys.readouterr().err
+    path.write_text(TINY_TEXT)
+    for command in (["run"], ["sweep", "--axis", "tau"], ["offline"],
+                    ["check-stability"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(command + [str(path), "--threads", "2"])
+        assert exc.value.code == 2
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
@@ -380,4 +395,6 @@ def test_cli_sweep_subprocess(tmp_path):
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "setting 1+2:" in proc.stdout
+    assert re.search(r"^offline stage: \d+\.\d\d s \(assembly \d+\.\d\d s\)$",
+                     proc.stdout, re.MULTILINE)
     assert (tmp_path / "out" / "errors.csv").exists()

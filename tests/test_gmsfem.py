@@ -146,16 +146,6 @@ def test_first_eigenvalue_near_zero(small):
         assert np.all(np.diff(m.eigenvalues) >= 0)
 
 
-def test_offline_modes_thread_count_invariant(small):
-    g, fs = small
-    serial = gmsfem.offline_modes(fs, 3, threads=1)
-    pooled = gmsfem.offline_modes(fs, 3, threads=2)
-    assert [m.node for m in serial] == [m.node for m in pooled]
-    for a, b in zip(serial, pooled):
-        assert np.array_equal(a.eigenvalues, b.eigenvalues)
-        assert np.array_equal(a.vectors, b.vectors)
-
-
 def test_offline_modes_rejects_oversized_request(small):
     g, fs = small
     with pytest.raises(ValueError, match="snapshots"):

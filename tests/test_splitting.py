@@ -365,7 +365,7 @@ def test_march_raises_on_nonfinite_state():
     parts = splitting.make_split(cs, "block-diagonal")
     config = splitting.SplitConfig(tau=1.0, t_final=1.0)
     with pytest.raises(NumericalError, match="non-finite"):
-        splitting.march(cs, parts, config, record_energy=False)
+        splitting.march(cs, parts, config)
 
 
 def test_overflowing_backward_euler_rhs_is_numerical_error():
