@@ -23,7 +23,8 @@ must not grow faster than the forcing term, measured in the C^-1 norm,
 allows.
 
 C and B are each held once, as dense matrices whose rows and columns are
-grouped into mode blocks; a split shares them and adds only C1 and B1.
+grouped into mode blocks. A split adds no matrix: it is a rule giving each
+block of C and B an implicit share of 1, 1/2 or 0, applied block by block.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
@@ -58,6 +59,12 @@ logger = logging.getLogger(__name__)
 VARIANTS = ("block-diagonal", "lower-triangular")
 
 
+def _block_slices(block_sizes) -> list:
+    """Row (or column) ranges of consecutive blocks of the given sizes."""
+    return [slice(end - size, end)
+            for size, end in zip(block_sizes, accumulate(block_sizes))]
+
+
 @dataclass
 class CoarseSystem:
     """Coarse mass/stiffness with projected forcing and initial state.
@@ -76,38 +83,48 @@ class CoarseSystem:
     def dim(self) -> int:
         return sum(self.block_sizes)
 
-    @property
-    def n_blocks(self) -> int:
-        return len(self.block_sizes)
-
-    @cached_property
-    def offsets(self) -> np.ndarray:
-        return np.concatenate([[0], np.cumsum(self.block_sizes)])
-
     def slices(self):
-        off = self.offsets
-        return [slice(off[q], off[q + 1]) for q in range(self.n_blocks)]
+        return _block_slices(self.block_sizes)
+
+
+def _weight(variant: str, q: int, r: int) -> float:
+    """Share of block (q, r) of C and B that the split treats implicitly."""
+    if q == r:
+        return 1.0 if variant == "block-diagonal" else 0.5
+    return 1.0 if variant == "lower-triangular" and q > r else 0.0
 
 
 @dataclass
 class SplitParts:
-    """Additive two-part splits of the coarse mass and stiffness.
+    """Additive two-part split of the coarse mass and stiffness.
 
     ``mass``/``stiff`` are the coarse system's own operators (shared, not
-    copied); ``mass_main``/``stiff_main`` are the implicitly treated parts
-    (C1, B1), and the rests C2 = C - C1, B2 = B - B1 are formed on access.
+    copied) and ``variant`` names their block rule; the implicit parts C1, B1
+    and the rests C2 = C - C1, B2 = B - B1 are formed only when read.
     """
 
     variant: str
     block_sizes: tuple
     mass: np.ndarray
     stiff: np.ndarray
-    mass_main: np.ndarray
-    stiff_main: np.ndarray
+
+    def slices(self):
+        return _block_slices(self.block_sizes)
+
+    def _implicit(self, mat: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(mat)
+        for q, rows in enumerate(self.slices()):
+            for r, cols in enumerate(self.slices()):
+                out[rows, cols] = _weight(self.variant, q, r) * mat[rows, cols]
+        return out
 
     @property
-    def n_blocks(self) -> int:
-        return len(self.block_sizes)
+    def mass_main(self) -> np.ndarray:
+        return self._implicit(self.mass)
+
+    @property
+    def stiff_main(self) -> np.ndarray:
+        return self._implicit(self.stiff)
 
     @property
     def mass_rest(self) -> np.ndarray:
@@ -116,14 +133,6 @@ class SplitParts:
     @property
     def stiff_rest(self) -> np.ndarray:
         return self.stiff - self.stiff_main
-
-    @cached_property
-    def offsets(self) -> np.ndarray:
-        return np.concatenate([[0], np.cumsum(self.block_sizes)])
-
-    def slices(self):
-        off = self.offsets
-        return [slice(off[q], off[q + 1]) for q in range(self.n_blocks)]
 
 
 def make_split(cs: CoarseSystem, variant: str = "block-diagonal") -> SplitParts:
@@ -135,26 +144,7 @@ def make_split(cs: CoarseSystem, variant: str = "block-diagonal") -> SplitParts:
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown split variant {variant!r}, expected one of {VARIANTS}")
-    mass, stiff = cs.mass, cs.stiff
-    slices = cs.slices()
-    mass_main = np.zeros_like(mass)
-    stiff_main = np.zeros_like(stiff)
-    if variant == "block-diagonal":
-        for sl in slices:
-            mass_main[sl, sl] = mass[sl, sl]
-            stiff_main[sl, sl] = stiff[sl, sl]
-    else:
-        for q, slq in enumerate(slices):
-            for r, slr in enumerate(slices):
-                if q > r:
-                    mass_main[slq, slr] = mass[slq, slr]
-                    stiff_main[slq, slr] = stiff[slq, slr]
-                elif q == r:
-                    mass_main[slq, slr] = 0.5 * mass[slq, slr]
-                    stiff_main[slq, slr] = 0.5 * stiff[slq, slr]
-    return SplitParts(variant=variant, block_sizes=tuple(cs.block_sizes),
-                      mass=mass, stiff=stiff,
-                      mass_main=mass_main, stiff_main=stiff_main)
+    return SplitParts(variant, tuple(cs.block_sizes), cs.mass, cs.stiff)
 
 
 @dataclass(frozen=True)
@@ -214,17 +204,20 @@ class StabilityCertificate:
                 f"{'ok' if self.rule_mass_ok and self.rule_stiff_ok else 'not met'})")
 
 
-def _sym(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.T)
+def _condition(parts: SplitParts, mat: np.ndarray, theta: float,
+               share: float) -> np.ndarray:
+    """The certified matrix theta*sym(M1) - share*M of M = C or B.
 
-
-def _conditions(parts: SplitParts, theta_mass: float, theta_stiff: float):
-    """The certified matrices theta_m*sym(C1) - C/2 and theta_s*sym(B1) - B/4.
-
-    Both are exactly symmetric, because C and B are.
+    M is exactly symmetric, so block (q, r) of sym(M1) is exactly s*M_qr,
+    with s the mean of the shares of blocks (q, r) and (r, q).
     """
-    return (theta_mass * _sym(parts.mass_main) - 0.5 * parts.mass,
-            theta_stiff * _sym(parts.stiff_main) - 0.25 * parts.stiff)
+    out = np.empty(mat.shape)  # C order: products with it round by layout
+    for q, rows in enumerate(parts.slices()):
+        for r, cols in enumerate(parts.slices()):
+            s = 0.5 * (_weight(parts.variant, q, r) + _weight(parts.variant, r, q))
+            blk = mat[rows, cols]
+            out[rows, cols] = theta * (s * blk) - share * blk
+    return out
 
 
 def check_stability(parts: SplitParts, theta_mass: float,
@@ -235,10 +228,11 @@ def check_stability(parts: SplitParts, theta_mass: float,
     (symmetric parts) and reports the smallest Cholesky pivots as margins,
     together with the simple p-block parameter rule.
     """
-    p = parts.n_blocks
-    mass_test, stiff_test = _conditions(parts, theta_mass, theta_stiff)
-    mass_ok, mass_margin = cholesky_margin(mass_test)
-    stiff_ok, stiff_margin = cholesky_margin(stiff_test)
+    p = len(parts.block_sizes)
+    mass_ok, mass_margin = cholesky_margin(
+        _condition(parts, parts.mass, theta_mass, 0.5))
+    stiff_ok, stiff_margin = cholesky_margin(
+        _condition(parts, parts.stiff, theta_stiff, 0.25))
     return StabilityCertificate(
         mass_ok=mass_ok,
         stiff_ok=stiff_ok,
@@ -263,29 +257,31 @@ class _StepOperator:
         tm, ts, tau = config.theta_mass, config.theta_stiff, config.tau
         self.tau = tau
         self.stiff = parts.stiff
-        self.lag = parts.mass - tm * parts.mass_main
         self.slices = parts.slices()
-
-        def implicit(rows, cols):
-            return (tm * parts.mass_main[rows, cols]
-                    + tau * ts * parts.stiff_main[rows, cols])
-
-        self.diag_factors = [
-            DenseSpdFactor(implicit(sl, sl), context=f"step block {q}")
-            for q, sl in enumerate(self.slices)]
-        if parts.variant == "lower-triangular":
-            self.lower = [[implicit(slq, slr) for slr in self.slices[:q]]
-                          for q, slq in enumerate(self.slices)]
-        else:
-            self.lower = None
+        # C's own memory layout: the matvec with lag rounds differently
+        # for a C- and a Fortran-ordered copy
+        self.lag = parts.mass.copy(order="K")
+        self.diag_factors = []
+        self.lower = [[] for _ in self.slices]  # (columns, block) pairs
+        for q, rows in enumerate(self.slices):
+            for r, cols in enumerate(self.slices):
+                w = _weight(parts.variant, q, r)
+                if w == 0.0:
+                    continue
+                mass_blk = w * parts.mass[rows, cols]
+                self.lag[rows, cols] -= tm * mass_blk
+                implicit = tm * mass_blk + tau * ts * (w * parts.stiff[rows, cols])
+                if q == r:
+                    self.diag_factors.append(DenseSpdFactor(implicit, f"step block {q}"))
+                else:
+                    self.lower[q].append((cols, implicit))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         out = np.empty_like(rhs)
         for q, sl in enumerate(self.slices):
             blockrhs = rhs[sl]
-            if self.lower is not None and q > 0:
-                blockrhs = blockrhs - sum(
-                    self.lower[q][r] @ out[self.slices[r]] for r in range(q))
+            if self.lower[q]:
+                blockrhs = blockrhs - sum(blk @ out[cols] for cols, blk in self.lower[q])
             out[sl] = self.diag_factors[q].solve(blockrhs)
         return out
 
@@ -320,9 +316,12 @@ def _euler_step(cs: CoarseSystem, tau: float, context: str):
 
 def damping_matrix(parts: SplitParts, config: SplitConfig) -> np.ndarray:
     """Weight matrix of the difference term in the discrete energy."""
-    mass_test, stiff_test = _conditions(parts, config.theta_mass,
-                                        config.theta_stiff)
-    return config.tau * mass_test + config.tau ** 2 * stiff_test
+    damping = _condition(parts, parts.mass, config.theta_mass, 0.5)
+    damping *= config.tau
+    stiff_term = _condition(parts, parts.stiff, config.theta_stiff, 0.25)
+    stiff_term *= config.tau ** 2
+    damping += stiff_term
+    return damping
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
@@ -73,6 +74,23 @@ def test_eig_gsym_rejects_indefinite_mass():
     a = random_spd(rng, 4)
     with pytest.raises(NumericalError):
         eig_gsym(a, -np.eye(4))
+
+
+def test_eig_gsym_rejects_inaccurate_eigenpairs(monkeypatch):
+    # eigenvectors off by 1e-4 must fail the residual guard, which is scaled
+    # by the largest column norm of A
+    rng = rng_for("eig_residual")
+    a = random_spd(rng, 6, shift=0.0)
+    s = random_spd(rng, 6)
+    eigh = scipy.linalg.eigh
+
+    def perturbed(*args, **kwargs):
+        values, vectors = eigh(*args, **kwargs)
+        return values, vectors + 1e-4 * rng.standard_normal(vectors.shape)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", perturbed)
+    with pytest.raises(NumericalError, match="eigen residual"):
+        eig_gsym(a, s)
 
 
 def test_cholesky_margin_definiteness():

@@ -50,6 +50,19 @@ def test_split_parts_sum_to_operators(variant):
     assert np.array_equal(parts.stiff, bmat)
 
 
+@pytest.mark.parametrize("variant", splitting.VARIANTS)
+def test_split_stores_no_matrix(variant):
+    # a split is a rule over the coarse system's own C and B: its only
+    # arrays are those two, shared
+    rng = np.random.default_rng(4)
+    cs = make_cs(random_spd(rng, 7), random_spd(rng, 7), (3, 2, 2))
+    parts = splitting.make_split(cs, variant)
+    arrays = [v for v in vars(parts).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 2
+    assert any(a is cs.mass for a in arrays)
+    assert any(a is cs.stiff for a in arrays)
+
+
 def test_block_diagonal_split_structure():
     cs = make_cs(HAND_C, HAND_B, (1, 1))
     parts = splitting.make_split(cs, "block-diagonal")
@@ -294,6 +307,32 @@ def test_degenerate_split_certificate_tracks_weights(theta_mass, theta_stiff,
     parts = splitting.make_split(cs, "block-diagonal")
     cert = splitting.check_stability(parts, theta_mass, theta_stiff)
     assert cert.passed == expect
+
+
+@pytest.mark.parametrize("variant", splitting.VARIANTS)
+@pytest.mark.parametrize("theta", [0.8, 1.3])
+def test_conditions_and_damping_equal_dense_formulas(variant, theta, monkeypatch):
+    # the block-by-block certified matrices, their margins and the damping
+    # matrix are bit-equal to theta*sym(M1) - share*M formed densely
+    rng = np.random.default_rng(53)
+    cmat, bmat = (0.5 * (m + m.T) for m in (random_spd(rng, 7), random_spd(rng, 7)))
+    parts = splitting.make_split(make_cs(cmat, bmat, (3, 2, 2)), variant)
+    want_mass = theta * (0.5 * (parts.mass_main + parts.mass_main.T)) - 0.5 * cmat
+    want_stiff = theta * (0.5 * (parts.stiff_main + parts.stiff_main.T)) - 0.25 * bmat
+    certified = []
+    margin = splitting.cholesky_margin
+    monkeypatch.setattr(splitting, "cholesky_margin",
+                        lambda mat: certified.append(mat.copy()) or margin(mat))
+    cert = splitting.check_stability(parts, theta, theta)
+    assert len(certified) == 2
+    assert np.array_equal(certified[0], want_mass)
+    assert np.array_equal(certified[1], want_stiff)
+    assert (cert.mass_ok, cert.mass_margin) == margin(want_mass)
+    assert (cert.stiff_ok, cert.stiff_margin) == margin(want_stiff)
+    config = splitting.SplitConfig(tau=0.3, t_final=0.3, theta_mass=theta,
+                                   theta_stiff=theta)
+    assert np.array_equal(splitting.damping_matrix(parts, config),
+                          0.3 * want_mass + 0.3 ** 2 * want_stiff)
 
 
 def test_damping_matrix_hand_value():
