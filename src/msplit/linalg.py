@@ -4,11 +4,15 @@ Thin, checked wrappers around scipy: sparse direct factorization with an
 iterative fallback for the fine-grid systems, dense Cholesky for the small
 time-stepping systems, and the generalized symmetric eigensolver used by the
 local spectral problems. Every routine verifies the property it promises and
-raises :class:`NumericalError` with context when it cannot deliver.
+raises :class:`NumericalError` with context when it cannot deliver. One
+context manager pins the BLAS libraries behind numpy and scipy to a single
+thread for loops of many small dense problems.
 """
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +28,7 @@ __all__ = [
     "factorize_spd",
     "eig_gsym",
     "cholesky_margin",
+    "single_thread_blas",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -158,3 +163,61 @@ def cholesky_margin(mat: np.ndarray) -> tuple:
     margin = float((d * d).min())
     # max|A| without an n x n temporary
     return bool(margin > PIVOT_FLOOR * max(mat.max(), -mat.min())), margin
+
+
+# (get, set) thread-count symbols of the OpenBLAS builds that numpy and scipy
+# wheels bundle, and of a plain system OpenBLAS.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_thread_controls() -> list:
+    """(get, set) thread-count functions of each OpenBLAS mapped into this process.
+
+    The libraries are found in ``/proc/self/maps`` (Linux); the list is
+    empty where that file or the symbols are missing.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        if not path.startswith("/"):
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, put = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+                break
+    return controls
+
+
+@contextmanager
+def single_thread_blas():
+    """Run the block with every loaded OpenBLAS pinned to one thread.
+
+    Each library's previous thread count is restored on exit, also when the
+    block raises. Where no OpenBLAS with thread controls is found, the block
+    runs unpinned. The count is process-wide, so BLAS calls made from other
+    threads meanwhile also run on one thread.
+    """
+    controls = _openblas_thread_controls()
+    previous = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(controls, previous):
+            put(count)

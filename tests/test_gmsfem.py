@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from msplit import gmsfem
+from msplit import gmsfem, linalg
 from msplit.fineassembly import Permeability, assemble
 from msplit.grid import GridPair, neighborhood
 from msplit.linalg import NumericalError
@@ -150,6 +150,59 @@ def test_offline_modes_rejects_oversized_request(small):
     g, fs = small
     with pytest.raises(ValueError, match="snapshots"):
         gmsfem.offline_modes(fs, 8 * g.refine + 1)
+
+
+# --- BLAS thread pin ---
+
+def _blas_threads(controls):
+    return [get() for get, _ in controls]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every found OpenBLAS set to two threads; the original counts come back after."""
+    controls = linalg._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no loaded OpenBLAS exports thread-count symbols")
+    original = _blas_threads(controls)
+    for _, put in controls:
+        put(2)
+    yield controls
+    for (_, put), count in zip(controls, original):
+        put(count)
+
+
+def test_offline_modes_pins_blas_to_one_thread(small, two_blas_threads, monkeypatch):
+    g, fs = small
+    seen = []
+
+    def recording_eig_gsym(*args, **kwargs):
+        seen.append(_blas_threads(two_blas_threads))
+        return linalg.eig_gsym(*args, **kwargs)
+
+    monkeypatch.setattr(gmsfem, "eig_gsym", recording_eig_gsym)
+    gmsfem.offline_modes(fs, 3)
+    assert len(seen) == len(g.interior_coarse_ids)
+    assert all(counts == [1] * len(two_blas_threads) for counts in seen)
+    assert _blas_threads(two_blas_threads) == [2] * len(two_blas_threads)
+
+
+def test_offline_modes_restores_blas_threads_after_error(small, two_blas_threads):
+    g, fs = small
+    with pytest.raises(ValueError, match="snapshots"):
+        gmsfem.offline_modes(fs, 8 * g.refine + 1)
+    assert _blas_threads(two_blas_threads) == [2] * len(two_blas_threads)
+
+
+def test_offline_modes_runs_unpinned_without_thread_controls(small, monkeypatch):
+    g, fs = small
+    pinned = gmsfem.offline_modes(fs, 4)
+    monkeypatch.setattr(linalg, "_openblas_thread_controls", lambda: [])
+    unpinned = gmsfem.offline_modes(fs, 4)
+    assert [m.node for m in unpinned] == [m.node for m in pinned]
+    for a, b in zip(pinned, unpinned):
+        assert np.allclose(b.eigenvalues, a.eigenvalues, rtol=0.0,
+                           atol=1e-12 * a.eigenvalues.max())
 
 
 # --- localized basis ---
