@@ -468,9 +468,10 @@ def _fine_reference_errors(pipe: Pipeline, split: Trajectory) -> dict:
     n_steps = SplitConfig(tau=config.tau, t_final=config.t_final).n_steps
     from .linalg import factorize_spd
     lhs = factorize_spd(fs.mass + config.tau * fs.stiffness, context="fine reference")
+    loads = fineassembly.LoadOperator(fs.grid)
     u = fs.initial_vector()
     for n in range(n_steps):
-        f = fs.load((n + 1) * config.tau)
+        f = loads.load(fs.source, (n + 1) * config.tau)
         u = lhs.solve(fs.mass @ u + config.tau * f)
     split_final = reconstruct_fine(pipe.prol, split.states[-1])
     ref_l2, ref_en = fineassembly.norms(fs, u)

@@ -5,6 +5,13 @@ as constant there. Stiffness uses the exact integrals of the bilinear shape
 functions; mass and load use 2x2 Gauss quadrature, which is exact for the mass
 matrix. Homogeneous Dirichlet conditions are imposed by eliminating boundary
 rows and columns.
+
+The load quadrature is a fixed linear map from source values at the Gauss
+points to the interior load, so :class:`LoadOperator` builds those points and
+one sparse matrix once per grid; each load is then one source evaluation and
+one sparse product. Callers that need a single load build it, use it and
+free it through :func:`load`; it is not stored on :class:`FineSystem`, whose
+lifetime spans the whole run.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from .grid import GridPair
 __all__ = [
     "Permeability",
     "FineSystem",
+    "LoadOperator",
     "assemble",
     "load",
     "norms",
@@ -218,22 +226,53 @@ def assemble(g: GridPair, kappa: Permeability, source=None, initial=None) -> Fin
                       source=source, initial=initial)
 
 
+class LoadOperator:
+    """2x2 Gauss quadrature of the consistent load on one grid.
+
+    ``x`` and ``y`` hold the Gauss points, Gauss point by Gauss point and
+    each in cell order. ``matrix`` maps the weighted source values at those
+    points to the interior load; its rows hold the Q1 shape values, one entry
+    per cell corner and Gauss point, in ascending column order. The source
+    values are weighted before the product, and each row sums Gauss point by
+    Gauss point and cell by cell, so the load is bit for bit the element loop
+    that scatters every Gauss point's contributions in turn.
+    """
+
+    def __init__(self, g: GridPair):
+        cells = np.arange(g.n_fine_cells, dtype=np.int64)
+        cxf = (cells % g.nx_fine) * g.hx
+        cyf = (cells // g.nx_fine) * g.hy
+        self.x = np.concatenate([cxf + s * g.hx for s, _ in _GPTS])
+        self.y = np.concatenate([cyf + tq * g.hy for _, tq in _GPTS])
+        self.weight = 0.25 * g.hx * g.hy
+        rows = g.fine_interior_index[_cell_node_ids(g, cells)]  # (cell, corner)
+        n_pts = len(_GPTS)
+        rows = np.broadcast_to(rows, (n_pts,) + rows.shape)  # (gp, cell, corner)
+        cols = np.broadcast_to((np.arange(n_pts)[:, None] * g.n_fine_cells
+                                + cells[None, :])[:, :, None], rows.shape)
+        vals = np.broadcast_to(_SHAPE_AT_GP[:, None, :], rows.shape)
+        keep = rows >= 0
+        self.matrix = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                                    shape=(g.n_interior_fine, n_pts * g.n_fine_cells))
+        self.matrix.sort_indices()
+
+    def load(self, source, t: float = 0.0) -> np.ndarray:
+        """Load vector of f(t, x, y) over interior fine nodes."""
+        if source is None:
+            return np.zeros(self.matrix.shape[0])
+        values = np.asarray(source(t, self.x, self.y), dtype=float)
+        return self.matrix @ (self.weight * values)
+
+
 def load(g: GridPair, source, t: float = 0.0) -> np.ndarray:
-    """Consistent load vector over interior fine nodes via 2x2 Gauss points."""
+    """Consistent load vector over interior fine nodes via 2x2 Gauss points.
+
+    Builds the grid's :class:`LoadOperator` for this one call; callers that
+    load on every time step build it once instead.
+    """
     if source is None:
         return np.zeros(g.n_interior_fine)
-    cells = np.arange(g.n_fine_cells, dtype=np.int64)
-    nodes4 = _cell_node_ids(g, cells)
-    cxf = (cells % g.nx_fine) * g.hx
-    cyf = (cells // g.nx_fine) * g.hy
-    full = np.zeros(g.n_fine_nodes)
-    wt = 0.25 * g.hx * g.hy
-    for (s, tq), shape in zip(_GPTS, _SHAPE_AT_GP):
-        fx = cxf + s * g.hx
-        fy = cyf + tq * g.hy
-        fv = np.asarray(source(t, fx, fy), dtype=float)
-        np.add.at(full, nodes4, wt * fv[:, None] * shape[None, :])
-    return full[g.interior_fine_ids]
+    return LoadOperator(g).load(source, t)
 
 
 def interpolate(g: GridPair, func) -> np.ndarray:

@@ -416,6 +416,10 @@ def project_coarse(fs: FineSystem, prol: Prolongation,
     three-level scheme starts without exciting its weakly damped mode;
     the projection form is preferable when the reconstructed fields
     themselves are the output of interest.
+
+    A time-dependent forcing keeps the grid's load operator Q and P^T, so
+    ``rhs(t)`` is P^T (Q f(t)): one source evaluation and two sparse
+    products. A static forcing is loaded and projected once.
     """
     if initial not in ("moments", "projection"):
         raise ValueError(f"unknown initial-vector mode {initial!r}")
@@ -424,8 +428,14 @@ def project_coarse(fs: FineSystem, prol: Prolongation,
     time_dependent = getattr(source, "time_dependent", source is not None)
 
     if time_dependent:
+        # two products, not one fused P^T Q: the fused matrix is far denser
+        # than both factors together and slower to apply. P^T is a view of
+        # P's arrays; a CSR copy of it is no faster and doubles P's memory.
+        loads = fineassembly.LoadOperator(fs.grid)
+        pmat_t = pmat.T
+
         def rhs(t: float) -> np.ndarray:
-            return pmat.T @ fineassembly.load(fs.grid, source, t)
+            return pmat_t @ loads.load(source, t)
     else:
         static = pmat.T @ fineassembly.load(fs.grid, source, 0.0)
 

@@ -91,20 +91,30 @@ def factorize_spd(mat, tol: float = DEFAULT_TOL, context: str = "") -> SpdFactor
 
 
 class DenseSpdFactor:
-    """Dense Cholesky factorization for the coarse time-stepping blocks."""
+    """Dense Cholesky factorization for the coarse time-stepping blocks.
+
+    Solves call LAPACK's ``dpotrs`` directly, the routine ``cho_solve`` ends
+    in, without the argument handling that costs more than the solve itself
+    at the block sizes of a coarse step.
+    """
 
     def __init__(self, mat: np.ndarray, context: str = ""):
         mat = np.asarray(mat, dtype=float)
+        self._where = f" of {context}" if context else ""
         try:
-            self._factor = scipy.linalg.cho_factor(mat, lower=True)
+            self._factor, _ = scipy.linalg.cho_factor(mat, lower=True)
         except scipy.linalg.LinAlgError as exc:
-            where = f" of {context}" if context else ""
-            raise NumericalError(f"Cholesky factorization{where} failed: {exc}") from exc
+            raise NumericalError(
+                f"Cholesky factorization{self._where} failed: {exc}") from exc
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         # the factor was checked finite when it was made; callers check
         # their right-hand sides or the solutions
-        return scipy.linalg.cho_solve(self._factor, rhs, check_finite=False)
+        x, info = scipy.linalg.lapack.dpotrs(self._factor, rhs, lower=True)
+        if info != 0:
+            raise NumericalError(f"Cholesky solve{self._where} rejected "
+                                 f"argument {-info} (dpotrs info {info})")
+        return x
 
 
 @dataclass

@@ -25,13 +25,18 @@ allows.
 C and B are each held once, as dense matrices whose rows and columns are
 grouped into mode blocks. A split adds no matrix: it is a rule giving each
 block of C and B an implicit share of 1, 1/2 or 0, applied block by block.
+
+The forcing f^1 .. f^N is tabulated once per time grid on the coarse system
+(:meth:`CoarseSystem.forcing`), so the backward Euler reference and a split
+run on the same grid share one evaluation per time level, and the recorded
+step times hold the step alone.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Optional
 
@@ -78,6 +83,8 @@ class CoarseSystem:
     stiff: np.ndarray
     rhs: Callable[[float], np.ndarray]
     z0: np.ndarray
+    _forcing: tuple = field(default=(None, None), init=False, repr=False,
+                            compare=False)
 
     @property
     def dim(self) -> int:
@@ -85,6 +92,27 @@ class CoarseSystem:
 
     def slices(self):
         return _block_slices(self.block_sizes)
+
+    def forcing(self, tau: float, n_steps: int) -> np.ndarray:
+        """Read-only table of f^1 .. f^N, row n holding rhs((n + 1) * tau).
+
+        Each time level is evaluated once through ``rhs`` and checked finite;
+        the table of the last time grid is kept, so every run on that grid
+        shares it.
+        """
+        key, table = self._forcing
+        if key != (self.rhs, tau, n_steps):
+            table = np.empty((n_steps, self.dim))
+            for n in range(n_steps):
+                table[n] = self.rhs((n + 1) * tau)
+            finite = np.isfinite(table).all(axis=1)
+            if not finite.all():
+                level = int(np.argmin(finite)) + 1
+                raise NumericalError(f"non-finite forcing at time level {level} "
+                                     f"(t = {level * tau:g})")
+            table.flags.writeable = False
+            self._forcing = ((self.rhs, tau, n_steps), table)
+        return table
 
 
 def _weight(variant: str, q: int, r: int) -> float:
@@ -364,25 +392,22 @@ class Trajectory:
 class _Run:
     """States z^0 .. z^N of one time integration, filled step by step.
 
-    Also records f^{n+1} in ``forcing[n]`` and the wall time of each step,
-    and stops at the first non-finite state.
+    Reads f^{n+1} from ``forcing[n]``, the coarse system's table for this time
+    grid, records the wall time of each step (the forcing evaluation is not
+    part of it), and stops at the first non-finite state.
     """
 
     def __init__(self, cs: CoarseSystem, tau: float, n_steps: int):
-        self.cs = cs
-        self.tau = tau
         self.states = np.empty((n_steps + 1, cs.dim))
         self.states[0] = cs.z0
-        self.forcing = np.empty((n_steps, cs.dim))
+        self.forcing = cs.forcing(tau, n_steps)
         self.step_seconds = np.empty(n_steps)
 
     def advance(self, steps: range, step) -> None:
         """Set z^{n+1} = step(z^n, z^{n-1}, f^{n+1}) for each n in ``steps``."""
-        rhs, tau = self.cs.rhs, self.tau
         states, forcing, seconds = self.states, self.forcing, self.step_seconds
         for n in steps:
             tic = time.perf_counter()
-            forcing[n] = rhs((n + 1) * tau)
             states[n + 1] = step(states[n], states[n - 1], forcing[n])
             seconds[n] = time.perf_counter() - tic
             if not np.isfinite(states[n + 1]).all():

@@ -60,6 +60,30 @@ def dense_q1_matrices(g, kappa_cells, mass_weight_cells=None):
     return mass, stiff
 
 
+def scatter_load(g, source, t):
+    """Load vector on interior fine nodes by scattering each 2x2 Gauss point.
+
+    A plain element loop: for each Gauss point in turn, every cell adds
+    weight * f * shape value to its four corners through ``np.add.at``.
+    """
+    g0 = 0.5 * (1.0 - 1.0 / np.sqrt(3.0))
+    g1 = 0.5 * (1.0 + 1.0 / np.sqrt(3.0))
+    cells = np.arange(g.n_fine_cells, dtype=np.int64)
+    cx = cells % g.nx_fine
+    cy = cells // g.nx_fine
+    n00 = cy * (g.nx_fine + 1) + cx
+    nodes4 = np.stack([n00, n00 + 1, n00 + g.nx_fine + 1, n00 + g.nx_fine + 2],
+                      axis=1)
+    full = np.zeros(g.n_fine_nodes)
+    wt = 0.25 * g.hx * g.hy
+    for s, tq in [(g0, g0), (g1, g0), (g0, g1), (g1, g1)]:
+        shape = np.array([(1 - s) * (1 - tq), s * (1 - tq), (1 - s) * tq, s * tq])
+        fv = np.asarray(source(t, cx * g.hx + s * g.hx, cy * g.hy + tq * g.hy),
+                        dtype=float)
+        np.add.at(full, nodes4, wt * fv[:, None] * shape[None, :])
+    return full[g.interior_fine_ids]
+
+
 def charpoly_eigs(astiff, smass):
     """Eigenvalues of the pencil det(A - lambda S) = 0 via symbolic roots.
 

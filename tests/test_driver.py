@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -389,10 +391,14 @@ def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
 def test_cli_sweep_subprocess(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text(TINY_TEXT + "blocks_sweep = 1+2\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(pathlib.Path(__file__).resolve().parent.parent / "src"),
+                    env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "msplit", "sweep", str(path), "--axis",
          "blocks", "--output", str(tmp_path / "out")],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "setting 1+2:" in proc.stdout
     assert re.search(r"^offline stage: \d+\.\d\d s \(assembly \d+\.\d\d s\)$",

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from msplit.fineassembly import (Permeability, assemble, interpolate, load,
-                                 local_matrices, read_field, read_grid_file,
-                                 write_field, write_grid_file)
+from msplit import driver
+from msplit.fineassembly import (LoadOperator, Permeability, assemble,
+                                 interpolate, load, local_matrices, read_field,
+                                 read_grid_file, write_field, write_grid_file)
 from msplit.grid import build_grids
 
-from _oracles import dense_q1_matrices
+from _oracles import dense_q1_matrices, scatter_load
 from conftest import rng_for
 
 
@@ -87,6 +88,34 @@ def test_load_time_scaling_and_none():
     late = load(g, lambda t, x, y: (1.0 + t) * x * y, t=3.0)
     assert np.allclose(late, 4.0 * base, atol=1e-14)
     assert np.array_equal(load(g, None), np.zeros(g.n_interior_fine))
+    assert np.array_equal(LoadOperator(g).load(None), np.zeros(g.n_interior_fine))
+
+
+@pytest.mark.parametrize("source", [
+    lambda t, x, y: (1.0 + t) * x * y,
+    driver._source_pulsed_sine,
+], ids=["linear-in-time", "pulsed-sine"])
+def test_load_matches_scatter_oracle_bit_for_bit(source):
+    # hx = 1/9: the quadrature weight is no power of two, so only the same
+    # products summed in the same order give the same bits
+    g = build_grids(3, 3, 3)
+    fs = assemble(g, kappa_smooth(), source=source)
+    loads = LoadOperator(g)
+    for t in (0.0, 0.35, 1.0):
+        want = scatter_load(g, source, t)
+        assert np.array_equal(load(g, source, t), want)
+        assert np.array_equal(fs.load(t), want)
+        assert np.array_equal(loads.load(source, t), want)
+
+
+def test_load_operator_shape():
+    g = build_grids(3, 3, 3)
+    loads = LoadOperator(g)
+    assert loads.x.shape == loads.y.shape == (4 * g.n_fine_cells,)
+    assert loads.matrix.shape == (g.n_interior_fine, 4 * g.n_fine_cells)
+    # each Gauss point feeds the interior corners of its cell only
+    per_column = np.diff(loads.matrix.tocsc().indptr)
+    assert per_column.max() == 4 and per_column.min() >= 1
 
 
 def test_local_matrices_match_submatrix():

@@ -4,7 +4,8 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from msplit.linalg import NumericalError, cholesky_margin, eig_gsym, factorize_spd
+from msplit.linalg import (DenseSpdFactor, NumericalError, cholesky_margin,
+                           eig_gsym, factorize_spd)
 
 from _oracles import charpoly_eigs, random_spd
 from conftest import rng_for
@@ -17,6 +18,30 @@ def test_factorize_spd_matches_dense_oracle():
         rhs = rng.standard_normal(n)
         x = factorize_spd(sp.csr_matrix(mat)).solve(rhs)
         assert np.allclose(x, np.linalg.solve(mat, rhs), atol=1e-10, rtol=1e-10)
+
+
+@pytest.mark.parametrize("n", [9, 18, 225])
+def test_dense_spd_factor_solve_is_cho_solve(n):
+    rng = rng_for(f"dense_spd_factor_{n}")
+    mat = random_spd(rng, n)
+    factor = DenseSpdFactor(mat)
+    reference = scipy.linalg.cho_factor(mat, lower=True)
+    many = rng.standard_normal((n, 3))
+    for rhs in (rng.standard_normal(n), np.ascontiguousarray(many),
+                np.asfortranarray(many)):
+        x = factor.solve(rhs)
+        assert x.shape == rhs.shape
+        assert np.array_equal(x, scipy.linalg.cho_solve(reference, rhs))
+
+
+def test_dense_spd_factor_solve_checks_lapack_info(monkeypatch):
+    # f2py rejects mismatched shapes before LAPACK runs, so an illegal
+    # argument report is provoked by standing in for the routine
+    factor = DenseSpdFactor(np.eye(3), context="probe")
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrs",
+                        lambda c, b, lower: (np.zeros_like(b), -2))
+    with pytest.raises(NumericalError, match="probe.*argument 2"):
+        factor.solve(np.ones(3))
 
 
 def test_factorize_spd_zero_rhs():

@@ -420,6 +420,57 @@ def test_overflowing_backward_euler_rhs_is_numerical_error():
             splitting.march(cs, parts, config)
 
 
+def test_reference_and_march_share_one_forcing_evaluation_per_level():
+    rng = np.random.default_rng(21)
+    calls = []
+
+    def forcing(t):
+        calls.append(t)
+        return np.sin(t) * np.arange(1.0, 6.0)
+
+    cs = make_cs(random_spd(rng, 5), random_spd(rng, 5), (2, 3), forcing=forcing)
+    config = splitting.SplitConfig(tau=0.1, t_final=1.0)
+    reference = splitting.backward_euler(cs, config.tau, config.t_final)
+    split = splitting.march(cs, splitting.make_split(cs), config)
+    assert len(calls) == config.n_steps
+    assert calls == [(n + 1) * config.tau for n in range(config.n_steps)]
+    want = dense_backward_euler(cs.mass, cs.stiff, forcing, cs.z0, config.tau,
+                                config.n_steps)
+    assert np.allclose(reference.states, want, atol=1e-12)
+    assert split.n_steps == config.n_steps
+
+
+def test_forcing_table_keeps_the_last_time_grid_read_only():
+    calls = []
+
+    def forcing(t):
+        calls.append(t)
+        return np.array([t, 2.0 * t])
+
+    cs = make_cs(np.eye(2), np.eye(2), (1, 1), forcing=forcing)
+    table = cs.forcing(0.5, 2)
+    assert np.array_equal(table, [[0.5, 1.0], [1.0, 2.0]])
+    assert not table.flags.writeable
+    assert cs.forcing(0.5, 2) is table
+    assert len(cs.forcing(0.25, 4)) == 4
+    assert cs.forcing(0.5, 2) is not table
+    assert len(calls) == 2 + 4 + 2
+
+
+def test_non_finite_forcing_is_reported_as_forcing():
+    # a NaN source used to surface only as a non-finite state
+    def forcing(t):
+        return np.full(2, np.nan) if t > 0.5 else np.ones(2)
+
+    cs = make_cs(np.eye(2), np.eye(2), (1, 1), forcing=forcing)
+    parts = splitting.make_split(cs)
+    config = splitting.SplitConfig(tau=0.1, t_final=1.0)
+    with pytest.raises(NumericalError, match="non-finite forcing at time level 6"):
+        splitting.backward_euler(cs, config.tau, config.t_final)
+    with pytest.raises(NumericalError, match="non-finite forcing at time level 6"):
+        splitting.march(cs, parts, config)
+
+
 def test_march_reports_unstable_growth_as_numerical_error():
     # a certified weight pair can still be divergent for a huge step; the
     # growing recursion must end in the package's own error, not a raw
