@@ -35,7 +35,7 @@ def main():
 
     print("1. one block is backward Euler")
     cs = make_cs(cmat, bmat, (6,), z0)
-    parts = splitting.make_split(cs, "block-diagonal")
+    parts = splitting.make_split(cs)
     config = SplitConfig(tau=0.05, t_final=1.0)
     traj = splitting.march(cs, parts, config)
     ref = splitting.backward_euler(cs, 0.05, 1.0)
@@ -45,7 +45,7 @@ def main():
 
     print("2. certified two-block split at step size 100")
     cs = make_cs(cmat, bmat, (3, 3), z0)
-    parts = splitting.make_split(cs, "block-diagonal")
+    parts = splitting.make_split(cs)
     config = SplitConfig(tau=100.0, t_final=100.0 * 2000,
                          theta_mass=1.2, theta_stiff=1.2)
     cert = splitting.check_stability(parts, config.theta_mass,
@@ -59,7 +59,7 @@ def main():
 
     print("3. the certificate admits weights that diverge for large steps")
     cs = make_cs(np.eye(1), np.eye(1), (1,), np.array([1.0]))
-    parts = splitting.make_split(cs, "block-diagonal")
+    parts = splitting.make_split(cs)
     for theta_stiff in (0.3, 0.6):
         config = SplitConfig(tau=1e3, t_final=1e3 * 2000,
                              theta_mass=0.6, theta_stiff=theta_stiff)

@@ -105,7 +105,7 @@ def _cmd_offline(args) -> int:
 def _cmd_check_stability(args) -> int:
     config = _load_config(args)
     pipe = driver.build_pipeline(config)
-    parts = splitting.make_split(pipe.coarse, config.variant)
+    parts = splitting.make_split(pipe.coarse)
     cert = splitting.check_stability(parts, config.theta_mass,
                                      config.theta_stiff)
     print(f"coarse dofs: {pipe.coarse.dim}")

@@ -22,7 +22,7 @@ import numpy as np
 from . import fineassembly, gmsfem, splitting
 from .fineassembly import Permeability, assemble, write_field
 from .grid import GridPair, build_grids
-from .linalg import NumericalError
+from .linalg import NumericalError, factorize_spd
 from .splitting import SplitConfig, Trajectory
 
 __all__ = [
@@ -135,7 +135,6 @@ class ExperimentConfig:
     theta_stiff: float = 1.0
     tau: float = 1e-3
     t_final: float = 0.25
-    variant: str = "block-diagonal"
     orthonormalize: bool = True
     output_dir: str = "."
     dump_fields: bool = False
@@ -174,8 +173,6 @@ class ExperimentConfig:
         if self.initial_vector not in ("moments", "projection"):
             raise ConfigError(
                 f"unknown initial_vector mode {self.initial_vector!r}")
-        if self.variant not in splitting.VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}")
         try:
             SplitConfig(self.tau, self.t_final, self.theta_mass, self.theta_stiff)
         except ValueError as exc:
@@ -231,7 +228,7 @@ _PARSERS = {
     "source": str, "source_value": float, "initial": str,
     "initial_vector": str, "modes": int, "blocks": _parse_blocks,
     "theta_mass": float, "theta_stiff": float,
-    "tau": float, "t_final": float, "variant": str,
+    "tau": float, "t_final": float,
     "orthonormalize": _parse_bool,
     "output_dir": str, "dump_fields": _parse_bool, "fine_reference": _parse_bool,
     "tau_sweep": _parse_float_list, "params_sweep": _parse_params_sweep,
@@ -466,7 +463,6 @@ def _fine_reference_errors(pipe: Pipeline, split: Trajectory) -> dict:
     """Sanity numbers: split field against a fine-grid backward Euler run."""
     fs, config = pipe.fs, pipe.config
     n_steps = SplitConfig(tau=config.tau, t_final=config.t_final).n_steps
-    from .linalg import factorize_spd
     lhs = factorize_spd(fs.mass + config.tau * fs.stiffness, context="fine reference")
     loads = fineassembly.LoadOperator(fs.grid)
     u = fs.initial_vector()
@@ -480,13 +476,13 @@ def _fine_reference_errors(pipe: Pipeline, split: Trajectory) -> dict:
 
 
 def _run_setting(pipe: Pipeline, coarse, blocks, theta_mass, theta_stiff,
-                 reference: Trajectory, variant) -> tuple:
+                 reference: Trajectory) -> tuple:
     """One split run on a prepared coarse system against its reference.
 
     The split runs on the backward Euler reference's time step.
     """
     tau = reference.tau
-    parts = splitting.make_split(coarse, variant)
+    parts = splitting.make_split(coarse)
     scfg = SplitConfig(tau=tau, t_final=pipe.config.t_final,
                        theta_mass=theta_mass, theta_stiff=theta_stiff)
     split = splitting.march(coarse, parts, scfg)
@@ -496,7 +492,6 @@ def _run_setting(pipe: Pipeline, coarse, blocks, theta_mass, theta_stiff,
         "theta_mass": theta_mass,
         "theta_stiff": theta_stiff,
         "tau": tau,
-        "variant": variant,
         "certificate": split.certificate,
         "bound_margin": split.bound_margin,
         "coarse_dofs": coarse.dim,
@@ -515,7 +510,7 @@ def run_example(config: ExperimentConfig) -> ErrorReport:
     reference = splitting.backward_euler(pipe.coarse, config.tau, config.t_final)
     split, report = _run_setting(
         pipe, pipe.coarse, config.blocks, config.theta_mass, config.theta_stiff,
-        reference, config.variant)
+        reference)
     print(split.certificate.describe())
     print(f"time stepping: {time.perf_counter() - tic:.2f} s "
           f"for {split.n_steps} steps")
@@ -599,8 +594,7 @@ def sweep(config: ExperimentConfig, axis: str) -> list:
                 reference = splitting.backward_euler(coarse, tau, config.t_final)
                 reference_key = (blocks, tau)
             split, report = _run_setting(setting_pipe, coarse, blocks,
-                                         theta_mass, theta_stiff, reference,
-                                         config.variant)
+                                         theta_mass, theta_stiff, reference)
         except NumericalError as exc:
             logger.error("setting %s failed: %s", label, exc)
             rows.append((label, None, None))

@@ -45,7 +45,7 @@ def test_acceptance_1_single_block_equals_backward_euler(ex1):
     tic = time.perf_counter()
     prol = gmsfem.assemble_prolongation(ex1["basis6"], (6,))
     coarse = gmsfem.project_coarse(ex1["fs"], prol)
-    parts = splitting.make_split(coarse, "block-diagonal")
+    parts = splitting.make_split(coarse)
     config = SplitConfig(tau=TAU0, t_final=T_FINAL)
     split = splitting.march(coarse, parts, config)
     euler = splitting.backward_euler(coarse, TAU0, T_FINAL)
@@ -59,7 +59,7 @@ def test_acceptance_1_single_block_equals_backward_euler(ex1):
                       forcing=rng.standard_normal(n),
                       z0=rng.standard_normal(n))
         sc = SplitConfig(tau=0.05, t_final=0.5)
-        s = splitting.march(cs, splitting.make_split(cs, "block-diagonal"), sc)
+        s = splitting.march(cs, splitting.make_split(cs), sc)
         e = splitting.backward_euler(cs, 0.05, 0.5)
         dev = max(dev, np.abs(s.states - e.states).max()
                   / max(np.abs(e.states).max(), 1.0))
@@ -81,7 +81,7 @@ def test_acceptance_2_five_splittings_error_band(ex1):
     for blocks in [(1, 5), (2, 4), (3, 3), (4, 2), (5, 1)]:
         prol = gmsfem.assemble_prolongation(ex1["basis6"], blocks)
         coarse = gmsfem.project_coarse(fs, prol)
-        parts = splitting.make_split(coarse, "block-diagonal")
+        parts = splitting.make_split(coarse)
         config = SplitConfig(tau=TAU0, t_final=T_FINAL)
         split = splitting.march(coarse, parts, config)
         euler = splitting.backward_euler(coarse, TAU0, T_FINAL)
@@ -122,7 +122,7 @@ def test_acceptance_4_tau_convergence(ex1):
     fs = ex1["fs"]
     prol = gmsfem.assemble_prolongation(ex1["basis6"], (3, 3))
     coarse = gmsfem.project_coarse(fs, prol)
-    parts = splitting.make_split(coarse, "block-diagonal")
+    parts = splitting.make_split(coarse)
     reference = splitting.backward_euler(coarse, TAU0 / 8, T_FINAL)
     ref_final = reference.states[-1]
     ref_norm = np.linalg.norm(ref_final)
@@ -164,7 +164,7 @@ def test_acceptance_5_energy_decay_and_bound():
         n = int(sizes.sum())
         cs = _make_cs(random_spd(rng, n), random_spd(rng, n), sizes,
                       z0=rng.standard_normal(n))
-        parts = splitting.make_split(cs, "block-diagonal")
+        parts = splitting.make_split(cs)
         tau = float(10.0 ** rng.uniform(-4, 2))
         if k < len(pinned_taus):
             tau = pinned_taus[k]
@@ -183,7 +183,7 @@ def test_acceptance_5_energy_decay_and_bound():
         cs = _make_cs(random_spd(rng, n, shift=1.0), random_spd(rng, n),
                       sizes, forcing=rng.standard_normal(n),
                       z0=rng.standard_normal(n))
-        parts = splitting.make_split(cs, "block-diagonal")
+        parts = splitting.make_split(cs)
         tau = float(10.0 ** rng.uniform(-3, 1))
         config = SplitConfig(tau=tau, t_final=tau * 100,
                              theta_mass=0.6 * p, theta_stiff=0.6 * p)
@@ -214,7 +214,7 @@ def test_acceptance_6_certificate_weight_threshold():
             continue
         n = int(rng.integers(2, 9))
         cs = _make_cs(random_spd(rng, n), random_spd(rng, n), (n,))
-        parts = splitting.make_split(cs, "block-diagonal")
+        parts = splitting.make_split(cs)
         cert = splitting.check_stability(parts, mu, sigma)
         expect = mu > 0.5 and sigma > 0.25
         agree = agree and (cert.passed == expect)
@@ -283,7 +283,7 @@ def test_acceptance_7_offline_matches_brute_force():
 
 def test_acceptance_8_error_recursion(ex1, ex1_split15):
     prol, coarse = ex1_split15
-    parts = splitting.make_split(coarse, "block-diagonal")
+    parts = splitting.make_split(coarse)
     config = SplitConfig(tau=TAU0, t_final=T_FINAL)
     split = splitting.march(coarse, parts, config)
     euler = splitting.backward_euler(coarse, TAU0, T_FINAL)
@@ -312,7 +312,7 @@ def test_high_contrast_trend():
     for blocks in [(1, 9), (5, 5)]:
         prol = gmsfem.assemble_prolongation(basis, blocks)
         coarse = gmsfem.project_coarse(fs, prol)
-        parts = splitting.make_split(coarse, "block-diagonal")
+        parts = splitting.make_split(coarse)
         scfg = SplitConfig(tau=pipe_config.tau, t_final=T_FINAL)
         split = splitting.march(coarse, parts, scfg)
         euler = splitting.backward_euler(coarse, pipe_config.tau, T_FINAL)

@@ -78,7 +78,6 @@ def test_builtin_configs():
     assert one.kappa == "periodic" and one.source == "exp-radial"
     assert one.modes == 6 and one.blocks == (1, 5)
     assert one.tau == 1e-3 and one.t_final == 0.25
-    assert one.variant == "block-diagonal"
     two = driver.builtin_config("example2-synthetic")
     assert two.kappa == "channels" and two.kappa_contrast == 1e3
     assert two.modes == 10 and two.blocks == (1, 9) and two.tau == 2e-4
@@ -109,7 +108,7 @@ def test_resolve_config_name_and_path(tmp_path):
     (dict(source="laser"), "unknown source"),
     (dict(initial="spike"), "unknown initial profile"),
     (dict(initial_vector="l2"), "unknown initial_vector"),
-    (dict(variant="jacobi"), "unknown variant"),
+    (dict(refine=1), "refinement factor"),
     (dict(theta_mass=0.0), "weights must be positive"),
     (dict(blocks_sweep=((1, 1),)), "blocks_sweep"),
     (dict(nx_coarse=1), "at least 2 coarse cells"),
@@ -202,7 +201,7 @@ def test_fem_coarse_run_satisfies_a_priori_bound(tiny_pipe):
     # FEM coarse masses have eigenvalues far below one, so the forcing
     # enters the bound in the C^-1 norm, not the Euclidean one
     config = tiny_pipe.config
-    parts = splitting.make_split(tiny_pipe.coarse, config.variant)
+    parts = splitting.make_split(tiny_pipe.coarse)
     scfg = splitting.SplitConfig(tau=config.tau, t_final=config.t_final,
                                  theta_mass=config.theta_mass,
                                  theta_stiff=config.theta_stiff)
@@ -363,11 +362,14 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 
 
 def test_cli_rejects_the_removed_threads_knob(tmp_path, capsys):
-    # the offline stage is serial: a config key or flag for threads is an error
+    # the offline stage is serial and the split has one rule: a config key
+    # or flag for threads, or a key for a split variant, is an error
     path = tmp_path / "exp.cfg"
-    path.write_text(TINY_TEXT + "threads = 2\n")
-    assert cli.main(["run", str(path)]) == 2
-    assert "unknown config key 'threads'" in capsys.readouterr().err
+    for key, line in (("threads", "threads = 2"),
+                      ("variant", "variant = lower-triangular")):
+        path.write_text(TINY_TEXT + line + "\n")
+        assert cli.main(["run", str(path)]) == 2
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
     path.write_text(TINY_TEXT)
     for command in (["run"], ["sweep", "--axis", "tau"], ["offline"],
                     ["check-stability"]):

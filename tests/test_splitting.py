@@ -1,6 +1,7 @@
 """Three-level operator-splitting scheme on block coarse systems."""
 
 import logging
+import pathlib
 
 import numpy as np
 import pytest
@@ -39,24 +40,22 @@ HAND_B = np.array([[2.0, 1.0], [1.0, 2.0]])
 
 # --- splits ---
 
-@pytest.mark.parametrize("variant", splitting.VARIANTS)
-def test_split_parts_sum_to_operators(variant):
+def test_split_parts_sum_to_operators():
     rng = np.random.default_rng(3)
     cmat = random_spd(rng, 7)
     bmat = random_spd(rng, 7)
     cs = make_cs(cmat, bmat, (3, 2, 2))
-    parts = splitting.make_split(cs, variant)
+    parts = splitting.make_split(cs)
     assert np.array_equal(parts.mass, cmat)
     assert np.array_equal(parts.stiff, bmat)
 
 
-@pytest.mark.parametrize("variant", splitting.VARIANTS)
-def test_split_stores_no_matrix(variant):
+def test_split_stores_no_matrix():
     # a split is a rule over the coarse system's own C and B: its only
     # arrays are those two, shared
     rng = np.random.default_rng(4)
     cs = make_cs(random_spd(rng, 7), random_spd(rng, 7), (3, 2, 2))
-    parts = splitting.make_split(cs, variant)
+    parts = splitting.make_split(cs)
     arrays = [v for v in vars(parts).values() if isinstance(v, np.ndarray)]
     assert len(arrays) == 2
     assert any(a is cs.mass for a in arrays)
@@ -65,26 +64,24 @@ def test_split_stores_no_matrix(variant):
 
 def test_block_diagonal_split_structure():
     cs = make_cs(HAND_C, HAND_B, (1, 1))
-    parts = splitting.make_split(cs, "block-diagonal")
+    parts = splitting.make_split(cs)
     assert np.array_equal(parts.stiff_main, np.diag([2.0, 2.0]))
     assert np.array_equal(parts.stiff_rest, np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.array_equal(parts.mass_main, np.eye(2))
 
 
-def test_lower_triangular_split_rest_is_transpose():
-    rng = np.random.default_rng(5)
-    cmat = random_spd(rng, 6)
-    bmat = random_spd(rng, 6)
-    cs = make_cs(cmat, bmat, (2, 1, 3))
-    parts = splitting.make_split(cs, "lower-triangular")
-    assert np.allclose(parts.mass_rest, parts.mass_main.T, atol=1e-15)
-    assert np.allclose(parts.stiff_rest, parts.stiff_main.T, atol=1e-15)
-
-
-def test_make_split_rejects_unknown_variant():
-    cs = make_cs(HAND_C, HAND_B, (1, 1))
-    with pytest.raises(ValueError, match="unknown split variant"):
-        splitting.make_split(cs, "jacobi")
+def test_split_keeps_the_step_bytes_contract_of_the_traced_benchmark(monkeypatch):
+    # benchmark/traced.py computes the bytes one step reads from the split's
+    # block sizes and rule; a change to SplitParts must not break it
+    bench = pathlib.Path(__file__).resolve().parent.parent / "benchmark"
+    monkeypatch.syspath_prepend(str(bench))
+    from traced import step_bytes
+    rng = np.random.default_rng(6)
+    sizes = (3, 2, 2)
+    n = sum(sizes)
+    parts = splitting.make_split(make_cs(random_spd(rng, n), random_spd(rng, n), sizes))
+    assert parts.variant == "block-diagonal"
+    assert step_bytes(parts) == 8 * (2 * n * n + sum(b * b for b in sizes))
 
 
 # --- single steps ---
@@ -93,31 +90,19 @@ def test_split_step_hand_value_block_diagonal():
     # C = I, B = [[2,1],[1,2]], blocks (1,1), theta = 1, tau = 1, f = 0,
     # z_now = z_prev = (1,0):   (I + diag(2,2)) z+ = z - B2 z = (1,-1)
     cs = make_cs(HAND_C, HAND_B, (1, 1))
-    parts = splitting.make_split(cs, "block-diagonal")
+    parts = splitting.make_split(cs)
     config = splitting.SplitConfig(tau=1.0, t_final=1.0)
     z = splitting.split_step(parts, config, np.array([1.0, 0.0]),
                              np.array([1.0, 0.0]), np.zeros(2))
     assert np.allclose(z, [1.0 / 3.0, -1.0 / 3.0], atol=1e-14)
 
 
-def test_split_step_hand_value_lower_triangular():
-    # same data, lower-triangular split: C1 = I/2, B1 = [[1,0],[1,1]];
-    # forward substitution gives z+ = (-1/3, 2/9)
-    cs = make_cs(HAND_C, HAND_B, (1, 1))
-    parts = splitting.make_split(cs, "lower-triangular")
-    config = splitting.SplitConfig(tau=1.0, t_final=1.0)
-    z = splitting.split_step(parts, config, np.array([1.0, 0.0]),
-                             np.array([1.0, 0.0]), np.zeros(2))
-    assert np.allclose(z, [-1.0 / 3.0, 2.0 / 9.0], atol=1e-14)
-
-
-@pytest.mark.parametrize("variant", splitting.VARIANTS)
-def test_split_step_matches_dense_oracle(variant):
+def test_split_step_matches_dense_oracle():
     rng = np.random.default_rng(11)
     cmat = random_spd(rng, 6)
     bmat = random_spd(rng, 6)
     cs = make_cs(cmat, bmat, (2, 3, 1))
-    parts = splitting.make_split(cs, variant)
+    parts = splitting.make_split(cs)
     config = splitting.SplitConfig(tau=0.37, t_final=0.37,
                                    theta_mass=0.8, theta_stiff=0.6)
     z_now = rng.standard_normal(6)
@@ -135,7 +120,7 @@ def test_split_step_matches_dense_oracle(variant):
                        allow_nan=False, allow_infinity=False))
 def test_split_step_is_linear(alpha):
     cs = make_cs(HAND_C, HAND_B, (1, 1))
-    parts = splitting.make_split(cs, "block-diagonal")
+    parts = splitting.make_split(cs)
     config = splitting.SplitConfig(tau=0.25, t_final=0.25,
                                    theta_mass=1.0, theta_stiff=0.5)
     rng = np.random.default_rng(23)
@@ -169,7 +154,7 @@ def test_march_first_step_is_the_backward_euler_step():
     bmat = random_spd(rng, 7)
     cs = make_cs(cmat, bmat, (2, 3, 2), forcing=lambda t: t * np.arange(7.0),
                  z0=rng.standard_normal(7))
-    parts = splitting.make_split(cs, "lower-triangular")
+    parts = splitting.make_split(cs)
     config = splitting.SplitConfig(tau=0.1, t_final=0.5,
                                    theta_mass=2.0, theta_stiff=1.0)
     split = splitting.march(cs, parts, config)
@@ -187,7 +172,7 @@ def test_single_block_fully_implicit_equals_backward_euler():
     cs = make_cs(cmat, bmat, (n,), forcing=rng.standard_normal(n),
                  z0=rng.standard_normal(n))
     config = splitting.SplitConfig(tau=0.02, t_final=0.5)
-    parts = splitting.make_split(cs, "block-diagonal")
+    parts = splitting.make_split(cs)
     split = splitting.march(cs, parts, config)
     euler = splitting.backward_euler(cs, 0.02, 0.5)
     scale = np.abs(euler.states).max()
@@ -209,7 +194,7 @@ def test_steady_state_is_preserved():
     fvec = rng.standard_normal(6)
     steady = np.linalg.solve(bmat, fvec)
     cs = make_cs(cmat, bmat, (3, 3), forcing=fvec, z0=steady)
-    parts = splitting.make_split(cs, "block-diagonal")
+    parts = splitting.make_split(cs)
     config = splitting.SplitConfig(tau=0.1, t_final=2.0,
                                    theta_mass=1.0, theta_stiff=1.0)
     traj = splitting.march(cs, parts, config)
@@ -221,7 +206,7 @@ def test_zero_forcing_energy_monotone():
     cmat = random_spd(rng, 6)
     bmat = random_spd(rng, 6)
     cs = make_cs(cmat, bmat, (2, 2, 2), z0=rng.standard_normal(6))
-    parts = splitting.make_split(cs, "block-diagonal")
+    parts = splitting.make_split(cs)
     config = splitting.SplitConfig(tau=0.05, t_final=5.0,
                                    theta_mass=1.5, theta_stiff=0.75)
     traj = splitting.march(cs, parts, config)
@@ -239,7 +224,7 @@ def test_forced_run_satisfies_a_priori_bound():
     bmat = random_spd(rng, 6)
     cs = make_cs(cmat, bmat, (3, 3), forcing=rng.standard_normal(6),
                  z0=rng.standard_normal(6))
-    parts = splitting.make_split(cs, "block-diagonal")
+    parts = splitting.make_split(cs)
     config = splitting.SplitConfig(tau=0.02, t_final=1.0,
                                    theta_mass=1.2, theta_stiff=0.6)
     traj = splitting.march(cs, parts, config)
@@ -250,7 +235,7 @@ def test_forced_run_satisfies_a_priori_bound():
 
 def test_trajectory_shapes_and_times():
     cs = make_cs(HAND_C, HAND_B, (1, 1), z0=np.array([1.0, 2.0]))
-    parts = splitting.make_split(cs, "block-diagonal")
+    parts = splitting.make_split(cs)
     config = splitting.SplitConfig(tau=0.25, t_final=1.0)
     traj = splitting.march(cs, parts, config)
     assert traj.states.shape == (5, 2)
@@ -263,7 +248,7 @@ def test_trajectory_shapes_and_times():
 
 def test_march_with_failed_certificate_warns_and_skips_monitor(caplog):
     cs = make_cs(HAND_C, HAND_B, (1, 1), z0=np.array([1.0, 0.0]))
-    parts = splitting.make_split(cs, "block-diagonal")
+    parts = splitting.make_split(cs)
     config = splitting.SplitConfig(tau=0.1, t_final=0.5,
                                    theta_mass=0.1, theta_stiff=0.1)
     with caplog.at_level(logging.WARNING, logger="msplit.splitting"):
@@ -280,7 +265,7 @@ def test_march_with_failed_certificate_warns_and_skips_monitor(caplog):
 def test_certificate_hand_case_passes_and_fails():
     cmat = np.array([[1.0, -0.5], [-0.5, 1.0]])
     cs = make_cs(cmat, np.eye(2), (1, 1))
-    parts = splitting.make_split(cs, "block-diagonal")
+    parts = splitting.make_split(cs)
     good = splitting.check_stability(parts, 1.0, 1.0)
     assert good.passed and good.mass_ok and good.stiff_ok
     assert good.rule_mass_ok and good.rule_stiff_ok
@@ -304,21 +289,20 @@ def test_degenerate_split_certificate_tracks_weights(theta_mass, theta_stiff,
     # theta_m > 1/2 and theta_s > 1/4 exactly
     rng = np.random.default_rng(43)
     cs = make_cs(random_spd(rng, 5), random_spd(rng, 5), (5,))
-    parts = splitting.make_split(cs, "block-diagonal")
+    parts = splitting.make_split(cs)
     cert = splitting.check_stability(parts, theta_mass, theta_stiff)
     assert cert.passed == expect
 
 
-@pytest.mark.parametrize("variant", splitting.VARIANTS)
 @pytest.mark.parametrize("theta", [0.8, 1.3])
-def test_conditions_and_damping_equal_dense_formulas(variant, theta, monkeypatch):
+def test_conditions_and_damping_equal_dense_formulas(theta, monkeypatch):
     # the block-by-block certified matrices, their margins and the damping
-    # matrix are bit-equal to theta*sym(M1) - share*M formed densely
+    # matrix are bit-equal to theta*M1 - share*M formed densely
     rng = np.random.default_rng(53)
     cmat, bmat = (0.5 * (m + m.T) for m in (random_spd(rng, 7), random_spd(rng, 7)))
-    parts = splitting.make_split(make_cs(cmat, bmat, (3, 2, 2)), variant)
-    want_mass = theta * (0.5 * (parts.mass_main + parts.mass_main.T)) - 0.5 * cmat
-    want_stiff = theta * (0.5 * (parts.stiff_main + parts.stiff_main.T)) - 0.25 * bmat
+    parts = splitting.make_split(make_cs(cmat, bmat, (3, 2, 2)))
+    want_mass = theta * parts.mass_main - 0.5 * cmat
+    want_stiff = theta * parts.stiff_main - 0.25 * bmat
     certified = []
     margin = splitting.cholesky_margin
     monkeypatch.setattr(splitting, "cholesky_margin",
@@ -338,7 +322,7 @@ def test_conditions_and_damping_equal_dense_formulas(variant, theta, monkeypatch
 def test_damping_matrix_hand_value():
     # tau (theta_m C1 - C/2) + tau^2 (theta_s B1 - B/4) for the 2x2 case
     cs = make_cs(HAND_C, HAND_B, (1, 1))
-    parts = splitting.make_split(cs, "block-diagonal")
+    parts = splitting.make_split(cs)
     config = splitting.SplitConfig(tau=0.5, t_final=0.5)
     want = np.array([[0.625, -0.0625], [-0.0625, 0.625]])
     assert np.allclose(splitting.damping_matrix(parts, config), want,
@@ -367,7 +351,7 @@ def test_error_recursion_residual_is_machine_small():
     bmat = random_spd(rng, 6)
     cs = make_cs(cmat, bmat, (2, 4), forcing=rng.standard_normal(6),
                  z0=rng.standard_normal(6))
-    parts = splitting.make_split(cs, "block-diagonal")
+    parts = splitting.make_split(cs)
     config = splitting.SplitConfig(tau=0.05, t_final=1.0)
     split = splitting.march(cs, parts, config)
     euler = splitting.backward_euler(cs, 0.05, 1.0)
@@ -380,7 +364,7 @@ def test_error_recursion_residual_is_machine_small():
 
 def test_error_recursion_guards():
     cs = make_cs(HAND_C, HAND_B, (1, 1), z0=np.array([1.0, 0.0]))
-    parts = splitting.make_split(cs, "block-diagonal")
+    parts = splitting.make_split(cs)
     euler = splitting.backward_euler(cs, 0.1, 0.5)
     relaxed = splitting.march(cs, parts, splitting.SplitConfig(
         tau=0.1, t_final=0.5, theta_mass=1.0, theta_stiff=0.5))
@@ -401,7 +385,7 @@ def test_march_raises_on_nonfinite_state():
     # marching on with non-finite states
     tiny = np.diag([1e-280, 1.0])
     cs = make_cs(tiny, tiny, (1, 1), forcing=np.array([1e300, 0.0]))
-    parts = splitting.make_split(cs, "block-diagonal")
+    parts = splitting.make_split(cs)
     config = splitting.SplitConfig(tau=1.0, t_final=1.0)
     with pytest.raises(NumericalError, match="non-finite"):
         splitting.march(cs, parts, config)
@@ -411,7 +395,7 @@ def test_overflowing_backward_euler_rhs_is_numerical_error():
     # every input is finite but tau*f + C z^0 overflows; both the reference
     # and the split's first step must stop with the package's own error
     cs = make_cs(np.array([[1e300]]), np.eye(1), (1,), z0=np.array([1e10]))
-    parts = splitting.make_split(cs, "block-diagonal")
+    parts = splitting.make_split(cs)
     config = splitting.SplitConfig(tau=1.0, t_final=1.0)
     with np.errstate(over="ignore"):
         with pytest.raises(NumericalError, match="non-finite"):
@@ -476,7 +460,7 @@ def test_march_reports_unstable_growth_as_numerical_error():
     # growing recursion must end in the package's own error, not a raw
     # overflow from a solver internals check
     cs = make_cs(np.eye(1), np.eye(1), (1,), z0=np.array([1.0]))
-    parts = splitting.make_split(cs, "block-diagonal")
+    parts = splitting.make_split(cs)
     config = splitting.SplitConfig(tau=1e3, t_final=1e6,
                                    theta_mass=0.6, theta_stiff=0.3)
     with np.errstate(over="ignore", invalid="ignore"):
