@@ -396,14 +396,14 @@ class ErrorReport:
 
 
 def compare(reference: Trajectory, split: Trajectory, prol: gmsfem.Prolongation,
-            fs: fineassembly.FineSystem) -> ErrorReport:
+            fs: fineassembly.FineSystem, coarse_stiff) -> ErrorReport:
     """Relative L2/energy errors at the final time plus the energy history.
 
     Both trajectories must share the time grid and the basis. Final-time
     errors go through the fine-grid reconstruction; the per-step history uses
-    the projected stiffness Gram matrix, applied to a chunk of steps per
-    product, which gives the same numbers for coefficients in the same column
-    space.
+    ``coarse_stiff``, the projected stiffness P^T K P of the coarse system,
+    applied to a chunk of steps per product, which gives the same numbers
+    for coefficients in the same column space.
     """
     if reference.tau != split.tau or reference.states.shape != split.states.shape:
         raise ValueError("trajectories do not share the time grid")
@@ -417,16 +417,14 @@ def compare(reference: Trajectory, split: Trajectory, prol: gmsfem.Prolongation,
     if ref_l2 <= 0.0 or ref_en <= 0.0:
         raise NumericalError("reference field vanishes at the final time; "
                              "relative errors are undefined")
-    gram_b = pmat.T @ (fs.stiffness @ pmat)
-    gram_b = 0.5 * (gram_b + gram_b.T)
     n_steps = split.n_steps
     values = np.empty(n_steps)
     for lo in range(0, n_steps, splitting.TRAJECTORY_CHUNK):
         rows = slice(1 + lo, 1 + lo + splitting.TRAJECTORY_CHUNK)
         refs = reference.states[rows]
         diffs = refs - split.states[rows]
-        num = np.maximum(np.einsum("ij,ji->i", diffs, gram_b @ diffs.T), 0.0)
-        den = np.einsum("ij,ji->i", refs, gram_b @ refs.T)
+        num = np.maximum(np.einsum("ij,ji->i", diffs, coarse_stiff @ diffs.T), 0.0)
+        den = np.einsum("ij,ji->i", refs, coarse_stiff @ refs.T)
         with np.errstate(divide="ignore", invalid="ignore"):
             values[lo:lo + len(den)] = np.where(den > 0.0, np.sqrt(num / den), np.inf)
     times = split.tau * np.arange(1, n_steps + 1)
@@ -486,7 +484,7 @@ def _run_setting(pipe: Pipeline, coarse, blocks, theta_mass, theta_stiff,
     scfg = SplitConfig(tau=tau, t_final=pipe.config.t_final,
                        theta_mass=theta_mass, theta_stiff=theta_stiff)
     split = splitting.march(coarse, parts, scfg)
-    report = compare(reference, split, pipe.prol, pipe.fs)
+    report = compare(reference, split, pipe.prol, pipe.fs, coarse.stiff)
     report.meta.update({
         "blocks": blocks,
         "theta_mass": theta_mass,

@@ -10,7 +10,8 @@ energy-orthonormalized within the neighborhood. The resulting columns form
 the prolongation from coarse coefficients to interior fine nodes: one sparse
 matrix whose columns are grouped by mode block, so the Galerkin projection
 yields the coarse operators directly in the block order the split scheme
-slices.
+reads. The coarse mass and stiffness stay sparse, as exactly symmetric CSR
+matrices, from the projection to the end of a run.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import scipy.sparse as sp
 from . import fineassembly
 from .fineassembly import FineSystem, local_matrices
 from .grid import GridPair, Neighborhood, neighborhood, partition_of_unity
-from .linalg import NumericalError, eig_gsym, single_thread_blas
+from .linalg import NumericalError, SparseCholesky, eig_gsym, single_thread_blas
 from .splitting import CoarseSystem
 
 __all__ = [
@@ -396,26 +397,29 @@ def assemble_prolongation(basis: OfflineBasis, blocks) -> Prolongation:
     return Prolongation(matrix=matrix, block_sizes=blocks)
 
 
-def _galerkin(prol: sp.csr_matrix, fine: sp.csr_matrix) -> np.ndarray:
-    """Dense, exactly symmetric projection prol^T fine prol."""
+def _galerkin(prol: sp.csr_matrix, fine: sp.csr_matrix) -> sp.csr_matrix:
+    """Exactly symmetric projection prol^T fine prol, as CSR."""
     coarse = prol.T @ (fine @ prol)
-    return (0.5 * (coarse + coarse.T)).toarray()
+    return (0.5 * (coarse + coarse.T)).tocsr()  # the product is CSC
 
 
 def project_coarse(fs: FineSystem, prol: Prolongation,
                    initial: str = "moments") -> CoarseSystem:
     """Galerkin projection of the fine system onto the block basis.
 
-    Returns the coarse mass/stiffness, the projected forcing, and the
-    initial coarse coefficients. With ``initial="moments"`` the coefficients
-    are the pairings of the initial field with each basis function; with
-    ``initial="projection"`` they are additionally left-solved with the coarse
-    mass matrix, which makes the reconstructed field the L2 projection of the
-    initial data. The moment form keeps the initial vector free of the
-    near-dependent basis combinations that the mass solve amplifies, so the
-    three-level scheme starts without exciting its weakly damped mode;
-    the projection form is preferable when the reconstructed fields
-    themselves are the output of interest.
+    Returns the coarse mass/stiffness (exactly symmetric CSR), the projected
+    forcing, and the initial coarse coefficients. Both operators are checked
+    positive definite by one sparse factorization each; the coarse system
+    keeps the mass factor for its later solves with C. With
+    ``initial="moments"`` the coefficients are the pairings of the initial
+    field with each basis function; with ``initial="projection"`` they are
+    additionally left-solved with the coarse mass matrix, which makes the
+    reconstructed field the L2 projection of the initial data. The moment
+    form keeps the initial vector free of the near-dependent basis
+    combinations that the mass solve amplifies, so the three-level scheme
+    starts without exciting its weakly damped mode; the projection form is
+    preferable when the reconstructed fields themselves are the output of
+    interest.
 
     A time-dependent forcing keeps the grid's load operator Q and P^T, so
     ``rhs(t)`` is P^T (Q f(t)): one source evaluation and two sparse
@@ -448,9 +452,9 @@ def project_coarse(fs: FineSystem, prol: Prolongation,
                       stiff=_galerkin(pmat, fs.stiffness), rhs=rhs,
                       z0=np.zeros(prol.n_columns))
     try:
-        mass_factor = scipy.linalg.cho_factor(cs.mass, lower=True)
-        scipy.linalg.cho_factor(cs.stiff, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        mass_factor = cs.mass_factor()
+        SparseCholesky(cs.stiff, context="coarse stiffness")
+    except NumericalError as exc:
         raise NumericalError(
             f"coarse system is not positive definite (near-dependent basis): {exc}"
         ) from exc
@@ -460,7 +464,7 @@ def project_coarse(fs: FineSystem, prol: Prolongation,
         if initial == "moments":
             cs.z0 = moments
         else:
-            cs.z0 = scipy.linalg.cho_solve(mass_factor, moments)
+            cs.z0 = mass_factor.solve(moments)
     return cs
 
 

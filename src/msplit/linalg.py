@@ -1,12 +1,13 @@
 """Symmetric positive definite solves and generalized eigenproblems.
 
 Thin, checked wrappers around scipy: sparse direct factorization with an
-iterative fallback for the fine-grid systems, dense Cholesky for the small
-time-stepping systems, and the generalized symmetric eigensolver used by the
-local spectral problems. Every routine verifies the property it promises and
-raises :class:`NumericalError` with context when it cannot deliver. One
-context manager pins the BLAS libraries behind numpy and scipy to a single
-thread for loops of many small dense problems.
+iterative fallback for the fine-grid systems, a sparse factorization with
+the contract of a Cholesky one for the coarse time-stepping systems, and the
+generalized symmetric eigensolver used by the local spectral problems.
+Every routine verifies the property it promises and raises
+:class:`NumericalError` with context when it cannot deliver. One context
+manager pins the BLAS libraries behind numpy and scipy to a single thread
+for loops of many small dense problems.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ __all__ = [
     "NumericalError",
     "EigResult",
     "SpdFactor",
-    "DenseSpdFactor",
+    "SparseCholesky",
     "factorize_spd",
     "eig_gsym",
     "cholesky_margin",
@@ -90,31 +91,41 @@ def factorize_spd(mat, tol: float = DEFAULT_TOL, context: str = "") -> SpdFactor
     return SpdFactor(mat, tol=tol, context=context)
 
 
-class DenseSpdFactor:
-    """Dense Cholesky factorization for the coarse time-stepping blocks.
+class SparseCholesky:
+    """Sparse factorization of an SPD matrix with the contract of a Cholesky one.
 
-    Solves call LAPACK's ``dpotrs`` directly, the routine ``cho_solve`` ends
-    in, without the argument handling that costs more than the solve itself
-    at the block sizes of a coarse step.
+    SuperLU with a minimum-degree ordering of A + A^T, symmetric mode and a
+    zero pivoting threshold takes every pivot on the diagonal of the
+    reordered matrix, so the factor is Pr A Pc = L U with Pr = Pc^T. A row
+    interchange (``perm_r != perm_c``, as a zero diagonal forces) or a pivot
+    of U that is not positive means A is not positive definite, and the
+    factorization is refused with :class:`NumericalError`. A block-diagonal
+    matrix stays decoupled under the ordering, so one factor serves every
+    block. Solves are not residual-checked; callers check their right-hand
+    sides or the solutions.
     """
 
-    def __init__(self, mat: np.ndarray, context: str = ""):
-        mat = np.asarray(mat, dtype=float)
-        self._where = f" of {context}" if context else ""
+    def __init__(self, mat, context: str = ""):
+        where = f" of {context}" if context else ""
+        mat = mat.tocsc() if sp.issparse(mat) else sp.csc_matrix(np.asarray(mat, dtype=float))
         try:
-            self._factor, _ = scipy.linalg.cho_factor(mat, lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"Cholesky factorization{self._where} failed: {exc}") from exc
+            lu = spla.splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+        except RuntimeError as exc:  # an exactly zero pivot column
+            raise NumericalError(f"sparse Cholesky factorization{where} "
+                                 f"failed: {exc}") from exc
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            raise NumericalError(f"sparse Cholesky factorization{where} had to "
+                                 "pivot a row: the matrix is not positive definite")
+        pivots = lu.U.diagonal()
+        if not (pivots > 0.0).all():  # also catches a NaN pivot
+            raise NumericalError(f"sparse Cholesky factorization{where} met the "
+                                 f"pivot {pivots.min():.3e}: the matrix is not "
+                                 "positive definite")
+        self._lu = lu
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        # the factor was checked finite when it was made; callers check
-        # their right-hand sides or the solutions
-        x, info = scipy.linalg.lapack.dpotrs(self._factor, rhs, lower=True)
-        if info != 0:
-            raise NumericalError(f"Cholesky solve{self._where} rejected "
-                                 f"argument {-info} (dpotrs info {info})")
-        return x
+        return self._lu.solve(rhs)
 
 
 @dataclass
@@ -153,16 +164,17 @@ def eig_gsym(astiff: np.ndarray, smass: np.ndarray, context: str = "") -> EigRes
     return EigResult(values=values, vectors=vectors)
 
 
-def cholesky_margin(mat: np.ndarray) -> tuple:
+def cholesky_margin(mat) -> tuple:
     """Positive definiteness of a symmetric matrix from one Cholesky factorization.
 
+    A sparse ``mat`` is densified for as long as the factorization lasts.
     Returns ``(ok, margin)``. ``ok`` is True iff the factorization completes
     with every pivot diag(L)^2 above the floor 1e-14 * max|A|; a zero or empty
     matrix fails. ``margin`` is the smallest pivot or, when the factorization
     breaks down, the smallest eigenvalue (non-positive in that case), so
     callers still get a signed margin; it is 0 for an empty matrix.
     """
-    mat = np.asarray(mat, dtype=float)
+    mat = mat.toarray() if sp.issparse(mat) else np.asarray(mat, dtype=float)
     if mat.size == 0:
         return False, 0.0
     try:

@@ -15,16 +15,20 @@ With C2 = C - C1 and B2 = B - B1 this is the increment form
 one solve with theta_m*C1 + tau*theta_s*B1 per step, factored once per run.
 The split keeps the diagonal mode blocks implicit (C1 = blockdiag(C),
 B1 = blockdiag(B)) and treats the coupling blocks explicitly, so the blocks
-of a solve decouple completely. The first step is one unsplit backward Euler
-step, the same step the backward Euler reference takes. Sufficient stability
-conditions are checked as matrix inequalities (theta_m*C1 - C/2 and
-theta_s*B1 - B/4 positive definite, one Cholesky factorization each) and,
-when they hold, a discrete energy is recorded and must not grow faster than
-the forcing term, measured in the C^-1 norm, allows.
+of a solve decouple completely: one sparse factor of the whole
+block-diagonal matrix serves them all. The first step is one unsplit
+backward Euler step, the same step the backward Euler reference takes, with
+the same factor of C + tau*B. Sufficient stability conditions are checked
+as matrix inequalities (theta_m*C1 - C/2 and theta_s*B1 - B/4 positive
+definite, one dense Cholesky factorization each) and, when they hold, a
+discrete energy is recorded and must not grow faster than the forcing term,
+measured in the C^-1 norm, allows.
 
-C and B are each held once, as dense matrices whose rows and columns are
-grouped into mode blocks. A split adds no matrix: it is the rule above,
-applied block by block.
+C and B are each held once, as sparse CSR matrices whose rows and columns
+are grouped into mode blocks. A split adds no matrix: it is the rule above,
+applied entry by entry to the stored entries of C and B. No step reads a
+dense n x n matrix; only the certificate densifies its condition matrix, for
+as long as its factorization lasts.
 
 The forcing f^1 .. f^N is tabulated once per time grid on the coarse system
 (:meth:`CoarseSystem.forcing`), so the backward Euler reference and a split
@@ -41,8 +45,10 @@ from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from .linalg import DenseSpdFactor, NumericalError, cholesky_margin
+from .linalg import NumericalError, SparseCholesky, cholesky_margin
 
 __all__ = [
     "CoarseSystem",
@@ -68,21 +74,54 @@ def _block_slices(block_sizes) -> list:
             for size, end in zip(block_sizes, accumulate(block_sizes))]
 
 
+def _csr(mat) -> sp.csr_matrix:
+    """``mat`` as CSR with sorted indices; a dense array is converted."""
+    out = mat.tocsr() if sp.issparse(mat) else sp.csr_matrix(np.asarray(mat, dtype=float))
+    out.sort_indices()
+    return out
+
+
+def _in_blocks(mat: sp.csr_matrix, block_sizes) -> np.ndarray:
+    """Mask of the stored entries of CSR ``mat`` inside a diagonal block."""
+    block = np.repeat(np.arange(len(block_sizes)), block_sizes)
+    return np.repeat(block, np.diff(mat.indptr)) == block[mat.indices]
+
+
+def _blockdiag(mat: sp.csr_matrix, block_sizes) -> sp.csr_matrix:
+    """blockdiag(mat): the stored entries of CSR ``mat`` inside a diagonal block."""
+    out = mat.copy()
+    out.data[~_in_blocks(mat, block_sizes)] = 0.0
+    out.eliminate_zeros()
+    return out
+
+
 @dataclass
 class CoarseSystem:
     """Coarse mass/stiffness with projected forcing and initial state.
 
-    ``mass`` and ``stiff`` are dense and exactly symmetric; their rows and
+    ``mass`` and ``stiff`` are CSR with sorted indices and exactly
+    symmetric; dense arrays given here are converted once. Their rows and
     columns are grouped into consecutive mode blocks of ``block_sizes``.
+    The factors of C and of C + tau*B are made on first use and kept (the
+    latter for the last tau only), so every run on the system shares them;
+    the operators must not change once the system is built.
     """
 
     block_sizes: tuple
-    mass: np.ndarray
-    stiff: np.ndarray
+    mass: sp.csr_matrix
+    stiff: sp.csr_matrix
     rhs: Callable[[float], np.ndarray]
     z0: np.ndarray
     _forcing: tuple = field(default=(None, None), init=False, repr=False,
                             compare=False)
+    _mass_factor: Optional[SparseCholesky] = field(default=None, init=False,
+                                                   repr=False, compare=False)
+    _euler_factor: tuple = field(default=(None, None), init=False, repr=False,
+                                 compare=False)
+
+    def __post_init__(self):
+        self.mass = _csr(self.mass)
+        self.stiff = _csr(self.stiff)
 
     @property
     def dim(self) -> int:
@@ -112,14 +151,29 @@ class CoarseSystem:
             self._forcing = ((self.rhs, tau, n_steps), table)
         return table
 
+    def mass_factor(self) -> SparseCholesky:
+        """Factor of C, made on first use and kept."""
+        if self._mass_factor is None:
+            self._mass_factor = SparseCholesky(self.mass, context="coarse mass")
+        return self._mass_factor
+
+    def euler_factor(self, tau: float) -> SparseCholesky:
+        """Factor of the backward Euler matrix C + tau*B; the last tau's is kept."""
+        key, factor = self._euler_factor
+        if key != tau:
+            factor = SparseCholesky(self.mass + tau * self.stiff,
+                                    context=f"C + tau*B (tau = {tau:g})")
+            self._euler_factor = (tau, factor)
+        return factor
+
 
 @dataclass
 class SplitParts:
     """Additive two-part split of the coarse mass and stiffness.
 
-    ``mass``/``stiff`` are the coarse system's own operators (shared, not
-    copied); the implicit parts C1 = blockdiag(C), B1 = blockdiag(B) and the
-    rests C2 = C - C1, B2 = B - B1 are formed only when read.
+    ``mass``/``stiff`` are the coarse system's own CSR operators (shared,
+    not copied); the implicit parts C1 = blockdiag(C), B1 = blockdiag(B) and
+    the rests C2 = C - C1, B2 = B - B1 are formed, as CSR, only when read.
     """
 
     # the only split rule; a class constant, not a field, kept because the
@@ -127,32 +181,23 @@ class SplitParts:
     variant = "block-diagonal"
 
     block_sizes: tuple
-    mass: np.ndarray
-    stiff: np.ndarray
-
-    def slices(self):
-        return _block_slices(self.block_sizes)
-
-    def _implicit(self, mat: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(mat)
-        for sl in self.slices():
-            out[sl, sl] = mat[sl, sl]
-        return out
+    mass: sp.csr_matrix
+    stiff: sp.csr_matrix
 
     @property
-    def mass_main(self) -> np.ndarray:
-        return self._implicit(self.mass)
+    def mass_main(self) -> sp.csr_matrix:
+        return _blockdiag(self.mass, self.block_sizes)
 
     @property
-    def stiff_main(self) -> np.ndarray:
-        return self._implicit(self.stiff)
+    def stiff_main(self) -> sp.csr_matrix:
+        return _blockdiag(self.stiff, self.block_sizes)
 
     @property
-    def mass_rest(self) -> np.ndarray:
+    def mass_rest(self) -> sp.csr_matrix:
         return self.mass - self.mass_main
 
     @property
-    def stiff_rest(self) -> np.ndarray:
+    def stiff_rest(self) -> sp.csr_matrix:
         return self.stiff - self.stiff_main
 
 
@@ -222,20 +267,18 @@ class StabilityCertificate:
                 f"{'ok' if self.rule_mass_ok and self.rule_stiff_ok else 'not met'})")
 
 
-def _condition(parts: SplitParts, mat: np.ndarray, theta: float,
-               share: float) -> np.ndarray:
-    """The certified matrix theta*M1 - share*M of M = C or B.
+def _condition(parts: SplitParts, mat: sp.csr_matrix, theta: float,
+               share: float) -> sp.csr_matrix:
+    """The certified matrix theta*M1 - share*M of M = C or B, as CSR.
 
-    M1 = blockdiag(M) is symmetric, so it is its own symmetric part.
+    M1 = blockdiag(M) is symmetric, so it is its own symmetric part. The
+    matrix has the stored entries of M: theta*m - share*m inside a diagonal
+    block and -share*m outside it.
     """
-    # C order: products with it round by layout
-    out = np.multiply(-share, mat, order="C")
-    for sl in parts.slices():
-        # set whole, not added to in place: glibc kept the lone block-sized
-        # temporary of `+=` resident, 31 MB more peak RSS on example2
-        blk = mat[sl, sl]
-        out[sl, sl] = theta * blk - share * blk
-    return out
+    d = mat.data
+    data = np.where(_in_blocks(mat, parts.block_sizes), theta * d - share * d,
+                    -share * d)
+    return sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
 
 
 def check_stability(parts: SplitParts, theta_mass: float,
@@ -265,70 +308,59 @@ def check_stability(parts: SplitParts, theta_mass: float,
 
 
 class _StepOperator:
-    """Block factors and explicit operators of the increment-form split step.
+    """Factor and explicit operator of the increment-form split step.
 
-    Besides the factored diagonal blocks of theta_m*C1 + tau*theta_s*B1 a
-    step reads only the shared stiffness B and lag = C - theta_m*C1.
+    A step is one product with the CSR operator [-lag | tau*B + lag],
+    lag = C - theta_m*C1, applied to the stacked levels [z^{n-1}; z^n], and
+    one solve with the sparse factor of the block-diagonal matrix
+    theta_m*C1 + tau*theta_s*B1, whose blocks stay decoupled.
     """
 
     def __init__(self, parts: SplitParts, config: SplitConfig):
         tm, ts, tau = config.theta_mass, config.theta_stiff, config.tau
         self.tau = tau
-        self.stiff = parts.stiff
-        self.slices = parts.slices()
-        # C's own memory layout: the matvec with lag rounds differently
-        # for a C- and a Fortran-ordered copy
-        self.lag = parts.mass.copy(order="K")
-        self.diag_factors = []
-        for q, sl in enumerate(self.slices):
-            mass_blk = parts.mass[sl, sl]
-            self.lag[sl, sl] -= tm * mass_blk
-            implicit = tm * mass_blk + tau * ts * parts.stiff[sl, sl]
-            self.diag_factors.append(DenseSpdFactor(implicit, f"step block {q}"))
+        mass_main = parts.mass_main
+        lag = parts.mass - tm * mass_main
+        self.explicit = sp.hstack([-lag, tau * parts.stiff + lag], format="csr")
+        self.factor = SparseCholesky(tm * mass_main + tau * ts * parts.stiff_main,
+                                     context="split step matrix")
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        out = np.empty_like(rhs)
-        for sl, factor in zip(self.slices, self.diag_factors):
-            out[sl] = factor.solve(rhs[sl])
-        return out
-
-    def step(self, z_now: np.ndarray, z_prev: np.ndarray,
-             f_next: np.ndarray) -> np.ndarray:
-        rhs = self.tau * (f_next - self.stiff @ z_now) - self.lag @ (z_now - z_prev)
+    def step(self, levels: np.ndarray, f_next: np.ndarray) -> np.ndarray:
+        """z^{n+1} from levels = [z^{n-1}; z^n] and f^{n+1}."""
+        rhs = self.tau * f_next - self.explicit @ levels
         if not np.isfinite(rhs).all():
             raise NumericalError("non-finite right-hand side in a split step; "
                                  "the previous states have overflowed")
-        return z_now + self.solve(rhs)
+        return levels[len(rhs):] + self.factor.solve(rhs)
 
 
 def split_step(parts: SplitParts, config: SplitConfig, z_now: np.ndarray,
                z_prev: np.ndarray, f_next: np.ndarray) -> np.ndarray:
     """Advance one step of the three-level split scheme."""
-    return _StepOperator(parts, config).step(z_now, z_prev, f_next)
+    return _StepOperator(parts, config).step(np.concatenate((z_prev, z_now)),
+                                             f_next)
 
 
-def _euler_step(cs: CoarseSystem, tau: float, context: str):
+def _euler_step(cs: CoarseSystem, tau: float):
     """Unsplit backward Euler step (C + tau*B) z^{n+1} = tau*f^{n+1} + C z^n.
 
-    Factors C + tau*B once; the returned step ignores z^{n-1}.
+    Solves with the coarse system's factor of C + tau*B; the returned step
+    reads z^n, the second half of the levels [z^{n-1}; z^n].
     """
-    factor = DenseSpdFactor(cs.mass + tau * cs.stiff, context=context)
-    mass = cs.mass
+    factor = cs.euler_factor(tau)
+    mass, dim = cs.mass, cs.dim
 
-    def step(z_now, z_prev, f_next):
-        return factor.solve(tau * f_next + mass @ z_now)
+    def step(levels, f_next):
+        return factor.solve(tau * f_next + mass @ levels[dim:])
 
     return step
 
 
-def damping_matrix(parts: SplitParts, config: SplitConfig) -> np.ndarray:
-    """Weight matrix of the difference term in the discrete energy."""
-    damping = _condition(parts, parts.mass, config.theta_mass, 0.5)
-    damping *= config.tau
-    stiff_term = _condition(parts, parts.stiff, config.theta_stiff, 0.25)
-    stiff_term *= config.tau ** 2
-    damping += stiff_term
-    return damping
+def damping_matrix(parts: SplitParts, config: SplitConfig) -> sp.csr_matrix:
+    """Weight matrix of the difference term in the discrete energy, as CSR."""
+    tau = config.tau
+    return (tau * _condition(parts, parts.mass, config.theta_mass, 0.5)
+            + tau ** 2 * _condition(parts, parts.stiff, config.theta_stiff, 0.25))
 
 
 @dataclass
@@ -370,23 +402,27 @@ class Trajectory:
 class _Run:
     """States z^0 .. z^N of one time integration, filled step by step.
 
-    Reads f^{n+1} from ``forcing[n]``, the coarse system's table for this time
+    The states follow one leading copy of z^0 that stands in for z^{-1}, so
+    the levels [z^{n-1}; z^n] a step reads are one contiguous vector. Reads
+    f^{n+1} from ``forcing[n]``, the coarse system's table for this time
     grid, records the wall time of each step (the forcing evaluation is not
     part of it), and stops at the first non-finite state.
     """
 
     def __init__(self, cs: CoarseSystem, tau: float, n_steps: int):
-        self.states = np.empty((n_steps + 1, cs.dim))
-        self.states[0] = cs.z0
+        self._levels = np.empty((n_steps + 2, cs.dim))
+        self._levels[:2] = cs.z0
+        self.states = self._levels[1:]
         self.forcing = cs.forcing(tau, n_steps)
         self.step_seconds = np.empty(n_steps)
 
     def advance(self, steps: range, step) -> None:
-        """Set z^{n+1} = step(z^n, z^{n-1}, f^{n+1}) for each n in ``steps``."""
+        """Set z^{n+1} = step([z^{n-1}; z^n], f^{n+1}) for each n in ``steps``."""
         states, forcing, seconds = self.states, self.forcing, self.step_seconds
+        flat, dim = self._levels.reshape(-1), states.shape[1]
         for n in steps:
             tic = time.perf_counter()
-            states[n + 1] = step(states[n], states[n - 1], forcing[n])
+            states[n + 1] = step(flat[n * dim:(n + 2) * dim], forcing[n])
             seconds[n] = time.perf_counter() - tic
             if not np.isfinite(states[n + 1]).all():
                 raise NumericalError(f"non-finite state at step {n + 1}")
@@ -399,17 +435,16 @@ TRAJECTORY_CHUNK = 256
 
 
 def _energy_monitor(parts: SplitParts, config: SplitConfig, states: np.ndarray,
-                    forcing: np.ndarray):
+                    forcing: np.ndarray, mass_factor: SparseCholesky):
     """Discrete energy and both sides of the a priori bound of a finished run.
 
     E_n = |z^n - z^{n-1}|^2_D / tau^2 + |(z^n + z^{n-1})/2|^2_B with D the
     damping matrix, for n = 1..N. The bound compares |(z^{n+1} + z^n)/2|^2_B
     with E_1 + (tau/2) sum_{k=2}^{n+1} |f^k|^2_{C^-1} for n = 1..N-1, where
-    ``forcing`` stacks f^2 .. f^N.
+    ``forcing`` stacks f^2 .. f^N and ``mass_factor`` factors C.
     """
     tau = config.tau
     damping = damping_matrix(parts, config)
-    mass_factor = DenseSpdFactor(parts.mass, context="energy bound")
     n_steps = len(states) - 1
     energy = np.empty(n_steps)
     potential = np.empty(n_steps)
@@ -419,8 +454,8 @@ def _energy_monitor(parts: SplitParts, config: SplitConfig, states: np.ndarray,
         now, prev = states[1:][rows], states[:-1][rows]
         diffs = now - prev
         means = 0.5 * (now + prev)
-        potential[rows] = np.einsum("ij,ij->i", means @ parts.stiff, means)
-        energy[rows] = (np.einsum("ij,ij->i", diffs @ damping, diffs) / tau ** 2
+        potential[rows] = np.einsum("ij,ji->i", means, parts.stiff @ means.T)
+        energy[rows] = (np.einsum("ij,ji->i", diffs, damping @ diffs.T) / tau ** 2
                         + potential[rows])
         f = forcing[rows]
         work[rows] = 0.5 * tau * np.einsum("ij,ji->i", f, mass_factor.solve(f.T))
@@ -439,14 +474,12 @@ def march(cs: CoarseSystem, parts: SplitParts, config: SplitConfig) -> Trajector
         logger.warning("%s; continuing without energy monitor", cert.describe())
     n_steps = config.n_steps
     run = _Run(cs, config.tau, n_steps)
-    # the first step's factor of C + tau*B is freed before the split's own
-    # factors are built, so the two never coexist
-    run.advance(range(1), _euler_step(cs, config.tau, "first step"))
+    run.advance(range(1), _euler_step(cs, config.tau))
     run.advance(range(1, n_steps), _StepOperator(parts, config).step)
     energy = bound_lhs = bound_rhs = None
     if cert.passed:
-        energy, bound_lhs, bound_rhs = _energy_monitor(parts, config, run.states,
-                                                       run.forcing[1:])
+        energy, bound_lhs, bound_rhs = _energy_monitor(
+            parts, config, run.states, run.forcing[1:], cs.mass_factor())
     return Trajectory(states=run.states, tau=config.tau, scheme="split",
                       theta_mass=config.theta_mass, theta_stiff=config.theta_stiff,
                       certificate=cert, energy=energy,
@@ -458,7 +491,7 @@ def backward_euler(cs: CoarseSystem, tau: float, t_final: float) -> Trajectory:
     """Unsplit backward Euler reference run on the same coarse system."""
     n_steps = SplitConfig(tau=tau, t_final=t_final).n_steps  # validates the step count
     run = _Run(cs, tau, n_steps)
-    run.advance(range(n_steps), _euler_step(cs, tau, "backward Euler"))
+    run.advance(range(n_steps), _euler_step(cs, tau))
     return Trajectory(states=run.states, tau=tau, scheme="backward-euler",
                       step_seconds=run.step_seconds)
 
@@ -508,7 +541,7 @@ def error_recursion_diag(parts: SplitParts, reference: Trajectory,
         rhs = (cmat @ err[n] + mass_rest @ (z[n] - z[n - 1])
                - coupling_mat @ (z[n + 1] - z[n]))
         residuals[n - 1] = np.abs(lhs_mat @ err[n + 1] - rhs).max()
-    coupling = float(np.linalg.norm(coupling_mat, "fro"))
+    coupling = float(spla.norm(coupling_mat, "fro"))
     error_norms = np.linalg.norm(err, axis=1)
     return RecursionReport(residuals=residuals, coupling_norm=coupling,
                            error_norms=error_norms)

@@ -3,7 +3,7 @@ import zlib
 import numpy as np
 import pytest
 
-from msplit import driver, gmsfem
+from msplit import driver, gmsfem, linalg
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +33,20 @@ def ex1_split15(ex1):
     prol = gmsfem.assemble_prolongation(ex1["basis6"], (1, 5))
     coarse = gmsfem.project_coarse(ex1["fs"], prol)
     return prol, coarse
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Contexts of the sparse Cholesky factorizations made during the test."""
+    made = []
+    init = linalg.SparseCholesky.__init__
+
+    def counting(self, mat, context=""):
+        made.append(context)
+        init(self, mat, context)
+
+    monkeypatch.setattr(linalg.SparseCholesky, "__init__", counting)
+    return made
 
 
 def rng_for(name: str) -> np.random.Generator:

@@ -85,7 +85,7 @@ def test_acceptance_2_five_splittings_error_band(ex1):
         config = SplitConfig(tau=TAU0, t_final=T_FINAL)
         split = splitting.march(coarse, parts, config)
         euler = splitting.backward_euler(coarse, TAU0, T_FINAL)
-        report = driver.compare(euler, split, prol, fs)
+        report = driver.compare(euler, split, prol, fs, coarse.stiff)
         rows.append((blocks, report.e_l2, report.e_a))
     elapsed = time.perf_counter() - tic
     in_band = all(1e-6 <= e <= 5e-3 for _, e_l2, e_a in rows
@@ -254,8 +254,8 @@ def test_acceptance_7_offline_matches_brute_force():
     dmass_all, dstiff_all = dense_q1_matrices(g, fs.kappa_cells)
     keep = g.interior_fine_ids
     coarse_dev = max(
-        np.abs(cs.mass - rmat.T @ dmass_all[np.ix_(keep, keep)] @ rmat).max(),
-        np.abs(cs.stiff - rmat.T @ dstiff_all[np.ix_(keep, keep)] @ rmat).max())
+        np.abs(cs.mass.toarray() - rmat.T @ dmass_all[np.ix_(keep, keep)] @ rmat).max(),
+        np.abs(cs.stiff.toarray() - rmat.T @ dstiff_all[np.ix_(keep, keep)] @ rmat).max())
 
     rng = rng_for("acceptance-7-pencils")
     eig_dev = 0.0
@@ -316,7 +316,7 @@ def test_high_contrast_trend():
         scfg = SplitConfig(tau=pipe_config.tau, t_final=T_FINAL)
         split = splitting.march(coarse, parts, scfg)
         euler = splitting.backward_euler(coarse, pipe_config.tau, T_FINAL)
-        errors[blocks] = driver.compare(euler, split, prol, fs).e_a
+        errors[blocks] = driver.compare(euler, split, prol, fs, coarse.stiff).e_a
     ok = errors[(1, 9)] < errors[(5, 5)]
     _line("trend", ok, f"high-contrast energy errors: 1+9 {errors[(1, 9)]:.3e}"
                        f" vs 5+5 {errors[(5, 5)]:.3e}")

@@ -213,13 +213,13 @@ def test_fem_coarse_run_satisfies_a_priori_bound(tiny_pipe):
 def test_compare_guards_and_zero_error(tiny_pipe):
     pipe = tiny_pipe
     euler = splitting.backward_euler(pipe.coarse, 0.05, 0.2)
-    report = driver.compare(euler, euler, pipe.prol, pipe.fs)
+    report = driver.compare(euler, euler, pipe.prol, pipe.fs, pipe.coarse.stiff)
     assert report.e_l2 == 0.0 and report.e_a == 0.0
     assert np.all(report.history_values == 0.0)
     assert len(report.history_times) == euler.n_steps
     other = splitting.backward_euler(pipe.coarse, 0.1, 0.2)
     with pytest.raises(ValueError, match="time grid"):
-        driver.compare(euler, other, pipe.prol, pipe.fs)
+        driver.compare(euler, other, pipe.prol, pipe.fs, pipe.coarse.stiff)
 
 
 # --- runs and sweeps ---

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from msplit import gmsfem, linalg
+from msplit import gmsfem, linalg, splitting
 from msplit.fineassembly import Permeability, assemble
 from msplit.grid import GridPair, neighborhood
 from msplit.linalg import NumericalError
@@ -347,8 +347,8 @@ def test_coarse_blocks_match_projected_operators(small):
     pmat = prol.matrix
     want_mass = (pmat.T @ fs.mass @ pmat).toarray()
     want_stiff = (pmat.T @ fs.stiffness @ pmat).toarray()
-    assert np.max(np.abs(cs.mass - want_mass)) < 1e-12
-    assert np.max(np.abs(cs.stiff - want_stiff)) < 1e-12
+    assert np.max(np.abs(cs.mass.toarray() - want_mass)) < 1e-12
+    assert np.max(np.abs(cs.stiff.toarray() - want_stiff)) < 1e-12
 
 
 def test_coarse_operators_are_exactly_symmetric(small):
@@ -356,8 +356,9 @@ def test_coarse_operators_are_exactly_symmetric(small):
     basis = gmsfem.build_offline(fs, 4)
     prol = gmsfem.assemble_prolongation(basis, (2, 2))
     cs = gmsfem.project_coarse(fs, prol)
-    assert np.array_equal(cs.mass, cs.mass.T)
-    assert np.array_equal(cs.stiff, cs.stiff.T)
+    for mat in (cs.mass, cs.stiff):
+        assert sp.isspmatrix_csr(mat) and mat.has_sorted_indices
+        assert (mat != mat.T).nnz == 0
 
 
 def test_coarse_rhs_projects_load(small):
@@ -381,6 +382,23 @@ def test_initial_vector_moments_and_projection(small):
     assert np.max(np.abs(cs_p.mass @ cs_p.z0 - moments)) < 1e-10
     with pytest.raises(ValueError, match="initial-vector"):
         gmsfem.project_coarse(fs, prol, initial="l2")
+
+
+def test_projection_mass_factor_serves_the_whole_run(small, factorizations):
+    # project_coarse factors C and B once each for its definiteness check;
+    # the projection solve and the energy monitor reuse the factor of C, so
+    # a reference plus a split run adds only C + tau*B and the step matrix
+    g, fs = small
+    basis = gmsfem.build_offline(fs, 4)
+    prol = gmsfem.assemble_prolongation(basis, (1, 3))
+    cs = gmsfem.project_coarse(fs, prol, initial="projection")
+    assert factorizations == ["coarse mass", "coarse stiffness"]
+    config = splitting.SplitConfig(tau=0.05, t_final=0.2, theta_mass=1.0,
+                                   theta_stiff=1.0)
+    splitting.backward_euler(cs, config.tau, config.t_final)
+    split = splitting.march(cs, splitting.make_split(cs), config)
+    assert split.energy is not None
+    assert len(factorizations) == 4
 
 
 def test_projection_initial_reconstructs_l2_projection(small):

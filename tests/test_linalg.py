@@ -4,7 +4,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from msplit.linalg import (DenseSpdFactor, NumericalError, cholesky_margin,
+from msplit.linalg import (NumericalError, SparseCholesky, cholesky_margin,
                            eig_gsym, factorize_spd)
 
 from _oracles import charpoly_eigs, random_spd
@@ -21,27 +21,43 @@ def test_factorize_spd_matches_dense_oracle():
 
 
 @pytest.mark.parametrize("n", [9, 18, 225])
-def test_dense_spd_factor_solve_is_cho_solve(n):
-    rng = rng_for(f"dense_spd_factor_{n}")
-    mat = random_spd(rng, n)
-    factor = DenseSpdFactor(mat)
-    reference = scipy.linalg.cho_factor(mat, lower=True)
+def test_sparse_cholesky_solve_matches_cho_solve(n):
+    rng = rng_for(f"sparse_cholesky_{n}")
+    dense = random_spd(rng, n)
+    # the same matrix with its coupling between three index groups dropped
+    group = np.arange(n) * 3 // n
+    blockdiag = np.where(group[:, None] == group[None, :], dense, 0.0)
     many = rng.standard_normal((n, 3))
-    for rhs in (rng.standard_normal(n), np.ascontiguousarray(many),
-                np.asfortranarray(many)):
-        x = factor.solve(rhs)
-        assert x.shape == rhs.shape
-        assert np.array_equal(x, scipy.linalg.cho_solve(reference, rhs))
+    for mat in (dense, blockdiag):
+        factor = SparseCholesky(sp.csr_matrix(mat))
+        reference = scipy.linalg.cho_factor(mat, lower=True)
+        for rhs in (rng.standard_normal(n), np.ascontiguousarray(many),
+                    np.asfortranarray(many)):
+            x = factor.solve(rhs)
+            want = scipy.linalg.cho_solve(reference, rhs)
+            assert x.shape == rhs.shape
+            assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_dense_spd_factor_solve_checks_lapack_info(monkeypatch):
-    # f2py rejects mismatched shapes before LAPACK runs, so an illegal
-    # argument report is provoked by standing in for the routine
-    factor = DenseSpdFactor(np.eye(3), context="probe")
-    monkeypatch.setattr(scipy.linalg.lapack, "dpotrs",
-                        lambda c, b, lower: (np.zeros_like(b), -2))
-    with pytest.raises(NumericalError, match="probe.*argument 2"):
-        factor.solve(np.ones(3))
+def test_sparse_cholesky_refuses_an_indefinite_matrix():
+    with pytest.raises(NumericalError, match="probe.*not positive definite"):
+        SparseCholesky(sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])),
+                       context="probe")
+
+
+@pytest.mark.parametrize("mat", [
+    [[0.0, 1.0], [1.0, 0.0]],
+    [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]],
+])
+def test_sparse_cholesky_refuses_row_pivoting(mat):
+    # symmetric and non-singular, but a zero diagonal forces a row exchange
+    with pytest.raises(NumericalError, match="probe.*pivot a row"):
+        SparseCholesky(np.array(mat), context="probe")
+
+
+def test_sparse_cholesky_refuses_a_singular_matrix():
+    with pytest.raises(NumericalError, match="probe"):
+        SparseCholesky(sp.csr_matrix(np.zeros((3, 3))), context="probe")
 
 
 def test_factorize_spd_zero_rhs():

@@ -5,6 +5,7 @@ import pathlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from msplit import splitting
@@ -46,8 +47,8 @@ def test_split_parts_sum_to_operators():
     bmat = random_spd(rng, 7)
     cs = make_cs(cmat, bmat, (3, 2, 2))
     parts = splitting.make_split(cs)
-    assert np.array_equal(parts.mass, cmat)
-    assert np.array_equal(parts.stiff, bmat)
+    assert np.array_equal(parts.mass.toarray(), cmat)
+    assert np.array_equal(parts.stiff.toarray(), bmat)
 
 
 def test_split_stores_no_matrix():
@@ -56,7 +57,8 @@ def test_split_stores_no_matrix():
     rng = np.random.default_rng(4)
     cs = make_cs(random_spd(rng, 7), random_spd(rng, 7), (3, 2, 2))
     parts = splitting.make_split(cs)
-    arrays = [v for v in vars(parts).values() if isinstance(v, np.ndarray)]
+    arrays = [v for v in vars(parts).values()
+              if isinstance(v, np.ndarray) or sp.issparse(v)]
     assert len(arrays) == 2
     assert any(a is cs.mass for a in arrays)
     assert any(a is cs.stiff for a in arrays)
@@ -65,9 +67,9 @@ def test_split_stores_no_matrix():
 def test_block_diagonal_split_structure():
     cs = make_cs(HAND_C, HAND_B, (1, 1))
     parts = splitting.make_split(cs)
-    assert np.array_equal(parts.stiff_main, np.diag([2.0, 2.0]))
-    assert np.array_equal(parts.stiff_rest, np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.array_equal(parts.mass_main, np.eye(2))
+    assert np.array_equal(parts.stiff_main.toarray(), np.diag([2.0, 2.0]))
+    assert np.array_equal(parts.stiff_rest.toarray(), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert np.array_equal(parts.mass_main.toarray(), np.eye(2))
 
 
 def test_split_keeps_the_step_bytes_contract_of_the_traced_benchmark(monkeypatch):
@@ -82,6 +84,42 @@ def test_split_keeps_the_step_bytes_contract_of_the_traced_benchmark(monkeypatch
     parts = splitting.make_split(make_cs(random_spd(rng, n), random_spd(rng, n), sizes))
     assert parts.variant == "block-diagonal"
     assert step_bytes(parts) == 8 * (2 * n * n + sum(b * b for b in sizes))
+
+
+def test_coarse_system_stores_dense_operators_as_csr():
+    cs = make_cs(HAND_C, HAND_B, (1, 1))
+    for mat, dense in ((cs.mass, HAND_C), (cs.stiff, HAND_B)):
+        assert sp.isspmatrix_csr(mat) and mat.has_sorted_indices
+        assert np.array_equal(mat.toarray(), dense)
+
+
+def test_step_operator_holds_no_dense_matrix():
+    rng = np.random.default_rng(5)
+    cs = make_cs(random_spd(rng, 7), random_spd(rng, 7), (3, 2, 2))
+    config = splitting.SplitConfig(tau=0.1, t_final=0.1, theta_mass=1.5,
+                                   theta_stiff=0.8)
+    op = splitting._StepOperator(splitting.make_split(cs), config)
+    for value in vars(op).values():
+        assert not (isinstance(value, np.ndarray) and value.ndim == 2)
+    assert sp.isspmatrix_csr(op.explicit)
+    assert op.explicit.shape == (7, 14)
+
+
+def test_reference_and_split_run_factor_each_matrix_once(factorizations):
+    # the reference and the split's first step share one factor of
+    # C + tau*B, the split step matrix is factored once, and the energy
+    # monitor's factor of C is made once and kept with the system
+    rng = np.random.default_rng(8)
+    cs = make_cs(random_spd(rng, 7), random_spd(rng, 7), (3, 2, 2),
+                 forcing=rng.standard_normal(7), z0=rng.standard_normal(7))
+    config = splitting.SplitConfig(tau=0.1, t_final=1.0, theta_mass=1.5,
+                                   theta_stiff=1.5)
+    splitting.backward_euler(cs, config.tau, config.t_final)
+    split = splitting.march(cs, splitting.make_split(cs), config)
+    assert split.energy is not None
+    assert len(factorizations) == 3
+    splitting.march(cs, splitting.make_split(cs), config)
+    assert factorizations[3:] == ["split step matrix"]
 
 
 # --- single steps ---
@@ -109,8 +147,8 @@ def test_split_step_matches_dense_oracle():
     z_prev = rng.standard_normal(6)
     f_next = rng.standard_normal(6)
     got = splitting.split_step(parts, config, z_now, z_prev, f_next)
-    want = dense_split_step(parts.mass_main, parts.mass_rest,
-                            parts.stiff_main, parts.stiff_rest,
+    want = dense_split_step(parts.mass_main.toarray(), parts.mass_rest.toarray(),
+                            parts.stiff_main.toarray(), parts.stiff_rest.toarray(),
                             0.8, 0.6, 0.37, z_now, z_prev, f_next)
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -301,21 +339,21 @@ def test_conditions_and_damping_equal_dense_formulas(theta, monkeypatch):
     rng = np.random.default_rng(53)
     cmat, bmat = (0.5 * (m + m.T) for m in (random_spd(rng, 7), random_spd(rng, 7)))
     parts = splitting.make_split(make_cs(cmat, bmat, (3, 2, 2)))
-    want_mass = theta * parts.mass_main - 0.5 * cmat
-    want_stiff = theta * parts.stiff_main - 0.25 * bmat
+    want_mass = theta * parts.mass_main.toarray() - 0.5 * cmat
+    want_stiff = theta * parts.stiff_main.toarray() - 0.25 * bmat
     certified = []
     margin = splitting.cholesky_margin
     monkeypatch.setattr(splitting, "cholesky_margin",
                         lambda mat: certified.append(mat.copy()) or margin(mat))
     cert = splitting.check_stability(parts, theta, theta)
     assert len(certified) == 2
-    assert np.array_equal(certified[0], want_mass)
-    assert np.array_equal(certified[1], want_stiff)
+    assert np.array_equal(certified[0].toarray(), want_mass)
+    assert np.array_equal(certified[1].toarray(), want_stiff)
     assert (cert.mass_ok, cert.mass_margin) == margin(want_mass)
     assert (cert.stiff_ok, cert.stiff_margin) == margin(want_stiff)
     config = splitting.SplitConfig(tau=0.3, t_final=0.3, theta_mass=theta,
                                    theta_stiff=theta)
-    assert np.array_equal(splitting.damping_matrix(parts, config),
+    assert np.array_equal(splitting.damping_matrix(parts, config).toarray(),
                           0.3 * want_mass + 0.3 ** 2 * want_stiff)
 
 
@@ -325,7 +363,7 @@ def test_damping_matrix_hand_value():
     parts = splitting.make_split(cs)
     config = splitting.SplitConfig(tau=0.5, t_final=0.5)
     want = np.array([[0.625, -0.0625], [-0.0625, 0.625]])
-    assert np.allclose(splitting.damping_matrix(parts, config), want,
+    assert np.allclose(splitting.damping_matrix(parts, config).toarray(), want,
                        atol=1e-15)
 
 
@@ -418,8 +456,8 @@ def test_reference_and_march_share_one_forcing_evaluation_per_level():
     split = splitting.march(cs, splitting.make_split(cs), config)
     assert len(calls) == config.n_steps
     assert calls == [(n + 1) * config.tau for n in range(config.n_steps)]
-    want = dense_backward_euler(cs.mass, cs.stiff, forcing, cs.z0, config.tau,
-                                config.n_steps)
+    want = dense_backward_euler(cs.mass.toarray(), cs.stiff.toarray(), forcing,
+                                cs.z0, config.tau, config.n_steps)
     assert np.allclose(reference.states, want, atol=1e-12)
     assert split.n_steps == config.n_steps
 
