@@ -5,7 +5,14 @@ permeability-harmonic extensions of nodal boundary data on the neighborhood
 boundary, solved coarse cell by coarse cell with edgewise-linear data on
 interior coarse edges. A generalized spectral problem between the
 permeability-weighted energy and a scaled mass form selects the dominant
-modes, which are localized by the bilinear partition of unity and
+modes. Because the snapshots are harmonic cell by cell, the offline stage
+forms that pencil by static condensation: each coarse cell's stiffness and
+weighted mass are condensed onto its boundary once, and a neighborhood's
+pencil is the sum of its cells' condensed blocks in snapshot coordinates
+(Efendiev, Galvis and Hou, J. Comput. Phys. 251, 2013). The snapshot
+columns themselves (:func:`build_snapshots`, :func:`spectral_matrices`) are
+only the brute-force reference for it. The modes are localized by the
+bilinear partition of unity and
 energy-orthonormalized within the neighborhood. The resulting columns form
 the prolongation from coarse coefficients to interior fine nodes: one sparse
 matrix whose columns are grouped by mode block, so the Galerkin projection
@@ -16,6 +23,7 @@ matrices, from the projection to the end of a run.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,7 +33,7 @@ import scipy.sparse as sp
 
 from . import fineassembly
 from .fineassembly import FineSystem, local_matrices
-from .grid import GridPair, Neighborhood, neighborhood, partition_of_unity
+from .grid import GridPair, Neighborhood, hat_at, neighborhood
 from .linalg import NumericalError, SparseCholesky, eig_gsym, single_thread_blas
 from .splitting import CoarseSystem
 
@@ -111,9 +119,18 @@ class Prolongation:
 
 
 class _CellSolver:
-    """Factorized interior solve of one coarse cell's local Dirichlet problem."""
+    """Discrete harmonic extension of one coarse cell's boundary data.
 
-    def __init__(self, fs: FineSystem, cell: int):
+    ``mapmat`` maps values at the cell's boundary nodes ``bnodes`` to the
+    harmonic values at its interior nodes ``inodes`` (both ascending). With
+    ``mass_weight_cells`` the cell also assembles its spectral-weighted mass
+    and keeps both forms condensed onto its boundary: ``condensed`` is
+    (E^T K E, E^T W E) with E = [I; mapmat], the 4r x 4r stiffness and
+    weighted mass of the harmonic extensions of boundary data.
+    """
+
+    def __init__(self, fs: FineSystem, cell: int,
+                 mass_weight_cells: Optional[np.ndarray] = None):
         g = fs.grid
         cx, cy = g.coarse_cell_grid(cell)
         r = g.refine
@@ -124,22 +141,26 @@ class _CellSolver:
         self.bnodes = nodes[on_edge]
         self.inodes = nodes[~on_edge]
         cells = g.coarse_cell_fine_cells(cell)
-        _, stiff = local_matrices(g, fs.kappa_cells, cells, nodes)
-        stiff = stiff.toarray()
-        bpos = np.searchsorted(nodes, self.bnodes)
-        ipos = np.searchsorted(nodes, self.inodes)
+        wmass, stiff = local_matrices(g, fs.kappa_cells, cells, nodes,
+                                      mass_weight_cells=mass_weight_cells)
+        bpos = np.flatnonzero(on_edge)
+        ipos = np.flatnonzero(~on_edge)
         if len(self.inodes) == 0:
             self.mapmat = np.zeros((0, len(self.bnodes)))
-            return
-        a_ii = stiff[np.ix_(ipos, ipos)]
-        a_ib = stiff[np.ix_(ipos, bpos)]
-        try:
-            factor = scipy.linalg.cho_factor(a_ii, lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"local solve in coarse cell ({cx}, {cy}) is not positive definite: {exc}"
-            ) from exc
-        self.mapmat = -scipy.linalg.cho_solve(factor, a_ib)
+        else:
+            dense = stiff.toarray()
+            try:
+                factor = scipy.linalg.cho_factor(dense[np.ix_(ipos, ipos)], lower=True)
+            except scipy.linalg.LinAlgError as exc:
+                raise NumericalError(
+                    f"local solve in coarse cell ({cx}, {cy}) is not positive definite: {exc}"
+                ) from exc
+            self.mapmat = -scipy.linalg.cho_solve(factor, dense[np.ix_(ipos, bpos)])
+        if mass_weight_cells is not None:
+            extend = np.zeros((len(nodes), len(bpos)))
+            extend[bpos, np.arange(len(bpos))] = 1.0
+            extend[ipos] = self.mapmat
+            self.condensed = (extend.T @ (stiff @ extend), extend.T @ (wmass @ extend))
 
 
 def _skeleton_rows(g: GridPair, nb: Neighborhood):
@@ -260,45 +281,116 @@ def spectral_matrices(fs: FineSystem, nb: Neighborhood, snaps: SnapshotSpace,
     return astiff, smass
 
 
-def _modes_for_node(fs, node, n_modes, cell_cache, mass_weight_cells):
-    nb = neighborhood(fs.grid, node)
-    if n_modes > nb.n_boundary:
-        raise ValueError(
-            f"requested {n_modes} modes but neighborhood {node} has only "
-            f"{nb.n_boundary} snapshots")
-    snaps = build_snapshots(fs, nb, cell_cache)
-    astiff, smass = spectral_matrices(fs, nb, snaps, mass_weight_cells)
-    eig = eig_gsym(astiff, smass, context=f"neighborhood {node}")
-    vectors = snaps.columns @ eig.vectors[:, :n_modes]
-    return NeighborhoodModes(node=node, nodes=nb.nodes,
-                             eigenvalues=eig.values[:n_modes], vectors=vectors)
+def _mapped(shape) -> np.ndarray:
+    """A zero float array in its own anonymous memory mapping.
+
+    Freeing the mapping returns its pages at once and leaves malloc alone.
+    Freeing a large array that malloc made raises glibc's dynamic mmap
+    threshold, so later arrays up to that size come from the heap, which
+    keeps its freed pages resident. On example1 the condensed cells take
+    46 MB: from malloc they raised the run's peak RSS from 189 to 202 MB,
+    mapped it is 176 MB.
+    """
+    size = 8 * int(np.prod(shape))
+    if size == 0:
+        return np.zeros(shape)
+    return np.frombuffer(mmap.mmap(-1, size), dtype=float).reshape(shape)
+
+
+class _CondensedCells:
+    """Every coarse cell condensed onto its boundary, and the shared skeleton.
+
+    ``mapmat[c]`` and ``blocks[:, c]`` (stiffness, weighted mass) hold cell
+    c's :class:`_CellSolver` results, one stacked array per kind. Every
+    interior neighborhood is the same 2 x 2 cell patch shifted by whole
+    coarse cells, so its skeleton rows, and the rows ``select[q]`` (D_q)
+    that give the boundary data of its q-th cell (ascending cell id), are
+    those of the first interior neighborhood. A neighborhood's snapshot
+    columns are the skeleton rows on its coarse edges and mapmat[c_q] @ D_q
+    inside its q-th cell c_q. The stacked arrays live in their own memory
+    mappings (:func:`_mapped`).
+    """
+
+    def __init__(self, fs: FineSystem, mass_weight_cells: np.ndarray):
+        g = fs.grid
+        r = g.refine
+        n_cells = g.nx_coarse * g.ny_coarse
+        template = neighborhood(g, int(g.interior_coarse_ids[0]))
+        skel_ids, self.skel_rows = _skeleton_rows(g, template)
+        self.skel_pos = np.searchsorted(template.nodes, skel_ids)
+        self.mapmat = _mapped((n_cells, (r - 1) ** 2, 4 * r))
+        self.blocks = _mapped((2, n_cells, 4 * r, 4 * r))
+        self.select = np.empty((4, 4 * r, template.n_boundary))
+        self.inner_pos = np.empty((4, (r - 1) ** 2), dtype=np.int64)
+        for cell in range(n_cells):
+            solver = _CellSolver(fs, cell, mass_weight_cells)
+            self.mapmat[cell] = solver.mapmat
+            self.blocks[:, cell] = solver.condensed
+            for q in np.flatnonzero(template.cells == cell):
+                self.select[q] = self.skel_rows[np.searchsorted(skel_ids, solver.bnodes)]
+                self.inner_pos[q] = np.searchsorted(template.nodes, solver.inodes)
+
+    def pencil(self, cells: np.ndarray):
+        """(astiff, smass) of the neighborhood made of ``cells``: sum_q D_q^T X_q D_q.
+
+        The four products are summed in cell order. Rounding decides which
+        member of an exactly degenerate eigenpair comes first, and a mode
+        cut can fall between the two: example2-synthetic's 10-mode cut does
+        so in every neighborhood of unit permeability. This order keeps the
+        member that the brute-force pencil keeps there.
+        """
+        forms = []
+        for blocks in self.blocks:
+            form = sum(d.T @ (x @ d) for d, x in zip(self.select, blocks[cells]))
+            forms.append(0.5 * (form + form.T))
+        return tuple(forms)
+
+    def modes(self, nb: Neighborhood, n_modes: int) -> NeighborhoodModes:
+        """The ``n_modes`` lowest eigenpairs of one interior neighborhood's pencil.
+
+        Only the kept eigenvectors are extended to the neighborhood's nodes.
+        """
+        astiff, smass = self.pencil(nb.cells)
+        eig = eig_gsym(astiff, smass, context=f"neighborhood {nb.node}")
+        kept = eig.vectors[:, :n_modes]
+        vectors = np.empty((len(nb.nodes), n_modes))
+        vectors[self.skel_pos] = self.skel_rows @ kept
+        vectors[self.inner_pos] = self.mapmat[nb.cells] @ (self.select @ kept)
+        return NeighborhoodModes(node=nb.node, nodes=nb.nodes,
+                                 eigenvalues=eig.values[:n_modes], vectors=vectors)
 
 
 def offline_modes(fs: FineSystem, n_modes: int) -> list:
     """Spectral modes for every interior coarse node, ascending node order.
+
+    The spectral pencil is assembled by static condensation: each coarse
+    cell is factored and its stiffness and weighted mass condensed onto its
+    4r boundary nodes once, up front (:class:`_CondensedCells`), and every
+    neighborhood's pencil is the sum of its four cells' condensed blocks
+    mapped to snapshot coordinates. Only the kept modes are extended into the
+    cells. :func:`build_snapshots` and :func:`spectral_matrices` form the same
+    pencil by brute force and serve as its reference.
 
     The neighborhoods are solved one after another with every loaded
     OpenBLAS pinned to one thread; each library's previous thread count is
     restored on return and on error. The pencils are small (128 x 128 on
     example1), and there the 225 neighborhood solves took about half as long
     on one BLAS thread as on two. Where no OpenBLAS thread control is found,
-    the loop runs unpinned. Each coarse cell is factored once, up front, and
-    shared by the neighborhoods around it.
+    the loop runs unpinned.
     """
     g = fs.grid
     nodes = g.interior_coarse_ids
     if len(nodes) == 0:
         raise ValueError("grid has no interior coarse nodes")
+    n_snapshots = 8 * g.refine   # boundary nodes of an interior neighborhood
+    if n_modes > n_snapshots:
+        raise ValueError(
+            f"requested {n_modes} modes but neighborhood {nodes[0]} has only "
+            f"{n_snapshots} snapshots")
     weight = spectral_mass_weight(g, fs.kappa_cells)
     with single_thread_blas():
-        # every coarse cell lies in some interior neighborhood. Made on first
-        # use, between the neighborhood solves, the same factorizations left
-        # example1's peak RSS about 11 MB (5 %) higher later in the run; made
-        # up front, they are allocated and freed together.
-        cell_cache = {cell: _CellSolver(fs, cell)
-                      for cell in range(g.nx_coarse * g.ny_coarse)}
-        return [_modes_for_node(fs, int(node), n_modes, cell_cache, weight)
-                for node in nodes]
+        condensed = _CondensedCells(fs, weight)
+        return [condensed.modes(neighborhood(g, int(node)), n_modes) for node in nodes]
 
 
 def assemble_basis(fs: FineSystem, modes_list: list, n_modes: int,
@@ -316,7 +408,7 @@ def assemble_basis(fs: FineSystem, modes_list: list, n_modes: int,
             raise ValueError(f"neighborhood {modes.node} stores only "
                              f"{modes.vectors.shape[1]} modes, need {n_modes}")
         nb_nodes = modes.nodes
-        pou = partition_of_unity(g, modes.node)[nb_nodes]
+        pou = hat_at(g, modes.node, nb_nodes)
         psi = pou[:, None] * modes.vectors[:, :n_modes]
         inner_mask = g.fine_interior_index[nb_nodes] >= 0
         # the hat vanishes on the neighborhood boundary; keep supported rows only

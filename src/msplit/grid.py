@@ -13,7 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["GridPair", "Neighborhood", "build_grids", "neighborhood", "partition_of_unity"]
+__all__ = ["GridPair", "Neighborhood", "build_grids", "neighborhood", "partition_of_unity",
+           "hat_at"]
 
 
 @dataclass
@@ -216,8 +217,17 @@ def partition_of_unity(g: GridPair, node: int) -> np.ndarray:
     Equals one at the coarse node, zero on and outside its neighborhood
     boundary; the hats of all coarse nodes sum to one everywhere.
     """
+    return hat_at(g, node, slice(None))
+
+
+def hat_at(g: GridPair, node: int, nodes) -> np.ndarray:
+    """The hat of :func:`partition_of_unity` at the fine nodes ``nodes`` only.
+
+    ``nodes`` indexes the fine node arrays (ids or a slice); the values are
+    bit for bit those of the full sample at the same nodes.
+    """
     xc, yc = g.coarse_node_xy(node)
     x, y = g.fine_coords
-    tx = np.maximum(0.0, 1.0 - np.abs(x - xc) / g.coarse_hx)
-    ty = np.maximum(0.0, 1.0 - np.abs(y - yc) / g.coarse_hy)
+    tx = np.maximum(0.0, 1.0 - np.abs(x[nodes] - xc) / g.coarse_hx)
+    ty = np.maximum(0.0, 1.0 - np.abs(y[nodes] - yc) / g.coarse_hy)
     return tx * ty

@@ -167,24 +167,30 @@ def eig_gsym(astiff: np.ndarray, smass: np.ndarray, context: str = "") -> EigRes
 def cholesky_margin(mat) -> tuple:
     """Positive definiteness of a symmetric matrix from one Cholesky factorization.
 
-    A sparse ``mat`` is densified for as long as the factorization lasts.
-    Returns ``(ok, margin)``. ``ok`` is True iff the factorization completes
-    with every pivot diag(L)^2 above the floor 1e-14 * max|A|; a zero or empty
+    The factorization runs in place on one dense, Fortran-ordered copy of
+    ``mat`` (sparse or dense), which is left unmodified; that copy is the
+    only n x n array made unless the factorization breaks down. Returns
+    ``(ok, margin)``. ``ok`` is True iff the factorization completes with
+    every pivot diag(L)^2 above the floor 1e-14 * max|A|; a zero or empty
     matrix fails. ``margin`` is the smallest pivot or, when the factorization
-    breaks down, the smallest eigenvalue (non-positive in that case), so
-    callers still get a signed margin; it is 0 for an empty matrix.
+    breaks down, the smallest eigenvalue of ``mat`` (non-positive in that
+    case), so callers still get a signed margin; it is 0 for an empty matrix.
     """
-    mat = mat.toarray() if sp.issparse(mat) else np.asarray(mat, dtype=float)
-    if mat.size == 0:
+    if not sp.issparse(mat):
+        mat = np.asarray(mat, dtype=float)
+    if mat.shape[0] * mat.shape[1] == 0:
         return False, 0.0
-    try:
-        chol = np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        return False, float(np.linalg.eigvalsh(mat).min())
+    scale = max(mat.max(), -mat.min())   # max|A| without an n x n temporary
+    work = mat.toarray(order="F") if sp.issparse(mat) else np.array(mat, order="F")
+    potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (work,))
+    chol, info = potrf(work, lower=True, overwrite_a=True, clean=False)
+    if info != 0:
+        del work, chol
+        dense = mat.toarray() if sp.issparse(mat) else mat
+        return False, float(np.linalg.eigvalsh(dense).min())
     d = np.diagonal(chol)
     margin = float((d * d).min())
-    # max|A| without an n x n temporary
-    return bool(margin > PIVOT_FLOOR * max(mat.max(), -mat.min())), margin
+    return bool(margin > PIVOT_FLOOR * scale), margin
 
 
 # (get, set) thread-count symbols of the OpenBLAS builds that numpy and scipy

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from msplit import gmsfem, linalg, splitting
+from msplit import driver, gmsfem, linalg, splitting
 from msplit.fineassembly import Permeability, assemble
 from msplit.grid import GridPair, neighborhood
 from msplit.linalg import NumericalError
@@ -150,6 +150,111 @@ def test_offline_modes_rejects_oversized_request(small):
     g, fs = small
     with pytest.raises(ValueError, match="snapshots"):
         gmsfem.offline_modes(fs, 8 * g.refine + 1)
+
+
+# --- static condensation against the brute-force reference route ---
+
+def _wavy_3x3():
+    return assemble(GridPair(3, 3, 3), Permeability.from_callable(wavy_kappa))
+
+
+def _channels_4x4():
+    g = GridPair(4, 4, 4)
+    return assemble(g, driver.synthetic_channels(g))
+
+
+@pytest.mark.parametrize("make_fs", [_wavy_3x3, _channels_4x4],
+                         ids=["wavy-3x3-r3", "channels-4x4-r4"])
+def test_condensed_pencils_match_reference(make_fs):
+    # sum_q D_q^T X_q D_q over a neighborhood's cells is the pencil that
+    # build_snapshots + spectral_matrices assemble node by node
+    fs = make_fs()
+    g = fs.grid
+    weight = gmsfem.spectral_mass_weight(g, fs.kappa_cells)
+    condensed = gmsfem._CondensedCells(fs, weight)
+    for node in g.interior_coarse_ids:
+        nb = neighborhood(g, int(node))
+        snaps = gmsfem.build_snapshots(fs, nb)
+        want = gmsfem.spectral_matrices(fs, nb, snaps, weight)
+        got = condensed.pencil(nb.cells)
+        for a, b in zip(got, want):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), node
+
+
+@pytest.mark.parametrize("make_fs", [_wavy_3x3, _channels_4x4],
+                         ids=["wavy-3x3-r3", "channels-4x4-r4"])
+def test_offline_modes_match_reference_route(make_fs):
+    fs = make_fs()
+    g = fs.grid
+    weight = gmsfem.spectral_mass_weight(g, fs.kappa_cells)
+    modes = gmsfem.offline_modes(fs, 5)
+    assert [m.node for m in modes] == list(g.interior_coarse_ids)
+    for m in modes:
+        nb = neighborhood(g, m.node)
+        snaps = gmsfem.build_snapshots(fs, nb)
+        ref = linalg.eig_gsym(*gmsfem.spectral_matrices(fs, nb, snaps, weight))
+        want = ref.values[:5]
+        assert np.array_equal(m.nodes, nb.nodes)
+        assert np.max(np.abs(m.eigenvalues - want)) <= 1e-10 * np.max(np.abs(want))
+        # the snapshots carry Kronecker data on the boundary, so a mode's
+        # boundary values are its snapshot coefficients, and the mode must
+        # be the snapshot columns combined with them
+        coeffs = m.vectors[np.searchsorted(nb.nodes, nb.boundary)]
+        assert np.max(np.abs(m.vectors - snaps.columns @ coeffs)) < 1e-12
+
+
+def test_degenerate_mode_cut_keeps_the_reference_member():
+    # unit permeability makes the pencil symmetric under the square's
+    # reflections, so eigenvalues 10 and 11 form an exactly degenerate pair
+    # and rounding decides which member a 10-mode cut keeps. The errors
+    # recorded for the ex2-stepping benchmark (example2-synthetic, 10 modes)
+    # were made with the member the brute-force route keeps, in every
+    # neighborhood of unit permeability; r = 16 as there
+    g = GridPair(2, 2, 16)
+    fs = assemble(g, Permeability.constant(1.0))
+    (modes,) = gmsfem.offline_modes(fs, 10)
+    nb = neighborhood(g, modes.node)
+    weight = gmsfem.spectral_mass_weight(g, fs.kappa_cells)
+    astiff, smass = gmsfem.spectral_matrices(fs, nb, gmsfem.build_snapshots(fs, nb),
+                                             weight)
+    ref = linalg.eig_gsym(astiff, smass)
+    assert ref.values[10] - ref.values[9] <= 1e-12 * ref.values[10]
+    # boundary values are snapshot coefficients; their span must be the
+    # reference's kept span
+    coeffs = modes.vectors[np.searchsorted(nb.nodes, nb.boundary)]
+    kept = ref.vectors[:, :10]
+    resid = coeffs - kept @ (kept.T @ (smass @ coeffs))
+    assert np.max(np.abs(resid)) < 1e-8 * np.max(np.abs(coeffs))
+
+
+def test_interior_skeletons_are_shifted_copies():
+    # the condensed route builds the skeleton rows once, from the first
+    # interior neighborhood, and reuses them for all the others
+    g = GridPair(4, 3, 3)
+    first = neighborhood(g, int(g.interior_coarse_ids[0]))
+    ids0, rows0 = gmsfem._skeleton_rows(g, first)
+    for node in g.interior_coarse_ids[1:]:
+        nb = neighborhood(g, int(node))
+        shift = nb.nodes[0] - first.nodes[0]
+        assert np.array_equal(nb.nodes, first.nodes + shift)
+        assert np.array_equal(nb.boundary, first.boundary + shift)
+        ids, rows = gmsfem._skeleton_rows(g, nb)
+        assert np.array_equal(ids, ids0 + shift), node
+        assert np.array_equal(rows, rows0), node
+
+
+def test_offline_modes_never_calls_the_reference_route(small, monkeypatch):
+    g, fs = small
+    want = gmsfem.offline_modes(fs, 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("offline_modes called the reference route")
+
+    monkeypatch.setattr(gmsfem, "build_snapshots", refuse)
+    monkeypatch.setattr(gmsfem, "spectral_matrices", refuse)
+    got = gmsfem.offline_modes(fs, 3)
+    for a, b in zip(want, got):
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
 
 
 # --- BLAS thread pin ---

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from msplit.grid import build_grids, neighborhood, partition_of_unity
+from msplit.grid import build_grids, hat_at, neighborhood, partition_of_unity
 
 
 def test_counts_on_square_grid():
@@ -127,6 +127,20 @@ def test_partition_of_unity_hat_shape():
     outside = np.setdiff1d(np.arange(g.n_fine_nodes), nb.nodes)
     assert np.all(hat[outside] == 0.0)
     assert np.all(hat[nb.boundary] == 0.0)
+
+
+def test_hat_at_neighborhood_nodes_is_bit_identical():
+    # the hat sampled at a neighborhood's nodes only must equal, bit for
+    # bit, the full-grid sample indexed there, for every kind of node
+    g = build_grids(4, 3, 5)
+    x, y = g.fine_coords
+    for node in range(g.n_coarse_nodes):
+        xc, yc = g.coarse_node_xy(node)
+        full = (np.maximum(0.0, 1.0 - np.abs(x - xc) / g.coarse_hx)
+                * np.maximum(0.0, 1.0 - np.abs(y - yc) / g.coarse_hy))
+        assert np.array_equal(partition_of_unity(g, node), full)
+        nodes = neighborhood(g, node).nodes
+        assert np.array_equal(hat_at(g, node, nodes), full[nodes])
 
 
 def test_grid_validation():

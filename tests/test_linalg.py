@@ -150,3 +150,17 @@ def test_cholesky_margin_values():
     indef = np.array([[1.0, 3.0], [3.0, 1.0]])
     assert cholesky_margin(indef) == (False, pytest.approx(-2.0))
     assert cholesky_margin(np.zeros((0, 0))) == (False, 0.0)
+
+
+def test_cholesky_margin_leaves_input_unmodified():
+    # the factorization overwrites its own copy only, also when it breaks
+    # down and the margin comes from an eigensolve of the input
+    rng = rng_for("chol_in_place")
+    for mat in (random_spd(rng, 6), np.array([[1.0, 3.0], [3.0, 1.0]])):
+        for given in (mat.copy(), sp.csr_matrix(mat)):
+            before = given.copy()
+            cholesky_margin(given)
+            if sp.issparse(given):
+                assert (given != before).nnz == 0
+            else:
+                assert np.array_equal(given, before)
