@@ -22,7 +22,7 @@ import numpy as np
 from . import fineassembly, gmsfem, splitting
 from .fineassembly import Permeability, assemble, write_field
 from .grid import GridPair, build_grids
-from .linalg import NumericalError, factorize_spd
+from .linalg import NumericalError, SparseCholesky
 from .splitting import SplitConfig, Trajectory
 
 __all__ = [
@@ -109,7 +109,7 @@ def synthetic_channels(g: GridPair, contrast: float = 1e3, seed: int = 7,
         iy = np.clip((np.asarray(y) * g.ny_fine).astype(int), 0, g.ny_fine - 1)
         return cells[iy, ix]
 
-    return Permeability(evaluate=sample, tag="analytic")
+    return Permeability(evaluate=sample)
 
 
 @dataclass
@@ -161,6 +161,12 @@ class ExperimentConfig:
                               f"modes = {self.modes}")
         if self.kappa not in ("periodic", "constant", "raster", "channels"):
             raise ConfigError(f"unknown kappa field {self.kappa!r}")
+        # NaN fails both comparisons
+        if self.kappa == "constant" and not 0.0 < self.kappa_value < np.inf:
+            raise ConfigError(f"kappa_value must be positive, got {self.kappa_value}")
+        if self.kappa == "channels" and not 0.0 < self.kappa_contrast < np.inf:
+            raise ConfigError(f"kappa_contrast must be positive, "
+                              f"got {self.kappa_contrast}")
         if self.kappa == "raster":
             if not self.kappa_path:
                 raise ConfigError("kappa = raster requires kappa_path")
@@ -303,7 +309,10 @@ def _resolve_kappa(config: ExperimentConfig, g: GridPair) -> Permeability:
     if config.kappa == "constant":
         return Permeability.constant(config.kappa_value)
     if config.kappa == "raster":
-        return Permeability.from_raster(config.kappa_path)
+        try:
+            return Permeability.from_raster(config.kappa_path)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"unusable kappa raster: {exc}") from exc
     return synthetic_channels(g, contrast=config.kappa_contrast,
                               seed=config.kappa_seed,
                               n_channels=config.kappa_channels)
@@ -458,15 +467,25 @@ def _write_history_csv(path, report: ErrorReport) -> None:
 
 
 def _fine_reference_errors(pipe: Pipeline, split: Trajectory) -> dict:
-    """Sanity numbers: split field against a fine-grid backward Euler run."""
+    """Sanity numbers: split field against a fine-grid backward Euler run.
+
+    Every solve must meet |A u - rhs| <= 1e-10 |rhs| with A = M + tau*K.
+    """
     fs, config = pipe.fs, pipe.config
     n_steps = SplitConfig(tau=config.tau, t_final=config.t_final).n_steps
-    lhs = factorize_spd(fs.mass + config.tau * fs.stiffness, context="fine reference")
+    lhs_mat = fs.mass + config.tau * fs.stiffness
+    lhs = SparseCholesky(lhs_mat, context="fine reference")
     loads = fineassembly.LoadOperator(fs.grid)
     u = fs.initial_vector()
     for n in range(n_steps):
         f = loads.load(fs.source, (n + 1) * config.tau)
-        u = lhs.solve(fs.mass @ u + config.tau * f)
+        rhs = fs.mass @ u + config.tau * f
+        u = lhs.solve(rhs)
+        residual = np.linalg.norm(lhs_mat @ u - rhs)
+        target = 1e-10 * np.linalg.norm(rhs)
+        if not residual <= target:  # also catches NaN
+            raise NumericalError(f"fine reference step {n + 1}: solve residual "
+                                 f"{residual:.3e} exceeds {target:.3e}")
     split_final = reconstruct_fine(pipe.prol, split.states[-1])
     ref_l2, ref_en = fineassembly.norms(fs, u)
     err_l2, err_en = fineassembly.norms(fs, u - split_final)

@@ -9,9 +9,9 @@ rows and columns.
 The load quadrature is a fixed linear map from source values at the Gauss
 points to the interior load, so :class:`LoadOperator` builds those points and
 one sparse matrix once per grid; each load is then one source evaluation and
-one sparse product. Callers that need a single load build it, use it and
-free it through :func:`load`; it is not stored on :class:`FineSystem`, whose
-lifetime spans the whole run.
+one sparse product. It is the only load path. Callers that need a single
+load build the operator, use it and free it; it is not stored on
+:class:`FineSystem`, whose lifetime spans the whole run.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "FineSystem",
     "LoadOperator",
     "assemble",
-    "load",
     "norms",
     "interpolate",
     "local_matrices",
@@ -72,23 +71,20 @@ _SHAPE_AT_GP = np.array([
 class Permeability:
     """Scalar permeability field evaluated at fine-cell centers.
 
-    ``evaluate`` must accept numpy arrays of x and y coordinates. ``tag``
-    records where the field came from (analytic formula or raster file).
+    ``evaluate`` must accept numpy arrays of x and y coordinates.
     """
 
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    tag: str = "analytic"
 
     @classmethod
     def constant(cls, value: float) -> "Permeability":
         if value <= 0.0:
             raise ValueError("permeability must be positive")
-        return cls(evaluate=lambda x, y: np.full_like(np.asarray(x, float), value),
-                   tag="analytic")
+        return cls(evaluate=lambda x, y: np.full_like(np.asarray(x, float), value))
 
     @classmethod
-    def from_callable(cls, func, tag: str = "analytic") -> "Permeability":
-        return cls(evaluate=lambda x, y: np.asarray(func(x, y), dtype=float), tag=tag)
+    def from_callable(cls, func) -> "Permeability":
+        return cls(evaluate=lambda x, y: np.asarray(func(x, y), dtype=float))
 
     @classmethod
     def from_raster(cls, path) -> "Permeability":
@@ -105,7 +101,7 @@ class Permeability:
             row = np.clip(((1.0 - y) * rows).astype(int), 0, rows - 1)
             return values[row, col]
 
-        return cls(evaluate=sample, tag="raster")
+        return cls(evaluate=sample)
 
     def cell_values(self, g: GridPair) -> np.ndarray:
         """Permeability at each fine-cell center, shape (ny_fine, nx_fine)."""
@@ -197,16 +193,10 @@ class FineSystem:
     def n_dof(self) -> int:
         return self.grid.n_interior_fine
 
-    def load(self, t: float = 0.0) -> np.ndarray:
-        return load(self.grid, self.source, t)
-
     def initial_vector(self) -> np.ndarray:
         if self.initial is None:
             return np.zeros(self.n_dof)
         return interpolate(self.grid, self.initial)
-
-    def norms(self, v: np.ndarray) -> tuple[float, float]:
-        return norms(self, v)
 
 
 def assemble(g: GridPair, kappa: Permeability, source=None, initial=None) -> FineSystem:
@@ -262,17 +252,6 @@ class LoadOperator:
             return np.zeros(self.matrix.shape[0])
         values = np.asarray(source(t, self.x, self.y), dtype=float)
         return self.matrix @ (self.weight * values)
-
-
-def load(g: GridPair, source, t: float = 0.0) -> np.ndarray:
-    """Consistent load vector over interior fine nodes via 2x2 Gauss points.
-
-    Builds the grid's :class:`LoadOperator` for this one call; callers that
-    load on every time step build it once instead.
-    """
-    if source is None:
-        return np.zeros(g.n_interior_fine)
-    return LoadOperator(g).load(source, t)
 
 
 def interpolate(g: GridPair, func) -> np.ndarray:

@@ -515,7 +515,8 @@ def project_coarse(fs: FineSystem, prol: Prolongation,
 
     A time-dependent forcing keeps the grid's load operator Q and P^T, so
     ``rhs(t)`` is P^T (Q f(t)): one source evaluation and two sparse
-    products. A static forcing is loaded and projected once.
+    products. A static forcing is loaded and projected once, through a load
+    operator built and freed here; none is stored on the fine system.
     """
     if initial not in ("moments", "projection"):
         raise ValueError(f"unknown initial-vector mode {initial!r}")
@@ -533,7 +534,7 @@ def project_coarse(fs: FineSystem, prol: Prolongation,
         def rhs(t: float) -> np.ndarray:
             return pmat_t @ loads.load(source, t)
     else:
-        static = pmat.T @ fineassembly.load(fs.grid, source, 0.0)
+        static = pmat.T @ fineassembly.LoadOperator(fs.grid).load(source, 0.0)
 
         def rhs(t: float) -> np.ndarray:
             return static

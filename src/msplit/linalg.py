@@ -1,9 +1,10 @@
 """Symmetric positive definite solves and generalized eigenproblems.
 
-Thin, checked wrappers around scipy: sparse direct factorization with an
-iterative fallback for the fine-grid systems, a sparse factorization with
-the contract of a Cholesky one for the coarse time-stepping systems, and the
-generalized symmetric eigensolver used by the local spectral problems.
+Thin, checked wrappers around scipy: one sparse factorization with the
+contract of a Cholesky one, which serves every sparse SPD matrix the
+program solves with (the coarse mass and time-stepping matrices and the
+fine backward Euler matrix of the fine reference), and the generalized
+symmetric eigensolver used by the local spectral problems.
 Every routine verifies the property it promises and raises
 :class:`NumericalError` with context when it cannot deliver. One context
 manager pins the BLAS libraries behind numpy and scipy to a single thread
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import ctypes
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -24,71 +25,17 @@ import scipy.sparse.linalg as spla
 __all__ = [
     "NumericalError",
     "EigResult",
-    "SpdFactor",
     "SparseCholesky",
-    "factorize_spd",
     "eig_gsym",
     "cholesky_margin",
     "single_thread_blas",
 ]
 
-DEFAULT_TOL = 1e-10
 PIVOT_FLOOR = 1e-14
-CG_MAXITER = 5000
 
 
 class NumericalError(RuntimeError):
     """A factorization or solve could not deliver its accuracy contract."""
-
-
-class SpdFactor:
-    """Reusable direct factorization of a sparse SPD matrix.
-
-    Solves are verified against the residual tolerance; a Jacobi-preconditioned
-    conjugate gradient picks up the rare case where the direct solve degrades.
-    """
-
-    def __init__(self, mat, tol: float = DEFAULT_TOL, context: str = ""):
-        self.mat = mat.tocsr() if sp.issparse(mat) else sp.csr_matrix(mat)
-        self.tol = tol
-        self.context = context
-        try:
-            self._lu = spla.splu(self.mat.tocsc())
-        except RuntimeError as exc:
-            self._lu = None
-            self._lu_error = str(exc)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=float)
-        rhs_norm = np.linalg.norm(rhs)
-        if rhs_norm == 0.0:
-            return np.zeros_like(rhs)
-        if self._lu is not None:
-            x = self._lu.solve(rhs)
-            if np.linalg.norm(self.mat @ x - rhs) <= self.tol * rhs_norm:
-                return x
-        return self._cg(rhs, rhs_norm)
-
-    def _cg(self, rhs, rhs_norm):
-        diag = self.mat.diagonal()
-        if np.any(diag <= 0.0):
-            where = self.context or "matrix"
-            raise NumericalError(f"non-positive diagonal during solve of {where}")
-        precond = spla.LinearOperator(self.mat.shape, matvec=lambda v: v / diag)
-        x, info = spla.cg(self.mat, rhs, rtol=self.tol, atol=0.0, M=precond,
-                          maxiter=CG_MAXITER)
-        residual = np.linalg.norm(self.mat @ x - rhs)
-        if info != 0 or residual > self.tol * rhs_norm:
-            where = f" for {self.context}" if self.context else ""
-            raise NumericalError(
-                f"iterative fallback did not converge{where}: "
-                f"residual {residual:.3e} vs target {self.tol * rhs_norm:.3e}")
-        return x
-
-
-def factorize_spd(mat, tol: float = DEFAULT_TOL, context: str = "") -> SpdFactor:
-    """Factorize a sparse SPD matrix once for repeated solves."""
-    return SpdFactor(mat, tol=tol, context=context)
 
 
 class SparseCholesky:
@@ -134,10 +81,6 @@ class EigResult:
 
     values: np.ndarray
     vectors: np.ndarray  # columns
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
 
 
 def eig_gsym(astiff: np.ndarray, smass: np.ndarray, context: str = "") -> EigResult:

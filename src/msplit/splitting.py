@@ -41,7 +41,6 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
@@ -59,19 +58,12 @@ __all__ = [
     "RecursionReport",
     "make_split",
     "check_stability",
-    "split_step",
     "march",
     "backward_euler",
     "error_recursion_diag",
 ]
 
 logger = logging.getLogger(__name__)
-
-
-def _block_slices(block_sizes) -> list:
-    """Row (or column) ranges of consecutive blocks of the given sizes."""
-    return [slice(end - size, end)
-            for size, end in zip(block_sizes, accumulate(block_sizes))]
 
 
 def _csr(mat) -> sp.csr_matrix:
@@ -126,9 +118,6 @@ class CoarseSystem:
     @property
     def dim(self) -> int:
         return sum(self.block_sizes)
-
-    def slices(self):
-        return _block_slices(self.block_sizes)
 
     def forcing(self, tau: float, n_steps: int) -> np.ndarray:
         """Read-only table of f^1 .. f^N, row n holding rhs((n + 1) * tau).
@@ -334,13 +323,6 @@ class _StepOperator:
         return levels[len(rhs):] + self.factor.solve(rhs)
 
 
-def split_step(parts: SplitParts, config: SplitConfig, z_now: np.ndarray,
-               z_prev: np.ndarray, f_next: np.ndarray) -> np.ndarray:
-    """Advance one step of the three-level split scheme."""
-    return _StepOperator(parts, config).step(np.concatenate((z_prev, z_now)),
-                                             f_next)
-
-
 def _euler_step(cs: CoarseSystem, tau: float):
     """Unsplit backward Euler step (C + tau*B) z^{n+1} = tau*f^{n+1} + C z^n.
 
@@ -387,10 +369,6 @@ class Trajectory:
     @property
     def n_steps(self) -> int:
         return self.states.shape[0] - 1
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.tau * np.arange(self.n_steps + 1)
 
     @property
     def bound_margin(self) -> Optional[float]:

@@ -11,10 +11,12 @@ import sys
 import numpy as np
 import pytest
 
-from msplit import cli, driver, fineassembly, gmsfem, splitting
+from msplit import cli, driver, fineassembly, gmsfem, linalg, splitting
 from msplit.driver import ConfigError, ExperimentConfig
 from msplit.grid import build_grids
 from msplit.linalg import NumericalError
+
+from _oracles import dense_backward_euler
 
 
 def tiny_config(**overrides):
@@ -187,8 +189,8 @@ def test_reconstruct_fine_matches_parts(tiny_pipe):
     want = np.zeros(pipe.fs.n_dof)
     n_nb = len(pipe.basis.nodes)
     mode = 0
-    for b, sl in zip(pipe.prol.block_sizes, pipe.coarse.slices()):
-        coeffs = z[sl].reshape(n_nb, b)
+    for b in pipe.prol.block_sizes:
+        coeffs = z[n_nb * mode:n_nb * (mode + b)].reshape(n_nb, b)
         for i, sup in enumerate(pipe.basis.supports):
             want[sup] += pipe.basis.vectors[i][:, mode:mode + b] @ coeffs[i]
         mode += b
@@ -240,9 +242,19 @@ def test_run_example_writes_outputs(tmp_path, capsys):
     history = (tmp_path / "history.csv").read_text().splitlines()
     assert history[0] == "t,e_a"
     assert len(history) == 1 + round(config.t_final / config.tau)
-    assert math.isfinite(report.meta["fine_e_l2"])
-    assert report.meta["fine_e_a"] > 0.0
-    g = build_grids(4, 4, 4)
+    # the fine reference against a dense backward Euler march of its own,
+    # compared with the split field written to field_split.txt
+    g, fs = driver.build_problem(config)
+    mass, stiff = fs.mass.toarray(), fs.stiffness.toarray()
+    loads = fineassembly.LoadOperator(g)
+    n_steps = round(config.t_final / config.tau)
+    fine = dense_backward_euler(mass, stiff, lambda t: loads.load(fs.source, t),
+                                fs.initial_vector(), config.tau, n_steps)[-1]
+    err = fine - fineassembly.read_field(tmp_path / "field_split.txt", g)
+    want_l2 = np.sqrt(err @ mass @ err / (fine @ mass @ fine))
+    want_a = np.sqrt(err @ stiff @ err / (fine @ stiff @ fine))
+    assert report.meta["fine_e_l2"] == pytest.approx(want_l2, rel=1e-10)
+    assert report.meta["fine_e_a"] == pytest.approx(want_a, rel=1e-10)
     for name in ("field_split.txt", "field_reference.txt"):
         interior = fineassembly.read_field(tmp_path / name, g)
         assert interior.shape == (15 * 15,)
@@ -359,6 +371,38 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("modes = 0\n")
     assert cli.main(["run", str(bad)]) == 2
+
+
+def test_cli_permeability_out_of_range_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    raster = tmp_path / "kappa.txt"
+    use_raster = f"kappa = raster\nkappa_path = {raster}\n"
+    for lines, raster_text, needle in (
+            ("kappa = constant\nkappa_value = -1\n", "", "kappa_value"),
+            ("kappa = channels\nkappa_contrast = 0\n", "", "kappa_contrast"),
+            (use_raster, "2 2\n1 2\n3 -4\n", "non-positive"),
+            (use_raster, "2\n1 2 3 4\n", "header")):
+        raster.write_text(raster_text)
+        path.write_text(TINY_TEXT + lines)
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and needle in err
+
+
+def test_fine_reference_guards_every_solve(tiny_pipe, monkeypatch):
+    split = splitting.backward_euler(tiny_pipe.coarse, 0.05, 0.2)
+    # an exactly zero first right-hand side passes the residual guard
+    fs = dataclasses.replace(
+        tiny_pipe.fs, initial=None,
+        source=lambda t, x, y: np.full_like(x, float(t > 0.06)))
+    errors = driver._fine_reference_errors(
+        dataclasses.replace(tiny_pipe, fs=fs), split)
+    assert all(np.isfinite(v) and v > 0.0 for v in errors.values())
+    solve = linalg.SparseCholesky.solve
+    monkeypatch.setattr(linalg.SparseCholesky, "solve",
+                        lambda self, rhs: solve(self, rhs) * (1.0 + 1e-6))
+    with pytest.raises(NumericalError, match="fine reference step 1: solve residual"):
+        driver._fine_reference_errors(tiny_pipe, split)
 
 
 def test_cli_rejects_the_removed_threads_knob(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 
 from msplit import driver
 from msplit.fineassembly import (LoadOperator, Permeability, assemble,
-                                 interpolate, load, local_matrices, read_field,
+                                 interpolate, local_matrices, norms, read_field,
                                  read_grid_file, write_field, write_grid_file)
 from msplit.grid import build_grids
 
@@ -61,7 +61,7 @@ def test_interpolated_sine_norms():
     g = build_grids(8, 8, 8)
     fs = assemble(g, Permeability.constant(1.0))
     u = interpolate(g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
-    l2, energy = fs.norms(u)
+    l2, energy = norms(fs, u)
     assert l2 == pytest.approx(0.5, abs=2e-3)
     assert energy == pytest.approx(np.pi / np.sqrt(2.0), abs=5e-3)
 
@@ -70,13 +70,13 @@ def test_norms_shape_check():
     g = build_grids(2, 2, 2)
     fs = assemble(g, Permeability.constant(1.0))
     with pytest.raises(ValueError):
-        fs.norms(np.zeros(g.n_fine_nodes))
+        norms(fs, np.zeros(g.n_fine_nodes))
 
 
 def test_load_of_unit_source_is_mass_row_sum():
     g = build_grids(3, 3, 3)
     fs = assemble(g, kappa_smooth())
-    vec = load(g, lambda t, x, y: np.ones_like(x))
+    vec = LoadOperator(g).load(lambda t, x, y: np.ones_like(x))
     mass_all, _ = all_node_matrices(g, fs)
     expected = (mass_all @ np.ones(g.n_fine_nodes))[g.interior_fine_ids]
     assert np.allclose(vec, expected, atol=1e-14)
@@ -84,11 +84,11 @@ def test_load_of_unit_source_is_mass_row_sum():
 
 def test_load_time_scaling_and_none():
     g = build_grids(2, 2, 2)
-    base = load(g, lambda t, x, y: (1.0 + t) * x * y, t=0.0)
-    late = load(g, lambda t, x, y: (1.0 + t) * x * y, t=3.0)
+    loads = LoadOperator(g)
+    base = loads.load(lambda t, x, y: (1.0 + t) * x * y, t=0.0)
+    late = loads.load(lambda t, x, y: (1.0 + t) * x * y, t=3.0)
     assert np.allclose(late, 4.0 * base, atol=1e-14)
-    assert np.array_equal(load(g, None), np.zeros(g.n_interior_fine))
-    assert np.array_equal(LoadOperator(g).load(None), np.zeros(g.n_interior_fine))
+    assert np.array_equal(loads.load(None), np.zeros(g.n_interior_fine))
 
 
 @pytest.mark.parametrize("source", [
@@ -99,12 +99,9 @@ def test_load_matches_scatter_oracle_bit_for_bit(source):
     # hx = 1/9: the quadrature weight is no power of two, so only the same
     # products summed in the same order give the same bits
     g = build_grids(3, 3, 3)
-    fs = assemble(g, kappa_smooth(), source=source)
     loads = LoadOperator(g)
     for t in (0.0, 0.35, 1.0):
         want = scatter_load(g, source, t)
-        assert np.array_equal(load(g, source, t), want)
-        assert np.array_equal(fs.load(t), want)
         assert np.array_equal(loads.load(source, t), want)
 
 
@@ -172,7 +169,6 @@ def test_raster_orientation_and_sampling(tmp_path):
     path = tmp_path / "field.txt"
     write_grid_file(path, np.array([[1.0, 2.0], [3.0, 4.0]]))
     kappa = Permeability.from_raster(path)
-    assert kappa.tag == "raster"
     # first file row is the top of the domain
     assert kappa.evaluate(0.25, 0.75) == 1.0
     assert kappa.evaluate(0.75, 0.75) == 2.0

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from msplit import driver, gmsfem, linalg, splitting
-from msplit.fineassembly import Permeability, assemble
+from msplit.fineassembly import LoadOperator, Permeability, assemble
 from msplit.grid import GridPair, neighborhood
 from msplit.linalg import NumericalError
 
@@ -472,7 +472,7 @@ def test_coarse_rhs_projects_load(small):
     prol = gmsfem.assemble_prolongation(basis, (3,))
     cs = gmsfem.project_coarse(fs, prol)
     t = 0.75
-    want = prol.matrix.T @ fs.load(t)
+    want = prol.matrix.T @ LoadOperator(g).load(fs.source, t)
     assert np.allclose(cs.rhs(t), want, atol=1e-14)
 
 

@@ -124,14 +124,20 @@ def test_reference_and_split_run_factor_each_matrix_once(factorizations):
 
 # --- single steps ---
 
+def step_once(parts, config, z_now, z_prev, f_next):
+    """One split step through the operator that `march` steps with."""
+    return splitting._StepOperator(parts, config).step(
+        np.concatenate((z_prev, z_now)), f_next)
+
+
 def test_split_step_hand_value_block_diagonal():
     # C = I, B = [[2,1],[1,2]], blocks (1,1), theta = 1, tau = 1, f = 0,
     # z_now = z_prev = (1,0):   (I + diag(2,2)) z+ = z - B2 z = (1,-1)
     cs = make_cs(HAND_C, HAND_B, (1, 1))
     parts = splitting.make_split(cs)
     config = splitting.SplitConfig(tau=1.0, t_final=1.0)
-    z = splitting.split_step(parts, config, np.array([1.0, 0.0]),
-                             np.array([1.0, 0.0]), np.zeros(2))
+    z = step_once(parts, config, np.array([1.0, 0.0]),
+                  np.array([1.0, 0.0]), np.zeros(2))
     assert np.allclose(z, [1.0 / 3.0, -1.0 / 3.0], atol=1e-14)
 
 
@@ -146,7 +152,7 @@ def test_split_step_matches_dense_oracle():
     z_now = rng.standard_normal(6)
     z_prev = rng.standard_normal(6)
     f_next = rng.standard_normal(6)
-    got = splitting.split_step(parts, config, z_now, z_prev, f_next)
+    got = step_once(parts, config, z_now, z_prev, f_next)
     want = dense_split_step(parts.mass_main.toarray(), parts.mass_rest.toarray(),
                             parts.stiff_main.toarray(), parts.stiff_rest.toarray(),
                             0.8, 0.6, 0.37, z_now, z_prev, f_next)
@@ -163,9 +169,9 @@ def test_split_step_is_linear(alpha):
                                    theta_mass=1.0, theta_stiff=0.5)
     rng = np.random.default_rng(23)
     z_now, z_prev, f_next = (rng.standard_normal(2) for _ in range(3))
-    one = splitting.split_step(parts, config, z_now, z_prev, f_next)
-    scaled = splitting.split_step(parts, config, alpha * z_now,
-                                  alpha * z_prev, alpha * f_next)
+    one = step_once(parts, config, z_now, z_prev, f_next)
+    scaled = step_once(parts, config, alpha * z_now,
+                       alpha * z_prev, alpha * f_next)
     assert np.allclose(scaled, alpha * one, atol=1e-10, rtol=1e-10)
 
 
@@ -278,7 +284,8 @@ def test_trajectory_shapes_and_times():
     traj = splitting.march(cs, parts, config)
     assert traj.states.shape == (5, 2)
     assert traj.n_steps == 4
-    assert np.allclose(traj.times, [0.0, 0.25, 0.5, 0.75, 1.0])
+    # state n is the one at time n * tau
+    assert traj.tau == 0.25 and traj.tau * traj.n_steps == 1.0
     assert np.array_equal(traj.states[0], [1.0, 2.0])
     assert len(traj.energy) == 4
     assert len(traj.bound_lhs) == 3
