@@ -167,6 +167,8 @@ class ExperimentConfig:
         if self.kappa == "channels" and not 0.0 < self.kappa_contrast < np.inf:
             raise ConfigError(f"kappa_contrast must be positive, "
                               f"got {self.kappa_contrast}")
+        if self.kappa_seed < 0:
+            raise ConfigError(f"kappa_seed must be non-negative, got {self.kappa_seed}")
         if self.kappa == "raster":
             if not self.kappa_path:
                 raise ConfigError("kappa = raster requires kappa_path")

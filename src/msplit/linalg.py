@@ -2,8 +2,9 @@
 
 Thin, checked wrappers around scipy: one sparse factorization with the
 contract of a Cholesky one, which serves every sparse SPD matrix the
-program solves with (the coarse mass and time-stepping matrices and the
-fine backward Euler matrix of the fine reference), and the generalized
+program solves with or decides definiteness of (the coarse mass and
+time-stepping matrices, the stability certificate's condition matrices and
+the fine backward Euler matrix of the fine reference), and the generalized
 symmetric eigensolver used by the local spectral problems.
 Every routine verifies the property it promises and raises
 :class:`NumericalError` with context when it cannot deliver. One context
@@ -27,11 +28,8 @@ __all__ = [
     "EigResult",
     "SparseCholesky",
     "eig_gsym",
-    "cholesky_margin",
     "single_thread_blas",
 ]
-
-PIVOT_FLOOR = 1e-14
 
 
 class NumericalError(RuntimeError):
@@ -105,35 +103,6 @@ def eig_gsym(astiff: np.ndarray, smass: np.ndarray, context: str = "") -> EigRes
             f"eigen residual {residual:.3e} exceeds 1e-8 * max column norm of A "
             f"= {1e-8 * scale:.3e}{where}")
     return EigResult(values=values, vectors=vectors)
-
-
-def cholesky_margin(mat) -> tuple:
-    """Positive definiteness of a symmetric matrix from one Cholesky factorization.
-
-    The factorization runs in place on one dense, Fortran-ordered copy of
-    ``mat`` (sparse or dense), which is left unmodified; that copy is the
-    only n x n array made unless the factorization breaks down. Returns
-    ``(ok, margin)``. ``ok`` is True iff the factorization completes with
-    every pivot diag(L)^2 above the floor 1e-14 * max|A|; a zero or empty
-    matrix fails. ``margin`` is the smallest pivot or, when the factorization
-    breaks down, the smallest eigenvalue of ``mat`` (non-positive in that
-    case), so callers still get a signed margin; it is 0 for an empty matrix.
-    """
-    if not sp.issparse(mat):
-        mat = np.asarray(mat, dtype=float)
-    if mat.shape[0] * mat.shape[1] == 0:
-        return False, 0.0
-    scale = max(mat.max(), -mat.min())   # max|A| without an n x n temporary
-    work = mat.toarray(order="F") if sp.issparse(mat) else np.array(mat, order="F")
-    potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (work,))
-    chol, info = potrf(work, lower=True, overwrite_a=True, clean=False)
-    if info != 0:
-        del work, chol
-        dense = mat.toarray() if sp.issparse(mat) else mat
-        return False, float(np.linalg.eigvalsh(dense).min())
-    d = np.diagonal(chol)
-    margin = float((d * d).min())
-    return bool(margin > PIVOT_FLOOR * scale), margin
 
 
 # (get, set) thread-count symbols of the OpenBLAS builds that numpy and scipy

@@ -19,16 +19,15 @@ of a solve decouple completely: one sparse factor of the whole
 block-diagonal matrix serves them all. The first step is one unsplit
 backward Euler step, the same step the backward Euler reference takes, with
 the same factor of C + tau*B. Sufficient stability conditions are checked
-as matrix inequalities (theta_m*C1 - C/2 and theta_s*B1 - B/4 positive
-definite, one dense Cholesky factorization each) and, when they hold, a
-discrete energy is recorded and must not grow faster than the forcing term,
+as matrix inequalities (theta_m*C1 - C/2 and theta_s*B1 - B/2 positive
+definite, one sparse factorization each) and, when they hold, a discrete
+energy is recorded and must not grow faster than the forcing term,
 measured in the C^-1 norm, allows.
 
 C and B are each held once, as sparse CSR matrices whose rows and columns
 are grouped into mode blocks. A split adds no matrix: it is the rule above,
-applied entry by entry to the stored entries of C and B. No step reads a
-dense n x n matrix; only the certificate densifies its condition matrix, for
-as long as its factorization lasts.
+applied entry by entry to the stored entries of C and B. Neither a step nor
+the certificate reads a dense n x n matrix.
 
 The forcing f^1 .. f^N is tabulated once per time grid on the coarse system
 (:meth:`CoarseSystem.forcing`), so the backward Euler reference and a split
@@ -47,7 +46,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .linalg import NumericalError, SparseCholesky, cholesky_margin
+from .linalg import NumericalError, SparseCholesky
 
 __all__ = [
     "CoarseSystem",
@@ -229,14 +228,17 @@ class SplitConfig:
 
 @dataclass
 class StabilityCertificate:
-    """Outcome of the sufficient stability conditions for a split."""
+    """Outcome of the sufficient stability conditions for a split.
+
+    A margin is theta - theta* in weight units, theta* = lambda_max(M1^-1 M) / 2.
+    """
 
     mass_ok: bool
     stiff_ok: bool
     mass_margin: float
     stiff_margin: float
     rule_mass_ok: bool   # theta_mass >= n_blocks / 2
-    rule_stiff_ok: bool  # theta_stiff >= n_blocks / 4
+    rule_stiff_ok: bool  # theta_stiff >= n_blocks / 2
     theta_mass: float
     theta_stiff: float
     n_blocks: int
@@ -256,44 +258,64 @@ class StabilityCertificate:
                 f"{'ok' if self.rule_mass_ok and self.rule_stiff_ok else 'not met'})")
 
 
-def _condition(parts: SplitParts, mat: sp.csr_matrix, theta: float,
-               share: float) -> sp.csr_matrix:
-    """The certified matrix theta*M1 - share*M of M = C or B, as CSR.
+def _condition(parts: SplitParts, mat: sp.csr_matrix, theta: float) -> sp.csr_matrix:
+    """The certified matrix theta*M1 - M/2 of M = C or B, as CSR.
 
     M1 = blockdiag(M) is symmetric, so it is its own symmetric part. The
-    matrix has the stored entries of M: theta*m - share*m inside a diagonal
-    block and -share*m outside it.
+    matrix has the stored entries of M: theta*m - m/2 inside a diagonal
+    block and -m/2 outside it.
     """
     d = mat.data
-    data = np.where(_in_blocks(mat, parts.block_sizes), theta * d - share * d,
-                    -share * d)
+    data = np.where(_in_blocks(mat, parts.block_sizes), theta * d - 0.5 * d, -0.5 * d)
     return sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
+
+
+def _certify(parts: SplitParts, mat: sp.csr_matrix, theta: float, name: str) -> tuple:
+    """(ok, theta - theta*) of the condition theta*M1 - M/2 > 0 of M = C or B.
+
+    ``ok`` is an exact inertia test: the sparse factorization of the
+    condition matrix completes. theta* = lambda_max(M1^-1 M) / 2 is 1/2 when
+    M has no stored coupling entry (M1 = M). Otherwise K = (p/2)*M1 - M/2 is
+    SPD, as lambda_max(M1^-1 M) < p for SPD M on p blocks, and the largest
+    eigenvalue nu of M1 v = nu K v is 2 / (p - lambda_max(M1^-1 M)), so
+    theta* = p/2 - 1/nu: one Lanczos run through a sparse factor of K.
+    """
+    try:
+        SparseCholesky(_condition(parts, mat, theta), context=f"{name} condition")
+        ok = True
+    except NumericalError:
+        ok = False
+    if not mat.data[~_in_blocks(mat, parts.block_sizes)].any():
+        return ok, theta - 0.5
+    p, n = len(parts.block_sizes), mat.shape[0]
+    ceiling = _condition(parts, mat, 0.5 * p)
+    factor = SparseCholesky(ceiling, context=f"{name} condition at theta = p/2")
+    try:
+        nu = spla.eigsh(_blockdiag(mat, parts.block_sizes), k=1, M=ceiling,
+                        Minv=spla.LinearOperator((n, n), matvec=factor.solve),
+                        which="LA", v0=np.random.default_rng(0).standard_normal(n),
+                        return_eigenvectors=False)[0]
+    except spla.ArpackError as exc:
+        raise NumericalError(f"{name} certificate threshold: {exc}") from exc
+    return ok, theta - (0.5 * p - 1.0 / float(nu))
 
 
 def check_stability(parts: SplitParts, theta_mass: float,
                     theta_stiff: float) -> StabilityCertificate:
     """Evaluate the sufficient stability conditions of a split.
 
-    Checks positive definiteness of theta_m*C1 - C/2 and theta_s*B1 - B/4
-    and reports the smallest Cholesky pivots as margins, together with the
-    simple p-block parameter rule.
+    Checks positive definiteness of theta_m*C1 - C/2 and theta_s*B1 - B/2,
+    reports each margin in weight units, theta - theta*, and the p-block
+    rule theta >= p/2 under which both hold for any split.
     """
     p = len(parts.block_sizes)
-    mass_ok, mass_margin = cholesky_margin(
-        _condition(parts, parts.mass, theta_mass, 0.5))
-    stiff_ok, stiff_margin = cholesky_margin(
-        _condition(parts, parts.stiff, theta_stiff, 0.25))
+    mass_ok, mass_margin = _certify(parts, parts.mass, theta_mass, "mass")
+    stiff_ok, stiff_margin = _certify(parts, parts.stiff, theta_stiff, "stiffness")
     return StabilityCertificate(
-        mass_ok=mass_ok,
-        stiff_ok=stiff_ok,
-        mass_margin=mass_margin,
-        stiff_margin=stiff_margin,
+        mass_ok, stiff_ok, mass_margin, stiff_margin,
         rule_mass_ok=bool(theta_mass >= 0.5 * p - 1e-12),
-        rule_stiff_ok=bool(theta_stiff >= 0.25 * p - 1e-12),
-        theta_mass=theta_mass,
-        theta_stiff=theta_stiff,
-        n_blocks=p,
-    )
+        rule_stiff_ok=bool(theta_stiff >= 0.5 * p - 1e-12),
+        theta_mass=theta_mass, theta_stiff=theta_stiff, n_blocks=p)
 
 
 class _StepOperator:
@@ -339,10 +361,10 @@ def _euler_step(cs: CoarseSystem, tau: float):
 
 
 def damping_matrix(parts: SplitParts, config: SplitConfig) -> sp.csr_matrix:
-    """Weight matrix of the difference term in the discrete energy, as CSR."""
+    """Energy weight D = tau*(theta_m*C1 - C/2) + (tau^2/2)*(theta_s*B1 - B/2), as CSR."""
     tau = config.tau
-    return (tau * _condition(parts, parts.mass, config.theta_mass, 0.5)
-            + tau ** 2 * _condition(parts, parts.stiff, config.theta_stiff, 0.25))
+    return (tau * _condition(parts, parts.mass, config.theta_mass)
+            + tau ** 2 / 2 * _condition(parts, parts.stiff, config.theta_stiff))
 
 
 @dataclass
@@ -417,9 +439,13 @@ def _energy_monitor(parts: SplitParts, config: SplitConfig, states: np.ndarray,
     """Discrete energy and both sides of the a priori bound of a finished run.
 
     E_n = |z^n - z^{n-1}|^2_D / tau^2 + |(z^n + z^{n-1})/2|^2_B with D the
-    damping matrix, for n = 1..N. The bound compares |(z^{n+1} + z^n)/2|^2_B
-    with E_1 + (tau/2) sum_{k=2}^{n+1} |f^k|^2_{C^-1} for n = 1..N-1, where
-    ``forcing`` stacks f^2 .. f^N and ``mass_factor`` factors C.
+    damping matrix, for n = 1..N. With a = (z^{n+1} - z^{n-1}) / (2 tau) a
+    split step reads (C + tau*theta_s*B1) a + (D + tau^2 B/4)(z^{n+1} - 2 z^n
+    + z^{n-1}) / tau^2 + B z^n = f^{n+1}; its product with 2 tau a is
+    E_{n+1} - E_n = -2 tau |a|^2_{C + tau*theta_s*B1} + 2 tau (f^{n+1}, a).
+    Young's inequality and D >= 0 then give the bound, which compares
+    |(z^{n+1} + z^n)/2|^2_B with E_1 + (tau/2) sum_{k=2}^{n+1} |f^k|^2_{C^-1}
+    for n = 1..N-1; ``forcing`` stacks f^2 .. f^N, ``mass_factor`` factors C.
     """
     tau = config.tau
     damping = damping_matrix(parts, config)

@@ -8,6 +8,7 @@ grid geometry containers.
 """
 
 import numpy as np
+import scipy.linalg
 import sympy
 
 # 3-point Gauss rule on [0, 1]; exact through degree 5, enough for products
@@ -131,6 +132,18 @@ def random_spd(rng, n, shift=1.0):
     """Random symmetric positive definite matrix shift*I + L L^T."""
     low = rng.standard_normal((n, n)) / np.sqrt(n)
     return shift * np.eye(n) + low @ low.T
+
+
+def dense_threshold(mmat, block_sizes):
+    """Certificate threshold lambda_max(M1^-1 M) / 2 by one dense eigensolve.
+
+    M1 keeps the diagonal blocks of ``mmat`` over consecutive blocks of
+    ``block_sizes``; the pencil (M, M1) goes to ``scipy.linalg.eigh``.
+    """
+    mmat = np.asarray(mmat, dtype=float)
+    block = np.repeat(np.arange(len(block_sizes)), block_sizes)
+    m1 = np.where(block[:, None] == block[None, :], mmat, 0.0)
+    return 0.5 * scipy.linalg.eigh(mmat, m1, eigvals_only=True)[-1]
 
 
 def oracle_snapshots(g, kappa_cells, nb):

@@ -389,6 +389,14 @@ def test_cli_permeability_out_of_range_is_a_config_error(tmp_path, capsys):
         assert err.startswith("config error:") and needle in err
 
 
+def test_cli_negative_kappa_seed_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "seed.cfg"
+    path.write_text(TINY_TEXT + "kappa = channels\nkappa_seed = -1\n")
+    assert cli.main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "kappa_seed" in err
+
+
 def test_fine_reference_guards_every_solve(tiny_pipe, monkeypatch):
     split = splitting.backward_euler(tiny_pipe.coarse, 0.05, 0.2)
     # an exactly zero first right-hand side passes the residual guard

@@ -492,7 +492,8 @@ def test_initial_vector_moments_and_projection(small):
 def test_projection_mass_factor_serves_the_whole_run(small, factorizations):
     # project_coarse factors C and B once each for its definiteness check;
     # the projection solve and the energy monitor reuse the factor of C, so
-    # a reference plus a split run adds only C + tau*B and the step matrix
+    # a reference plus a split run adds only C + tau*B, the step matrix and
+    # the certificate's two matrices per condition
     g, fs = small
     basis = gmsfem.build_offline(fs, 4)
     prol = gmsfem.assemble_prolongation(basis, (1, 3))
@@ -503,7 +504,10 @@ def test_projection_mass_factor_serves_the_whole_run(small, factorizations):
     splitting.backward_euler(cs, config.tau, config.t_final)
     split = splitting.march(cs, splitting.make_split(cs), config)
     assert split.energy is not None
-    assert len(factorizations) == 4
+    assert factorizations[2:] == [
+        "C + tau*B (tau = 0.05)", "mass condition", "mass condition at theta = p/2",
+        "stiffness condition", "stiffness condition at theta = p/2",
+        "split step matrix"]
 
 
 def test_projection_initial_reconstructs_l2_projection(small):

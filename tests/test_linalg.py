@@ -4,7 +4,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from msplit.linalg import NumericalError, SparseCholesky, cholesky_margin, eig_gsym
+from msplit.linalg import NumericalError, SparseCholesky, eig_gsym
 
 from _oracles import charpoly_eigs, random_spd
 from conftest import rng_for
@@ -117,35 +117,3 @@ def test_eig_gsym_rejects_inaccurate_eigenpairs(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "eigh", perturbed)
     with pytest.raises(NumericalError, match="eigen residual"):
         eig_gsym(a, s)
-
-
-def test_cholesky_margin_definiteness():
-    rng = rng_for("chol_check")
-    assert cholesky_margin(random_spd(rng, 5))[0]
-    assert not cholesky_margin(np.array([[1.0, 2.0], [2.0, 1.0]]))[0]
-    assert not cholesky_margin(np.zeros((3, 3)))[0]
-    # positive definite but with a pivot below the relative floor
-    nearly = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-16]])
-    assert not cholesky_margin(nearly)[0]
-
-
-def test_cholesky_margin_values():
-    diag = np.diag([4.0, 9.0, 1.0])
-    assert cholesky_margin(diag) == (True, pytest.approx(1.0))
-    indef = np.array([[1.0, 3.0], [3.0, 1.0]])
-    assert cholesky_margin(indef) == (False, pytest.approx(-2.0))
-    assert cholesky_margin(np.zeros((0, 0))) == (False, 0.0)
-
-
-def test_cholesky_margin_leaves_input_unmodified():
-    # the factorization overwrites its own copy only, also when it breaks
-    # down and the margin comes from an eigensolve of the input
-    rng = rng_for("chol_in_place")
-    for mat in (random_spd(rng, 6), np.array([[1.0, 3.0], [3.0, 1.0]])):
-        for given in (mat.copy(), sp.csr_matrix(mat)):
-            before = given.copy()
-            cholesky_margin(given)
-            if sp.issparse(given):
-                assert (given != before).nnz == 0
-            else:
-                assert np.array_equal(given, before)

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from msplit import splitting
 from msplit.linalg import NumericalError
 
-from _oracles import dense_backward_euler, dense_split_step, random_spd
+from _oracles import (dense_backward_euler, dense_split_step, dense_threshold,
+                      random_spd)
 
 
 def make_cs(cmat, bmat, sizes, forcing=None, z0=None):
@@ -107,19 +108,23 @@ def test_step_operator_holds_no_dense_matrix():
 
 def test_reference_and_split_run_factor_each_matrix_once(factorizations):
     # the reference and the split's first step share one factor of
-    # C + tau*B, the split step matrix is factored once, and the energy
-    # monitor's factor of C is made once and kept with the system
+    # C + tau*B, the split step matrix is factored once, the energy
+    # monitor's factor of C is made once and kept with the system, and the
+    # certificate factors its two matrices per condition once per run
     rng = np.random.default_rng(8)
     cs = make_cs(random_spd(rng, 7), random_spd(rng, 7), (3, 2, 2),
                  forcing=rng.standard_normal(7), z0=rng.standard_normal(7))
     config = splitting.SplitConfig(tau=0.1, t_final=1.0, theta_mass=1.5,
                                    theta_stiff=1.5)
+    certificate = ["mass condition", "mass condition at theta = p/2",
+                   "stiffness condition", "stiffness condition at theta = p/2"]
     splitting.backward_euler(cs, config.tau, config.t_final)
     split = splitting.march(cs, splitting.make_split(cs), config)
     assert split.energy is not None
-    assert len(factorizations) == 3
+    assert factorizations == (["C + tau*B (tau = 0.1)"] + certificate
+                              + ["split step matrix", "coarse mass"])
     splitting.march(cs, splitting.make_split(cs), config)
-    assert factorizations[3:] == ["split step matrix"]
+    assert factorizations[7:] == certificate + ["split step matrix"]
 
 
 # --- single steps ---
@@ -252,7 +257,7 @@ def test_zero_forcing_energy_monotone():
     cs = make_cs(cmat, bmat, (2, 2, 2), z0=rng.standard_normal(6))
     parts = splitting.make_split(cs)
     config = splitting.SplitConfig(tau=0.05, t_final=5.0,
-                                   theta_mass=1.5, theta_stiff=0.75)
+                                   theta_mass=1.5, theta_stiff=1.5)
     traj = splitting.march(cs, parts, config)
     assert traj.certificate.passed
     assert traj.energy is not None
@@ -270,7 +275,7 @@ def test_forced_run_satisfies_a_priori_bound():
                  z0=rng.standard_normal(6))
     parts = splitting.make_split(cs)
     config = splitting.SplitConfig(tau=0.02, t_final=1.0,
-                                   theta_mass=1.2, theta_stiff=0.6)
+                                   theta_mass=1.2, theta_stiff=1.2)
     traj = splitting.march(cs, parts, config)
     assert traj.certificate.passed
     assert traj.bound_margin is not None
@@ -325,13 +330,13 @@ def test_certificate_hand_case_passes_and_fails():
 @pytest.mark.parametrize("theta_mass,theta_stiff,expect", [
     (0.3, 0.6, False),
     (0.75, 0.2, False),
-    (0.501, 0.251, True),
+    (0.501, 0.501, True),
     (0.75, 0.6, True),
 ])
 def test_degenerate_split_certificate_tracks_weights(theta_mass, theta_stiff,
                                                      expect):
     # single block, so the rests vanish and the conditions degenerate to
-    # theta_m > 1/2 and theta_s > 1/4 exactly
+    # theta_m > 1/2 and theta_s > 1/2 exactly
     rng = np.random.default_rng(43)
     cs = make_cs(random_spd(rng, 5), random_spd(rng, 5), (5,))
     parts = splitting.make_split(cs)
@@ -339,39 +344,120 @@ def test_degenerate_split_certificate_tracks_weights(theta_mass, theta_stiff,
     assert cert.passed == expect
 
 
+def test_one_block_stiffness_weight_below_half_fails_and_diverges():
+    # one block with theta_m = 1 is the two-level theta-scheme in theta_s,
+    # whose factor (1 - (1 - theta_s) tau lam) / (1 + theta_s tau lam) tends
+    # to -7/3 for theta_s = 0.3: the certificate must refuse it
+    cs = make_cs(np.eye(1), np.eye(1), (1,), z0=np.array([1.0]))
+    parts = splitting.make_split(cs)
+    cert = splitting.check_stability(parts, 1.0, 0.3)
+    assert cert.mass_ok and not cert.stiff_ok and not cert.passed
+    assert not cert.rule_stiff_ok
+    assert cert.stiff_margin == pytest.approx(-0.2, abs=1e-15)
+    traj = splitting.march(cs, parts, splitting.SplitConfig(
+        tau=1e3, t_final=4e3, theta_mass=1.0, theta_stiff=0.3))
+    assert traj.states[2, 0] / traj.states[1, 0] == pytest.approx(-699.0 / 301.0)
+
+
+def test_certificate_margin_and_verdict_match_the_dense_pencil():
+    # the margin is theta - lambda_max(M1^-1 M) / 2, and away from that
+    # threshold the verdict is the dense definiteness of theta*M1 - M/2;
+    # random SPD systems on 1 to 4 blocks of 1 to 8 modes
+    rng = np.random.default_rng(59)
+    decided = 0
+    for _ in range(60):
+        sizes = tuple(int(b) for b in rng.integers(1, 9, size=int(rng.integers(1, 5))))
+        cmat, bmat = random_spd(rng, sum(sizes)), random_spd(rng, sum(sizes))
+        parts = splitting.make_split(make_cs(cmat, bmat, sizes))
+        want_c, want_b = dense_threshold(cmat, sizes), dense_threshold(bmat, sizes)
+        for step in (-0.3, -1e-6, 1e-6, 0.3):
+            tm, ts = want_c + step, want_b - step
+            cert = splitting.check_stability(parts, tm, ts)
+            for theta, want, margin, ok in ((tm, want_c, cert.mass_margin, cert.mass_ok),
+                                            (ts, want_b, cert.stiff_margin, cert.stiff_ok)):
+                assert margin == pytest.approx(theta - want, rel=1e-12, abs=1e-12 * want)
+                if abs(theta - want) > 1e-9:
+                    assert ok == (theta > want)
+                    decided += 1
+    assert decided == 60 * 4 * 2
+
+
+def test_certificate_reads_no_dense_matrix(monkeypatch):
+    rng = np.random.default_rng(61)
+    parts = splitting.make_split(make_cs(random_spd(rng, 9), random_spd(rng, 9), (4, 5)))
+
+    def densify(*args, **kwargs):
+        raise AssertionError("the certificate densified a matrix")
+
+    for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix):
+        monkeypatch.setattr(cls, "toarray", densify)
+        monkeypatch.setattr(cls, "todense", densify)
+    monkeypatch.setattr(np.linalg, "eigvalsh", densify)
+    cert = splitting.check_stability(parts, 1.0, 1.0)
+    assert cert.passed and 0.0 < cert.mass_margin < 0.5
+    assert not splitting.check_stability(parts, 0.5, 0.5).passed
+
+
 @pytest.mark.parametrize("theta", [0.8, 1.3])
 def test_conditions_and_damping_equal_dense_formulas(theta, monkeypatch):
-    # the block-by-block certified matrices, their margins and the damping
-    # matrix are bit-equal to theta*M1 - share*M formed densely
+    # the block-by-block condition matrices handed to the sparse factor and
+    # the damping matrix are bit-equal to theta*M1 - M/2 formed densely
     rng = np.random.default_rng(53)
     cmat, bmat = (0.5 * (m + m.T) for m in (random_spd(rng, 7), random_spd(rng, 7)))
     parts = splitting.make_split(make_cs(cmat, bmat, (3, 2, 2)))
     want_mass = theta * parts.mass_main.toarray() - 0.5 * cmat
-    want_stiff = theta * parts.stiff_main.toarray() - 0.25 * bmat
-    certified = []
-    margin = splitting.cholesky_margin
-    monkeypatch.setattr(splitting, "cholesky_margin",
-                        lambda mat: certified.append(mat.copy()) or margin(mat))
+    want_stiff = theta * parts.stiff_main.toarray() - 0.5 * bmat
+    given = {}
+    factor = splitting.SparseCholesky
+
+    def recording(mat, context=""):
+        given[context] = mat.toarray()
+        return factor(mat, context)
+
+    monkeypatch.setattr(splitting, "SparseCholesky", recording)
     cert = splitting.check_stability(parts, theta, theta)
-    assert len(certified) == 2
-    assert np.array_equal(certified[0].toarray(), want_mass)
-    assert np.array_equal(certified[1].toarray(), want_stiff)
-    assert (cert.mass_ok, cert.mass_margin) == margin(want_mass)
-    assert (cert.stiff_ok, cert.stiff_margin) == margin(want_stiff)
+    assert np.array_equal(given["mass condition"], want_mass)
+    assert np.array_equal(given["stiffness condition"], want_stiff)
+    assert cert.mass_ok == (np.linalg.eigvalsh(want_mass).min() > 0.0)
+    assert cert.stiff_ok == (np.linalg.eigvalsh(want_stiff).min() > 0.0)
+    assert cert.mass_margin == pytest.approx(theta - dense_threshold(cmat, (3, 2, 2)),
+                                             rel=1e-12)
+    assert cert.stiff_margin == pytest.approx(theta - dense_threshold(bmat, (3, 2, 2)),
+                                              rel=1e-12)
     config = splitting.SplitConfig(tau=0.3, t_final=0.3, theta_mass=theta,
                                    theta_stiff=theta)
     assert np.array_equal(splitting.damping_matrix(parts, config).toarray(),
-                          0.3 * want_mass + 0.3 ** 2 * want_stiff)
+                          0.3 * want_mass + 0.3 ** 2 / 2 * want_stiff)
 
 
 def test_damping_matrix_hand_value():
-    # tau (theta_m C1 - C/2) + tau^2 (theta_s B1 - B/4) for the 2x2 case
+    # tau (theta_m C1 - C/2) + (tau^2/2) (theta_s B1 - B/2) for the 2x2 case
     cs = make_cs(HAND_C, HAND_B, (1, 1))
     parts = splitting.make_split(cs)
     config = splitting.SplitConfig(tau=0.5, t_final=0.5)
-    want = np.array([[0.625, -0.0625], [-0.0625, 0.625]])
+    want = np.array([[0.375, -0.0625], [-0.0625, 0.375]])
     assert np.allclose(splitting.damping_matrix(parts, config).toarray(), want,
                        atol=1e-15)
+
+
+def test_recorded_energy_obeys_the_energy_identity():
+    # E_{n+1} - E_n = -2 tau |a|^2_{C + tau theta_s B1} + 2 tau (f^{n+1}, a)
+    # with a = (z^{n+1} - z^{n-1}) / (2 tau), to round-off
+    rng = np.random.default_rng(67)
+    cmat, bmat = random_spd(rng, 7), random_spd(rng, 7)
+    fvec = rng.standard_normal(7)
+    cs = make_cs(cmat, bmat, (3, 2, 2), forcing=fvec, z0=rng.standard_normal(7))
+    parts = splitting.make_split(cs)
+    config = splitting.SplitConfig(tau=0.2, t_final=4.0, theta_mass=1.6,
+                                   theta_stiff=1.7)
+    traj = splitting.march(cs, parts, config)
+    z, tau = traj.states, config.tau
+    a = (z[2:] - z[:-2]) / (2 * tau)
+    weight = cmat + tau * 1.7 * parts.stiff_main.toarray()
+    want = (-2 * tau * np.einsum("ij,jk,ik->i", a, weight, a)
+            + 2 * tau * a @ fvec)
+    got = np.diff(traj.energy)
+    assert np.max(np.abs(got - want)) < 1e-12 * np.abs(traj.energy).max()
 
 
 # --- configuration guards ---
@@ -501,7 +587,7 @@ def test_non_finite_forcing_is_reported_as_forcing():
 
 
 def test_march_reports_unstable_growth_as_numerical_error():
-    # a certified weight pair can still be divergent for a huge step; the
+    # a weight pair the certificate refuses diverges for a huge step; the
     # growing recursion must end in the package's own error, not a raw
     # overflow from a solver internals check
     cs = make_cs(np.eye(1), np.eye(1), (1,), z0=np.array([1.0]))
