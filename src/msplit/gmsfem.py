@@ -9,10 +9,13 @@ modes. Because the snapshots are harmonic cell by cell, the offline stage
 forms that pencil by static condensation: each coarse cell's stiffness and
 weighted mass are condensed onto its boundary once, and a neighborhood's
 pencil is the sum of its cells' condensed blocks in snapshot coordinates
-(Efendiev, Galvis and Hou, J. Comput. Phys. 251, 2013). The snapshot
-columns themselves (:func:`build_snapshots`, :func:`spectral_matrices`) are
-only the brute-force reference for it. The modes are localized by the
-bilinear partition of unity and
+(Efendiev, Galvis and Hou, J. Comput. Phys. 251, 2013). That work is done
+once per distinct medium: cells with bit-equal permeability and weight
+values are condensed once, and neighborhoods made of the same kinds of
+cells are solved once. The reuse never changes a pencil's bits. The
+snapshot columns themselves (:func:`build_snapshots`,
+:func:`spectral_matrices`) are only the brute-force reference for it. The
+modes are localized by the bilinear partition of unity and
 energy-orthonormalized within the neighborhood. The resulting columns form
 the prolongation from coarse coefficients to interior fine nodes: one sparse
 matrix whose columns are grouped by mode block, so the Galerkin projection
@@ -23,6 +26,7 @@ matrices, from the projection to the end of a run.
 
 from __future__ import annotations
 
+import logging
 import mmap
 from dataclasses import dataclass
 from typing import Optional
@@ -36,6 +40,8 @@ from .fineassembly import FineSystem, local_matrices
 from .grid import GridPair, Neighborhood, hat_at, neighborhood
 from .linalg import NumericalError, SparseCholesky, eig_gsym, single_thread_blas
 from .splitting import CoarseSystem
+
+logger = logging.getLogger(__name__)
 
 __all__ = [
     "SnapshotSpace",
@@ -74,7 +80,9 @@ class NeighborhoodModes:
     """Dominant spectral modes of one neighborhood in fine-grid coordinates.
 
     ``vectors`` are snapshot combinations (not yet multiplied by the partition
-    of unity); eigenvalues are ascending.
+    of unity); eigenvalues are ascending. :func:`offline_modes` makes both
+    arrays read-only and shares them between neighborhoods of the same kinds
+    of cells.
     """
 
     node: int
@@ -118,26 +126,33 @@ class Prolongation:
         return self.matrix.shape[1]
 
 
+def _cell_nodes(g: GridPair, cell: int):
+    """Fine nodes of one coarse cell, ascending, and which lie on its boundary."""
+    cx, cy = g.coarse_cell_grid(cell)
+    r = g.refine
+    nodes = g.fine_nodes_in_box(cx * r, (cx + 1) * r, cy * r, (cy + 1) * r)
+    ix = nodes % (g.nx_fine + 1)
+    iy = nodes // (g.nx_fine + 1)
+    on_edge = (ix == cx * r) | (ix == (cx + 1) * r) | (iy == cy * r) | (iy == (cy + 1) * r)
+    return nodes, on_edge
+
+
 class _CellSolver:
     """Discrete harmonic extension of one coarse cell's boundary data.
 
     ``mapmat`` maps values at the cell's boundary nodes ``bnodes`` to the
-    harmonic values at its interior nodes ``inodes`` (both ascending). With
-    ``mass_weight_cells`` the cell also assembles its spectral-weighted mass
-    and keeps both forms condensed onto its boundary: ``condensed`` is
-    (E^T K E, E^T W E) with E = [I; mapmat], the 4r x 4r stiffness and
-    weighted mass of the harmonic extensions of boundary data.
+    harmonic values at its interior nodes ``inodes`` (both ascending, from
+    :func:`_cell_nodes`). With ``mass_weight_cells`` the cell also assembles
+    its spectral-weighted mass and keeps both forms condensed onto its
+    boundary: ``condensed`` is (E^T K E, E^T W E) with E = [I; mapmat], the
+    4r x 4r stiffness and weighted mass of the harmonic extensions of
+    boundary data.
     """
 
     def __init__(self, fs: FineSystem, cell: int,
                  mass_weight_cells: Optional[np.ndarray] = None):
         g = fs.grid
-        cx, cy = g.coarse_cell_grid(cell)
-        r = g.refine
-        nodes = g.fine_nodes_in_box(cx * r, (cx + 1) * r, cy * r, (cy + 1) * r)
-        ix = nodes % (g.nx_fine + 1)
-        iy = nodes // (g.nx_fine + 1)
-        on_edge = (ix == cx * r) | (ix == (cx + 1) * r) | (iy == cy * r) | (iy == (cy + 1) * r)
+        nodes, on_edge = _cell_nodes(g, cell)
         self.bnodes = nodes[on_edge]
         self.inodes = nodes[~on_edge]
         cells = g.coarse_cell_fine_cells(cell)
@@ -152,6 +167,7 @@ class _CellSolver:
             try:
                 factor = scipy.linalg.cho_factor(dense[np.ix_(ipos, ipos)], lower=True)
             except scipy.linalg.LinAlgError as exc:
+                cx, cy = g.coarse_cell_grid(cell)
                 raise NumericalError(
                     f"local solve in coarse cell ({cx}, {cy}) is not positive definite: {exc}"
                 ) from exc
@@ -287,9 +303,9 @@ def _mapped(shape) -> np.ndarray:
     Freeing the mapping returns its pages at once and leaves malloc alone.
     Freeing a large array that malloc made raises glibc's dynamic mmap
     threshold, so later arrays up to that size come from the heap, which
-    keeps its freed pages resident. On example1 the condensed cells take
-    46 MB: from malloc they raised the run's peak RSS from 189 to 202 MB,
-    mapped it is 176 MB.
+    keeps its freed pages resident. On example1, where all 256 cells are
+    distinct, the condensed cells take 46 MB: from malloc they raised the
+    run's peak RSS from 189 to 202 MB, mapped it is 176 MB.
     """
     size = 8 * int(np.prod(shape))
     if size == 0:
@@ -298,78 +314,103 @@ def _mapped(shape) -> np.ndarray:
 
 
 class _CondensedCells:
-    """Every coarse cell condensed onto its boundary, and the shared skeleton.
+    """Every distinct coarse cell condensed onto its boundary, and the shared skeleton.
 
-    ``mapmat[c]`` and ``blocks[:, c]`` (stiffness, weighted mass) hold cell
-    c's :class:`_CellSolver` results, one stacked array per kind. Every
-    interior neighborhood is the same 2 x 2 cell patch shifted by whole
-    coarse cells, so its skeleton rows, and the rows ``select[q]`` (D_q)
-    that give the boundary data of its q-th cell (ascending cell id), are
-    those of the first interior neighborhood. A neighborhood's snapshot
-    columns are the skeleton rows on its coarse edges and mapmat[c_q] @ D_q
-    inside its q-th cell c_q. The stacked arrays live in their own memory
-    mappings (:func:`_mapped`).
+    A cell's blocks depend only on the permeability and the spectral weight
+    of its fine cells: the grid is uniform, and the weight depends only on
+    the position inside the coarse cell. So the cells are grouped by the
+    exact bytes of those two blocks, and each group's first cell stands for
+    it: ``kind[c]`` is cell c's group, and ``mapmat[k]`` and ``blocks[:, k]``
+    (stiffness, weighted mass) hold that cell's :class:`_CellSolver` results,
+    one stacked array per kind. Cells of one group would give bit-equal
+    results, so the reuse changes no bit of any pencil. Every interior
+    neighborhood is the same 2 x 2 cell patch shifted by whole coarse cells,
+    so its skeleton rows, and the rows ``select[q]`` (D_q) that give the
+    boundary data of its q-th cell (ascending cell id), are those of the
+    first interior neighborhood. A neighborhood's snapshot columns are the
+    skeleton rows on its coarse edges and mapmat[kind[c_q]] @ D_q inside its
+    q-th cell c_q. The stacked arrays live in their own memory mappings
+    (:func:`_mapped`).
     """
 
     def __init__(self, fs: FineSystem, mass_weight_cells: np.ndarray):
         g = fs.grid
         r = g.refine
-        n_cells = g.nx_coarse * g.ny_coarse
+        fine = np.array([g.coarse_cell_fine_cells(c)
+                         for c in range(g.nx_coarse * g.ny_coarse)])
+        media = np.concatenate([np.asarray(fs.kappa_cells, float).ravel()[fine],
+                                np.asarray(mass_weight_cells, float).ravel()[fine]],
+                               axis=1)
+        _, first, kind = np.unique(media.view(np.uint64), axis=0,
+                                   return_index=True, return_inverse=True)
+        self.kind = kind.ravel()
+        self.mapmat = _mapped((len(first), (r - 1) ** 2, 4 * r))
+        self.blocks = _mapped((2, len(first), 4 * r, 4 * r))
+        for k, cell in enumerate(first):
+            solver = _CellSolver(fs, int(cell), mass_weight_cells)
+            self.mapmat[k] = solver.mapmat
+            self.blocks[:, k] = solver.condensed
         template = neighborhood(g, int(g.interior_coarse_ids[0]))
         skel_ids, self.skel_rows = _skeleton_rows(g, template)
         self.skel_pos = np.searchsorted(template.nodes, skel_ids)
-        self.mapmat = _mapped((n_cells, (r - 1) ** 2, 4 * r))
-        self.blocks = _mapped((2, n_cells, 4 * r, 4 * r))
         self.select = np.empty((4, 4 * r, template.n_boundary))
         self.inner_pos = np.empty((4, (r - 1) ** 2), dtype=np.int64)
-        for cell in range(n_cells):
-            solver = _CellSolver(fs, cell, mass_weight_cells)
-            self.mapmat[cell] = solver.mapmat
-            self.blocks[:, cell] = solver.condensed
-            for q in np.flatnonzero(template.cells == cell):
-                self.select[q] = self.skel_rows[np.searchsorted(skel_ids, solver.bnodes)]
-                self.inner_pos[q] = np.searchsorted(template.nodes, solver.inodes)
+        for q, cell in enumerate(template.cells):
+            nodes, on_edge = _cell_nodes(g, int(cell))
+            self.select[q] = self.skel_rows[np.searchsorted(skel_ids, nodes[on_edge])]
+            self.inner_pos[q] = np.searchsorted(template.nodes, nodes[~on_edge])
 
     def pencil(self, cells: np.ndarray):
         """(astiff, smass) of the neighborhood made of ``cells``: sum_q D_q^T X_q D_q.
 
-        The four products are summed in cell order. Rounding decides which
-        member of an exactly degenerate eigenpair comes first, and a mode
-        cut can fall between the two: example2-synthetic's 10-mode cut does
-        so in every neighborhood of unit permeability. This order keeps the
-        member that the brute-force pencil keeps there.
+        X_q are the blocks of cell c_q's kind. The four products are summed
+        in cell order. Rounding decides which member of an exactly
+        degenerate eigenpair comes first, and a mode cut can fall between
+        the two: example2-synthetic's 10-mode cut does so in every
+        neighborhood of unit permeability. This order keeps the member that
+        the brute-force pencil keeps there.
         """
+        kinds = self.kind[cells]
         forms = []
         for blocks in self.blocks:
-            form = sum(d.T @ (x @ d) for d, x in zip(self.select, blocks[cells]))
+            form = sum(d.T @ (x @ d) for d, x in zip(self.select, blocks[kinds]))
             forms.append(0.5 * (form + form.T))
         return tuple(forms)
 
-    def modes(self, nb: Neighborhood, n_modes: int) -> NeighborhoodModes:
+    def modes(self, nb: Neighborhood, n_modes: int):
         """The ``n_modes`` lowest eigenpairs of one interior neighborhood's pencil.
 
-        Only the kept eigenvectors are extended to the neighborhood's nodes.
+        Returns (eigenvalues, vectors), both read-only; only the kept
+        eigenvectors are extended to the neighborhood's nodes.
         """
         astiff, smass = self.pencil(nb.cells)
         eig = eig_gsym(astiff, smass, context=f"neighborhood {nb.node}")
         kept = eig.vectors[:, :n_modes]
         vectors = np.empty((len(nb.nodes), n_modes))
         vectors[self.skel_pos] = self.skel_rows @ kept
-        vectors[self.inner_pos] = self.mapmat[nb.cells] @ (self.select @ kept)
-        return NeighborhoodModes(node=nb.node, nodes=nb.nodes,
-                                 eigenvalues=eig.values[:n_modes], vectors=vectors)
+        vectors[self.inner_pos] = self.mapmat[self.kind[nb.cells]] @ (self.select @ kept)
+        eigenvalues = eig.values[:n_modes]
+        eigenvalues.flags.writeable = vectors.flags.writeable = False
+        return eigenvalues, vectors
 
 
 def offline_modes(fs: FineSystem, n_modes: int) -> list:
     """Spectral modes for every interior coarse node, ascending node order.
 
-    The spectral pencil is assembled by static condensation: each coarse
-    cell is factored and its stiffness and weighted mass condensed onto its
-    4r boundary nodes once, up front (:class:`_CondensedCells`), and every
-    neighborhood's pencil is the sum of its four cells' condensed blocks
-    mapped to snapshot coordinates. Only the kept modes are extended into the
-    cells. :func:`build_snapshots` and :func:`spectral_matrices` form the same
-    pencil by brute force and serve as its reference.
+    The spectral pencil is assembled by static condensation: each distinct
+    coarse cell is factored and its stiffness and weighted mass condensed
+    onto its 4r boundary nodes once, up front (:class:`_CondensedCells`),
+    and every neighborhood's pencil is the sum of its four cells' condensed
+    blocks mapped to snapshot coordinates. Neighborhoods whose four cells
+    are of the same kinds, in the same order, have bit-equal pencils, so
+    each such pencil is solved, and its kept modes extended into the cells,
+    once: the neighborhoods that share it get their own
+    :class:`NeighborhoodModes` with the same read-only ``eigenvalues`` and
+    ``vectors`` arrays. Where every cell is distinct (example1), every
+    neighborhood is solved. :func:`build_snapshots` and
+    :func:`spectral_matrices` form the same pencil by brute force and serve
+    as its reference. The counts of distinct cells and neighborhoods are
+    logged at INFO on the ``msplit.gmsfem`` logger.
 
     The neighborhoods are solved one after another with every loaded
     OpenBLAS pinned to one thread; each library's previous thread count is
@@ -388,9 +429,21 @@ def offline_modes(fs: FineSystem, n_modes: int) -> list:
             f"requested {n_modes} modes but neighborhood {nodes[0]} has only "
             f"{n_snapshots} snapshots")
     weight = spectral_mass_weight(g, fs.kappa_cells)
+    solved = {}
+    modes = []
     with single_thread_blas():
         condensed = _CondensedCells(fs, weight)
-        return [condensed.modes(neighborhood(g, int(node)), n_modes) for node in nodes]
+        for node in nodes:
+            nb = neighborhood(g, int(node))
+            key = tuple(condensed.kind[nb.cells])
+            if key not in solved:
+                solved[key] = condensed.modes(nb, n_modes)
+            eigenvalues, vectors = solved[key]
+            modes.append(NeighborhoodModes(node=nb.node, nodes=nb.nodes,
+                                           eigenvalues=eigenvalues, vectors=vectors))
+    logger.info("offline: %d distinct cells of %d, %d distinct neighborhoods of %d",
+                len(condensed.mapmat), len(condensed.kind), len(solved), len(nodes))
+    return modes
 
 
 def assemble_basis(fs: FineSystem, modes_list: list, n_modes: int,

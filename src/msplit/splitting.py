@@ -466,12 +466,31 @@ def _energy_monitor(parts: SplitParts, config: SplitConfig, states: np.ndarray,
     return energy, potential[1:], energy[0] + np.cumsum(work)
 
 
+def _check_bound(bound_lhs: np.ndarray, bound_rhs: np.ndarray) -> None:
+    """Raise when the a priori bound fails beyond round-off at some step.
+
+    Entry i of the two sides bounds the state z^{i+2}, which split step
+    i + 2 makes.
+    """
+    if len(bound_lhs) == 0:
+        return
+    margins = bound_rhs - bound_lhs
+    worst = int(np.argmin(margins))
+    scale = max(float(np.abs(bound_rhs).max()), 1.0)
+    if margins[worst] < -1e-10 * scale:
+        raise NumericalError(
+            f"a priori bound fails at step {worst + 2}: margin {margins[worst]:.3e} "
+            f"below -1e-10 of the bound scale {scale:.3e}")
+
+
 def march(cs: CoarseSystem, parts: SplitParts, config: SplitConfig) -> Trajectory:
     """Run the split scheme from t = 0 to t_final.
 
     The stability certificate is evaluated up front; on failure the run
     proceeds with a warning and without the energy monitor, which otherwise
-    is evaluated from the stored states once the march is done.
+    is evaluated from the stored states once the march is done. A certified
+    run whose a priori bound then fails by more than round-off, 1e-10 of
+    the bound's scale max(|bound_rhs|, 1), raises :class:`NumericalError`.
     """
     cert = check_stability(parts, config.theta_mass, config.theta_stiff)
     if not cert.passed:
@@ -484,6 +503,7 @@ def march(cs: CoarseSystem, parts: SplitParts, config: SplitConfig) -> Trajector
     if cert.passed:
         energy, bound_lhs, bound_rhs = _energy_monitor(
             parts, config, run.states, run.forcing[1:], cs.mass_factor())
+        _check_bound(bound_lhs, bound_rhs)
     return Trajectory(states=run.states, tau=config.tau, scheme="split",
                       theta_mass=config.theta_mass, theta_stiff=config.theta_stiff,
                       certificate=cert, energy=energy,

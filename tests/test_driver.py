@@ -442,6 +442,42 @@ def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def _violated_bound_for(monkeypatch, theta_mass):
+    """Make the energy monitor report a failed bound for one mass weight."""
+    monitor = splitting._energy_monitor
+
+    def violated(parts, config, *args):
+        energy, lhs, rhs = monitor(parts, config, *args)
+        if config.theta_mass == theta_mass:
+            lhs = rhs + 1.0
+        return energy, lhs, rhs
+
+    monkeypatch.setattr(splitting, "_energy_monitor", violated)
+
+
+def test_cli_failed_bound_exit_code(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_text(TINY_TEXT)
+    _violated_bound_for(monkeypatch, 1.0)
+    assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 3
+    assert "a priori bound fails at step" in capsys.readouterr().err
+
+
+def test_sweep_marks_a_failed_bound_and_goes_on(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_text(TINY_TEXT + "params_sweep = 1,1; 1.5,1.5\n")
+    _violated_bound_for(monkeypatch, 1.0)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", str(path), "--axis", "params",
+                     "--output", str(out)]) == 0
+    assert "a priori bound fails" in capsys.readouterr().out
+    lines = (out / "errors.csv").read_text().splitlines()
+    assert lines[1] == "theta_mass=1;theta_stiff=1,error,error"
+    assert re.fullmatch(r"theta_mass=1\.5;theta_stiff=1\.5,[0-9.e+-]+,[0-9.e+-]+",
+                        lines[2])
+    assert (out / "history_theta_mass=1.5_theta_stiff=1.5.csv").exists()
+
+
 def test_cli_sweep_subprocess(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text(TINY_TEXT + "blocks_sweep = 1+2\n")

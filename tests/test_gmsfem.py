@@ -1,5 +1,7 @@
 """Offline multiscale construction: snapshots, spectral modes, prolongation."""
 
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -255,6 +257,95 @@ def test_offline_modes_never_calls_the_reference_route(small, monkeypatch):
     got = gmsfem.offline_modes(fs, 3)
     for a, b in zip(want, got):
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
+
+
+def _channels_4x4_seed11():
+    # 8 distinct coarse cells of 16: the repeated ones hold only background
+    g = GridPair(4, 4, 4)
+    return assemble(g, driver.synthetic_channels(g, seed=11))
+
+
+def _distinct_cells(fs):
+    g = fs.grid
+    return len({fs.kappa_cells.ravel()[g.coarse_cell_fine_cells(c)].tobytes()
+                for c in range(g.nx_coarse * g.ny_coarse)})
+
+
+def test_reused_offline_modes_equal_a_fresh_solve_bit_for_bit(monkeypatch):
+    # each neighborhood again from four freshly factored cells: its own
+    # skeleton rows, sum_q D_q^T X_q D_q in cell order, the eigensolve and the
+    # extension of the kept vectors; the reuse must change no bit of it
+    fs = _channels_4x4_seed11()
+    g = fs.grid
+    weight = gmsfem.spectral_mass_weight(g, fs.kappa_cells)
+    factored = []
+
+    class CountingSolver(gmsfem._CellSolver):
+        def __init__(self, fs, cell, *args):
+            factored.append(cell)
+            super().__init__(fs, cell, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gmsfem, "_CellSolver", CountingSolver)
+        modes = gmsfem.offline_modes(fs, 5)
+    assert _distinct_cells(fs) == 8
+    assert len(factored) == len(set(factored)) == 8
+    with linalg.single_thread_blas():
+        for m in modes:
+            nb = neighborhood(g, m.node)
+            skel_ids, skel_rows = gmsfem._skeleton_rows(g, nb)
+            solvers = [gmsfem._CellSolver(fs, int(c), weight) for c in nb.cells]
+            select = [skel_rows[np.searchsorted(skel_ids, s.bnodes)] for s in solvers]
+            forms = []
+            for k in range(2):
+                form = sum(d.T @ (s.condensed[k] @ d) for d, s in zip(select, solvers))
+                forms.append(0.5 * (form + form.T))
+            eig = linalg.eig_gsym(*forms)
+            kept = eig.vectors[:, :5]
+            vectors = np.empty((len(nb.nodes), 5))
+            vectors[np.searchsorted(nb.nodes, skel_ids)] = skel_rows @ kept
+            for d, s in zip(select, solvers):
+                vectors[np.searchsorted(nb.nodes, s.inodes)] = s.mapmat @ (d @ kept)
+            assert np.array_equal(m.nodes, nb.nodes)
+            assert np.array_equal(m.eigenvalues, eig.values[:5]), m.node
+            assert np.array_equal(m.vectors, vectors), m.node
+
+
+def test_offline_modes_logs_distinct_counts(caplog):
+    fs = _channels_4x4_seed11()
+    with caplog.at_level(logging.INFO, logger="msplit.gmsfem"):
+        modes = gmsfem.offline_modes(fs, 3)
+    distinct = len({id(m.vectors) for m in modes})
+    assert (f"offline: 8 distinct cells of 16, {distinct} distinct neighborhoods of 9"
+            in caplog.messages)
+
+
+def test_repeated_neighborhoods_share_the_reference_member_read_only():
+    # unit permeability on 3 x 3 cells: four neighborhoods of one kind, each
+    # keeping the member of the degenerate 10/11 pair that the brute-force
+    # route keeps (as in the 2 x 2 test above)
+    g = GridPair(3, 3, 16)
+    fs = assemble(g, Permeability.constant(1.0))
+    weight = gmsfem.spectral_mass_weight(g, fs.kappa_cells)
+    modes = gmsfem.offline_modes(fs, 10)
+    assert len(modes) == 4
+    assert all(m.vectors is modes[0].vectors for m in modes)
+    assert all(m.eigenvalues is modes[0].eigenvalues for m in modes)
+    for m in modes:
+        nb = neighborhood(g, m.node)
+        assert np.array_equal(m.nodes, nb.nodes)
+        astiff, smass = gmsfem.spectral_matrices(
+            fs, nb, gmsfem.build_snapshots(fs, nb), weight)
+        ref = linalg.eig_gsym(astiff, smass)
+        assert ref.values[10] - ref.values[9] <= 1e-12 * ref.values[10]
+        coeffs = m.vectors[np.searchsorted(nb.nodes, nb.boundary)]
+        kept = ref.vectors[:, :10]
+        resid = coeffs - kept @ (kept.T @ (smass @ coeffs))
+        assert np.max(np.abs(resid)) < 1e-8 * np.max(np.abs(coeffs)), m.node
+    with pytest.raises(ValueError, match="read-only"):
+        modes[1].vectors[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        modes[1].eigenvalues[0] = 1.0
 
 
 # --- BLAS thread pin ---

@@ -310,6 +310,40 @@ def test_march_with_failed_certificate_warns_and_skips_monitor(caplog):
     assert np.all(np.isfinite(traj.states))
 
 
+def _violated_bound_monitor(monkeypatch):
+    """Make the energy monitor report a bound that fails at split step 3."""
+    monitor = splitting._energy_monitor
+
+    def violated(*args):
+        energy, lhs, rhs = monitor(*args)
+        lhs = lhs.copy()
+        lhs[1] = rhs[1] + 1e-6 * max(np.abs(rhs).max(), 1.0)
+        return energy, lhs, rhs
+
+    monkeypatch.setattr(splitting, "_energy_monitor", violated)
+
+
+def test_march_raises_when_the_a_priori_bound_fails(monkeypatch):
+    rng = np.random.default_rng(41)
+    cs = make_cs(random_spd(rng, 6, shift=1.0), random_spd(rng, 6), (3, 3),
+                 forcing=rng.standard_normal(6), z0=rng.standard_normal(6))
+    parts = splitting.make_split(cs)
+    config = splitting.SplitConfig(tau=0.02, t_final=0.2,
+                                   theta_mass=1.2, theta_stiff=1.2)
+    assert splitting.march(cs, parts, config).bound_margin >= 0.0
+    _violated_bound_monitor(monkeypatch)
+    with pytest.raises(NumericalError, match=r"bound fails at step 3: margin -"):
+        splitting.march(cs, parts, config)
+
+
+def test_bound_within_round_off_passes():
+    rhs = np.array([1e3, 2e3])
+    splitting._check_bound(rhs + 1e-8, rhs)
+    with pytest.raises(NumericalError, match="step 3"):
+        splitting._check_bound(rhs + np.array([0.0, 1e-6]), rhs)
+    splitting._check_bound(np.empty(0), np.empty(0))
+
+
 # --- stability certificate ---
 
 def test_certificate_hand_case_passes_and_fails():
