@@ -90,8 +90,7 @@ def _cmd_offline(args) -> int:
     _, fs = driver.build_problem(config)
     seconds_assemble = time.perf_counter() - tic
     tic = time.perf_counter()
-    basis = gmsfem.build_offline(fs, config.modes,
-                                 orthonormalize=config.orthonormalize)
+    basis = gmsfem.build_offline(fs, config.modes)
     driver.report_offline(fs.n_dof, basis.n_columns,
                           time.perf_counter() - tic, seconds_assemble)
     lam = basis.eigenvalues

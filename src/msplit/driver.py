@@ -128,14 +128,12 @@ class ExperimentConfig:
     source: str = "exp-radial"
     source_value: float = 1.0
     initial: str = "sine"
-    initial_vector: str = "moments"
     modes: int = 6
     blocks: tuple = (1, 5)
     theta_mass: float = 1.0
     theta_stiff: float = 1.0
     tau: float = 1e-3
     t_final: float = 0.25
-    orthonormalize: bool = True
     output_dir: str = "."
     dump_fields: bool = False
     fine_reference: bool = False
@@ -178,21 +176,18 @@ class ExperimentConfig:
             raise ConfigError(f"unknown source {self.source!r}")
         if self.initial not in ("sine", "zero"):
             raise ConfigError(f"unknown initial profile {self.initial!r}")
-        if self.initial_vector not in ("moments", "projection"):
-            raise ConfigError(
-                f"unknown initial_vector mode {self.initial_vector!r}")
         try:
             SplitConfig(self.tau, self.t_final, self.theta_mass, self.theta_stiff)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         for pair in self.params_sweep:
-            if len(pair) != 2 or pair[0] <= 0 or pair[1] <= 0:
+            if len(pair) != 2 or not all(0.0 < w < np.inf for w in pair):
                 raise ConfigError(f"bad params_sweep entry {pair!r}")
         for blk in self.blocks_sweep:
             if sum(blk) != self.modes or any(b < 1 for b in blk):
                 raise ConfigError(f"bad blocks_sweep entry {blk!r}")
-        if any(t <= 0 for t in self.tau_sweep):
-            raise ConfigError("tau_sweep values must be positive")
+        if not all(0.0 < t < np.inf for t in self.tau_sweep):
+            raise ConfigError("tau_sweep values must be positive and finite")
         return self
 
 
@@ -234,10 +229,9 @@ _PARSERS = {
     "kappa": str, "kappa_value": float, "kappa_path": str,
     "kappa_contrast": float, "kappa_seed": int, "kappa_channels": int,
     "source": str, "source_value": float, "initial": str,
-    "initial_vector": str, "modes": int, "blocks": _parse_blocks,
+    "modes": int, "blocks": _parse_blocks,
     "theta_mass": float, "theta_stiff": float,
     "tau": float, "t_final": float,
-    "orthonormalize": _parse_bool,
     "output_dir": str, "dump_fields": _parse_bool, "fine_reference": _parse_bool,
     "tau_sweep": _parse_float_list, "params_sweep": _parse_params_sweep,
     "blocks_sweep": _parse_blocks_sweep,
@@ -364,10 +358,9 @@ def build_pipeline(config: ExperimentConfig) -> Pipeline:
     g, fs = build_problem(config)
     t_assemble = time.perf_counter() - tic
     tic = time.perf_counter()
-    basis = gmsfem.build_offline(fs, config.modes,
-                                 orthonormalize=config.orthonormalize)
+    basis = gmsfem.build_offline(fs, config.modes)
     prol = gmsfem.assemble_prolongation(basis, config.blocks)
-    coarse = gmsfem.project_coarse(fs, prol, initial=config.initial_vector)
+    coarse = gmsfem.project_coarse(fs, prol)
     t_offline = time.perf_counter() - tic
     return Pipeline(config=config, grid=g, fs=fs, basis=basis, prol=prol,
                     coarse=coarse, seconds_assemble=t_assemble,
@@ -602,8 +595,7 @@ def sweep(config: ExperimentConfig, axis: str) -> list:
         try:
             if "blocks" in override:
                 prol = gmsfem.assemble_prolongation(pipe.basis, blocks)
-                coarse = gmsfem.project_coarse(pipe.fs, prol,
-                                               initial=config.initial_vector)
+                coarse = gmsfem.project_coarse(pipe.fs, prol)
                 setting_pipe = dataclasses.replace(pipe, prol=prol, coarse=coarse)
             else:
                 setting_pipe = pipe

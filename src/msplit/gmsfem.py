@@ -15,13 +15,14 @@ values are condensed once, and neighborhoods made of the same kinds of
 cells are solved once. The reuse never changes a pencil's bits. The
 snapshot columns themselves (:func:`build_snapshots`,
 :func:`spectral_matrices`) are only the brute-force reference for it. The
-modes are localized by the bilinear partition of unity and
+modes are localized by the bilinear partition of unity and always
 energy-orthonormalized within the neighborhood. The resulting columns form
 the prolongation from coarse coefficients to interior fine nodes: one sparse
 matrix whose columns are grouped by mode block, so the Galerkin projection
 yields the coarse operators directly in the block order the split scheme
 reads. The coarse mass and stiffness stay sparse, as exactly symmetric CSR
-matrices, from the projection to the end of a run.
+matrices, from the projection to the end of a run, and the coarse start
+vector is the moments of the initial field against the basis.
 """
 
 from __future__ import annotations
@@ -101,7 +102,6 @@ class OfflineBasis:
     eigenvalues: np.ndarray      # (n_nodes, n_modes)
     supports: list               # interior-dof index arrays, one per node
     vectors: list                # (len(support), n_modes) arrays
-    orthonormalized: bool = True
 
     @property
     def n_columns(self) -> int:
@@ -446,12 +446,12 @@ def offline_modes(fs: FineSystem, n_modes: int) -> list:
     return modes
 
 
-def assemble_basis(fs: FineSystem, modes_list: list, n_modes: int,
-                   orthonormalize: bool = True) -> OfflineBasis:
+def assemble_basis(fs: FineSystem, modes_list: list, n_modes: int) -> OfflineBasis:
     """Localize spectral modes by the partition of unity and orthonormalize.
 
-    The Gram-Schmidt sweep runs within each neighborhood in the energy inner
-    product; with ``orthonormalize=False`` the raw localized modes are kept.
+    A node's basis lives on the interior of its neighborhood, where its hat
+    does not vanish; the Gram-Schmidt sweep runs there in the energy inner
+    product.
     """
     g = fs.grid
     nodes = np.array([m.node for m in modes_list], dtype=np.int64)
@@ -460,34 +460,19 @@ def assemble_basis(fs: FineSystem, modes_list: list, n_modes: int,
         if n_modes > modes.vectors.shape[1]:
             raise ValueError(f"neighborhood {modes.node} stores only "
                              f"{modes.vectors.shape[1]} modes, need {n_modes}")
-        nb_nodes = modes.nodes
-        pou = hat_at(g, modes.node, nb_nodes)
-        psi = pou[:, None] * modes.vectors[:, :n_modes]
-        inner_mask = g.fine_interior_index[nb_nodes] >= 0
-        # the hat vanishes on the neighborhood boundary; keep supported rows only
-        ix0, ix1, iy0, iy1 = _node_box(g, nb_nodes)
-        nper = g.nx_fine + 1
-        on_nb_edge = ((nb_nodes % nper == ix0) | (nb_nodes % nper == ix1)
-                      | (nb_nodes // nper == iy0) | (nb_nodes // nper == iy1))
-        keep = inner_mask & ~on_nb_edge
-        support = g.fine_interior_index[nb_nodes[keep]]
-        block = psi[keep]
-        if orthonormalize:
-            sub = fs.stiffness[support][:, support]
-            block = _energy_gram_schmidt(block, sub, modes.node)
+        inner = neighborhood(g, modes.node).interior
+        rows = np.searchsorted(modes.nodes, inner)
+        pou = hat_at(g, modes.node, inner)
+        support = g.fine_interior_index[inner]
+        sub = fs.stiffness[support][:, support]
+        block = _energy_gram_schmidt(pou[:, None] * modes.vectors[rows, :n_modes],
+                                     sub, modes.node)
         supports.append(support)
         vectors.append(block)
         eigenvalues.append(modes.eigenvalues[:n_modes])
     return OfflineBasis(grid=g, n_modes=n_modes, nodes=nodes,
                         eigenvalues=np.array(eigenvalues), supports=supports,
-                        vectors=vectors, orthonormalized=orthonormalize)
-
-
-def _node_box(g, nodes):
-    nper = g.nx_fine + 1
-    ix = nodes % nper
-    iy = nodes // nper
-    return ix.min(), ix.max(), iy.min(), iy.max()
+                        vectors=vectors)
 
 
 def _energy_gram_schmidt(block: np.ndarray, stiff: sp.csr_matrix, node: int) -> np.ndarray:
@@ -506,11 +491,9 @@ def _energy_gram_schmidt(block: np.ndarray, stiff: sp.csr_matrix, node: int) -> 
     return out
 
 
-def build_offline(fs: FineSystem, n_modes: int, *,
-                  orthonormalize: bool = True) -> OfflineBasis:
+def build_offline(fs: FineSystem, n_modes: int) -> OfflineBasis:
     """Full offline stage: snapshots, spectral modes, localized basis."""
-    modes = offline_modes(fs, n_modes)
-    return assemble_basis(fs, modes, n_modes, orthonormalize=orthonormalize)
+    return assemble_basis(fs, offline_modes(fs, n_modes), n_modes)
 
 
 def assemble_prolongation(basis: OfflineBasis, blocks) -> Prolongation:
@@ -548,31 +531,24 @@ def _galerkin(prol: sp.csr_matrix, fine: sp.csr_matrix) -> sp.csr_matrix:
     return (0.5 * (coarse + coarse.T)).tocsr()  # the product is CSC
 
 
-def project_coarse(fs: FineSystem, prol: Prolongation,
-                   initial: str = "moments") -> CoarseSystem:
+def project_coarse(fs: FineSystem, prol: Prolongation) -> CoarseSystem:
     """Galerkin projection of the fine system onto the block basis.
 
     Returns the coarse mass/stiffness (exactly symmetric CSR), the projected
     forcing, and the initial coarse coefficients. Both operators are checked
     positive definite by one sparse factorization each; the coarse system
-    keeps the mass factor for its later solves with C. With
-    ``initial="moments"`` the coefficients are the pairings of the initial
-    field with each basis function; with ``initial="projection"`` they are
-    additionally left-solved with the coarse mass matrix, which makes the
-    reconstructed field the L2 projection of the initial data. The moment
-    form keeps the initial vector free of the near-dependent basis
-    combinations that the mass solve amplifies, so the three-level scheme
-    starts without exciting its weakly damped mode; the projection form is
-    preferable when the reconstructed fields themselves are the output of
-    interest.
+    keeps the mass factor for the energy monitor. The initial coefficients
+    are the moments of the initial field, its mass pairings with each basis
+    function, not solved with the coarse mass: that keeps the initial vector
+    free of the near-dependent basis combinations that a mass solve
+    amplifies, so the three-level scheme starts without exciting its weakly
+    damped mode.
 
     A time-dependent forcing keeps the grid's load operator Q and P^T, so
     ``rhs(t)`` is P^T (Q f(t)): one source evaluation and two sparse
     products. A static forcing is loaded and projected once, through a load
     operator built and freed here; none is stored on the fine system.
     """
-    if initial not in ("moments", "projection"):
-        raise ValueError(f"unknown initial-vector mode {initial!r}")
     pmat = prol.matrix
     source = fs.source
     time_dependent = getattr(source, "time_dependent", source is not None)
@@ -598,7 +574,7 @@ def project_coarse(fs: FineSystem, prol: Prolongation,
                       stiff=_galerkin(pmat, fs.stiffness), rhs=rhs,
                       z0=np.zeros(prol.n_columns))
     try:
-        mass_factor = cs.mass_factor()
+        cs.mass_factor()
         SparseCholesky(cs.stiff, context="coarse stiffness")
     except NumericalError as exc:
         raise NumericalError(
@@ -606,31 +582,28 @@ def project_coarse(fs: FineSystem, prol: Prolongation,
         ) from exc
     u0 = fs.initial_vector()
     if np.any(u0):
-        moments = pmat.T @ (fs.mass @ u0)
-        if initial == "moments":
-            cs.z0 = moments
-        else:
-            cs.z0 = mass_factor.solve(moments)
+        cs.z0 = pmat.T @ (fs.mass @ u0)
     return cs
 
 
 # --- basis dump/load (plain text, round-trips exactly) ---
 
-_BASIS_MAGIC = "msplit-basis 1"
+_BASIS_MAGIC = "msplit-basis 2"
 
 
 def dump_basis(basis: OfflineBasis, path) -> None:
     """Write the offline basis to a text file for reuse between runs.
 
-    Layout: magic line; grid and size header; per neighborhood a ``node`` line,
-    one line of eigenvalues, then ``support`` rows of interior dof index
-    followed by the mode values at that dof.
+    Layout: magic line; header ``nx_coarse ny_coarse refine n_modes n_nodes``;
+    per neighborhood a ``node`` line, one line of eigenvalues, then a
+    ``support`` count line and that many rows of interior dof index followed
+    by the mode values at that dof.
     """
     g = basis.grid
     with open(path, "w") as fh:
         fh.write(_BASIS_MAGIC + "\n")
         fh.write(f"{g.nx_coarse} {g.ny_coarse} {g.refine} {basis.n_modes} "
-                 f"{len(basis.nodes)} {int(basis.orthonormalized)}\n")
+                 f"{len(basis.nodes)}\n")
         for i, node in enumerate(basis.nodes):
             fh.write(f"node {node}\n")
             fh.write(" ".join(format(v, ".17g") for v in basis.eigenvalues[i]) + "\n")
@@ -641,31 +614,47 @@ def dump_basis(basis: OfflineBasis, path) -> None:
                 fh.write(f"{sup[k]} {row}\n")
 
 
+def _fields(fh, count: int, tag: Optional[str] = None) -> list:
+    """The next line's ``count`` whitespace-separated fields, after ``tag`` if given."""
+    line = fh.readline()
+    parts = line.split()
+    if tag is not None:
+        if parts[:1] != [tag]:
+            raise ValueError(f"expected a {tag!r} line, got {line!r}")
+        parts = parts[1:]
+    if len(parts) != count:
+        raise ValueError(f"got {len(parts)} of {count} values in line {line!r}")
+    return parts
+
+
 def load_basis(path) -> OfflineBasis:
-    """Read a basis dump written by :func:`dump_basis`."""
+    """Read a basis dump written by :func:`dump_basis`.
+
+    A file that is not such a dump, or a dump that is truncated or has a
+    line with the wrong number of values, raises ValueError naming the file.
+    """
     with open(path) as fh:
         if fh.readline().strip() != _BASIS_MAGIC:
-            raise ValueError(f"{path} is not a basis dump")
-        nxc, nyc, refine, n_modes, n_nodes, ortho = map(int, fh.readline().split())
-        g = GridPair(nxc, nyc, refine)
-        nodes, eigenvalues, supports, vectors = [], [], [], []
-        for _ in range(n_nodes):
-            tag, node = fh.readline().split()
-            if tag != "node":
-                raise ValueError(f"{path}: malformed node record")
-            nodes.append(int(node))
-            eigenvalues.append([float(v) for v in fh.readline().split()])
-            tag, count = fh.readline().split()
-            if tag != "support":
-                raise ValueError(f"{path}: malformed support record")
-            sup = np.empty(int(count), dtype=np.int64)
-            vec = np.empty((int(count), n_modes))
-            for k in range(int(count)):
-                parts = fh.readline().split()
-                sup[k] = int(parts[0])
-                vec[k] = [float(v) for v in parts[1:]]
-            supports.append(sup)
-            vectors.append(vec)
+            raise ValueError(f"{path} is not a basis dump "
+                             f"(expected first line {_BASIS_MAGIC!r})")
+        try:
+            nxc, nyc, refine, n_modes, n_nodes = map(int, _fields(fh, 5))
+            g = GridPair(nxc, nyc, refine)
+            nodes, eigenvalues, supports, vectors = [], [], [], []
+            for _ in range(n_nodes):
+                nodes.append(int(_fields(fh, 1, "node")[0]))
+                eigenvalues.append([float(v) for v in _fields(fh, n_modes)])
+                count = int(_fields(fh, 1, "support")[0])
+                sup = np.empty(count, dtype=np.int64)
+                vec = np.empty((count, n_modes))
+                for k in range(count):
+                    parts = _fields(fh, 1 + n_modes)
+                    sup[k] = int(parts[0])
+                    vec[k] = [float(v) for v in parts[1:]]
+                supports.append(sup)
+                vectors.append(vec)
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed basis dump: {exc}") from exc
     return OfflineBasis(grid=g, n_modes=n_modes, nodes=np.array(nodes),
                         eigenvalues=np.array(eigenvalues), supports=supports,
-                        vectors=vectors, orthonormalized=bool(ortho))
+                        vectors=vectors)

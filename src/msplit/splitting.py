@@ -212,10 +212,11 @@ class SplitConfig:
     theta_stiff: float = 1.0
 
     def __post_init__(self):
-        if self.tau <= 0.0 or self.t_final <= 0.0:
-            raise ValueError("tau and t_final must be positive")
-        if self.theta_mass <= 0.0 or self.theta_stiff <= 0.0:
-            raise ValueError("scheme weights must be positive")
+        # NaN fails both comparisons
+        if not (0.0 < self.tau < np.inf and 0.0 < self.t_final < np.inf):
+            raise ValueError("tau and t_final must be positive and finite")
+        if not (0.0 < self.theta_mass < np.inf and 0.0 < self.theta_stiff < np.inf):
+            raise ValueError("scheme weights must be positive and finite")
         ratio = self.t_final / self.tau
         if abs(ratio - round(ratio)) > 1e-8 * max(ratio, 1.0) or round(ratio) < 1:
             raise ValueError(

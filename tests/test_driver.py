@@ -44,21 +44,17 @@ t_final = 0.2
 def test_parse_config_happy_path():
     text = TINY_TEXT + """
 theta_mass = 1.5
-orthonormalize = off
 tau_sweep = 0.05, 0.025
 params_sweep = 1,1; 1.5,0.75
 blocks_sweep = 1+2, 2+1
-initial_vector = projection
 """
     config = driver.parse_config(text)
     assert config.nx_coarse == 4
     assert config.blocks == (1, 2)
     assert config.theta_mass == 1.5
-    assert config.orthonormalize is False
     assert config.tau_sweep == (0.05, 0.025)
     assert config.params_sweep == ((1.0, 1.0), (1.5, 0.75))
     assert config.blocks_sweep == ((1, 2), (2, 1))
-    assert config.initial_vector == "projection"
 
 
 def test_parse_config_reports_line_numbers():
@@ -109,17 +105,31 @@ def test_resolve_config_name_and_path(tmp_path):
     (dict(kappa="magma"), "unknown kappa"),
     (dict(source="laser"), "unknown source"),
     (dict(initial="spike"), "unknown initial profile"),
-    (dict(initial_vector="l2"), "unknown initial_vector"),
+    (dict(t_final=np.inf), "positive and finite"),
     (dict(refine=1), "refinement factor"),
     (dict(theta_mass=0.0), "weights must be positive"),
     (dict(blocks_sweep=((1, 1),)), "blocks_sweep"),
     (dict(nx_coarse=1), "at least 2 coarse cells"),
     (dict(tau_sweep=(0.05, -0.01)), "tau_sweep"),
     (dict(params_sweep=((1.0, 0.0),)), "params_sweep"),
+    (dict(theta_mass=np.nan), "weights must be positive and finite"),
+    (dict(theta_stiff=np.inf), "weights must be positive and finite"),
+    (dict(tau_sweep=(0.05, np.nan)), "tau_sweep"),
+    (dict(params_sweep=((1.0, np.nan),)), "params_sweep"),
 ])
 def test_config_validation_errors(overrides, needle):
     with pytest.raises(ConfigError, match=needle):
         tiny_config(**overrides)
+
+
+def test_readme_config_table_lists_every_config_key():
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    table = readme.read_text().split("| key | default | meaning |\n", 1)[1]
+    rows = table.split("\n\n", 1)[0].splitlines()[1:]  # past the | --- | row
+    keys = [key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+    fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert keys == fields
+    assert list(driver._PARSERS) == fields
 
 
 # --- built-in fields and formulas ---
@@ -371,6 +381,11 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("modes = 0\n")
     assert cli.main(["run", str(bad)]) == 2
+    capsys.readouterr()
+    bad.write_text(TINY_TEXT.replace("t_final = 0.2", "t_final = inf"))
+    assert cli.main(["run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "finite" in err
 
 
 def test_cli_permeability_out_of_range_is_a_config_error(tmp_path, capsys):
@@ -414,11 +429,15 @@ def test_fine_reference_guards_every_solve(tiny_pipe, monkeypatch):
 
 
 def test_cli_rejects_the_removed_threads_knob(tmp_path, capsys):
-    # the offline stage is serial and the split has one rule: a config key
-    # or flag for threads, or a key for a split variant, is an error
+    # the offline stage is serial, the split has one rule, the basis is
+    # always energy-orthonormalized and the start vector is always the
+    # moments: a config key or flag for threads, or a key for a split
+    # variant, the orthonormalization or the start vector, is an error
     path = tmp_path / "exp.cfg"
     for key, line in (("threads", "threads = 2"),
-                      ("variant", "variant = lower-triangular")):
+                      ("variant", "variant = lower-triangular"),
+                      ("orthonormalize", "orthonormalize = off"),
+                      ("initial_vector", "initial_vector = projection")):
         path.write_text(TINY_TEXT + line + "\n")
         assert cli.main(["run", str(path)]) == 2
         assert f"unknown config key '{key}'" in capsys.readouterr().err

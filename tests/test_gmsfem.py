@@ -412,17 +412,6 @@ def test_basis_energy_orthonormal_per_neighborhood(small):
         assert np.max(np.abs(gram - np.eye(4))) < 1e-10
 
 
-def test_basis_without_orthonormalization_differs(small):
-    g, fs = small
-    modes = gmsfem.offline_modes(fs, 3)
-    raw = gmsfem.assemble_basis(fs, modes, 3, orthonormalize=False)
-    assert not raw.orthonormalized
-    sup, block = raw.supports[0], raw.vectors[0]
-    sub = fs.stiffness[sup][:, sup]
-    gram = block.T @ (sub @ block)
-    assert np.max(np.abs(gram - np.eye(3))) > 1e-6
-
-
 def test_basis_vanishes_outside_neighborhood(small):
     # every stored dof of neighborhood i lies strictly inside its box
     g, fs = small
@@ -572,23 +561,19 @@ def test_initial_vector_moments_and_projection(small):
     basis = gmsfem.build_offline(fs, 4)
     prol = gmsfem.assemble_prolongation(basis, (1, 3))
     moments = prol.matrix.T @ (fs.mass @ fs.initial_vector())
-    cs_m = gmsfem.project_coarse(fs, prol, initial="moments")
-    assert np.allclose(cs_m.z0, moments, atol=1e-14)
-    cs_p = gmsfem.project_coarse(fs, prol, initial="projection")
-    assert np.max(np.abs(cs_p.mass @ cs_p.z0 - moments)) < 1e-10
-    with pytest.raises(ValueError, match="initial-vector"):
-        gmsfem.project_coarse(fs, prol, initial="l2")
+    cs = gmsfem.project_coarse(fs, prol)
+    assert np.allclose(cs.z0, moments, atol=1e-14)
 
 
 def test_projection_mass_factor_serves_the_whole_run(small, factorizations):
     # project_coarse factors C and B once each for its definiteness check;
-    # the projection solve and the energy monitor reuse the factor of C, so
-    # a reference plus a split run adds only C + tau*B, the step matrix and
-    # the certificate's two matrices per condition
+    # the energy monitor reuses the factor of C, so a reference plus a split
+    # run adds only C + tau*B, the step matrix and the certificate's two
+    # matrices per condition
     g, fs = small
     basis = gmsfem.build_offline(fs, 4)
     prol = gmsfem.assemble_prolongation(basis, (1, 3))
-    cs = gmsfem.project_coarse(fs, prol, initial="projection")
+    cs = gmsfem.project_coarse(fs, prol)
     assert factorizations == ["coarse mass", "coarse stiffness"]
     config = splitting.SplitConfig(tau=0.05, t_final=0.2, theta_mass=1.0,
                                    theta_stiff=1.0)
@@ -601,18 +586,6 @@ def test_projection_mass_factor_serves_the_whole_run(small, factorizations):
         "split step matrix"]
 
 
-def test_projection_initial_reconstructs_l2_projection(small):
-    # with one full block the reconstructed field is the L2 projection of
-    # the initial data: the residual is mass-orthogonal to the coarse space
-    g, fs = small
-    basis = gmsfem.build_offline(fs, 4)
-    prol = gmsfem.assemble_prolongation(basis, (4,))
-    cs = gmsfem.project_coarse(fs, prol, initial="projection")
-    recon = prol.matrix @ cs.z0
-    resid = prol.matrix.T @ (fs.mass @ (fs.initial_vector() - recon))
-    assert np.max(np.abs(resid)) < 1e-10
-
-
 # --- dump and reload ---
 
 def test_basis_roundtrip_exact(small, tmp_path):
@@ -622,7 +595,6 @@ def test_basis_roundtrip_exact(small, tmp_path):
     gmsfem.dump_basis(basis, path)
     back = gmsfem.load_basis(path)
     assert back.n_modes == basis.n_modes
-    assert back.orthonormalized == basis.orthonormalized
     assert np.array_equal(back.nodes, basis.nodes)
     assert np.array_equal(back.eigenvalues, basis.eigenvalues)
     for a, b in zip(basis.supports, back.supports):
@@ -635,6 +607,19 @@ def test_basis_roundtrip_exact(small, tmp_path):
 
 def test_load_basis_rejects_other_files(tmp_path):
     path = tmp_path / "junk.txt"
-    path.write_text("not a basis\n1 2 3\n")
-    with pytest.raises(ValueError, match="not a basis dump"):
-        gmsfem.load_basis(path)
+    # one node, one mode, one support row on a 2 x 2, refine-3 grid
+    good = ["msplit-basis 2", "2 2 3 1 1", "node 4", "0.5", "support 1", "0 1.0"]
+    path.write_text("\n".join(good) + "\n")
+    assert gmsfem.load_basis(path).vectors[0][0, 0] == 1.0
+    for lines, needle in (
+            (["not a basis", "1 2 3"], "not a basis dump"),
+            (["msplit-basis 1", "2 2 3 1 1 1"] + good[2:], "not a basis dump"),
+            (good[:-1], "got 0 of 2 values in line ''"),
+            (good[:3], "got 0 of 1 values in line ''"),
+            (good[:1] + ["2 2 3 1"] + good[2:], "got 4 of 5 values"),
+            (good[:-1] + ["0 1.0 2.0"], "got 3 of 2 values"),
+            (good[:2] + ["nodes 4"] + good[3:], "expected a 'node' line")):
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=needle) as exc:
+            gmsfem.load_basis(path)
+        assert str(path) in str(exc.value)
