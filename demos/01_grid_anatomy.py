@@ -9,7 +9,7 @@ every interior fine node.
 
 import numpy as np
 
-from msplit.grid import build_grids, neighborhood, partition_of_unity
+from msplit.grid import GridPair, neighborhood, partition_of_unity
 
 
 def describe_neighborhood(g, node, label):
@@ -24,7 +24,7 @@ def describe_neighborhood(g, node, label):
 
 
 def main():
-    g = build_grids(4, 4, 8)
+    g = GridPair(4, 4, 8)
     print(f"coarse grid: {g.nx_coarse} x {g.ny_coarse} cells, "
           f"{g.n_coarse_nodes} nodes ({g.n_interior_coarse} interior)")
     print(f"fine grid:   {g.nx_fine} x {g.ny_fine} cells, "

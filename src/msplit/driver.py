@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fineassembly, gmsfem, splitting
 from .fineassembly import Permeability, assemble, write_field
-from .grid import GridPair, build_grids
+from .grid import GridPair
 from .linalg import NumericalError, SparseCholesky
 from .splitting import SplitConfig, Trajectory
 
@@ -165,6 +165,9 @@ class ExperimentConfig:
         if self.kappa == "channels" and not 0.0 < self.kappa_contrast < np.inf:
             raise ConfigError(f"kappa_contrast must be positive, "
                               f"got {self.kappa_contrast}")
+        if self.kappa == "channels" and self.kappa_channels < 0:
+            raise ConfigError(f"kappa_channels must be non-negative, "
+                              f"got {self.kappa_channels}")
         if self.kappa_seed < 0:
             raise ConfigError(f"kappa_seed must be non-negative, got {self.kappa_seed}")
         if self.kappa == "raster":
@@ -174,6 +177,8 @@ class ExperimentConfig:
                 raise ConfigError(f"kappa_path {self.kappa_path!r} does not exist")
         if self.source not in ("exp-radial", "pulsed-sine", "constant", "zero"):
             raise ConfigError(f"unknown source {self.source!r}")
+        if self.source == "constant" and not np.isfinite(self.source_value):
+            raise ConfigError(f"source_value must be finite, got {self.source_value}")
         if self.initial not in ("sine", "zero"):
             raise ConfigError(f"unknown initial profile {self.initial!r}")
         try:
@@ -301,7 +306,7 @@ def resolve_config(name_or_path: str) -> ExperimentConfig:
 
 def _resolve_kappa(config: ExperimentConfig, g: GridPair) -> Permeability:
     if config.kappa == "periodic":
-        return Permeability.from_callable(_kappa_periodic)
+        return Permeability(_kappa_periodic)
     if config.kappa == "constant":
         return Permeability.constant(config.kappa_value)
     if config.kappa == "raster":
@@ -332,7 +337,7 @@ def _resolve_initial(config: ExperimentConfig):
 
 def build_problem(config: ExperimentConfig):
     """Grid and assembled fine system for a config."""
-    g = build_grids(config.nx_coarse, config.ny_coarse, config.refine)
+    g = GridPair(config.nx_coarse, config.ny_coarse, config.refine)
     kappa = _resolve_kappa(config, g)
     fs = assemble(g, kappa, source=_resolve_source(config),
                   initial=_resolve_initial(config))
@@ -487,20 +492,21 @@ def _fine_reference_errors(pipe: Pipeline, split: Trajectory) -> dict:
     return {"fine_e_l2": err_l2 / ref_l2, "fine_e_a": err_en / ref_en}
 
 
-def _run_setting(pipe: Pipeline, coarse, blocks, theta_mass, theta_stiff,
+def _run_setting(pipe: Pipeline, theta_mass, theta_stiff,
                  reference: Trajectory) -> tuple:
-    """One split run on a prepared coarse system against its reference.
+    """One split run on the pipeline's coarse system against its reference.
 
     The split runs on the backward Euler reference's time step.
     """
     tau = reference.tau
+    coarse = pipe.coarse
     parts = splitting.make_split(coarse)
     scfg = SplitConfig(tau=tau, t_final=pipe.config.t_final,
                        theta_mass=theta_mass, theta_stiff=theta_stiff)
     split = splitting.march(coarse, parts, scfg)
     report = compare(reference, split, pipe.prol, pipe.fs, coarse.stiff)
     report.meta.update({
-        "blocks": blocks,
+        "blocks": pipe.prol.block_sizes,
         "theta_mass": theta_mass,
         "theta_stiff": theta_stiff,
         "tau": tau,
@@ -520,9 +526,8 @@ def run_example(config: ExperimentConfig) -> ErrorReport:
                    pipe.seconds_assemble)
     tic = time.perf_counter()
     reference = splitting.backward_euler(pipe.coarse, config.tau, config.t_final)
-    split, report = _run_setting(
-        pipe, pipe.coarse, config.blocks, config.theta_mass, config.theta_stiff,
-        reference)
+    split, report = _run_setting(pipe, config.theta_mass, config.theta_stiff,
+                                 reference)
     print(split.certificate.describe())
     print(f"time stepping: {time.perf_counter() - tic:.2f} s "
           f"for {split.n_steps} steps")
@@ -595,17 +600,17 @@ def sweep(config: ExperimentConfig, axis: str) -> list:
         try:
             if "blocks" in override:
                 prol = gmsfem.assemble_prolongation(pipe.basis, blocks)
-                coarse = gmsfem.project_coarse(pipe.fs, prol)
-                setting_pipe = dataclasses.replace(pipe, prol=prol, coarse=coarse)
+                setting_pipe = dataclasses.replace(
+                    pipe, prol=prol, coarse=gmsfem.project_coarse(pipe.fs, prol))
             else:
                 setting_pipe = pipe
-                coarse = pipe.coarse
             if (blocks, tau) != reference_key:
                 reference_key = reference = None
-                reference = splitting.backward_euler(coarse, tau, config.t_final)
+                reference = splitting.backward_euler(setting_pipe.coarse, tau,
+                                                     config.t_final)
                 reference_key = (blocks, tau)
-            split, report = _run_setting(setting_pipe, coarse, blocks,
-                                         theta_mass, theta_stiff, reference)
+            split, report = _run_setting(setting_pipe, theta_mass, theta_stiff,
+                                         reference)
         except NumericalError as exc:
             logger.error("setting %s failed: %s", label, exc)
             rows.append((label, None, None))

@@ -83,10 +83,6 @@ class Permeability:
         return cls(evaluate=lambda x, y: np.full_like(np.asarray(x, float), value))
 
     @classmethod
-    def from_callable(cls, func) -> "Permeability":
-        return cls(evaluate=lambda x, y: np.asarray(func(x, y), dtype=float))
-
-    @classmethod
     def from_raster(cls, path) -> "Permeability":
         """Nearest-neighbor sampler over a raster file (top row is y = max)."""
         values = read_grid_file(path)

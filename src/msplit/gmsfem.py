@@ -38,14 +38,13 @@ import scipy.sparse as sp
 
 from . import fineassembly
 from .fineassembly import FineSystem, local_matrices
-from .grid import GridPair, Neighborhood, hat_at, neighborhood
+from .grid import GridPair, Neighborhood, neighborhood, partition_of_unity
 from .linalg import NumericalError, SparseCholesky, eig_gsym, single_thread_blas
 from .splitting import CoarseSystem
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "SnapshotSpace",
     "NeighborhoodModes",
     "OfflineBasis",
     "Prolongation",
@@ -63,31 +62,16 @@ __all__ = [
 
 
 @dataclass
-class SnapshotSpace:
-    """Harmonic snapshot columns over one neighborhood.
-
-    ``columns[k, l]`` is the value of snapshot ``l`` at ``nodes[k]``; column
-    ``l`` carries Kronecker data at ``boundary[l]``.
-    """
-
-    node: int
-    nodes: np.ndarray
-    boundary: np.ndarray
-    columns: np.ndarray
-
-
-@dataclass
 class NeighborhoodModes:
     """Dominant spectral modes of one neighborhood in fine-grid coordinates.
 
     ``vectors`` are snapshot combinations (not yet multiplied by the partition
     of unity); eigenvalues are ascending. :func:`offline_modes` makes both
     arrays read-only and shares them between neighborhoods of the same kinds
-    of cells.
+    of cells. Rows of ``vectors`` follow ``neighborhood(g, node).nodes``.
     """
 
     node: int
-    nodes: np.ndarray
     eigenvalues: np.ndarray
     vectors: np.ndarray
 
@@ -237,11 +221,13 @@ def _skeleton_rows(g: GridPair, nb: Neighborhood):
 
 
 def build_snapshots(fs: FineSystem, nb: Neighborhood,
-                    solver_cache: Optional[dict] = None) -> SnapshotSpace:
+                    solver_cache: Optional[dict] = None) -> np.ndarray:
     """Solve the snapshot family of one neighborhood, one column per boundary node.
 
-    Cell factorizations are made on first use and kept in ``solver_cache``,
-    so neighborhoods that share a coarse cell factor it once.
+    Entry ``[k, l]`` is the value of snapshot ``l`` at ``nb.nodes[k]``; column
+    ``l`` carries Kronecker data at ``nb.boundary[l]``. Cell factorizations
+    are made on first use and kept in ``solver_cache``, so neighborhoods that
+    share a coarse cell factor it once.
     """
     g = fs.grid
     columns = np.zeros((len(nb.nodes), nb.n_boundary))
@@ -256,8 +242,7 @@ def build_snapshots(fs: FineSystem, nb: Neighborhood,
             continue
         data = skel_rows[np.searchsorted(skel_ids, solver.bnodes)]
         columns[np.searchsorted(nb.nodes, solver.inodes)] = solver.mapmat @ data
-    return SnapshotSpace(node=nb.node, nodes=nb.nodes, boundary=nb.boundary,
-                         columns=columns)
+    return columns
 
 
 def spectral_mass_weight(g: GridPair, kappa_cells: np.ndarray) -> np.ndarray:
@@ -275,12 +260,13 @@ def spectral_mass_weight(g: GridPair, kappa_cells: np.ndarray) -> np.ndarray:
     return g.coarse_hx * g.coarse_hy * np.asarray(kappa_cells, float) * grad2
 
 
-def spectral_matrices(fs: FineSystem, nb: Neighborhood, snaps: SnapshotSpace,
+def spectral_matrices(fs: FineSystem, nb: Neighborhood, snaps: np.ndarray,
                       mass_weight_cells: Optional[np.ndarray] = None):
     """Stiffness and weighted-mass forms of the snapshot columns.
 
     Returns the dense symmetric pencil (astiff, smass) in snapshot
-    coordinates. ``mass_weight_cells`` overrides the default spectral weight
+    coordinates, for the columns ``snaps`` of :func:`build_snapshots`.
+    ``mass_weight_cells`` overrides the default spectral weight
     (flat array over all fine cells) so alternative forms can plug in.
     """
     g = fs.grid
@@ -289,9 +275,8 @@ def spectral_matrices(fs: FineSystem, nb: Neighborhood, snaps: SnapshotSpace,
     cells = np.concatenate([g.coarse_cell_fine_cells(int(c)) for c in nb.cells])
     wmass, stiff = local_matrices(g, fs.kappa_cells, cells, nb.nodes,
                                   mass_weight_cells=mass_weight_cells)
-    s_cols = snaps.columns
-    astiff = s_cols.T @ (stiff @ s_cols)
-    smass = s_cols.T @ (wmass @ s_cols)
+    astiff = snaps.T @ (stiff @ snaps)
+    smass = snaps.T @ (wmass @ snaps)
     astiff = 0.5 * (astiff + astiff.T)
     smass = 0.5 * (smass + smass.T)
     return astiff, smass
@@ -439,8 +424,8 @@ def offline_modes(fs: FineSystem, n_modes: int) -> list:
             if key not in solved:
                 solved[key] = condensed.modes(nb, n_modes)
             eigenvalues, vectors = solved[key]
-            modes.append(NeighborhoodModes(node=nb.node, nodes=nb.nodes,
-                                           eigenvalues=eigenvalues, vectors=vectors))
+            modes.append(NeighborhoodModes(node=nb.node, eigenvalues=eigenvalues,
+                                           vectors=vectors))
     logger.info("offline: %d distinct cells of %d, %d distinct neighborhoods of %d",
                 len(condensed.mapmat), len(condensed.kind), len(solved), len(nodes))
     return modes
@@ -460,10 +445,10 @@ def assemble_basis(fs: FineSystem, modes_list: list, n_modes: int) -> OfflineBas
         if n_modes > modes.vectors.shape[1]:
             raise ValueError(f"neighborhood {modes.node} stores only "
                              f"{modes.vectors.shape[1]} modes, need {n_modes}")
-        inner = neighborhood(g, modes.node).interior
-        rows = np.searchsorted(modes.nodes, inner)
-        pou = hat_at(g, modes.node, inner)
-        support = g.fine_interior_index[inner]
+        nb = neighborhood(g, modes.node)
+        rows = np.searchsorted(nb.nodes, nb.interior)
+        pou = partition_of_unity(g, modes.node, nb.interior)
+        support = g.fine_interior_index[nb.interior]
         sub = fs.stiffness[support][:, support]
         block = _energy_gram_schmidt(pou[:, None] * modes.vectors[rows, :n_modes],
                                      sub, modes.node)

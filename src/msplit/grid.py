@@ -13,8 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["GridPair", "Neighborhood", "build_grids", "neighborhood", "partition_of_unity",
-           "hat_at"]
+__all__ = ["GridPair", "Neighborhood", "neighborhood", "partition_of_unity"]
 
 
 @dataclass
@@ -183,11 +182,6 @@ class Neighborhood:
         return len(self.boundary)
 
 
-def build_grids(nx_coarse: int, ny_coarse: int, refine: int) -> GridPair:
-    """Build the nested coarse/fine grid pair on the unit square."""
-    return GridPair(nx_coarse, ny_coarse, refine)
-
-
 def neighborhood(g: GridPair, node: int) -> Neighborhood:
     """Collect the coarse cells sharing ``node`` and their fine nodes."""
     cx, cy = g.coarse_node_grid(node)
@@ -211,20 +205,13 @@ def neighborhood(g: GridPair, node: int) -> Neighborhood:
                         interior=interior, box=(ix0, ix1, iy0, iy1))
 
 
-def partition_of_unity(g: GridPair, node: int) -> np.ndarray:
-    """Bilinear hat of a coarse node sampled at every fine node.
+def partition_of_unity(g: GridPair, node: int, nodes=slice(None)) -> np.ndarray:
+    """Bilinear hat of a coarse node sampled at the fine nodes ``nodes``.
 
     Equals one at the coarse node, zero on and outside its neighborhood
-    boundary; the hats of all coarse nodes sum to one everywhere.
-    """
-    return hat_at(g, node, slice(None))
-
-
-def hat_at(g: GridPair, node: int, nodes) -> np.ndarray:
-    """The hat of :func:`partition_of_unity` at the fine nodes ``nodes`` only.
-
-    ``nodes`` indexes the fine node arrays (ids or a slice); the values are
-    bit for bit those of the full sample at the same nodes.
+    boundary; the hats of all coarse nodes sum to one everywhere. ``nodes``
+    indexes the fine node arrays (ids or a slice, every node by default);
+    the values at a subset are bit for bit those of the full sample.
     """
     xc, yc = g.coarse_node_xy(node)
     x, y = g.fine_coords

@@ -160,8 +160,8 @@ class SplitParts:
     """Additive two-part split of the coarse mass and stiffness.
 
     ``mass``/``stiff`` are the coarse system's own CSR operators (shared,
-    not copied); the implicit parts C1 = blockdiag(C), B1 = blockdiag(B) and
-    the rests C2 = C - C1, B2 = B - B1 are formed, as CSR, only when read.
+    not copied); the implicit parts C1 = blockdiag(C), B1 = blockdiag(B) are
+    formed, as CSR, only when read. The explicit rests are C - C1 and B - B1.
     """
 
     # the only split rule; a class constant, not a field, kept because the
@@ -179,14 +179,6 @@ class SplitParts:
     @property
     def stiff_main(self) -> sp.csr_matrix:
         return _blockdiag(self.stiff, self.block_sizes)
-
-    @property
-    def mass_rest(self) -> sp.csr_matrix:
-        return self.mass - self.mass_main
-
-    @property
-    def stiff_rest(self) -> sp.csr_matrix:
-        return self.stiff - self.stiff_main
 
 
 def make_split(cs: CoarseSystem) -> SplitParts:
@@ -218,6 +210,8 @@ class SplitConfig:
         if not (0.0 < self.theta_mass < np.inf and 0.0 < self.theta_stiff < np.inf):
             raise ValueError("scheme weights must be positive and finite")
         ratio = self.t_final / self.tau
+        if not np.isfinite(ratio):
+            raise ValueError(f"t_final / tau = {ratio} is not a finite step count")
         if abs(ratio - round(ratio)) > 1e-8 * max(ratio, 1.0) or round(ratio) < 1:
             raise ValueError(
                 f"time step {self.tau} does not divide the final time {self.t_final}")
@@ -340,9 +334,6 @@ class _StepOperator:
     def step(self, levels: np.ndarray, f_next: np.ndarray) -> np.ndarray:
         """z^{n+1} from levels = [z^{n-1}; z^n] and f^{n+1}."""
         rhs = self.tau * f_next - self.explicit @ levels
-        if not np.isfinite(rhs).all():
-            raise NumericalError("non-finite right-hand side in a split step; "
-                                 "the previous states have overflowed")
         return levels[len(rhs):] + self.factor.solve(rhs)
 
 
@@ -560,8 +551,8 @@ def error_recursion_diag(parts: SplitParts, reference: Trajectory,
     z = split.states
     n_steps = split.n_steps
     residuals = np.empty(max(n_steps - 1, 0))
-    mass_rest = parts.mass_rest
-    coupling_mat = mass_rest + tau * parts.stiff_rest
+    mass_rest = cmat - parts.mass_main
+    coupling_mat = mass_rest + tau * (bmat - parts.stiff_main)
     for n in range(1, n_steps):
         rhs = (cmat @ err[n] + mass_rest @ (z[n] - z[n - 1])
                - coupling_mat @ (z[n + 1] - z[n]))

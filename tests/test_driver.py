@@ -13,7 +13,7 @@ import pytest
 
 from msplit import cli, driver, fineassembly, gmsfem, linalg, splitting
 from msplit.driver import ConfigError, ExperimentConfig
-from msplit.grid import build_grids
+from msplit.grid import GridPair
 from msplit.linalg import NumericalError
 
 from _oracles import dense_backward_euler
@@ -116,6 +116,9 @@ def test_resolve_config_name_and_path(tmp_path):
     (dict(theta_stiff=np.inf), "weights must be positive and finite"),
     (dict(tau_sweep=(0.05, np.nan)), "tau_sweep"),
     (dict(params_sweep=((1.0, np.nan),)), "params_sweep"),
+    (dict(tau=1e-300, t_final=1e10), "not a finite step count"),
+    (dict(source="constant", source_value=np.nan), "source_value must be finite"),
+    (dict(kappa="channels", kappa_channels=-3), "kappa_channels must be non-negative"),
 ])
 def test_config_validation_errors(overrides, needle):
     with pytest.raises(ConfigError, match=needle):
@@ -156,7 +159,7 @@ def test_source_time_dependence_flags():
 
 
 def test_synthetic_channels_deterministic_and_binary():
-    g = build_grids(4, 4, 4)
+    g = GridPair(4, 4, 4)
     one = driver.synthetic_channels(g, contrast=100.0, seed=3)
     two = driver.synthetic_channels(g, contrast=100.0, seed=3)
     other = driver.synthetic_channels(g, contrast=100.0, seed=4)
@@ -382,10 +385,12 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     bad.write_text("modes = 0\n")
     assert cli.main(["run", str(bad)]) == 2
     capsys.readouterr()
-    bad.write_text(TINY_TEXT.replace("t_final = 0.2", "t_final = inf"))
-    assert cli.main(["run", str(bad)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "finite" in err
+    for tau, t_final in (("0.05", "inf"), ("1e-300", "1e10")):
+        bad.write_text(TINY_TEXT.replace("tau = 0.05", f"tau = {tau}")
+                       .replace("t_final = 0.2", f"t_final = {t_final}"))
+        assert cli.main(["run", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "finite" in err
 
 
 def test_cli_permeability_out_of_range_is_a_config_error(tmp_path, capsys):

@@ -5,14 +5,14 @@ from msplit import driver
 from msplit.fineassembly import (LoadOperator, Permeability, assemble,
                                  interpolate, local_matrices, norms, read_field,
                                  read_grid_file, write_field, write_grid_file)
-from msplit.grid import build_grids
+from msplit.grid import GridPair
 
 from _oracles import dense_q1_matrices, scatter_load
 from conftest import rng_for
 
 
 def kappa_smooth():
-    return Permeability.from_callable(lambda x, y: 1.0 + x + 2.0 * y * y)
+    return Permeability(lambda x, y: 1.0 + x + 2.0 * y * y)
 
 
 def all_node_matrices(g, fs):
@@ -22,7 +22,7 @@ def all_node_matrices(g, fs):
 
 
 def test_assembly_matches_quadrature_oracle():
-    g = build_grids(2, 2, 2)
+    g = GridPair(2, 2, 2)
     fs = assemble(g, kappa_smooth())
     mass, stiff = dense_q1_matrices(g, fs.kappa_cells)
     mass_all, stiff_all = all_node_matrices(g, fs)
@@ -31,7 +31,7 @@ def test_assembly_matches_quadrature_oracle():
 
 
 def test_assembly_oracle_on_rectangular_grid():
-    g = build_grids(3, 2, 2)
+    g = GridPair(3, 2, 2)
     fs = assemble(g, kappa_smooth())
     mass, stiff = dense_q1_matrices(g, fs.kappa_cells)
     mass_all, stiff_all = all_node_matrices(g, fs)
@@ -40,7 +40,7 @@ def test_assembly_oracle_on_rectangular_grid():
 
 
 def test_mass_total_and_stiffness_null_space():
-    g = build_grids(4, 4, 3)
+    g = GridPair(4, 4, 3)
     fs = assemble(g, kappa_smooth())
     mass_all, stiff_all = all_node_matrices(g, fs)
     ones = np.ones(g.n_fine_nodes)
@@ -50,7 +50,7 @@ def test_mass_total_and_stiffness_null_space():
 
 def test_energy_of_linear_field():
     # u = x has unit energy for unit permeability on the unit square
-    g = build_grids(3, 5, 2)
+    g = GridPair(3, 5, 2)
     fs = assemble(g, Permeability.constant(1.0))
     _, stiff_all = all_node_matrices(g, fs)
     x, _ = g.fine_coords
@@ -58,7 +58,7 @@ def test_energy_of_linear_field():
 
 
 def test_interpolated_sine_norms():
-    g = build_grids(8, 8, 8)
+    g = GridPair(8, 8, 8)
     fs = assemble(g, Permeability.constant(1.0))
     u = interpolate(g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
     l2, energy = norms(fs, u)
@@ -67,14 +67,14 @@ def test_interpolated_sine_norms():
 
 
 def test_norms_shape_check():
-    g = build_grids(2, 2, 2)
+    g = GridPair(2, 2, 2)
     fs = assemble(g, Permeability.constant(1.0))
     with pytest.raises(ValueError):
         norms(fs, np.zeros(g.n_fine_nodes))
 
 
 def test_load_of_unit_source_is_mass_row_sum():
-    g = build_grids(3, 3, 3)
+    g = GridPair(3, 3, 3)
     fs = assemble(g, kappa_smooth())
     vec = LoadOperator(g).load(lambda t, x, y: np.ones_like(x))
     mass_all, _ = all_node_matrices(g, fs)
@@ -83,7 +83,7 @@ def test_load_of_unit_source_is_mass_row_sum():
 
 
 def test_load_time_scaling_and_none():
-    g = build_grids(2, 2, 2)
+    g = GridPair(2, 2, 2)
     loads = LoadOperator(g)
     base = loads.load(lambda t, x, y: (1.0 + t) * x * y, t=0.0)
     late = loads.load(lambda t, x, y: (1.0 + t) * x * y, t=3.0)
@@ -98,7 +98,7 @@ def test_load_time_scaling_and_none():
 def test_load_matches_scatter_oracle_bit_for_bit(source):
     # hx = 1/9: the quadrature weight is no power of two, so only the same
     # products summed in the same order give the same bits
-    g = build_grids(3, 3, 3)
+    g = GridPair(3, 3, 3)
     loads = LoadOperator(g)
     for t in (0.0, 0.35, 1.0):
         want = scatter_load(g, source, t)
@@ -106,7 +106,7 @@ def test_load_matches_scatter_oracle_bit_for_bit(source):
 
 
 def test_load_operator_shape():
-    g = build_grids(3, 3, 3)
+    g = GridPair(3, 3, 3)
     loads = LoadOperator(g)
     assert loads.x.shape == loads.y.shape == (4 * g.n_fine_cells,)
     assert loads.matrix.shape == (g.n_interior_fine, 4 * g.n_fine_cells)
@@ -116,7 +116,7 @@ def test_load_operator_shape():
 
 
 def test_local_matrices_match_submatrix():
-    g = build_grids(3, 3, 2)
+    g = GridPair(3, 3, 2)
     fs = assemble(g, kappa_smooth())
     cells = g.coarse_cell_fine_cells(4)
     nodes = g.fine_nodes_in_box(2, 4, 2, 4)
@@ -130,7 +130,7 @@ def test_local_matrices_match_submatrix():
 
 
 def test_local_matrices_mass_weight():
-    g = build_grids(2, 2, 2)
+    g = GridPair(2, 2, 2)
     fs = assemble(g, Permeability.constant(1.0))
     cells = np.arange(g.n_fine_cells)
     nodes = np.arange(g.n_fine_nodes)
@@ -142,7 +142,7 @@ def test_local_matrices_mass_weight():
 
 
 def test_local_matrices_node_coverage_error():
-    g = build_grids(2, 2, 2)
+    g = GridPair(2, 2, 2)
     fs = assemble(g, Permeability.constant(1.0))
     with pytest.raises(ValueError):
         local_matrices(g, fs.kappa_cells, np.array([0]), np.array([0, 1]))
@@ -151,14 +151,14 @@ def test_local_matrices_node_coverage_error():
 def test_permeability_validation():
     with pytest.raises(ValueError):
         Permeability.constant(-2.0)
-    g = build_grids(2, 2, 2)
-    bad = Permeability.from_callable(lambda x, y: x - 10.0)
+    g = GridPair(2, 2, 2)
+    bad = Permeability(lambda x, y: x - 10.0)
     with pytest.raises(ValueError):
         bad.cell_values(g)
 
 
 def test_permeability_cell_values_shape():
-    g = build_grids(3, 2, 2)
+    g = GridPair(3, 2, 2)
     vals = kappa_smooth().cell_values(g)
     assert vals.shape == (g.ny_fine, g.nx_fine)
     # bottom-left cell center
@@ -205,18 +205,18 @@ def test_grid_file_errors(tmp_path):
 
 
 def test_field_roundtrip(tmp_path):
-    g = build_grids(3, 2, 2)
+    g = GridPair(3, 2, 2)
     rng = rng_for("field_roundtrip")
     vec = rng.standard_normal(g.n_interior_fine)
     path = tmp_path / "field.txt"
     write_field(path, g, vec)
     assert np.array_equal(read_field(path, g), vec)
     with pytest.raises(ValueError):
-        read_field(path, build_grids(2, 2, 2))
+        read_field(path, GridPair(2, 2, 2))
 
 
 def test_initial_vector_and_interpolate():
-    g = build_grids(4, 4, 2)
+    g = GridPair(4, 4, 2)
     fs = assemble(g, Permeability.constant(1.0),
                   initial=lambda x, y: x * y)
     u = fs.initial_vector()

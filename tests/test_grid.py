@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from msplit.grid import build_grids, hat_at, neighborhood, partition_of_unity
+from msplit.grid import GridPair, neighborhood, partition_of_unity
 
 
 def test_counts_on_square_grid():
-    g = build_grids(16, 16, 16)
+    g = GridPair(16, 16, 16)
     assert g.nx_fine == 256 and g.ny_fine == 256
     assert g.n_fine_nodes == 257 * 257
     assert g.n_interior_fine == 255 * 255
@@ -16,7 +16,7 @@ def test_counts_on_square_grid():
 
 
 def test_counts_on_rectangular_grid():
-    g = build_grids(3, 5, 4)
+    g = GridPair(3, 5, 4)
     assert g.nx_fine == 12 and g.ny_fine == 20
     assert g.n_fine_cells == 240
     assert g.n_interior_coarse == 2 * 4
@@ -25,7 +25,7 @@ def test_counts_on_rectangular_grid():
 
 
 def test_node_numbering_row_major():
-    g = build_grids(2, 2, 2)
+    g = GridPair(2, 2, 2)
     assert g.fine_node_id(0, 0) == 0
     assert g.fine_node_id(4, 0) == 4
     assert g.fine_node_id(0, 1) == 5
@@ -36,7 +36,7 @@ def test_node_numbering_row_major():
 
 
 def test_coarse_node_roundtrip():
-    g = build_grids(4, 3, 2)
+    g = GridPair(4, 3, 2)
     for node in range(g.n_coarse_nodes):
         cx, cy = g.coarse_node_grid(node)
         assert g.coarse_node_id(cx, cy) == node
@@ -45,7 +45,7 @@ def test_coarse_node_roundtrip():
 
 
 def test_interior_coarse_ids():
-    g = build_grids(3, 3, 2)
+    g = GridPair(3, 3, 2)
     ids = g.interior_coarse_ids
     assert len(ids) == 4
     assert all(g.is_interior_coarse(int(i)) for i in ids)
@@ -55,7 +55,7 @@ def test_interior_coarse_ids():
 
 
 def test_dirichlet_mask_and_interior_index():
-    g = build_grids(2, 3, 2)
+    g = GridPair(2, 3, 2)
     mask = g.dirichlet_mask
     # boundary node count of an (nx+1) x (ny+1) node grid
     expected = 2 * (g.nx_fine + 1) + 2 * (g.ny_fine - 1)
@@ -67,14 +67,14 @@ def test_dirichlet_mask_and_interior_index():
 
 
 def test_coarse_cell_fine_cells_partition():
-    g = build_grids(3, 2, 4)
+    g = GridPair(3, 2, 4)
     seen = np.concatenate([g.coarse_cell_fine_cells(c)
                            for c in range(g.nx_coarse * g.ny_coarse)])
     assert np.array_equal(np.sort(seen), np.arange(g.n_fine_cells))
 
 
 def test_fine_nodes_in_box():
-    g = build_grids(2, 2, 3)
+    g = GridPair(2, 2, 3)
     nodes = g.fine_nodes_in_box(1, 3, 2, 4)
     assert len(nodes) == 9
     assert np.all(np.diff(nodes) > 0)
@@ -83,7 +83,7 @@ def test_fine_nodes_in_box():
 
 
 def test_neighborhood_interior_node():
-    g = build_grids(4, 4, 8)
+    g = GridPair(4, 4, 8)
     node = g.coarse_node_id(2, 2)
     nb = neighborhood(g, node)
     assert len(nb.cells) == 4
@@ -96,7 +96,7 @@ def test_neighborhood_interior_node():
 
 
 def test_neighborhood_edge_and_corner_nodes():
-    g = build_grids(4, 4, 2)
+    g = GridPair(4, 4, 2)
     edge = neighborhood(g, g.coarse_node_id(0, 2))
     assert len(edge.cells) == 2
     corner = neighborhood(g, g.coarse_node_id(0, 0))
@@ -104,7 +104,7 @@ def test_neighborhood_edge_and_corner_nodes():
 
 
 def test_partition_of_unity_sums_to_one():
-    g = build_grids(3, 4, 3)
+    g = GridPair(3, 4, 3)
     total = np.zeros(g.n_fine_nodes)
     for node in range(g.n_coarse_nodes):
         total += partition_of_unity(g, node)
@@ -112,7 +112,7 @@ def test_partition_of_unity_sums_to_one():
 
 
 def test_partition_of_unity_hat_shape():
-    g = build_grids(4, 4, 4)
+    g = GridPair(4, 4, 4)
     node = g.coarse_node_id(2, 1)
     hat = partition_of_unity(g, node)
     xc, yc = g.coarse_node_xy(node)
@@ -129,10 +129,10 @@ def test_partition_of_unity_hat_shape():
     assert np.all(hat[nb.boundary] == 0.0)
 
 
-def test_hat_at_neighborhood_nodes_is_bit_identical():
+def test_partition_of_unity_at_neighborhood_nodes_is_bit_identical():
     # the hat sampled at a neighborhood's nodes only must equal, bit for
     # bit, the full-grid sample indexed there, for every kind of node
-    g = build_grids(4, 3, 5)
+    g = GridPair(4, 3, 5)
     x, y = g.fine_coords
     for node in range(g.n_coarse_nodes):
         xc, yc = g.coarse_node_xy(node)
@@ -140,11 +140,11 @@ def test_hat_at_neighborhood_nodes_is_bit_identical():
                 * np.maximum(0.0, 1.0 - np.abs(y - yc) / g.coarse_hy))
         assert np.array_equal(partition_of_unity(g, node), full)
         nodes = neighborhood(g, node).nodes
-        assert np.array_equal(hat_at(g, node, nodes), full[nodes])
+        assert np.array_equal(partition_of_unity(g, node, nodes), full[nodes])
 
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        build_grids(0, 2, 2)
+        GridPair(0, 2, 2)
     with pytest.raises(ValueError):
-        build_grids(2, 2, 0)
+        GridPair(2, 2, 0)

@@ -69,7 +69,8 @@ def test_block_diagonal_split_structure():
     cs = make_cs(HAND_C, HAND_B, (1, 1))
     parts = splitting.make_split(cs)
     assert np.array_equal(parts.stiff_main.toarray(), np.diag([2.0, 2.0]))
-    assert np.array_equal(parts.stiff_rest.toarray(), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    rest = (parts.stiff - parts.stiff_main).toarray()
+    assert np.array_equal(rest, np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.array_equal(parts.mass_main.toarray(), np.eye(2))
 
 
@@ -158,8 +159,9 @@ def test_split_step_matches_dense_oracle():
     z_prev = rng.standard_normal(6)
     f_next = rng.standard_normal(6)
     got = step_once(parts, config, z_now, z_prev, f_next)
-    want = dense_split_step(parts.mass_main.toarray(), parts.mass_rest.toarray(),
-                            parts.stiff_main.toarray(), parts.stiff_rest.toarray(),
+    mass_main, stiff_main = parts.mass_main.toarray(), parts.stiff_main.toarray()
+    want = dense_split_step(mass_main, parts.mass.toarray() - mass_main,
+                            stiff_main, parts.stiff.toarray() - stiff_main,
                             0.8, 0.6, 0.37, z_now, z_prev, f_next)
     assert np.max(np.abs(got - want)) < 1e-12
 
