@@ -15,14 +15,17 @@ values are condensed once, and neighborhoods made of the same kinds of
 cells are solved once. The reuse never changes a pencil's bits. The
 snapshot columns themselves (:func:`build_snapshots`,
 :func:`spectral_matrices`) are only the brute-force reference for it. The
-modes are localized by the bilinear partition of unity and always
-energy-orthonormalized within the neighborhood. The resulting columns form
-the prolongation from coarse coefficients to interior fine nodes: one sparse
-matrix whose columns are grouped by mode block, so the Galerkin projection
-yields the coarse operators directly in the block order the split scheme
-reads. The coarse mass and stiffness stay sparse, as exactly symmetric CSR
-matrices, from the projection to the end of a run, and the coarse start
-vector is the moments of the initial field against the basis.
+modes are localized by the bilinear partition of unity, evaluated in fine
+offsets from the node, and energy-orthonormalized within the
+neighborhood by two passes of Cholesky-QR; neighborhoods of the same kinds
+of cells share one read-only block. The resulting columns form the
+prolongation from coarse coefficients to interior fine nodes: one sparse
+matrix whose columns are grouped by mode block, written column by column
+in CSC form, so the Galerkin projection yields the coarse operators
+directly in the block order the split scheme reads. The coarse mass and
+stiffness stay sparse, as exactly symmetric CSR matrices, from the
+projection to the end of a run, and the coarse start vector is the moments
+of the initial field against the basis.
 """
 
 from __future__ import annotations
@@ -435,45 +438,89 @@ def assemble_basis(fs: FineSystem, modes_list: list, n_modes: int) -> OfflineBas
     """Localize spectral modes by the partition of unity and orthonormalize.
 
     A node's basis lives on the interior of its neighborhood, where its hat
-    does not vanish; the Gram-Schmidt sweep runs there in the energy inner
-    product.
+    does not vanish; there it is the node's modes times the hat,
+    orthonormalized in the energy inner product of the fine stiffness over
+    that support by two passes of Cholesky-QR
+    (:func:`_energy_orthonormalize`), with every OpenBLAS pinned to one
+    thread as in :func:`offline_modes`.
+
+    The block depends only on the node's mode vectors, its hat and the
+    permeability of its four cells. The hat is evaluated in fine offsets
+    from the node, so it is the same array for every interior node, and the
+    fine stiffness over the support is bit-equal between neighborhoods whose
+    cells are of the same kinds. :func:`offline_modes` hands one ``vectors``
+    array to exactly such neighborhoods, so a shared ``vectors`` array means
+    one medium: each block is computed once per ``vectors`` array and shared
+    read-only. On example2-synthetic (kappa_seed 7) that is 96 blocks for
+    225 neighborhoods. One INFO line on the ``msplit.gmsfem`` logger gives
+    the count of distinct blocks and the largest condition number of a
+    first-pass energy Gram matrix.
     """
     g = fs.grid
     nodes = np.array([m.node for m in modes_list], dtype=np.int64)
+    blocks = {}
+    worst_cond = 0.0
     supports, vectors, eigenvalues = [], [], []
-    for modes in modes_list:
-        if n_modes > modes.vectors.shape[1]:
-            raise ValueError(f"neighborhood {modes.node} stores only "
-                             f"{modes.vectors.shape[1]} modes, need {n_modes}")
-        nb = neighborhood(g, modes.node)
-        rows = np.searchsorted(nb.nodes, nb.interior)
-        pou = partition_of_unity(g, modes.node, nb.interior)
-        support = g.fine_interior_index[nb.interior]
-        sub = fs.stiffness[support][:, support]
-        block = _energy_gram_schmidt(pou[:, None] * modes.vectors[rows, :n_modes],
-                                     sub, modes.node)
-        supports.append(support)
-        vectors.append(block)
-        eigenvalues.append(modes.eigenvalues[:n_modes])
+    with single_thread_blas():
+        for modes in modes_list:
+            if n_modes > modes.vectors.shape[1]:
+                raise ValueError(f"neighborhood {modes.node} stores only "
+                                 f"{modes.vectors.shape[1]} modes, need {n_modes}")
+            nb = neighborhood(g, modes.node)
+            support = g.fine_interior_index[nb.interior]
+            key = id(modes.vectors)
+            if key not in blocks:
+                rows = np.searchsorted(nb.nodes, nb.interior)
+                pou = partition_of_unity(g, modes.node, nb.interior)
+                block, cond = _energy_orthonormalize(
+                    pou[:, None] * modes.vectors[rows, :n_modes],
+                    fs.stiffness[support][:, support], modes.node)
+                block.flags.writeable = False
+                blocks[key] = block
+                worst_cond = max(worst_cond, cond)
+            supports.append(support)
+            vectors.append(blocks[key])
+            eigenvalues.append(modes.eigenvalues[:n_modes])
+    logger.info("basis: %d distinct blocks of %d neighborhoods, largest energy "
+                "Gram condition number %.3g", len(blocks), len(nodes), worst_cond)
     return OfflineBasis(grid=g, n_modes=n_modes, nodes=nodes,
                         eigenvalues=np.array(eigenvalues), supports=supports,
                         vectors=vectors)
 
 
-def _energy_gram_schmidt(block: np.ndarray, stiff: sp.csr_matrix, node: int) -> np.ndarray:
-    """Modified Gram-Schmidt in the energy inner product, column order kept."""
-    out = block.copy()
-    for j in range(out.shape[1]):
-        v = out[:, j]
-        for k in range(j):
-            v = v - (out[:, k] @ (stiff @ v)) * out[:, k]
-        nrm2 = v @ (stiff @ v)
-        if not np.isfinite(nrm2) or nrm2 <= 1e-28:
+def _energy_orthonormalize(block: np.ndarray, stiff: sp.csr_matrix, node: int):
+    """Two passes of Cholesky-QR in the energy inner product, column order kept.
+
+    Each pass factors the Gram matrix G = X^T K X = L L^T and replaces X by
+    X L^-T. In exact arithmetic one pass gives modified Gram-Schmidt's
+    result, and the squared pivot L_jj^2 is the squared energy norm that
+    Gram-Schmidt divides column j by; the second pass removes the rounding
+    of the first, which grows with the condition number of G. A failed
+    factorization, or a squared pivot that is not finite or is at most
+    1e-28, raises NumericalError naming the column. Returns the block and
+    the condition number of the first pass's Gram matrix, the ratio of its
+    extreme eigenvalues.
+    """
+    out = block
+    first_cond = None
+    for _ in range(2):
+        gram = out.T @ (stiff @ out)
+        factor, info = scipy.linalg.lapack.dpotrf(gram, lower=True)
+        done = info - 1 if info > 0 else len(gram)
+        squares = np.diag(factor)[:done] ** 2
+        bad = np.flatnonzero(~(np.isfinite(squares) & (squares > 1e-28)))
+        if info or len(bad):
             raise NumericalError(
                 f"energy orthonormalization degenerated in neighborhood {node} "
-                f"at column {j}")
-        out[:, j] = v / np.sqrt(nrm2)
-    return out
+                f"at column {bad[0] if len(bad) else done}")
+        if first_cond is None:
+            # the routine the pencil eigensolves already use; numpy's
+            # SVD-based cond raised the tiny-forced benchmark's peak RSS by 0.9 MB
+            values = scipy.linalg.eigvalsh(gram, driver="evd", check_finite=False)
+            first_cond = float(values[-1] / values[0])
+        out = scipy.linalg.solve_triangular(factor, out.T, lower=True,
+                                            check_finite=False).T
+    return out, first_cond
 
 
 def build_offline(fs: FineSystem, n_modes: int) -> OfflineBasis:
@@ -485,7 +532,10 @@ def assemble_prolongation(basis: OfflineBasis, blocks) -> Prolongation:
     """Assemble the prolongation with its columns in mode-block order.
 
     ``blocks`` partitions the per-node mode count: block q takes modes
-    ``offset_q .. offset_q + blocks[q]`` of every neighborhood.
+    ``offset_q .. offset_q + blocks[q]`` of every neighborhood. Column
+    (q, i, k) is mode k of node i on ``basis.supports[i]``, so the CSC
+    arrays are written directly, column after column, and converted once
+    to the CSR matrix.
     """
     blocks = tuple(int(b) for b in blocks)
     if len(blocks) == 0 or any(b < 1 for b in blocks):
@@ -493,41 +543,52 @@ def assemble_prolongation(basis: OfflineBasis, blocks) -> Prolongation:
     if sum(blocks) != basis.n_modes:
         raise ValueError(
             f"block sizes {blocks} do not sum to the mode count {basis.n_modes}")
-    ell = basis.n_modes
-    n_nb = len(basis.nodes)
-    column = np.empty((n_nb, ell), dtype=np.int64)
-    offset = 0
+    sizes = np.array([len(sup) for sup in basis.supports], dtype=np.int64)
+    nnz = basis.n_modes * int(sizes.sum())
+    index = np.int32 if nnz < 2 ** 31 else np.int64
+    indptr = np.zeros(basis.n_columns + 1, dtype=index)
+    np.cumsum(np.concatenate([np.repeat(sizes, b) for b in blocks]), out=indptr[1:])
+    data = np.empty(nnz)
+    indices = np.empty(nnz, dtype=index)
+    pos = offset = 0
     for b in blocks:
-        column[:, offset:offset + b] = (n_nb * offset + b * np.arange(n_nb)[:, None]
-                                        + np.arange(b)[None, :])
+        for sup, vec in zip(basis.supports, basis.vectors):
+            end = pos + b * len(sup)
+            data[pos:end].reshape(b, len(sup))[:] = vec[:, offset:offset + b].T
+            indices[pos:end].reshape(b, len(sup))[:] = sup
+            pos = end
         offset += b
-    rows = np.concatenate([np.repeat(sup, ell) for sup in basis.supports])
-    cols = np.concatenate([np.tile(column[i], len(sup))
-                           for i, sup in enumerate(basis.supports)])
-    vals = np.concatenate([vec.ravel() for vec in basis.vectors])
-    matrix = sp.coo_matrix((vals, (rows, cols)),
-                           shape=(len(basis.grid.interior_fine_ids), n_nb * ell)).tocsr()
-    return Prolongation(matrix=matrix, block_sizes=blocks)
+    columns = sp.csc_matrix((data, indices, indptr),
+                            shape=(len(basis.grid.interior_fine_ids), basis.n_columns))
+    return Prolongation(matrix=columns.tocsr(), block_sizes=blocks)
 
 
-def _galerkin(prol: sp.csr_matrix, fine: sp.csr_matrix) -> sp.csr_matrix:
-    """Exactly symmetric projection prol^T fine prol, as CSR."""
-    coarse = prol.T @ (fine @ prol)
-    return (0.5 * (coarse + coarse.T)).tocsr()  # the product is CSC
+def _galerkin(prol: sp.csr_matrix, prol_t: sp.csr_matrix,
+              fine: sp.csr_matrix) -> sp.csr_matrix:
+    """Exactly symmetric projection prol^T fine prol, as CSR.
+
+    ``prol_t`` is prol^T as CSR, so both products are CSR times CSR and
+    neither converts its right operand to another format.
+    """
+    coarse = prol_t @ (fine @ prol)
+    return 0.5 * (coarse + coarse.T)
 
 
 def project_coarse(fs: FineSystem, prol: Prolongation) -> CoarseSystem:
     """Galerkin projection of the fine system onto the block basis.
 
     Returns the coarse mass/stiffness (exactly symmetric CSR), the projected
-    forcing, and the initial coarse coefficients. Both operators are checked
-    positive definite by one sparse factorization each; the coarse system
-    keeps the mass factor for the energy monitor. The initial coefficients
-    are the moments of the initial field, its mass pairings with each basis
-    function, not solved with the coarse mass: that keeps the initial vector
-    free of the near-dependent basis combinations that a mass solve
-    amplifies, so the three-level scheme starts without exciting its weakly
-    damped mode.
+    forcing, and the initial coarse coefficients. The products P^T (A P)
+    are CSR times CSR: P is converted to CSC once, whose transpose is P^T
+    as CSR, and that copy is freed after the two products; kept through
+    the whole run it raised the peak memory of ``msplit run example1``
+    from 169 to 184 MB. Both operators are checked positive definite by
+    one sparse factorization each; the coarse system keeps the mass factor
+    for the energy monitor. The initial coefficients are the moments of
+    the initial field, its mass pairings with each basis function, not
+    solved with the coarse mass: that keeps the initial vector free of the
+    near-dependent basis combinations that a mass solve amplifies, so the
+    three-level scheme starts without exciting its weakly damped mode.
 
     A time-dependent forcing keeps the grid's load operator Q and P^T, so
     ``rhs(t)`` is P^T (Q f(t)): one source evaluation and two sparse
@@ -535,6 +596,11 @@ def project_coarse(fs: FineSystem, prol: Prolongation) -> CoarseSystem:
     operator built and freed here; none is stored on the fine system.
     """
     pmat = prol.matrix
+    pmat_t = pmat.tocsc().T
+    mass = _galerkin(pmat, pmat_t, fs.mass)
+    stiff = _galerkin(pmat, pmat_t, fs.stiffness)
+    del pmat_t
+
     source = fs.source
     time_dependent = getattr(source, "time_dependent", source is not None)
 
@@ -555,9 +621,7 @@ def project_coarse(fs: FineSystem, prol: Prolongation) -> CoarseSystem:
 
     n_nodes = prol.n_columns // sum(prol.block_sizes)
     cs = CoarseSystem(block_sizes=tuple(n_nodes * b for b in prol.block_sizes),
-                      mass=_galerkin(pmat, fs.mass),
-                      stiff=_galerkin(pmat, fs.stiffness), rhs=rhs,
-                      z0=np.zeros(prol.n_columns))
+                      mass=mass, stiff=stiff, rhs=rhs, z0=np.zeros(prol.n_columns))
     try:
         cs.mass_factor()
         SparseCholesky(cs.stiff, context="coarse stiffness")

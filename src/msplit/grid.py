@@ -211,10 +211,15 @@ def partition_of_unity(g: GridPair, node: int, nodes=slice(None)) -> np.ndarray:
     Equals one at the coarse node, zero on and outside its neighborhood
     boundary; the hats of all coarse nodes sum to one everywhere. ``nodes``
     indexes the fine node arrays (ids or a slice, every node by default);
-    the values at a subset are bit for bit those of the full sample.
+    the values at a subset are bit for bit those of the full sample. The
+    hat is evaluated in whole fine steps from the node, so two nodes whose
+    neighborhoods are the same cell patch shifted have bit-equal values at
+    the same offsets.
     """
-    xc, yc = g.coarse_node_xy(node)
-    x, y = g.fine_coords
-    tx = np.maximum(0.0, 1.0 - np.abs(x[nodes] - xc) / g.coarse_hx)
-    ty = np.maximum(0.0, 1.0 - np.abs(y[nodes] - yc) / g.coarse_hy)
+    cx, cy = g.coarse_node_grid(node)
+    r = g.refine
+    ids = np.arange(g.n_fine_nodes)[nodes]
+    ix, iy = ids % (g.nx_fine + 1), ids // (g.nx_fine + 1)
+    tx = np.maximum(0.0, 1.0 - np.abs(ix - cx * r) / r)
+    ty = np.maximum(0.0, 1.0 - np.abs(iy - cy * r) / r)
     return tx * ty

@@ -438,13 +438,15 @@ def _energy_monitor(parts: SplitParts, config: SplitConfig, states: np.ndarray,
     Young's inequality and D >= 0 then give the bound, which compares
     |(z^{n+1} + z^n)/2|^2_B with E_1 + (tau/2) sum_{k=2}^{n+1} |f^k|^2_{C^-1}
     for n = 1..N-1; ``forcing`` stacks f^2 .. f^N, ``mass_factor`` factors C.
+
+    A static source repeats one forcing row at every level; |f|^2_{C^-1}
+    then takes one solve with C instead of one per level.
     """
     tau = config.tau
     damping = damping_matrix(parts, config)
     n_steps = len(states) - 1
     energy = np.empty(n_steps)
     potential = np.empty(n_steps)
-    work = np.empty(len(forcing))
     for lo in range(0, n_steps, TRAJECTORY_CHUNK):
         rows = slice(lo, lo + TRAJECTORY_CHUNK)
         now, prev = states[1:][rows], states[:-1][rows]
@@ -453,9 +455,16 @@ def _energy_monitor(parts: SplitParts, config: SplitConfig, states: np.ndarray,
         potential[rows] = np.einsum("ij,ji->i", means, parts.stiff @ means.T)
         energy[rows] = (np.einsum("ij,ji->i", diffs, damping @ diffs.T) / tau ** 2
                         + potential[rows])
-        f = forcing[rows]
-        work[rows] = 0.5 * tau * np.einsum("ij,ji->i", f, mass_factor.solve(f.T))
-    return energy, potential[1:], energy[0] + np.cumsum(work)
+    static = all((forcing[lo:lo + TRAJECTORY_CHUNK] == forcing[0]).all()
+                 for lo in range(0, len(forcing), TRAJECTORY_CHUNK))
+    solved = forcing[:1] if static else forcing
+    work = np.empty(len(solved))
+    for lo in range(0, len(solved), TRAJECTORY_CHUNK):
+        f = solved[lo:lo + TRAJECTORY_CHUNK]
+        work[lo:lo + TRAJECTORY_CHUNK] = 0.5 * tau * np.einsum(
+            "ij,ji->i", f, mass_factor.solve(f.T))
+    return (energy, potential[1:],
+            energy[0] + np.cumsum(np.broadcast_to(work, len(forcing))))
 
 
 def _check_bound(bound_lhs: np.ndarray, bound_rhs: np.ndarray) -> None:

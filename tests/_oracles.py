@@ -85,6 +85,21 @@ def scatter_load(g, source, t):
     return full[g.interior_fine_ids]
 
 
+def energy_gram_schmidt(block, stiff):
+    """Modified Gram-Schmidt of the columns of ``block`` in the product x^T K y.
+
+    Columns are taken in order; each is stripped of its components along
+    the ones before it, one at a time, and divided by its energy norm.
+    """
+    out = np.array(block, dtype=float)
+    for j in range(out.shape[1]):
+        v = out[:, j]
+        for k in range(j):
+            v = v - (out[:, k] @ (stiff @ v)) * out[:, k]
+        out[:, j] = v / np.sqrt(v @ (stiff @ v))
+    return out
+
+
 def charpoly_eigs(astiff, smass):
     """Eigenvalues of the pencil det(A - lambda S) = 0 via symbolic roots.
 

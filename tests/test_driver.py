@@ -195,6 +195,22 @@ def test_build_pipeline_contents(tiny_pipe):
     assert pipe.coarse.dim == pipe.prol.n_columns
 
 
+def test_build_pipeline_calls_each_offline_layer_through_the_module(monkeypatch):
+    # the benchmark's tracer times these four layers by replacing the
+    # module attributes, so the pipeline must reach each one through them
+    calls = []
+    for name in ("offline_modes", "assemble_basis", "assemble_prolongation",
+                 "project_coarse"):
+        def counting(*args, _inner=getattr(gmsfem, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(gmsfem, name, counting)
+    driver.build_pipeline(tiny_config())
+    assert calls == ["offline_modes", "assemble_basis", "assemble_prolongation",
+                     "project_coarse"]
+
+
 def test_reconstruct_fine_matches_parts(tiny_pipe):
     pipe = tiny_pipe
     rng = np.random.default_rng(2)

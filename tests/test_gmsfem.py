@@ -8,10 +8,10 @@ import scipy.sparse as sp
 
 from msplit import driver, gmsfem, linalg, splitting
 from msplit.fineassembly import LoadOperator, Permeability, assemble
-from msplit.grid import GridPair, neighborhood
+from msplit.grid import GridPair, neighborhood, partition_of_unity
 from msplit.linalg import NumericalError
 
-from _oracles import dense_q1_matrices, oracle_snapshots
+from _oracles import dense_q1_matrices, energy_gram_schmidt, oracle_snapshots
 
 
 def wavy_kappa(x, y):
@@ -403,12 +403,70 @@ def test_offline_modes_runs_unpinned_without_thread_controls(small, monkeypatch)
 # --- localized basis ---
 
 def test_basis_energy_orthonormal_per_neighborhood(small):
+    # two passes of Cholesky-QR give modified Gram-Schmidt's columns
     g, fs = small
-    basis = gmsfem.build_offline(fs, 4)
-    for sup, block in zip(basis.supports, basis.vectors):
+    modes = gmsfem.offline_modes(fs, 4)
+    basis = gmsfem.assemble_basis(fs, modes, 4)
+    for m, sup, block in zip(modes, basis.supports, basis.vectors):
         sub = fs.stiffness[sup][:, sup]
         gram = block.T @ (sub @ block)
-        assert np.max(np.abs(gram - np.eye(4))) < 1e-10
+        assert np.max(np.abs(gram - np.eye(4))) < 1e-12
+        nb = neighborhood(g, m.node)
+        rows = np.searchsorted(nb.nodes, nb.interior)
+        hat = partition_of_unity(g, m.node, nb.interior)
+        want = energy_gram_schmidt(hat[:, None] * m.vectors[rows], sub)
+        assert np.max(np.abs(block - want)) < 1e-12 * np.max(np.abs(want)), m.node
+
+
+def _channels_5x5_seed11():
+    # 11 distinct neighborhoods of 16; refine 3 makes the hat's values
+    # inexact, so hats in fine offsets and in absolute coordinates differ
+    # in the last bits
+    g = GridPair(5, 5, 3)
+    return assemble(g, driver.synthetic_channels(g, seed=11, n_channels=3))
+
+
+def test_same_kind_neighborhoods_share_one_read_only_block():
+    fs = _channels_5x5_seed11()
+    g = fs.grid
+    modes = gmsfem.offline_modes(fs, 4)
+    basis = gmsfem.assemble_basis(fs, modes, 4)
+    assert len({id(m.vectors) for m in modes}) == 11
+    assert len({id(v) for v in basis.vectors}) == 11
+    x, y = g.fine_coords
+    for i, m in enumerate(modes):
+        for j in range(i):
+            shared = modes[j].vectors is m.vectors
+            assert (basis.vectors[j] is basis.vectors[i]) == shared, (i, j)
+        # each node again from its own stiffness and modes
+        nb = neighborhood(g, m.node)
+        rows = np.searchsorted(nb.nodes, nb.interior)
+        sub = fs.stiffness[basis.supports[i]][:, basis.supports[i]]
+        pou = partition_of_unity(g, m.node, nb.interior)
+        xc, yc = g.coarse_node_xy(m.node)
+        pou_xy = ((1.0 - np.abs(x[nb.interior] - xc) / g.coarse_hx)
+                  * (1.0 - np.abs(y[nb.interior] - yc) / g.coarse_hy))
+        with linalg.single_thread_blas():
+            own, _ = gmsfem._energy_orthonormalize(pou[:, None] * m.vectors[rows],
+                                                   sub, m.node)
+            absolute, _ = gmsfem._energy_orthonormalize(
+                pou_xy[:, None] * m.vectors[rows], sub, m.node)
+        assert np.array_equal(basis.vectors[i], own), m.node
+        assert np.max(np.abs(basis.vectors[i] - absolute)) <= 1e-14, m.node
+    with pytest.raises(ValueError, match="read-only"):
+        basis.vectors[0][0, 0] = 1.0
+
+
+def test_assemble_basis_logs_blocks_and_gram_condition(caplog):
+    fs = _channels_5x5_seed11()
+    modes = gmsfem.offline_modes(fs, 4)
+    with caplog.at_level(logging.INFO, logger="msplit.gmsfem"):
+        gmsfem.assemble_basis(fs, modes, 4)
+    (line,) = [msg for msg in caplog.messages if msg.startswith("basis:")]
+    head, cond = line.rsplit(" ", 1)
+    assert head == ("basis: 11 distinct blocks of 16 neighborhoods, "
+                    "largest energy Gram condition number")
+    assert 1.0 <= float(cond) < 1e3
 
 
 def test_basis_vanishes_outside_neighborhood(small):
@@ -438,8 +496,12 @@ def test_assemble_basis_mode_count_guard(small):
 def test_gram_schmidt_rejects_dependent_columns():
     stiff = sp.identity(4, format="csr")
     block = np.ones((4, 2))
-    with pytest.raises(NumericalError, match="degenerated"):
-        gmsfem._energy_gram_schmidt(block, stiff, node=0)
+    with pytest.raises(NumericalError, match="degenerated in neighborhood 0 at column 1"):
+        gmsfem._energy_orthonormalize(block, stiff, node=0)
+    # a column whose energy norm is below the guard, though positive
+    block = np.array([[1.0, 1.0], [0.0, 1e-15], [0.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(NumericalError, match="at column 1"):
+        gmsfem._energy_orthonormalize(block, stiff, node=0)
 
 
 # --- prolongation ---
@@ -533,6 +595,19 @@ def test_coarse_blocks_match_projected_operators(small):
     want_stiff = (pmat.T @ fs.stiffness @ pmat).toarray()
     assert np.max(np.abs(cs.mass.toarray() - want_mass)) < 1e-12
     assert np.max(np.abs(cs.stiff.toarray() - want_stiff)) < 1e-12
+
+
+def test_projection_is_the_galerkin_product_bit_for_bit(small):
+    # P^T (A P) as CSR @ CSR gives the bits of the CSC route, which
+    # converted A P to CSC
+    g, fs = small
+    basis = gmsfem.build_offline(fs, 4)
+    prol = gmsfem.assemble_prolongation(basis, (1, 3))
+    pmat = prol.matrix
+    cs = gmsfem.project_coarse(fs, prol)
+    for got, fine in ((cs.mass, fs.mass), (cs.stiff, fs.stiffness)):
+        old = pmat.T @ (fine @ pmat)
+        assert np.array_equal(got.toarray(), (0.5 * (old + old.T)).toarray())
 
 
 def test_coarse_operators_are_exactly_symmetric(small):

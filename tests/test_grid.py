@@ -133,11 +133,13 @@ def test_partition_of_unity_at_neighborhood_nodes_is_bit_identical():
     # the hat sampled at a neighborhood's nodes only must equal, bit for
     # bit, the full-grid sample indexed there, for every kind of node
     g = GridPair(4, 3, 5)
-    x, y = g.fine_coords
+    r = g.refine
+    ids = np.arange(g.n_fine_nodes)
+    ix, iy = ids % (g.nx_fine + 1), ids // (g.nx_fine + 1)
     for node in range(g.n_coarse_nodes):
-        xc, yc = g.coarse_node_xy(node)
-        full = (np.maximum(0.0, 1.0 - np.abs(x - xc) / g.coarse_hx)
-                * np.maximum(0.0, 1.0 - np.abs(y - yc) / g.coarse_hy))
+        cx, cy = g.coarse_node_grid(node)
+        full = (np.maximum(0.0, 1.0 - np.abs(ix - cx * r) / r)
+                * np.maximum(0.0, 1.0 - np.abs(iy - cy * r) / r))
         assert np.array_equal(partition_of_unity(g, node), full)
         nodes = neighborhood(g, node).nodes
         assert np.array_equal(partition_of_unity(g, node, nodes), full[nodes])
@@ -148,3 +150,21 @@ def test_grid_validation():
         GridPair(0, 2, 2)
     with pytest.raises(ValueError):
         GridPair(2, 2, 0)
+
+
+def test_partition_of_unity_is_one_array_at_every_interior_node():
+    # in fine offsets from the node the hat of every interior node is the
+    # same (2r - 1)^2 array, the shifted product (1 - |i - r| / r)(1 - |j - r| / r);
+    # the absolute-coordinate hat agrees with it to rounding
+    for g in (GridPair(2, 2, 3), GridPair(4, 3, 5)):
+        r = g.refine
+        t = 1.0 - np.abs(np.arange(1, 2 * r) - r) / r
+        want = np.outer(t, t).ravel()
+        x, y = g.fine_coords
+        for node in g.interior_coarse_ids:
+            interior = neighborhood(g, int(node)).interior
+            assert np.array_equal(partition_of_unity(g, int(node), interior), want)
+            xc, yc = g.coarse_node_xy(int(node))
+            absolute = ((1.0 - np.abs(x[interior] - xc) / g.coarse_hx)
+                        * (1.0 - np.abs(y[interior] - yc) / g.coarse_hy))
+            assert np.max(np.abs(absolute - want)) <= 1e-15, node

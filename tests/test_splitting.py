@@ -284,6 +284,37 @@ def test_forced_run_satisfies_a_priori_bound():
     assert traj.bound_margin >= -1e-9 * np.max(traj.bound_rhs)
 
 
+@pytest.mark.parametrize("pulsed", [False, True], ids=["static", "pulsed-sine"])
+def test_energy_monitor_solves_a_static_forcing_once(pulsed, monkeypatch):
+    # a static source repeats one forcing row at every level, so its
+    # |f|^2_{C^-1} takes one solve; a pulsed source still solves every row.
+    # Either way the bound is the one of solving row by row
+    rng = np.random.default_rng(43)
+    cmat = random_spd(rng, 6, shift=1.0)
+    vec = rng.standard_normal(6)
+    forcing = (lambda t: np.sin(7.0 * t) * vec) if pulsed else vec
+    cs = make_cs(cmat, random_spd(rng, 6), (3, 3), forcing=forcing,
+                 z0=rng.standard_normal(6))
+    parts = splitting.make_split(cs)
+    config = splitting.SplitConfig(tau=0.02, t_final=1.0,
+                                   theta_mass=1.2, theta_stiff=1.2)
+    factor = cs.mass_factor()
+    solve, solved = factor.solve, []
+
+    def counting(rhs):
+        solved.append(rhs.shape[1])
+        return solve(rhs)
+
+    monkeypatch.setattr(factor, "solve", counting)
+    traj = splitting.march(cs, parts, config)
+    rows = cs.forcing(config.tau, config.n_steps)[1:]
+    assert sum(solved) == (len(rows) if pulsed else 1)
+    per_row = 0.5 * config.tau * np.array([f @ np.linalg.solve(cmat, f) for f in rows])
+    want = traj.energy[0] + np.cumsum(per_row)
+    assert np.max(np.abs(traj.bound_rhs - want)) <= 1e-12 * np.max(np.abs(want))
+    assert traj.bound_margin >= 0.0
+
+
 def test_trajectory_shapes_and_times():
     cs = make_cs(HAND_C, HAND_B, (1, 1), z0=np.array([1.0, 2.0]))
     parts = splitting.make_split(cs)
