@@ -222,6 +222,12 @@ class LoadOperator:
     values are weighted before the product, and each row sums Gauss point by
     Gauss point and cell by cell, so the load is bit for bit the element loop
     that scatters every Gauss point's contributions in turn.
+
+    Every interior node is a corner of exactly four cells, so every row has
+    16 entries: Gauss point by Gauss point, the cells below left, below
+    right, above left and above right of the node, whose corner the node is
+    (3, 2, 1 and 0 in the element order). The CSR arrays are written in that
+    order directly.
     """
 
     def __init__(self, g: GridPair):
@@ -231,16 +237,19 @@ class LoadOperator:
         self.x = np.concatenate([cxf + s * g.hx for s, _ in _GPTS])
         self.y = np.concatenate([cyf + tq * g.hy for _, tq in _GPTS])
         self.weight = 0.25 * g.hx * g.hy
-        rows = g.fine_interior_index[_cell_node_ids(g, cells)]  # (cell, corner)
         n_pts = len(_GPTS)
-        rows = np.broadcast_to(rows, (n_pts,) + rows.shape)  # (gp, cell, corner)
-        cols = np.broadcast_to((np.arange(n_pts)[:, None] * g.n_fine_cells
-                                + cells[None, :])[:, :, None], rows.shape)
-        vals = np.broadcast_to(_SHAPE_AT_GP[:, None, :], rows.shape)
-        keep = rows >= 0
-        self.matrix = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
-                                    shape=(g.n_interior_fine, n_pts * g.n_fine_cells))
-        self.matrix.sort_indices()
+        n_cols = n_pts * g.n_fine_cells
+        per_row = 4 * n_pts
+        nnz = per_row * g.n_interior_fine
+        index = np.int32 if max(n_cols, nnz) < 2 ** 31 else np.int64
+        ix, iy = np.meshgrid(np.arange(1, g.nx_fine), np.arange(1, g.ny_fine))
+        below_left = ((iy - 1) * g.nx_fine + ix - 1).ravel()
+        around = below_left[:, None] + np.array([0, 1, g.nx_fine, g.nx_fine + 1])
+        indices = (np.arange(n_pts)[:, None] * g.n_fine_cells + around[:, None, :]).astype(index)
+        data = np.broadcast_to(_SHAPE_AT_GP[:, ::-1], indices.shape)
+        indptr = np.arange(0, nnz + 1, per_row, dtype=index)
+        self.matrix = sp.csr_matrix((data.ravel(), indices.ravel(), indptr),
+                                    shape=(g.n_interior_fine, n_cols))
 
     def load(self, source, t: float = 0.0) -> np.ndarray:
         """Load vector of f(t, x, y) over interior fine nodes."""

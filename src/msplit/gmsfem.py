@@ -11,14 +11,19 @@ weighted mass are condensed onto its boundary once, and a neighborhood's
 pencil is the sum of its cells' condensed blocks in snapshot coordinates
 (Efendiev, Galvis and Hou, J. Comput. Phys. 251, 2013). That work is done
 once per distinct medium: cells with bit-equal permeability and weight
-values are condensed once, and neighborhoods made of the same kinds of
-cells are solved once. The reuse never changes a pencil's bits. The
-snapshot columns themselves (:func:`build_snapshots`,
-:func:`spectral_matrices`) are only the brute-force reference for it. The
-modes are localized by the bilinear partition of unity, evaluated in fine
-offsets from the node, and energy-orthonormalized within the
-neighborhood by two passes of Cholesky-QR; neighborhoods of the same kinds
-of cells share one read-only block. The resulting columns form the
+values are condensed once, in batches that share one scatter map from
+element coefficients to the cell blocks and one banded factorization per
+cell, and neighborhoods made of the same kinds of cells are solved once.
+The reuse never changes a pencil's bits. The snapshot columns themselves
+(:func:`build_snapshots`, :func:`spectral_matrices`) are only the
+brute-force reference for it. Each pencil is solved for one eigenpair more
+than it keeps, and the kept eigenvectors are put into a fixed basis of each
+eigenvalue cluster, so that neither a degenerate pair at the cut nor a sign
+depends on rounding (the canonical cut). The modes are localized by the
+bilinear partition of unity, evaluated in fine offsets from the node, and
+energy-orthonormalized within the neighborhood by two passes of
+Cholesky-QR; neighborhoods of the same kinds of cells share one read-only
+block. The resulting columns form the
 prolongation from coarse coefficients to interior fine nodes: one sparse
 matrix whose columns are grouped by mode block, written column by column
 in CSC form, so the Galerkin projection yields the coarse operators
@@ -129,22 +134,18 @@ class _CellSolver:
 
     ``mapmat`` maps values at the cell's boundary nodes ``bnodes`` to the
     harmonic values at its interior nodes ``inodes`` (both ascending, from
-    :func:`_cell_nodes`). With ``mass_weight_cells`` the cell also assembles
-    its spectral-weighted mass and keeps both forms condensed onto its
-    boundary: ``condensed`` is (E^T K E, E^T W E) with E = [I; mapmat], the
-    4r x 4r stiffness and weighted mass of the harmonic extensions of
-    boundary data.
+    :func:`_cell_nodes`). It serves the brute-force reference route
+    (:func:`build_snapshots`); :class:`_CondensedCells` makes the same map
+    for the offline stage, many cells at a time.
     """
 
-    def __init__(self, fs: FineSystem, cell: int,
-                 mass_weight_cells: Optional[np.ndarray] = None):
+    def __init__(self, fs: FineSystem, cell: int):
         g = fs.grid
         nodes, on_edge = _cell_nodes(g, cell)
         self.bnodes = nodes[on_edge]
         self.inodes = nodes[~on_edge]
         cells = g.coarse_cell_fine_cells(cell)
-        wmass, stiff = local_matrices(g, fs.kappa_cells, cells, nodes,
-                                      mass_weight_cells=mass_weight_cells)
+        _, stiff = local_matrices(g, fs.kappa_cells, cells, nodes)
         bpos = np.flatnonzero(on_edge)
         ipos = np.flatnonzero(~on_edge)
         if len(self.inodes) == 0:
@@ -154,16 +155,14 @@ class _CellSolver:
             try:
                 factor = scipy.linalg.cho_factor(dense[np.ix_(ipos, ipos)], lower=True)
             except scipy.linalg.LinAlgError as exc:
-                cx, cy = g.coarse_cell_grid(cell)
-                raise NumericalError(
-                    f"local solve in coarse cell ({cx}, {cy}) is not positive definite: {exc}"
-                ) from exc
+                raise _not_definite(g, cell, exc) from exc
             self.mapmat = -scipy.linalg.cho_solve(factor, dense[np.ix_(ipos, bpos)])
-        if mass_weight_cells is not None:
-            extend = np.zeros((len(nodes), len(bpos)))
-            extend[bpos, np.arange(len(bpos))] = 1.0
-            extend[ipos] = self.mapmat
-            self.condensed = (extend.T @ (stiff @ extend), extend.T @ (wmass @ extend))
+
+
+def _not_definite(g: GridPair, cell: int, detail) -> NumericalError:
+    cx, cy = g.coarse_cell_grid(cell)
+    return NumericalError(
+        f"local solve in coarse cell ({cx}, {cy}) is not positive definite: {detail}")
 
 
 def _skeleton_rows(g: GridPair, nb: Neighborhood):
@@ -301,6 +300,103 @@ def _mapped(shape) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, size), dtype=float).reshape(shape)
 
 
+# Two neighbouring eigenvalues of a pencil belong to one cluster when their
+# relative gap (lam_j - lam_{j-1}) / |lam_j| is below this. The smallest gap
+# at a mode cut that is not an exact degeneracy is 6.0e-3 on tiny-forced,
+# 1.1e-2 on example1 and 1.75e-4 on example2-synthetic; the exactly
+# degenerate pair of example2-synthetic's unit-permeability neighborhoods
+# has a gap below 1e-13.
+_CLUSTER_RTOL = 1e-8
+# A probe of the canonical cut is passed over when its S-projection onto a
+# cluster, less the directions already chosen, has at most this share of
+# the probe's own S-norm.
+_PROBE_RTOL = 1e-6
+# Distinct coarse cells condensed per batch: at r = 16 a batch's
+# temporaries take about 20 MB.
+_BATCH = 32
+
+
+def _relative_gaps(values: np.ndarray) -> np.ndarray:
+    """(lam_j - lam_{j-1}) / |lam_j| for j >= 1 of ascending eigenvalues; 0 where equal."""
+    diff = np.diff(values)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(diff > 0.0, diff / np.abs(values[1:]), 0.0)
+
+
+def _cut_probes(g: GridPair, nb: Neighborhood) -> np.ndarray:
+    """The polynomial probes of the canonical cut, in order, one per column.
+
+    Each column holds a polynomial's values at the neighborhood's boundary
+    nodes, which are its snapshot coefficients. The polynomials are in the
+    fine offsets (xi, eta) from the coarse node, scaled by 1/r: xi - eta,
+    xi + eta, xi eta, xi^2 - eta^2, xi^2 + eta^2, xi^2 eta - xi eta^2,
+    xi^2 eta + xi eta^2, xi^3 - eta^3, xi^3 + eta^3. Every interior
+    neighborhood is the same cell patch shifted, so one neighborhood's
+    probes serve all.
+    """
+    cx, cy = g.coarse_node_grid(nb.node)
+    r = g.refine
+    nper = g.nx_fine + 1
+    xi = (nb.boundary % nper - cx * r) / r
+    eta = (nb.boundary // nper - cy * r) / r
+    return np.column_stack([
+        xi - eta, xi + eta, xi * eta, xi ** 2 - eta ** 2, xi ** 2 + eta ** 2,
+        xi ** 2 * eta - xi * eta ** 2, xi ** 2 * eta + xi * eta ** 2,
+        xi ** 3 - eta ** 3, xi ** 3 + eta ** 3])
+
+
+def _canonical_cut(values: np.ndarray, vectors: np.ndarray, smass: np.ndarray,
+                   n_modes: int, polys: np.ndarray, context: str = "") -> np.ndarray:
+    """The ``n_modes`` kept eigenvectors, in a fixed basis of each kept cluster.
+
+    ``values`` are ascending with S-orthonormal ``vectors`` and must reach
+    past the cluster at the cut. The eigenvalues fall into clusters where
+    the relative gap (:func:`_relative_gaps`) is at least
+    :data:`_CLUSTER_RTOL`. An eigensolver may return any S-orthonormal basis
+    of a cluster, and either sign of a single eigenvector; which one depends
+    on rounding. So the kept columns of every cluster that reaches below
+    the cut are a fixed choice. The probes are the polynomials ``polys``
+    (:func:`_cut_probes`) and then Kronecker data at each boundary node in
+    ascending order, so together they span every snapshot combination. Each
+    probe in turn is S-projected onto the cluster's span, the directions
+    already chosen are removed, and what is left is kept, normalized,
+    unless it is at most :data:`_PROBE_RTOL` of the probe's S-norm; this
+    stops at the cluster's kept count. A single eigenvector so keeps its
+    direction and gets a fixed sign, and a cluster the cut splits keeps the
+    projections of the first probes that reach it. Neither depends on the
+    basis the solver returned.
+    """
+    gaps = _relative_gaps(values)
+    starts = np.concatenate([[0], np.flatnonzero(gaps >= _CLUSTER_RTOL) + 1, [len(values)]])
+    end = starts[np.searchsorted(starts, n_modes)]
+    weighted = (smass @ vectors[:, :end]).T
+    coeffs = np.hstack([weighted @ polys, weighted])
+    norms = np.sqrt(np.concatenate([np.einsum("ij,ij->j", polys, smass @ polys),
+                                    np.diag(smass)]))
+    kept = np.empty((len(vectors), n_modes))
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        if lo >= n_modes:
+            break
+        count = min(hi, n_modes) - lo
+        chosen = np.empty((hi - lo, count))
+        found = 0
+        for coeff, norm in zip(coeffs[lo:hi].T, norms):
+            for _ in range(2 if found else 0):
+                coeff = coeff - chosen[:, :found] @ (chosen[:, :found].T @ coeff)
+            size = np.linalg.norm(coeff)
+            if size > _PROBE_RTOL * norm:
+                chosen[:, found] = coeff / size
+                found += 1
+                if found == count:
+                    break
+        else:
+            where = f" in {context}" if context else ""
+            raise NumericalError(f"canonical mode cut found {found} of {count} "
+                                 f"directions in a cluster{where}")
+        kept[:, lo:lo + count] = vectors[:, lo:hi] @ chosen
+    return kept
+
+
 class _CondensedCells:
     """Every distinct coarse cell condensed onto its boundary, and the shared skeleton.
 
@@ -309,12 +405,20 @@ class _CondensedCells:
     the position inside the coarse cell. So the cells are grouped by the
     exact bytes of those two blocks, and each group's first cell stands for
     it: ``kind[c]`` is cell c's group, and ``mapmat[k]`` and ``blocks[:, k]``
-    (stiffness, weighted mass) hold that cell's :class:`_CellSolver` results,
-    one stacked array per kind. Cells of one group would give bit-equal
-    results, so the reuse changes no bit of any pencil. Every interior
-    neighborhood is the same 2 x 2 cell patch shifted by whole coarse cells,
-    so its skeleton rows, and the rows ``select[q]`` (D_q) that give the
-    boundary data of its q-th cell (ascending cell id), are those of the
+    (stiffness, weighted mass) hold that cell's :meth:`condense` results,
+    one stacked array per kind. Every cell shares one fine-cell pattern, so
+    fixed sparse scatter maps take a cell's element coefficients (the
+    permeability, then the spectral weight) straight to its blocks:
+    the interior stiffness K_ii in LAPACK lower-band storage (half-bandwidth
+    r), the dense K_bi and K_bb, and the weighted mass W in a fixed CSR
+    pattern. The representatives are condensed :data:`_BATCH` at a time.
+    Each cell's arithmetic is its own, so a cell gives the same bits alone
+    as in any batch, and the reuse changes no bit of any pencil.
+
+    Every interior neighborhood is the same 2 x 2 cell patch shifted by
+    whole coarse cells, so its skeleton rows, the rows ``select[q]`` (D_q)
+    that give the boundary data of its q-th cell (ascending cell id), and
+    the probes of the canonical cut (:func:`_cut_probes`) are those of the
     first interior neighborhood. A neighborhood's snapshot columns are the
     skeleton rows on its coarse edges and mapmat[kind[c_q]] @ D_q inside its
     q-th cell c_q. The stacked arrays live in their own memory mappings
@@ -326,79 +430,211 @@ class _CondensedCells:
         r = g.refine
         fine = np.array([g.coarse_cell_fine_cells(c)
                          for c in range(g.nx_coarse * g.ny_coarse)])
-        media = np.concatenate([np.asarray(fs.kappa_cells, float).ravel()[fine],
-                                np.asarray(mass_weight_cells, float).ravel()[fine]],
-                               axis=1)
+        self._kappa = np.asarray(fs.kappa_cells, float).ravel()[fine]
+        self._weight = np.asarray(mass_weight_cells, float).ravel()[fine]
+        media = np.concatenate([self._kappa, self._weight], axis=1)
         _, first, kind = np.unique(media.view(np.uint64), axis=0,
                                    return_index=True, return_inverse=True)
         self.kind = kind.ravel()
-        self.mapmat = _mapped((len(first), (r - 1) ** 2, 4 * r))
-        self.blocks = _mapped((2, len(first), 4 * r, 4 * r))
-        for k, cell in enumerate(first):
-            solver = _CellSolver(fs, int(cell), mass_weight_cells)
-            self.mapmat[k] = solver.mapmat
-            self.blocks[:, k] = solver.condensed
+        self._grid = g
+        self._scatter_maps()
+        n_b, n_i = 4 * r, (r - 1) ** 2
+        self.mapmat = _mapped((len(first), n_i, n_b))
+        self.blocks = _mapped((2, len(first), n_b, n_b))
+        for k in range(0, len(first), _BATCH):
+            batch = slice(k, k + _BATCH)
+            self.mapmat[batch], self.blocks[0, batch], self.blocks[1, batch] = \
+                self.condense(first[batch])
         template = neighborhood(g, int(g.interior_coarse_ids[0]))
         skel_ids, self.skel_rows = _skeleton_rows(g, template)
         self.skel_pos = np.searchsorted(template.nodes, skel_ids)
-        self.select = np.empty((4, 4 * r, template.n_boundary))
-        self.inner_pos = np.empty((4, (r - 1) ** 2), dtype=np.int64)
+        self.select = np.empty((4, n_b, template.n_boundary))
+        self.inner_pos = np.empty((4, n_i), dtype=np.int64)
         for q, cell in enumerate(template.cells):
             nodes, on_edge = _cell_nodes(g, int(cell))
             self.select[q] = self.skel_rows[np.searchsorted(skel_ids, nodes[on_edge])]
             self.inner_pos[q] = np.searchsorted(template.nodes, nodes[~on_edge])
+        # D_q reads only the data of the snapshots that reach cell q: its own
+        # stretch of the neighborhood boundary and the coarse neighbors of
+        # the central node, the same count for every q
+        self.reach = np.array([np.flatnonzero(np.any(d != 0.0, axis=0)) for d in self.select])
+        self.select = np.take_along_axis(self.select, self.reach[:, None, :], axis=2)
+        self._reach_ix = [np.ix_(reach, reach) for reach in self.reach]
+        self.probes = _cut_probes(g, template)
+
+    def _scatter_maps(self):
+        """Sparse maps from a cell's r^2 element coefficients to its blocks.
+
+        The cell's (r+1)^2 nodes are taken boundary first, then interior,
+        each ascending as in :func:`_cell_nodes`. ``_stiff_map`` has one row
+        per entry of [band of K_ii | K_bi | K_bb] that some element reaches
+        (``_stiff_slots``; the rest are zero): the band as (n_i, kd + 1)
+        row-major, whose transpose is LAPACK's Fortran lower-band array.
+        ``_mass_map`` has one row per stored entry of W's CSR pattern
+        (``_mass_indptr``, ``_mass_indices``). Each row sums its elements in
+        ascending order, so K_bb and W come out exactly symmetric.
+        """
+        g = self._grid
+        r = g.refine
+        n = (r + 1) ** 2
+        n_b, n_i = 4 * r, (r - 1) ** 2
+        self._kd = min(r, max(n_i - 1, 0))
+        _, on_edge = _cell_nodes(g, 0)
+        pos = np.empty(n, dtype=np.int64)
+        pos[np.concatenate([np.flatnonzero(on_edge), np.flatnonzero(~on_edge)])] = np.arange(n)
+        ex, ey = np.arange(r * r) % r, np.arange(r * r) // r
+        corners = pos[(ey * (r + 1) + ex)[:, None] + np.array([0, 1, r + 1, r + 2])]
+        rows = np.broadcast_to(corners[:, :, None], (r * r, 4, 4)).ravel()
+        cols = np.broadcast_to(corners[:, None, :], (r * r, 4, 4)).ravel()
+        elems = np.repeat(np.arange(r * r), 16)
+        mass_unit, stiff_unit = fineassembly._mass_stiff_units(g)
+
+        band_size = (self._kd + 1) * n_i
+        i_row, i_col = rows - n_b, cols - n_b
+        in_band = (i_row >= i_col) & (i_col >= 0)
+        bi = (rows < n_b) & (cols >= n_b)
+        bb = (rows < n_b) & (cols < n_b)
+        target = np.concatenate([
+            i_col[in_band] * (self._kd + 1) + (i_row - i_col)[in_band],
+            band_size + rows[bi] * n_i + i_col[bi],
+            band_size + n_b * n_i + rows[bb] * n_b + cols[bb]])
+        units = np.tile(stiff_unit.ravel(), r * r)
+        self._stiff_size = band_size + n_b * n_i + n_b * n_b
+        self._stiff_slots = np.unique(target)
+        self._stiff_map = sp.csr_matrix(
+            (np.concatenate([units[in_band], units[bi], units[bb]]),
+             (np.searchsorted(self._stiff_slots, target),
+              np.concatenate([elems[in_band], elems[bi], elems[bb]]))),
+            shape=(len(self._stiff_slots), r * r))
+        self._stiff_map.sort_indices()
+
+        keys = rows * n + cols
+        pattern = np.unique(keys)
+        self._mass_indptr = np.searchsorted(pattern, np.arange(n + 1) * n)
+        self._mass_indices = pattern % n
+        self._mass_map = sp.csr_matrix(
+            (np.tile(mass_unit.ravel(), r * r), (np.searchsorted(pattern, keys), elems)),
+            shape=(len(pattern), r * r))
+        self._mass_map.sort_indices()
+
+    def condense(self, cells: np.ndarray):
+        """(mapmat, E^T K E, E^T W E) of coarse ``cells``, stacked in their order.
+
+        E = [I; mapmat] extends boundary data harmonically into the cell, and
+        mapmat = -K_ii^-1 K_ib comes from one banded Cholesky factorization
+        (``dpbtrf``/``dpbtrs``) per cell. The condensed stiffness is the
+        Schur complement K_bb + K_bi mapmat; the weighted mass is E^T (W E),
+        with W E one sparse product over the block-diagonal W of all
+        ``cells``.
+        """
+        g = self._grid
+        r = g.refine
+        n = (r + 1) ** 2
+        n_b, n_i = 4 * r, (r - 1) ** 2
+        count = len(cells)
+        band_size = (self._kd + 1) * n_i
+        stiff = np.zeros((count, self._stiff_size))
+        stiff[:, self._stiff_slots] = (self._stiff_map @ self._kappa[cells].T).T
+        kbi = stiff[:, band_size:band_size + n_b * n_i].reshape(count, n_b, n_i)
+        mapmat = np.empty((count, n_i, n_b))
+        for j, cell in enumerate(cells if n_i else ()):
+            band = stiff[j, :band_size].reshape(n_i, self._kd + 1).T
+            factor, info = scipy.linalg.lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+            if info == 0:
+                solved, info = scipy.linalg.lapack.dpbtrs(factor, kbi[j].T, lower=1)
+            if info:
+                raise _not_definite(g, int(cell), f"LAPACK info {info}")
+            mapmat[j] = -solved
+        schur = stiff[:, band_size + n_b * n_i:].reshape(count, n_b, n_b) + kbi @ mapmat
+
+        weights = self._mass_map @ self._weight[cells].T
+        nnz = len(self._mass_indices)
+        wmass = sp.csr_matrix(
+            (weights.T.ravel(),
+             (self._mass_indices + n * np.arange(count)[:, None]).ravel(),
+             np.concatenate([[0], (self._mass_indptr[1:]
+                                   + nnz * np.arange(count)[:, None]).ravel()])),
+            shape=(count * n, count * n))
+        extend = np.empty((count, n, n_b))
+        extend[:, :n_b] = np.eye(n_b)
+        extend[:, n_b:] = mapmat
+        wext = (wmass @ extend.reshape(count * n, n_b)).reshape(count, n, n_b)
+        mass = wext[:, :n_b] + mapmat.transpose(0, 2, 1) @ wext[:, n_b:]
+        return mapmat, schur, mass
 
     def pencil(self, cells: np.ndarray):
         """(astiff, smass) of the neighborhood made of ``cells``: sum_q D_q^T X_q D_q.
 
-        X_q are the blocks of cell c_q's kind. The four products are summed
-        in cell order. Rounding decides which member of an exactly
-        degenerate eigenpair comes first, and a mode cut can fall between
-        the two: example2-synthetic's 10-mode cut does so in every
-        neighborhood of unit permeability. This order keeps the member that
-        the brute-force pencil keeps there.
+        X_q are the blocks of cell c_q's kind. Each term fills only the rows
+        and columns of the snapshots that reach cell q (``reach[q]``), and
+        the terms are summed in cell order. The
+        rounding of this sum may decide which members of an exactly
+        degenerate eigenvalue cluster an eigensolver returns first;
+        :func:`_canonical_cut` makes the kept ones independent of it.
         """
-        kinds = self.kind[cells]
+        terms = self.select.transpose(0, 2, 1) @ (self.blocks[:, self.kind[cells]] @ self.select)
+        size = self.skel_rows.shape[1]
         forms = []
-        for blocks in self.blocks:
-            form = sum(d.T @ (x @ d) for d, x in zip(self.select, blocks[kinds]))
+        for form_terms in terms:
+            form = np.zeros((size, size))
+            for reach, term in zip(self._reach_ix, form_terms):
+                form[reach] += term
             forms.append(0.5 * (form + form.T))
         return tuple(forms)
 
     def modes(self, nb: Neighborhood, n_modes: int):
         """The ``n_modes`` lowest eigenpairs of one interior neighborhood's pencil.
 
-        Returns (eigenvalues, vectors), both read-only; only the kept
-        eigenvectors are extended to the neighborhood's nodes.
+        The pencil is solved for ``n_modes + 1`` pairs, so that the relative
+        gap at the cut is seen. A cut inside a cluster is solved again for
+        the whole spectrum, which bounds the cluster. The kept eigenvectors
+        are those of :func:`_canonical_cut`. Returns (eigenvalues, vectors,
+        gap): the first two read-only, only the kept eigenvectors extended
+        to the neighborhood's nodes, and the gap (infinite when every mode
+        is kept).
         """
         astiff, smass = self.pencil(nb.cells)
-        eig = eig_gsym(astiff, smass, context=f"neighborhood {nb.node}")
-        kept = eig.vectors[:, :n_modes]
+        context = f"neighborhood {nb.node}"
+        eig = eig_gsym(astiff, smass, context=context, count=n_modes + 1)
+        gap = float(_relative_gaps(eig.values)[n_modes - 1]) \
+            if n_modes < len(eig.values) else np.inf
+        if gap < _CLUSTER_RTOL and len(eig.values) < len(astiff):
+            eig = eig_gsym(astiff, smass, context=context)
+        kept = _canonical_cut(eig.values, eig.vectors, smass, n_modes, self.probes, context)
         vectors = np.empty((len(nb.nodes), n_modes))
         vectors[self.skel_pos] = self.skel_rows @ kept
-        vectors[self.inner_pos] = self.mapmat[self.kind[nb.cells]] @ (self.select @ kept)
+        data = self.select @ kept[self.reach]
+        vectors[self.inner_pos] = self.mapmat[self.kind[nb.cells]] @ data
         eigenvalues = eig.values[:n_modes]
         eigenvalues.flags.writeable = vectors.flags.writeable = False
-        return eigenvalues, vectors
+        return eigenvalues, vectors, gap
 
 
 def offline_modes(fs: FineSystem, n_modes: int) -> list:
     """Spectral modes for every interior coarse node, ascending node order.
 
     The spectral pencil is assembled by static condensation: each distinct
-    coarse cell is factored and its stiffness and weighted mass condensed
-    onto its 4r boundary nodes once, up front (:class:`_CondensedCells`),
-    and every neighborhood's pencil is the sum of its four cells' condensed
-    blocks mapped to snapshot coordinates. Neighborhoods whose four cells
-    are of the same kinds, in the same order, have bit-equal pencils, so
-    each such pencil is solved, and its kept modes extended into the cells,
-    once: the neighborhoods that share it get their own
-    :class:`NeighborhoodModes` with the same read-only ``eigenvalues`` and
-    ``vectors`` arrays. Where every cell is distinct (example1), every
-    neighborhood is solved. :func:`build_snapshots` and
-    :func:`spectral_matrices` form the same pencil by brute force and serve
-    as its reference. The counts of distinct cells and neighborhoods are
-    logged at INFO on the ``msplit.gmsfem`` logger.
+    coarse cell is condensed onto its 4r boundary nodes once, up front and
+    in batches (:class:`_CondensedCells`), and every neighborhood's pencil
+    is the sum of its four cells' condensed blocks mapped to snapshot
+    coordinates. Neighborhoods whose four cells are of the same kinds, in
+    the same order, have bit-equal pencils, so each such pencil is solved,
+    and its kept modes extended into the cells, once: the neighborhoods
+    that share it get their own :class:`NeighborhoodModes` with the same
+    read-only ``eigenvalues`` and ``vectors`` arrays. Where every cell is
+    distinct (example1), every neighborhood is solved.
+    :func:`build_snapshots` and :func:`spectral_matrices` form the same
+    pencil by brute force and serve as its reference.
+
+    Each pencil is solved for ``n_modes + 1`` eigenpairs, and the kept
+    eigenvectors are put into a fixed basis of each eigenvalue cluster
+    (relative gap below :data:`_CLUSTER_RTOL`; :func:`_canonical_cut`).
+    Where the cut falls inside a cluster, its kept members are so a fixed
+    choice too, and the coarse space depends neither on the eigensolver nor
+    on the order of the pencil's sums. Two INFO lines on
+    the ``msplit.gmsfem`` logger give the counts of distinct cells and
+    neighborhoods, the smallest relative gap at the cut over the solved
+    pencils and how many of them were cut inside a cluster.
 
     The neighborhoods are solved one after another with every loaded
     OpenBLAS pinned to one thread; each library's previous thread count is
@@ -426,11 +662,15 @@ def offline_modes(fs: FineSystem, n_modes: int) -> list:
             key = tuple(condensed.kind[nb.cells])
             if key not in solved:
                 solved[key] = condensed.modes(nb, n_modes)
-            eigenvalues, vectors = solved[key]
+            eigenvalues, vectors, _ = solved[key]
             modes.append(NeighborhoodModes(node=nb.node, eigenvalues=eigenvalues,
                                            vectors=vectors))
+    gaps = [gap for _, _, gap in solved.values()]
     logger.info("offline: %d distinct cells of %d, %d distinct neighborhoods of %d",
                 len(condensed.mapmat), len(condensed.kind), len(solved), len(nodes))
+    logger.info("offline: smallest relative gap at the %d-mode cut %.3g; %d of %d "
+                "solved pencils cut inside a cluster, kept canonically", n_modes,
+                min(gaps), sum(gap < _CLUSTER_RTOL for gap in gaps), len(gaps))
     return modes
 
 

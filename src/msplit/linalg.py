@@ -17,6 +17,7 @@ from __future__ import annotations
 import ctypes
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -81,19 +82,23 @@ class EigResult:
     vectors: np.ndarray  # columns
 
 
-def eig_gsym(astiff: np.ndarray, smass: np.ndarray, context: str = "") -> EigResult:
+def eig_gsym(astiff: np.ndarray, smass: np.ndarray, context: str = "",
+             count: Optional[int] = None) -> EigResult:
     """Solve A v = lambda S v for a symmetric pencil with S positive definite.
 
-    Returns all eigenvalues ascending with S-orthonormal eigenvectors and
-    verifies the residual of every pair against 1e-8 times the largest column
-    2-norm of A. That scale is at most ||A||_2, so the check is at least as
-    strict as one against 1e-8 * ||A||_2, and it costs no SVD.
+    Returns the ``count`` smallest eigenvalues ascending (all of them when
+    ``count`` is None or at least the order of A) with S-orthonormal
+    eigenvectors, and verifies the residual of every returned pair against
+    1e-8 times the largest column 2-norm of A. That scale is at most
+    ||A||_2, so the check is at least as strict as one against
+    1e-8 * ||A||_2, and it costs no SVD.
     """
     astiff = np.asarray(astiff, dtype=float)
     smass = np.asarray(smass, dtype=float)
     where = f" in {context}" if context else ""
+    subset = None if count is None or count >= len(astiff) else [0, count - 1]
     try:
-        values, vectors = scipy.linalg.eigh(astiff, smass)
+        values, vectors = scipy.linalg.eigh(astiff, smass, subset_by_index=subset)
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError(f"generalized eigensolve failed{where}: {exc}") from exc
     scale = np.linalg.norm(astiff, axis=0).max() if astiff.size else 0.0

@@ -7,7 +7,7 @@ from msplit.fineassembly import (LoadOperator, Permeability, assemble,
                                  read_grid_file, write_field, write_grid_file)
 from msplit.grid import GridPair
 
-from _oracles import dense_q1_matrices, scatter_load
+from _oracles import coo_load_matrix, dense_q1_matrices, scatter_load
 from conftest import rng_for
 
 
@@ -103,6 +103,17 @@ def test_load_matches_scatter_oracle_bit_for_bit(source):
     for t in (0.0, 0.35, 1.0):
         want = scatter_load(g, source, t)
         assert np.array_equal(loads.load(source, t), want)
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3), (2, 3, 4), (1, 1, 1), (5, 2, 2)])
+def test_load_operator_csr_arrays_equal_the_coo_build(shape):
+    # the CSR arrays written row by row are those a COO build converts to
+    g = GridPair(*shape)
+    got = LoadOperator(g).matrix
+    want = coo_load_matrix(g)
+    for a, b in ((got.data, want.data), (got.indices, want.indices),
+                 (got.indptr, want.indptr)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_load_operator_shape():

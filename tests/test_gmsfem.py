@@ -1,17 +1,20 @@
 """Offline multiscale construction: snapshots, spectral modes, prolongation."""
 
 import logging
+import pathlib
+import re
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from msplit import driver, gmsfem, linalg, splitting
-from msplit.fineassembly import LoadOperator, Permeability, assemble
+from msplit.fineassembly import LoadOperator, Permeability, assemble, local_matrices
 from msplit.grid import GridPair, neighborhood, partition_of_unity
 from msplit.linalg import NumericalError
 
 from _oracles import dense_q1_matrices, energy_gram_schmidt, oracle_snapshots
+from conftest import rng_for
 
 
 def wavy_kappa(x, y):
@@ -183,6 +186,50 @@ def test_condensed_pencils_match_reference(make_fs):
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), node
 
 
+def _unit_kappa(nx, ny, refine=16):
+    g = GridPair(nx, ny, refine)
+    return g, assemble(g, Permeability.constant(1.0))
+
+
+def _unit_2x2_r16():
+    return _unit_kappa(2, 2)[1]
+
+
+@pytest.mark.parametrize("make_fs", [_wavy_3x3, _channels_4x4, _unit_2x2_r16],
+                         ids=["wavy-3x3-r3", "channels-4x4-r4", "unit-2x2-r16"])
+def test_batched_condensation_matches_the_cell_solver(make_fs):
+    # every kind's mapmat against the per-cell dense solve, and its condensed
+    # forms against E^T K E and E^T W E, E = [I; mapmat], over the cell's
+    # own assembled matrices
+    fs = make_fs()
+    g = fs.grid
+    weight = gmsfem.spectral_mass_weight(g, fs.kappa_cells)
+    condensed = gmsfem._CondensedCells(fs, weight)
+    for k in range(len(condensed.mapmat)):
+        cell = int(np.flatnonzero(condensed.kind == k)[0])
+        solver = gmsfem._CellSolver(fs, cell)
+        want = solver.mapmat
+        assert (np.max(np.abs(condensed.mapmat[k] - want))
+                <= 1e-12 * np.max(np.abs(want))), cell
+        nodes, on_edge = gmsfem._cell_nodes(g, cell)
+        wmass, stiff = local_matrices(g, fs.kappa_cells, g.coarse_cell_fine_cells(cell),
+                                      nodes, mass_weight_cells=weight)
+        extend = np.zeros((len(nodes), int(on_edge.sum())))
+        extend[on_edge] = np.eye(extend.shape[1])
+        extend[~on_edge] = want
+        for got, mat in zip(condensed.blocks[:, k], (stiff, wmass)):
+            form = extend.T @ (mat @ extend)
+            assert np.max(np.abs(got - form)) <= 1e-12 * np.max(np.abs(form)), cell
+
+
+def test_condense_names_a_cell_that_is_not_positive_definite(small):
+    g, fs = small
+    condensed = gmsfem._CondensedCells(fs, gmsfem.spectral_mass_weight(g, fs.kappa_cells))
+    condensed._kappa[3] *= -1.0
+    with pytest.raises(NumericalError, match=r"coarse cell \(1, 1\) is not positive definite"):
+        condensed.condense(np.array([0, 3]))
+
+
 @pytest.mark.parametrize("make_fs", [_wavy_3x3, _channels_4x4],
                          ids=["wavy-3x3-r3", "channels-4x4-r4"])
 def test_offline_modes_match_reference_route(make_fs):
@@ -205,17 +252,25 @@ def test_offline_modes_match_reference_route(make_fs):
         assert np.max(np.abs(m.vectors - snaps @ coeffs)) < 1e-12
 
 
-def test_degenerate_mode_cut_keeps_the_reference_member():
-    # unit permeability makes the pencil symmetric under the square's
-    # reflections, so eigenvalues 10 and 11 form an exactly degenerate pair
-    # and rounding decides which member a 10-mode cut keeps. The errors
-    # recorded for the ex2-stepping benchmark (example2-synthetic, 10 modes)
-    # were made with the member the brute-force route keeps, in every
-    # neighborhood of unit permeability; r = 16 as there
-    g = GridPair(2, 2, 16)
-    fs = assemble(g, Permeability.constant(1.0))
-    (modes,) = gmsfem.offline_modes(fs, 10)
-    nb = neighborhood(g, modes.node)
+def _swap_xy(g, nb):
+    """Permutation of ``nb.boundary`` that swaps the offsets from the node in x and y."""
+    cx, cy = g.coarse_node_grid(nb.node)
+    nper = g.nx_fine + 1
+    dx = nb.boundary % nper - cx * g.refine
+    dy = nb.boundary // nper - cy * g.refine
+    position = {(a, b): k for k, (a, b) in enumerate(zip(dx, dy))}
+    return np.array([position[(b, a)] for a, b in zip(dx, dy)])
+
+
+def _assert_reference_cut(g, fs, m, n_modes):
+    """Mode span of the brute-force pencil under the canonical cut, and x <-> y antisymmetry.
+
+    Unit permeability makes the pencil symmetric under the square's
+    reflections, so eigenvalues 10 and 11 form an exactly degenerate pair
+    and a 10-mode cut splits it. The canonical cut keeps the projection of
+    xi - eta onto the pair, which is antisymmetric under x <-> y.
+    """
+    nb = neighborhood(g, m.node)
     weight = gmsfem.spectral_mass_weight(g, fs.kappa_cells)
     astiff, smass = gmsfem.spectral_matrices(fs, nb, gmsfem.build_snapshots(fs, nb),
                                              weight)
@@ -223,10 +278,22 @@ def test_degenerate_mode_cut_keeps_the_reference_member():
     assert ref.values[10] - ref.values[9] <= 1e-12 * ref.values[10]
     # boundary values are snapshot coefficients; their span must be the
     # reference's kept span
-    coeffs = modes.vectors[np.searchsorted(nb.nodes, nb.boundary)]
-    kept = ref.vectors[:, :10]
+    coeffs = m.vectors[np.searchsorted(nb.nodes, nb.boundary)]
+    kept = gmsfem._canonical_cut(ref.values, ref.vectors, smass, n_modes,
+                                 gmsfem._cut_probes(g, nb))
     resid = coeffs - kept @ (kept.T @ (smass @ coeffs))
-    assert np.max(np.abs(resid)) < 1e-8 * np.max(np.abs(coeffs))
+    assert np.max(np.abs(resid)) < 1e-8 * np.max(np.abs(coeffs)), m.node
+    member = coeffs[:, n_modes - 1]
+    assert np.max(np.abs(member[_swap_xy(g, nb)] + member)) < 1e-10 * np.max(np.abs(member))
+
+
+def test_degenerate_mode_cut_keeps_the_reference_member():
+    # the errors recorded for the ex2-stepping benchmark (example2-synthetic,
+    # 10 modes) keep this member in every neighborhood of unit permeability;
+    # r = 16 as there
+    g, fs = _unit_kappa(2, 2)
+    (modes,) = gmsfem.offline_modes(fs, 10)
+    _assert_reference_cut(g, fs, modes, 10)
 
 
 def test_interior_skeletons_are_shifted_copies():
@@ -259,6 +326,20 @@ def test_offline_modes_never_calls_the_reference_route(small, monkeypatch):
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
 
 
+def test_traced_benchmark_breakdown_agrees_with_offline_modes(monkeypatch):
+    # benchmark/traced.py re-solves every neighborhood by the brute-force
+    # route and checks its kept eigenvalues against offline_modes'; a change
+    # to the offline stage must keep that cross-check passing
+    bench = pathlib.Path(__file__).resolve().parent.parent / "benchmark"
+    monkeypatch.syspath_prepend(str(bench))
+    from traced import offline_breakdown
+    fs = _wavy_3x3()
+    modes = gmsfem.offline_modes(fs, 5)
+    result = offline_breakdown(fs, 5, modes)
+    assert result["gmsfem.neighbourhoods"] == len(fs.grid.interior_coarse_ids)
+    assert result["breakdown_ok"], result["gmsfem.breakdown_eig_rel_gap"]
+
+
 def _channels_4x4_seed11():
     # 8 distinct coarse cells of 16: the repeated ones hold only background
     g = GridPair(4, 4, 4)
@@ -272,41 +353,41 @@ def _distinct_cells(fs):
 
 
 def test_reused_offline_modes_equal_a_fresh_solve_bit_for_bit(monkeypatch):
-    # each neighborhood again from four freshly factored cells: its own
-    # skeleton rows, sum_q D_q^T X_q D_q in cell order, the eigensolve and the
-    # extension of the kept vectors; the reuse must change no bit of it
+    # each neighborhood again from its own four cells, each condensed alone
+    # (a batch of one): the pencil, the eigensolve, the cut and the
+    # extension of the kept vectors; neither the batching nor the reuse may
+    # change a bit of it
     fs = _channels_4x4_seed11()
     g = fs.grid
     weight = gmsfem.spectral_mass_weight(g, fs.kappa_cells)
-    factored = []
+    batches = []
 
-    class CountingSolver(gmsfem._CellSolver):
-        def __init__(self, fs, cell, *args):
-            factored.append(cell)
-            super().__init__(fs, cell, *args)
+    class CountingCells(gmsfem._CondensedCells):
+        def condense(self, cells):
+            batches.append(list(cells))
+            return super().condense(cells)
 
     with monkeypatch.context() as patch:
-        patch.setattr(gmsfem, "_CellSolver", CountingSolver)
+        patch.setattr(gmsfem, "_CondensedCells", CountingCells)
         modes = gmsfem.offline_modes(fs, 5)
     assert _distinct_cells(fs) == 8
-    assert len(factored) == len(set(factored)) == 8
+    assert len(batches) == 1 and len(batches[0]) == len(set(batches[0])) == 8
+    fresh = gmsfem._CondensedCells(fs, weight)
+    for k, cell in enumerate(batches[0]):
+        alone = fresh.condense(np.array([cell]))
+        assert np.array_equal(alone[0][0], fresh.mapmat[k])
+        assert np.array_equal(alone[1][0], fresh.blocks[0, k])
+        assert np.array_equal(alone[2][0], fresh.blocks[1, k])
     with linalg.single_thread_blas():
         for m in modes:
             nb = neighborhood(g, m.node)
-            skel_ids, skel_rows = gmsfem._skeleton_rows(g, nb)
-            solvers = [gmsfem._CellSolver(fs, int(c), weight) for c in nb.cells]
-            select = [skel_rows[np.searchsorted(skel_ids, s.bnodes)] for s in solvers]
-            forms = []
-            for k in range(2):
-                form = sum(d.T @ (s.condensed[k] @ d) for d, s in zip(select, solvers))
-                forms.append(0.5 * (form + form.T))
-            eig = linalg.eig_gsym(*forms)
-            kept = eig.vectors[:, :5]
-            vectors = np.empty((len(nb.nodes), 5))
-            vectors[np.searchsorted(nb.nodes, skel_ids)] = skel_rows @ kept
-            for d, s in zip(select, solvers):
-                vectors[np.searchsorted(nb.nodes, s.inodes)] = s.mapmat @ (d @ kept)
-            assert np.array_equal(m.eigenvalues, eig.values[:5]), m.node
+            alone = [fresh.condense(np.array([c])) for c in nb.cells]
+            fresh.kind = np.full(len(fresh.kind), -1)
+            fresh.kind[nb.cells] = np.arange(4)
+            fresh.mapmat = np.concatenate([a[0] for a in alone])
+            fresh.blocks = np.array([np.concatenate([a[k] for a in alone]) for k in (1, 2)])
+            eigenvalues, vectors, _ = fresh.modes(nb, 5)
+            assert np.array_equal(m.eigenvalues, eigenvalues), m.node
             assert np.array_equal(m.vectors, vectors), m.node
 
 
@@ -321,30 +402,114 @@ def test_offline_modes_logs_distinct_counts(caplog):
 
 def test_repeated_neighborhoods_share_the_reference_member_read_only():
     # unit permeability on 3 x 3 cells: four neighborhoods of one kind, each
-    # keeping the member of the degenerate 10/11 pair that the brute-force
-    # route keeps (as in the 2 x 2 test above)
-    g = GridPair(3, 3, 16)
-    fs = assemble(g, Permeability.constant(1.0))
-    weight = gmsfem.spectral_mass_weight(g, fs.kappa_cells)
+    # keeping the canonical member of the degenerate 10/11 pair (as in the
+    # 2 x 2 test above). Here the full eigensolve of the brute-force pencil
+    # returns the member symmetric under x <-> y first, so only the cut
+    # decides which one is kept
+    g, fs = _unit_kappa(3, 3)
     modes = gmsfem.offline_modes(fs, 10)
     assert len(modes) == 4
     assert all(m.vectors is modes[0].vectors for m in modes)
     assert all(m.eigenvalues is modes[0].eigenvalues for m in modes)
     for m in modes:
-        nb = neighborhood(g, m.node)
-        assert m.vectors.shape == (len(nb.nodes), 10)
-        astiff, smass = gmsfem.spectral_matrices(
-            fs, nb, gmsfem.build_snapshots(fs, nb), weight)
-        ref = linalg.eig_gsym(astiff, smass)
-        assert ref.values[10] - ref.values[9] <= 1e-12 * ref.values[10]
-        coeffs = m.vectors[np.searchsorted(nb.nodes, nb.boundary)]
-        kept = ref.vectors[:, :10]
-        resid = coeffs - kept @ (kept.T @ (smass @ coeffs))
-        assert np.max(np.abs(resid)) < 1e-8 * np.max(np.abs(coeffs)), m.node
+        assert m.vectors.shape == (len(neighborhood(g, m.node).nodes), 10)
+        _assert_reference_cut(g, fs, m, 10)
     with pytest.raises(ValueError, match="read-only"):
         modes[1].vectors[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         modes[1].eigenvalues[0] = 1.0
+
+
+def _summed_in_reverse(self, cells):
+    """The pencil of ``_CondensedCells.pencil`` with its cell terms summed last to first.
+
+    Each term is also associated the other way, (D_q^T X_q) D_q, so that
+    the rounding differs from the pencil's own.
+    """
+    size = self.skel_rows.shape[1]
+    forms = []
+    for blocks in self.blocks:
+        form = np.zeros((size, size))
+        for q in reversed(range(4)):
+            d = np.zeros((self.select.shape[1], size))
+            d[:, self.reach[q]] = self.select[q]
+            form += (d.T @ blocks[self.kind[cells[q]]]) @ d
+        forms.append(0.5 * (form + form.T))
+    return tuple(forms)
+
+
+def _full_spectrum(astiff, smass, context="", count=None):
+    return linalg.eig_gsym(astiff, smass, context)
+
+
+@pytest.mark.parametrize("patch", [("_CondensedCells.pencil", _summed_in_reverse),
+                                   ("eig_gsym", _full_spectrum)],
+                         ids=["reversed-cell-sum", "full-spectrum-driver"])
+def test_degenerate_mode_cut_ignores_summation_order_and_driver(patch, monkeypatch):
+    # the kept vectors of a cut through the degenerate pair must not depend
+    # on the rounding of the pencil or on the LAPACK driver that solves it
+    g, fs = _unit_kappa(2, 2)
+    (want,) = gmsfem.offline_modes(fs, 10)
+    name, func = patch
+    if name == "_CondensedCells.pencil":
+        condensed = gmsfem._CondensedCells(fs, gmsfem.spectral_mass_weight(g, fs.kappa_cells))
+        cells = neighborhood(g, want.node).cells
+        assert not all(np.array_equal(a, b) for a, b in
+                       zip(condensed.pencil(cells), func(condensed, cells)))
+        monkeypatch.setattr(gmsfem._CondensedCells, "pencil", func)
+    else:
+        monkeypatch.setattr(gmsfem, name, func)
+    (got,) = gmsfem.offline_modes(fs, 10)
+    assert np.max(np.abs(got.vectors - want.vectors)) <= 1e-10 * np.max(np.abs(want.vectors))
+
+
+def test_canonical_cut_ignores_a_rotation_of_the_degenerate_pair():
+    g, fs = _unit_kappa(2, 2)
+    nb = neighborhood(g, int(g.interior_coarse_ids[0]))
+    condensed = gmsfem._CondensedCells(fs, gmsfem.spectral_mass_weight(g, fs.kappa_cells))
+    astiff, smass = condensed.pencil(nb.cells)
+    eig = linalg.eig_gsym(astiff, smass)
+    assert gmsfem._relative_gaps(eig.values)[9] < gmsfem._CLUSTER_RTOL
+    want = gmsfem._canonical_cut(eig.values, eig.vectors, smass, 10, condensed.probes)
+    angle = rng_for("rotate the pair").uniform(0.0, 2.0 * np.pi)
+    for turn in (np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]),
+                 np.array([[0.0, 1.0], [1.0, 0.0]])):
+        rotated = eig.vectors.copy()
+        rotated[:, 9:11] = eig.vectors[:, 9:11] @ turn
+        got = gmsfem._canonical_cut(eig.values, rotated, smass, 10, condensed.probes)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_cut_outside_a_cluster_keeps_each_eigenvector_up_to_sign(small):
+    g, fs = small
+    nb = neighborhood(g, int(g.interior_coarse_ids[0]))
+    condensed = gmsfem._CondensedCells(fs, gmsfem.spectral_mass_weight(g, fs.kappa_cells))
+    astiff, smass = condensed.pencil(nb.cells)
+    eig = linalg.eig_gsym(astiff, smass)
+    assert np.all(gmsfem._relative_gaps(eig.values)[:4] >= gmsfem._CLUSTER_RTOL)
+    kept = gmsfem._canonical_cut(eig.values, eig.vectors, smass, 4, condensed.probes)
+    signs = np.sign(np.sum(kept * eig.vectors[:, :4], axis=0))
+    assert np.array_equal(kept, eig.vectors[:, :4] * signs)
+    flipped = gmsfem._canonical_cut(eig.values, -eig.vectors, smass, 4, condensed.probes)
+    assert np.array_equal(flipped, kept)
+
+
+@pytest.mark.parametrize("make_fs, n_modes, gap_below, canonical", [
+    (_unit_2x2_r16, 10, 1e-12, 1),
+    (lambda: assemble(GridPair(2, 2, 3), Permeability(wavy_kappa)), 4, None, 0),
+], ids=["degenerate-cut", "clean-cut"])
+def test_offline_modes_logs_the_cut_gap(make_fs, n_modes, gap_below, canonical, caplog):
+    fs = make_fs()
+    with caplog.at_level(logging.INFO, logger="msplit.gmsfem"):
+        gmsfem.offline_modes(fs, n_modes)
+    (line,) = [msg for msg in caplog.messages if "relative gap" in msg]
+    match = re.fullmatch(rf"offline: smallest relative gap at the {n_modes}-mode cut "
+                         r"(\S+); (\d+) of 1 solved pencils cut inside a cluster, "
+                         r"kept canonically", line)
+    assert match, line
+    gap = float(match.group(1))
+    assert int(match.group(2)) == canonical
+    assert gap < gap_below if gap_below else gap > gmsfem._CLUSTER_RTOL
 
 
 # --- BLAS thread pin ---

@@ -117,3 +117,19 @@ def test_eig_gsym_rejects_inaccurate_eigenpairs(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "eigh", perturbed)
     with pytest.raises(NumericalError, match="eigen residual"):
         eig_gsym(a, s)
+
+
+@pytest.mark.parametrize("count", [1, 4, 9, 12, None])
+def test_eig_gsym_count_returns_the_smallest_pairs(count):
+    # a count below the order solves a subset; at or above it, or without
+    # one, the whole spectrum comes back
+    rng = rng_for("eig_count")
+    a = random_spd(rng, 9, shift=0.0)
+    s = random_spd(rng, 9)
+    full = eig_gsym(a, s)
+    res = eig_gsym(a, s, count=count)
+    kept = 9 if count is None else min(count, 9)
+    assert res.values.shape == (kept,) and res.vectors.shape == (9, kept)
+    assert np.allclose(res.values, full.values[:kept], rtol=1e-10, atol=1e-12)
+    assert np.allclose(res.vectors.T @ s @ res.vectors, np.eye(kept), atol=1e-10)
+    assert np.allclose(a @ res.vectors, s @ res.vectors * res.values, atol=1e-8)
