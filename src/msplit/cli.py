@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 import time
 
@@ -86,6 +87,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_offline(args) -> int:
     config = _load_config(args)
+    dump = args.dump_basis
+    if dump and (os.path.isdir(dump) or not os.access(
+            os.path.dirname(os.path.abspath(dump)), os.W_OK)):
+        raise ConfigError(f"cannot write the basis dump {dump!r}")
     tic = time.perf_counter()
     _, fs = driver.build_problem(config)
     seconds_assemble = time.perf_counter() - tic
@@ -95,9 +100,9 @@ def _cmd_offline(args) -> int:
                           time.perf_counter() - tic, seconds_assemble)
     lam = basis.eigenvalues
     print(f"eigenvalue range: [{lam.min():.6e}, {lam.max():.6e}]")
-    if args.dump_basis:
-        gmsfem.dump_basis(basis, args.dump_basis)
-        print(f"basis written to {args.dump_basis}")
+    if dump:
+        gmsfem.dump_basis(basis, dump)
+        print(f"basis written to {dump}")
     return 0
 
 

@@ -518,9 +518,18 @@ def _run_setting(pipe: Pipeline, theta_mass, theta_stiff,
     return split, report
 
 
+def _make_output_dir(path: str) -> None:
+    """Create the output directory before any work, or raise ConfigError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path!r}: {exc}") from exc
+
+
 def run_example(config: ExperimentConfig) -> ErrorReport:
     """Run one experiment end to end and write its CSV outputs."""
     config.validate()
+    _make_output_dir(config.output_dir)
     pipe = build_pipeline(config)
     report_offline(pipe.fs.n_dof, pipe.coarse.dim, pipe.seconds_offline,
                    pipe.seconds_assemble)
@@ -532,7 +541,6 @@ def run_example(config: ExperimentConfig) -> ErrorReport:
     print(f"time stepping: {time.perf_counter() - tic:.2f} s "
           f"for {split.n_steps} steps")
     label = _blocks_label(config.blocks)
-    os.makedirs(config.output_dir, exist_ok=True)
     _write_errors_csv(os.path.join(config.output_dir, "errors.csv"),
                       [(label, report.e_l2, report.e_a)])
     _write_history_csv(os.path.join(config.output_dir, "history.csv"), report)
@@ -560,15 +568,11 @@ def sweep(config: ExperimentConfig, axis: str) -> list:
 
     ``axis`` is one of ``tau``, ``params``, ``blocks``. Returns the CSV rows
     as (setting, e_l2, e_a) tuples; failed rows carry None and the sweep
-    continues.
+    continues. A sweep with no settings is a config error.
     """
     if axis not in ("tau", "params", "blocks"):
         raise ConfigError(f"unknown sweep axis {axis!r}; pick tau, params or blocks")
     config.validate()
-    pipe = build_pipeline(config)
-    report_offline(pipe.fs.n_dof, pipe.coarse.dim, pipe.seconds_offline,
-                   pipe.seconds_assemble)
-
     settings = []
     if axis == "tau":
         for tau in config.tau_sweep:
@@ -586,8 +590,13 @@ def sweep(config: ExperimentConfig, axis: str) -> list:
             (k, config.modes - k) for k in range(1, config.modes))
         for blocks in blocks_list:
             settings.append((_blocks_label(blocks), dict(blocks=blocks)))
+    if not settings:
+        raise ConfigError(f"the {axis} sweep has no settings; set {axis}_sweep")
+    _make_output_dir(config.output_dir)
+    pipe = build_pipeline(config)
+    report_offline(pipe.fs.n_dof, pipe.coarse.dim, pipe.seconds_offline,
+                   pipe.seconds_assemble)
 
-    os.makedirs(config.output_dir, exist_ok=True)
     rows = []
     # settings that share blocks and tau share one backward Euler reference
     reference_key = reference = None

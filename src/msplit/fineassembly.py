@@ -34,7 +34,6 @@ __all__ = [
     "local_matrices",
     "read_grid_file",
     "write_grid_file",
-    "read_field",
     "write_field",
 ]
 
@@ -324,13 +323,3 @@ def write_field(path, g: GridPair, interior_values: np.ndarray) -> None:
     full[g.interior_fine_ids] = interior_values
     shaped = full.reshape(g.ny_fine + 1, g.nx_fine + 1)
     write_grid_file(path, shaped[::-1, :])
-
-
-def read_field(path, g: GridPair) -> np.ndarray:
-    """Read a nodal field file back into an interior fine-grid vector."""
-    shaped = read_grid_file(path)
-    expected = (g.ny_fine + 1, g.nx_fine + 1)
-    if shaped.shape != expected:
-        raise ValueError(f"{path}: field shape {shaped.shape} does not match grid {expected}")
-    full = shaped[::-1, :].ravel()
-    return full[g.interior_fine_ids]

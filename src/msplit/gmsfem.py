@@ -65,7 +65,6 @@ __all__ = [
     "assemble_prolongation",
     "project_coarse",
     "dump_basis",
-    "load_basis",
 ]
 
 
@@ -674,11 +673,12 @@ def offline_modes(fs: FineSystem, n_modes: int) -> list:
     return modes
 
 
-def assemble_basis(fs: FineSystem, modes_list: list, n_modes: int) -> OfflineBasis:
+def assemble_basis(fs: FineSystem, modes_list: list) -> OfflineBasis:
     """Localize spectral modes by the partition of unity and orthonormalize.
 
-    A node's basis lives on the interior of its neighborhood, where its hat
-    does not vanish; there it is the node's modes times the hat,
+    Every mode of ``modes_list`` (as :func:`offline_modes` returns it) is
+    kept. A node's basis lives on the interior of its neighborhood, where
+    its hat does not vanish; there it is the node's modes times the hat,
     orthonormalized in the energy inner product of the fine stiffness over
     that support by two passes of Cholesky-QR
     (:func:`_energy_orthonormalize`), with every OpenBLAS pinned to one
@@ -703,9 +703,6 @@ def assemble_basis(fs: FineSystem, modes_list: list, n_modes: int) -> OfflineBas
     supports, vectors, eigenvalues = [], [], []
     with single_thread_blas():
         for modes in modes_list:
-            if n_modes > modes.vectors.shape[1]:
-                raise ValueError(f"neighborhood {modes.node} stores only "
-                                 f"{modes.vectors.shape[1]} modes, need {n_modes}")
             nb = neighborhood(g, modes.node)
             support = g.fine_interior_index[nb.interior]
             key = id(modes.vectors)
@@ -713,19 +710,19 @@ def assemble_basis(fs: FineSystem, modes_list: list, n_modes: int) -> OfflineBas
                 rows = np.searchsorted(nb.nodes, nb.interior)
                 pou = partition_of_unity(g, modes.node, nb.interior)
                 block, cond = _energy_orthonormalize(
-                    pou[:, None] * modes.vectors[rows, :n_modes],
+                    pou[:, None] * modes.vectors[rows],
                     fs.stiffness[support][:, support], modes.node)
                 block.flags.writeable = False
                 blocks[key] = block
                 worst_cond = max(worst_cond, cond)
             supports.append(support)
             vectors.append(blocks[key])
-            eigenvalues.append(modes.eigenvalues[:n_modes])
+            eigenvalues.append(modes.eigenvalues)
     logger.info("basis: %d distinct blocks of %d neighborhoods, largest energy "
                 "Gram condition number %.3g", len(blocks), len(nodes), worst_cond)
-    return OfflineBasis(grid=g, n_modes=n_modes, nodes=nodes,
-                        eigenvalues=np.array(eigenvalues), supports=supports,
-                        vectors=vectors)
+    eigenvalues = np.array(eigenvalues)
+    return OfflineBasis(grid=g, n_modes=eigenvalues.shape[1], nodes=nodes,
+                        eigenvalues=eigenvalues, supports=supports, vectors=vectors)
 
 
 def _energy_orthonormalize(block: np.ndarray, stiff: sp.csr_matrix, node: int):
@@ -765,7 +762,7 @@ def _energy_orthonormalize(block: np.ndarray, stiff: sp.csr_matrix, node: int):
 
 def build_offline(fs: FineSystem, n_modes: int) -> OfflineBasis:
     """Full offline stage: snapshots, spectral modes, localized basis."""
-    return assemble_basis(fs, offline_modes(fs, n_modes), n_modes)
+    return assemble_basis(fs, offline_modes(fs, n_modes))
 
 
 def assemble_prolongation(basis: OfflineBasis, blocks) -> Prolongation:
@@ -875,13 +872,10 @@ def project_coarse(fs: FineSystem, prol: Prolongation) -> CoarseSystem:
     return cs
 
 
-# --- basis dump/load (plain text, round-trips exactly) ---
-
-_BASIS_MAGIC = "msplit-basis 2"
-
+# --- basis dump (plain text, every value to 17 significant digits) ---
 
 def dump_basis(basis: OfflineBasis, path) -> None:
-    """Write the offline basis to a text file for reuse between runs.
+    """Write the offline basis to a text file for inspection.
 
     Layout: magic line; header ``nx_coarse ny_coarse refine n_modes n_nodes``;
     per neighborhood a ``node`` line, one line of eigenvalues, then a
@@ -890,7 +884,7 @@ def dump_basis(basis: OfflineBasis, path) -> None:
     """
     g = basis.grid
     with open(path, "w") as fh:
-        fh.write(_BASIS_MAGIC + "\n")
+        fh.write("msplit-basis 2\n")
         fh.write(f"{g.nx_coarse} {g.ny_coarse} {g.refine} {basis.n_modes} "
                  f"{len(basis.nodes)}\n")
         for i, node in enumerate(basis.nodes):
@@ -901,49 +895,3 @@ def dump_basis(basis: OfflineBasis, path) -> None:
             for k in range(len(sup)):
                 row = " ".join(format(v, ".17g") for v in basis.vectors[i][k])
                 fh.write(f"{sup[k]} {row}\n")
-
-
-def _fields(fh, count: int, tag: Optional[str] = None) -> list:
-    """The next line's ``count`` whitespace-separated fields, after ``tag`` if given."""
-    line = fh.readline()
-    parts = line.split()
-    if tag is not None:
-        if parts[:1] != [tag]:
-            raise ValueError(f"expected a {tag!r} line, got {line!r}")
-        parts = parts[1:]
-    if len(parts) != count:
-        raise ValueError(f"got {len(parts)} of {count} values in line {line!r}")
-    return parts
-
-
-def load_basis(path) -> OfflineBasis:
-    """Read a basis dump written by :func:`dump_basis`.
-
-    A file that is not such a dump, or a dump that is truncated or has a
-    line with the wrong number of values, raises ValueError naming the file.
-    """
-    with open(path) as fh:
-        if fh.readline().strip() != _BASIS_MAGIC:
-            raise ValueError(f"{path} is not a basis dump "
-                             f"(expected first line {_BASIS_MAGIC!r})")
-        try:
-            nxc, nyc, refine, n_modes, n_nodes = map(int, _fields(fh, 5))
-            g = GridPair(nxc, nyc, refine)
-            nodes, eigenvalues, supports, vectors = [], [], [], []
-            for _ in range(n_nodes):
-                nodes.append(int(_fields(fh, 1, "node")[0]))
-                eigenvalues.append([float(v) for v in _fields(fh, n_modes)])
-                count = int(_fields(fh, 1, "support")[0])
-                sup = np.empty(count, dtype=np.int64)
-                vec = np.empty((count, n_modes))
-                for k in range(count):
-                    parts = _fields(fh, 1 + n_modes)
-                    sup[k] = int(parts[0])
-                    vec[k] = [float(v) for v in parts[1:]]
-                supports.append(sup)
-                vectors.append(vec)
-        except ValueError as exc:
-            raise ValueError(f"{path}: malformed basis dump: {exc}") from exc
-    return OfflineBasis(grid=g, n_modes=n_modes, nodes=np.array(nodes),
-                        eigenvalues=np.array(eigenvalues), supports=supports,
-                        vectors=vectors)

@@ -80,9 +80,6 @@ class GridPair:
         return 1.0 / self.ny_coarse
 
     # node/cell indexing helpers
-    def fine_node_id(self, ix, iy):
-        return iy * (self.nx_fine + 1) + ix
-
     def coarse_node_id(self, cx, cy):
         return cy * (self.nx_coarse + 1) + cx
 
@@ -90,14 +87,6 @@ class GridPair:
         if not 0 <= node < self.n_coarse_nodes:
             raise ValueError(f"coarse node {node} out of range")
         return node % (self.nx_coarse + 1), node // (self.nx_coarse + 1)
-
-    def coarse_node_xy(self, node: int) -> tuple[float, float]:
-        cx, cy = self.coarse_node_grid(node)
-        return cx * self.coarse_hx, cy * self.coarse_hy
-
-    def is_interior_coarse(self, node: int) -> bool:
-        cx, cy = self.coarse_node_grid(node)
-        return 0 < cx < self.nx_coarse and 0 < cy < self.ny_coarse
 
     @cached_property
     def interior_coarse_ids(self) -> np.ndarray:

@@ -54,12 +54,10 @@ __all__ = [
     "SplitConfig",
     "StabilityCertificate",
     "Trajectory",
-    "RecursionReport",
     "make_split",
     "check_stability",
     "march",
     "backward_euler",
-    "error_recursion_diag",
 ]
 
 logger = logging.getLogger(__name__)
@@ -519,54 +517,3 @@ def backward_euler(cs: CoarseSystem, tau: float, t_final: float) -> Trajectory:
     run.advance(range(n_steps), _euler_step(cs, tau))
     return Trajectory(states=run.states, tau=tau, scheme="backward-euler",
                       step_seconds=run.step_seconds)
-
-
-@dataclass
-class RecursionReport:
-    """Residuals of the exact error recursion between split and unsplit runs."""
-
-    residuals: np.ndarray      # one per split step
-    coupling_norm: float       # Frobenius norm of C2 + tau * B2
-    error_norms: np.ndarray    # Euclidean error per time level
-
-    @property
-    def max_residual(self) -> float:
-        return float(self.residuals.max()) if len(self.residuals) else 0.0
-
-
-def error_recursion_diag(parts: SplitParts, reference: Trajectory,
-                         split: Trajectory) -> RecursionReport:
-    """Verify the error recursion of the fully implicit split scheme.
-
-    For theta_mass = theta_stiff = 1 the deviation e^n between the unsplit
-    backward Euler run and the split run satisfies exactly
-
-        (C + tau*B) e^{n+1} = C e^n + C2 (z^n - z^{n-1})
-                              - (C2 + tau*B2) (z^{n+1} - z^n).
-
-    Returns the stepwise defect of that identity; other weights are refused.
-    """
-    if reference.scheme != "backward-euler" or split.scheme != "split":
-        raise ValueError("need one backward Euler reference and one split run")
-    if split.theta_mass != 1.0 or split.theta_stiff != 1.0:
-        raise ValueError("the error recursion holds for the fully implicit "
-                         "weights only (theta_mass = theta_stiff = 1)")
-    if reference.tau != split.tau or reference.states.shape != split.states.shape:
-        raise ValueError("trajectories do not share the time grid")
-    tau = split.tau
-    cmat, bmat = parts.mass, parts.stiff
-    lhs_mat = cmat + tau * bmat
-    err = reference.states - split.states
-    z = split.states
-    n_steps = split.n_steps
-    residuals = np.empty(max(n_steps - 1, 0))
-    mass_rest = cmat - parts.mass_main
-    coupling_mat = mass_rest + tau * (bmat - parts.stiff_main)
-    for n in range(1, n_steps):
-        rhs = (cmat @ err[n] + mass_rest @ (z[n] - z[n - 1])
-               - coupling_mat @ (z[n + 1] - z[n]))
-        residuals[n - 1] = np.abs(lhs_mat @ err[n + 1] - rhs).max()
-    coupling = float(spla.norm(coupling_mat, "fro"))
-    error_norms = np.linalg.norm(err, axis=1)
-    return RecursionReport(residuals=residuals, coupling_norm=coupling,
-                           error_norms=error_norms)

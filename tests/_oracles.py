@@ -3,13 +3,18 @@
 Everything here recomputes quantities from first principles with its own
 arithmetic (Gauss quadrature element loops, symbolic characteristic
 polynomials, explicit dense time steppers) so that package results can be
-checked against a second route. Nothing imports package internals beyond the
-grid geometry containers.
+checked against a second route. Nothing imports package internals; the
+oracles read the fields of package records (the grid geometry containers,
+and for the error recursion the split's mass and stiffness parts and the
+two trajectories).
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 import sympy
 
 # 3-point Gauss rule on [0, 1]; exact through degree 5, enough for products
@@ -264,3 +269,53 @@ def oracle_snapshots(g, kappa_cells, nb):
             values[n_] = sol[k]
 
     return np.array([values[int(n_)] for n_ in nb.nodes])
+
+
+@dataclass
+class RecursionReport:
+    """Residuals of the exact error recursion between split and unsplit runs."""
+
+    residuals: np.ndarray      # one per split step
+    coupling_norm: float       # Frobenius norm of C2 + tau * B2
+    error_norms: np.ndarray    # Euclidean error per time level
+
+    @property
+    def max_residual(self) -> float:
+        return float(self.residuals.max()) if len(self.residuals) else 0.0
+
+
+def error_recursion_diag(parts, reference, split):
+    """Verify the error recursion of the fully implicit split scheme.
+
+    For theta_mass = theta_stiff = 1 the deviation e^n between the unsplit
+    backward Euler run and the split run satisfies exactly
+
+        (C + tau*B) e^{n+1} = C e^n + C2 (z^n - z^{n-1})
+                              - (C2 + tau*B2) (z^{n+1} - z^n).
+
+    Returns the stepwise defect of that identity; other weights are refused.
+    """
+    if reference.scheme != "backward-euler" or split.scheme != "split":
+        raise ValueError("need one backward Euler reference and one split run")
+    if split.theta_mass != 1.0 or split.theta_stiff != 1.0:
+        raise ValueError("the error recursion holds for the fully implicit "
+                         "weights only (theta_mass = theta_stiff = 1)")
+    if reference.tau != split.tau or reference.states.shape != split.states.shape:
+        raise ValueError("trajectories do not share the time grid")
+    tau = split.tau
+    cmat, bmat = parts.mass, parts.stiff
+    lhs_mat = cmat + tau * bmat
+    err = reference.states - split.states
+    z = split.states
+    n_steps = split.n_steps
+    residuals = np.empty(max(n_steps - 1, 0))
+    mass_rest = cmat - parts.mass_main
+    coupling_mat = mass_rest + tau * (bmat - parts.stiff_main)
+    for n in range(1, n_steps):
+        rhs = (cmat @ err[n] + mass_rest @ (z[n] - z[n - 1])
+               - coupling_mat @ (z[n + 1] - z[n]))
+        residuals[n - 1] = np.abs(lhs_mat @ err[n + 1] - rhs).max()
+    coupling = float(sp.linalg.norm(coupling_mat, "fro"))
+    error_norms = np.linalg.norm(err, axis=1)
+    return RecursionReport(residuals=residuals, coupling_norm=coupling,
+                           error_norms=error_norms)

@@ -1,3 +1,4 @@
+import pathlib
 import zlib
 
 import numpy as np
@@ -13,18 +14,20 @@ def ex1_config():
 
 @pytest.fixture(scope="session")
 def ex1(ex1_config):
-    """Shared offline stage of the full-size first builtin problem.
+    """Shared six-mode offline stage of the full-size first builtin problem.
 
-    Building the spectral modes dominates the suite's runtime, so the ten
-    modes per node are computed once and sliced into the six- and ten-mode
-    bases by the tests that need them.
+    Building the spectral modes dominates the suite's runtime, so the basis
+    is built once, as the commands build it.
     """
     g, fs = driver.build_problem(ex1_config)
-    modes = gmsfem.offline_modes(fs, 10)
-    basis6 = gmsfem.assemble_basis(fs, modes, 6)
-    basis10 = gmsfem.assemble_basis(fs, modes, 10)
-    return {"config": ex1_config, "grid": g, "fs": fs, "modes": modes,
-            "basis6": basis6, "basis10": basis10}
+    return {"config": ex1_config, "grid": g, "fs": fs,
+            "basis6": gmsfem.build_offline(fs, 6)}
+
+
+@pytest.fixture(scope="session")
+def ex1_basis10(ex1):
+    """Ten-mode basis of the same problem, built only for the tests that read it."""
+    return gmsfem.build_offline(ex1["fs"], 10)
 
 
 @pytest.fixture(scope="session")
@@ -52,3 +55,23 @@ def factorizations(monkeypatch):
 def rng_for(name: str) -> np.random.Generator:
     """Deterministic per-test generator so failures replay exactly."""
     return np.random.default_rng(zlib.crc32(name.encode()))
+
+
+def assert_basis_dump(path, basis) -> None:
+    """The basis dump at ``path`` holds ``basis``: every value it writes
+    reads back with ``float`` to exactly the stored one."""
+    g = basis.grid
+    lines = iter(pathlib.Path(path).read_text().splitlines())
+    assert next(lines) == "msplit-basis 2"
+    assert next(lines) == (f"{g.nx_coarse} {g.ny_coarse} {g.refine} "
+                           f"{basis.n_modes} {len(basis.nodes)}")
+    for node, eigenvalues, support, vectors in zip(
+            basis.nodes, basis.eigenvalues, basis.supports, basis.vectors):
+        assert next(lines) == f"node {node}"
+        assert [float(v) for v in next(lines).split()] == list(eigenvalues)
+        assert next(lines) == f"support {len(support)}"
+        for index, row in zip(support, vectors):
+            fields = next(lines).split()
+            assert int(fields[0]) == index
+            assert [float(v) for v in fields[1:]] == list(row)
+    assert next(lines, None) is None

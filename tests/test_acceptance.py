@@ -17,8 +17,8 @@ from msplit.linalg import eig_gsym
 from msplit.splitting import SplitConfig
 
 from conftest import rng_for
-from _oracles import (charpoly_eigs, dense_q1_matrices, oracle_snapshots,
-                      random_spd)
+from _oracles import (charpoly_eigs, dense_q1_matrices, error_recursion_diag,
+                      oracle_snapshots, random_spd)
 
 TAU0 = 1e-3
 T_FINAL = 0.25
@@ -104,9 +104,9 @@ def test_acceptance_2_five_splittings_error_band(ex1):
 # 3. coarse space sizes
 
 
-def test_acceptance_3_dof_counts(ex1):
+def test_acceptance_3_dof_counts(ex1, ex1_basis10):
     prol6 = gmsfem.assemble_prolongation(ex1["basis6"], (1, 5))
-    prol10 = gmsfem.assemble_prolongation(ex1["basis10"], (1, 9))
+    prol10 = gmsfem.assemble_prolongation(ex1_basis10, (1, 9))
     ok = prol6.n_columns == 1350 and prol10.n_columns == 2250
     _line(3, ok, f"coarse dofs {prol6.n_columns} (6 modes), "
                  f"{prol10.n_columns} (10 modes)")
@@ -284,7 +284,7 @@ def test_acceptance_8_error_recursion(ex1, ex1_split15):
     config = SplitConfig(tau=TAU0, t_final=T_FINAL)
     split = splitting.march(coarse, parts, config)
     euler = splitting.backward_euler(coarse, TAU0, T_FINAL)
-    report = splitting.error_recursion_diag(parts, euler, split)
+    report = error_recursion_diag(parts, euler, split)
     ok = report.max_residual <= 1e-8
     _line(8, ok, f"error recursion residual {report.max_residual:.2e} over "
                  f"{split.n_steps} steps (coupling norm "
@@ -304,7 +304,7 @@ def test_high_contrast_trend():
         modes=10, blocks=(1, 9), tau=config.tau, t_final=T_FINAL).validate()
     g, fs = driver.build_problem(pipe_config)
     modes = gmsfem.offline_modes(fs, 10)
-    basis = gmsfem.assemble_basis(fs, modes, 10)
+    basis = gmsfem.assemble_basis(fs, modes)
     errors = {}
     for blocks in [(1, 9), (5, 5)]:
         prol = gmsfem.assemble_prolongation(basis, blocks)

@@ -17,6 +17,7 @@ from msplit.grid import GridPair
 from msplit.linalg import NumericalError
 
 from _oracles import dense_backward_euler
+from conftest import assert_basis_dump
 
 
 def tiny_config(**overrides):
@@ -255,6 +256,11 @@ def test_compare_guards_and_zero_error(tiny_pipe):
 
 # --- runs and sweeps ---
 
+def _field_interior(path, g):
+    """The interior fine-grid vector of a field file (rows from y = max down)."""
+    return fineassembly.read_grid_file(path)[::-1].ravel()[g.interior_fine_ids]
+
+
 def test_run_example_writes_outputs(tmp_path, capsys):
     config = tiny_config(output_dir=str(tmp_path), dump_fields=True,
                          fine_reference=True)
@@ -279,13 +285,13 @@ def test_run_example_writes_outputs(tmp_path, capsys):
     n_steps = round(config.t_final / config.tau)
     fine = dense_backward_euler(mass, stiff, lambda t: loads.load(fs.source, t),
                                 fs.initial_vector(), config.tau, n_steps)[-1]
-    err = fine - fineassembly.read_field(tmp_path / "field_split.txt", g)
+    err = fine - _field_interior(tmp_path / "field_split.txt", g)
     want_l2 = np.sqrt(err @ mass @ err / (fine @ mass @ fine))
     want_a = np.sqrt(err @ stiff @ err / (fine @ stiff @ fine))
     assert report.meta["fine_e_l2"] == pytest.approx(want_l2, rel=1e-10)
     assert report.meta["fine_e_a"] == pytest.approx(want_a, rel=1e-10)
     for name in ("field_split.txt", "field_reference.txt"):
-        interior = fineassembly.read_field(tmp_path / name, g)
+        interior = _field_interior(tmp_path / name, g)
         assert interior.shape == (15 * 15,)
         assert np.any(interior != 0.0)
     raw = fineassembly.read_grid_file(tmp_path / "field_split.txt")
@@ -388,9 +394,10 @@ def test_cli_offline_dump_roundtrip(tmp_path, capsys):
     assert "coarse dofs: 27" in out
     assert re.search(r"^offline stage: \d+\.\d\d s \(assembly \d+\.\d\d s\)$",
                      out, re.MULTILINE)
-    basis = gmsfem.load_basis(dump)
-    assert basis.n_modes == 3
+    _, fs = driver.build_problem(driver.read_config(path))
+    basis = gmsfem.build_offline(fs, 3)
     assert len(basis.nodes) == 9
+    assert_basis_dump(dump, basis)
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
@@ -501,6 +508,67 @@ def test_cli_failed_bound_exit_code(tmp_path, monkeypatch, capsys):
     _violated_bound_for(monkeypatch, 1.0)
     assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 3
     assert "a priori bound fails at step" in capsys.readouterr().err
+
+
+def _refuse_fine_assembly(monkeypatch):
+    """Fail the test if any command gets as far as fine assembly."""
+    def refused(config):
+        raise AssertionError("fine assembly ran")
+
+    monkeypatch.setattr(driver, "build_problem", refused)
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "tau"]],
+                         ids=["run", "sweep"])
+def test_cli_output_that_is_a_file_exits_2_before_any_work(tmp_path, monkeypatch,
+                                                           capsys, command):
+    path = tmp_path / "exp.cfg"
+    path.write_text(TINY_TEXT)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    _refuse_fine_assembly(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(command + [str(path), "--output", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(taken) in err
+    assert not list(tmp_path.rglob("errors.csv"))
+
+
+def test_cli_offline_dump_into_a_missing_directory_exits_2_before_any_work(
+        tmp_path, monkeypatch, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_text(TINY_TEXT)
+    dump = tmp_path / "missing" / "b.txt"
+    _refuse_fine_assembly(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["offline", str(path), "--dump-basis", str(dump)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(dump) in err
+    assert not dump.parent.exists()
+    assert not list(tmp_path.rglob("errors.csv"))
+    assert cli.main(["offline", str(path), "--dump-basis", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+# each axis with no settings: an empty list, or one mode with no two-block split
+EMPTY_SWEEPS = {
+    "tau": TINY_TEXT + "tau_sweep =\n",
+    "params": TINY_TEXT + "params_sweep =\n",
+    "blocks": TINY_TEXT.replace("modes = 3", "modes = 1").replace("1+2", "1"),
+}
+
+
+@pytest.mark.parametrize("axis", sorted(EMPTY_SWEEPS))
+def test_cli_sweep_with_no_settings_exits_2_before_any_work(tmp_path, monkeypatch,
+                                                            capsys, axis):
+    path = tmp_path / "exp.cfg"
+    path.write_text(EMPTY_SWEEPS[axis])
+    _refuse_fine_assembly(monkeypatch)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", str(path), "--axis", axis, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{axis}_sweep" in err
+    assert not (out / "errors.csv").exists()
 
 
 def test_sweep_marks_a_failed_bound_and_goes_on(tmp_path, monkeypatch, capsys):

@@ -3,7 +3,7 @@ import pytest
 
 from msplit import driver
 from msplit.fineassembly import (LoadOperator, Permeability, assemble,
-                                 interpolate, local_matrices, norms, read_field,
+                                 interpolate, local_matrices, norms,
                                  read_grid_file, write_field, write_grid_file)
 from msplit.grid import GridPair
 
@@ -221,9 +221,10 @@ def test_field_roundtrip(tmp_path):
     vec = rng.standard_normal(g.n_interior_fine)
     path = tmp_path / "field.txt"
     write_field(path, g, vec)
-    assert np.array_equal(read_field(path, g), vec)
-    with pytest.raises(ValueError):
-        read_field(path, GridPair(2, 2, 2))
+    # rows run from y = max down; boundary nodes are written as zeros
+    full = read_grid_file(path)[::-1].ravel()
+    assert np.array_equal(full[g.interior_fine_ids], vec)
+    assert not np.any(full[g.dirichlet_mask])
 
 
 def test_initial_vector_and_interpolate():

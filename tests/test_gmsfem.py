@@ -14,7 +14,7 @@ from msplit.grid import GridPair, neighborhood, partition_of_unity
 from msplit.linalg import NumericalError
 
 from _oracles import dense_q1_matrices, energy_gram_schmidt, oracle_snapshots
-from conftest import rng_for
+from conftest import assert_basis_dump, rng_for
 
 
 def wavy_kappa(x, y):
@@ -571,7 +571,7 @@ def test_basis_energy_orthonormal_per_neighborhood(small):
     # two passes of Cholesky-QR give modified Gram-Schmidt's columns
     g, fs = small
     modes = gmsfem.offline_modes(fs, 4)
-    basis = gmsfem.assemble_basis(fs, modes, 4)
+    basis = gmsfem.assemble_basis(fs, modes)
     for m, sup, block in zip(modes, basis.supports, basis.vectors):
         sub = fs.stiffness[sup][:, sup]
         gram = block.T @ (sub @ block)
@@ -595,7 +595,7 @@ def test_same_kind_neighborhoods_share_one_read_only_block():
     fs = _channels_5x5_seed11()
     g = fs.grid
     modes = gmsfem.offline_modes(fs, 4)
-    basis = gmsfem.assemble_basis(fs, modes, 4)
+    basis = gmsfem.assemble_basis(fs, modes)
     assert len({id(m.vectors) for m in modes}) == 11
     assert len({id(v) for v in basis.vectors}) == 11
     x, y = g.fine_coords
@@ -608,7 +608,8 @@ def test_same_kind_neighborhoods_share_one_read_only_block():
         rows = np.searchsorted(nb.nodes, nb.interior)
         sub = fs.stiffness[basis.supports[i]][:, basis.supports[i]]
         pou = partition_of_unity(g, m.node, nb.interior)
-        xc, yc = g.coarse_node_xy(m.node)
+        cx, cy = g.coarse_node_grid(m.node)
+        xc, yc = cx * g.coarse_hx, cy * g.coarse_hy
         pou_xy = ((1.0 - np.abs(x[nb.interior] - xc) / g.coarse_hx)
                   * (1.0 - np.abs(y[nb.interior] - yc) / g.coarse_hy))
         with linalg.single_thread_blas():
@@ -626,7 +627,7 @@ def test_assemble_basis_logs_blocks_and_gram_condition(caplog):
     fs = _channels_5x5_seed11()
     modes = gmsfem.offline_modes(fs, 4)
     with caplog.at_level(logging.INFO, logger="msplit.gmsfem"):
-        gmsfem.assemble_basis(fs, modes, 4)
+        gmsfem.assemble_basis(fs, modes)
     (line,) = [msg for msg in caplog.messages if msg.startswith("basis:")]
     head, cond = line.rsplit(" ", 1)
     assert head == ("basis: 11 distinct blocks of 16 neighborhoods, "
@@ -649,13 +650,6 @@ def test_basis_vanishes_outside_neighborhood(small):
         assert np.all(fine_ids % nper < ix1)
         assert np.all(fine_ids // nper > iy0)
         assert np.all(fine_ids // nper < iy1)
-
-
-def test_assemble_basis_mode_count_guard(small):
-    g, fs = small
-    modes = gmsfem.offline_modes(fs, 3)
-    with pytest.raises(ValueError, match="stores only"):
-        gmsfem.assemble_basis(fs, modes, 5)
 
 
 def test_gram_schmidt_rejects_dependent_columns():
@@ -741,9 +735,9 @@ def test_prolongation_validates_blocks(small):
         gmsfem.assemble_prolongation(basis, (5, -1))
 
 
-def test_dof_counts_on_production_grid(ex1):
+def test_dof_counts_on_production_grid(ex1, ex1_basis10):
     prol6 = gmsfem.assemble_prolongation(ex1["basis6"], (1, 5))
-    prol10 = gmsfem.assemble_prolongation(ex1["basis10"], (1, 9))
+    prol10 = gmsfem.assemble_prolongation(ex1_basis10, (1, 9))
     assert prol6.matrix.shape[1] == 1350
     assert prol10.matrix.shape[1] == 2250
 
@@ -825,40 +819,11 @@ def test_projection_mass_factor_serves_the_whole_run(small, factorizations):
         "split step matrix"]
 
 
-# --- dump and reload ---
+# --- dump ---
 
 def test_basis_roundtrip_exact(small, tmp_path):
-    g, fs = small
+    _, fs = small
     basis = gmsfem.build_offline(fs, 3)
     path = tmp_path / "basis.txt"
     gmsfem.dump_basis(basis, path)
-    back = gmsfem.load_basis(path)
-    assert back.n_modes == basis.n_modes
-    assert np.array_equal(back.nodes, basis.nodes)
-    assert np.array_equal(back.eigenvalues, basis.eigenvalues)
-    for a, b in zip(basis.supports, back.supports):
-        assert np.array_equal(a, b)
-    for a, b in zip(basis.vectors, back.vectors):
-        assert np.array_equal(a, b)
-    assert (back.grid.nx_coarse, back.grid.ny_coarse, back.grid.refine) == \
-        (g.nx_coarse, g.ny_coarse, g.refine)
-
-
-def test_load_basis_rejects_other_files(tmp_path):
-    path = tmp_path / "junk.txt"
-    # one node, one mode, one support row on a 2 x 2, refine-3 grid
-    good = ["msplit-basis 2", "2 2 3 1 1", "node 4", "0.5", "support 1", "0 1.0"]
-    path.write_text("\n".join(good) + "\n")
-    assert gmsfem.load_basis(path).vectors[0][0, 0] == 1.0
-    for lines, needle in (
-            (["not a basis", "1 2 3"], "not a basis dump"),
-            (["msplit-basis 1", "2 2 3 1 1 1"] + good[2:], "not a basis dump"),
-            (good[:-1], "got 0 of 2 values in line ''"),
-            (good[:3], "got 0 of 1 values in line ''"),
-            (good[:1] + ["2 2 3 1"] + good[2:], "got 4 of 5 values"),
-            (good[:-1] + ["0 1.0 2.0"], "got 3 of 2 values"),
-            (good[:2] + ["nodes 4"] + good[3:], "expected a 'node' line")):
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=needle) as exc:
-            gmsfem.load_basis(path)
-        assert str(path) in str(exc.value)
+    assert_basis_dump(path, basis)

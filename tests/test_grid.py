@@ -25,12 +25,12 @@ def test_counts_on_rectangular_grid():
 
 
 def test_node_numbering_row_major():
+    # fine node (ix, iy) has id iy * (nx_fine + 1) + ix
     g = GridPair(2, 2, 2)
-    assert g.fine_node_id(0, 0) == 0
-    assert g.fine_node_id(4, 0) == 4
-    assert g.fine_node_id(0, 1) == 5
     x, y = g.fine_coords
-    node = g.fine_node_id(3, 2)
+    assert (x[4], y[4]) == (1.0, 0.0)
+    assert (x[5], y[5]) == (0.0, 0.25)
+    node = 2 * (g.nx_fine + 1) + 3
     assert x[node] == pytest.approx(0.75)
     assert y[node] == pytest.approx(0.5)
 
@@ -48,7 +48,7 @@ def test_interior_coarse_ids():
     g = GridPair(3, 3, 2)
     ids = g.interior_coarse_ids
     assert len(ids) == 4
-    assert all(g.is_interior_coarse(int(i)) for i in ids)
+    assert all(0 < i % 4 < 3 and 0 < i // 4 < 3 for i in ids)
     assert list(ids) == sorted(ids)
     # corners and edges excluded
     assert 0 not in ids and g.coarse_node_id(1, 0) not in ids
@@ -78,8 +78,9 @@ def test_fine_nodes_in_box():
     nodes = g.fine_nodes_in_box(1, 3, 2, 4)
     assert len(nodes) == 9
     assert np.all(np.diff(nodes) > 0)
-    assert nodes[0] == g.fine_node_id(1, 2)
-    assert nodes[-1] == g.fine_node_id(3, 4)
+    # fine (1, 2) and (3, 4) on the 7-node-wide fine grid
+    assert nodes[0] == 2 * 7 + 1
+    assert nodes[-1] == 4 * 7 + 3
 
 
 def test_neighborhood_interior_node():
@@ -115,12 +116,12 @@ def test_partition_of_unity_hat_shape():
     g = GridPair(4, 4, 4)
     node = g.coarse_node_id(2, 1)
     hat = partition_of_unity(g, node)
-    xc, yc = g.coarse_node_xy(node)
-    own = g.fine_node_id(round(xc / g.hx), round(yc / g.hy))
+    # the node sits at fine (8, 4) on the 17-node-wide fine grid
+    own = 4 * 17 + 8
     assert hat[own] == pytest.approx(1.0)
     assert hat.min() == 0.0
     # bilinear value halfway to a neighboring coarse node
-    half = g.fine_node_id(round(xc / g.hx) + g.refine // 2, round(yc / g.hy))
+    half = own + g.refine // 2
     assert hat[half] == pytest.approx(0.5)
     # zero outside the neighborhood box
     nb = neighborhood(g, node)
@@ -164,7 +165,8 @@ def test_partition_of_unity_is_one_array_at_every_interior_node():
         for node in g.interior_coarse_ids:
             interior = neighborhood(g, int(node)).interior
             assert np.array_equal(partition_of_unity(g, int(node), interior), want)
-            xc, yc = g.coarse_node_xy(int(node))
+            cx, cy = g.coarse_node_grid(int(node))
+            xc, yc = cx * g.coarse_hx, cy * g.coarse_hy
             absolute = ((1.0 - np.abs(x[interior] - xc) / g.coarse_hx)
                         * (1.0 - np.abs(y[interior] - yc) / g.coarse_hy))
             assert np.max(np.abs(absolute - want)) <= 1e-15, node

@@ -12,7 +12,7 @@ from msplit import splitting
 from msplit.linalg import NumericalError
 
 from _oracles import (dense_backward_euler, dense_split_step, dense_threshold,
-                      random_spd)
+                      error_recursion_diag, random_spd)
 
 
 def make_cs(cmat, bmat, sizes, forcing=None, z0=None):
@@ -553,7 +553,7 @@ def test_error_recursion_residual_is_machine_small():
     config = splitting.SplitConfig(tau=0.05, t_final=1.0)
     split = splitting.march(cs, parts, config)
     euler = splitting.backward_euler(cs, 0.05, 1.0)
-    report = splitting.error_recursion_diag(parts, euler, split)
+    report = error_recursion_diag(parts, euler, split)
     assert report.max_residual < 1e-12
     assert report.coupling_norm > 0.0
     assert report.error_norms[0] == 0.0
@@ -567,14 +567,14 @@ def test_error_recursion_guards():
     relaxed = splitting.march(cs, parts, splitting.SplitConfig(
         tau=0.1, t_final=0.5, theta_mass=1.0, theta_stiff=0.5))
     with pytest.raises(ValueError, match="fully implicit"):
-        splitting.error_recursion_diag(parts, euler, relaxed)
+        error_recursion_diag(parts, euler, relaxed)
     strict = splitting.march(cs, parts,
                              splitting.SplitConfig(tau=0.1, t_final=0.5))
     other = splitting.backward_euler(cs, 0.05, 0.5)
     with pytest.raises(ValueError, match="time grid"):
-        splitting.error_recursion_diag(parts, other, strict)
+        error_recursion_diag(parts, other, strict)
     with pytest.raises(ValueError, match="backward Euler"):
-        splitting.error_recursion_diag(parts, strict, strict)
+        error_recursion_diag(parts, strict, strict)
 
 
 def test_march_raises_on_nonfinite_state():

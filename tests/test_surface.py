@@ -1,8 +1,11 @@
-"""The public surface: every exported name resolves, and each name has one path."""
+"""The public surface: every exported name resolves, each name has one path,
+and each is reached by the program, the benchmark or a demo."""
 
+import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -36,3 +39,95 @@ def test_import_msplit_leaves_scipy_unimported():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, timeout=60, check=True)
     assert out.stdout.strip() == "False"
+
+
+# --- every public name is reached by the program, the benchmark or a demo ---
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _read(path):
+    with open(path) as fh:
+        return fh.read()
+
+
+def _all_list(tree):
+    """The module's ``__all__`` assignment, or None."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__" for target in node.targets):
+            return node
+    return None
+
+
+def _members(cls):
+    """Public methods, properties, class attributes and fields of ``cls``,
+    each with the line that defines it."""
+    found = []
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.append((node.name, node.lineno))
+            if node.name == "__init__":
+                for sub in ast.walk(node):
+                    if isinstance(sub, (ast.Assign, ast.AnnAssign)):
+                        targets = sub.targets if isinstance(sub, ast.Assign) else [sub.target]
+                        for target in targets:
+                            if (isinstance(target, ast.Attribute)
+                                    and getattr(target.value, "id", None) == "self"):
+                                found.append((target.attr, sub.lineno))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            found.append((node.target.id, node.lineno))
+        elif isinstance(node, ast.Assign):
+            found.extend((target.id, node.lineno) for target in node.targets
+                         if isinstance(target, ast.Name))
+    return [(name, line) for name, line in found if not name.startswith("_")]
+
+
+def test_every_public_name_is_reached_outside_the_tests():
+    # A public name of the package must be used by the package itself, by
+    # the benchmark or by a demo; one that only the tests reach belongs in
+    # the tests. The name's own definition line and the __all__ lists do
+    # not count as uses.
+    src = os.path.join(ROOT, "src", "msplit")
+    texts = {}          # path -> list of lines
+    skipped = {}        # path -> line numbers that do not count as uses
+    wanted = []         # (name, defining path, defining line)
+    for entry in sorted(os.listdir(src)):
+        if not entry.endswith(".py"):
+            continue
+        path = os.path.join(src, entry)
+        module = entry[:-3]
+        text = _read(path)
+        tree = ast.parse(text)
+        texts[path] = text.splitlines()
+        exports = _all_list(tree)
+        if exports is None:
+            skipped[path] = set()
+            continue
+        skipped[path] = set(range(exports.lineno, exports.end_lineno + 1))
+        defs = {node.name: node for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        for name in (elt.value for elt in exports.value.elts):
+            if name.startswith("__"):
+                continue
+            node = defs.get(name)
+            wanted.append((f"{module}.{name}", path, node.lineno if node else None))
+            if isinstance(node, ast.ClassDef):
+                wanted.extend((f"{module}.{name}.{member}", path, line)
+                              for member, line in _members(node))
+    for folder in ("benchmark", "demos"):
+        for entry in sorted(os.listdir(os.path.join(ROOT, folder))):
+            if entry.endswith(".py"):
+                path = os.path.join(ROOT, folder, entry)
+                texts[path] = _read(path).splitlines()
+                skipped[path] = set()
+
+    unreached = []
+    for qualified, home, line in wanted:
+        word = re.compile(rf"\b{re.escape(qualified.rsplit('.', 1)[-1])}\b")
+        if not any(word.search(text) for path, lines in texts.items()
+                   for number, text in enumerate(lines, 1)
+                   if number not in skipped[path]
+                   and not (path == home and number == line)):
+            unreached.append(qualified)
+    assert unreached == [], f"public names only the tests reach: {unreached}"
