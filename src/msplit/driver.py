@@ -365,7 +365,7 @@ def build_pipeline(config: ExperimentConfig) -> Pipeline:
     tic = time.perf_counter()
     basis = gmsfem.build_offline(fs, config.modes)
     prol = gmsfem.assemble_prolongation(basis, config.blocks)
-    coarse = gmsfem.project_coarse(fs, prol)
+    coarse = gmsfem.project_coarse(fs, basis, prol)
     t_offline = time.perf_counter() - tic
     return Pipeline(config=config, grid=g, fs=fs, basis=basis, prol=prol,
                     coarse=coarse, seconds_assemble=t_assemble,
@@ -610,7 +610,7 @@ def sweep(config: ExperimentConfig, axis: str) -> list:
             if "blocks" in override:
                 prol = gmsfem.assemble_prolongation(pipe.basis, blocks)
                 setting_pipe = dataclasses.replace(
-                    pipe, prol=prol, coarse=gmsfem.project_coarse(pipe.fs, prol))
+                    pipe, prol=prol, coarse=gmsfem.project_coarse(pipe.fs, pipe.basis, prol))
             else:
                 setting_pipe = pipe
             if (blocks, tau) != reference_key:

@@ -25,9 +25,10 @@ energy-orthonormalized within the neighborhood by two passes of
 Cholesky-QR; neighborhoods of the same kinds of cells share one read-only
 block. The resulting columns form the
 prolongation from coarse coefficients to interior fine nodes: one sparse
-matrix whose columns are grouped by mode block, written column by column
-in CSC form, so the Galerkin projection yields the coarse operators
-directly in the block order the split scheme reads. The coarse mass and
+matrix whose columns are grouped by mode block, the block order the split
+scheme reads. The Galerkin projection onto them is assembled coarse cell by
+coarse cell, from small dense products of the four corner nodes' blocks
+with the cell's fine matrices, straight into that order. The coarse mass and
 stiffness stay sparse, as exactly symmetric CSR matrices, from the
 projection to the end of a run, and the coarse start vector is the moments
 of the initial field against the basis.
@@ -299,6 +300,40 @@ def _mapped(shape) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, size), dtype=float).reshape(shape)
 
 
+def _element_scatter(r: int, pos: np.ndarray, unit: np.ndarray):
+    """A coarse cell's Q1 matrix pattern and the map from element coefficients to it.
+
+    The cell's (r+1)^2 nodes, row-major, are numbered ``pos``. Returns the
+    CSR ``indptr`` and ``indices`` of the entries some element reaches and
+    a sparse (nnz, r^2) map whose product with the r^2 element
+    coefficients (row-major) is the matrix's data for the element matrix
+    ``unit``. Each row sums its elements in ascending order, so a symmetric
+    ``unit`` gives an exactly symmetric matrix.
+    """
+    n = (r + 1) ** 2
+    ex, ey = np.arange(r * r) % r, np.arange(r * r) // r
+    corners = pos[(ey * (r + 1) + ex)[:, None] + np.array([0, 1, r + 1, r + 2])]
+    keys = (corners[:, :, None] * n + corners[:, None, :]).ravel()
+    pattern = np.unique(keys)
+    scatter = sp.csr_matrix(
+        (np.tile(unit.ravel(), r * r),
+         (np.searchsorted(pattern, keys), np.repeat(np.arange(r * r), 16))),
+        shape=(len(pattern), r * r))
+    scatter.sort_indices()
+    return np.searchsorted(pattern, np.arange(n + 1) * n), pattern % n, scatter
+
+
+def _block_diagonal(indptr: np.ndarray, indices: np.ndarray,
+                    data: np.ndarray) -> sp.csr_matrix:
+    """The CSR matrix of ``len(data)`` diagonal blocks that share one pattern."""
+    count, nnz = data.shape
+    n = len(indptr) - 1
+    return sp.csr_matrix(
+        (data.ravel(), (indices + n * np.arange(count)[:, None]).ravel(),
+         np.concatenate([[0], (indptr[1:] + nnz * np.arange(count)[:, None]).ravel()])),
+        shape=(count * n, count * n))
+
+
 # Two neighbouring eigenvalues of a pencil belong to one cluster when their
 # relative gap (lam_j - lam_{j-1}) / |lam_j| is below this. The smallest gap
 # at a mode cut that is not an exact degeneracy is 6.0e-3 on tiny-forced,
@@ -310,8 +345,9 @@ _CLUSTER_RTOL = 1e-8
 # cluster, less the directions already chosen, has at most this share of
 # the probe's own S-norm.
 _PROBE_RTOL = 1e-6
-# Distinct coarse cells condensed per batch: at r = 16 a batch's
-# temporaries take about 20 MB.
+# Coarse cells per batch, for the condensation (distinct cells) and for the
+# Galerkin products: at r = 16 a condensation batch's temporaries take about
+# 20 MB, a batch of ten-mode Galerkin products about 10 MB.
 _BATCH = 32
 
 
@@ -507,14 +543,8 @@ class _CondensedCells:
             shape=(len(self._stiff_slots), r * r))
         self._stiff_map.sort_indices()
 
-        keys = rows * n + cols
-        pattern = np.unique(keys)
-        self._mass_indptr = np.searchsorted(pattern, np.arange(n + 1) * n)
-        self._mass_indices = pattern % n
-        self._mass_map = sp.csr_matrix(
-            (np.tile(mass_unit.ravel(), r * r), (np.searchsorted(pattern, keys), elems)),
-            shape=(len(pattern), r * r))
-        self._mass_map.sort_indices()
+        self._mass_indptr, self._mass_indices, self._mass_map = \
+            _element_scatter(r, pos, mass_unit)
 
     def condense(self, cells: np.ndarray):
         """(mapmat, E^T K E, E^T W E) of coarse ``cells``, stacked in their order.
@@ -546,14 +576,8 @@ class _CondensedCells:
             mapmat[j] = -solved
         schur = stiff[:, band_size + n_b * n_i:].reshape(count, n_b, n_b) + kbi @ mapmat
 
-        weights = self._mass_map @ self._weight[cells].T
-        nnz = len(self._mass_indices)
-        wmass = sp.csr_matrix(
-            (weights.T.ravel(),
-             (self._mass_indices + n * np.arange(count)[:, None]).ravel(),
-             np.concatenate([[0], (self._mass_indptr[1:]
-                                   + nnz * np.arange(count)[:, None]).ravel()])),
-            shape=(count * n, count * n))
+        wmass = _block_diagonal(self._mass_indptr, self._mass_indices,
+                                (self._mass_map @ self._weight[cells].T).T)
         extend = np.empty((count, n, n_b))
         extend[:, :n_b] = np.eye(n_b)
         extend[:, n_b:] = mapmat
@@ -800,43 +824,157 @@ def assemble_prolongation(basis: OfflineBasis, blocks) -> Prolongation:
     return Prolongation(matrix=columns.tocsr(), block_sizes=blocks)
 
 
-def _galerkin(prol: sp.csr_matrix, prol_t: sp.csr_matrix,
-              fine: sp.csr_matrix) -> sp.csr_matrix:
-    """Exactly symmetric projection prol^T fine prol, as CSR.
+class _GalerkinCells:
+    """The Galerkin products of the fine mass and stiffness, coarse cell by coarse cell.
 
-    ``prol_t`` is prol^T as CSR, so both products are CSR times CSR and
-    neither converts its right operand to another format.
+    A basis column of node i vanishes outside the four coarse cells around
+    i, so P^T A P = sum_c V_c^T A_c V_c. V_c holds the columns of the
+    cell's corner nodes (lower left, lower right, upper left, upper right;
+    m modes each) at the (r+1)^2 nodes of its closed box, row-major, and
+    A_c is the cell's Q1 mass or stiffness over that box: one 9-point CSR
+    pattern, whose data a sparse map makes from the r^2 element
+    coefficients, unit weight or the permeability
+    (:func:`_element_scatter`). An interior node's support is the interior
+    of its (2r+1)^2 node box, ascending, so each distinct read-only block of
+    ``basis.vectors`` is zero-padded once to that window (``windows``; the
+    last window is zero and stands for a corner on the domain boundary,
+    which has no basis), and V_c is four quadrants of windows.
     """
-    coarse = prol_t @ (fine @ prol)
-    return 0.5 * (coarse + coarse.T)
+
+    def __init__(self, fs: FineSystem, basis: OfflineBasis):
+        g = fs.grid
+        r, m = g.refine, basis.n_modes
+        n_cells = g.nx_coarse * g.ny_coarse
+        distinct = {}
+        for vec in basis.vectors:
+            distinct.setdefault(id(vec), (len(distinct), vec))
+        self.windows = _mapped((len(distinct) + 1, 2 * r + 1, 2 * r + 1, m))
+        for k, vec in distinct.values():
+            self.windows[k, 1:2 * r, 1:2 * r] = vec.reshape(2 * r - 1, 2 * r - 1, m)
+        lower_left = (np.arange(n_cells) // g.nx_coarse * (g.nx_coarse + 1)
+                      + np.arange(n_cells) % g.nx_coarse)
+        corners = lower_left[:, None] + np.array([0, 1, g.nx_coarse + 1, g.nx_coarse + 2])
+        index = np.full(g.n_coarse_nodes, -1)
+        index[basis.nodes] = np.arange(len(basis.nodes))
+        self.node = index[corners]   # (cells, 4) basis node index, -1 for no basis
+        window = np.append([distinct[id(vec)][0] for vec in basis.vectors], len(distinct))
+        self._window_row = window[self.node] * (2 * r + 1) ** 2   # its first row, flattened
+        self._kappa = np.asarray(fs.kappa_cells, float).reshape(
+            g.ny_coarse, r, g.nx_coarse, r).transpose(0, 2, 1, 3).reshape(n_cells, r * r)
+        mass_unit, stiff_unit = fineassembly._mass_stiff_units(g)
+        nodes = np.arange((r + 1) ** 2)
+        self._indptr, self._indices, mass_map = _element_scatter(r, nodes, mass_unit)
+        self._mass_data = mass_map @ np.ones(r * r)
+        _, _, self._stiff_map = _element_scatter(r, nodes, stiff_unit)
+        # window rows of the cell box's nodes (row-major) for each corner
+        y, x = np.divmod(np.arange((r + 1) ** 2), r + 1)
+        self._quadrants = np.stack([(y + r * (1 - k // 2)) * (2 * r + 1) + x + r * (1 - k % 2)
+                                    for k in range(4)], axis=1)
+        self.n_modes, self.n_nodes = m, len(basis.nodes)
+
+    def products(self, cells: np.ndarray) -> np.ndarray:
+        """(V_c^T M_c V_c, V_c^T K_c V_c) of coarse ``cells``: (2, len(cells), 4m, 4m).
+
+        V is gathered from the windows in one indexing step. Each operator
+        is one block-diagonal sparse product A V over all ``cells`` and one
+        stacked matrix product V^T (A V), and each block is made exactly
+        symmetric. Each cell's arithmetic is its own, so a cell's blocks
+        have the same bits alone as in any batch.
+        """
+        m = self.n_modes
+        count, n = len(cells), len(self._quadrants)
+        rows = self._window_row[cells][:, None, :] + self._quadrants
+        values = self.windows.reshape(-1, m)[rows.ravel()].reshape(count * n, 4 * m)
+        stacked = values.reshape(count, n, 4 * m).transpose(0, 2, 1)
+        grams = []
+        for data in (np.broadcast_to(self._mass_data, (count, len(self._indices))),
+                     (self._stiff_map @ self._kappa[cells].T).T):
+            applied = _block_diagonal(self._indptr, self._indices, data) @ values
+            gram = stacked @ applied.reshape(count, n, 4 * m)
+            grams.append(0.5 * (gram + gram.transpose(0, 2, 1)))
+        return np.stack(grams)
+
+    def assemble(self, block_sizes) -> tuple:
+        """The coarse mass and stiffness, in the prolongation's column order.
+
+        Both are CSR in one pattern with sorted indices: every mode pair of
+        every two nodes that share a coarse cell, explicit zeros included.
+        Each entry sums the cells' exactly symmetric blocks in cell order
+        (:data:`_BATCH` cells per :meth:`products` call), so both operators
+        are exactly symmetric.
+        """
+        m, n_nodes = self.n_modes, self.n_nodes
+        n_cells = len(self.node)
+        grams = np.empty((2, n_cells, 4 * m, 4 * m))
+        for k in range(0, n_cells, _BATCH):
+            grams[:, k:k + _BATCH] = self.products(np.arange(k, min(k + _BATCH, n_cells)))
+
+        # The rows of node i hold, block by block, that block's modes of every
+        # node j that shares a cell with i, ascending: deg(i) m entries.
+        # ``pairs`` lists those (i, j) node-major, and a cell's corner pair
+        # (k, l) is pair ``rank`` of its row node.
+        node = self.node
+        shared = (node >= 0)[:, :, None] & (node >= 0)[:, None, :]
+        keys = np.where(shared, node[:, :, None] * n_nodes + node[:, None, :], n_nodes ** 2)
+        pairs, pair = np.unique(keys.ravel(), return_inverse=True)
+        starts = np.searchsorted(pairs, np.arange(n_nodes + 1) * n_nodes)
+        degree = np.diff(starts)
+        corner = np.maximum(node, 0)   # stands in where no node is; such slots are dropped
+        rank = pair.reshape(n_cells, 4, 4) - starts[corner][:, :, None]
+
+        sizes = np.array(block_sizes)
+        first = np.repeat(np.cumsum(sizes) - sizes, sizes)   # first mode of each mode's block
+        size = np.repeat(sizes, sizes)
+        dof = n_nodes * first + np.arange(n_nodes)[:, None] * size + np.arange(m) - first
+        indptr = np.zeros(n_nodes * m + 1, dtype=np.int64)
+        indptr[1:][dof] = (degree * m)[:, None]
+        np.cumsum(indptr, out=indptr)
+        nnz = int(indptr[-1])
+        # slot[c, k, a, l, b]: where entry (mode a of corner k, mode b of
+        # corner l) of cell c's block goes; nnz, past the end, for no basis
+        slot = (indptr[dof[corner]][:, :, :, None, None]
+                + (degree[corner][:, :, None] * first)[:, :, None, None, :]
+                + rank[:, :, None, :, None] * size + np.arange(m) - first)
+        slot = np.where(shared[:, :, None, :, None], slot, nnz).ravel()
+        index = np.int32 if nnz < 2 ** 31 else np.int64
+        indices = np.empty(nnz + 1, dtype=index)
+        indices[slot] = np.broadcast_to(dof[corner][:, None, None], (n_cells, 4, m, 4, m)).ravel()
+        indptr = indptr.astype(index)
+        return tuple(
+            sp.csr_matrix((np.bincount(slot, weights=gram.ravel(), minlength=nnz + 1)[:nnz],
+                           indices[:nnz].copy(), indptr.copy()),
+                          shape=(n_nodes * m, n_nodes * m))
+            for gram in grams)
 
 
-def project_coarse(fs: FineSystem, prol: Prolongation) -> CoarseSystem:
+def project_coarse(fs: FineSystem, basis: OfflineBasis, prol: Prolongation) -> CoarseSystem:
     """Galerkin projection of the fine system onto the block basis.
 
     Returns the coarse mass/stiffness (exactly symmetric CSR), the projected
-    forcing, and the initial coarse coefficients. The products P^T (A P)
-    are CSR times CSR: P is converted to CSC once, whose transpose is P^T
-    as CSR, and that copy is freed after the two products; kept through
-    the whole run it raised the peak memory of ``msplit run example1``
-    from 169 to 184 MB. Both operators are checked positive definite by
-    one sparse factorization each; the coarse system keeps the mass factor
-    for the energy monitor. The initial coefficients are the moments of
-    the initial field, its mass pairings with each basis function, not
-    solved with the coarse mass: that keeps the initial vector free of the
-    near-dependent basis combinations that a mass solve amplifies, so the
-    three-level scheme starts without exciting its weakly damped mode.
+    forcing, and the initial coarse coefficients. ``prol`` is the
+    prolongation :func:`assemble_prolongation` made of ``basis``. C = P^T M P
+    and B = P^T K P are sums over coarse cells of small dense products
+    V_c^T A_c V_c (:class:`_GalerkinCells`), made :data:`_BATCH` cells at a
+    time with every OpenBLAS pinned to one thread and added into the
+    structural pattern of the coarse operators; neither A P nor a transposed
+    copy of P is formed. On example2-synthetic the two take 0.07-0.10 s in
+    one process on a shared 2-vCPU host. Both operators are checked
+    positive definite by one sparse factorization each; the coarse system
+    keeps the mass factor for the energy monitor. The initial coefficients
+    are the moments of the initial field, its mass pairings with each basis
+    function, not solved with the coarse mass: that keeps the initial vector
+    free of the near-dependent basis combinations that a mass solve
+    amplifies, so the three-level scheme starts without exciting its weakly
+    damped mode.
 
     A time-dependent forcing keeps the grid's load operator Q and P^T, so
     ``rhs(t)`` is P^T (Q f(t)): one source evaluation and two sparse
     products. A static forcing is loaded and projected once, through a load
     operator built and freed here; none is stored on the fine system.
     """
+    with single_thread_blas():
+        mass, stiff = _GalerkinCells(fs, basis).assemble(prol.block_sizes)
     pmat = prol.matrix
-    pmat_t = pmat.tocsc().T
-    mass = _galerkin(pmat, pmat_t, fs.mass)
-    stiff = _galerkin(pmat, pmat_t, fs.stiffness)
-    del pmat_t
 
     source = fs.source
     time_dependent = getattr(source, "time_dependent", source is not None)

@@ -369,9 +369,6 @@ class Trajectory:
 
     states: np.ndarray
     tau: float
-    scheme: str
-    theta_mass: Optional[float] = None
-    theta_stiff: Optional[float] = None
     certificate: Optional[StabilityCertificate] = None
     energy: Optional[np.ndarray] = None
     bound_lhs: Optional[np.ndarray] = None
@@ -503,9 +500,7 @@ def march(cs: CoarseSystem, parts: SplitParts, config: SplitConfig) -> Trajector
         energy, bound_lhs, bound_rhs = _energy_monitor(
             parts, config, run.states, run.forcing[1:], cs.mass_factor())
         _check_bound(bound_lhs, bound_rhs)
-    return Trajectory(states=run.states, tau=config.tau, scheme="split",
-                      theta_mass=config.theta_mass, theta_stiff=config.theta_stiff,
-                      certificate=cert, energy=energy,
+    return Trajectory(states=run.states, tau=config.tau, certificate=cert, energy=energy,
                       bound_lhs=bound_lhs, bound_rhs=bound_rhs,
                       step_seconds=run.step_seconds)
 
@@ -515,5 +510,4 @@ def backward_euler(cs: CoarseSystem, tau: float, t_final: float) -> Trajectory:
     n_steps = SplitConfig(tau=tau, t_final=t_final).n_steps  # validates the step count
     run = _Run(cs, tau, n_steps)
     run.advance(range(n_steps), _euler_step(cs, tau))
-    return Trajectory(states=run.states, tau=tau, scheme="backward-euler",
-                      step_seconds=run.step_seconds)
+    return Trajectory(states=run.states, tau=tau, step_seconds=run.step_seconds)

@@ -5,8 +5,8 @@ arithmetic (Gauss quadrature element loops, symbolic characteristic
 polynomials, explicit dense time steppers) so that package results can be
 checked against a second route. Nothing imports package internals; the
 oracles read the fields of package records (the grid geometry containers,
-and for the error recursion the split's mass and stiffness parts and the
-two trajectories).
+and for the error recursion the split's mass and stiffness parts, the split
+run's config and the two trajectories).
 """
 
 from dataclasses import dataclass
@@ -113,6 +113,12 @@ def coo_load_matrix(g):
                         shape=(g.n_interior_fine, 4 * g.n_fine_cells))
     mat.sort_indices()
     return mat
+
+
+def sparse_galerkin(prol, fine):
+    """The exactly symmetric Galerkin product 1/2 (S + S^T), S = P^T (A P), as CSR."""
+    product = (prol.T @ (fine @ prol)).tocsr()
+    return 0.5 * (product + product.T)
 
 
 def energy_gram_schmidt(block, stiff):
@@ -284,7 +290,7 @@ class RecursionReport:
         return float(self.residuals.max()) if len(self.residuals) else 0.0
 
 
-def error_recursion_diag(parts, reference, split):
+def error_recursion_diag(parts, config, reference, split):
     """Verify the error recursion of the fully implicit split scheme.
 
     For theta_mass = theta_stiff = 1 the deviation e^n between the unsplit
@@ -293,14 +299,17 @@ def error_recursion_diag(parts, reference, split):
         (C + tau*B) e^{n+1} = C e^n + C2 (z^n - z^{n-1})
                               - (C2 + tau*B2) (z^{n+1} - z^n).
 
-    Returns the stepwise defect of that identity; other weights are refused.
+    ``config`` is the split run's SplitConfig. A split run carries its
+    stability certificate and a backward Euler run none. Returns the
+    stepwise defect of that identity; other weights are refused.
     """
-    if reference.scheme != "backward-euler" or split.scheme != "split":
+    if reference.certificate is not None or split.certificate is None:
         raise ValueError("need one backward Euler reference and one split run")
-    if split.theta_mass != 1.0 or split.theta_stiff != 1.0:
+    if config.theta_mass != 1.0 or config.theta_stiff != 1.0:
         raise ValueError("the error recursion holds for the fully implicit "
                          "weights only (theta_mass = theta_stiff = 1)")
-    if reference.tau != split.tau or reference.states.shape != split.states.shape:
+    if not reference.tau == split.tau == config.tau \
+            or reference.states.shape != split.states.shape:
         raise ValueError("trajectories do not share the time grid")
     tau = split.tau
     cmat, bmat = parts.mass, parts.stiff

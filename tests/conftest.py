@@ -34,7 +34,7 @@ def ex1_basis10(ex1):
 def ex1_split15(ex1):
     """Prolongation and coarse system for the 1+5 split of the first problem."""
     prol = gmsfem.assemble_prolongation(ex1["basis6"], (1, 5))
-    coarse = gmsfem.project_coarse(ex1["fs"], prol)
+    coarse = gmsfem.project_coarse(ex1["fs"], ex1["basis6"], prol)
     return prol, coarse
 
 

@@ -44,7 +44,7 @@ def _make_cs(cmat, bmat, sizes, forcing=None, z0=None):
 def test_acceptance_1_single_block_equals_backward_euler(ex1):
     tic = time.perf_counter()
     prol = gmsfem.assemble_prolongation(ex1["basis6"], (6,))
-    coarse = gmsfem.project_coarse(ex1["fs"], prol)
+    coarse = gmsfem.project_coarse(ex1["fs"], ex1["basis6"], prol)
     parts = splitting.make_split(coarse)
     config = SplitConfig(tau=TAU0, t_final=T_FINAL)
     split = splitting.march(coarse, parts, config)
@@ -80,7 +80,7 @@ def test_acceptance_2_five_splittings_error_band(ex1):
     rows = []
     for blocks in [(1, 5), (2, 4), (3, 3), (4, 2), (5, 1)]:
         prol = gmsfem.assemble_prolongation(ex1["basis6"], blocks)
-        coarse = gmsfem.project_coarse(fs, prol)
+        coarse = gmsfem.project_coarse(fs, ex1["basis6"], prol)
         parts = splitting.make_split(coarse)
         config = SplitConfig(tau=TAU0, t_final=T_FINAL)
         split = splitting.march(coarse, parts, config)
@@ -121,7 +121,7 @@ def test_acceptance_4_tau_convergence(ex1):
     tic = time.perf_counter()
     fs = ex1["fs"]
     prol = gmsfem.assemble_prolongation(ex1["basis6"], (3, 3))
-    coarse = gmsfem.project_coarse(fs, prol)
+    coarse = gmsfem.project_coarse(fs, ex1["basis6"], prol)
     parts = splitting.make_split(coarse)
     reference = splitting.backward_euler(coarse, TAU0 / 8, T_FINAL)
     ref_final = reference.states[-1]
@@ -246,7 +246,7 @@ def test_acceptance_7_offline_matches_brute_force():
 
     basis = gmsfem.build_offline(fs, 3)
     prol = gmsfem.assemble_prolongation(basis, (1, 2))
-    cs = gmsfem.project_coarse(fs, prol)
+    cs = gmsfem.project_coarse(fs, basis, prol)
     rmat = prol.matrix.toarray()
     dmass_all, dstiff_all = dense_q1_matrices(g, fs.kappa_cells)
     keep = g.interior_fine_ids
@@ -284,7 +284,7 @@ def test_acceptance_8_error_recursion(ex1, ex1_split15):
     config = SplitConfig(tau=TAU0, t_final=T_FINAL)
     split = splitting.march(coarse, parts, config)
     euler = splitting.backward_euler(coarse, TAU0, T_FINAL)
-    report = error_recursion_diag(parts, euler, split)
+    report = error_recursion_diag(parts, config, euler, split)
     ok = report.max_residual <= 1e-8
     _line(8, ok, f"error recursion residual {report.max_residual:.2e} over "
                  f"{split.n_steps} steps (coupling norm "
@@ -308,7 +308,7 @@ def test_high_contrast_trend():
     errors = {}
     for blocks in [(1, 9), (5, 5)]:
         prol = gmsfem.assemble_prolongation(basis, blocks)
-        coarse = gmsfem.project_coarse(fs, prol)
+        coarse = gmsfem.project_coarse(fs, basis, prol)
         parts = splitting.make_split(coarse)
         scfg = SplitConfig(tau=pipe_config.tau, t_final=T_FINAL)
         split = splitting.march(coarse, parts, scfg)

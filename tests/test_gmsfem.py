@@ -13,7 +13,8 @@ from msplit.fineassembly import LoadOperator, Permeability, assemble, local_matr
 from msplit.grid import GridPair, neighborhood, partition_of_unity
 from msplit.linalg import NumericalError
 
-from _oracles import dense_q1_matrices, energy_gram_schmidt, oracle_snapshots
+from _oracles import (dense_q1_matrices, energy_gram_schmidt, oracle_snapshots,
+                      sparse_galerkin)
 from conftest import assert_basis_dump, rng_for
 
 
@@ -748,7 +749,7 @@ def test_coarse_blocks_match_projected_operators(small):
     g, fs = small
     basis = gmsfem.build_offline(fs, 4)
     prol = gmsfem.assemble_prolongation(basis, (1, 3))
-    cs = gmsfem.project_coarse(fs, prol)
+    cs = gmsfem.project_coarse(fs, basis, prol)
     pmat = prol.matrix
     want_mass = (pmat.T @ fs.mass @ pmat).toarray()
     want_stiff = (pmat.T @ fs.stiffness @ pmat).toarray()
@@ -756,24 +757,72 @@ def test_coarse_blocks_match_projected_operators(small):
     assert np.max(np.abs(cs.stiff.toarray() - want_stiff)) < 1e-12
 
 
-def test_projection_is_the_galerkin_product_bit_for_bit(small):
-    # P^T (A P) as CSR @ CSR gives the bits of the CSC route, which
-    # converted A P to CSC
-    g, fs = small
+def _wavy_2x2():
+    return assemble(GridPair(2, 2, 3), Permeability(wavy_kappa))
+
+
+def _channels_4x3():
+    # hx != hy, and the boundary cells have one or two corners with a basis
+    g = GridPair(4, 3, 4)
+    return assemble(g, driver.synthetic_channels(g))
+
+
+@pytest.mark.parametrize("make_fs, blocks", [
+    (_wavy_2x2, (1, 3)), (_channels_4x3, (1, 3)), (_channels_5x5_seed11, (1, 3)),
+    (_channels_5x5_seed11, (2, 2)), (_channels_5x5_seed11, (4,))],
+    ids=["wavy-2x2-r3", "channels-4x3-r4", "channels-5x5-r3-1+3",
+         "channels-5x5-r3-2+2", "channels-5x5-r3-4"])
+def test_cell_galerkin_matches_the_sparse_product(make_fs, blocks):
+    fs = make_fs()
+    basis = gmsfem.build_offline(fs, 4)
+    prol = gmsfem.assemble_prolongation(basis, blocks)
+    cs = gmsfem.project_coarse(fs, basis, prol)
+    for got, fine in ((cs.mass, fs.mass), (cs.stiff, fs.stiffness)):
+        want = sparse_galerkin(prol.matrix, fine).toarray()
+        assert np.max(np.abs(got.toarray() - want)) <= 1e-13 * np.max(np.abs(want))
+    # a cell's blocks have the same bits alone as in any batch
+    cells = gmsfem._GalerkinCells(fs, basis)
+    order = np.arange(fs.grid.nx_coarse * fs.grid.ny_coarse)
+    batch = cells.products(order)
+    assert np.array_equal(cells.products(order[::-1]), batch[:, ::-1])
+    for cell in order:
+        assert np.array_equal(cells.products(order[cell:cell + 1])[:, 0], batch[:, cell])
+
+
+def _structural_pattern(basis, blocks):
+    """Dense mask of every mode pair of every two nodes that share a coarse cell."""
+    g = basis.grid
+    cx, cy = basis.nodes % (g.nx_coarse + 1), basis.nodes // (g.nx_coarse + 1)
+    share = ((np.abs(cx[:, None] - cx[None, :]) <= 1)
+             & (np.abs(cy[:, None] - cy[None, :]) <= 1))
+    node = np.concatenate([np.repeat(np.arange(len(basis.nodes)), b) for b in blocks])
+    return share[np.ix_(node, node)]
+
+
+def test_coarse_operators_store_the_structural_pattern(ex1_split15):
+    # stored entries, exact zeros included, do not depend on rounding, so
+    # neither do the sparse factorizations' ordering and fill
+    fs = _channels_4x3()
     basis = gmsfem.build_offline(fs, 4)
     prol = gmsfem.assemble_prolongation(basis, (1, 3))
-    pmat = prol.matrix
-    cs = gmsfem.project_coarse(fs, prol)
-    for got, fine in ((cs.mass, fs.mass), (cs.stiff, fs.stiffness)):
-        old = pmat.T @ (fine @ pmat)
-        assert np.array_equal(got.toarray(), (0.5 * (old + old.T)).toarray())
+    cs = gmsfem.project_coarse(fs, basis, prol)
+    assert np.array_equal(cs.mass.indptr, cs.stiff.indptr)
+    assert np.array_equal(cs.mass.indices, cs.stiff.indices)
+    stored = sp.csr_matrix((np.ones(cs.mass.nnz), cs.mass.indices, cs.mass.indptr),
+                           shape=cs.mass.shape).toarray() > 0.0
+    assert np.array_equal(stored, _structural_pattern(basis, (1, 3)))
+    # the sparse products' counts: 43^2 node pairs times the mode pairs
+    _, ex1_coarse = ex1_split15
+    assert ex1_coarse.mass.nnz == ex1_coarse.stiff.nnz == 66564
+    pipe = driver.build_pipeline(driver.builtin_config("example2-synthetic"))
+    assert pipe.coarse.mass.nnz == pipe.coarse.stiff.nnz == 184900
 
 
 def test_coarse_operators_are_exactly_symmetric(small):
     g, fs = small
     basis = gmsfem.build_offline(fs, 4)
     prol = gmsfem.assemble_prolongation(basis, (2, 2))
-    cs = gmsfem.project_coarse(fs, prol)
+    cs = gmsfem.project_coarse(fs, basis, prol)
     for mat in (cs.mass, cs.stiff):
         assert sp.isspmatrix_csr(mat) and mat.has_sorted_indices
         assert (mat != mat.T).nnz == 0
@@ -783,7 +832,7 @@ def test_coarse_rhs_projects_load(small):
     g, fs = small
     basis = gmsfem.build_offline(fs, 3)
     prol = gmsfem.assemble_prolongation(basis, (3,))
-    cs = gmsfem.project_coarse(fs, prol)
+    cs = gmsfem.project_coarse(fs, basis, prol)
     t = 0.75
     want = prol.matrix.T @ LoadOperator(g).load(fs.source, t)
     assert np.allclose(cs.rhs(t), want, atol=1e-14)
@@ -794,7 +843,7 @@ def test_initial_vector_moments_and_projection(small):
     basis = gmsfem.build_offline(fs, 4)
     prol = gmsfem.assemble_prolongation(basis, (1, 3))
     moments = prol.matrix.T @ (fs.mass @ fs.initial_vector())
-    cs = gmsfem.project_coarse(fs, prol)
+    cs = gmsfem.project_coarse(fs, basis, prol)
     assert np.allclose(cs.z0, moments, atol=1e-14)
 
 
@@ -806,7 +855,7 @@ def test_projection_mass_factor_serves_the_whole_run(small, factorizations):
     g, fs = small
     basis = gmsfem.build_offline(fs, 4)
     prol = gmsfem.assemble_prolongation(basis, (1, 3))
-    cs = gmsfem.project_coarse(fs, prol)
+    cs = gmsfem.project_coarse(fs, basis, prol)
     assert factorizations == ["coarse mass", "coarse stiffness"]
     config = splitting.SplitConfig(tau=0.05, t_final=0.2, theta_mass=1.0,
                                    theta_stiff=1.0)

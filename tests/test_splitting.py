@@ -553,7 +553,7 @@ def test_error_recursion_residual_is_machine_small():
     config = splitting.SplitConfig(tau=0.05, t_final=1.0)
     split = splitting.march(cs, parts, config)
     euler = splitting.backward_euler(cs, 0.05, 1.0)
-    report = error_recursion_diag(parts, euler, split)
+    report = error_recursion_diag(parts, config, euler, split)
     assert report.max_residual < 1e-12
     assert report.coupling_norm > 0.0
     assert report.error_norms[0] == 0.0
@@ -564,17 +564,20 @@ def test_error_recursion_guards():
     cs = make_cs(HAND_C, HAND_B, (1, 1), z0=np.array([1.0, 0.0]))
     parts = splitting.make_split(cs)
     euler = splitting.backward_euler(cs, 0.1, 0.5)
-    relaxed = splitting.march(cs, parts, splitting.SplitConfig(
-        tau=0.1, t_final=0.5, theta_mass=1.0, theta_stiff=0.5))
+    relaxed_config = splitting.SplitConfig(tau=0.1, t_final=0.5, theta_mass=1.0,
+                                           theta_stiff=0.5)
+    relaxed = splitting.march(cs, parts, relaxed_config)
     with pytest.raises(ValueError, match="fully implicit"):
-        error_recursion_diag(parts, euler, relaxed)
-    strict = splitting.march(cs, parts,
-                             splitting.SplitConfig(tau=0.1, t_final=0.5))
+        error_recursion_diag(parts, relaxed_config, euler, relaxed)
+    config = splitting.SplitConfig(tau=0.1, t_final=0.5)
+    strict = splitting.march(cs, parts, config)
     other = splitting.backward_euler(cs, 0.05, 0.5)
     with pytest.raises(ValueError, match="time grid"):
-        error_recursion_diag(parts, other, strict)
+        error_recursion_diag(parts, config, other, strict)
     with pytest.raises(ValueError, match="backward Euler"):
-        error_recursion_diag(parts, strict, strict)
+        error_recursion_diag(parts, config, strict, strict)
+    with pytest.raises(ValueError, match="backward Euler"):
+        error_recursion_diag(parts, config, euler, euler)
 
 
 def test_march_raises_on_nonfinite_state():
