@@ -20,7 +20,7 @@ from msplit.splitting import CoarseSystem, SplitConfig
 def make_cs(cmat, bmat, sizes, z0):
     return CoarseSystem(
         block_sizes=tuple(int(s) for s in sizes), mass=cmat, stiff=bmat,
-        rhs=lambda t: np.zeros(sum(sizes)),
+        rhs=lambda times: np.zeros((len(times), sum(sizes))),
         z0=np.asarray(z0, dtype=float))
 
 

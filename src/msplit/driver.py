@@ -39,7 +39,6 @@ __all__ = [
     "build_problem",
     "build_pipeline",
     "report_offline",
-    "reconstruct_fine",
     "compare",
     "run_example",
     "sweep",
@@ -54,7 +53,11 @@ class ConfigError(ValueError):
 
 @dataclass
 class Source:
-    """Forcing term f(t, x, y); static sources are projected only once."""
+    """Forcing term f(t, x, y); static sources are projected only once.
+
+    ``func`` is called with numpy arrays that broadcast against each other:
+    ``t`` a column of time levels against the points ``x``, ``y``.
+    """
 
     func: Callable
     time_dependent: bool
@@ -385,14 +388,6 @@ def report_offline(fine_dofs: int, coarse_dofs: int, seconds_offline: float,
           f"(assembly {seconds_assemble:.2f} s)")
 
 
-def reconstruct_fine(prol: gmsfem.Prolongation, z: np.ndarray) -> np.ndarray:
-    """Map stacked block coefficients to an interior fine-grid vector."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (prol.n_columns,):
-        raise ValueError(f"expected {prol.n_columns} coefficients, got {z.shape}")
-    return prol.matrix @ z
-
-
 @dataclass
 class ErrorReport:
     """Relative errors of a split run against its reference."""
@@ -404,38 +399,40 @@ class ErrorReport:
     meta: dict = field(default_factory=dict)
 
 
-def compare(reference: Trajectory, split: Trajectory, prol: gmsfem.Prolongation,
-            fs: fineassembly.FineSystem, coarse_stiff) -> ErrorReport:
+def compare(reference: Trajectory, split: Trajectory,
+            coarse: splitting.CoarseSystem) -> ErrorReport:
     """Relative L2/energy errors at the final time plus the energy history.
 
-    Both trajectories must share the time grid and the basis. Final-time
-    errors go through the fine-grid reconstruction; the per-step history uses
-    ``coarse_stiff``, the projected stiffness P^T K P of the coarse system,
-    applied to a chunk of steps per product, which gives the same numbers
-    for coefficients in the same column space.
+    Both trajectories must share the time grid and the coarse system. C and
+    B are the Gram matrices of the basis in the L2 and energy inner products,
+    so the fine-grid norms of a reconstructed field P z are the coarse forms
+    |P z|^2 = z^T C z and z^T B z: the final-time errors are
+    sqrt(d^T C d / z^T C z) and sqrt(d^T B d / z^T B z) with z the reference
+    and d its difference to the split state, and the per-step history is the
+    energy form for a chunk of steps per product.
     """
     if reference.tau != split.tau or reference.states.shape != split.states.shape:
         raise ValueError("trajectories do not share the time grid")
-    pmat = prol.matrix
-    if pmat.shape[1] != reference.states.shape[1]:
-        raise ValueError("trajectories do not match the prolongation")
-    ref_final = pmat @ reference.states[-1]
-    split_final = pmat @ split.states[-1]
-    ref_l2, ref_en = fineassembly.norms(fs, ref_final)
-    err_l2, err_en = fineassembly.norms(fs, ref_final - split_final)
+    if coarse.dim != reference.states.shape[1]:
+        raise ValueError("trajectories do not match the coarse system")
+    ref_final = reference.states[-1]
+    err_final = ref_final - split.states[-1]
+    ref_l2, ref_en, err_l2, err_en = (
+        float(np.sqrt(max(v @ (mat @ v), 0.0)))
+        for v in (ref_final, err_final) for mat in (coarse.mass, coarse.stiff))
     if ref_l2 <= 0.0 or ref_en <= 0.0:
         raise NumericalError("reference field vanishes at the final time; "
                              "relative errors are undefined")
     n_steps = split.n_steps
     values = np.empty(n_steps)
-    for lo in range(0, n_steps, splitting.TRAJECTORY_CHUNK):
-        rows = slice(1 + lo, 1 + lo + splitting.TRAJECTORY_CHUNK)
+    for chunk in splitting.trajectory_chunks(n_steps, coarse.dim):
+        rows = slice(1 + chunk.start, 1 + chunk.stop)
         refs = reference.states[rows]
         diffs = refs - split.states[rows]
-        num = np.maximum(np.einsum("ij,ji->i", diffs, coarse_stiff @ diffs.T), 0.0)
-        den = np.einsum("ij,ji->i", refs, coarse_stiff @ refs.T)
+        num = np.maximum(splitting.quadratic_forms(coarse.stiff, diffs), 0.0)
+        den = splitting.quadratic_forms(coarse.stiff, refs)
         with np.errstate(divide="ignore", invalid="ignore"):
-            values[lo:lo + len(den)] = np.where(den > 0.0, np.sqrt(num / den), np.inf)
+            values[chunk] = np.where(den > 0.0, np.sqrt(num / den), np.inf)
     times = split.tau * np.arange(1, n_steps + 1)
     return ErrorReport(e_l2=err_l2 / ref_l2, e_a=err_en / ref_en,
                        history_times=times, history_values=values)
@@ -469,26 +466,29 @@ def _write_history_csv(path, report: ErrorReport) -> None:
 def _fine_reference_errors(pipe: Pipeline, split: Trajectory) -> dict:
     """Sanity numbers: split field against a fine-grid backward Euler run.
 
-    Every solve must meet |A u - rhs| <= 1e-10 |rhs| with A = M + tau*K.
+    The only step that assembles the global fine matrices, and it frees them
+    on return. Every solve must meet |A u - rhs| <= 1e-10 |rhs| with
+    A = M + tau*K.
     """
     fs, config = pipe.fs, pipe.config
     n_steps = SplitConfig(tau=config.tau, t_final=config.t_final).n_steps
-    lhs_mat = fs.mass + config.tau * fs.stiffness
+    mass, stiff = fineassembly.assemble_matrices(fs)
+    lhs_mat = mass + config.tau * stiff
     lhs = SparseCholesky(lhs_mat, context="fine reference")
     loads = fineassembly.LoadOperator(fs.grid)
     u = fs.initial_vector()
     for n in range(n_steps):
         f = loads.load(fs.source, (n + 1) * config.tau)
-        rhs = fs.mass @ u + config.tau * f
+        rhs = mass @ u + config.tau * f
         u = lhs.solve(rhs)
         residual = np.linalg.norm(lhs_mat @ u - rhs)
         target = 1e-10 * np.linalg.norm(rhs)
         if not residual <= target:  # also catches NaN
             raise NumericalError(f"fine reference step {n + 1}: solve residual "
                                  f"{residual:.3e} exceeds {target:.3e}")
-    split_final = reconstruct_fine(pipe.prol, split.states[-1])
-    ref_l2, ref_en = fineassembly.norms(fs, u)
-    err_l2, err_en = fineassembly.norms(fs, u - split_final)
+    split_final = gmsfem.reconstruct_fine(fs, pipe.basis, pipe.prol, split.states[-1])
+    ref_l2, ref_en = fineassembly.norms(mass, stiff, u)
+    err_l2, err_en = fineassembly.norms(mass, stiff, u - split_final)
     return {"fine_e_l2": err_l2 / ref_l2, "fine_e_a": err_en / ref_en}
 
 
@@ -504,7 +504,7 @@ def _run_setting(pipe: Pipeline, theta_mass, theta_stiff,
     scfg = SplitConfig(tau=tau, t_final=pipe.config.t_final,
                        theta_mass=theta_mass, theta_stiff=theta_stiff)
     split = splitting.march(coarse, parts, scfg)
-    report = compare(reference, split, pipe.prol, pipe.fs, coarse.stiff)
+    report = compare(reference, split, coarse)
     report.meta.update({
         "blocks": pipe.prol.block_sizes,
         "theta_mass": theta_mass,
@@ -545,10 +545,9 @@ def run_example(config: ExperimentConfig) -> ErrorReport:
                       [(label, report.e_l2, report.e_a)])
     _write_history_csv(os.path.join(config.output_dir, "history.csv"), report)
     if config.dump_fields:
-        write_field(os.path.join(config.output_dir, "field_split.txt"),
-                    pipe.grid, reconstruct_fine(pipe.prol, split.states[-1]))
-        write_field(os.path.join(config.output_dir, "field_reference.txt"),
-                    pipe.grid, reconstruct_fine(pipe.prol, reference.states[-1]))
+        for name, states in (("split", split.states), ("reference", reference.states)):
+            write_field(os.path.join(config.output_dir, f"field_{name}.txt"), pipe.grid,
+                        gmsfem.reconstruct_fine(pipe.fs, pipe.basis, pipe.prol, states[-1]))
     if config.fine_reference:
         report.meta.update(_fine_reference_errors(pipe, split))
         print(f"fine-grid sanity: e_l2={report.meta['fine_e_l2']:.4e} "
@@ -610,7 +609,7 @@ def sweep(config: ExperimentConfig, axis: str) -> list:
             if "blocks" in override:
                 prol = gmsfem.assemble_prolongation(pipe.basis, blocks)
                 setting_pipe = dataclasses.replace(
-                    pipe, prol=prol, coarse=gmsfem.project_coarse(pipe.fs, pipe.basis, prol))
+                    pipe, prol=prol, coarse=gmsfem.reorder_coarse(pipe.coarse, pipe.prol, prol))
             else:
                 setting_pipe = pipe
             if (blocks, tau) != reference_key:

@@ -6,17 +6,17 @@ functions; mass and load use 2x2 Gauss quadrature, which is exact for the mass
 matrix. Homogeneous Dirichlet conditions are imposed by eliminating boundary
 rows and columns.
 
-The load quadrature is a fixed linear map from source values at the Gauss
-points to the interior load, so :class:`LoadOperator` builds those points and
-one sparse matrix once per grid; each load is then one source evaluation and
-one sparse product. It is the only load path. Callers that need a single
-load build the operator, use it and free it; it is not stored on
-:class:`FineSystem`, whose lifetime spans the whole run.
+No global matrix is part of the fine problem (:class:`FineSystem`): the
+offline stage and the projection work coarse cell by coarse cell, from the
+element matrices and :func:`_cell_load`'s map of one coarse cell.
+:func:`assemble_matrices` and :class:`LoadOperator`, the global mass,
+stiffness and load, serve the fine backward Euler reference, the one step
+that marches on the fine grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,6 +29,7 @@ __all__ = [
     "FineSystem",
     "LoadOperator",
     "assemble",
+    "assemble_matrices",
     "norms",
     "interpolate",
     "local_matrices",
@@ -170,17 +171,16 @@ def local_matrices(g: GridPair, kappa_cells: np.ndarray, cells: np.ndarray,
 
 @dataclass
 class FineSystem:
-    """Assembled fine-grid operators with Dirichlet rows eliminated.
+    """The fine problem: grid, permeability per fine cell, source and initial data.
 
-    ``mass`` and ``stiffness`` act on interior fine nodes in the grid's node
-    order; local constructions assemble their own all-node matrices with
-    :func:`local_matrices`.
+    No global matrix is stored. :func:`assemble_matrices` builds the interior
+    mass and stiffness for the one step that needs them; everything else
+    assembles its own cell matrices, with :func:`local_matrices` or the
+    scatter maps of the offline stage.
     """
 
     grid: GridPair
     kappa_cells: np.ndarray
-    mass: sp.csr_matrix
-    stiffness: sp.csr_matrix
     source: Optional[Callable] = None
     initial: Optional[Callable] = None
 
@@ -195,20 +195,39 @@ class FineSystem:
 
 
 def assemble(g: GridPair, kappa: Permeability, source=None, initial=None) -> FineSystem:
-    """Assemble fine mass and stiffness for a permeability field.
+    """The fine problem of a permeability field, sampled at the fine-cell centers.
 
     ``source`` is an optional space-time forcing f(t, x, y) and ``initial`` an
     optional initial profile u0(x, y); both are carried along for the
     projection onto the coarse space.
     """
-    kappa_cells = kappa.cell_values(g)
-    mass_all, stiff_all = local_matrices(g, kappa_cells, np.arange(g.n_fine_cells),
+    return FineSystem(grid=g, kappa_cells=kappa.cell_values(g), source=source,
+                      initial=initial)
+
+
+def assemble_matrices(fs: FineSystem) -> tuple:
+    """Global fine mass and stiffness on the interior nodes, Dirichlet rows eliminated, as CSR."""
+    g = fs.grid
+    mass_all, stiff_all = local_matrices(g, fs.kappa_cells, np.arange(g.n_fine_cells),
                                          np.arange(g.n_fine_nodes))
     keep = g.interior_fine_ids
-    return FineSystem(grid=g, kappa_cells=kappa_cells,
-                      mass=mass_all[keep][:, keep].tocsr(),
-                      stiffness=stiff_all[keep][:, keep].tocsr(),
-                      source=source, initial=initial)
+    return mass_all[keep][:, keep].tocsr(), stiff_all[keep][:, keep].tocsr()
+
+
+def _cell_load(g: GridPair):
+    """The 2x2 Gauss load of one coarse cell's fine cells.
+
+    Returns (ex, ey, corners): the Gauss points' offsets from the coarse
+    cell's lower left node in fine steps, fine cell by fine cell (row-major)
+    and Gauss point by Gauss point, and the (4, 4) matrix that takes a fine
+    cell's four source values to the loads at its corners (element order).
+    Every coarse cell of the uniform grid has the same.
+    """
+    r = g.refine
+    elems = np.arange(r * r)
+    ex = ((elems % r)[:, None] + _GPTS[:, 0]).ravel()
+    ey = ((elems // r)[:, None] + _GPTS[:, 1]).ravel()
+    return ex, ey, 0.25 * g.hx * g.hy * _SHAPE_AT_GP
 
 
 class LoadOperator:
@@ -265,13 +284,13 @@ def interpolate(g: GridPair, func) -> np.ndarray:
     return np.asarray(func(x[keep], y[keep]), dtype=float)
 
 
-def norms(fs: FineSystem, v: np.ndarray) -> tuple[float, float]:
-    """(L2 norm, energy norm) of an interior fine-grid vector."""
+def norms(mass, stiffness, v: np.ndarray) -> tuple[float, float]:
+    """(L2 norm, energy norm) of an interior fine-grid vector, from :func:`assemble_matrices`."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (fs.n_dof,):
-        raise ValueError(f"expected vector of length {fs.n_dof}, got {v.shape}")
-    l2 = float(np.sqrt(max(v @ (fs.mass @ v), 0.0)))
-    energy = float(np.sqrt(max(v @ (fs.stiffness @ v), 0.0)))
+    if v.shape != (mass.shape[0],):
+        raise ValueError(f"expected vector of length {mass.shape[0]}, got {v.shape}")
+    l2 = float(np.sqrt(max(v @ (mass @ v), 0.0)))
+    energy = float(np.sqrt(max(v @ (stiffness @ v), 0.0)))
     return l2, energy
 
 

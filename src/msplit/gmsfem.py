@@ -22,16 +22,17 @@ eigenvalue cluster, so that neither a degenerate pair at the cut nor a sign
 depends on rounding (the canonical cut). The modes are localized by the
 bilinear partition of unity, evaluated in fine offsets from the node, and
 energy-orthonormalized within the neighborhood by two passes of
-Cholesky-QR; neighborhoods of the same kinds of cells share one read-only
-block. The resulting columns form the
-prolongation from coarse coefficients to interior fine nodes: one sparse
-matrix whose columns are grouped by mode block, the block order the split
-scheme reads. The Galerkin projection onto them is assembled coarse cell by
-coarse cell, from small dense products of the four corner nodes' blocks
-with the cell's fine matrices, straight into that order. The coarse mass and
-stiffness stay sparse, as exactly symmetric CSR matrices, from the
-projection to the end of a run, and the coarse start vector is the moments
-of the initial field against the basis.
+Cholesky-QR, whose energy Gram matrix is summed over the node's four cells;
+neighborhoods of the same kinds of cells share one read-only block. The
+resulting columns form the prolongation from coarse coefficients to
+interior fine nodes, with its columns grouped by mode block, the block
+order the split scheme reads (:class:`Prolongation`). It is never stored as
+a matrix, and no global fine matrix is assembled: every fine-scale quantity
+of a run is a sum over coarse cells of small dense products of the four
+corner nodes' blocks (:class:`_BasisCells`). So are the Galerkin
+projection, the loads, the moments of the initial field that start the
+coarse run, and the fine fields. The coarse mass and stiffness stay sparse,
+as exactly symmetric CSR matrices, from the projection to the end of a run.
 """
 
 from __future__ import annotations
@@ -64,7 +65,9 @@ __all__ = [
     "assemble_basis",
     "build_offline",
     "assemble_prolongation",
+    "reconstruct_fine",
     "project_coarse",
+    "reorder_coarse",
     "dump_basis",
 ]
 
@@ -102,20 +105,32 @@ class OfflineBasis:
 
 @dataclass
 class Prolongation:
-    """Sparse prolongation from coarse coefficients to interior fine nodes.
+    """The column order of the coarse space.
 
-    Columns are ordered mode block by mode block, the order of the stacked
-    coarse vectors: block ``q`` holds modes ``m_q .. m_q + b_q`` of every
-    neighborhood, node-major, so mode ``k`` of the ``i``-th neighborhood sits
-    in column ``n_nodes * m_q + i * b_q + (k - m_q)``.
+    The prolongation maps coarse coefficients to interior fine nodes; its
+    columns are the basis vectors, and it is applied coarse cell by coarse
+    cell (:func:`reconstruct_fine`, :func:`project_coarse`), never stored as
+    a matrix. Columns are ordered mode block by mode block, the order of the
+    stacked coarse vectors: block ``q`` holds modes ``m_q .. m_q + b_q`` of
+    every one of the ``n_nodes`` neighborhoods, node-major, so mode ``k`` of
+    the ``i``-th neighborhood sits in column
+    ``n_nodes * m_q + i * b_q + (k - m_q)`` (:meth:`dofs`).
     """
 
-    matrix: sp.csr_matrix
     block_sizes: tuple
+    n_nodes: int
 
     @property
     def n_columns(self) -> int:
-        return self.matrix.shape[1]
+        return self.n_nodes * sum(self.block_sizes)
+
+    def dofs(self) -> np.ndarray:
+        """(n_nodes, n_modes) array: the column of mode k of the i-th neighborhood."""
+        sizes = np.array(self.block_sizes)
+        first = np.repeat(np.cumsum(sizes) - sizes, sizes)   # first mode of each mode's block
+        size = np.repeat(sizes, sizes)
+        return (self.n_nodes * first + np.arange(self.n_nodes)[:, None] * size
+                + np.arange(len(first)) - first)
 
 
 def _cell_nodes(g: GridPair, cell: int):
@@ -346,8 +361,9 @@ _CLUSTER_RTOL = 1e-8
 # the probe's own S-norm.
 _PROBE_RTOL = 1e-6
 # Coarse cells per batch, for the condensation (distinct cells) and for the
-# Galerkin products: at r = 16 a condensation batch's temporaries take about
-# 20 MB, a batch of ten-mode Galerkin products about 10 MB.
+# products with the basis cell by cell (:class:`_BasisCells`): at r = 16 a
+# condensation batch's temporaries take about 20 MB, a batch of ten-mode
+# Galerkin products about 10 MB.
 _BATCH = 32
 
 
@@ -697,24 +713,56 @@ def offline_modes(fs: FineSystem, n_modes: int) -> list:
     return modes
 
 
+def _patch_energy(g: GridPair, kappa_cells: np.ndarray, node: int):
+    """X -> X^T K X for blocks X on an interior node's neighborhood interior (ascending).
+
+    Summed element by element over the neighborhood's (2r)^2 fine cells:
+    sum_e kappa_e X_e^T K_unit X_e, X_e the block at the element's four
+    corners once it is zero-padded to the node's (2r+1)^2 window. The
+    padding is the neighborhood boundary, where a localized block vanishes,
+    so the sum is the form of the fine stiffness over the support. It reads
+    only the permeability of the node's four cells, so same-kind
+    neighborhoods give the same bits.
+    """
+    r = g.refine
+    cx, cy = g.coarse_node_grid(node)
+    kappa = np.asarray(kappa_cells, float).reshape(g.ny_fine, g.nx_fine)[
+        (cy - 1) * r:(cy + 1) * r, (cx - 1) * r:(cx + 1) * r, None]
+    stiff_unit = fineassembly._mass_stiff_units(g)[1]
+
+    def energy(block: np.ndarray) -> np.ndarray:
+        m = block.shape[1]
+        window = np.zeros((2 * r + 1, 2 * r + 1, m))
+        window[1:2 * r, 1:2 * r] = block.reshape(2 * r - 1, 2 * r - 1, m)
+        # every element's lower left, lower right, upper left, upper right corner
+        corners = np.stack([window[:-1, :-1], window[:-1, 1:], window[1:, :-1], window[1:, 1:]])
+        applied = stiff_unit @ corners.reshape(4, -1)
+        return (corners * kappa).reshape(-1, m).T @ applied.reshape(-1, m)
+
+    return energy
+
+
 def assemble_basis(fs: FineSystem, modes_list: list) -> OfflineBasis:
     """Localize spectral modes by the partition of unity and orthonormalize.
 
     Every mode of ``modes_list`` (as :func:`offline_modes` returns it) is
     kept. A node's basis lives on the interior of its neighborhood, where
     its hat does not vanish; there it is the node's modes times the hat,
-    orthonormalized in the energy inner product of the fine stiffness over
-    that support by two passes of Cholesky-QR
-    (:func:`_energy_orthonormalize`), with every OpenBLAS pinned to one
-    thread as in :func:`offline_modes`.
+    orthonormalized in the energy inner product of the fine stiffness by
+    two passes of Cholesky-QR (:func:`_energy_orthonormalize`), with every
+    OpenBLAS pinned to one thread as in :func:`offline_modes`. The energy
+    Gram matrix X^T K X is summed over the fine cells of the node's
+    neighborhood (:func:`_patch_energy`); the hat vanishes on the
+    neighborhood boundary, so that is exact, and no global matrix is read.
 
     The block depends only on the node's mode vectors, its hat and the
     permeability of its four cells. The hat is evaluated in fine offsets
     from the node, so it is the same array for every interior node, and the
-    fine stiffness over the support is bit-equal between neighborhoods whose
-    cells are of the same kinds. :func:`offline_modes` hands one ``vectors``
-    array to exactly such neighborhoods, so a shared ``vectors`` array means
-    one medium: each block is computed once per ``vectors`` array and shared
+    energy form reads the permeability of the four cells only, which is
+    bit-equal between neighborhoods whose cells are of the same kinds.
+    :func:`offline_modes` hands one ``vectors`` array to
+    exactly such neighborhoods, so a shared ``vectors`` array means one
+    medium: each block is computed once per ``vectors`` array and shared
     read-only. On example2-synthetic (kappa_seed 7) that is 96 blocks for
     225 neighborhoods. One INFO line on the ``msplit.gmsfem`` logger gives
     the count of distinct blocks and the largest condition number of a
@@ -735,7 +783,7 @@ def assemble_basis(fs: FineSystem, modes_list: list) -> OfflineBasis:
                 pou = partition_of_unity(g, modes.node, nb.interior)
                 block, cond = _energy_orthonormalize(
                     pou[:, None] * modes.vectors[rows],
-                    fs.stiffness[support][:, support], modes.node)
+                    _patch_energy(g, fs.kappa_cells, modes.node), modes.node)
                 block.flags.writeable = False
                 blocks[key] = block
                 worst_cond = max(worst_cond, cond)
@@ -749,10 +797,11 @@ def assemble_basis(fs: FineSystem, modes_list: list) -> OfflineBasis:
                         eigenvalues=eigenvalues, supports=supports, vectors=vectors)
 
 
-def _energy_orthonormalize(block: np.ndarray, stiff: sp.csr_matrix, node: int):
+def _energy_orthonormalize(block: np.ndarray, energy, node: int):
     """Two passes of Cholesky-QR in the energy inner product, column order kept.
 
-    Each pass factors the Gram matrix G = X^T K X = L L^T and replaces X by
+    ``energy(X)`` is the Gram matrix X^T K X. Each pass factors
+    G = X^T K X = L L^T and replaces X by
     X L^-T. In exact arithmetic one pass gives modified Gram-Schmidt's
     result, and the squared pivot L_jj^2 is the squared energy norm that
     Gram-Schmidt divides column j by; the second pass removes the rounding
@@ -765,7 +814,7 @@ def _energy_orthonormalize(block: np.ndarray, stiff: sp.csr_matrix, node: int):
     out = block
     first_cond = None
     for _ in range(2):
-        gram = out.T @ (stiff @ out)
+        gram = energy(out)
         factor, info = scipy.linalg.lapack.dpotrf(gram, lower=True)
         done = info - 1 if info > 0 else len(gram)
         squares = np.diag(factor)[:done] ** 2
@@ -790,13 +839,10 @@ def build_offline(fs: FineSystem, n_modes: int) -> OfflineBasis:
 
 
 def assemble_prolongation(basis: OfflineBasis, blocks) -> Prolongation:
-    """Assemble the prolongation with its columns in mode-block order.
+    """The prolongation of ``basis`` with its columns in mode-block order.
 
     ``blocks`` partitions the per-node mode count: block q takes modes
-    ``offset_q .. offset_q + blocks[q]`` of every neighborhood. Column
-    (q, i, k) is mode k of node i on ``basis.supports[i]``, so the CSC
-    arrays are written directly, column after column, and converted once
-    to the CSR matrix.
+    ``offset_q .. offset_q + blocks[q]`` of every neighborhood.
     """
     blocks = tuple(int(b) for b in blocks)
     if len(blocks) == 0 or any(b < 1 for b in blocks):
@@ -804,41 +850,37 @@ def assemble_prolongation(basis: OfflineBasis, blocks) -> Prolongation:
     if sum(blocks) != basis.n_modes:
         raise ValueError(
             f"block sizes {blocks} do not sum to the mode count {basis.n_modes}")
-    sizes = np.array([len(sup) for sup in basis.supports], dtype=np.int64)
-    nnz = basis.n_modes * int(sizes.sum())
-    index = np.int32 if nnz < 2 ** 31 else np.int64
-    indptr = np.zeros(basis.n_columns + 1, dtype=index)
-    np.cumsum(np.concatenate([np.repeat(sizes, b) for b in blocks]), out=indptr[1:])
-    data = np.empty(nnz)
-    indices = np.empty(nnz, dtype=index)
-    pos = offset = 0
-    for b in blocks:
-        for sup, vec in zip(basis.supports, basis.vectors):
-            end = pos + b * len(sup)
-            data[pos:end].reshape(b, len(sup))[:] = vec[:, offset:offset + b].T
-            indices[pos:end].reshape(b, len(sup))[:] = sup
-            pos = end
-        offset += b
-    columns = sp.csc_matrix((data, indices, indptr),
-                            shape=(len(basis.grid.interior_fine_ids), basis.n_columns))
-    return Prolongation(matrix=columns.tocsr(), block_sizes=blocks)
+    return Prolongation(block_sizes=blocks, n_nodes=len(basis.nodes))
 
 
-class _GalerkinCells:
-    """The Galerkin products of the fine mass and stiffness, coarse cell by coarse cell.
+# Source values per evaluation of a forcing table (:meth:`_BasisCells.forcing_table`):
+# 256 KB, which at r = 16 is 32 time levels of one coarse cell. A chunk's
+# few temporaries of that size take about 1 MB together.
+_LOAD_VALUES = 1 << 15
+
+
+class _BasisCells:
+    """The basis coarse cell by coarse cell, and the cells' fine matrices.
 
     A basis column of node i vanishes outside the four coarse cells around
-    i, so P^T A P = sum_c V_c^T A_c V_c. V_c holds the columns of the
-    cell's corner nodes (lower left, lower right, upper left, upper right;
-    m modes each) at the (r+1)^2 nodes of its closed box, row-major, and
-    A_c is the cell's Q1 mass or stiffness over that box: one 9-point CSR
-    pattern, whose data a sparse map makes from the r^2 element
+    i, so every fine-scale quantity of a run is a sum over coarse cells of
+    small dense products with V_c: the Galerkin blocks V_c^T A_c V_c
+    (:meth:`products`), loads and moments V_c^T w_c (:meth:`forcing_table`,
+    :meth:`static_load`, :meth:`moments`), and the field V_c z_c
+    (:meth:`field`). V_c holds the
+    columns of the cell's corner nodes (lower left, lower right, upper left,
+    upper right; m modes each) at the (r+1)^2 nodes of its closed box,
+    row-major, and A_c is the cell's Q1 mass or stiffness over that box: one
+    9-point CSR pattern, whose data a sparse map makes from the r^2 element
     coefficients, unit weight or the permeability
     (:func:`_element_scatter`). An interior node's support is the interior
     of its (2r+1)^2 node box, ascending, so each distinct read-only block of
     ``basis.vectors`` is zero-padded once to that window (``windows``; the
     last window is zero and stands for a corner on the domain boundary,
-    which has no basis), and V_c is four quadrants of windows.
+    which has no basis), and V_c is four quadrants of windows. All but the
+    forcing table take the cells :data:`_BATCH` at a time, and each cell's
+    arithmetic is its own, so a cell gives the same bits alone as in any
+    batch.
     """
 
     def __init__(self, fs: FineSystem, basis: OfflineBasis):
@@ -851,14 +893,24 @@ class _GalerkinCells:
         self.windows = _mapped((len(distinct) + 1, 2 * r + 1, 2 * r + 1, m))
         for k, vec in distinct.values():
             self.windows[k, 1:2 * r, 1:2 * r] = vec.reshape(2 * r - 1, 2 * r - 1, m)
-        lower_left = (np.arange(n_cells) // g.nx_coarse * (g.nx_coarse + 1)
-                      + np.arange(n_cells) % g.nx_coarse)
+        cx, cy = np.arange(n_cells) % g.nx_coarse, np.arange(n_cells) // g.nx_coarse
+        lower_left = cy * (g.nx_coarse + 1) + cx
         corners = lower_left[:, None] + np.array([0, 1, g.nx_coarse + 1, g.nx_coarse + 2])
         index = np.full(g.n_coarse_nodes, -1)
         index[basis.nodes] = np.arange(len(basis.nodes))
         self.node = index[corners]   # (cells, 4) basis node index, -1 for no basis
         window = np.append([distinct[id(vec)][0] for vec in basis.vectors], len(distinct))
         self._window_row = window[self.node] * (2 * r + 1) ** 2   # its first row, flattened
+        y, x = np.divmod(np.arange((r + 1) ** 2), r + 1)
+        # window rows of the cell box's nodes (row-major) for each corner
+        self._quadrants = np.stack([(y + r * (1 - k // 2)) * (2 * r + 1) + x + r * (1 - k % 2)
+                                    for k in range(4)], axis=1)
+        # fine node ids of each cell's box, and the fine steps of its lower left node
+        self._fine_x, self._fine_y = cx * r, cy * r
+        self._box = (self._fine_y * (g.nx_fine + 1) + self._fine_x)[:, None] \
+            + y * (g.nx_fine + 1) + x
+        self._owned = np.flatnonzero((x < r) & (y < r))
+        self._gauss = fineassembly._cell_load(g)
         self._kappa = np.asarray(fs.kappa_cells, float).reshape(
             g.ny_coarse, r, g.nx_coarse, r).transpose(0, 2, 1, 3).reshape(n_cells, r * r)
         mass_unit, stiff_unit = fineassembly._mass_stiff_units(g)
@@ -866,35 +918,52 @@ class _GalerkinCells:
         self._indptr, self._indices, mass_map = _element_scatter(r, nodes, mass_unit)
         self._mass_data = mass_map @ np.ones(r * r)
         _, _, self._stiff_map = _element_scatter(r, nodes, stiff_unit)
-        # window rows of the cell box's nodes (row-major) for each corner
-        y, x = np.divmod(np.arange((r + 1) ** 2), r + 1)
-        self._quadrants = np.stack([(y + r * (1 - k // 2)) * (2 * r + 1) + x + r * (1 - k % 2)
-                                    for k in range(4)], axis=1)
+        self.grid = g
         self.n_modes, self.n_nodes = m, len(basis.nodes)
+
+    def _mass(self, count: int) -> sp.csr_matrix:
+        """Block-diagonal mass of ``count`` cells; every cell has the same."""
+        return _block_diagonal(self._indptr, self._indices,
+                               np.broadcast_to(self._mass_data, (count, len(self._mass_data))))
+
+    def _stiffness(self, cells: np.ndarray) -> sp.csr_matrix:
+        """Block-diagonal stiffness of coarse ``cells``, in their order."""
+        return _block_diagonal(self._indptr, self._indices,
+                               (self._stiff_map @ self._kappa[cells].T).T)
+
+    def batches(self) -> list:
+        n_cells = len(self.node)
+        return [np.arange(k, min(k + _BATCH, n_cells)) for k in range(0, n_cells, _BATCH)]
+
+    def gather(self, cells: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """V_c of coarse ``cells`` at their box rows ``rows``: (len(cells), rows, 4m)."""
+        m = self.n_modes
+        index = self._window_row[cells][:, None, :] + self._quadrants[rows]
+        return self.windows.reshape(-1, m)[index.reshape(len(cells), -1)].reshape(
+            len(cells), -1, 4 * m)
+
+    def columns(self, prol: Prolongation) -> np.ndarray:
+        """(cells, 4m) coarse column of each column of V_c; ``prol.n_columns`` for no basis."""
+        dofs = np.append(prol.dofs(), np.full((1, self.n_modes), prol.n_columns), axis=0)
+        return dofs[self.node].reshape(len(self.node), -1)
 
     def products(self, cells: np.ndarray) -> np.ndarray:
         """(V_c^T M_c V_c, V_c^T K_c V_c) of coarse ``cells``: (2, len(cells), 4m, 4m).
 
-        V is gathered from the windows in one indexing step. Each operator
-        is one block-diagonal sparse product A V over all ``cells`` and one
-        stacked matrix product V^T (A V), and each block is made exactly
-        symmetric. Each cell's arithmetic is its own, so a cell's blocks
-        have the same bits alone as in any batch.
+        Each operator is one block-diagonal sparse product A V over all
+        ``cells`` and one stacked matrix product V^T (A V), and each block
+        is made exactly symmetric.
         """
-        m = self.n_modes
-        count, n = len(cells), len(self._quadrants)
-        rows = self._window_row[cells][:, None, :] + self._quadrants
-        values = self.windows.reshape(-1, m)[rows.ravel()].reshape(count * n, 4 * m)
-        stacked = values.reshape(count, n, 4 * m).transpose(0, 2, 1)
+        values = self.gather(cells)
+        stacked = values.transpose(0, 2, 1)
+        flat = values.reshape(-1, values.shape[2])
         grams = []
-        for data in (np.broadcast_to(self._mass_data, (count, len(self._indices))),
-                     (self._stiff_map @ self._kappa[cells].T).T):
-            applied = _block_diagonal(self._indptr, self._indices, data) @ values
-            gram = stacked @ applied.reshape(count, n, 4 * m)
+        for operator in (self._mass(len(cells)), self._stiffness(cells)):
+            gram = stacked @ (operator @ flat).reshape(values.shape)
             grams.append(0.5 * (gram + gram.transpose(0, 2, 1)))
         return np.stack(grams)
 
-    def assemble(self, block_sizes) -> tuple:
+    def assemble(self, prol: Prolongation) -> tuple:
         """The coarse mass and stiffness, in the prolongation's column order.
 
         Both are CSR in one pattern with sorted indices: every mode pair of
@@ -906,8 +975,8 @@ class _GalerkinCells:
         m, n_nodes = self.n_modes, self.n_nodes
         n_cells = len(self.node)
         grams = np.empty((2, n_cells, 4 * m, 4 * m))
-        for k in range(0, n_cells, _BATCH):
-            grams[:, k:k + _BATCH] = self.products(np.arange(k, min(k + _BATCH, n_cells)))
+        for cells in self.batches():
+            grams[:, cells] = self.products(cells)
 
         # The rows of node i hold, block by block, that block's modes of every
         # node j that shares a cell with i, ascending: deg(i) m entries.
@@ -922,10 +991,10 @@ class _GalerkinCells:
         corner = np.maximum(node, 0)   # stands in where no node is; such slots are dropped
         rank = pair.reshape(n_cells, 4, 4) - starts[corner][:, :, None]
 
-        sizes = np.array(block_sizes)
+        sizes = np.array(prol.block_sizes)
         first = np.repeat(np.cumsum(sizes) - sizes, sizes)   # first mode of each mode's block
         size = np.repeat(sizes, sizes)
-        dof = n_nodes * first + np.arange(n_nodes)[:, None] * size + np.arange(m) - first
+        dof = prol.dofs()
         indptr = np.zeros(n_nodes * m + 1, dtype=np.int64)
         indptr[1:][dof] = (degree * m)[:, None]
         np.cumsum(indptr, out=indptr)
@@ -946,56 +1015,156 @@ class _GalerkinCells:
                           shape=(n_nodes * m, n_nodes * m))
             for gram in grams)
 
+    def _pairings(self, prol: Prolongation, weights) -> np.ndarray:
+        """sum_c V_c^T w_c, ``weights(cells)`` giving the rows w_c of a batch of cells.
+
+        Each column sums its cells in cell order.
+        """
+        columns = self.columns(prol)
+        out = np.zeros(prol.n_columns + 1)
+        for cells in self.batches():
+            pairs = self.gather(cells).transpose(0, 2, 1) @ weights(cells)[:, :, None]
+            out += np.bincount(columns[cells].ravel(), weights=pairs.ravel(),
+                               minlength=len(out))
+        return out[:-1]
+
+    def moments(self, prol: Prolongation, values: np.ndarray) -> np.ndarray:
+        """P^T (M u) of the field ``values`` on all fine nodes: sum_c V_c^T (M_c u_c).
+
+        ``values`` must vanish on the domain boundary, where the interior
+        mass has no rows.
+        """
+        def weights(cells):
+            return (self._mass(len(cells)) @ values[self._box[cells]].ravel()).reshape(
+                len(cells), -1)
+
+        return self._pairings(prol, weights)
+
+    def _box_loads(self, source, cells: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """2x2 Gauss loads of ``source`` on the boxes of ``cells``: (levels, cells, (r+1)^2).
+
+        ``t`` is a (levels, 1, 1) column against the (cells, points) Gauss
+        points. Each fine cell's four Gauss values go to its four corners
+        (:func:`fineassembly._cell_load`) and are added into the box.
+        """
+        g = self.grid
+        r = g.refine
+        ex, ey, corners = self._gauss
+        x = (self._fine_x[cells][:, None] + ex) * g.hx
+        y = (self._fine_y[cells][:, None] + ey) * g.hy
+        values = np.broadcast_to(source(t, x, y), (len(t),) + x.shape)
+        loads = (values.reshape(-1, 4) @ corners).reshape(len(t), len(cells), r, r, 4)
+        box = np.zeros((len(t), len(cells), r + 1, r + 1))
+        box[..., :r, :r] += loads[..., 0]
+        box[..., :r, 1:] += loads[..., 1]
+        box[..., 1:, :r] += loads[..., 2]
+        box[..., 1:, 1:] += loads[..., 3]
+        return box.reshape(len(t), len(cells), -1)
+
+    def static_load(self, prol: Prolongation, source) -> np.ndarray:
+        """P^T (Q f(0)) of a source that does not depend on t: sum_c V_c^T q_c."""
+        return self._pairings(prol, lambda cells: self._box_loads(
+            source, cells, np.zeros((1, 1, 1)))[0])
+
+    def forcing_table(self, prol: Prolongation, source, times: np.ndarray) -> np.ndarray:
+        """The forcing table P^T (Q f(t)) at ``times``: (len(times), n_columns).
+
+        One cell at a time, V_c is gathered once and the source is evaluated
+        for as many time levels at a time as keep its values within
+        :data:`_LOAD_VALUES` (one level at least), so that the levels of a
+        chunk share the source's terms that do not depend on t. Each chunk
+        adds V_c^T q_c(t) into the cell's own columns only, and each column
+        sums its cells in cell order.
+        """
+        columns = self.columns(prol)
+        table = np.zeros((len(times), prol.n_columns))
+        step = max(1, _LOAD_VALUES // (4 * self.grid.refine ** 2))
+        with single_thread_blas():
+            for cell in np.arange(len(self.node))[:, None]:
+                keep = columns[cell[0]] < prol.n_columns
+                basis = self.gather(cell)[0][:, keep]
+                for lo in range(0, len(times), step):
+                    loads = self._box_loads(source, cell, times[lo:lo + step, None, None])[:, 0]
+                    table[lo:lo + len(loads), columns[cell[0]][keep]] += loads @ basis
+        return table
+
+    def field(self, prol: Prolongation, z: np.ndarray) -> np.ndarray:
+        """P z on the interior fine nodes: V_c z_c at the nodes cell c owns.
+
+        A cell owns its box's nodes below and left of its top and right
+        edges, so every interior node is written once.
+        """
+        g = self.grid
+        columns = self.columns(prol)
+        padded = np.append(z, 0.0)
+        full = np.zeros(g.n_fine_nodes)
+        for cells in self.batches():
+            values = self.gather(cells, self._owned) @ padded[columns[cells]][:, :, None]
+            full[self._box[cells][:, self._owned]] = values[:, :, 0]
+        return full[g.interior_fine_ids]
+
+
+def _check_prolongation(basis: OfflineBasis, prol: Prolongation) -> None:
+    if prol.n_nodes != len(basis.nodes) or sum(prol.block_sizes) != basis.n_modes:
+        raise ValueError(f"prolongation of {prol.n_nodes} nodes in blocks "
+                         f"{prol.block_sizes} is not one of this basis "
+                         f"({len(basis.nodes)} nodes, {basis.n_modes} modes)")
+
+
+def reconstruct_fine(fs: FineSystem, basis: OfflineBasis, prol: Prolongation,
+                     z: np.ndarray) -> np.ndarray:
+    """Map stacked block coefficients to an interior fine-grid vector, cell by cell."""
+    _check_prolongation(basis, prol)
+    z = np.asarray(z, dtype=float)
+    if z.shape != (prol.n_columns,):
+        raise ValueError(f"expected {prol.n_columns} coefficients, got {z.shape}")
+    return _BasisCells(fs, basis).field(prol, z)
+
 
 def project_coarse(fs: FineSystem, basis: OfflineBasis, prol: Prolongation) -> CoarseSystem:
     """Galerkin projection of the fine system onto the block basis.
 
     Returns the coarse mass/stiffness (exactly symmetric CSR), the projected
-    forcing, and the initial coarse coefficients. ``prol`` is the
-    prolongation :func:`assemble_prolongation` made of ``basis``. C = P^T M P
-    and B = P^T K P are sums over coarse cells of small dense products
-    V_c^T A_c V_c (:class:`_GalerkinCells`), made :data:`_BATCH` cells at a
-    time with every OpenBLAS pinned to one thread and added into the
-    structural pattern of the coarse operators; neither A P nor a transposed
-    copy of P is formed. On example2-synthetic the two take 0.07-0.10 s in
-    one process on a shared 2-vCPU host. Both operators are checked
-    positive definite by one sparse factorization each; the coarse system
-    keeps the mass factor for the energy monitor. The initial coefficients
-    are the moments of the initial field, its mass pairings with each basis
+    forcing, and the initial coarse coefficients, each a sum over coarse
+    cells of small dense products with the cell's basis columns
+    (:class:`_BasisCells`); neither the prolongation matrix nor a global
+    fine matrix is formed. C = P^T M P and
+    B = P^T K P are sums of V_c^T A_c V_c, made with every OpenBLAS pinned
+    to one thread and added into the structural pattern of the coarse
+    operators. On example2-synthetic the two take 0.07-0.10 s in one
+    process on a shared 2-vCPU host. Both operators are checked positive
+    definite by one sparse factorization each; the coarse system keeps the
+    mass factor for the energy monitor. The initial coefficients are the
+    moments of the initial field, its mass pairings with each basis
     function, not solved with the coarse mass: that keeps the initial vector
     free of the near-dependent basis combinations that a mass solve
     amplifies, so the three-level scheme starts without exciting its weakly
     damped mode.
 
-    A time-dependent forcing keeps the grid's load operator Q and P^T, so
-    ``rhs(t)`` is P^T (Q f(t)): one source evaluation and two sparse
-    products. A static forcing is loaded and projected once, through a load
-    operator built and freed here; none is stored on the fine system.
+    A time-dependent forcing keeps the cell data, and ``rhs(times)`` makes
+    the table P^T (Q f(t)) for every time level at once
+    (:meth:`_BasisCells.forcing_table`). A static forcing is loaded and
+    projected once, and ``rhs`` broadcasts that one read-only row to every
+    level.
     """
+    _check_prolongation(basis, prol)
+    cells = _BasisCells(fs, basis)
     with single_thread_blas():
-        mass, stiff = _GalerkinCells(fs, basis).assemble(prol.block_sizes)
-    pmat = prol.matrix
+        mass, stiff = cells.assemble(prol)
 
     source = fs.source
-    time_dependent = getattr(source, "time_dependent", source is not None)
-
-    if time_dependent:
-        # two products, not one fused P^T Q: the fused matrix is far denser
-        # than both factors together and slower to apply. P^T is a view of
-        # P's arrays; a CSR copy of it is no faster and doubles P's memory.
-        loads = fineassembly.LoadOperator(fs.grid)
-        pmat_t = pmat.T
-
-        def rhs(t: float) -> np.ndarray:
-            return pmat_t @ loads.load(source, t)
+    if getattr(source, "time_dependent", source is not None):
+        def rhs(times: np.ndarray) -> np.ndarray:
+            return cells.forcing_table(prol, source, times)
     else:
-        static = pmat.T @ fineassembly.LoadOperator(fs.grid).load(source, 0.0)
+        static = (np.zeros(prol.n_columns) if source is None
+                  else cells.static_load(prol, source))
+        static.flags.writeable = False
 
-        def rhs(t: float) -> np.ndarray:
-            return static
+        def rhs(times: np.ndarray) -> np.ndarray:
+            return np.broadcast_to(static, (len(times), len(static)))
 
-    n_nodes = prol.n_columns // sum(prol.block_sizes)
-    cs = CoarseSystem(block_sizes=tuple(n_nodes * b for b in prol.block_sizes),
+    cs = CoarseSystem(block_sizes=tuple(prol.n_nodes * b for b in prol.block_sizes),
                       mass=mass, stiff=stiff, rhs=rhs, z0=np.zeros(prol.n_columns))
     try:
         cs.mass_factor()
@@ -1006,8 +1175,30 @@ def project_coarse(fs: FineSystem, basis: OfflineBasis, prol: Prolongation) -> C
         ) from exc
     u0 = fs.initial_vector()
     if np.any(u0):
-        cs.z0 = pmat.T @ (fs.mass @ u0)
+        values = np.zeros(fs.grid.n_fine_nodes)
+        values[fs.grid.interior_fine_ids] = u0
+        cs.z0 = cells.moments(prol, values)
     return cs
+
+
+def reorder_coarse(cs: CoarseSystem, prol: Prolongation, new: Prolongation) -> CoarseSystem:
+    """The coarse system ``cs`` of ``prol``'s column order in the order of ``new``.
+
+    The two orders hold the same columns, so the operators, the forcing and
+    the start vector are one symmetric permutation of ``cs``'s. Every entry
+    keeps its bits: :func:`project_coarse` sums each one over the cells in
+    cell order whatever the column order, so this is the system it makes
+    for ``new``, without the cell products.
+    """
+    if (new.n_nodes, sum(new.block_sizes)) != (prol.n_nodes, sum(prol.block_sizes)):
+        raise ValueError(f"blocks {new.block_sizes} of {new.n_nodes} nodes do not "
+                         f"reorder blocks {prol.block_sizes} of {prol.n_nodes} nodes")
+    perm = np.empty(prol.n_columns, dtype=np.int64)
+    perm[new.dofs()] = prol.dofs()
+    rhs = cs.rhs
+    return CoarseSystem(block_sizes=tuple(new.n_nodes * b for b in new.block_sizes),
+                        mass=cs.mass[perm][:, perm], stiff=cs.stiff[perm][:, perm],
+                        rhs=lambda times: rhs(times)[:, perm], z0=cs.z0[perm])
 
 
 # --- basis dump (plain text, every value to 17 significant digits) ---

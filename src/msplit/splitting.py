@@ -30,9 +30,10 @@ applied entry by entry to the stored entries of C and B. Neither a step nor
 the certificate reads a dense n x n matrix.
 
 The forcing f^1 .. f^N is tabulated once per time grid on the coarse system
-(:meth:`CoarseSystem.forcing`), so the backward Euler reference and a split
-run on the same grid share one evaluation per time level, and the recorded
-step times hold the step alone.
+(:meth:`CoarseSystem.forcing`), by one call of ``rhs`` with every time
+level, so the backward Euler reference and a split run on the same grid
+share one evaluation per time level, and the recorded step times hold the
+step alone.
 """
 
 from __future__ import annotations
@@ -91,6 +92,10 @@ class CoarseSystem:
     ``mass`` and ``stiff`` are CSR with sorted indices and exactly
     symmetric; dense arrays given here are converted once. Their rows and
     columns are grouped into consecutive mode blocks of ``block_sizes``.
+    ``rhs(times)`` takes a 1-d array of time levels and returns the forcing
+    table, row k the forcing at ``times[k]``: an array of shape
+    (len(times), dim), which may be a read-only view (a static forcing
+    broadcasts one row).
     The factors of C and of C + tau*B are made on first use and kept (the
     latter for the last tau only), so every run on the system shares them;
     the operators must not change once the system is built.
@@ -117,17 +122,18 @@ class CoarseSystem:
         return sum(self.block_sizes)
 
     def forcing(self, tau: float, n_steps: int) -> np.ndarray:
-        """Read-only table of f^1 .. f^N, row n holding rhs((n + 1) * tau).
+        """Read-only table of f^1 .. f^N, row n holding the forcing at (n + 1) * tau.
 
-        Each time level is evaluated once through ``rhs`` and checked finite;
-        the table of the last time grid is kept, so every run on that grid
-        shares it.
+        One ``rhs`` call evaluates every time level, and the table is checked
+        finite; the table of the last time grid is kept, so every run on that
+        grid shares it.
         """
         key, table = self._forcing
         if key != (self.rhs, tau, n_steps):
-            table = np.empty((n_steps, self.dim))
-            for n in range(n_steps):
-                table[n] = self.rhs((n + 1) * tau)
+            table = self.rhs(tau * np.arange(1, n_steps + 1))
+            if table.shape != (n_steps, self.dim):
+                raise ValueError(f"rhs returned a {table.shape} table for "
+                                 f"{n_steps} time levels of {self.dim} dofs")
             finite = np.isfinite(table).all(axis=1)
             if not finite.all():
                 level = int(np.argmin(finite)) + 1
@@ -271,18 +277,22 @@ def _certify(parts: SplitParts, mat: sp.csr_matrix, theta: float, name: str) -> 
     M has no stored coupling entry (M1 = M). Otherwise K = (p/2)*M1 - M/2 is
     SPD, as lambda_max(M1^-1 M) < p for SPD M on p blocks, and the largest
     eigenvalue nu of M1 v = nu K v is 2 / (p - lambda_max(M1^-1 M)), so
-    theta* = p/2 - 1/nu: one Lanczos run through a sparse factor of K.
+    theta* = p/2 - 1/nu: one Lanczos run through a sparse factor of K. At
+    theta = p/2 the condition matrix is K itself, and its factor serves.
     """
+    condition = _condition(parts, mat, theta)
     try:
-        SparseCholesky(_condition(parts, mat, theta), context=f"{name} condition")
-        ok = True
+        factor = SparseCholesky(condition, context=f"{name} condition")
     except NumericalError:
-        ok = False
+        factor = None
+    ok = factor is not None
     if not mat.data[~_in_blocks(mat, parts.block_sizes)].any():
         return ok, theta - 0.5
     p, n = len(parts.block_sizes), mat.shape[0]
-    ceiling = _condition(parts, mat, 0.5 * p)
-    factor = SparseCholesky(ceiling, context=f"{name} condition at theta = p/2")
+    ceiling = condition
+    if theta != 0.5 * p or factor is None:
+        ceiling = _condition(parts, mat, 0.5 * p)
+        factor = SparseCholesky(ceiling, context=f"{name} condition at theta = p/2")
     try:
         nu = spla.eigsh(_blockdiag(mat, parts.block_sizes), k=1, M=ceiling,
                         Minv=spla.LinearOperator((n, n), matvec=factor.solve),
@@ -415,10 +425,31 @@ class _Run:
                 raise NumericalError(f"non-finite state at step {n + 1}")
 
 
-# time levels that trajectory post-processing handles per matrix product:
-# large enough for BLAS, small enough that the temporaries stay far below
-# the stored trajectory itself
-TRAJECTORY_CHUNK = 256
+# Trajectory post-processing takes a chunk of time levels per matrix product:
+# a sixteenth of the levels, so that each temporary of a chunk stays far
+# below the stored trajectory, and at most this many bytes of them. At 2250
+# coarse dofs and 300 levels that is 18 levels per product.
+TRAJECTORY_CHUNK_BYTES = 1 << 20
+
+
+def trajectory_chunks(n_levels: int, dim: int) -> list:
+    """Slices that cut ``n_levels`` rows of ``dim`` values into chunks (see above)."""
+    rows = max(1, min(TRAJECTORY_CHUNK_BYTES // (8 * max(dim, 1)), n_levels // 16))
+    return [slice(lo, lo + rows) for lo in range(0, n_levels, rows)]
+
+
+def _row_dots(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """x_i . y_i for the rows x_i of ``rows`` and the columns y_i of ``columns``.
+
+    Each dot product runs over two contiguous rows, so its bits do not
+    depend on how many rows a chunk holds.
+    """
+    return (np.ascontiguousarray(rows) * np.ascontiguousarray(columns.T)).sum(axis=1)
+
+
+def quadratic_forms(mat, rows: np.ndarray) -> np.ndarray:
+    """x_i^T A x_i for every row x_i of ``rows``, bit for bit one row at a time."""
+    return _row_dots(rows, mat @ rows.T)
 
 
 def _energy_monitor(parts: SplitParts, config: SplitConfig, states: np.ndarray,
@@ -442,22 +473,19 @@ def _energy_monitor(parts: SplitParts, config: SplitConfig, states: np.ndarray,
     n_steps = len(states) - 1
     energy = np.empty(n_steps)
     potential = np.empty(n_steps)
-    for lo in range(0, n_steps, TRAJECTORY_CHUNK):
-        rows = slice(lo, lo + TRAJECTORY_CHUNK)
+    for rows in trajectory_chunks(n_steps, states.shape[1]):
         now, prev = states[1:][rows], states[:-1][rows]
         diffs = now - prev
         means = 0.5 * (now + prev)
-        potential[rows] = np.einsum("ij,ji->i", means, parts.stiff @ means.T)
-        energy[rows] = (np.einsum("ij,ji->i", diffs, damping @ diffs.T) / tau ** 2
-                        + potential[rows])
-    static = all((forcing[lo:lo + TRAJECTORY_CHUNK] == forcing[0]).all()
-                 for lo in range(0, len(forcing), TRAJECTORY_CHUNK))
+        potential[rows] = quadratic_forms(parts.stiff, means)
+        energy[rows] = quadratic_forms(damping, diffs) / tau ** 2 + potential[rows]
+    chunks = trajectory_chunks(len(forcing), forcing.shape[1])
+    static = all((forcing[rows] == forcing[0]).all() for rows in chunks)
     solved = forcing[:1] if static else forcing
     work = np.empty(len(solved))
-    for lo in range(0, len(solved), TRAJECTORY_CHUNK):
-        f = solved[lo:lo + TRAJECTORY_CHUNK]
-        work[lo:lo + TRAJECTORY_CHUNK] = 0.5 * tau * np.einsum(
-            "ij,ji->i", f, mass_factor.solve(f.T))
+    for rows in chunks[:1] if static else chunks:
+        f = solved[rows]
+        work[rows] = 0.5 * tau * _row_dots(f, mass_factor.solve(np.ascontiguousarray(f.T)))
     return (energy, potential[1:],
             energy[0] + np.cumsum(np.broadcast_to(work, len(forcing))))
 

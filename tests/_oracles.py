@@ -115,6 +115,27 @@ def coo_load_matrix(g):
     return mat
 
 
+def prolongation_matrix(basis, block_sizes):
+    """The prolongation of ``basis`` as one sparse matrix, from coordinate triplets.
+
+    Block q takes modes m_q .. m_q + b_q of every node, node-major: column
+    n_nodes * m_q + i * b_q + (k - m_q) is mode k of the i-th node, stored
+    on its support. Rows are the interior fine nodes.
+    """
+    n_nodes = len(basis.nodes)
+    rows, cols, vals = [], [], []
+    first = 0
+    for b in block_sizes:
+        for i, (sup, vec) in enumerate(zip(basis.supports, basis.vectors)):
+            for k in range(first, first + b):
+                rows.append(sup)
+                cols.append(np.full(len(sup), n_nodes * first + i * b + k - first))
+                vals.append(vec[:, k])
+        first += b
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(basis.grid.n_interior_fine, n_nodes * first))
+
+
 def sparse_galerkin(prol, fine):
     """The exactly symmetric Galerkin product 1/2 (S + S^T), S = P^T (A P), as CSR."""
     product = (prol.T @ (fine @ prol)).tocsr()

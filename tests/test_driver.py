@@ -10,13 +10,14 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from msplit import cli, driver, fineassembly, gmsfem, linalg, splitting
 from msplit.driver import ConfigError, ExperimentConfig
 from msplit.grid import GridPair
 from msplit.linalg import NumericalError
 
-from _oracles import dense_backward_euler
+from _oracles import dense_backward_euler, prolongation_matrix
 from conftest import assert_basis_dump
 
 
@@ -224,9 +225,10 @@ def test_reconstruct_fine_matches_parts(tiny_pipe):
         for i, sup in enumerate(pipe.basis.supports):
             want[sup] += pipe.basis.vectors[i][:, mode:mode + b] @ coeffs[i]
         mode += b
-    assert np.allclose(driver.reconstruct_fine(pipe.prol, z), want, atol=1e-14)
+    got = gmsfem.reconstruct_fine(pipe.fs, pipe.basis, pipe.prol, z)
+    assert np.allclose(got, want, atol=1e-14)
     with pytest.raises(ValueError, match="coefficients"):
-        driver.reconstruct_fine(pipe.prol, z[:-1])
+        gmsfem.reconstruct_fine(pipe.fs, pipe.basis, pipe.prol, z[:-1])
 
 
 def test_fem_coarse_run_satisfies_a_priori_bound(tiny_pipe):
@@ -245,13 +247,82 @@ def test_fem_coarse_run_satisfies_a_priori_bound(tiny_pipe):
 def test_compare_guards_and_zero_error(tiny_pipe):
     pipe = tiny_pipe
     euler = splitting.backward_euler(pipe.coarse, 0.05, 0.2)
-    report = driver.compare(euler, euler, pipe.prol, pipe.fs, pipe.coarse.stiff)
+    report = driver.compare(euler, euler, pipe.coarse)
     assert report.e_l2 == 0.0 and report.e_a == 0.0
     assert np.all(report.history_values == 0.0)
     assert len(report.history_times) == euler.n_steps
     other = splitting.backward_euler(pipe.coarse, 0.1, 0.2)
     with pytest.raises(ValueError, match="time grid"):
-        driver.compare(euler, other, pipe.prol, pipe.fs, pipe.coarse.stiff)
+        driver.compare(euler, other, pipe.coarse)
+
+
+def test_final_errors_are_the_fine_norms_of_the_reconstructed_fields(tiny_pipe):
+    # C and B are the Gram matrices of the basis, so the coarse forms give
+    # the fine-grid norms of the reconstructed fields
+    pipe = tiny_pipe
+    euler = splitting.backward_euler(pipe.coarse, 0.05, 0.2)
+    split = splitting.march(pipe.coarse, splitting.make_split(pipe.coarse),
+                            splitting.SplitConfig(tau=0.05, t_final=0.2))
+    report = driver.compare(euler, split, pipe.coarse)
+    pmat = prolongation_matrix(pipe.basis, pipe.prol.block_sizes)
+    ref, err = pmat @ euler.states[-1], pmat @ (euler.states[-1] - split.states[-1])
+    for got, mat in zip((report.e_l2, report.e_a), fineassembly.assemble_matrices(pipe.fs)):
+        assert got == pytest.approx(np.sqrt(err @ mat @ err / (ref @ mat @ ref)), rel=1e-10)
+
+
+def test_trajectory_chunks_leave_every_bit(tiny_pipe, monkeypatch):
+    # the energy monitor, the a priori bound and the error history are the
+    # same bits when post-processing takes one time level at a time
+    coarse = tiny_pipe.coarse
+    config = splitting.SplitConfig(tau=0.01, t_final=0.5, theta_mass=1.2, theta_stiff=1.1)
+
+    def outputs():
+        split = splitting.march(coarse, splitting.make_split(coarse), config)
+        euler = splitting.backward_euler(coarse, config.tau, config.t_final)
+        report = driver.compare(euler, split, coarse)
+        return (split.energy, split.bound_lhs, split.bound_rhs, report.history_values,
+                np.array([report.e_l2, report.e_a]))
+
+    chunked = outputs()
+    assert len(splitting.trajectory_chunks(config.n_steps, coarse.dim)) == 17
+    monkeypatch.setattr(splitting, "TRAJECTORY_CHUNK_BYTES", 1)
+    assert len(splitting.trajectory_chunks(config.n_steps, coarse.dim)) == config.n_steps
+    for got, want in zip(outputs(), chunked):
+        assert np.array_equal(got, want)
+
+
+TINY_GUARDED = TINY_TEXT.replace("ny_coarse = 4", "ny_coarse = 3")
+
+
+@pytest.mark.parametrize("source", ["exp-radial", "pulsed-sine"])
+def test_run_builds_no_fine_matrix_and_no_prolongation_matrix(tmp_path, monkeypatch,
+                                                              source):
+    # `msplit run` works coarse cell by coarse cell: it assembles neither the
+    # global fine mass, stiffness or load operator nor the prolongation
+    # matrix, so no sparse matrix it makes has the fine grid's node count
+    # or interior node count as a dimension (the 4 x 3 coarse, refine-4
+    # grid has 221 and 165; a coarse cell's box has 25 nodes)
+    path = tmp_path / "guarded.cfg"
+    path.write_text(TINY_GUARDED + f"source = {source}\n")
+    g = GridPair(4, 3, 4)
+    fine = {g.n_fine_nodes, g.n_interior_fine}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("global fine assembly")
+
+    for name in ("assemble_matrices", "LoadOperator", "local_matrices"):
+        monkeypatch.setattr(fineassembly, name, refuse)
+    shapes = []
+    for owner in (sp._compressed._cs_matrix, sp._coo._coo_base):
+        def recording(self, *args, _init=owner.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            shapes.append(self.shape)
+
+        monkeypatch.setattr(owner, "__init__", recording)
+    assert cli.main(["run", str(path), "--output", str(tmp_path / "out"),
+                     "--dump-fields"]) == 0
+    assert shapes and not [shape for shape in shapes if fine & set(shape)]
+    assert (tmp_path / "out" / "field_split.txt").exists()
 
 
 # --- runs and sweeps ---
@@ -280,7 +351,7 @@ def test_run_example_writes_outputs(tmp_path, capsys):
     # the fine reference against a dense backward Euler march of its own,
     # compared with the split field written to field_split.txt
     g, fs = driver.build_problem(config)
-    mass, stiff = fs.mass.toarray(), fs.stiffness.toarray()
+    mass, stiff = (mat.toarray() for mat in fineassembly.assemble_matrices(fs))
     loads = fineassembly.LoadOperator(g)
     n_steps = round(config.t_final / config.tau)
     fine = dense_backward_euler(mass, stiff, lambda t: loads.load(fs.source, t),
@@ -320,6 +391,31 @@ def test_sweep_blocks_matches_single_run(tmp_path):
     assert (tmp_path / "sweep" / "errors.csv").exists()
     assert (tmp_path / "sweep" / "history_1+2.csv").exists()
     assert (tmp_path / "sweep" / "history_2+1.csv").exists()
+
+
+def test_blocks_sweep_makes_the_cell_products_once(tmp_path, monkeypatch):
+    # the settings of a blocks sweep reorder one projection; each cell's
+    # Galerkin blocks are made once, and every row has the bits of a run
+    # built for that setting alone
+    calls = []
+    products = gmsfem._BasisCells.products
+
+    def counting(self, cells):
+        calls.append(len(cells))
+        return products(self, cells)
+
+    monkeypatch.setattr(gmsfem._BasisCells, "products", counting)
+    config = tiny_config(source="pulsed-sine", output_dir=str(tmp_path / "sweep"),
+                         blocks_sweep=((2, 1), (1, 1, 1), (1, 2)))
+    rows = driver.sweep(config, "blocks")
+    assert sum(calls) == config.nx_coarse * config.ny_coarse
+    for (label, e_l2, e_a), blocks in zip(rows, config.blocks_sweep):
+        out = tmp_path / label
+        single = driver.run_example(dataclasses.replace(config, blocks=blocks,
+                                                        output_dir=str(out)))
+        assert (e_l2, e_a) == (single.e_l2, single.e_a), label
+        assert (tmp_path / "sweep" / f"history_{label}.csv").read_bytes() == \
+            (out / "history.csv").read_bytes()
 
 
 def test_sweep_tau_snaps_and_labels(tmp_path, caplog):

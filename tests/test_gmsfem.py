@@ -1,5 +1,6 @@
 """Offline multiscale construction: snapshots, spectral modes, prolongation."""
 
+import dataclasses
 import logging
 import pathlib
 import re
@@ -9,12 +10,13 @@ import pytest
 import scipy.sparse as sp
 
 from msplit import driver, gmsfem, linalg, splitting
-from msplit.fineassembly import LoadOperator, Permeability, assemble, local_matrices
+from msplit.fineassembly import (LoadOperator, Permeability, assemble, assemble_matrices,
+                                 local_matrices)
 from msplit.grid import GridPair, neighborhood, partition_of_unity
 from msplit.linalg import NumericalError
 
 from _oracles import (dense_q1_matrices, energy_gram_schmidt, oracle_snapshots,
-                      sparse_galerkin)
+                      prolongation_matrix, sparse_galerkin)
 from conftest import assert_basis_dump, rng_for
 
 
@@ -573,8 +575,9 @@ def test_basis_energy_orthonormal_per_neighborhood(small):
     g, fs = small
     modes = gmsfem.offline_modes(fs, 4)
     basis = gmsfem.assemble_basis(fs, modes)
+    _, stiffness = assemble_matrices(fs)
     for m, sup, block in zip(modes, basis.supports, basis.vectors):
-        sub = fs.stiffness[sup][:, sup]
+        sub = stiffness[sup][:, sup]
         gram = block.T @ (sub @ block)
         assert np.max(np.abs(gram - np.eye(4))) < 1e-12
         nb = neighborhood(g, m.node)
@@ -604,10 +607,10 @@ def test_same_kind_neighborhoods_share_one_read_only_block():
         for j in range(i):
             shared = modes[j].vectors is m.vectors
             assert (basis.vectors[j] is basis.vectors[i]) == shared, (i, j)
-        # each node again from its own stiffness and modes
+        # each node again from its own cells' stiffness and modes
         nb = neighborhood(g, m.node)
         rows = np.searchsorted(nb.nodes, nb.interior)
-        sub = fs.stiffness[basis.supports[i]][:, basis.supports[i]]
+        sub = gmsfem._patch_energy(g, fs.kappa_cells, m.node)
         pou = partition_of_unity(g, m.node, nb.interior)
         cx, cy = g.coarse_node_grid(m.node)
         xc, yc = cx * g.coarse_hx, cy * g.coarse_hy
@@ -654,14 +657,16 @@ def test_basis_vanishes_outside_neighborhood(small):
 
 
 def test_gram_schmidt_rejects_dependent_columns():
-    stiff = sp.identity(4, format="csr")
+    def euclidean(block):
+        return block.T @ block
+
     block = np.ones((4, 2))
     with pytest.raises(NumericalError, match="degenerated in neighborhood 0 at column 1"):
-        gmsfem._energy_orthonormalize(block, stiff, node=0)
+        gmsfem._energy_orthonormalize(block, euclidean, node=0)
     # a column whose energy norm is below the guard, though positive
     block = np.array([[1.0, 1.0], [0.0, 1e-15], [0.0, 0.0], [0.0, 0.0]])
     with pytest.raises(NumericalError, match="at column 1"):
-        gmsfem._energy_orthonormalize(block, stiff, node=0)
+        gmsfem._energy_orthonormalize(block, euclidean, node=0)
 
 
 # --- prolongation ---
@@ -671,13 +676,12 @@ def test_prolongation_shapes_and_metadata(small):
     basis = gmsfem.build_offline(fs, 4)
     prol = gmsfem.assemble_prolongation(basis, (1, 3))
     n_nb = len(basis.nodes)
-    assert prol.matrix.shape == (fs.n_dof, 4 * n_nb)
     assert prol.n_columns == 4 * n_nb
     assert prol.block_sizes == (1, 3)
     # every column lives on the support of exactly one neighborhood
-    csc = prol.matrix.tocsc()
     for col in range(prol.n_columns):
-        rows = csc.indices[csc.indptr[col]:csc.indptr[col + 1]]
+        rows = np.flatnonzero(gmsfem.reconstruct_fine(fs, basis, prol,
+                                                      np.eye(prol.n_columns)[col]))
         assert len(rows) > 0
         assert any(np.all(np.isin(rows, sup)) for sup in basis.supports)
 
@@ -697,7 +701,7 @@ def test_prolongation_block_identity(small):
         mode_offset += b
     rng = np.random.default_rng(7)
     z = rng.standard_normal(prol.n_columns)
-    lhs = prol.matrix @ z
+    lhs = gmsfem.reconstruct_fine(fs, basis, prol, z)
     offsets = np.cumsum([0] + [p.shape[1] for p in parts])
     rhs = sum(parts[q] @ z[offsets[q]:offsets[q + 1]]
               for q in range(len(parts)))
@@ -714,8 +718,9 @@ def test_prolongation_columns_follow_block_order():
     for blocks in ((1, 3), (2, 2)):
         prol = gmsfem.assemble_prolongation(basis, blocks)
         assert prol.block_sizes == blocks
-        assert prol.matrix.shape == (fs.n_dof, 4 * n_nb)
-        dense = prol.matrix.toarray()
+        assert prol.n_columns == 4 * n_nb
+        dense = np.column_stack([gmsfem.reconstruct_fine(fs, basis, prol, unit)
+                                 for unit in np.eye(prol.n_columns)])
         mode_offset = 0
         for b in blocks:
             for i, sup in enumerate(basis.supports):
@@ -739,8 +744,8 @@ def test_prolongation_validates_blocks(small):
 def test_dof_counts_on_production_grid(ex1, ex1_basis10):
     prol6 = gmsfem.assemble_prolongation(ex1["basis6"], (1, 5))
     prol10 = gmsfem.assemble_prolongation(ex1_basis10, (1, 9))
-    assert prol6.matrix.shape[1] == 1350
-    assert prol10.matrix.shape[1] == 2250
+    assert prol6.n_columns == 1350
+    assert prol10.n_columns == 2250
 
 
 # --- coarse projection ---
@@ -750,9 +755,10 @@ def test_coarse_blocks_match_projected_operators(small):
     basis = gmsfem.build_offline(fs, 4)
     prol = gmsfem.assemble_prolongation(basis, (1, 3))
     cs = gmsfem.project_coarse(fs, basis, prol)
-    pmat = prol.matrix
-    want_mass = (pmat.T @ fs.mass @ pmat).toarray()
-    want_stiff = (pmat.T @ fs.stiffness @ pmat).toarray()
+    pmat = prolongation_matrix(basis, prol.block_sizes)
+    mass, stiffness = assemble_matrices(fs)
+    want_mass = (pmat.T @ mass @ pmat).toarray()
+    want_stiff = (pmat.T @ stiffness @ pmat).toarray()
     assert np.max(np.abs(cs.mass.toarray() - want_mass)) < 1e-12
     assert np.max(np.abs(cs.stiff.toarray() - want_stiff)) < 1e-12
 
@@ -777,11 +783,12 @@ def test_cell_galerkin_matches_the_sparse_product(make_fs, blocks):
     basis = gmsfem.build_offline(fs, 4)
     prol = gmsfem.assemble_prolongation(basis, blocks)
     cs = gmsfem.project_coarse(fs, basis, prol)
-    for got, fine in ((cs.mass, fs.mass), (cs.stiff, fs.stiffness)):
-        want = sparse_galerkin(prol.matrix, fine).toarray()
+    pmat = prolongation_matrix(basis, prol.block_sizes)
+    for got, fine in zip((cs.mass, cs.stiff), assemble_matrices(fs)):
+        want = sparse_galerkin(pmat, fine).toarray()
         assert np.max(np.abs(got.toarray() - want)) <= 1e-13 * np.max(np.abs(want))
     # a cell's blocks have the same bits alone as in any batch
-    cells = gmsfem._GalerkinCells(fs, basis)
+    cells = gmsfem._BasisCells(fs, basis)
     order = np.arange(fs.grid.nx_coarse * fs.grid.ny_coarse)
     batch = cells.products(order)
     assert np.array_equal(cells.products(order[::-1]), batch[:, ::-1])
@@ -834,24 +841,91 @@ def test_coarse_rhs_projects_load(small):
     prol = gmsfem.assemble_prolongation(basis, (3,))
     cs = gmsfem.project_coarse(fs, basis, prol)
     t = 0.75
-    want = prol.matrix.T @ LoadOperator(g).load(fs.source, t)
-    assert np.allclose(cs.rhs(t), want, atol=1e-14)
+    want = prolongation_matrix(basis, prol.block_sizes).T @ LoadOperator(g).load(fs.source, t)
+    assert np.allclose(cs.rhs(np.array([t]))[0], want, atol=1e-14)
 
 
 def test_initial_vector_moments_and_projection(small):
     g, fs = small
     basis = gmsfem.build_offline(fs, 4)
     prol = gmsfem.assemble_prolongation(basis, (1, 3))
-    moments = prol.matrix.T @ (fs.mass @ fs.initial_vector())
+    mass, _ = assemble_matrices(fs)
+    moments = prolongation_matrix(basis, prol.block_sizes).T @ (mass @ fs.initial_vector())
     cs = gmsfem.project_coarse(fs, basis, prol)
     assert np.allclose(cs.z0, moments, atol=1e-14)
+
+
+# --- cell by cell against the prolongation matrix ---
+
+@pytest.fixture(scope="module")
+def forced():
+    # hx != hy, and the boundary cells have one or two corners with a basis
+    g = GridPair(4, 3, 4)
+    source = driver.Source(lambda t, x, y: (1.0 + np.sin(3.0 * t)) * np.cos(x + 2.0 * y),
+                           time_dependent=True)
+    fs = assemble(g, driver.synthetic_channels(g), source=source,
+                  initial=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+    basis = gmsfem.build_offline(fs, 4)
+    prol = gmsfem.assemble_prolongation(basis, (1, 3))
+    return fs, basis, prol, prolongation_matrix(basis, prol.block_sizes), assemble_matrices(fs)
+
+
+def _assert_close(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_cell_energy_gram_matches_the_fine_stiffness(forced):
+    fs, basis, _, _, (_, stiffness) = forced
+    g = fs.grid
+    rng = rng_for("cell-energy-gram")
+    for node, sup in zip(basis.nodes, basis.supports):
+        block = rng.standard_normal((len(sup), 4))
+        got = gmsfem._patch_energy(g, fs.kappa_cells, int(node))(block)
+        _assert_close(got, block.T @ (stiffness[sup][:, sup] @ block))
+
+
+@pytest.mark.parametrize("levels", [None, 3], ids=["one-chunk", "three-levels-a-chunk"])
+def test_cell_loads_match_the_prolongation_matrix(forced, monkeypatch, levels):
+    fs, basis, prol, pmat, _ = forced
+    g = fs.grid
+    if levels:
+        # a coarse cell has 4 r^2 Gauss points
+        monkeypatch.setattr(gmsfem, "_LOAD_VALUES", levels * 4 * g.refine ** 2)
+    cs = gmsfem.project_coarse(fs, basis, prol)
+    times = 0.1 * np.arange(1, 11)
+    loads = LoadOperator(g)
+    want = np.array([pmat.T @ loads.load(fs.source, t) for t in times])
+    _assert_close(cs.rhs(times), want)
+
+
+def test_static_load_is_one_read_only_row(forced):
+    fs, basis, prol, pmat, _ = forced
+    static = driver.Source(lambda t, x, y: np.exp(x * y), time_dependent=False)
+    cs = gmsfem.project_coarse(dataclasses.replace(fs, source=static), basis, prol)
+    table = cs.forcing(0.1, 5)
+    assert table.shape == (5, prol.n_columns) and table.strides[0] == 0
+    assert not table.flags.writeable
+    _assert_close(table[0], pmat.T @ LoadOperator(fs.grid).load(static, 0.0))
+
+
+def test_cell_moments_match_the_prolongation_matrix(forced):
+    fs, basis, prol, pmat, (mass, _) = forced
+    cs = gmsfem.project_coarse(fs, basis, prol)
+    _assert_close(cs.z0, pmat.T @ (mass @ fs.initial_vector()))
+
+
+def test_cell_reconstruction_matches_the_prolongation_matrix(forced):
+    fs, basis, prol, pmat, _ = forced
+    z = rng_for("cell-reconstruction").standard_normal(prol.n_columns)
+    _assert_close(gmsfem.reconstruct_fine(fs, basis, prol, z), pmat @ z)
 
 
 def test_projection_mass_factor_serves_the_whole_run(small, factorizations):
     # project_coarse factors C and B once each for its definiteness check;
     # the energy monitor reuses the factor of C, so a reference plus a split
-    # run adds only C + tau*B, the step matrix and the certificate's two
-    # matrices per condition
+    # run adds only C + tau*B, the step matrix and the certificate's one
+    # matrix per condition: at theta = p/2 the condition matrix is the one
+    # the threshold needs
     g, fs = small
     basis = gmsfem.build_offline(fs, 4)
     prol = gmsfem.assemble_prolongation(basis, (1, 3))
@@ -863,8 +937,7 @@ def test_projection_mass_factor_serves_the_whole_run(small, factorizations):
     split = splitting.march(cs, splitting.make_split(cs), config)
     assert split.energy is not None
     assert factorizations[2:] == [
-        "C + tau*B (tau = 0.05)", "mass condition", "mass condition at theta = p/2",
-        "stiffness condition", "stiffness condition at theta = p/2",
+        "C + tau*B (tau = 0.05)", "mass condition", "stiffness condition",
         "split step matrix"]
 
 

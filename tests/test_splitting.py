@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from msplit import splitting
+from msplit import linalg, splitting
 from msplit.linalg import NumericalError
 
 from _oracles import (dense_backward_euler, dense_split_step, dense_threshold,
@@ -22,13 +22,12 @@ def make_cs(cmat, bmat, sizes, forcing=None, z0=None):
     assert cmat.shape == (dim, dim)
     if forcing is None:
         forcing = np.zeros(dim)
-    if callable(forcing):
-        rhs = forcing
-    else:
+    if not callable(forcing):
         vec = np.asarray(forcing, dtype=float)
+        forcing = lambda t: vec  # noqa: E731
 
-        def rhs(t):
-            return vec
+    def rhs(times):
+        return np.array([forcing(t) for t in times]).reshape(len(times), dim)
     if z0 is None:
         z0 = np.zeros(dim)
     return splitting.CoarseSystem(block_sizes=sizes, mass=cmat, stiff=bmat,
@@ -111,21 +110,21 @@ def test_reference_and_split_run_factor_each_matrix_once(factorizations):
     # the reference and the split's first step share one factor of
     # C + tau*B, the split step matrix is factored once, the energy
     # monitor's factor of C is made once and kept with the system, and the
-    # certificate factors its two matrices per condition once per run
+    # certificate factors one matrix per condition once per run: at
+    # theta = p/2 = 1.5 the condition matrix is the threshold's own
     rng = np.random.default_rng(8)
     cs = make_cs(random_spd(rng, 7), random_spd(rng, 7), (3, 2, 2),
                  forcing=rng.standard_normal(7), z0=rng.standard_normal(7))
     config = splitting.SplitConfig(tau=0.1, t_final=1.0, theta_mass=1.5,
                                    theta_stiff=1.5)
-    certificate = ["mass condition", "mass condition at theta = p/2",
-                   "stiffness condition", "stiffness condition at theta = p/2"]
+    certificate = ["mass condition", "stiffness condition"]
     splitting.backward_euler(cs, config.tau, config.t_final)
     split = splitting.march(cs, splitting.make_split(cs), config)
     assert split.energy is not None
     assert factorizations == (["C + tau*B (tau = 0.1)"] + certificate
                               + ["split step matrix", "coarse mass"])
     splitting.march(cs, splitting.make_split(cs), config)
-    assert factorizations[7:] == certificate + ["split step matrix"]
+    assert factorizations[5:] == certificate + ["split step matrix"]
 
 
 # --- single steps ---
@@ -463,6 +462,33 @@ def test_certificate_reads_no_dense_matrix(monkeypatch):
     cert = splitting.check_stability(parts, 1.0, 1.0)
     assert cert.passed and 0.0 < cert.mass_margin < 0.5
     assert not splitting.check_stability(parts, 0.5, 0.5).passed
+
+
+@pytest.mark.parametrize("theta, count", [(1.0, 2), (1.2, 4), (0.6, 4)],
+                         ids=["p/2", "above", "below"])
+def test_certificate_factors_the_condition_once_at_p_half(theta, count, factorizations,
+                                                          monkeypatch):
+    # at theta = p/2 the condition matrix is the one whose factor the
+    # threshold's Lanczos run needs, so each condition takes one sparse
+    # factorization instead of two; the margins keep their bits
+    rng = np.random.default_rng(67)
+    parts = splitting.make_split(make_cs(random_spd(rng, 8), random_spd(rng, 8), (3, 5)))
+    cert = splitting.check_stability(parts, theta, theta)
+    assert len(factorizations) == count
+    assert cert.passed == (theta >= 1.0)
+    # the same margins from factors of their own: refuse the condition
+    # matrices, so the threshold factors the matrix at p/2 separately
+    init = linalg.SparseCholesky.__init__
+
+    def refuse_conditions(self, mat, context=""):
+        if context.endswith("condition"):
+            raise NumericalError("refused")
+        init(self, mat, context)
+
+    monkeypatch.setattr(linalg.SparseCholesky, "__init__", refuse_conditions)
+    own = splitting.check_stability(parts, theta, theta)
+    assert not own.passed
+    assert (own.mass_margin, own.stiff_margin) == (cert.mass_margin, cert.stiff_margin)
 
 
 @pytest.mark.parametrize("theta", [0.8, 1.3])
