@@ -475,7 +475,8 @@ def _fine_reference_errors(pipe: Pipeline, split: Trajectory) -> dict:
     mass, stiff = fineassembly.assemble_matrices(fs)
     lhs_mat = mass + config.tau * stiff
     lhs = SparseCholesky(lhs_mat, context="fine reference")
-    loads = fineassembly.LoadOperator(fs.grid)
+    g = fs.grid
+    loads = fineassembly.BoxSum(g, np.arange(g.nx_coarse * g.ny_coarse), g.interior_fine_ids)
     u = fs.initial_vector()
     for n in range(n_steps):
         f = loads.load(fs.source, (n + 1) * config.tau)

@@ -6,12 +6,16 @@ functions; mass and load use 2x2 Gauss quadrature, which is exact for the mass
 matrix. Homogeneous Dirichlet conditions are imposed by eliminating boundary
 rows and columns.
 
-No global matrix is part of the fine problem (:class:`FineSystem`): the
-offline stage and the projection work coarse cell by coarse cell, from the
-element matrices and :func:`_cell_load`'s map of one coarse cell.
-:func:`assemble_matrices` and :class:`LoadOperator`, the global mass,
-stiffness and load, serve the fine backward Euler reference, the one step
-that marches on the fine grid.
+Every fine matrix and load is a sum over coarse cells. Every coarse cell
+of the uniform grid has the same elements, so one kernel
+(:class:`CellKernel`) holds the Q1 pattern of a cell's (r+1)^2 node box and
+the maps from its r^2 element coefficients to the box's mass and
+stiffness, and :func:`box_loads` gives the boxes' Gauss loads. The offline
+stage and the projection work box by box. :class:`BoxSum` adds boxes into
+any numbering of fine nodes: the global interior matrices and load of the
+fine backward Euler reference (:func:`assemble_matrices`) and the
+neighborhood matrices of the brute-force offline reference. No global
+matrix is part of the fine problem (:class:`FineSystem`).
 """
 
 from __future__ import annotations
@@ -27,12 +31,14 @@ from .grid import GridPair
 __all__ = [
     "Permeability",
     "FineSystem",
-    "LoadOperator",
+    "CellKernel",
+    "BoxSum",
     "assemble",
     "assemble_matrices",
+    "box_loads",
     "norms",
     "interpolate",
-    "local_matrices",
+    "patch_energy",
     "read_grid_file",
     "write_grid_file",
     "write_field",
@@ -114,59 +120,155 @@ class Permeability:
         return vals
 
 
-def _cell_node_ids(g: GridPair, cells: np.ndarray) -> np.ndarray:
-    """Global fine node ids of each cell's corners, shape (n_cells, 4)."""
-    cxf = cells % g.nx_fine
-    cyf = cells // g.nx_fine
-    n00 = cyf * (g.nx_fine + 1) + cxf
-    return np.stack([n00, n00 + 1, n00 + g.nx_fine + 1, n00 + g.nx_fine + 2], axis=1)
-
-
-def _assemble_from_cells(g, cells, coef, unit, n_rows, renumber=None):
-    """Sum coef[c] * unit over cells into a CSR matrix of size n_rows."""
-    nodes4 = _cell_node_ids(g, cells)
-    if renumber is not None:
-        nodes4 = renumber(nodes4)
-    vals = coef[:, None, None] * unit[None, :, :]
-    rows = np.broadcast_to(nodes4[:, :, None], vals.shape)
-    cols = np.broadcast_to(nodes4[:, None, :], vals.shape)
-    mat = sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
-                        shape=(n_rows, n_rows)).tocsr()
-    return (mat + mat.T) * 0.5  # exact symmetry regardless of summation order
-
-
 def _mass_stiff_units(g: GridPair):
     mass_unit = g.hx * g.hy * _MASS_UNIT
     stiff_unit = (g.hy / g.hx) * _STIFF_X + (g.hx / g.hy) * _STIFF_Y
     return mass_unit, stiff_unit
 
 
-def local_matrices(g: GridPair, kappa_cells: np.ndarray, cells: np.ndarray,
-                   nodes: np.ndarray, mass_weight_cells: Optional[np.ndarray] = None):
-    """Mass and stiffness over a subset of fine cells, indexed by ``nodes``.
+class CellKernel:
+    """The Q1 mass and stiffness of one coarse cell's (r+1)^2 node box.
 
-    ``nodes`` must be sorted, unique, and cover every corner of ``cells``.
-    ``mass_weight_cells`` optionally replaces the unit mass density with a
-    cellwise-constant weight (flat array over all fine cells).
+    Every coarse cell of the uniform grid has the same element matrices. So
+    one CSR pattern, ``indptr`` and ``indices``, holds the entries some
+    element reaches, and two sparse (nnz, r^2) maps, ``mass_map`` and
+    ``stiff_map``, take a cell's r^2 element coefficients (row-major,
+    :meth:`coefficients`) to its data. The box nodes, row-major, are
+    numbered ``pos`` (row-major by default). Each entry sums its elements in
+    ascending order, so a cell's matrices are exactly symmetric.
     """
-    cells = np.asarray(cells, dtype=np.int64)
-    kflat = np.asarray(kappa_cells, dtype=float).ravel()
-    mass_unit, stiff_unit = _mass_stiff_units(g)
 
-    def renumber(nodes4):
-        local = np.searchsorted(nodes, nodes4)
-        if np.any(local >= len(nodes)) or np.any(nodes[local] != nodes4):
-            raise ValueError("node list does not cover the requested cells")
-        return local
+    def __init__(self, g: GridPair, pos: Optional[np.ndarray] = None):
+        r = g.refine
+        n = (r + 1) ** 2
+        pos = np.arange(n) if pos is None else pos
+        ex, ey = np.arange(r * r) % r, np.arange(r * r) // r
+        corners = pos[(ey * (r + 1) + ex)[:, None] + np.array([0, 1, r + 1, r + 2])]
+        keys = (corners[:, :, None] * n + corners[:, None, :]).ravel()
+        pattern = np.unique(keys)
+        self.indptr = np.searchsorted(pattern, np.arange(n + 1) * n)
+        self.indices = pattern % n
+        # element-major triplets, so each row of a map lists its elements ascending
+        entries = (np.searchsorted(pattern, keys), np.repeat(np.arange(r * r), 16))
+        self.mass_map, self.stiff_map = (
+            sp.csr_matrix((np.tile(unit.ravel(), r * r), entries), shape=(len(pattern), r * r))
+            for unit in _mass_stiff_units(g))
+        self._grid = g
 
-    n = len(nodes)
-    if mass_weight_cells is None:
-        mass_coef = np.ones(len(cells))
-    else:
-        mass_coef = np.asarray(mass_weight_cells, dtype=float).ravel()[cells]
-    mass = _assemble_from_cells(g, cells, mass_coef, mass_unit, n, renumber)
-    stiff = _assemble_from_cells(g, cells, kflat[cells], stiff_unit, n, renumber)
-    return mass, stiff
+    def coefficients(self, values) -> np.ndarray:
+        """A fine-cell field, (ny_fine, nx_fine) or flat, per coarse cell: (cells, r^2)."""
+        g = self._grid
+        r = g.refine
+        return np.asarray(values, float).reshape(g.ny_coarse, r, g.nx_coarse, r).transpose(
+            0, 2, 1, 3).reshape(g.nx_coarse * g.ny_coarse, r * r)
+
+    def block_diagonal(self, data: np.ndarray) -> sp.csr_matrix:
+        """The CSR matrix of ``len(data)`` boxes on the diagonal, ``data`` their entries."""
+        count, nnz = data.shape
+        n = len(self.indptr) - 1
+        return sp.csr_matrix(
+            (data.ravel(), (self.indices + n * np.arange(count)[:, None]).ravel(),
+             np.concatenate([[0], (self.indptr[1:] + nnz * np.arange(count)[:, None]).ravel()])),
+            shape=(count * n, count * n))
+
+
+def box_loads(g: GridPair, source, cells: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """2x2 Gauss loads of f(t, x, y) on the boxes of coarse ``cells``: (levels, cells, (r+1)^2).
+
+    ``t`` is a (levels, 1, 1) column against the (cells, points) Gauss
+    points. Each fine cell's four Gauss values go to its four corners
+    through one 4 x 4 matrix of weighted shape values, and are added into
+    the box, row-major.
+    """
+    r = g.refine
+    elems = np.arange(r * r)
+    ex = ((elems % r)[:, None] + _GPTS[:, 0]).ravel()
+    ey = ((elems // r)[:, None] + _GPTS[:, 1]).ravel()
+    x = (((cells % g.nx_coarse) * r)[:, None] + ex) * g.hx
+    y = (((cells // g.nx_coarse) * r)[:, None] + ey) * g.hy
+    values = np.broadcast_to(source(t, x, y), (len(t),) + x.shape)
+    corners = 0.25 * g.hx * g.hy * _SHAPE_AT_GP
+    loads = (values.reshape(-1, 4) @ corners).reshape(len(t), len(cells), r, r, 4)
+    box = np.zeros((len(t), len(cells), r + 1, r + 1))
+    box[..., :r, :r] += loads[..., 0]
+    box[..., :r, 1:] += loads[..., 1]
+    box[..., 1:, :r] += loads[..., 2]
+    box[..., 1:, 1:] += loads[..., 3]
+    return box.reshape(len(t), len(cells), -1)
+
+
+class BoxSum:
+    """Coarse cells' boxes summed into one numbering of fine nodes.
+
+    The boxes of coarse ``cells`` are stacked in cell order, each row-major.
+    ``nodes``, ascending fine node ids, numbers the sum; a box node not in
+    ``nodes``, such as one on the Dirichlet boundary, is dropped. With S the
+    0/1 gather from ``nodes`` to the stacked boxes, a matrix is
+    S^T blockdiag(A_c) S (:meth:`matrices`) and a load S^T q (:meth:`load`).
+    """
+
+    def __init__(self, g: GridPair, cells, nodes: np.ndarray):
+        self._grid, self._cells = g, np.asarray(cells, dtype=np.int64)
+        self._kernel = CellKernel(g)
+        box = g.coarse_cell_boxes(self._cells).ravel()
+        keep = np.isin(box, nodes)
+        self._sum = sp.csr_matrix(   # S^T
+            (np.ones(keep.sum()), (np.searchsorted(nodes, box[keep]), np.flatnonzero(keep))),
+            shape=(len(nodes), len(box)))
+
+    def matrices(self, kappa_cells: np.ndarray,
+                 mass_weight_cells: Optional[np.ndarray] = None) -> tuple:
+        """Mass and stiffness as exactly symmetric CSR matrices.
+
+        The stiffness is weighted by ``kappa_cells``, the mass by
+        ``mass_weight_cells`` (unit by default), both cellwise constant.
+        """
+        g, kernel = self._grid, self._kernel
+        fine = np.array([g.coarse_cell_fine_cells(int(c)) for c in self._cells])
+        weight = np.ones(g.n_fine_cells) if mass_weight_cells is None else mass_weight_cells
+        out = []
+        for scatter, values in ((kernel.mass_map, weight), (kernel.stiff_map, kappa_cells)):
+            coef = np.asarray(values, float).ravel()[fine]
+            boxes = kernel.block_diagonal((scatter @ coef.T).T)
+            total = self._sum @ (boxes @ self._sum.T)
+            out.append(((total + total.T) * 0.5).tocsr())
+        return tuple(out)
+
+    def load(self, source, t: float) -> np.ndarray:
+        """The load of f(t, x, y) (:func:`box_loads`), zero without a source."""
+        if source is None:
+            return np.zeros(self._sum.shape[0])
+        return self._sum @ box_loads(self._grid, source, self._cells,
+                                     np.full((1, 1, 1), float(t))).ravel()
+
+
+def patch_energy(g: GridPair, kappa_cells: np.ndarray, node: int):
+    """X -> X^T K X for blocks X on an interior node's neighborhood interior (ascending).
+
+    Summed element by element over the neighborhood's (2r)^2 fine cells:
+    sum_e kappa_e X_e^T K_unit X_e, X_e the block at the element's four
+    corners once it is zero-padded to the node's (2r+1)^2 window. The
+    padding is the neighborhood boundary, where a localized block vanishes,
+    so the sum is the form of the fine stiffness over the support. It reads
+    only the permeability of the node's four cells, so same-kind
+    neighborhoods give the same bits.
+    """
+    r = g.refine
+    cx, cy = g.coarse_node_grid(node)
+    kappa = np.asarray(kappa_cells, float).reshape(g.ny_fine, g.nx_fine)[
+        (cy - 1) * r:(cy + 1) * r, (cx - 1) * r:(cx + 1) * r, None]
+    stiff_unit = _mass_stiff_units(g)[1]
+
+    def energy(block: np.ndarray) -> np.ndarray:
+        m = block.shape[1]
+        window = np.zeros((2 * r + 1, 2 * r + 1, m))
+        window[1:2 * r, 1:2 * r] = block.reshape(2 * r - 1, 2 * r - 1, m)
+        # every element's lower left, lower right, upper left, upper right corner
+        corners = np.stack([window[:-1, :-1], window[:-1, 1:], window[1:, :-1], window[1:, 1:]])
+        applied = stiff_unit @ corners.reshape(4, -1)
+        return (corners * kappa).reshape(-1, m).T @ applied.reshape(-1, m)
+
+    return energy
 
 
 @dataclass
@@ -175,8 +277,7 @@ class FineSystem:
 
     No global matrix is stored. :func:`assemble_matrices` builds the interior
     mass and stiffness for the one step that needs them; everything else
-    assembles its own cell matrices, with :func:`local_matrices` or the
-    scatter maps of the offline stage.
+    works with the cell matrices of :class:`CellKernel`.
     """
 
     grid: GridPair
@@ -208,73 +309,8 @@ def assemble(g: GridPair, kappa: Permeability, source=None, initial=None) -> Fin
 def assemble_matrices(fs: FineSystem) -> tuple:
     """Global fine mass and stiffness on the interior nodes, Dirichlet rows eliminated, as CSR."""
     g = fs.grid
-    mass_all, stiff_all = local_matrices(g, fs.kappa_cells, np.arange(g.n_fine_cells),
-                                         np.arange(g.n_fine_nodes))
-    keep = g.interior_fine_ids
-    return mass_all[keep][:, keep].tocsr(), stiff_all[keep][:, keep].tocsr()
-
-
-def _cell_load(g: GridPair):
-    """The 2x2 Gauss load of one coarse cell's fine cells.
-
-    Returns (ex, ey, corners): the Gauss points' offsets from the coarse
-    cell's lower left node in fine steps, fine cell by fine cell (row-major)
-    and Gauss point by Gauss point, and the (4, 4) matrix that takes a fine
-    cell's four source values to the loads at its corners (element order).
-    Every coarse cell of the uniform grid has the same.
-    """
-    r = g.refine
-    elems = np.arange(r * r)
-    ex = ((elems % r)[:, None] + _GPTS[:, 0]).ravel()
-    ey = ((elems // r)[:, None] + _GPTS[:, 1]).ravel()
-    return ex, ey, 0.25 * g.hx * g.hy * _SHAPE_AT_GP
-
-
-class LoadOperator:
-    """2x2 Gauss quadrature of the consistent load on one grid.
-
-    ``x`` and ``y`` hold the Gauss points, Gauss point by Gauss point and
-    each in cell order. ``matrix`` maps the weighted source values at those
-    points to the interior load; its rows hold the Q1 shape values, one entry
-    per cell corner and Gauss point, in ascending column order. The source
-    values are weighted before the product, and each row sums Gauss point by
-    Gauss point and cell by cell, so the load is bit for bit the element loop
-    that scatters every Gauss point's contributions in turn.
-
-    Every interior node is a corner of exactly four cells, so every row has
-    16 entries: Gauss point by Gauss point, the cells below left, below
-    right, above left and above right of the node, whose corner the node is
-    (3, 2, 1 and 0 in the element order). The CSR arrays are written in that
-    order directly.
-    """
-
-    def __init__(self, g: GridPair):
-        cells = np.arange(g.n_fine_cells, dtype=np.int64)
-        cxf = (cells % g.nx_fine) * g.hx
-        cyf = (cells // g.nx_fine) * g.hy
-        self.x = np.concatenate([cxf + s * g.hx for s, _ in _GPTS])
-        self.y = np.concatenate([cyf + tq * g.hy for _, tq in _GPTS])
-        self.weight = 0.25 * g.hx * g.hy
-        n_pts = len(_GPTS)
-        n_cols = n_pts * g.n_fine_cells
-        per_row = 4 * n_pts
-        nnz = per_row * g.n_interior_fine
-        index = np.int32 if max(n_cols, nnz) < 2 ** 31 else np.int64
-        ix, iy = np.meshgrid(np.arange(1, g.nx_fine), np.arange(1, g.ny_fine))
-        below_left = ((iy - 1) * g.nx_fine + ix - 1).ravel()
-        around = below_left[:, None] + np.array([0, 1, g.nx_fine, g.nx_fine + 1])
-        indices = (np.arange(n_pts)[:, None] * g.n_fine_cells + around[:, None, :]).astype(index)
-        data = np.broadcast_to(_SHAPE_AT_GP[:, ::-1], indices.shape)
-        indptr = np.arange(0, nnz + 1, per_row, dtype=index)
-        self.matrix = sp.csr_matrix((data.ravel(), indices.ravel(), indptr),
-                                    shape=(g.n_interior_fine, n_cols))
-
-    def load(self, source, t: float = 0.0) -> np.ndarray:
-        """Load vector of f(t, x, y) over interior fine nodes."""
-        if source is None:
-            return np.zeros(self.matrix.shape[0])
-        values = np.asarray(source(t, self.x, self.y), dtype=float)
-        return self.matrix @ (self.weight * values)
+    cells = np.arange(g.nx_coarse * g.ny_coarse)
+    return BoxSum(g, cells, g.interior_fine_ids).matrices(fs.kappa_cells)
 
 
 def interpolate(g: GridPair, func) -> np.ndarray:

@@ -31,7 +31,9 @@ a matrix, and no global fine matrix is assembled: every fine-scale quantity
 of a run is a sum over coarse cells of small dense products of the four
 corner nodes' blocks (:class:`_BasisCells`). So are the Galerkin
 projection, the loads, the moments of the initial field that start the
-coarse run, and the fine fields. The coarse mass and stiffness stay sparse,
+coarse run, and the fine fields. Every cell matrix and load, here and in
+the brute-force reference, comes from the one Q1 cell kernel of
+:mod:`msplit.fineassembly`. The coarse mass and stiffness stay sparse,
 as exactly symmetric CSR matrices, from the projection to the end of a run.
 """
 
@@ -46,8 +48,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from . import fineassembly
-from .fineassembly import FineSystem, local_matrices
+from .fineassembly import BoxSum, CellKernel, FineSystem, box_loads, patch_energy
 from .grid import GridPair, Neighborhood, neighborhood, partition_of_unity
 from .linalg import NumericalError, SparseCholesky, eig_gsym, single_thread_blas
 from .splitting import CoarseSystem
@@ -135,13 +136,9 @@ class Prolongation:
 
 def _cell_nodes(g: GridPair, cell: int):
     """Fine nodes of one coarse cell, ascending, and which lie on its boundary."""
-    cx, cy = g.coarse_cell_grid(cell)
     r = g.refine
-    nodes = g.fine_nodes_in_box(cx * r, (cx + 1) * r, cy * r, (cy + 1) * r)
-    ix = nodes % (g.nx_fine + 1)
-    iy = nodes // (g.nx_fine + 1)
-    on_edge = (ix == cx * r) | (ix == (cx + 1) * r) | (iy == cy * r) | (iy == (cy + 1) * r)
-    return nodes, on_edge
+    y, x = np.divmod(np.arange((r + 1) ** 2), r + 1)
+    return g.coarse_cell_boxes([cell])[0], (x % r == 0) | (y % r == 0)
 
 
 class _CellSolver:
@@ -159,19 +156,16 @@ class _CellSolver:
         nodes, on_edge = _cell_nodes(g, cell)
         self.bnodes = nodes[on_edge]
         self.inodes = nodes[~on_edge]
-        cells = g.coarse_cell_fine_cells(cell)
-        _, stiff = local_matrices(g, fs.kappa_cells, cells, nodes)
-        bpos = np.flatnonzero(on_edge)
-        ipos = np.flatnonzero(~on_edge)
+        _, stiff = BoxSum(g, [cell], nodes).matrices(fs.kappa_cells)
         if len(self.inodes) == 0:
             self.mapmat = np.zeros((0, len(self.bnodes)))
         else:
-            dense = stiff.toarray()
+            inner = stiff[~on_edge].toarray()
             try:
-                factor = scipy.linalg.cho_factor(dense[np.ix_(ipos, ipos)], lower=True)
+                factor = scipy.linalg.cho_factor(inner[:, ~on_edge], lower=True)
             except scipy.linalg.LinAlgError as exc:
                 raise _not_definite(g, cell, exc) from exc
-            self.mapmat = -scipy.linalg.cho_solve(factor, dense[np.ix_(ipos, bpos)])
+            self.mapmat = -scipy.linalg.cho_solve(factor, inner[:, on_edge])
 
 
 def _not_definite(g: GridPair, cell: int, detail) -> NumericalError:
@@ -289,9 +283,7 @@ def spectral_matrices(fs: FineSystem, nb: Neighborhood, snaps: np.ndarray,
     g = fs.grid
     if mass_weight_cells is None:
         mass_weight_cells = spectral_mass_weight(g, fs.kappa_cells)
-    cells = np.concatenate([g.coarse_cell_fine_cells(int(c)) for c in nb.cells])
-    wmass, stiff = local_matrices(g, fs.kappa_cells, cells, nb.nodes,
-                                  mass_weight_cells=mass_weight_cells)
+    wmass, stiff = BoxSum(g, nb.cells, nb.nodes).matrices(fs.kappa_cells, mass_weight_cells)
     astiff = snaps.T @ (stiff @ snaps)
     smass = snaps.T @ (wmass @ snaps)
     astiff = 0.5 * (astiff + astiff.T)
@@ -313,40 +305,6 @@ def _mapped(shape) -> np.ndarray:
     if size == 0:
         return np.zeros(shape)
     return np.frombuffer(mmap.mmap(-1, size), dtype=float).reshape(shape)
-
-
-def _element_scatter(r: int, pos: np.ndarray, unit: np.ndarray):
-    """A coarse cell's Q1 matrix pattern and the map from element coefficients to it.
-
-    The cell's (r+1)^2 nodes, row-major, are numbered ``pos``. Returns the
-    CSR ``indptr`` and ``indices`` of the entries some element reaches and
-    a sparse (nnz, r^2) map whose product with the r^2 element
-    coefficients (row-major) is the matrix's data for the element matrix
-    ``unit``. Each row sums its elements in ascending order, so a symmetric
-    ``unit`` gives an exactly symmetric matrix.
-    """
-    n = (r + 1) ** 2
-    ex, ey = np.arange(r * r) % r, np.arange(r * r) // r
-    corners = pos[(ey * (r + 1) + ex)[:, None] + np.array([0, 1, r + 1, r + 2])]
-    keys = (corners[:, :, None] * n + corners[:, None, :]).ravel()
-    pattern = np.unique(keys)
-    scatter = sp.csr_matrix(
-        (np.tile(unit.ravel(), r * r),
-         (np.searchsorted(pattern, keys), np.repeat(np.arange(r * r), 16))),
-        shape=(len(pattern), r * r))
-    scatter.sort_indices()
-    return np.searchsorted(pattern, np.arange(n + 1) * n), pattern % n, scatter
-
-
-def _block_diagonal(indptr: np.ndarray, indices: np.ndarray,
-                    data: np.ndarray) -> sp.csr_matrix:
-    """The CSR matrix of ``len(data)`` diagonal blocks that share one pattern."""
-    count, nnz = data.shape
-    n = len(indptr) - 1
-    return sp.csr_matrix(
-        (data.ravel(), (indices + n * np.arange(count)[:, None]).ravel(),
-         np.concatenate([[0], (indptr[1:] + nnz * np.arange(count)[:, None]).ravel()])),
-        shape=(count * n, count * n))
 
 
 # Two neighbouring eigenvalues of a pencil belong to one cluster when their
@@ -458,7 +416,8 @@ class _CondensedCells:
     it: ``kind[c]`` is cell c's group, and ``mapmat[k]`` and ``blocks[:, k]``
     (stiffness, weighted mass) hold that cell's :meth:`condense` results,
     one stacked array per kind. Every cell shares one fine-cell pattern, so
-    fixed sparse scatter maps take a cell's element coefficients (the
+    the sparse maps of the cell kernel (:class:`~msplit.fineassembly.CellKernel`,
+    nodes boundary first) take a cell's element coefficients (the
     permeability, then the spectral weight) straight to its blocks:
     the interior stiffness K_ii in LAPACK lower-band storage (half-bandwidth
     r), the dense K_bi and K_bb, and the weighted mass W in a fixed CSR
@@ -479,16 +438,17 @@ class _CondensedCells:
     def __init__(self, fs: FineSystem, mass_weight_cells: np.ndarray):
         g = fs.grid
         r = g.refine
-        fine = np.array([g.coarse_cell_fine_cells(c)
-                         for c in range(g.nx_coarse * g.ny_coarse)])
-        self._kappa = np.asarray(fs.kappa_cells, float).ravel()[fine]
-        self._weight = np.asarray(mass_weight_cells, float).ravel()[fine]
+        _, on_edge = _cell_nodes(g, 0)
+        # the cell's nodes boundary first, then interior, each ascending
+        self._kernel = CellKernel(g, np.argsort(np.argsort(~on_edge, kind="stable")))
+        self._kappa = self._kernel.coefficients(fs.kappa_cells)
+        self._weight = self._kernel.coefficients(mass_weight_cells)
         media = np.concatenate([self._kappa, self._weight], axis=1)
         _, first, kind = np.unique(media.view(np.uint64), axis=0,
                                    return_index=True, return_inverse=True)
         self.kind = kind.ravel()
         self._grid = g
-        self._scatter_maps()
+        self._stiff_layout()
         n_b, n_i = 4 * r, (r - 1) ** 2
         self.mapmat = _mapped((len(first), n_i, n_b))
         self.blocks = _mapped((2, len(first), n_b, n_b))
@@ -513,54 +473,34 @@ class _CondensedCells:
         self._reach_ix = [np.ix_(reach, reach) for reach in self.reach]
         self.probes = _cut_probes(g, template)
 
-    def _scatter_maps(self):
-        """Sparse maps from a cell's r^2 element coefficients to its blocks.
+    def _stiff_layout(self):
+        """Where the kernel's stiffness entries go in [band of K_ii | K_bi | K_bb].
 
-        The cell's (r+1)^2 nodes are taken boundary first, then interior,
-        each ascending as in :func:`_cell_nodes`. ``_stiff_map`` has one row
-        per entry of [band of K_ii | K_bi | K_bb] that some element reaches
-        (``_stiff_slots``; the rest are zero): the band as (n_i, kd + 1)
+        The kernel numbers the cell's nodes boundary first, then interior,
+        each ascending as in :func:`_cell_nodes`. ``_stiff_map`` holds the
+        kernel's rows of the entries that fall in the lower band of K_ii
+        (half-bandwidth r), in K_bi or in K_bb, and ``_stiff_slots`` their
+        places in that array (the rest are zero): the band as (n_i, kd + 1)
         row-major, whose transpose is LAPACK's Fortran lower-band array.
-        ``_mass_map`` has one row per stored entry of W's CSR pattern
-        (``_mass_indptr``, ``_mass_indices``). Each row sums its elements in
-        ascending order, so K_bb and W come out exactly symmetric.
         """
-        g = self._grid
-        r = g.refine
-        n = (r + 1) ** 2
+        r = self._grid.refine
         n_b, n_i = 4 * r, (r - 1) ** 2
         self._kd = min(r, max(n_i - 1, 0))
-        _, on_edge = _cell_nodes(g, 0)
-        pos = np.empty(n, dtype=np.int64)
-        pos[np.concatenate([np.flatnonzero(on_edge), np.flatnonzero(~on_edge)])] = np.arange(n)
-        ex, ey = np.arange(r * r) % r, np.arange(r * r) // r
-        corners = pos[(ey * (r + 1) + ex)[:, None] + np.array([0, 1, r + 1, r + 2])]
-        rows = np.broadcast_to(corners[:, :, None], (r * r, 4, 4)).ravel()
-        cols = np.broadcast_to(corners[:, None, :], (r * r, 4, 4)).ravel()
-        elems = np.repeat(np.arange(r * r), 16)
-        mass_unit, stiff_unit = fineassembly._mass_stiff_units(g)
-
         band_size = (self._kd + 1) * n_i
+        kernel = self._kernel
+        rows = np.repeat(np.arange(len(kernel.indptr) - 1), np.diff(kernel.indptr))
+        cols = kernel.indices
         i_row, i_col = rows - n_b, cols - n_b
-        in_band = (i_row >= i_col) & (i_col >= 0)
-        bi = (rows < n_b) & (cols >= n_b)
-        bb = (rows < n_b) & (cols < n_b)
-        target = np.concatenate([
-            i_col[in_band] * (self._kd + 1) + (i_row - i_col)[in_band],
-            band_size + rows[bi] * n_i + i_col[bi],
-            band_size + n_b * n_i + rows[bb] * n_b + cols[bb]])
-        units = np.tile(stiff_unit.ravel(), r * r)
+        target = np.select(
+            [(i_row >= i_col) & (i_col >= 0), (rows < n_b) & (cols >= n_b),
+             (rows < n_b) & (cols < n_b)],
+            [i_col * (self._kd + 1) + i_row - i_col, band_size + rows * n_i + i_col,
+             band_size + n_b * n_i + rows * n_b + cols], -1)
+        entries = np.flatnonzero(target >= 0)
+        entries = entries[np.argsort(target[entries])]
         self._stiff_size = band_size + n_b * n_i + n_b * n_b
-        self._stiff_slots = np.unique(target)
-        self._stiff_map = sp.csr_matrix(
-            (np.concatenate([units[in_band], units[bi], units[bb]]),
-             (np.searchsorted(self._stiff_slots, target),
-              np.concatenate([elems[in_band], elems[bi], elems[bb]]))),
-            shape=(len(self._stiff_slots), r * r))
-        self._stiff_map.sort_indices()
-
-        self._mass_indptr, self._mass_indices, self._mass_map = \
-            _element_scatter(r, pos, mass_unit)
+        self._stiff_slots = target[entries]
+        self._stiff_map = kernel.stiff_map[entries]
 
     def condense(self, cells: np.ndarray):
         """(mapmat, E^T K E, E^T W E) of coarse ``cells``, stacked in their order.
@@ -592,8 +532,7 @@ class _CondensedCells:
             mapmat[j] = -solved
         schur = stiff[:, band_size + n_b * n_i:].reshape(count, n_b, n_b) + kbi @ mapmat
 
-        wmass = _block_diagonal(self._mass_indptr, self._mass_indices,
-                                (self._mass_map @ self._weight[cells].T).T)
+        wmass = self._kernel.block_diagonal((self._kernel.mass_map @ self._weight[cells].T).T)
         extend = np.empty((count, n, n_b))
         extend[:, :n_b] = np.eye(n_b)
         extend[:, n_b:] = mapmat
@@ -713,35 +652,6 @@ def offline_modes(fs: FineSystem, n_modes: int) -> list:
     return modes
 
 
-def _patch_energy(g: GridPair, kappa_cells: np.ndarray, node: int):
-    """X -> X^T K X for blocks X on an interior node's neighborhood interior (ascending).
-
-    Summed element by element over the neighborhood's (2r)^2 fine cells:
-    sum_e kappa_e X_e^T K_unit X_e, X_e the block at the element's four
-    corners once it is zero-padded to the node's (2r+1)^2 window. The
-    padding is the neighborhood boundary, where a localized block vanishes,
-    so the sum is the form of the fine stiffness over the support. It reads
-    only the permeability of the node's four cells, so same-kind
-    neighborhoods give the same bits.
-    """
-    r = g.refine
-    cx, cy = g.coarse_node_grid(node)
-    kappa = np.asarray(kappa_cells, float).reshape(g.ny_fine, g.nx_fine)[
-        (cy - 1) * r:(cy + 1) * r, (cx - 1) * r:(cx + 1) * r, None]
-    stiff_unit = fineassembly._mass_stiff_units(g)[1]
-
-    def energy(block: np.ndarray) -> np.ndarray:
-        m = block.shape[1]
-        window = np.zeros((2 * r + 1, 2 * r + 1, m))
-        window[1:2 * r, 1:2 * r] = block.reshape(2 * r - 1, 2 * r - 1, m)
-        # every element's lower left, lower right, upper left, upper right corner
-        corners = np.stack([window[:-1, :-1], window[:-1, 1:], window[1:, :-1], window[1:, 1:]])
-        applied = stiff_unit @ corners.reshape(4, -1)
-        return (corners * kappa).reshape(-1, m).T @ applied.reshape(-1, m)
-
-    return energy
-
-
 def assemble_basis(fs: FineSystem, modes_list: list) -> OfflineBasis:
     """Localize spectral modes by the partition of unity and orthonormalize.
 
@@ -752,7 +662,7 @@ def assemble_basis(fs: FineSystem, modes_list: list) -> OfflineBasis:
     two passes of Cholesky-QR (:func:`_energy_orthonormalize`), with every
     OpenBLAS pinned to one thread as in :func:`offline_modes`. The energy
     Gram matrix X^T K X is summed over the fine cells of the node's
-    neighborhood (:func:`_patch_energy`); the hat vanishes on the
+    neighborhood (:func:`~msplit.fineassembly.patch_energy`); the hat vanishes on the
     neighborhood boundary, so that is exact, and no global matrix is read.
 
     The block depends only on the node's mode vectors, its hat and the
@@ -783,7 +693,7 @@ def assemble_basis(fs: FineSystem, modes_list: list) -> OfflineBasis:
                 pou = partition_of_unity(g, modes.node, nb.interior)
                 block, cond = _energy_orthonormalize(
                     pou[:, None] * modes.vectors[rows],
-                    _patch_energy(g, fs.kappa_cells, modes.node), modes.node)
+                    patch_energy(g, fs.kappa_cells, modes.node), modes.node)
                 block.flags.writeable = False
                 blocks[key] = block
                 worst_cond = max(worst_cond, cond)
@@ -873,7 +783,7 @@ class _BasisCells:
     row-major, and A_c is the cell's Q1 mass or stiffness over that box: one
     9-point CSR pattern, whose data a sparse map makes from the r^2 element
     coefficients, unit weight or the permeability
-    (:func:`_element_scatter`). An interior node's support is the interior
+    (:class:`~msplit.fineassembly.CellKernel`). An interior node's support is the interior
     of its (2r+1)^2 node box, ascending, so each distinct read-only block of
     ``basis.vectors`` is zero-padded once to that window (``windows``; the
     last window is zero and stands for a corner on the domain boundary,
@@ -905,31 +815,18 @@ class _BasisCells:
         # window rows of the cell box's nodes (row-major) for each corner
         self._quadrants = np.stack([(y + r * (1 - k // 2)) * (2 * r + 1) + x + r * (1 - k % 2)
                                     for k in range(4)], axis=1)
-        # fine node ids of each cell's box, and the fine steps of its lower left node
-        self._fine_x, self._fine_y = cx * r, cy * r
-        self._box = (self._fine_y * (g.nx_fine + 1) + self._fine_x)[:, None] \
-            + y * (g.nx_fine + 1) + x
+        self._box = g.coarse_cell_boxes(np.arange(n_cells))
         self._owned = np.flatnonzero((x < r) & (y < r))
-        self._gauss = fineassembly._cell_load(g)
-        self._kappa = np.asarray(fs.kappa_cells, float).reshape(
-            g.ny_coarse, r, g.nx_coarse, r).transpose(0, 2, 1, 3).reshape(n_cells, r * r)
-        mass_unit, stiff_unit = fineassembly._mass_stiff_units(g)
-        nodes = np.arange((r + 1) ** 2)
-        self._indptr, self._indices, mass_map = _element_scatter(r, nodes, mass_unit)
-        self._mass_data = mass_map @ np.ones(r * r)
-        _, _, self._stiff_map = _element_scatter(r, nodes, stiff_unit)
+        self._kernel = CellKernel(g)
+        self._kappa = self._kernel.coefficients(fs.kappa_cells)
+        self._mass_data = self._kernel.mass_map @ np.ones(r * r)
         self.grid = g
         self.n_modes, self.n_nodes = m, len(basis.nodes)
 
     def _mass(self, count: int) -> sp.csr_matrix:
         """Block-diagonal mass of ``count`` cells; every cell has the same."""
-        return _block_diagonal(self._indptr, self._indices,
-                               np.broadcast_to(self._mass_data, (count, len(self._mass_data))))
-
-    def _stiffness(self, cells: np.ndarray) -> sp.csr_matrix:
-        """Block-diagonal stiffness of coarse ``cells``, in their order."""
-        return _block_diagonal(self._indptr, self._indices,
-                               (self._stiff_map @ self._kappa[cells].T).T)
+        return self._kernel.block_diagonal(
+            np.broadcast_to(self._mass_data, (count, len(self._mass_data))))
 
     def batches(self) -> list:
         n_cells = len(self.node)
@@ -957,8 +854,9 @@ class _BasisCells:
         values = self.gather(cells)
         stacked = values.transpose(0, 2, 1)
         flat = values.reshape(-1, values.shape[2])
+        stiffness = self._kernel.block_diagonal((self._kernel.stiff_map @ self._kappa[cells].T).T)
         grams = []
-        for operator in (self._mass(len(cells)), self._stiffness(cells)):
+        for operator in (self._mass(len(cells)), stiffness):
             gram = stacked @ (operator @ flat).reshape(values.shape)
             grams.append(0.5 * (gram + gram.transpose(0, 2, 1)))
         return np.stack(grams)
@@ -1040,31 +938,10 @@ class _BasisCells:
 
         return self._pairings(prol, weights)
 
-    def _box_loads(self, source, cells: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """2x2 Gauss loads of ``source`` on the boxes of ``cells``: (levels, cells, (r+1)^2).
-
-        ``t`` is a (levels, 1, 1) column against the (cells, points) Gauss
-        points. Each fine cell's four Gauss values go to its four corners
-        (:func:`fineassembly._cell_load`) and are added into the box.
-        """
-        g = self.grid
-        r = g.refine
-        ex, ey, corners = self._gauss
-        x = (self._fine_x[cells][:, None] + ex) * g.hx
-        y = (self._fine_y[cells][:, None] + ey) * g.hy
-        values = np.broadcast_to(source(t, x, y), (len(t),) + x.shape)
-        loads = (values.reshape(-1, 4) @ corners).reshape(len(t), len(cells), r, r, 4)
-        box = np.zeros((len(t), len(cells), r + 1, r + 1))
-        box[..., :r, :r] += loads[..., 0]
-        box[..., :r, 1:] += loads[..., 1]
-        box[..., 1:, :r] += loads[..., 2]
-        box[..., 1:, 1:] += loads[..., 3]
-        return box.reshape(len(t), len(cells), -1)
-
     def static_load(self, prol: Prolongation, source) -> np.ndarray:
         """P^T (Q f(0)) of a source that does not depend on t: sum_c V_c^T q_c."""
-        return self._pairings(prol, lambda cells: self._box_loads(
-            source, cells, np.zeros((1, 1, 1)))[0])
+        return self._pairings(prol, lambda cells: box_loads(
+            self.grid, source, cells, np.zeros((1, 1, 1)))[0])
 
     def forcing_table(self, prol: Prolongation, source, times: np.ndarray) -> np.ndarray:
         """The forcing table P^T (Q f(t)) at ``times``: (len(times), n_columns).
@@ -1084,8 +961,8 @@ class _BasisCells:
                 keep = columns[cell[0]] < prol.n_columns
                 basis = self.gather(cell)[0][:, keep]
                 for lo in range(0, len(times), step):
-                    loads = self._box_loads(source, cell, times[lo:lo + step, None, None])[:, 0]
-                    table[lo:lo + len(loads), columns[cell[0]][keep]] += loads @ basis
+                    loads = box_loads(self.grid, source, cell, times[lo:lo + step, None, None])
+                    table[lo:lo + len(loads), columns[cell[0]][keep]] += loads[:, 0] @ basis
         return table
 
     def field(self, prol: Prolongation, z: np.ndarray) -> np.ndarray:

@@ -142,6 +142,14 @@ class GridPair:
         gx, gy = np.meshgrid(fx, fy)
         return (gy * self.nx_fine + gx).ravel()
 
+    def coarse_cell_boxes(self, cells) -> np.ndarray:
+        """Fine node ids of the closed boxes of coarse ``cells``, row-major: (cells, (r+1)^2)."""
+        r = self.refine
+        cells = np.asarray(cells)
+        y, x = np.divmod(np.arange((r + 1) ** 2), r + 1)
+        lower_left = (cells // self.nx_coarse * (self.nx_fine + 1) + cells % self.nx_coarse) * r
+        return lower_left[:, None] + y * (self.nx_fine + 1) + x
+
     def fine_nodes_in_box(self, ix0: int, ix1: int, iy0: int, iy1: int) -> np.ndarray:
         """Fine node ids with ix0 <= ix <= ix1 and iy0 <= iy <= iy1, ascending."""
         ix = np.arange(ix0, ix1 + 1)
@@ -207,7 +215,7 @@ def partition_of_unity(g: GridPair, node: int, nodes=slice(None)) -> np.ndarray:
     """
     cx, cy = g.coarse_node_grid(node)
     r = g.refine
-    ids = np.arange(g.n_fine_nodes)[nodes]
+    ids = np.arange(g.n_fine_nodes)[nodes] if isinstance(nodes, slice) else np.asarray(nodes)
     ix, iy = ids % (g.nx_fine + 1), ids // (g.nx_fine + 1)
     tx = np.maximum(0.0, 1.0 - np.abs(ix - cx * r) / r)
     ty = np.maximum(0.0, 1.0 - np.abs(iy - cy * r) / r)

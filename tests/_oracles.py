@@ -91,30 +91,6 @@ def scatter_load(g, source, t):
     return full[g.interior_fine_ids]
 
 
-def coo_load_matrix(g):
-    """The load operator's matrix built as COO triplets, converted and sorted.
-
-    Gauss-point-major columns (Gauss point q of fine cell c is column
-    q * n_fine_cells + c), Q1 shape values at the interior cell corners.
-    """
-    g0 = 0.5 * (1.0 - 1.0 / np.sqrt(3.0))
-    g1 = 0.5 * (1.0 + 1.0 / np.sqrt(3.0))
-    gpts = [(g0, g0), (g1, g0), (g0, g1), (g1, g1)]
-    shape = np.array([[(1 - s) * (1 - t), s * (1 - t), (1 - s) * t, s * t] for s, t in gpts])
-    cells = np.arange(g.n_fine_cells)
-    n00 = (cells // g.nx_fine) * (g.nx_fine + 1) + cells % g.nx_fine
-    corners = np.stack([n00, n00 + 1, n00 + g.nx_fine + 1, n00 + g.nx_fine + 2], axis=1)
-    rows = np.broadcast_to(g.fine_interior_index[corners], (4, g.n_fine_cells, 4))
-    cols = np.broadcast_to((np.arange(4)[:, None] * g.n_fine_cells + cells)[:, :, None],
-                           rows.shape)
-    vals = np.broadcast_to(shape[:, None, :], rows.shape)
-    keep = rows >= 0
-    mat = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
-                        shape=(g.n_interior_fine, 4 * g.n_fine_cells))
-    mat.sort_indices()
-    return mat
-
-
 def prolongation_matrix(basis, block_sizes):
     """The prolongation of ``basis`` as one sparse matrix, from coordinate triplets.
 

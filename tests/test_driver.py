@@ -17,7 +17,7 @@ from msplit.driver import ConfigError, ExperimentConfig
 from msplit.grid import GridPair
 from msplit.linalg import NumericalError
 
-from _oracles import dense_backward_euler, prolongation_matrix
+from _oracles import dense_backward_euler, prolongation_matrix, scatter_load
 from conftest import assert_basis_dump
 
 
@@ -297,11 +297,11 @@ TINY_GUARDED = TINY_TEXT.replace("ny_coarse = 4", "ny_coarse = 3")
 @pytest.mark.parametrize("source", ["exp-radial", "pulsed-sine"])
 def test_run_builds_no_fine_matrix_and_no_prolongation_matrix(tmp_path, monkeypatch,
                                                               source):
-    # `msplit run` works coarse cell by coarse cell: it assembles neither the
-    # global fine mass, stiffness or load operator nor the prolongation
-    # matrix, so no sparse matrix it makes has the fine grid's node count
-    # or interior node count as a dimension (the 4 x 3 coarse, refine-4
-    # grid has 221 and 165; a coarse cell's box has 25 nodes)
+    # `msplit run` works coarse cell by coarse cell: it sums no boxes into
+    # global fine matrices or loads and builds no prolongation matrix, so
+    # no sparse matrix it makes has the fine grid's node count or interior
+    # node count as a dimension (the 4 x 3 coarse, refine-4 grid has 221
+    # and 165; a coarse cell's box has 25 nodes)
     path = tmp_path / "guarded.cfg"
     path.write_text(TINY_GUARDED + f"source = {source}\n")
     g = GridPair(4, 3, 4)
@@ -310,8 +310,9 @@ def test_run_builds_no_fine_matrix_and_no_prolongation_matrix(tmp_path, monkeypa
     def refuse(*args, **kwargs):
         raise AssertionError("global fine assembly")
 
-    for name in ("assemble_matrices", "LoadOperator", "local_matrices"):
-        monkeypatch.setattr(fineassembly, name, refuse)
+    for module, name in ((fineassembly, "assemble_matrices"), (fineassembly, "BoxSum"),
+                         (gmsfem, "BoxSum")):
+        monkeypatch.setattr(module, name, refuse)
     shapes = []
     for owner in (sp._compressed._cs_matrix, sp._coo._coo_base):
         def recording(self, *args, _init=owner.__init__, **kwargs):
@@ -352,9 +353,8 @@ def test_run_example_writes_outputs(tmp_path, capsys):
     # compared with the split field written to field_split.txt
     g, fs = driver.build_problem(config)
     mass, stiff = (mat.toarray() for mat in fineassembly.assemble_matrices(fs))
-    loads = fineassembly.LoadOperator(g)
     n_steps = round(config.t_final / config.tau)
-    fine = dense_backward_euler(mass, stiff, lambda t: loads.load(fs.source, t),
+    fine = dense_backward_euler(mass, stiff, lambda t: scatter_load(g, fs.source, t),
                                 fs.initial_vector(), config.tau, n_steps)[-1]
     err = fine - _field_interior(tmp_path / "field_split.txt", g)
     want_l2 = np.sqrt(err @ mass @ err / (fine @ mass @ fine))
@@ -541,7 +541,7 @@ def test_fine_reference_guards_every_solve(tiny_pipe, monkeypatch):
     # an exactly zero first right-hand side passes the residual guard
     fs = dataclasses.replace(
         tiny_pipe.fs, initial=None,
-        source=lambda t, x, y: np.full_like(x, float(t > 0.06)))
+        source=lambda t, x, y: np.ones_like(x) * (t > 0.06))
     errors = driver._fine_reference_errors(
         dataclasses.replace(tiny_pipe, fs=fs), split)
     assert all(np.isfinite(v) and v > 0.0 for v in errors.values())

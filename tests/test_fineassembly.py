@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from msplit import driver
-from msplit.fineassembly import (LoadOperator, Permeability, assemble,
-                                 assemble_matrices, interpolate, local_matrices, norms,
-                                 read_grid_file, write_field, write_grid_file)
-from msplit.grid import GridPair
+from msplit.fineassembly import (BoxSum, Permeability, assemble, assemble_matrices,
+                                 interpolate, norms, read_grid_file, write_field,
+                                 write_grid_file)
+from msplit.grid import GridPair, neighborhood
 
-from _oracles import coo_load_matrix, dense_q1_matrices, scatter_load
+from _oracles import dense_q1_matrices, scatter_load
 from conftest import rng_for
 
 
@@ -15,10 +15,13 @@ def kappa_smooth():
     return Permeability(lambda x, y: 1.0 + x + 2.0 * y * y)
 
 
+def all_cells(g):
+    return np.arange(g.nx_coarse * g.ny_coarse)
+
+
 def all_node_matrices(g, fs):
     """Mass and stiffness over every fine node, no boundary conditions."""
-    return local_matrices(g, fs.kappa_cells, np.arange(g.n_fine_cells),
-                          np.arange(g.n_fine_nodes))
+    return BoxSum(g, all_cells(g), np.arange(g.n_fine_nodes)).matrices(fs.kappa_cells)
 
 
 def test_assembly_matches_quadrature_oracle():
@@ -76,7 +79,7 @@ def test_norms_shape_check():
 def test_load_of_unit_source_is_mass_row_sum():
     g = GridPair(3, 3, 3)
     fs = assemble(g, kappa_smooth())
-    vec = LoadOperator(g).load(lambda t, x, y: np.ones_like(x))
+    vec = BoxSum(g, all_cells(g), g.interior_fine_ids).load(lambda t, x, y: np.ones_like(x), 0.0)
     mass_all, _ = all_node_matrices(g, fs)
     expected = (mass_all @ np.ones(g.n_fine_nodes))[g.interior_fine_ids]
     assert np.allclose(vec, expected, atol=1e-14)
@@ -84,79 +87,66 @@ def test_load_of_unit_source_is_mass_row_sum():
 
 def test_load_time_scaling_and_none():
     g = GridPair(2, 2, 2)
-    loads = LoadOperator(g)
+    loads = BoxSum(g, all_cells(g), g.interior_fine_ids)
     base = loads.load(lambda t, x, y: (1.0 + t) * x * y, t=0.0)
     late = loads.load(lambda t, x, y: (1.0 + t) * x * y, t=3.0)
     assert np.allclose(late, 4.0 * base, atol=1e-14)
-    assert np.array_equal(loads.load(None), np.zeros(g.n_interior_fine))
+    assert np.array_equal(loads.load(None, 0.0), np.zeros(g.n_interior_fine))
 
 
+GRIDS = [(3, 3, 3), (2, 3, 4), (1, 1, 1), (5, 2, 2)]
+
+
+def _assert_close(got, want):
+    # within 1e-14 of the largest entry; an empty load (no interior node) passes
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * np.max(np.abs(want), initial=0.0)
+
+
+def _outside_zeroed(g, field, coarse_cells):
+    """A fine-cell field, zero outside the fine cells of ``coarse_cells``."""
+    inside = np.zeros(g.n_fine_cells, dtype=bool)
+    for cell in coarse_cells:
+        inside[g.coarse_cell_fine_cells(int(cell))] = True
+    return np.where(inside, np.asarray(field).ravel(), 0.0)
+
+
+@pytest.mark.parametrize("shape", GRIDS)
+def test_box_sum_matrices_match_the_quadrature_oracle(shape):
+    # every node, the interior nodes, each coarse cell alone and every coarse
+    # node's neighborhood (one, two or four cells, a weighted mass)
+    g = GridPair(*shape)
+    fs = assemble(g, kappa_smooth())
+    weight = 1.0 + np.arange(g.n_fine_cells, dtype=float)
+    dense = dense_q1_matrices(g, fs.kappa_cells)
+    for got, want in zip(all_node_matrices(g, fs), dense):
+        _assert_close(got.toarray(), want)
+    keep = g.interior_fine_ids
+    for got, want in zip(assemble_matrices(fs), dense):
+        _assert_close(got.toarray(), want[np.ix_(keep, keep)])
+    patches = [(cell, [cell], g.coarse_cell_boxes([cell])[0], None) for cell in all_cells(g)]
+    patches += [(f"node {nb.node}", nb.cells, nb.nodes, weight)
+                for nb in (neighborhood(g, node) for node in range(g.n_coarse_nodes))]
+    for name, cells, nodes, mass_weight in patches:
+        got = BoxSum(g, cells, nodes).matrices(fs.kappa_cells, mass_weight)
+        want = dense_q1_matrices(
+            g, _outside_zeroed(g, fs.kappa_cells, cells),
+            _outside_zeroed(g, np.ones(g.n_fine_cells) if mass_weight is None else mass_weight,
+                            cells))
+        for got_mat, want_mat in zip(got, want):
+            assert (got_mat != got_mat.T).nnz == 0, name
+            _assert_close(got_mat.toarray(), want_mat[np.ix_(nodes, nodes)])
+
+
+@pytest.mark.parametrize("shape", GRIDS)
 @pytest.mark.parametrize("source", [
     lambda t, x, y: (1.0 + t) * x * y,
     driver._source_pulsed_sine,
 ], ids=["linear-in-time", "pulsed-sine"])
-def test_load_matches_scatter_oracle_bit_for_bit(source):
-    # hx = 1/9: the quadrature weight is no power of two, so only the same
-    # products summed in the same order give the same bits
-    g = GridPair(3, 3, 3)
-    loads = LoadOperator(g)
-    for t in (0.0, 0.35, 1.0):
-        want = scatter_load(g, source, t)
-        assert np.array_equal(loads.load(source, t), want)
-
-
-@pytest.mark.parametrize("shape", [(3, 3, 3), (2, 3, 4), (1, 1, 1), (5, 2, 2)])
-def test_load_operator_csr_arrays_equal_the_coo_build(shape):
-    # the CSR arrays written row by row are those a COO build converts to
+def test_box_sum_load_matches_the_scatter_oracle(source, shape):
     g = GridPair(*shape)
-    got = LoadOperator(g).matrix
-    want = coo_load_matrix(g)
-    for a, b in ((got.data, want.data), (got.indices, want.indices),
-                 (got.indptr, want.indptr)):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
-
-
-def test_load_operator_shape():
-    g = GridPair(3, 3, 3)
-    loads = LoadOperator(g)
-    assert loads.x.shape == loads.y.shape == (4 * g.n_fine_cells,)
-    assert loads.matrix.shape == (g.n_interior_fine, 4 * g.n_fine_cells)
-    # each Gauss point feeds the interior corners of its cell only
-    per_column = np.diff(loads.matrix.tocsc().indptr)
-    assert per_column.max() == 4 and per_column.min() >= 1
-
-
-def test_local_matrices_match_submatrix():
-    g = GridPair(3, 3, 2)
-    fs = assemble(g, kappa_smooth())
-    cells = g.coarse_cell_fine_cells(4)
-    nodes = g.fine_nodes_in_box(2, 4, 2, 4)
-    mass, stiff = local_matrices(g, fs.kappa_cells, cells, nodes)
-    full_stiff = dense_q1_matrices(
-        g, np.where(np.isin(np.arange(g.n_fine_cells), cells),
-                    fs.kappa_cells.ravel(), 0.0))[1]
-    assert np.allclose(stiff.toarray(), full_stiff[np.ix_(nodes, nodes)],
-                       atol=1e-12)
-    assert np.allclose(mass.toarray(), mass.toarray().T)
-
-
-def test_local_matrices_mass_weight():
-    g = GridPair(2, 2, 2)
-    fs = assemble(g, Permeability.constant(1.0))
-    cells = np.arange(g.n_fine_cells)
-    nodes = np.arange(g.n_fine_nodes)
-    weight = 1.0 + np.arange(g.n_fine_cells, dtype=float)
-    mass, _ = local_matrices(g, fs.kappa_cells, cells, nodes,
-                             mass_weight_cells=weight)
-    oracle = dense_q1_matrices(g, fs.kappa_cells, mass_weight_cells=weight)[0]
-    assert np.allclose(mass.toarray(), oracle, atol=1e-12)
-
-
-def test_local_matrices_node_coverage_error():
-    g = GridPair(2, 2, 2)
-    fs = assemble(g, Permeability.constant(1.0))
-    with pytest.raises(ValueError):
-        local_matrices(g, fs.kappa_cells, np.array([0]), np.array([0, 1]))
+    loads = BoxSum(g, all_cells(g), g.interior_fine_ids)
+    for t in (0.0, 0.35, 1.0):
+        _assert_close(loads.load(source, t), scatter_load(g, source, t))
 
 
 def test_permeability_validation():

@@ -9,14 +9,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from msplit import driver, gmsfem, linalg, splitting
-from msplit.fineassembly import (LoadOperator, Permeability, assemble, assemble_matrices,
-                                 local_matrices)
+from msplit import driver, fineassembly, gmsfem, linalg, splitting
+from msplit.fineassembly import BoxSum, Permeability, assemble, assemble_matrices
 from msplit.grid import GridPair, neighborhood, partition_of_unity
 from msplit.linalg import NumericalError
 
 from _oracles import (dense_q1_matrices, energy_gram_schmidt, oracle_snapshots,
-                      prolongation_matrix, sparse_galerkin)
+                      prolongation_matrix, scatter_load, sparse_galerkin)
 from conftest import assert_basis_dump, rng_for
 
 
@@ -215,8 +214,7 @@ def test_batched_condensation_matches_the_cell_solver(make_fs):
         assert (np.max(np.abs(condensed.mapmat[k] - want))
                 <= 1e-12 * np.max(np.abs(want))), cell
         nodes, on_edge = gmsfem._cell_nodes(g, cell)
-        wmass, stiff = local_matrices(g, fs.kappa_cells, g.coarse_cell_fine_cells(cell),
-                                      nodes, mass_weight_cells=weight)
+        wmass, stiff = BoxSum(g, [cell], nodes).matrices(fs.kappa_cells, weight)
         extend = np.zeros((len(nodes), int(on_edge.sum())))
         extend[on_edge] = np.eye(extend.shape[1])
         extend[~on_edge] = want
@@ -610,7 +608,7 @@ def test_same_kind_neighborhoods_share_one_read_only_block():
         # each node again from its own cells' stiffness and modes
         nb = neighborhood(g, m.node)
         rows = np.searchsorted(nb.nodes, nb.interior)
-        sub = gmsfem._patch_energy(g, fs.kappa_cells, m.node)
+        sub = fineassembly.patch_energy(g, fs.kappa_cells, m.node)
         pou = partition_of_unity(g, m.node, nb.interior)
         cx, cy = g.coarse_node_grid(m.node)
         xc, yc = cx * g.coarse_hx, cy * g.coarse_hy
@@ -841,7 +839,7 @@ def test_coarse_rhs_projects_load(small):
     prol = gmsfem.assemble_prolongation(basis, (3,))
     cs = gmsfem.project_coarse(fs, basis, prol)
     t = 0.75
-    want = prolongation_matrix(basis, prol.block_sizes).T @ LoadOperator(g).load(fs.source, t)
+    want = prolongation_matrix(basis, prol.block_sizes).T @ scatter_load(g, fs.source, t)
     assert np.allclose(cs.rhs(np.array([t]))[0], want, atol=1e-14)
 
 
@@ -880,7 +878,7 @@ def test_cell_energy_gram_matches_the_fine_stiffness(forced):
     rng = rng_for("cell-energy-gram")
     for node, sup in zip(basis.nodes, basis.supports):
         block = rng.standard_normal((len(sup), 4))
-        got = gmsfem._patch_energy(g, fs.kappa_cells, int(node))(block)
+        got = fineassembly.patch_energy(g, fs.kappa_cells, int(node))(block)
         _assert_close(got, block.T @ (stiffness[sup][:, sup] @ block))
 
 
@@ -893,8 +891,7 @@ def test_cell_loads_match_the_prolongation_matrix(forced, monkeypatch, levels):
         monkeypatch.setattr(gmsfem, "_LOAD_VALUES", levels * 4 * g.refine ** 2)
     cs = gmsfem.project_coarse(fs, basis, prol)
     times = 0.1 * np.arange(1, 11)
-    loads = LoadOperator(g)
-    want = np.array([pmat.T @ loads.load(fs.source, t) for t in times])
+    want = np.array([pmat.T @ scatter_load(g, fs.source, t) for t in times])
     _assert_close(cs.rhs(times), want)
 
 
@@ -905,7 +902,7 @@ def test_static_load_is_one_read_only_row(forced):
     table = cs.forcing(0.1, 5)
     assert table.shape == (5, prol.n_columns) and table.strides[0] == 0
     assert not table.flags.writeable
-    _assert_close(table[0], pmat.T @ LoadOperator(fs.grid).load(static, 0.0))
+    _assert_close(table[0], pmat.T @ scatter_load(fs.grid, static, 0.0))
 
 
 def test_cell_moments_match_the_prolongation_matrix(forced):

@@ -131,3 +131,36 @@ def test_every_public_name_is_reached_outside_the_tests():
                    and not (path == home and number == line)):
             unreached.append(qualified)
     assert unreached == [], f"public names only the tests reach: {unreached}"
+
+
+def _private_reads(path):
+    """Reads of another msplit module's underscore names in the module at ``path``."""
+    tree = ast.parse(_read(path))
+    modules = set()   # local names bound to msplit modules
+    reads = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and (node.module or "").split(".")[0] != "msplit":
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_") and not alias.name.startswith("__"):
+                reads.append(f"line {node.lineno}: from {node.module} import {alias.name}")
+            if node.module in (None, "msplit"):   # `from . import grid`
+                modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            reads.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+    return reads
+
+
+def test_no_module_reads_another_modules_private_names():
+    # an underscore name belongs to its module: what another module of the
+    # package needs is public, so no module reads `module._name` of an
+    # imported msplit module or imports `from .module import _name`
+    src = os.path.join(ROOT, "src", "msplit")
+    reads = {entry: _private_reads(os.path.join(src, entry))
+             for entry in sorted(os.listdir(src)) if entry.endswith(".py")}
+    assert {entry: found for entry, found in reads.items() if found} == {}
