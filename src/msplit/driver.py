@@ -15,12 +15,12 @@ import logging
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import fineassembly, gmsfem, splitting
-from .fineassembly import Permeability, assemble, write_field
+from .fineassembly import Permeability, Source, assemble, write_field
 from .grid import GridPair
 from .linalg import NumericalError, SparseCholesky
 from .splitting import SplitConfig, Trajectory
@@ -29,7 +29,6 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "ErrorReport",
-    "Source",
     "parse_config",
     "read_config",
     "builtin_config",
@@ -51,35 +50,20 @@ class ConfigError(ValueError):
     """A config file or config value is unusable."""
 
 
-@dataclass
-class Source:
-    """Forcing term f(t, x, y); static sources are projected only once.
-
-    ``func`` is called with numpy arrays that broadcast against each other:
-    ``t`` a column of time levels against the points ``x``, ``y``.
-    """
-
-    func: Callable
-    time_dependent: bool
-
-    def __call__(self, t, x, y):
-        return self.func(t, x, y)
-
-
 def _kappa_periodic(x, y):
     return ((2.0 + np.sin(11 * np.pi * x) * np.sin(13 * np.pi * y))
             / (1.4 + np.cos(12 * np.pi * x) * np.cos(7 * np.pi * y)))
 
 
-def _source_exp_radial(t, x, y):
+def _source_exp_radial(x, y):
     return np.exp((x - 0.5) ** 2 + (y - 0.5) ** 2)
 
 
-def _source_pulsed_sine(t, x, y):
-    return (np.sin(np.pi * t) + 1.0) * np.sin(np.pi * x) * np.sin(np.pi * y)
+def _pulse(t):
+    return np.sin(np.pi * t) + 1.0
 
 
-def _initial_sine(x, y):
+def _sine(x, y):
     return np.sin(np.pi * x) * np.sin(np.pi * y)
 
 
@@ -326,16 +310,15 @@ def _resolve_source(config: ExperimentConfig) -> Optional[Source]:
     if config.source == "zero":
         return None
     if config.source == "exp-radial":
-        return Source(_source_exp_radial, time_dependent=False)
+        return Source(_source_exp_radial)
     if config.source == "pulsed-sine":
-        return Source(_source_pulsed_sine, time_dependent=True)
+        return Source(_sine, time=_pulse)
     value = config.source_value
-    return Source(lambda t, x, y: np.full_like(np.asarray(x, float), value),
-                  time_dependent=False)
+    return Source(lambda x, y: np.full_like(np.asarray(x, float), value))
 
 
 def _resolve_initial(config: ExperimentConfig):
-    return _initial_sine if config.initial == "sine" else None
+    return _sine if config.initial == "sine" else None
 
 
 def build_problem(config: ExperimentConfig):
@@ -467,20 +450,23 @@ def _fine_reference_errors(pipe: Pipeline, split: Trajectory) -> dict:
     """Sanity numbers: split field against a fine-grid backward Euler run.
 
     The only step that assembles the global fine matrices, and it frees them
-    on return. Every solve must meet |A u - rhs| <= 1e-10 |rhs| with
-    A = M + tau*K.
+    on return. The source's profile g is loaded once, and step n + 1 scales
+    that load by a(t_{n+1}). Every solve must meet |A u - rhs| <= 1e-10 |rhs|
+    with A = M + tau*K.
     """
     fs, config = pipe.fs, pipe.config
     n_steps = SplitConfig(tau=config.tau, t_final=config.t_final).n_steps
     mass, stiff = fineassembly.assemble_matrices(fs)
     lhs_mat = mass + config.tau * stiff
     lhs = SparseCholesky(lhs_mat, context="fine reference")
-    g = fs.grid
-    loads = fineassembly.BoxSum(g, np.arange(g.nx_coarse * g.ny_coarse), g.interior_fine_ids)
+    g, source = fs.grid, fs.source
+    load = np.zeros(fs.n_dof) if source is None else fineassembly.BoxSum(
+        g, np.arange(g.nx_coarse * g.ny_coarse), g.interior_fine_ids).load(source.space)
+    scale = np.ones(n_steps) if source is None or source.time is None else source.time(
+        config.tau * np.arange(1, n_steps + 1))
     u = fs.initial_vector()
     for n in range(n_steps):
-        f = loads.load(fs.source, (n + 1) * config.tau)
-        rhs = mass @ u + config.tau * f
+        rhs = mass @ u + (config.tau * scale[n]) * load
         u = lhs.solve(rhs)
         residual = np.linalg.norm(lhs_mat @ u - rhs)
         target = 1e-10 * np.linalg.norm(rhs)

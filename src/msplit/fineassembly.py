@@ -30,6 +30,7 @@ from .grid import GridPair
 
 __all__ = [
     "Permeability",
+    "Source",
     "FineSystem",
     "CellKernel",
     "BoxSum",
@@ -172,13 +173,12 @@ class CellKernel:
             shape=(count * n, count * n))
 
 
-def box_loads(g: GridPair, source, cells: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """2x2 Gauss loads of f(t, x, y) on the boxes of coarse ``cells``: (levels, cells, (r+1)^2).
+def box_loads(g: GridPair, space, cells: np.ndarray) -> np.ndarray:
+    """2x2 Gauss loads of g(x, y) on the boxes of coarse ``cells``: (cells, (r+1)^2).
 
-    ``t`` is a (levels, 1, 1) column against the (cells, points) Gauss
-    points. Each fine cell's four Gauss values go to its four corners
-    through one 4 x 4 matrix of weighted shape values, and are added into
-    the box, row-major.
+    Each fine cell's four Gauss values go to its four corners through one
+    4 x 4 matrix of weighted shape values, and are added into the box,
+    row-major.
     """
     r = g.refine
     elems = np.arange(r * r)
@@ -186,15 +186,15 @@ def box_loads(g: GridPair, source, cells: np.ndarray, t: np.ndarray) -> np.ndarr
     ey = ((elems // r)[:, None] + _GPTS[:, 1]).ravel()
     x = (((cells % g.nx_coarse) * r)[:, None] + ex) * g.hx
     y = (((cells // g.nx_coarse) * r)[:, None] + ey) * g.hy
-    values = np.broadcast_to(source(t, x, y), (len(t),) + x.shape)
+    values = np.broadcast_to(space(x, y), x.shape)
     corners = 0.25 * g.hx * g.hy * _SHAPE_AT_GP
-    loads = (values.reshape(-1, 4) @ corners).reshape(len(t), len(cells), r, r, 4)
-    box = np.zeros((len(t), len(cells), r + 1, r + 1))
+    loads = (values.reshape(-1, 4) @ corners).reshape(len(cells), r, r, 4)
+    box = np.zeros((len(cells), r + 1, r + 1))
     box[..., :r, :r] += loads[..., 0]
     box[..., :r, 1:] += loads[..., 1]
     box[..., 1:, :r] += loads[..., 2]
     box[..., 1:, 1:] += loads[..., 3]
-    return box.reshape(len(t), len(cells), -1)
+    return box.reshape(len(cells), -1)
 
 
 class BoxSum:
@@ -234,12 +234,9 @@ class BoxSum:
             out.append(((total + total.T) * 0.5).tocsr())
         return tuple(out)
 
-    def load(self, source, t: float) -> np.ndarray:
-        """The load of f(t, x, y) (:func:`box_loads`), zero without a source."""
-        if source is None:
-            return np.zeros(self._sum.shape[0])
-        return self._sum @ box_loads(self._grid, source, self._cells,
-                                     np.full((1, 1, 1), float(t))).ravel()
+    def load(self, space) -> np.ndarray:
+        """The load of the profile g(x, y) (:func:`box_loads`)."""
+        return self._sum @ box_loads(self._grid, space, self._cells).ravel()
 
 
 def patch_energy(g: GridPair, kappa_cells: np.ndarray, node: int):
@@ -271,6 +268,19 @@ def patch_energy(g: GridPair, kappa_cells: np.ndarray, node: int):
     return energy
 
 
+@dataclass(frozen=True)
+class Source:
+    """A forcing a(t) g(x, y): the spatial profile ``space`` times the time profile ``time``.
+
+    ``space`` takes numpy arrays of x and y, ``time`` a 1-d array of time
+    levels; without ``time`` the source is static. Only g is ever loaded:
+    the load at time t is a(t) times the load of g.
+    """
+
+    space: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    time: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+
 @dataclass
 class FineSystem:
     """The fine problem: grid, permeability per fine cell, source and initial data.
@@ -282,7 +292,7 @@ class FineSystem:
 
     grid: GridPair
     kappa_cells: np.ndarray
-    source: Optional[Callable] = None
+    source: Optional[Source] = None
     initial: Optional[Callable] = None
 
     @property
@@ -298,9 +308,9 @@ class FineSystem:
 def assemble(g: GridPair, kappa: Permeability, source=None, initial=None) -> FineSystem:
     """The fine problem of a permeability field, sampled at the fine-cell centers.
 
-    ``source`` is an optional space-time forcing f(t, x, y) and ``initial`` an
-    optional initial profile u0(x, y); both are carried along for the
-    projection onto the coarse space.
+    ``source`` is an optional forcing a(t) g(x, y) (:class:`Source`) and
+    ``initial`` an optional initial profile u0(x, y); both are carried along
+    for the projection onto the coarse space.
     """
     return FineSystem(grid=g, kappa_cells=kappa.cell_values(g), source=source,
                       initial=initial)

@@ -763,20 +763,14 @@ def assemble_prolongation(basis: OfflineBasis, blocks) -> Prolongation:
     return Prolongation(block_sizes=blocks, n_nodes=len(basis.nodes))
 
 
-# Source values per evaluation of a forcing table (:meth:`_BasisCells.forcing_table`):
-# 256 KB, which at r = 16 is 32 time levels of one coarse cell. A chunk's
-# few temporaries of that size take about 1 MB together.
-_LOAD_VALUES = 1 << 15
-
-
 class _BasisCells:
     """The basis coarse cell by coarse cell, and the cells' fine matrices.
 
     A basis column of node i vanishes outside the four coarse cells around
     i, so every fine-scale quantity of a run is a sum over coarse cells of
     small dense products with V_c: the Galerkin blocks V_c^T A_c V_c
-    (:meth:`products`), loads and moments V_c^T w_c (:meth:`forcing_table`,
-    :meth:`static_load`, :meth:`moments`), and the field V_c z_c
+    (:meth:`products`), loads and moments V_c^T w_c (:meth:`static_load`,
+    :meth:`moments`), and the field V_c z_c
     (:meth:`field`). V_c holds the
     columns of the cell's corner nodes (lower left, lower right, upper left,
     upper right; m modes each) at the (r+1)^2 nodes of its closed box,
@@ -787,10 +781,9 @@ class _BasisCells:
     of its (2r+1)^2 node box, ascending, so each distinct read-only block of
     ``basis.vectors`` is zero-padded once to that window (``windows``; the
     last window is zero and stands for a corner on the domain boundary,
-    which has no basis), and V_c is four quadrants of windows. All but the
-    forcing table take the cells :data:`_BATCH` at a time, and each cell's
-    arithmetic is its own, so a cell gives the same bits alone as in any
-    batch.
+    which has no basis), and V_c is four quadrants of windows. All take the
+    cells :data:`_BATCH` at a time, and each cell's arithmetic is its own,
+    so a cell gives the same bits alone as in any batch.
     """
 
     def __init__(self, fs: FineSystem, basis: OfflineBasis):
@@ -938,32 +931,9 @@ class _BasisCells:
 
         return self._pairings(prol, weights)
 
-    def static_load(self, prol: Prolongation, source) -> np.ndarray:
-        """P^T (Q f(0)) of a source that does not depend on t: sum_c V_c^T q_c."""
-        return self._pairings(prol, lambda cells: box_loads(
-            self.grid, source, cells, np.zeros((1, 1, 1)))[0])
-
-    def forcing_table(self, prol: Prolongation, source, times: np.ndarray) -> np.ndarray:
-        """The forcing table P^T (Q f(t)) at ``times``: (len(times), n_columns).
-
-        One cell at a time, V_c is gathered once and the source is evaluated
-        for as many time levels at a time as keep its values within
-        :data:`_LOAD_VALUES` (one level at least), so that the levels of a
-        chunk share the source's terms that do not depend on t. Each chunk
-        adds V_c^T q_c(t) into the cell's own columns only, and each column
-        sums its cells in cell order.
-        """
-        columns = self.columns(prol)
-        table = np.zeros((len(times), prol.n_columns))
-        step = max(1, _LOAD_VALUES // (4 * self.grid.refine ** 2))
-        with single_thread_blas():
-            for cell in np.arange(len(self.node))[:, None]:
-                keep = columns[cell[0]] < prol.n_columns
-                basis = self.gather(cell)[0][:, keep]
-                for lo in range(0, len(times), step):
-                    loads = box_loads(self.grid, source, cell, times[lo:lo + step, None, None])
-                    table[lo:lo + len(loads), columns[cell[0]][keep]] += loads[:, 0] @ basis
-        return table
+    def static_load(self, prol: Prolongation, space) -> np.ndarray:
+        """P^T q of the spatial profile g(x, y): sum_c V_c^T q_c."""
+        return self._pairings(prol, lambda cells: box_loads(self.grid, space, cells))
 
     def field(self, prol: Prolongation, z: np.ndarray) -> np.ndarray:
         """P z on the interior fine nodes: V_c z_c at the nodes cell c owns.
@@ -1018,11 +988,10 @@ def project_coarse(fs: FineSystem, basis: OfflineBasis, prol: Prolongation) -> C
     amplifies, so the three-level scheme starts without exciting its weakly
     damped mode.
 
-    A time-dependent forcing keeps the cell data, and ``rhs(times)`` makes
-    the table P^T (Q f(t)) for every time level at once
-    (:meth:`_BasisCells.forcing_table`). A static forcing is loaded and
-    projected once, and ``rhs`` broadcasts that one read-only row to every
-    level.
+    The source a(t) g(x, y) is loaded and projected once, as the read-only
+    row g^ = P^T q of its profile g. ``rhs(times)`` is the table
+    a(times)[:, None] * g^, or g^ broadcast to every level, not a copy per
+    level, for a static source.
     """
     _check_prolongation(basis, prol)
     cells = _BasisCells(fs, basis)
@@ -1030,16 +999,14 @@ def project_coarse(fs: FineSystem, basis: OfflineBasis, prol: Prolongation) -> C
         mass, stiff = cells.assemble(prol)
 
     source = fs.source
-    if getattr(source, "time_dependent", source is not None):
-        def rhs(times: np.ndarray) -> np.ndarray:
-            return cells.forcing_table(prol, source, times)
-    else:
-        static = (np.zeros(prol.n_columns) if source is None
-                  else cells.static_load(prol, source))
-        static.flags.writeable = False
+    load = (np.zeros(prol.n_columns) if source is None
+            else cells.static_load(prol, source.space))
+    load.flags.writeable = False
 
-        def rhs(times: np.ndarray) -> np.ndarray:
-            return np.broadcast_to(static, (len(times), len(static)))
+    def rhs(times: np.ndarray) -> np.ndarray:
+        if source is None or source.time is None:
+            return np.broadcast_to(load, (len(times), len(load)))
+        return source.time(times)[:, None] * load
 
     cs = CoarseSystem(block_sizes=tuple(prol.n_nodes * b for b in prol.block_sizes),
                       mass=mass, stiff=stiff, rhs=rhs, z0=np.zeros(prol.n_columns))

@@ -104,7 +104,7 @@ class CoarseSystem:
     block_sizes: tuple
     mass: sp.csr_matrix
     stiff: sp.csr_matrix
-    rhs: Callable[[float], np.ndarray]
+    rhs: Callable[[np.ndarray], np.ndarray]
     z0: np.ndarray
     _forcing: tuple = field(default=(None, None), init=False, repr=False,
                             compare=False)

@@ -91,6 +91,18 @@ def scatter_load(g, source, t):
     return full[g.interior_fine_ids]
 
 
+def space_time(source):
+    """f(t, x, y) = a(t) g(x, y) of a source's profiles, for :func:`scatter_load`.
+
+    a is 1 for a source without a time profile.
+    """
+    def f(t, x, y):
+        scale = 1.0 if source.time is None else source.time(np.array([t]))[0]
+        return scale * source.space(x, y)
+
+    return f
+
+
 def prolongation_matrix(basis, block_sizes):
     """The prolongation of ``basis`` as one sparse matrix, from coordinate triplets.
 

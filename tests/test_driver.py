@@ -17,7 +17,7 @@ from msplit.driver import ConfigError, ExperimentConfig
 from msplit.grid import GridPair
 from msplit.linalg import NumericalError
 
-from _oracles import dense_backward_euler, prolongation_matrix, scatter_load
+from _oracles import dense_backward_euler, prolongation_matrix, scatter_load, space_time
 from conftest import assert_basis_dump
 
 
@@ -141,23 +141,30 @@ def test_readme_config_table_lists_every_config_key():
 
 def test_builtin_field_formulas():
     assert driver._kappa_periodic(0.0, 0.0) == pytest.approx(2.0 / 2.4)
-    assert driver._source_exp_radial(0.0, 0.5, 0.5) == pytest.approx(1.0)
-    assert driver._source_exp_radial(9.0, 0.0, 0.0) == pytest.approx(
-        math.exp(0.5))
-    assert driver._source_pulsed_sine(0.5, 0.5, 0.5) == pytest.approx(2.0)
-    assert driver._initial_sine(0.5, 0.5) == pytest.approx(1.0)
+    assert driver._source_exp_radial(0.5, 0.5) == pytest.approx(1.0)
+    assert driver._source_exp_radial(0.0, 0.0) == pytest.approx(math.exp(0.5))
+    assert driver._pulse(0.5) * driver._sine(0.5, 0.5) == pytest.approx(2.0)
+    assert driver._sine(0.5, 0.5) == pytest.approx(1.0)
 
 
-def test_source_time_dependence_flags():
-    static = driver._resolve_source(tiny_config(source="exp-radial"))
-    assert static.time_dependent is False
-    pulsed = driver._resolve_source(tiny_config(source="pulsed-sine"))
-    assert pulsed.time_dependent is True
+def test_builtin_sources_separate_in_time():
+    # each builtin's space(x, y) * time(t) is its formula f(t, x, y)
+    x, y = np.array([0.1, 0.5, 0.83]), np.array([0.27, 0.5, 0.9])
+    t = np.array([0.0, 0.3, 1.7])
+    formulas = {
+        "exp-radial": lambda t, x, y: np.exp((x - 0.5) ** 2 + (y - 0.5) ** 2),
+        "pulsed-sine": lambda t, x, y: ((np.sin(np.pi * t) + 1.0) * np.sin(np.pi * x)
+                                        * np.sin(np.pi * y)),
+        "constant": lambda t, x, y: np.full_like(x, 3.5),
+    }
+    for name, formula in formulas.items():
+        source = driver._resolve_source(tiny_config(source=name, source_value=3.5))
+        scale = np.ones(len(t)) if source.time is None else source.time(t)
+        got = scale[:, None] * source.space(x, y)
+        want = formula(t[:, None], x, y)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), name
+        assert (source.time is None) == (name != "pulsed-sine"), name
     assert driver._resolve_source(tiny_config(source="zero")) is None
-    const = driver._resolve_source(tiny_config(source="constant",
-                                               source_value=3.5))
-    assert np.allclose(const(0.0, np.array([0.2, 0.8]), np.array([0.1, 0.9])),
-                       3.5)
 
 
 def test_synthetic_channels_deterministic_and_binary():
@@ -354,7 +361,7 @@ def test_run_example_writes_outputs(tmp_path, capsys):
     g, fs = driver.build_problem(config)
     mass, stiff = (mat.toarray() for mat in fineassembly.assemble_matrices(fs))
     n_steps = round(config.t_final / config.tau)
-    fine = dense_backward_euler(mass, stiff, lambda t: scatter_load(g, fs.source, t),
+    fine = dense_backward_euler(mass, stiff, lambda t: scatter_load(g, space_time(fs.source), t),
                                 fs.initial_vector(), config.tau, n_steps)[-1]
     err = fine - _field_interior(tmp_path / "field_split.txt", g)
     want_l2 = np.sqrt(err @ mass @ err / (fine @ mass @ fine))
@@ -541,7 +548,7 @@ def test_fine_reference_guards_every_solve(tiny_pipe, monkeypatch):
     # an exactly zero first right-hand side passes the residual guard
     fs = dataclasses.replace(
         tiny_pipe.fs, initial=None,
-        source=lambda t, x, y: np.ones_like(x) * (t > 0.06))
+        source=fineassembly.Source(lambda x, y: np.ones_like(x), lambda t: 1.0 * (t > 0.06)))
     errors = driver._fine_reference_errors(
         dataclasses.replace(tiny_pipe, fs=fs), split)
     assert all(np.isfinite(v) and v > 0.0 for v in errors.values())
@@ -550,6 +557,36 @@ def test_fine_reference_guards_every_solve(tiny_pipe, monkeypatch):
                         lambda self, rhs: solve(self, rhs) * (1.0 + 1e-6))
     with pytest.raises(NumericalError, match="fine reference step 1: solve residual"):
         driver._fine_reference_errors(tiny_pipe, split)
+
+
+def test_fine_reference_loads_a_pulsed_source_once(tiny_pipe, monkeypatch):
+    # the profile is loaded once a run, or not at all without a source, and
+    # each step scales that load by a(t); the errors are those of a dense
+    # march that loads f(t, x, y)
+    config = tiny_pipe.config
+    fs = dataclasses.replace(
+        tiny_pipe.fs, source=driver._resolve_source(tiny_config(source="pulsed-sine")))
+    pipe = dataclasses.replace(tiny_pipe, fs=fs)
+    split = splitting.backward_euler(pipe.coarse, config.tau, config.t_final)
+    box_loads, calls = fineassembly.box_loads, []
+    monkeypatch.setattr(fineassembly, "box_loads",
+                        lambda *args: calls.append(args) or box_loads(*args))
+    errors = driver._fine_reference_errors(pipe, split)
+    assert len(calls) == 1
+    calls.clear()
+    unforced = dataclasses.replace(pipe, fs=dataclasses.replace(fs, source=None))
+    assert all(np.isfinite(v) for v in driver._fine_reference_errors(unforced, split).values())
+    assert calls == []
+    mass, stiff = (mat.toarray() for mat in fineassembly.assemble_matrices(fs))
+    n_steps = round(config.t_final / config.tau)
+    forcing = space_time(fs.source)
+    fine = dense_backward_euler(mass, stiff, lambda t: scatter_load(fs.grid, forcing, t),
+                                fs.initial_vector(), config.tau, n_steps)[-1]
+    err = fine - gmsfem.reconstruct_fine(fs, pipe.basis, pipe.prol, split.states[-1])
+    assert errors["fine_e_l2"] == pytest.approx(
+        np.sqrt(err @ mass @ err / (fine @ mass @ fine)), rel=1e-10)
+    assert errors["fine_e_a"] == pytest.approx(
+        np.sqrt(err @ stiff @ err / (fine @ stiff @ fine)), rel=1e-10)
 
 
 def test_cli_rejects_the_removed_threads_knob(tmp_path, capsys):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from msplit import driver
-from msplit.fineassembly import (BoxSum, Permeability, assemble, assemble_matrices,
-                                 interpolate, norms, read_grid_file, write_field,
-                                 write_grid_file)
+from msplit.fineassembly import (BoxSum, Permeability, Source, assemble,
+                                 assemble_matrices, interpolate, norms, read_grid_file,
+                                 write_field, write_grid_file)
 from msplit.grid import GridPair, neighborhood
 
-from _oracles import dense_q1_matrices, scatter_load
+from _oracles import dense_q1_matrices, scatter_load, space_time
 from conftest import rng_for
 
 
@@ -79,19 +79,10 @@ def test_norms_shape_check():
 def test_load_of_unit_source_is_mass_row_sum():
     g = GridPair(3, 3, 3)
     fs = assemble(g, kappa_smooth())
-    vec = BoxSum(g, all_cells(g), g.interior_fine_ids).load(lambda t, x, y: np.ones_like(x), 0.0)
+    vec = BoxSum(g, all_cells(g), g.interior_fine_ids).load(lambda x, y: np.ones_like(x))
     mass_all, _ = all_node_matrices(g, fs)
     expected = (mass_all @ np.ones(g.n_fine_nodes))[g.interior_fine_ids]
     assert np.allclose(vec, expected, atol=1e-14)
-
-
-def test_load_time_scaling_and_none():
-    g = GridPair(2, 2, 2)
-    loads = BoxSum(g, all_cells(g), g.interior_fine_ids)
-    base = loads.load(lambda t, x, y: (1.0 + t) * x * y, t=0.0)
-    late = loads.load(lambda t, x, y: (1.0 + t) * x * y, t=3.0)
-    assert np.allclose(late, 4.0 * base, atol=1e-14)
-    assert np.array_equal(loads.load(None, 0.0), np.zeros(g.n_interior_fine))
 
 
 GRIDS = [(3, 3, 3), (2, 3, 4), (1, 1, 1), (5, 2, 2)]
@@ -139,14 +130,16 @@ def test_box_sum_matrices_match_the_quadrature_oracle(shape):
 
 @pytest.mark.parametrize("shape", GRIDS)
 @pytest.mark.parametrize("source", [
-    lambda t, x, y: (1.0 + t) * x * y,
-    driver._source_pulsed_sine,
+    Source(lambda x, y: x * y, lambda t: 1.0 + t),
+    Source(driver._sine, driver._pulse),
 ], ids=["linear-in-time", "pulsed-sine"])
 def test_box_sum_load_matches_the_scatter_oracle(source, shape):
+    # the load of a(t) g(x, y) is a(t) times the one load of g
     g = GridPair(*shape)
-    loads = BoxSum(g, all_cells(g), g.interior_fine_ids)
+    load = BoxSum(g, all_cells(g), g.interior_fine_ids).load(source.space)
     for t in (0.0, 0.35, 1.0):
-        _assert_close(loads.load(source, t), scatter_load(g, source, t))
+        _assert_close(source.time(np.array([t]))[0] * load,
+                      scatter_load(g, space_time(source), t))
 
 
 def test_permeability_validation():

@@ -10,12 +10,12 @@ import pytest
 import scipy.sparse as sp
 
 from msplit import driver, fineassembly, gmsfem, linalg, splitting
-from msplit.fineassembly import BoxSum, Permeability, assemble, assemble_matrices
+from msplit.fineassembly import BoxSum, Permeability, Source, assemble, assemble_matrices
 from msplit.grid import GridPair, neighborhood, partition_of_unity
 from msplit.linalg import NumericalError
 
 from _oracles import (dense_q1_matrices, energy_gram_schmidt, oracle_snapshots,
-                      prolongation_matrix, scatter_load, sparse_galerkin)
+                      prolongation_matrix, scatter_load, space_time, sparse_galerkin)
 from conftest import assert_basis_dump, rng_for
 
 
@@ -27,7 +27,7 @@ def wavy_kappa(x, y):
 def small():
     g = GridPair(2, 2, 3)
     fs = assemble(g, Permeability(wavy_kappa),
-                  source=lambda t, x, y: (1.0 + t) * np.cos(x + y),
+                  source=Source(lambda x, y: np.cos(x + y), lambda t: 1.0 + t),
                   initial=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
     return g, fs
 
@@ -839,7 +839,8 @@ def test_coarse_rhs_projects_load(small):
     prol = gmsfem.assemble_prolongation(basis, (3,))
     cs = gmsfem.project_coarse(fs, basis, prol)
     t = 0.75
-    want = prolongation_matrix(basis, prol.block_sizes).T @ scatter_load(g, fs.source, t)
+    want = prolongation_matrix(basis, prol.block_sizes).T @ scatter_load(
+        g, space_time(fs.source), t)
     assert np.allclose(cs.rhs(np.array([t]))[0], want, atol=1e-14)
 
 
@@ -859,8 +860,7 @@ def test_initial_vector_moments_and_projection(small):
 def forced():
     # hx != hy, and the boundary cells have one or two corners with a basis
     g = GridPair(4, 3, 4)
-    source = driver.Source(lambda t, x, y: (1.0 + np.sin(3.0 * t)) * np.cos(x + 2.0 * y),
-                           time_dependent=True)
+    source = Source(lambda x, y: np.cos(x + 2.0 * y), lambda t: 1.0 + np.sin(3.0 * t))
     fs = assemble(g, driver.synthetic_channels(g), source=source,
                   initial=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
     basis = gmsfem.build_offline(fs, 4)
@@ -882,27 +882,51 @@ def test_cell_energy_gram_matches_the_fine_stiffness(forced):
         _assert_close(got, block.T @ (stiffness[sup][:, sup] @ block))
 
 
-@pytest.mark.parametrize("levels", [None, 3], ids=["one-chunk", "three-levels-a-chunk"])
-def test_cell_loads_match_the_prolongation_matrix(forced, monkeypatch, levels):
+def test_cell_loads_match_the_prolongation_matrix(forced):
     fs, basis, prol, pmat, _ = forced
-    g = fs.grid
-    if levels:
-        # a coarse cell has 4 r^2 Gauss points
-        monkeypatch.setattr(gmsfem, "_LOAD_VALUES", levels * 4 * g.refine ** 2)
     cs = gmsfem.project_coarse(fs, basis, prol)
     times = 0.1 * np.arange(1, 11)
-    want = np.array([pmat.T @ scatter_load(g, fs.source, t) for t in times])
+    want = np.array([pmat.T @ scatter_load(fs.grid, space_time(fs.source), t) for t in times])
     _assert_close(cs.rhs(times), want)
+
+
+def test_forcing_loads_the_profile_once_for_any_number_of_levels(forced, monkeypatch):
+    # the profile is loaded at the projection, and every table is the time
+    # profile times that one projected row; no load sees a time
+    fs, basis, prol, _, _ = forced
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append((len(args), sorted(kwargs)))
+        return fineassembly.box_loads(*args, **kwargs)
+
+    monkeypatch.setattr(gmsfem, "box_loads", counting)
+    counts = []
+    for levels in (10, 1000):
+        calls.clear()
+        table = gmsfem.project_coarse(fs, basis, prol).rhs(0.1 * np.arange(1, levels + 1))
+        assert table.shape == (levels, prol.n_columns)
+        assert calls and all(call == (3, []) for call in calls)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_static_load_is_one_read_only_row(forced):
     fs, basis, prol, pmat, _ = forced
-    static = driver.Source(lambda t, x, y: np.exp(x * y), time_dependent=False)
+    static = Source(lambda x, y: np.exp(x * y))
     cs = gmsfem.project_coarse(dataclasses.replace(fs, source=static), basis, prol)
     table = cs.forcing(0.1, 5)
     assert table.shape == (5, prol.n_columns) and table.strides[0] == 0
     assert not table.flags.writeable
-    _assert_close(table[0], pmat.T @ scatter_load(fs.grid, static, 0.0))
+    _assert_close(table[0], pmat.T @ scatter_load(fs.grid, space_time(static), 0.0))
+
+
+def test_non_finite_time_profile_is_reported_at_its_level(forced):
+    fs, basis, prol, _, _ = forced
+    source = Source(fs.source.space, lambda t: np.where(t > 0.5, np.nan, 1.0 + t))
+    cs = gmsfem.project_coarse(dataclasses.replace(fs, source=source), basis, prol)
+    with pytest.raises(NumericalError, match=r"non-finite forcing at time level 6 "):
+        cs.forcing(0.1, 10)
 
 
 def test_cell_moments_match_the_prolongation_matrix(forced):
