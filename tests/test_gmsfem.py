@@ -882,12 +882,16 @@ def test_cell_energy_gram_matches_the_fine_stiffness(forced):
         _assert_close(got, block.T @ (stiffness[sup][:, sup] @ block))
 
 
-def test_cell_loads_match_the_prolongation_matrix(forced):
+@pytest.mark.parametrize("levels", [None, 3], ids=["one-chunk", "three-levels-a-chunk"])
+def test_cell_loads_match_the_prolongation_matrix(forced, levels):
+    # the table asked for in chunks of levels is the table asked for at once
     fs, basis, prol, pmat, _ = forced
     cs = gmsfem.project_coarse(fs, basis, prol)
     times = 0.1 * np.arange(1, 11)
+    step = levels or len(times)
+    got = np.concatenate([cs.rhs(times[k:k + step]) for k in range(0, len(times), step)])
     want = np.array([pmat.T @ scatter_load(fs.grid, space_time(fs.source), t) for t in times])
-    _assert_close(cs.rhs(times), want)
+    _assert_close(got, want)
 
 
 def test_forcing_loads_the_profile_once_for_any_number_of_levels(forced, monkeypatch):
