@@ -14,16 +14,18 @@ once per distinct medium: cells with bit-equal permeability and weight
 values are condensed once, in batches that share one scatter map from
 element coefficients to the cell blocks and one banded factorization per
 cell, and neighborhoods made of the same kinds of cells are solved once.
-The reuse never changes a pencil's bits. The snapshot columns themselves
-(:func:`build_snapshots`, :func:`spectral_matrices`) are only the
-brute-force reference for it. Each pencil is solved for one eigenpair more
-than it keeps, and the kept eigenvectors are put into a fixed basis of each
-eigenvalue cluster, so that neither a degenerate pair at the cut nor a sign
-depends on rounding (the canonical cut). The modes are localized by the
+Node row by node row, a kind of cell is held only from the first row that
+reads it to the last; neither that nor the reuse changes a pencil's bits.
+The snapshot columns themselves (:func:`build_snapshots`,
+:func:`spectral_matrices`) are only the brute-force reference for it. Each
+pencil is solved for one eigenpair more than it keeps, and the kept
+eigenvectors are put into a fixed basis of each eigenvalue cluster, so
+that neither a degenerate pair at the cut nor a sign depends on rounding
+(the canonical cut). The modes are localized by the
 bilinear partition of unity, evaluated in fine offsets from the node, and
 energy-orthonormalized within the neighborhood by two passes of
 Cholesky-QR, whose energy Gram matrix is summed over the node's four cells;
-neighborhoods of the same kinds of cells share one read-only block. The
+each distinct block is stored once, in one read-only stacked array. The
 resulting columns form the prolongation from coarse coefficients to
 interior fine nodes, with its columns grouped by mode block, the block
 order the split scheme reads (:class:`Prolongation`). It is never stored as
@@ -48,7 +50,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .fineassembly import BoxSum, CellKernel, FineSystem, box_loads, patch_energy
+from .fineassembly import (BoxSum, CellKernel, FineSystem, box_loads, cell_kernel,
+                           patch_energy)
 from .grid import GridPair, Neighborhood, neighborhood, partition_of_unity
 from .linalg import NumericalError, SparseCholesky, eig_gsym, single_thread_blas
 from .splitting import CoarseSystem
@@ -90,14 +93,16 @@ class NeighborhoodModes:
 
 @dataclass
 class OfflineBasis:
-    """Localized multiscale basis columns for all interior coarse nodes."""
+    """Localized basis columns of every interior coarse node, each distinct block stored once."""
 
     grid: GridPair
     n_modes: int
     nodes: np.ndarray            # interior coarse node ids, ascending
     eigenvalues: np.ndarray      # (n_nodes, n_modes)
     supports: list               # interior-dof index arrays, one per node
-    vectors: list                # (len(support), n_modes) arrays
+    vectors: list                # (len(support), n_modes) views of ``stacked``
+    stacked: np.ndarray          # the distinct blocks' rows, then a zero row; read-only
+    block_start: np.ndarray      # row of ``stacked`` where each node's block starts
 
     @property
     def n_columns(self) -> int:
@@ -294,12 +299,9 @@ def spectral_matrices(fs: FineSystem, nb: Neighborhood, snaps: np.ndarray,
 def _mapped(shape) -> np.ndarray:
     """A zero float array in its own anonymous memory mapping.
 
-    Freeing the mapping returns its pages at once and leaves malloc alone.
-    Freeing a large array that malloc made raises glibc's dynamic mmap
-    threshold, so later arrays up to that size come from the heap, which
-    keeps its freed pages resident. On example1, where all 256 cells are
-    distinct, the condensed cells take 46 MB: from malloc they raised the
-    run's peak RSS from 189 to 202 MB, mapped it is 176 MB.
+    Freeing it returns its pages at once. Freeing a large array that malloc
+    made raises glibc's dynamic mmap threshold, so that later arrays up to
+    that size come from the heap, which keeps its freed pages resident.
     """
     size = 8 * int(np.prod(shape))
     if size == 0:
@@ -318,10 +320,10 @@ _CLUSTER_RTOL = 1e-8
 # cluster, less the directions already chosen, has at most this share of
 # the probe's own S-norm.
 _PROBE_RTOL = 1e-6
-# Coarse cells per batch, for the condensation (distinct cells) and for the
-# products with the basis cell by cell (:class:`_BasisCells`): at r = 16 a
-# condensation batch's temporaries take about 20 MB, a batch of ten-mode
-# Galerkin products about 10 MB.
+# Coarse cells per batch, for the condensation (the kinds a node row reads
+# first) and for the products with the basis cell by cell (:class:`_BasisCells`):
+# at r = 16 a full condensation batch's temporaries take about 20 MB, a
+# batch of ten-mode Galerkin products about 10 MB.
 _BATCH = 32
 
 
@@ -407,32 +409,38 @@ def _canonical_cut(values: np.ndarray, vectors: np.ndarray, smass: np.ndarray,
 
 
 class _CondensedCells:
-    """Every distinct coarse cell condensed onto its boundary, and the shared skeleton.
+    """Distinct coarse cells condensed onto their boundary, node row by row, and the skeleton.
 
     A cell's blocks depend only on the permeability and the spectral weight
     of its fine cells: the grid is uniform, and the weight depends only on
     the position inside the coarse cell. So the cells are grouped by the
     exact bytes of those two blocks, and each group's first cell stands for
-    it: ``kind[c]`` is cell c's group, and ``mapmat[k]`` and ``blocks[:, k]``
-    (stiffness, weighted mass) hold that cell's :meth:`condense` results,
-    one stacked array per kind. Every cell shares one fine-cell pattern, so
-    the sparse maps of the cell kernel (:class:`~msplit.fineassembly.CellKernel`,
-    nodes boundary first) take a cell's element coefficients (the
-    permeability, then the spectral weight) straight to its blocks:
-    the interior stiffness K_ii in LAPACK lower-band storage (half-bandwidth
-    r), the dense K_bi and K_bb, and the weighted mass W in a fixed CSR
-    pattern. The representatives are condensed :data:`_BATCH` at a time.
+    it: ``kind[c]`` is cell c's group. Every cell shares one fine-cell
+    pattern, so the sparse maps of the cell kernel
+    (:class:`~msplit.fineassembly.CellKernel`, nodes boundary first) take a
+    cell's element coefficients (the permeability, then the spectral
+    weight) straight to its blocks: the interior stiffness K_ii in LAPACK
+    lower-band storage (half-bandwidth r), the dense K_bi and K_bb, and the
+    weighted mass W in a fixed CSR pattern (:meth:`condense`).
+
+    The neighborhoods of node row cy read cell rows cy - 1 and cy only.
+    :meth:`hold` keeps the kinds whose first cell row is at most cy and
+    whose last is at least cy - 1, frees the others and condenses the
+    representatives not held yet, :data:`_BATCH` at a time; a sweep over
+    the node rows in ascending order so condenses each kind once. Kind k's
+    results are ``mapmat[slot[k]]`` and ``blocks[:, slot[k]]`` (stiffness,
+    weighted mass), in a mapped pool (:func:`_mapped`) sized up front to
+    the most kinds held at once: 32 of example1's 256, 5.5 MB, not 44 MB.
     Each cell's arithmetic is its own, so a cell gives the same bits alone
-    as in any batch, and the reuse changes no bit of any pencil.
+    as in any batch, and neither reuse nor schedule changes a pencil's bits.
 
     Every interior neighborhood is the same 2 x 2 cell patch shifted by
     whole coarse cells, so its skeleton rows, the rows ``select[q]`` (D_q)
     that give the boundary data of its q-th cell (ascending cell id), and
     the probes of the canonical cut (:func:`_cut_probes`) are those of the
     first interior neighborhood. A neighborhood's snapshot columns are the
-    skeleton rows on its coarse edges and mapmat[kind[c_q]] @ D_q inside its
-    q-th cell c_q. The stacked arrays live in their own memory mappings
-    (:func:`_mapped`).
+    skeleton rows on its coarse edges and mapmat[slot[kind[c_q]]] @ D_q
+    inside its q-th cell c_q.
     """
 
     def __init__(self, fs: FineSystem, mass_weight_cells: np.ndarray):
@@ -444,18 +452,20 @@ class _CondensedCells:
         self._kappa = self._kernel.coefficients(fs.kappa_cells)
         self._weight = self._kernel.coefficients(mass_weight_cells)
         media = np.concatenate([self._kappa, self._weight], axis=1)
-        _, first, kind = np.unique(media.view(np.uint64), axis=0,
-                                   return_index=True, return_inverse=True)
+        _, self._first, kind = np.unique(media.view(np.uint64), axis=0,
+                                         return_index=True, return_inverse=True)
         self.kind = kind.ravel()
         self._grid = g
         self._stiff_layout()
+        row = np.arange(len(self.kind)) // g.nx_coarse
+        last = row[::-1][np.unique(self.kind[::-1], return_index=True)[1]]
+        cy = np.arange(1, g.ny_coarse)[:, None]   # _reads[cy - 1]: the kinds node row cy holds
+        self._reads = (row[self._first] <= cy) & (last >= cy - 1)
+        size = np.count_nonzero(self._reads, axis=1).max(initial=0)
         n_b, n_i = 4 * r, (r - 1) ** 2
-        self.mapmat = _mapped((len(first), n_i, n_b))
-        self.blocks = _mapped((2, len(first), n_b, n_b))
-        for k in range(0, len(first), _BATCH):
-            batch = slice(k, k + _BATCH)
-            self.mapmat[batch], self.blocks[0, batch], self.blocks[1, batch] = \
-                self.condense(first[batch])
+        self.slot = np.full(len(self._first), size)
+        self.mapmat = _mapped((size, n_i, n_b))
+        self.blocks = _mapped((2, size, n_b, n_b))
         template = neighborhood(g, int(g.interior_coarse_ids[0]))
         skel_ids, self.skel_rows = _skeleton_rows(g, template)
         self.skel_pos = np.searchsorted(template.nodes, skel_ids)
@@ -502,6 +512,16 @@ class _CondensedCells:
         self._stiff_slots = target[entries]
         self._stiff_map = kernel.stiff_map[entries]
 
+    def hold(self, cy: int) -> None:
+        """Hold the kinds for node row ``cy``; one not held has the slot past the pool's end."""
+        self.slot[~self._reads[cy - 1]] = len(self.mapmat)
+        new = np.flatnonzero(self._reads[cy - 1] & (self.slot == len(self.mapmat)))
+        self.slot[new] = np.setdiff1d(np.arange(len(self.mapmat)), self.slot)[:len(new)]
+        for k in range(0, len(new), _BATCH):
+            slots = self.slot[new[k:k + _BATCH]]
+            self.mapmat[slots], self.blocks[0, slots], self.blocks[1, slots] = \
+                self.condense(self._first[new[k:k + _BATCH]])
+
     def condense(self, cells: np.ndarray):
         """(mapmat, E^T K E, E^T W E) of coarse ``cells``, stacked in their order.
 
@@ -543,14 +563,15 @@ class _CondensedCells:
     def pencil(self, cells: np.ndarray):
         """(astiff, smass) of the neighborhood made of ``cells``: sum_q D_q^T X_q D_q.
 
-        X_q are the blocks of cell c_q's kind. Each term fills only the rows
-        and columns of the snapshots that reach cell q (``reach[q]``), and
-        the terms are summed in cell order. The
-        rounding of this sum may decide which members of an exactly
-        degenerate eigenvalue cluster an eigensolver returns first;
-        :func:`_canonical_cut` makes the kept ones independent of it.
+        X_q are the held blocks of cell c_q's kind. Each term fills only the
+        rows and columns of the snapshots that reach cell q (``reach[q]``),
+        and the terms are summed in cell order. The rounding of this sum may
+        decide which members of an exactly degenerate eigenvalue cluster an
+        eigensolver returns first; :func:`_canonical_cut` makes the kept
+        ones independent of it.
         """
-        terms = self.select.transpose(0, 2, 1) @ (self.blocks[:, self.kind[cells]] @ self.select)
+        held = self.blocks[:, self.slot[self.kind[cells]]]
+        terms = self.select.transpose(0, 2, 1) @ (held @ self.select)
         size = self.skel_rows.shape[1]
         forms = []
         for form_terms in terms:
@@ -582,7 +603,7 @@ class _CondensedCells:
         vectors = np.empty((len(nb.nodes), n_modes))
         vectors[self.skel_pos] = self.skel_rows @ kept
         data = self.select @ kept[self.reach]
-        vectors[self.inner_pos] = self.mapmat[self.kind[nb.cells]] @ data
+        vectors[self.inner_pos] = self.mapmat[self.slot[self.kind[nb.cells]]] @ data
         eigenvalues = eig.values[:n_modes]
         eigenvalues.flags.writeable = vectors.flags.writeable = False
         return eigenvalues, vectors, gap
@@ -592,11 +613,13 @@ def offline_modes(fs: FineSystem, n_modes: int) -> list:
     """Spectral modes for every interior coarse node, ascending node order.
 
     The spectral pencil is assembled by static condensation: each distinct
-    coarse cell is condensed onto its 4r boundary nodes once, up front and
-    in batches (:class:`_CondensedCells`), and every neighborhood's pencil
-    is the sum of its four cells' condensed blocks mapped to snapshot
-    coordinates. Neighborhoods whose four cells are of the same kinds, in
-    the same order, have bit-equal pencils, so each such pencil is solved,
+    coarse cell is condensed onto its 4r boundary nodes once, and every
+    neighborhood's pencil is the sum of its four cells' condensed blocks
+    mapped to snapshot coordinates. The node rows are swept in ascending
+    order; before each one, the kinds of cells it reads that are not held
+    yet are condensed in batches, and the kinds it does not read are freed
+    (:class:`_CondensedCells`). Neighborhoods whose four cells are of the
+    same kinds, in the same order, have bit-equal pencils, so each such pencil is solved,
     and its kept modes extended into the cells, once: the neighborhoods
     that share it get their own :class:`NeighborhoodModes` with the same
     read-only ``eigenvalues`` and ``vectors`` arrays. Where every cell is
@@ -611,8 +634,9 @@ def offline_modes(fs: FineSystem, n_modes: int) -> list:
     choice too, and the coarse space depends neither on the eigensolver nor
     on the order of the pencil's sums. Two INFO lines on
     the ``msplit.gmsfem`` logger give the counts of distinct cells and
-    neighborhoods, the smallest relative gap at the cut over the solved
-    pencils and how many of them were cut inside a cluster.
+    neighborhoods, the most kinds held at once and their bytes, the
+    smallest relative gap at the cut over the solved pencils and how many
+    of them were cut inside a cluster.
 
     The neighborhoods are solved one after another with every loaded
     OpenBLAS pinned to one thread; each library's previous thread count is
@@ -635,17 +659,21 @@ def offline_modes(fs: FineSystem, n_modes: int) -> list:
     modes = []
     with single_thread_blas():
         condensed = _CondensedCells(fs, weight)
-        for node in nodes:
-            nb = neighborhood(g, int(node))
-            key = tuple(condensed.kind[nb.cells])
-            if key not in solved:
-                solved[key] = condensed.modes(nb, n_modes)
-            eigenvalues, vectors, _ = solved[key]
-            modes.append(NeighborhoodModes(node=nb.node, eigenvalues=eigenvalues,
-                                           vectors=vectors))
+        for cy, row in enumerate(nodes.reshape(g.ny_coarse - 1, -1), start=1):
+            condensed.hold(cy)
+            for node in row:
+                nb = neighborhood(g, int(node))
+                key = tuple(condensed.kind[nb.cells])
+                if key not in solved:
+                    solved[key] = condensed.modes(nb, n_modes)
+                eigenvalues, vectors, _ = solved[key]
+                modes.append(NeighborhoodModes(node=nb.node, eigenvalues=eigenvalues,
+                                               vectors=vectors))
     gaps = [gap for _, _, gap in solved.values()]
-    logger.info("offline: %d distinct cells of %d, %d distinct neighborhoods of %d",
-                len(condensed.mapmat), len(condensed.kind), len(solved), len(nodes))
+    pool = condensed.mapmat.nbytes + condensed.blocks.nbytes
+    logger.info("offline: %d distinct cells of %d (at most %d held, %.1f MB), %d distinct "
+                "neighborhoods of %d", len(condensed.slot), len(condensed.kind),
+                len(condensed.mapmat), pool / 2 ** 20, len(solved), len(nodes))
     logger.info("offline: smallest relative gap at the %d-mode cut %.3g; %d of %d "
                 "solved pencils cut inside a cluster, kept canonically", n_modes,
                 min(gaps), sum(gap < _CLUSTER_RTOL for gap in gaps), len(gaps))
@@ -672,39 +700,42 @@ def assemble_basis(fs: FineSystem, modes_list: list) -> OfflineBasis:
     bit-equal between neighborhoods whose cells are of the same kinds.
     :func:`offline_modes` hands one ``vectors`` array to
     exactly such neighborhoods, so a shared ``vectors`` array means one
-    medium: each block is computed once per ``vectors`` array and shared
-    read-only. On example2-synthetic (kappa_seed 7) that is 96 blocks for
-    225 neighborhoods. One INFO line on the ``msplit.gmsfem`` logger gives
-    the count of distinct blocks and the largest condition number of a
-    first-pass energy Gram matrix.
+    medium: each block is computed once per ``vectors`` array, into the
+    basis's read-only ``stacked`` array. On example2-synthetic (kappa_seed
+    7) that is 96 blocks for 225 neighborhoods. One INFO line on the
+    ``msplit.gmsfem`` logger gives the count of distinct blocks and the
+    largest condition number of a first-pass energy Gram matrix.
     """
     g = fs.grid
     nodes = np.array([m.node for m in modes_list], dtype=np.int64)
-    blocks = {}
+    eigenvalues = np.array([m.eigenvalues for m in modes_list])
+    size = (2 * g.refine - 1) ** 2
+    stacked = np.zeros((size * len({id(m.vectors) for m in modes_list}) + 1, eigenvalues.shape[1]))
+    starts = {}   # id of a shared vectors array -> the first row of its block
     worst_cond = 0.0
-    supports, vectors, eigenvalues = [], [], []
+    supports, block_start = [], []
     with single_thread_blas():
         for modes in modes_list:
             nb = neighborhood(g, modes.node)
-            support = g.fine_interior_index[nb.interior]
+            supports.append(g.fine_interior_index[nb.interior])
             key = id(modes.vectors)
-            if key not in blocks:
+            if key not in starts:
+                starts[key] = start = size * len(starts)
                 rows = np.searchsorted(nb.nodes, nb.interior)
                 pou = partition_of_unity(g, modes.node, nb.interior)
-                block, cond = _energy_orthonormalize(
+                stacked[start:start + size], cond = _energy_orthonormalize(
                     pou[:, None] * modes.vectors[rows],
                     patch_energy(g, fs.kappa_cells, modes.node), modes.node)
-                block.flags.writeable = False
-                blocks[key] = block
                 worst_cond = max(worst_cond, cond)
-            supports.append(support)
-            vectors.append(blocks[key])
-            eigenvalues.append(modes.eigenvalues)
+            block_start.append(starts[key])
     logger.info("basis: %d distinct blocks of %d neighborhoods, largest energy "
-                "Gram condition number %.3g", len(blocks), len(nodes), worst_cond)
-    eigenvalues = np.array(eigenvalues)
+                "Gram condition number %.3g", len(starts), len(nodes), worst_cond)
+    stacked.flags.writeable = False
+    views = {start: stacked[start:start + size] for start in starts.values()}
     return OfflineBasis(grid=g, n_modes=eigenvalues.shape[1], nodes=nodes,
-                        eigenvalues=eigenvalues, supports=supports, vectors=vectors)
+                        eigenvalues=eigenvalues, supports=supports,
+                        vectors=[views[start] for start in block_start],
+                        stacked=stacked, block_start=np.array(block_start, dtype=np.int64))
 
 
 def _energy_orthonormalize(block: np.ndarray, energy, node: int):
@@ -778,39 +809,34 @@ class _BasisCells:
     9-point CSR pattern, whose data a sparse map makes from the r^2 element
     coefficients, unit weight or the permeability
     (:class:`~msplit.fineassembly.CellKernel`). An interior node's support is the interior
-    of its (2r+1)^2 node box, ascending, so each distinct read-only block of
-    ``basis.vectors`` is zero-padded once to that window (``windows``; the
-    last window is zero and stands for a corner on the domain boundary,
-    which has no basis), and V_c is four quadrants of windows. All take the
-    cells :data:`_BATCH` at a time, and each cell's arithmetic is its own,
-    so a cell gives the same bits alone as in any batch.
+    of its (2r+1)^2 node box, ascending, so V_c is gathered straight from
+    ``basis.stacked``, a quadrant of each corner node's box; the rows on
+    that box's edge and the corners on the domain boundary, which have no
+    basis, read its last row, which is zero. All take the cells
+    :data:`_BATCH` at a time, and each cell's arithmetic is its own, so a
+    cell gives the same bits alone as in any batch.
     """
 
     def __init__(self, fs: FineSystem, basis: OfflineBasis):
         g = fs.grid
         r, m = g.refine, basis.n_modes
         n_cells = g.nx_coarse * g.ny_coarse
-        distinct = {}
-        for vec in basis.vectors:
-            distinct.setdefault(id(vec), (len(distinct), vec))
-        self.windows = _mapped((len(distinct) + 1, 2 * r + 1, 2 * r + 1, m))
-        for k, vec in distinct.values():
-            self.windows[k, 1:2 * r, 1:2 * r] = vec.reshape(2 * r - 1, 2 * r - 1, m)
         cx, cy = np.arange(n_cells) % g.nx_coarse, np.arange(n_cells) // g.nx_coarse
         lower_left = cy * (g.nx_coarse + 1) + cx
         corners = lower_left[:, None] + np.array([0, 1, g.nx_coarse + 1, g.nx_coarse + 2])
         index = np.full(g.n_coarse_nodes, -1)
         index[basis.nodes] = np.arange(len(basis.nodes))
         self.node = index[corners]   # (cells, 4) basis node index, -1 for no basis
-        window = np.append([distinct[id(vec)][0] for vec in basis.vectors], len(distinct))
-        self._window_row = window[self.node] * (2 * r + 1) ** 2   # its first row, flattened
+        self._stacked = basis.stacked
+        self._start = np.where(self.node >= 0, basis.block_start[self.node], -1)
         y, x = np.divmod(np.arange((r + 1) ** 2), r + 1)
-        # window rows of the cell box's nodes (row-major) for each corner
-        self._quadrants = np.stack([(y + r * (1 - k // 2)) * (2 * r + 1) + x + r * (1 - k % 2)
-                                    for k in range(4)], axis=1)
+        # each corner node's support rows at the cell box's nodes (row-major), -1 outside it
+        wx, wy = x[:, None] + r * (1 - np.arange(4) % 2), y[:, None] + r * (1 - np.arange(4) // 2)
+        inside = (wx > 0) & (wx < 2 * r) & (wy > 0) & (wy < 2 * r)
+        self._quadrants = np.where(inside, (wy - 1) * (2 * r - 1) + wx - 1, -1)
         self._box = g.coarse_cell_boxes(np.arange(n_cells))
         self._owned = np.flatnonzero((x < r) & (y < r))
-        self._kernel = CellKernel(g)
+        self._kernel = cell_kernel(g)
         self._kappa = self._kernel.coefficients(fs.kappa_cells)
         self._mass_data = self._kernel.mass_map @ np.ones(r * r)
         self.grid = g
@@ -827,10 +853,9 @@ class _BasisCells:
 
     def gather(self, cells: np.ndarray, rows=slice(None)) -> np.ndarray:
         """V_c of coarse ``cells`` at their box rows ``rows``: (len(cells), rows, 4m)."""
-        m = self.n_modes
-        index = self._window_row[cells][:, None, :] + self._quadrants[rows]
-        return self.windows.reshape(-1, m)[index.reshape(len(cells), -1)].reshape(
-            len(cells), -1, 4 * m)
+        start, quadrant = self._start[cells][:, None, :], self._quadrants[rows]
+        index = np.where((start >= 0) & (quadrant >= 0), start + quadrant, len(self._stacked) - 1)
+        return self._stacked[index].reshape(len(cells), -1, 4 * self.n_modes)
 
     def columns(self, prol: Prolongation) -> np.ndarray:
         """(cells, 4m) coarse column of each column of V_c; ``prol.n_columns`` for no basis."""

@@ -181,6 +181,7 @@ def test_condensed_pencils_match_reference(make_fs):
     condensed = gmsfem._CondensedCells(fs, weight)
     for node in g.interior_coarse_ids:
         nb = neighborhood(g, int(node))
+        condensed.hold(g.coarse_node_grid(nb.node)[1])
         snaps = gmsfem.build_snapshots(fs, nb)
         want = gmsfem.spectral_matrices(fs, nb, snaps, weight)
         got = condensed.pencil(nb.cells)
@@ -202,25 +203,31 @@ def _unit_2x2_r16():
 def test_batched_condensation_matches_the_cell_solver(make_fs):
     # every kind's mapmat against the per-cell dense solve, and its condensed
     # forms against E^T K E and E^T W E, E = [I; mapmat], over the cell's
-    # own assembled matrices
+    # own assembled matrices; each kind as the node-row sweep holds it
     fs = make_fs()
     g = fs.grid
     weight = gmsfem.spectral_mass_weight(g, fs.kappa_cells)
     condensed = gmsfem._CondensedCells(fs, weight)
-    for k in range(len(condensed.mapmat)):
-        cell = int(np.flatnonzero(condensed.kind == k)[0])
-        solver = gmsfem._CellSolver(fs, cell)
-        want = solver.mapmat
-        assert (np.max(np.abs(condensed.mapmat[k] - want))
-                <= 1e-12 * np.max(np.abs(want))), cell
-        nodes, on_edge = gmsfem._cell_nodes(g, cell)
-        wmass, stiff = BoxSum(g, [cell], nodes).matrices(fs.kappa_cells, weight)
-        extend = np.zeros((len(nodes), int(on_edge.sum())))
-        extend[on_edge] = np.eye(extend.shape[1])
-        extend[~on_edge] = want
-        for got, mat in zip(condensed.blocks[:, k], (stiff, wmass)):
-            form = extend.T @ (mat @ extend)
-            assert np.max(np.abs(got - form)) <= 1e-12 * np.max(np.abs(form)), cell
+    checked = set()
+    for cy in range(1, g.ny_coarse):
+        condensed.hold(cy)
+        for k in set(np.flatnonzero(condensed.slot < len(condensed.mapmat))) - checked:
+            checked.add(k)
+            slot = condensed.slot[k]
+            cell = int(np.flatnonzero(condensed.kind == k)[0])
+            solver = gmsfem._CellSolver(fs, cell)
+            want = solver.mapmat
+            assert (np.max(np.abs(condensed.mapmat[slot] - want))
+                    <= 1e-12 * np.max(np.abs(want))), cell
+            nodes, on_edge = gmsfem._cell_nodes(g, cell)
+            wmass, stiff = BoxSum(g, [cell], nodes).matrices(fs.kappa_cells, weight)
+            extend = np.zeros((len(nodes), int(on_edge.sum())))
+            extend[on_edge] = np.eye(extend.shape[1])
+            extend[~on_edge] = want
+            for got, mat in zip(condensed.blocks[:, slot], (stiff, wmass)):
+                form = extend.T @ (mat @ extend)
+                assert np.max(np.abs(got - form)) <= 1e-12 * np.max(np.abs(form)), cell
+    assert checked == set(range(len(condensed.slot)))
 
 
 def test_condense_names_a_cell_that_is_not_positive_definite(small):
@@ -353,11 +360,39 @@ def _distinct_cells(fs):
                 for c in range(g.nx_coarse * g.ny_coarse)})
 
 
+def _wavy_6x5_r3():
+    # every one of the 30 coarse cells is distinct
+    return assemble(GridPair(6, 5, 3), Permeability(wavy_kappa))
+
+
+@pytest.mark.parametrize("make_fs, kinds", [(_wavy_6x5_r3, 30), (_channels_4x4_seed11, 8)],
+                         ids=["wavy-6x5-r3", "channels-4x4-r4"])
+def test_the_sweep_condenses_each_kind_once_holding_two_cell_rows(make_fs, kinds, monkeypatch):
+    fs = make_fs()
+    nx = fs.grid.nx_coarse
+    condensed, held = [], []
+
+    class CountingCells(gmsfem._CondensedCells):
+        def condense(self, cells):
+            condensed.extend(self.kind[cells])
+            return super().condense(cells)
+
+        def hold(self, cy):
+            super().hold(cy)
+            held.append(np.count_nonzero(self.slot < len(self.mapmat)))
+            assert len(self.mapmat) <= 2 * nx
+
+    monkeypatch.setattr(gmsfem, "_CondensedCells", CountingCells)
+    gmsfem.offline_modes(fs, 4)
+    assert sorted(condensed) == list(range(kinds))
+    assert len(held) == fs.grid.ny_coarse - 1 and max(held) <= 2 * nx
+
+
 def test_reused_offline_modes_equal_a_fresh_solve_bit_for_bit(monkeypatch):
     # each neighborhood again from its own four cells, each condensed alone
     # (a batch of one): the pencil, the eigensolve, the cut and the
-    # extension of the kept vectors; neither the batching nor the reuse may
-    # change a bit of it
+    # extension of the kept vectors; neither the batching, the schedule
+    # nor the reuse may change a bit of it
     fs = _channels_4x4_seed11()
     g = fs.grid
     weight = gmsfem.spectral_mass_weight(g, fs.kappa_cells)
@@ -365,26 +400,32 @@ def test_reused_offline_modes_equal_a_fresh_solve_bit_for_bit(monkeypatch):
 
     class CountingCells(gmsfem._CondensedCells):
         def condense(self, cells):
-            batches.append(list(cells))
+            batches.append(sorted(cells))
             return super().condense(cells)
 
     with monkeypatch.context() as patch:
         patch.setattr(gmsfem, "_CondensedCells", CountingCells)
         modes = gmsfem.offline_modes(fs, 5)
     assert _distinct_cells(fs) == 8
-    assert len(batches) == 1 and len(batches[0]) == len(set(batches[0])) == 8
+    # one batch per node row that reaches new kinds: cell rows 0 and 1
+    # before node row 1, cell row 2 before node row 2; row 3 brings none
+    assert batches == [[0, 1, 4, 5, 6], [8, 9, 11]]
     fresh = gmsfem._CondensedCells(fs, weight)
-    for k, cell in enumerate(batches[0]):
-        alone = fresh.condense(np.array([cell]))
-        assert np.array_equal(alone[0][0], fresh.mapmat[k])
-        assert np.array_equal(alone[1][0], fresh.blocks[0, k])
-        assert np.array_equal(alone[2][0], fresh.blocks[1, k])
+    for cy in range(1, g.ny_coarse):
+        fresh.hold(cy)
+        for k in np.flatnonzero(fresh.slot < len(fresh.mapmat)):
+            slot = fresh.slot[k]
+            alone = fresh.condense(np.array([np.flatnonzero(fresh.kind == k)[0]]))
+            assert np.array_equal(alone[0][0], fresh.mapmat[slot])
+            assert np.array_equal(alone[1][0], fresh.blocks[0, slot])
+            assert np.array_equal(alone[2][0], fresh.blocks[1, slot])
     with linalg.single_thread_blas():
         for m in modes:
             nb = neighborhood(g, m.node)
             alone = [fresh.condense(np.array([c])) for c in nb.cells]
             fresh.kind = np.full(len(fresh.kind), -1)
             fresh.kind[nb.cells] = np.arange(4)
+            fresh.slot = np.arange(4)
             fresh.mapmat = np.concatenate([a[0] for a in alone])
             fresh.blocks = np.array([np.concatenate([a[k] for a in alone]) for k in (1, 2)])
             eigenvalues, vectors, _ = fresh.modes(nb, 5)
@@ -397,8 +438,17 @@ def test_offline_modes_logs_distinct_counts(caplog):
     with caplog.at_level(logging.INFO, logger="msplit.gmsfem"):
         modes = gmsfem.offline_modes(fs, 3)
     distinct = len({id(m.vectors) for m in modes})
-    assert (f"offline: 8 distinct cells of 16, {distinct} distinct neighborhoods of 9"
-            in caplog.messages)
+    # the kinds in cell rows 0 and 1, 1 and 2, 2 and 3: the largest set is
+    # held, (r-1)^2 4r + 2 (4r)^2 doubles a kind at r = 4
+    g = fs.grid
+    kinds = [{fs.kappa_cells.ravel()[g.coarse_cell_fine_cells(c)].tobytes()
+              for c in range((cy - 1) * g.nx_coarse, (cy + 1) * g.nx_coarse)}
+             for cy in range(1, g.ny_coarse)]
+    held = max(len(k) for k in kinds)
+    assert held == 6
+    assert (f"offline: 8 distinct cells of 16 (at most {held} held, "
+            f"{held * 8 * (9 * 16 + 2 * 16 ** 2) / 2 ** 20:.1f} MB), "
+            f"{distinct} distinct neighborhoods of 9" in caplog.messages)
 
 
 def test_repeated_neighborhoods_share_the_reference_member_read_only():
@@ -434,7 +484,7 @@ def _summed_in_reverse(self, cells):
         for q in reversed(range(4)):
             d = np.zeros((self.select.shape[1], size))
             d[:, self.reach[q]] = self.select[q]
-            form += (d.T @ blocks[self.kind[cells[q]]]) @ d
+            form += (d.T @ blocks[self.slot[self.kind[cells[q]]]]) @ d
         forms.append(0.5 * (form + form.T))
     return tuple(forms)
 
@@ -454,6 +504,7 @@ def test_degenerate_mode_cut_ignores_summation_order_and_driver(patch, monkeypat
     name, func = patch
     if name == "_CondensedCells.pencil":
         condensed = gmsfem._CondensedCells(fs, gmsfem.spectral_mass_weight(g, fs.kappa_cells))
+        condensed.hold(1)
         cells = neighborhood(g, want.node).cells
         assert not all(np.array_equal(a, b) for a, b in
                        zip(condensed.pencil(cells), func(condensed, cells)))
@@ -468,6 +519,7 @@ def test_canonical_cut_ignores_a_rotation_of_the_degenerate_pair():
     g, fs = _unit_kappa(2, 2)
     nb = neighborhood(g, int(g.interior_coarse_ids[0]))
     condensed = gmsfem._CondensedCells(fs, gmsfem.spectral_mass_weight(g, fs.kappa_cells))
+    condensed.hold(1)
     astiff, smass = condensed.pencil(nb.cells)
     eig = linalg.eig_gsym(astiff, smass)
     assert gmsfem._relative_gaps(eig.values)[9] < gmsfem._CLUSTER_RTOL
@@ -485,6 +537,7 @@ def test_cut_outside_a_cluster_keeps_each_eigenvector_up_to_sign(small):
     g, fs = small
     nb = neighborhood(g, int(g.interior_coarse_ids[0]))
     condensed = gmsfem._CondensedCells(fs, gmsfem.spectral_mass_weight(g, fs.kappa_cells))
+    condensed.hold(1)
     astiff, smass = condensed.pencil(nb.cells)
     eig = linalg.eig_gsym(astiff, smass)
     assert np.all(gmsfem._relative_gaps(eig.values)[:4] >= gmsfem._CLUSTER_RTOL)
@@ -792,6 +845,30 @@ def test_cell_galerkin_matches_the_sparse_product(make_fs, blocks):
     assert np.array_equal(cells.products(order[::-1]), batch[:, ::-1])
     for cell in order:
         assert np.array_equal(cells.products(order[cell:cell + 1])[:, 0], batch[:, cell])
+
+
+def test_basis_cells_gather_from_the_one_copy_of_the_basis(monkeypatch):
+    # the distinct blocks are stored once: every node's block is a read-only
+    # view of the basis's stacked array, and the cell products gather from
+    # that array, with no zero-padded copy of the blocks
+    fs = _channels_5x5_seed11()
+    basis = gmsfem.build_offline(fs, 4)
+    assert not basis.stacked.flags.writeable and not np.any(basis.stacked[-1])
+    for vec in basis.vectors:
+        assert vec.base is basis.stacked and not vec.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        basis.vectors[3][0, 0] = 1.0
+
+    def refuse(shape):
+        raise AssertionError("a mapped array was made")
+
+    monkeypatch.setattr(gmsfem, "_mapped", refuse)
+    cells = gmsfem._BasisCells(fs, basis)
+    arrays = [value for value in vars(cells).values() if isinstance(value, np.ndarray)]
+    assert any(np.shares_memory(a, basis.stacked) for a in arrays)
+    r = fs.grid.refine
+    padded = (len({id(v) for v in basis.vectors}) + 1) * (2 * r + 1) ** 2 * 4 * 8
+    assert all(a.nbytes < padded for a in arrays if a is not basis.stacked)
 
 
 def _structural_pattern(basis, blocks):
