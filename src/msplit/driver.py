@@ -136,9 +136,9 @@ class ExperimentConfig:
             raise ConfigError("refinement factor must be at least 2")
         if self.modes < 1:
             raise ConfigError("modes must be at least 1")
-        if self.modes > 8 * self.refine:
-            raise ConfigError(f"modes = {self.modes} exceeds the snapshot count "
-                              f"{8 * self.refine} of interior neighborhoods")
+        if self.modes > 8 * (self.refine - 1):
+            raise ConfigError(f"modes = {self.modes} exceeds the snapshot count that survives "
+                              f"localization, 8 (refine - 1) = {8 * (self.refine - 1)}")
         if len(self.blocks) < 1 or any(b < 1 for b in self.blocks):
             raise ConfigError(f"block sizes must be positive, got {self.blocks}")
         if sum(self.blocks) != self.modes:

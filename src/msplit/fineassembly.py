@@ -242,11 +242,10 @@ class BoxSum:
         ``mass_weight_cells`` (unit by default), both cellwise constant.
         """
         g, kernel = self._grid, self._kernel
-        fine = np.array([g.coarse_cell_fine_cells(int(c)) for c in self._cells])
         weight = np.ones(g.n_fine_cells) if mass_weight_cells is None else mass_weight_cells
         out = []
         for scatter, values in ((kernel.mass_map, weight), (kernel.stiff_map, kappa_cells)):
-            coef = np.asarray(values, float).ravel()[fine]
+            coef = kernel.coefficients(values)[self._cells]
             boxes = kernel.block_diagonal((scatter @ coef.T).T)
             total = self._sum @ (boxes @ self._sum.T)
             out.append(((total + total.T) * 0.5).tocsr())

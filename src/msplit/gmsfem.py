@@ -1,42 +1,38 @@
 """Multiscale basis construction on coarse-node neighborhoods.
 
-For every interior coarse node the snapshot space collects discrete
-permeability-harmonic extensions of nodal boundary data on the neighborhood
+Every interior coarse node has one local spectral problem on its
+neighborhood, the 2 x 2 coarse cells around it (Efendiev, Galvis and Hou,
+J. Comput. Phys. 251, 2013). The snapshots are the discrete
+permeability-harmonic extensions of nodal data on the neighborhood
 boundary, solved coarse cell by coarse cell with edgewise-linear data on
-interior coarse edges. A generalized spectral problem between the
-permeability-weighted energy and a scaled mass form selects the dominant
-modes. Because the snapshots are harmonic cell by cell, the offline stage
-forms that pencil by static condensation: each coarse cell's stiffness and
-weighted mass are condensed onto its boundary once, and a neighborhood's
-pencil is the sum of its cells' condensed blocks in snapshot coordinates
-(Efendiev, Galvis and Hou, J. Comput. Phys. 251, 2013). That work is done
-once per distinct medium: cells with bit-equal permeability and weight
-values are condensed once, in batches that share one scatter map from
-element coefficients to the cell blocks and one banded factorization per
-cell, and neighborhoods made of the same kinds of cells are solved once.
-Node row by node row, a kind of cell is held only from the first row that
-reads it to the last; neither that nor the reuse changes a pencil's bits.
-The snapshot columns themselves (:func:`build_snapshots`,
-:func:`spectral_matrices`) are only the brute-force reference for it. Each
-pencil is solved for one eigenpair more than it keeps, and the kept
-eigenvectors are put into a fixed basis of each eigenvalue cluster, so
-that neither a degenerate pair at the cut nor a sign depends on rounding
-(the canonical cut). The modes are localized by the
-bilinear partition of unity, evaluated in fine offsets from the node, and
-energy-orthonormalized within the neighborhood by two passes of
-Cholesky-QR, whose energy Gram matrix is summed over the node's four cells;
-each distinct block is stored once, in one read-only stacked array. The
-resulting columns form the prolongation from coarse coefficients to
-interior fine nodes, with its columns grouped by mode block, the block
-order the split scheme reads (:class:`Prolongation`). It is never stored as
-a matrix, and no global fine matrix is assembled: every fine-scale quantity
-of a run is a sum over coarse cells of small dense products of the four
-corner nodes' blocks (:class:`_BasisCells`). So are the Galerkin
-projection, the loads, the moments of the initial field that start the
-coarse run, and the fine fields. Every cell matrix and load, here and in
-the brute-force reference, comes from the one Q1 cell kernel of
-:mod:`msplit.fineassembly`. The coarse mass and stiffness stay sparse,
-as exactly symmetric CSR matrices, from the projection to the end of a run.
+the interior coarse edges, and the pencil pairs their permeability-weighted
+energy with a scaled mass form. On the uniform grid every interior
+neighborhood is the first one shifted by whole coarse cells, so its cells,
+skeleton, cut probes, support and partition of unity are the first one's,
+shifted: the offline stage builds that one neighborhood and no other.
+
+:func:`offline_modes` forms each pencil by static condensation. Every
+distinct coarse cell (bit-equal permeability and weight) is condensed onto
+its boundary once, node row by node row, a neighborhood's pencil is the sum
+of its four cells' blocks in snapshot coordinates
+(:class:`_CondensedCells`), and neighborhoods made of the same kinds of
+cells are solved once. :func:`build_snapshots` and
+:func:`spectral_matrices` form the same pencil by brute force, as its
+reference. Each pencil keeps its lowest modes in a fixed basis of each
+eigenvalue cluster (the canonical cut), so neither a degenerate pair at the
+cut nor a sign depends on rounding. :func:`assemble_basis` localizes the
+modes by the bilinear partition of unity and energy-orthonormalizes them by
+two passes of Cholesky-QR; each distinct block is stored once
+(:class:`OfflineBasis`).
+
+The prolongation's columns are grouped by mode block, the order the split
+scheme reads (:class:`Prolongation`). It is never stored as a matrix, and
+no global fine matrix is assembled: the Galerkin projection, the loads, the
+moments of the initial field and the fine fields are sums over coarse cells
+of small dense products with the four corner nodes' blocks
+(:class:`_BasisCells`). Every cell matrix and load comes from the one Q1
+cell kernel of :mod:`msplit.fineassembly`. The coarse mass and stiffness
+are exactly symmetric CSR matrices.
 """
 
 from __future__ import annotations
@@ -93,20 +89,33 @@ class NeighborhoodModes:
 
 @dataclass
 class OfflineBasis:
-    """Localized basis columns of every interior coarse node, each distinct block stored once."""
+    """Localized basis columns of every interior coarse node, each distinct block stored once.
+
+    Node i's block, rows ``block_start[i]`` to ``block_start[i] + (2r-1)^2``
+    of the read-only ``stacked``, holds its ``n_modes`` columns at the fine
+    nodes strictly inside its neighborhood, ascending (:meth:`support`).
+    Nodes whose neighborhoods are made of the same kinds of cells share one
+    block. The last row of ``stacked`` is zero.
+    """
 
     grid: GridPair
     n_modes: int
     nodes: np.ndarray            # interior coarse node ids, ascending
     eigenvalues: np.ndarray      # (n_nodes, n_modes)
-    supports: list               # interior-dof index arrays, one per node
-    vectors: list                # (len(support), n_modes) views of ``stacked``
     stacked: np.ndarray          # the distinct blocks' rows, then a zero row; read-only
     block_start: np.ndarray      # row of ``stacked`` where each node's block starts
 
     @property
     def n_columns(self) -> int:
         return len(self.nodes) * self.n_modes
+
+    def support(self, i: int) -> np.ndarray:
+        """Interior dof indices of node i's block rows: the first node's, shifted by whole cells."""
+        g = self.grid
+        r = g.refine
+        cx, cy = g.coarse_node_grid(int(self.nodes[i]))
+        span = np.arange(2 * r - 1)
+        return (((cy - 1) * r + span[:, None]) * (g.nx_fine - 1) + (cx - 1) * r + span).ravel()
 
 
 @dataclass
@@ -408,39 +417,40 @@ def _canonical_cut(values: np.ndarray, vectors: np.ndarray, smass: np.ndarray,
     return kept
 
 
+def _template(g: GridPair) -> Neighborhood:
+    """The first interior neighborhood; every other one is it shifted by whole coarse cells."""
+    return neighborhood(g, int(g.interior_coarse_ids[0]))
+
+
 class _CondensedCells:
-    """Distinct coarse cells condensed onto their boundary, node row by row, and the skeleton.
+    """Distinct coarse cells condensed onto their boundary, node row by row, and the template.
 
     A cell's blocks depend only on the permeability and the spectral weight
     of its fine cells: the grid is uniform, and the weight depends only on
     the position inside the coarse cell. So the cells are grouped by the
     exact bytes of those two blocks, and each group's first cell stands for
-    it: ``kind[c]`` is cell c's group. Every cell shares one fine-cell
-    pattern, so the sparse maps of the cell kernel
-    (:class:`~msplit.fineassembly.CellKernel`, nodes boundary first) take a
-    cell's element coefficients (the permeability, then the spectral
-    weight) straight to its blocks: the interior stiffness K_ii in LAPACK
-    lower-band storage (half-bandwidth r), the dense K_bi and K_bb, and the
-    weighted mass W in a fixed CSR pattern (:meth:`condense`).
+    it: ``kind[c]`` is cell c's group. The cell kernel
+    (:class:`~msplit.fineassembly.CellKernel`, nodes boundary first) takes a
+    cell's element coefficients straight to its blocks (:meth:`condense`).
 
     The neighborhoods of node row cy read cell rows cy - 1 and cy only.
     :meth:`hold` keeps the kinds whose first cell row is at most cy and
     whose last is at least cy - 1, frees the others and condenses the
-    representatives not held yet, :data:`_BATCH` at a time; a sweep over
-    the node rows in ascending order so condenses each kind once. Kind k's
-    results are ``mapmat[slot[k]]`` and ``blocks[:, slot[k]]`` (stiffness,
-    weighted mass), in a mapped pool (:func:`_mapped`) sized up front to
-    the most kinds held at once: 32 of example1's 256, 5.5 MB, not 44 MB.
-    Each cell's arithmetic is its own, so a cell gives the same bits alone
-    as in any batch, and neither reuse nor schedule changes a pencil's bits.
+    representatives not held yet, :data:`_BATCH` at a time; the sweep over
+    the node rows so condenses each kind once. Kind k's results are
+    ``mapmat[slot[k]]`` and ``blocks[:, slot[k]]`` (stiffness, weighted
+    mass), in a mapped pool (:func:`_mapped`) sized to the most kinds held
+    at once: 32 of example1's 256, 5.5 MB. Each cell's arithmetic is its
+    own, so neither batch, reuse nor schedule changes a pencil's bits.
 
-    Every interior neighborhood is the same 2 x 2 cell patch shifted by
-    whole coarse cells, so its skeleton rows, the rows ``select[q]`` (D_q)
-    that give the boundary data of its q-th cell (ascending cell id), and
-    the probes of the canonical cut (:func:`_cut_probes`) are those of the
-    first interior neighborhood. A neighborhood's snapshot columns are the
-    skeleton rows on its coarse edges and mapmat[slot[kind[c_q]]] @ D_q
-    inside its q-th cell c_q.
+    Every interior neighborhood is the first one (:func:`_template`) shifted
+    by whole coarse cells. ``cells[i]`` are the four cells of the i-th
+    interior node, ascending: the template's plus the shift. The skeleton
+    rows, the rows ``select[q]`` (D_q) that give the boundary data of the
+    q-th cell, and the probes of the canonical cut (:func:`_cut_probes`) are
+    the template's. A neighborhood's snapshot columns are the skeleton rows
+    on its coarse edges and mapmat[slot[kind[c_q]]] @ D_q inside its q-th
+    cell c_q.
     """
 
     def __init__(self, fs: FineSystem, mass_weight_cells: np.ndarray):
@@ -466,7 +476,10 @@ class _CondensedCells:
         self.slot = np.full(len(self._first), size)
         self.mapmat = _mapped((size, n_i, n_b))
         self.blocks = _mapped((2, size, n_b, n_b))
-        template = neighborhood(g, int(g.interior_coarse_ids[0]))
+        template = _template(g)
+        shift = np.arange(g.ny_coarse - 1)[:, None] * g.nx_coarse + np.arange(g.nx_coarse - 1)
+        self.cells = template.cells + shift.reshape(-1, 1)
+        self._n_nodes = len(template.nodes)
         skel_ids, self.skel_rows = _skeleton_rows(g, template)
         self.skel_pos = np.searchsorted(template.nodes, skel_ids)
         self.select = np.empty((4, n_b, template.n_boundary))
@@ -581,29 +594,28 @@ class _CondensedCells:
             forms.append(0.5 * (form + form.T))
         return tuple(forms)
 
-    def modes(self, nb: Neighborhood, n_modes: int):
-        """The ``n_modes`` lowest eigenpairs of one interior neighborhood's pencil.
+    def modes(self, node: int, cells: np.ndarray, n_modes: int):
+        """The ``n_modes`` lowest eigenpairs of interior ``node``'s pencil; ``cells`` are its cells.
 
         The pencil is solved for ``n_modes + 1`` pairs, so that the relative
         gap at the cut is seen. A cut inside a cluster is solved again for
         the whole spectrum, which bounds the cluster. The kept eigenvectors
         are those of :func:`_canonical_cut`. Returns (eigenvalues, vectors,
-        gap): the first two read-only, only the kept eigenvectors extended
-        to the neighborhood's nodes, and the gap (infinite when every mode
-        is kept).
+        gap): the first two read-only, the kept eigenvectors extended to the
+        neighborhood's nodes, and the gap (infinite when every mode is kept).
         """
-        astiff, smass = self.pencil(nb.cells)
-        context = f"neighborhood {nb.node}"
+        astiff, smass = self.pencil(cells)
+        context = f"neighborhood {node}"
         eig = eig_gsym(astiff, smass, context=context, count=n_modes + 1)
         gap = float(_relative_gaps(eig.values)[n_modes - 1]) \
             if n_modes < len(eig.values) else np.inf
         if gap < _CLUSTER_RTOL and len(eig.values) < len(astiff):
             eig = eig_gsym(astiff, smass, context=context)
         kept = _canonical_cut(eig.values, eig.vectors, smass, n_modes, self.probes, context)
-        vectors = np.empty((len(nb.nodes), n_modes))
+        vectors = np.empty((self._n_nodes, n_modes))
         vectors[self.skel_pos] = self.skel_rows @ kept
         data = self.select @ kept[self.reach]
-        vectors[self.inner_pos] = self.mapmat[self.slot[self.kind[nb.cells]]] @ data
+        vectors[self.inner_pos] = self.mapmat[self.slot[self.kind[cells]]] @ data
         eigenvalues = eig.values[:n_modes]
         eigenvalues.flags.writeable = vectors.flags.writeable = False
         return eigenvalues, vectors, gap
@@ -612,62 +624,61 @@ class _CondensedCells:
 def offline_modes(fs: FineSystem, n_modes: int) -> list:
     """Spectral modes for every interior coarse node, ascending node order.
 
-    The spectral pencil is assembled by static condensation: each distinct
-    coarse cell is condensed onto its 4r boundary nodes once, and every
-    neighborhood's pencil is the sum of its four cells' condensed blocks
-    mapped to snapshot coordinates. The node rows are swept in ascending
-    order; before each one, the kinds of cells it reads that are not held
-    yet are condensed in batches, and the kinds it does not read are freed
+    Each node's four cells are a row of ``_CondensedCells.cells``, the
+    template's shifted; no neighborhood but the template is built. The node
+    rows are swept in ascending order; before each one, the kinds of cells
+    it reads that are not held yet are condensed, and the others freed
     (:class:`_CondensedCells`). Neighborhoods whose four cells are of the
-    same kinds, in the same order, have bit-equal pencils, so each such pencil is solved,
-    and its kept modes extended into the cells, once: the neighborhoods
-    that share it get their own :class:`NeighborhoodModes` with the same
-    read-only ``eigenvalues`` and ``vectors`` arrays. Where every cell is
-    distinct (example1), every neighborhood is solved.
-    :func:`build_snapshots` and :func:`spectral_matrices` form the same
-    pencil by brute force and serve as its reference.
+    same kinds, in the same order, have bit-equal pencils, so each such
+    pencil is solved, and its kept modes extended into the cells, once: the
+    neighborhoods that share it get their own :class:`NeighborhoodModes`
+    with the same read-only ``eigenvalues`` and ``vectors`` arrays, whose
+    rows follow the template's nodes.
 
     Each pencil is solved for ``n_modes + 1`` eigenpairs, and the kept
     eigenvectors are put into a fixed basis of each eigenvalue cluster
-    (relative gap below :data:`_CLUSTER_RTOL`; :func:`_canonical_cut`).
-    Where the cut falls inside a cluster, its kept members are so a fixed
-    choice too, and the coarse space depends neither on the eigensolver nor
-    on the order of the pencil's sums. Two INFO lines on
-    the ``msplit.gmsfem`` logger give the counts of distinct cells and
-    neighborhoods, the most kinds held at once and their bytes, the
-    smallest relative gap at the cut over the solved pencils and how many
-    of them were cut inside a cluster.
+    (relative gap below :data:`_CLUSTER_RTOL`; :func:`_canonical_cut`), so
+    the coarse space depends neither on the eigensolver nor on the order of
+    the pencil's sums. Two INFO lines on the ``msplit.gmsfem`` logger give
+    the counts of distinct cells and neighborhoods, the most kinds held at
+    once and their bytes, the smallest relative gap at the cut and how many
+    pencils were cut inside a cluster.
 
-    The neighborhoods are solved one after another with every loaded
-    OpenBLAS pinned to one thread; each library's previous thread count is
-    restored on return and on error. The pencils are small (128 x 128 on
-    example1), and there the 225 neighborhood solves took about half as long
-    on one BLAS thread as on two. Where no OpenBLAS thread control is found,
-    the loop runs unpinned.
+    At most 8 (r - 1) of the 8r snapshot directions survive localization:
+    in each cell, the 2r - 1 data on its two outer edges, less their far
+    ends, reach inside only through the 2r - 3 interior nodes beside those
+    edges, so two combinations per cell vanish at every node strictly
+    inside the neighborhood, where a localized mode lives. A larger
+    ``n_modes`` is a ValueError.
+
+    The solves run with every loaded OpenBLAS pinned to one thread (about
+    twice as fast as two on example1's 128 x 128 pencils), or unpinned where
+    no thread control is found; the previous thread counts are restored on
+    return and on error.
     """
     g = fs.grid
     nodes = g.interior_coarse_ids
     if len(nodes) == 0:
         raise ValueError("grid has no interior coarse nodes")
-    n_snapshots = 8 * g.refine   # boundary nodes of an interior neighborhood
-    if n_modes > n_snapshots:
-        raise ValueError(
-            f"requested {n_modes} modes but neighborhood {nodes[0]} has only "
-            f"{n_snapshots} snapshots")
+    most = 8 * (g.refine - 1)
+    if n_modes > most:
+        raise ValueError(f"requested {n_modes} modes, but the snapshots of an interior "
+                         f"neighborhood localize to at most 8 (r - 1) = {most}")
     weight = spectral_mass_weight(g, fs.kappa_cells)
     solved = {}
     modes = []
     with single_thread_blas():
         condensed = _CondensedCells(fs, weight)
-        for cy, row in enumerate(nodes.reshape(g.ny_coarse - 1, -1), start=1):
+        rows = zip(nodes.reshape(g.ny_coarse - 1, -1),
+                   condensed.cells.reshape(g.ny_coarse - 1, -1, 4))
+        for cy, (row_nodes, row_cells) in enumerate(rows, start=1):
             condensed.hold(cy)
-            for node in row:
-                nb = neighborhood(g, int(node))
-                key = tuple(condensed.kind[nb.cells])
+            for node, cells in zip(row_nodes, row_cells):
+                key = tuple(condensed.kind[cells])
                 if key not in solved:
-                    solved[key] = condensed.modes(nb, n_modes)
+                    solved[key] = condensed.modes(int(node), cells, n_modes)
                 eigenvalues, vectors, _ = solved[key]
-                modes.append(NeighborhoodModes(node=nb.node, eigenvalues=eigenvalues,
+                modes.append(NeighborhoodModes(node=int(node), eigenvalues=eigenvalues,
                                                vectors=vectors))
     gaps = [gap for _, _, gap in solved.values()]
     pool = condensed.mapmat.nbytes + condensed.blocks.nbytes
@@ -684,58 +695,50 @@ def assemble_basis(fs: FineSystem, modes_list: list) -> OfflineBasis:
     """Localize spectral modes by the partition of unity and orthonormalize.
 
     Every mode of ``modes_list`` (as :func:`offline_modes` returns it) is
-    kept. A node's basis lives on the interior of its neighborhood, where
-    its hat does not vanish; there it is the node's modes times the hat,
-    orthonormalized in the energy inner product of the fine stiffness by
-    two passes of Cholesky-QR (:func:`_energy_orthonormalize`), with every
-    OpenBLAS pinned to one thread as in :func:`offline_modes`. The energy
-    Gram matrix X^T K X is summed over the fine cells of the node's
-    neighborhood (:func:`~msplit.fineassembly.patch_energy`); the hat vanishes on the
-    neighborhood boundary, so that is exact, and no global matrix is read.
+    kept. A node's block is its modes times its hat at the fine nodes
+    strictly inside its neighborhood, orthonormalized in the energy inner
+    product of the fine stiffness by two passes of Cholesky-QR
+    (:func:`_energy_orthonormalize`), with every OpenBLAS pinned to one
+    thread. The energy Gram matrix X^T K X is summed over the fine cells of
+    the node's four coarse cells (:func:`~msplit.fineassembly.patch_energy`);
+    the hat vanishes on the neighborhood boundary, so that is exact.
 
-    The block depends only on the node's mode vectors, its hat and the
-    permeability of its four cells. The hat is evaluated in fine offsets
-    from the node, so it is the same array for every interior node, and the
-    energy form reads the permeability of the four cells only, which is
-    bit-equal between neighborhoods whose cells are of the same kinds.
-    :func:`offline_modes` hands one ``vectors`` array to
-    exactly such neighborhoods, so a shared ``vectors`` array means one
-    medium: each block is computed once per ``vectors`` array, into the
-    basis's read-only ``stacked`` array. On example2-synthetic (kappa_seed
-    7) that is 96 blocks for 225 neighborhoods. One INFO line on the
+    The rows and the hat are the template's (:func:`_template`): the hat is
+    evaluated in fine offsets from the node, so it is one array for every
+    interior node. The energy form reads only the permeability of the four
+    cells, bit-equal between neighborhoods whose cells are of the same
+    kinds, and :func:`offline_modes` hands one ``vectors`` array to exactly
+    such neighborhoods. So each block is computed once per ``vectors``
+    array, into the basis's read-only ``stacked`` array: 96 blocks for 225
+    neighborhoods on example2-synthetic (kappa_seed 7). One INFO line on the
     ``msplit.gmsfem`` logger gives the count of distinct blocks and the
     largest condition number of a first-pass energy Gram matrix.
     """
     g = fs.grid
+    template = _template(g)
+    rows = np.searchsorted(template.nodes, template.interior)
+    hat = partition_of_unity(g, template.node, template.interior)[:, None]
     nodes = np.array([m.node for m in modes_list], dtype=np.int64)
     eigenvalues = np.array([m.eigenvalues for m in modes_list])
-    size = (2 * g.refine - 1) ** 2
+    size = len(rows)
     stacked = np.zeros((size * len({id(m.vectors) for m in modes_list}) + 1, eigenvalues.shape[1]))
     starts = {}   # id of a shared vectors array -> the first row of its block
     worst_cond = 0.0
-    supports, block_start = [], []
     with single_thread_blas():
         for modes in modes_list:
-            nb = neighborhood(g, modes.node)
-            supports.append(g.fine_interior_index[nb.interior])
             key = id(modes.vectors)
             if key not in starts:
                 starts[key] = start = size * len(starts)
-                rows = np.searchsorted(nb.nodes, nb.interior)
-                pou = partition_of_unity(g, modes.node, nb.interior)
                 stacked[start:start + size], cond = _energy_orthonormalize(
-                    pou[:, None] * modes.vectors[rows],
+                    hat * modes.vectors[rows],
                     patch_energy(g, fs.kappa_cells, modes.node), modes.node)
                 worst_cond = max(worst_cond, cond)
-            block_start.append(starts[key])
     logger.info("basis: %d distinct blocks of %d neighborhoods, largest energy "
                 "Gram condition number %.3g", len(starts), len(nodes), worst_cond)
     stacked.flags.writeable = False
-    views = {start: stacked[start:start + size] for start in starts.values()}
+    block_start = np.array([starts[id(m.vectors)] for m in modes_list], dtype=np.int64)
     return OfflineBasis(grid=g, n_modes=eigenvalues.shape[1], nodes=nodes,
-                        eigenvalues=eigenvalues, supports=supports,
-                        vectors=[views[start] for start in block_start],
-                        stacked=stacked, block_start=np.array(block_start, dtype=np.int64))
+                        eigenvalues=eigenvalues, stacked=stacked, block_start=block_start)
 
 
 def _energy_orthonormalize(block: np.ndarray, energy, node: int):
@@ -795,29 +798,28 @@ def assemble_prolongation(basis: OfflineBasis, blocks) -> Prolongation:
 
 
 class _BasisCells:
-    """The basis coarse cell by coarse cell, and the cells' fine matrices.
+    """The basis coarse cell by coarse cell in one column order, and the cells' fine matrices.
 
     A basis column of node i vanishes outside the four coarse cells around
     i, so every fine-scale quantity of a run is a sum over coarse cells of
     small dense products with V_c: the Galerkin blocks V_c^T A_c V_c
-    (:meth:`products`), loads and moments V_c^T w_c (:meth:`static_load`,
-    :meth:`moments`), and the field V_c z_c
-    (:meth:`field`). V_c holds the
-    columns of the cell's corner nodes (lower left, lower right, upper left,
-    upper right; m modes each) at the (r+1)^2 nodes of its closed box,
-    row-major, and A_c is the cell's Q1 mass or stiffness over that box: one
-    9-point CSR pattern, whose data a sparse map makes from the r^2 element
-    coefficients, unit weight or the permeability
-    (:class:`~msplit.fineassembly.CellKernel`). An interior node's support is the interior
-    of its (2r+1)^2 node box, ascending, so V_c is gathered straight from
-    ``basis.stacked``, a quadrant of each corner node's box; the rows on
-    that box's edge and the corners on the domain boundary, which have no
-    basis, read its last row, which is zero. All take the cells
-    :data:`_BATCH` at a time, and each cell's arithmetic is its own, so a
-    cell gives the same bits alone as in any batch.
+    (:meth:`products`, :meth:`assemble`), loads and moments V_c^T w_c
+    (:meth:`static_load`, :meth:`moments`), and the field V_c z_c
+    (:meth:`field`). V_c holds the columns of the cell's corner nodes (lower
+    left, lower right, upper left, upper right; m modes each) at the
+    (r+1)^2 nodes of its closed box, row-major, and A_c is the cell's Q1
+    mass or stiffness over that box, from the cell kernel
+    (:class:`~msplit.fineassembly.CellKernel`). A node's block holds the
+    interior of its (2r+1)^2 node box, ascending, so V_c is gathered
+    straight from ``basis.stacked``, a quadrant of each corner node's box;
+    the rows on that box's edge and the corners on the domain boundary,
+    which have no basis, read its last row, which is zero. ``columns[c]``
+    are the coarse columns of V_c's columns in ``prol``'s order, made once.
+    All take the cells :data:`_BATCH` at a time, and each cell's arithmetic
+    is its own, so a cell gives the same bits alone as in any batch.
     """
 
-    def __init__(self, fs: FineSystem, basis: OfflineBasis):
+    def __init__(self, fs: FineSystem, basis: OfflineBasis, prol: Prolongation):
         g = fs.grid
         r, m = g.refine, basis.n_modes
         n_cells = g.nx_coarse * g.ny_coarse
@@ -841,6 +843,9 @@ class _BasisCells:
         self._mass_data = self._kernel.mass_map @ np.ones(r * r)
         self.grid = g
         self.n_modes, self.n_nodes = m, len(basis.nodes)
+        self._prol = prol
+        dofs = np.append(prol.dofs(), np.full((1, m), prol.n_columns), axis=0)
+        self.columns = dofs[self.node].reshape(n_cells, -1)   # prol.n_columns for no basis
 
     def _mass(self, count: int) -> sp.csr_matrix:
         """Block-diagonal mass of ``count`` cells; every cell has the same."""
@@ -856,11 +861,6 @@ class _BasisCells:
         start, quadrant = self._start[cells][:, None, :], self._quadrants[rows]
         index = np.where((start >= 0) & (quadrant >= 0), start + quadrant, len(self._stacked) - 1)
         return self._stacked[index].reshape(len(cells), -1, 4 * self.n_modes)
-
-    def columns(self, prol: Prolongation) -> np.ndarray:
-        """(cells, 4m) coarse column of each column of V_c; ``prol.n_columns`` for no basis."""
-        dofs = np.append(prol.dofs(), np.full((1, self.n_modes), prol.n_columns), axis=0)
-        return dofs[self.node].reshape(len(self.node), -1)
 
     def products(self, cells: np.ndarray) -> np.ndarray:
         """(V_c^T M_c V_c, V_c^T K_c V_c) of coarse ``cells``: (2, len(cells), 4m, 4m).
@@ -879,7 +879,7 @@ class _BasisCells:
             grams.append(0.5 * (gram + gram.transpose(0, 2, 1)))
         return np.stack(grams)
 
-    def assemble(self, prol: Prolongation) -> tuple:
+    def assemble(self) -> tuple:
         """The coarse mass and stiffness, in the prolongation's column order.
 
         Both are CSR in one pattern with sorted indices: every mode pair of
@@ -907,10 +907,10 @@ class _BasisCells:
         corner = np.maximum(node, 0)   # stands in where no node is; such slots are dropped
         rank = pair.reshape(n_cells, 4, 4) - starts[corner][:, :, None]
 
-        sizes = np.array(prol.block_sizes)
+        sizes = np.array(self._prol.block_sizes)
         first = np.repeat(np.cumsum(sizes) - sizes, sizes)   # first mode of each mode's block
         size = np.repeat(sizes, sizes)
-        dof = prol.dofs()
+        dof = self._prol.dofs()
         indptr = np.zeros(n_nodes * m + 1, dtype=np.int64)
         indptr[1:][dof] = (degree * m)[:, None]
         np.cumsum(indptr, out=indptr)
@@ -931,20 +931,19 @@ class _BasisCells:
                           shape=(n_nodes * m, n_nodes * m))
             for gram in grams)
 
-    def _pairings(self, prol: Prolongation, weights) -> np.ndarray:
+    def _pairings(self, weights) -> np.ndarray:
         """sum_c V_c^T w_c, ``weights(cells)`` giving the rows w_c of a batch of cells.
 
         Each column sums its cells in cell order.
         """
-        columns = self.columns(prol)
-        out = np.zeros(prol.n_columns + 1)
+        out = np.zeros(self._prol.n_columns + 1)
         for cells in self.batches():
             pairs = self.gather(cells).transpose(0, 2, 1) @ weights(cells)[:, :, None]
-            out += np.bincount(columns[cells].ravel(), weights=pairs.ravel(),
+            out += np.bincount(self.columns[cells].ravel(), weights=pairs.ravel(),
                                minlength=len(out))
         return out[:-1]
 
-    def moments(self, prol: Prolongation, values: np.ndarray) -> np.ndarray:
+    def moments(self, values: np.ndarray) -> np.ndarray:
         """P^T (M u) of the field ``values`` on all fine nodes: sum_c V_c^T (M_c u_c).
 
         ``values`` must vanish on the domain boundary, where the interior
@@ -954,24 +953,23 @@ class _BasisCells:
             return (self._mass(len(cells)) @ values[self._box[cells]].ravel()).reshape(
                 len(cells), -1)
 
-        return self._pairings(prol, weights)
+        return self._pairings(weights)
 
-    def static_load(self, prol: Prolongation, space) -> np.ndarray:
+    def static_load(self, space) -> np.ndarray:
         """P^T q of the spatial profile g(x, y): sum_c V_c^T q_c."""
-        return self._pairings(prol, lambda cells: box_loads(self.grid, space, cells))
+        return self._pairings(lambda cells: box_loads(self.grid, space, cells))
 
-    def field(self, prol: Prolongation, z: np.ndarray) -> np.ndarray:
+    def field(self, z: np.ndarray) -> np.ndarray:
         """P z on the interior fine nodes: V_c z_c at the nodes cell c owns.
 
         A cell owns its box's nodes below and left of its top and right
         edges, so every interior node is written once.
         """
         g = self.grid
-        columns = self.columns(prol)
         padded = np.append(z, 0.0)
         full = np.zeros(g.n_fine_nodes)
         for cells in self.batches():
-            values = self.gather(cells, self._owned) @ padded[columns[cells]][:, :, None]
+            values = self.gather(cells, self._owned) @ padded[self.columns[cells]][:, :, None]
             full[self._box[cells][:, self._owned]] = values[:, :, 0]
         return full[g.interior_fine_ids]
 
@@ -990,7 +988,7 @@ def reconstruct_fine(fs: FineSystem, basis: OfflineBasis, prol: Prolongation,
     z = np.asarray(z, dtype=float)
     if z.shape != (prol.n_columns,):
         raise ValueError(f"expected {prol.n_columns} coefficients, got {z.shape}")
-    return _BasisCells(fs, basis).field(prol, z)
+    return _BasisCells(fs, basis, prol).field(z)
 
 
 def project_coarse(fs: FineSystem, basis: OfflineBasis, prol: Prolongation) -> CoarseSystem:
@@ -1019,13 +1017,13 @@ def project_coarse(fs: FineSystem, basis: OfflineBasis, prol: Prolongation) -> C
     level, for a static source.
     """
     _check_prolongation(basis, prol)
-    cells = _BasisCells(fs, basis)
+    cells = _BasisCells(fs, basis, prol)
     with single_thread_blas():
-        mass, stiff = cells.assemble(prol)
+        mass, stiff = cells.assemble()
 
     source = fs.source
     load = (np.zeros(prol.n_columns) if source is None
-            else cells.static_load(prol, source.space))
+            else cells.static_load(source.space))
     load.flags.writeable = False
 
     def rhs(times: np.ndarray) -> np.ndarray:
@@ -1046,7 +1044,7 @@ def project_coarse(fs: FineSystem, basis: OfflineBasis, prol: Prolongation) -> C
     if np.any(u0):
         values = np.zeros(fs.grid.n_fine_nodes)
         values[fs.grid.interior_fine_ids] = u0
-        cs.z0 = cells.moments(prol, values)
+        cs.z0 = cells.moments(values)
     return cs
 
 
@@ -1088,8 +1086,7 @@ def dump_basis(basis: OfflineBasis, path) -> None:
         for i, node in enumerate(basis.nodes):
             fh.write(f"node {node}\n")
             fh.write(" ".join(format(v, ".17g") for v in basis.eigenvalues[i]) + "\n")
-            sup = basis.supports[i]
+            sup = basis.support(i)
             fh.write(f"support {len(sup)}\n")
-            for k in range(len(sup)):
-                row = " ".join(format(v, ".17g") for v in basis.vectors[i][k])
-                fh.write(f"{sup[k]} {row}\n")
+            for index, row in zip(sup, basis.stacked[basis.block_start[i]:]):
+                fh.write(f"{index} " + " ".join(format(v, ".17g") for v in row) + "\n")

@@ -116,13 +116,6 @@ class GridPair:
     def interior_fine_ids(self) -> np.ndarray:
         return np.flatnonzero(~self.dirichlet_mask)
 
-    @cached_property
-    def fine_interior_index(self) -> np.ndarray:
-        """Map fine node id -> interior dof position, -1 on the boundary."""
-        idx = np.full(self.n_fine_nodes, -1, dtype=np.int64)
-        idx[self.interior_fine_ids] = np.arange(len(self.interior_fine_ids))
-        return idx
-
     @property
     def n_interior_fine(self) -> int:
         return len(self.interior_fine_ids)
@@ -132,15 +125,6 @@ class GridPair:
 
     def coarse_cell_grid(self, cell: int) -> tuple[int, int]:
         return cell % self.nx_coarse, cell // self.nx_coarse
-
-    def coarse_cell_fine_cells(self, cell: int) -> np.ndarray:
-        """Flat fine-cell ids inside one coarse cell."""
-        cx, cy = self.coarse_cell_grid(cell)
-        r = self.refine
-        fx = np.arange(cx * r, (cx + 1) * r)
-        fy = np.arange(cy * r, (cy + 1) * r)
-        gx, gy = np.meshgrid(fx, fy)
-        return (gy * self.nx_fine + gx).ravel()
 
     def coarse_cell_boxes(self, cells) -> np.ndarray:
         """Fine node ids of the closed boxes of coarse ``cells``, row-major: (cells, (r+1)^2)."""

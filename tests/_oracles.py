@@ -5,8 +5,10 @@ arithmetic (Gauss quadrature element loops, symbolic characteristic
 polynomials, explicit dense time steppers) so that package results can be
 checked against a second route. Nothing imports package internals; the
 oracles read the fields of package records (the grid geometry containers,
-and for the error recursion the split's mass and stiffness parts, the split
-run's config and the two trajectories).
+the basis's stacked blocks, and for the error recursion the split's mass
+and stiffness parts, the split run's config and the two trajectories). A
+basis node's support comes from its own ``grid.neighborhood``, not from the
+basis, so it checks the basis's shifted template.
 """
 
 from dataclasses import dataclass
@@ -16,6 +18,8 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 import sympy
+
+from msplit.grid import neighborhood
 
 # 3-point Gauss rule on [0, 1]; exact through degree 5, enough for products
 # of bilinear shape functions and their gradients on one cell
@@ -103,18 +107,41 @@ def space_time(source):
     return f
 
 
+def coarse_cell_fine_cells(g, cell):
+    """Flat fine-cell ids inside one coarse cell, row-major."""
+    cx, cy = cell % g.nx_coarse, cell // g.nx_coarse
+    r = g.refine
+    gx, gy = np.meshgrid(np.arange(cx * r, (cx + 1) * r), np.arange(cy * r, (cy + 1) * r))
+    return (gy * g.nx_fine + gx).ravel()
+
+
+def basis_blocks(basis):
+    """(support, block) of every basis node, in node order.
+
+    The support is the interior dof index of each fine node strictly inside
+    the node's neighborhood, ascending, from ``grid.neighborhood``; the block
+    is the node's rows of the basis's stacked array, one row per support dof.
+    """
+    g = basis.grid
+    out = []
+    for node, start in zip(basis.nodes, basis.block_start):
+        support = np.searchsorted(g.interior_fine_ids, neighborhood(g, int(node)).interior)
+        out.append((support, basis.stacked[start:start + len(support)]))
+    return out
+
+
 def prolongation_matrix(basis, block_sizes):
     """The prolongation of ``basis`` as one sparse matrix, from coordinate triplets.
 
     Block q takes modes m_q .. m_q + b_q of every node, node-major: column
     n_nodes * m_q + i * b_q + (k - m_q) is mode k of the i-th node, stored
-    on its support. Rows are the interior fine nodes.
+    on its support (:func:`basis_blocks`). Rows are the interior fine nodes.
     """
     n_nodes = len(basis.nodes)
     rows, cols, vals = [], [], []
     first = 0
     for b in block_sizes:
-        for i, (sup, vec) in enumerate(zip(basis.supports, basis.vectors)):
+        for i, (sup, vec) in enumerate(basis_blocks(basis)):
             for k in range(first, first + b):
                 rows.append(sup)
                 cols.append(np.full(len(sup), n_nodes * first + i * b + k - first))

@@ -6,6 +6,8 @@ import pytest
 
 from msplit import driver, gmsfem, linalg
 
+from _oracles import basis_blocks
+
 
 @pytest.fixture(scope="session")
 def ex1_config():
@@ -59,14 +61,15 @@ def rng_for(name: str) -> np.random.Generator:
 
 def assert_basis_dump(path, basis) -> None:
     """The basis dump at ``path`` holds ``basis``: every value it writes
-    reads back with ``float`` to exactly the stored one."""
+    reads back with ``float`` to exactly the stored one, each node's
+    support as its own neighborhood gives it (:func:`_oracles.basis_blocks`)."""
     g = basis.grid
     lines = iter(pathlib.Path(path).read_text().splitlines())
     assert next(lines) == "msplit-basis 2"
     assert next(lines) == (f"{g.nx_coarse} {g.ny_coarse} {g.refine} "
                            f"{basis.n_modes} {len(basis.nodes)}")
-    for node, eigenvalues, support, vectors in zip(
-            basis.nodes, basis.eigenvalues, basis.supports, basis.vectors):
+    for node, eigenvalues, (support, vectors) in zip(
+            basis.nodes, basis.eigenvalues, basis_blocks(basis)):
         assert next(lines) == f"node {node}"
         assert [float(v) for v in next(lines).split()] == list(eigenvalues)
         assert next(lines) == f"support {len(support)}"

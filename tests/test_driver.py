@@ -17,7 +17,8 @@ from msplit.driver import ConfigError, ExperimentConfig
 from msplit.grid import GridPair
 from msplit.linalg import NumericalError
 
-from _oracles import dense_backward_euler, prolongation_matrix, scatter_load, space_time
+from _oracles import (basis_blocks, dense_backward_euler, prolongation_matrix, scatter_load,
+                      space_time)
 from conftest import assert_basis_dump
 
 
@@ -229,8 +230,8 @@ def test_reconstruct_fine_matches_parts(tiny_pipe):
     mode = 0
     for b in pipe.prol.block_sizes:
         coeffs = z[n_nb * mode:n_nb * (mode + b)].reshape(n_nb, b)
-        for i, sup in enumerate(pipe.basis.supports):
-            want[sup] += pipe.basis.vectors[i][:, mode:mode + b] @ coeffs[i]
+        for i, (sup, block) in enumerate(basis_blocks(pipe.basis)):
+            want[sup] += block[:, mode:mode + b] @ coeffs[i]
         mode += b
     got = gmsfem.reconstruct_fine(pipe.fs, pipe.basis, pipe.prol, z)
     assert np.allclose(got, want, atol=1e-14)
@@ -517,6 +518,19 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         assert cli.main(["run", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "finite" in err
+
+
+@pytest.mark.parametrize("refine, modes", [(2, 9), (3, 17)])
+def test_cli_more_modes_than_a_neighborhood_localizes_is_a_config_error(
+        tmp_path, capsys, refine, modes):
+    # 8 (r - 1) modes pass the offline stage (r = 2, 3, 4 on a 4 x 4
+    # channels grid); one more degenerates its energy orthonormalization
+    path = tmp_path / "modes.cfg"
+    path.write_text(f"nx_coarse = 4\nny_coarse = 4\nrefine = {refine}\nkappa = channels\n"
+                    f"modes = {modes}\nblocks = 1+{modes - 1}\n")
+    assert cli.main(["offline", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"8 (refine - 1) = {modes - 1}" in err
 
 
 def test_cli_permeability_out_of_range_is_a_config_error(tmp_path, capsys):

@@ -7,7 +7,7 @@ from msplit.fineassembly import (BoxSum, Permeability, Source, assemble,
                                  read_grid_file, write_field, write_grid_file)
 from msplit.grid import GridPair, neighborhood
 
-from _oracles import dense_q1_matrices, scatter_load, space_time
+from _oracles import coarse_cell_fine_cells, dense_q1_matrices, scatter_load, space_time
 from conftest import rng_for
 
 
@@ -97,7 +97,7 @@ def _outside_zeroed(g, field, coarse_cells):
     """A fine-cell field, zero outside the fine cells of ``coarse_cells``."""
     inside = np.zeros(g.n_fine_cells, dtype=bool)
     for cell in coarse_cells:
-        inside[g.coarse_cell_fine_cells(int(cell))] = True
+        inside[coarse_cell_fine_cells(g, int(cell))] = True
     return np.where(inside, np.asarray(field).ravel(), 0.0)
 
 

@@ -1,6 +1,7 @@
 """Offline multiscale construction: snapshots, spectral modes, prolongation."""
 
 import dataclasses
+import inspect
 import logging
 import pathlib
 import re
@@ -14,8 +15,9 @@ from msplit.fineassembly import BoxSum, Permeability, Source, assemble, assemble
 from msplit.grid import GridPair, neighborhood, partition_of_unity
 from msplit.linalg import NumericalError
 
-from _oracles import (dense_q1_matrices, energy_gram_schmidt, oracle_snapshots,
-                      prolongation_matrix, scatter_load, space_time, sparse_galerkin)
+from _oracles import (basis_blocks, coarse_cell_fine_cells, dense_q1_matrices,
+                      energy_gram_schmidt, oracle_snapshots, prolongation_matrix,
+                      scatter_load, space_time, sparse_galerkin)
 from conftest import assert_basis_dump, rng_for
 
 
@@ -122,7 +124,7 @@ def test_spectral_matrices_restrict_to_neighborhood(small):
     astiff, smass = gmsfem.spectral_matrices(fs, nb, snaps)
     inside = np.zeros(g.n_fine_cells, dtype=bool)
     for cell in nb.cells:
-        inside[g.coarse_cell_fine_cells(int(cell))] = True
+        inside[coarse_cell_fine_cells(g, int(cell))] = True
     kappa = np.where(inside, fs.kappa_cells.ravel(), 0.0)
     weight = np.where(inside,
                       gmsfem.spectral_mass_weight(g, fs.kappa_cells).ravel(), 0.0)
@@ -157,6 +159,19 @@ def test_offline_modes_rejects_oversized_request(small):
     g, fs = small
     with pytest.raises(ValueError, match="snapshots"):
         gmsfem.offline_modes(fs, 8 * g.refine + 1)
+
+
+@pytest.mark.parametrize("refine", [2, 3])
+def test_offline_modes_rejects_more_modes_than_localize(refine):
+    # the localized snapshots span 8 (r - 1) directions: that many modes
+    # make a basis, one more is refused before any pencil is solved
+    g = GridPair(3, 3, refine)
+    fs = assemble(g, Permeability(wavy_kappa))
+    most = 8 * (refine - 1)
+    with pytest.raises(ValueError, match=rf"at most 8 \(r - 1\) = {most}$"):
+        gmsfem.offline_modes(fs, most + 1)
+    basis = gmsfem.build_offline(fs, most)
+    assert basis.n_columns == 4 * most
 
 
 # --- static condensation against the brute-force reference route ---
@@ -356,7 +371,7 @@ def _channels_4x4_seed11():
 
 def _distinct_cells(fs):
     g = fs.grid
-    return len({fs.kappa_cells.ravel()[g.coarse_cell_fine_cells(c)].tobytes()
+    return len({fs.kappa_cells.ravel()[coarse_cell_fine_cells(g, c)].tobytes()
                 for c in range(g.nx_coarse * g.ny_coarse)})
 
 
@@ -428,7 +443,7 @@ def test_reused_offline_modes_equal_a_fresh_solve_bit_for_bit(monkeypatch):
             fresh.slot = np.arange(4)
             fresh.mapmat = np.concatenate([a[0] for a in alone])
             fresh.blocks = np.array([np.concatenate([a[k] for a in alone]) for k in (1, 2)])
-            eigenvalues, vectors, _ = fresh.modes(nb, 5)
+            eigenvalues, vectors, _ = fresh.modes(m.node, nb.cells, 5)
             assert np.array_equal(m.eigenvalues, eigenvalues), m.node
             assert np.array_equal(m.vectors, vectors), m.node
 
@@ -441,7 +456,7 @@ def test_offline_modes_logs_distinct_counts(caplog):
     # the kinds in cell rows 0 and 1, 1 and 2, 2 and 3: the largest set is
     # held, (r-1)^2 4r + 2 (4r)^2 doubles a kind at r = 4
     g = fs.grid
-    kinds = [{fs.kappa_cells.ravel()[g.coarse_cell_fine_cells(c)].tobytes()
+    kinds = [{fs.kappa_cells.ravel()[coarse_cell_fine_cells(g, c)].tobytes()
               for c in range((cy - 1) * g.nx_coarse, (cy + 1) * g.nx_coarse)}
              for cy in range(1, g.ny_coarse)]
     held = max(len(k) for k in kinds)
@@ -621,13 +636,63 @@ def test_offline_modes_runs_unpinned_without_thread_controls(small, monkeypatch)
 
 # --- localized basis ---
 
+def _channels(nx, ny, refine):
+    g = GridPair(nx, ny, refine)
+    return assemble(g, driver.synthetic_channels(g))
+
+
+@pytest.mark.parametrize("make_fs", [
+    lambda: _channels(4, 3, 2), lambda: _channels(5, 7, 3), lambda: _channels(7, 4, 4),
+    lambda: _unit_kappa(2, 6, refine=3)[1]],
+    ids=["channels-4x3-r2", "channels-5x7-r3", "channels-7x4-r4", "unit-2x6-r3"])
+def test_every_neighborhood_is_the_template_shifted(make_fs, monkeypatch):
+    # the offline stage builds at most the template neighborhood (once for
+    # the pencils, once for the basis) and keeps no per-node list; each
+    # node's cells and support are the template's shifted, and its block has
+    # the bits of a block made from the node's own neighborhood
+    fs = make_fs()
+    g = fs.grid
+    built = []
+
+    def counting(grid, node):
+        built.append(node)
+        return neighborhood(grid, node)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gmsfem, "neighborhood", counting)
+        modes = gmsfem.offline_modes(fs, 4)
+        basis = gmsfem.assemble_basis(fs, modes)
+    assert len(built) <= 2
+    assert not any(isinstance(value, list) for value in vars(basis).values())
+    condensed = gmsfem._CondensedCells(fs, gmsfem.spectral_mass_weight(g, fs.kappa_cells))
+    with linalg.single_thread_blas():
+        for i, (node, start) in enumerate(zip(basis.nodes, basis.block_start)):
+            nb = neighborhood(g, int(node))
+            assert np.array_equal(condensed.cells[i], nb.cells), node
+            support = np.searchsorted(g.interior_fine_ids, nb.interior)
+            assert np.array_equal(basis.support(i), support), node
+            rows = np.searchsorted(nb.nodes, nb.interior)
+            own, _ = gmsfem._energy_orthonormalize(
+                partition_of_unity(g, int(node), nb.interior)[:, None] * modes[i].vectors[rows],
+                fineassembly.patch_energy(g, fs.kappa_cells, int(node)), int(node))
+            assert np.array_equal(basis.stacked[start:start + len(support)], own), node
+
+
+def test_basis_cells_bind_the_column_order_once():
+    # the cell products read the prolongation's column order from the
+    # object they were made with; no method takes it again
+    for name, method in vars(gmsfem._BasisCells).items():
+        if callable(method) and name != "__init__":
+            assert "prol" not in inspect.signature(method).parameters, name
+
+
 def test_basis_energy_orthonormal_per_neighborhood(small):
     # two passes of Cholesky-QR give modified Gram-Schmidt's columns
     g, fs = small
     modes = gmsfem.offline_modes(fs, 4)
     basis = gmsfem.assemble_basis(fs, modes)
     _, stiffness = assemble_matrices(fs)
-    for m, sup, block in zip(modes, basis.supports, basis.vectors):
+    for m, (sup, block) in zip(modes, basis_blocks(basis)):
         sub = stiffness[sup][:, sup]
         gram = block.T @ (sub @ block)
         assert np.max(np.abs(gram - np.eye(4))) < 1e-12
@@ -651,13 +716,14 @@ def test_same_kind_neighborhoods_share_one_read_only_block():
     g = fs.grid
     modes = gmsfem.offline_modes(fs, 4)
     basis = gmsfem.assemble_basis(fs, modes)
+    blocks = [block for _, block in basis_blocks(basis)]
     assert len({id(m.vectors) for m in modes}) == 11
-    assert len({id(v) for v in basis.vectors}) == 11
+    assert len(set(basis.block_start)) == 11
     x, y = g.fine_coords
     for i, m in enumerate(modes):
         for j in range(i):
             shared = modes[j].vectors is m.vectors
-            assert (basis.vectors[j] is basis.vectors[i]) == shared, (i, j)
+            assert (basis.block_start[j] == basis.block_start[i]) == shared, (i, j)
         # each node again from its own cells' stiffness and modes
         nb = neighborhood(g, m.node)
         rows = np.searchsorted(nb.nodes, nb.interior)
@@ -672,10 +738,10 @@ def test_same_kind_neighborhoods_share_one_read_only_block():
                                                    sub, m.node)
             absolute, _ = gmsfem._energy_orthonormalize(
                 pou_xy[:, None] * m.vectors[rows], sub, m.node)
-        assert np.array_equal(basis.vectors[i], own), m.node
-        assert np.max(np.abs(basis.vectors[i] - absolute)) <= 1e-14, m.node
+        assert np.array_equal(blocks[i], own), m.node
+        assert np.max(np.abs(blocks[i] - absolute)) <= 1e-14, m.node
     with pytest.raises(ValueError, match="read-only"):
-        basis.vectors[0][0, 0] = 1.0
+        blocks[0][0, 0] = 1.0
 
 
 def test_assemble_basis_logs_blocks_and_gram_condition(caplog):
@@ -691,11 +757,12 @@ def test_assemble_basis_logs_blocks_and_gram_condition(caplog):
 
 
 def test_basis_vanishes_outside_neighborhood(small):
-    # every stored dof of neighborhood i lies strictly inside its box
+    # every dof of neighborhood i's support lies strictly inside its box
     g, fs = small
     basis = gmsfem.build_offline(fs, 3)
     nper = g.nx_fine + 1
-    for node, sup in zip(basis.nodes, basis.supports):
+    for i, node in enumerate(basis.nodes):
+        sup = basis.support(i)
         nb = neighborhood(g, int(node))
         box = nb.nodes
         ix0, ix1 = (box % nper).min(), (box % nper).max()
@@ -734,7 +801,7 @@ def test_prolongation_shapes_and_metadata(small):
         rows = np.flatnonzero(gmsfem.reconstruct_fine(fs, basis, prol,
                                                       np.eye(prol.n_columns)[col]))
         assert len(rows) > 0
-        assert any(np.all(np.isin(rows, sup)) for sup in basis.supports)
+        assert any(np.all(np.isin(rows, sup)) for sup, _ in basis_blocks(basis))
 
 
 def test_prolongation_block_identity(small):
@@ -746,8 +813,8 @@ def test_prolongation_block_identity(small):
     mode_offset = 0
     for b in prol.block_sizes:
         part = np.zeros((fs.n_dof, b * len(basis.nodes)))
-        for i, sup in enumerate(basis.supports):
-            part[sup, i * b:(i + 1) * b] = basis.vectors[i][:, mode_offset:mode_offset + b]
+        for i, (sup, block) in enumerate(basis_blocks(basis)):
+            part[sup, i * b:(i + 1) * b] = block[:, mode_offset:mode_offset + b]
         parts.append(part)
         mode_offset += b
     rng = np.random.default_rng(7)
@@ -774,11 +841,11 @@ def test_prolongation_columns_follow_block_order():
                                  for unit in np.eye(prol.n_columns)])
         mode_offset = 0
         for b in blocks:
-            for i, sup in enumerate(basis.supports):
+            for i, (sup, block) in enumerate(basis_blocks(basis)):
                 for k in range(mode_offset, mode_offset + b):
                     col = n_nb * mode_offset + i * b + (k - mode_offset)
                     want = np.zeros(fs.n_dof)
-                    want[sup] = basis.vectors[i][:, k]
+                    want[sup] = block[:, k]
                     assert np.array_equal(dense[:, col], want), (blocks, i, k)
             mode_offset += b
 
@@ -839,7 +906,7 @@ def test_cell_galerkin_matches_the_sparse_product(make_fs, blocks):
         want = sparse_galerkin(pmat, fine).toarray()
         assert np.max(np.abs(got.toarray() - want)) <= 1e-13 * np.max(np.abs(want))
     # a cell's blocks have the same bits alone as in any batch
-    cells = gmsfem._BasisCells(fs, basis)
+    cells = gmsfem._BasisCells(fs, basis, prol)
     order = np.arange(fs.grid.nx_coarse * fs.grid.ny_coarse)
     batch = cells.products(order)
     assert np.array_equal(cells.products(order[::-1]), batch[:, ::-1])
@@ -848,26 +915,26 @@ def test_cell_galerkin_matches_the_sparse_product(make_fs, blocks):
 
 
 def test_basis_cells_gather_from_the_one_copy_of_the_basis(monkeypatch):
-    # the distinct blocks are stored once: every node's block is a read-only
-    # view of the basis's stacked array, and the cell products gather from
-    # that array, with no zero-padded copy of the blocks
+    # the distinct blocks are stored once, in the basis's read-only stacked
+    # array, and the cell products gather from that array, with no
+    # zero-padded copy of the blocks
     fs = _channels_5x5_seed11()
+    r = fs.grid.refine
     basis = gmsfem.build_offline(fs, 4)
+    distinct = len(set(basis.block_start))
+    assert basis.stacked.shape == (distinct * (2 * r - 1) ** 2 + 1, 4)
     assert not basis.stacked.flags.writeable and not np.any(basis.stacked[-1])
-    for vec in basis.vectors:
-        assert vec.base is basis.stacked and not vec.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
-        basis.vectors[3][0, 0] = 1.0
+        basis.stacked[3, 0] = 1.0
 
     def refuse(shape):
         raise AssertionError("a mapped array was made")
 
     monkeypatch.setattr(gmsfem, "_mapped", refuse)
-    cells = gmsfem._BasisCells(fs, basis)
+    cells = gmsfem._BasisCells(fs, basis, gmsfem.assemble_prolongation(basis, (1, 3)))
     arrays = [value for value in vars(cells).values() if isinstance(value, np.ndarray)]
     assert any(np.shares_memory(a, basis.stacked) for a in arrays)
-    r = fs.grid.refine
-    padded = (len({id(v) for v in basis.vectors}) + 1) * (2 * r + 1) ** 2 * 4 * 8
+    padded = (distinct + 1) * (2 * r + 1) ** 2 * 4 * 8
     assert all(a.nbytes < padded for a in arrays if a is not basis.stacked)
 
 
@@ -953,7 +1020,7 @@ def test_cell_energy_gram_matches_the_fine_stiffness(forced):
     fs, basis, _, _, (_, stiffness) = forced
     g = fs.grid
     rng = rng_for("cell-energy-gram")
-    for node, sup in zip(basis.nodes, basis.supports):
+    for node, (sup, _) in zip(basis.nodes, basis_blocks(basis)):
         block = rng.standard_normal((len(sup), 4))
         got = fineassembly.patch_energy(g, fs.kappa_cells, int(node))(block)
         _assert_close(got, block.T @ (stiffness[sup][:, sup] @ block))
