@@ -20,8 +20,7 @@ from msplit.splitting import CoarseSystem, SplitConfig
 def make_cs(cmat, bmat, sizes, z0):
     return CoarseSystem(
         block_sizes=tuple(int(s) for s in sizes), mass=cmat, stiff=bmat,
-        rhs=lambda times: np.zeros((len(times), sum(sizes))),
-        z0=np.asarray(z0, dtype=float))
+        load=np.zeros(sum(sizes)), z0=np.asarray(z0, dtype=float))
 
 
 def main():

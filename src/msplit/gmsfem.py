@@ -1003,18 +1003,17 @@ def project_coarse(fs: FineSystem, basis: OfflineBasis, prol: Prolongation) -> C
     to one thread and added into the structural pattern of the coarse
     operators. On example2-synthetic the two take 0.07-0.10 s in one
     process on a shared 2-vCPU host. Both operators are checked positive
-    definite by one sparse factorization each; the coarse system keeps the
-    mass factor for the energy monitor. The initial coefficients are the
-    moments of the initial field, its mass pairings with each basis
-    function, not solved with the coarse mass: that keeps the initial vector
-    free of the near-dependent basis combinations that a mass solve
-    amplifies, so the three-level scheme starts without exciting its weakly
-    damped mode.
+    definite by one sparse factorization each, and neither factor is kept:
+    the one of C gives |g^|^2_{C^-1} for the energy monitor. The initial
+    coefficients are the moments of the initial field, its mass pairings
+    with each basis function, not solved with the coarse mass: that keeps
+    the initial vector free of the near-dependent basis combinations that a
+    mass solve amplifies, so the three-level scheme starts without exciting
+    its weakly damped mode.
 
     The source a(t) g(x, y) is loaded and projected once, as the read-only
-    row g^ = P^T q of its profile g. ``rhs(times)`` is the table
-    a(times)[:, None] * g^, or g^ broadcast to every level, not a copy per
-    level, for a static source.
+    row g^ = P^T q of its profile g, the coarse system's ``load``; its
+    ``profile`` is the source's a, None for a static source.
     """
     _check_prolongation(basis, prol)
     cells = _BasisCells(fs, basis, prol)
@@ -1022,19 +1021,13 @@ def project_coarse(fs: FineSystem, basis: OfflineBasis, prol: Prolongation) -> C
         mass, stiff = cells.assemble()
 
     source = fs.source
-    load = (np.zeros(prol.n_columns) if source is None
-            else cells.static_load(source.space))
-    load.flags.writeable = False
-
-    def rhs(times: np.ndarray) -> np.ndarray:
-        if source is None or source.time is None:
-            return np.broadcast_to(load, (len(times), len(load)))
-        return source.time(times)[:, None] * load
-
     cs = CoarseSystem(block_sizes=tuple(prol.n_nodes * b for b in prol.block_sizes),
-                      mass=mass, stiff=stiff, rhs=rhs, z0=np.zeros(prol.n_columns))
+                      mass=mass, stiff=stiff, z0=np.zeros(prol.n_columns),
+                      load=(np.zeros(prol.n_columns) if source is None
+                            else cells.static_load(source.space)),
+                      profile=None if source is None else source.time)
     try:
-        cs.mass_factor()
+        cs.load_norm_sq()
         SparseCholesky(cs.stiff, context="coarse stiffness")
     except NumericalError as exc:
         raise NumericalError(
@@ -1055,17 +1048,19 @@ def reorder_coarse(cs: CoarseSystem, prol: Prolongation, new: Prolongation) -> C
     the start vector are one symmetric permutation of ``cs``'s. Every entry
     keeps its bits: :func:`project_coarse` sums each one over the cells in
     cell order whatever the column order, so this is the system it makes
-    for ``new``, without the cell products.
+    for ``new``, without the cell products. |g^|^2_{C^-1} does not depend on
+    the order, so it is carried over and C is not factored again.
     """
     if (new.n_nodes, sum(new.block_sizes)) != (prol.n_nodes, sum(prol.block_sizes)):
         raise ValueError(f"blocks {new.block_sizes} of {new.n_nodes} nodes do not "
                          f"reorder blocks {prol.block_sizes} of {prol.n_nodes} nodes")
     perm = np.empty(prol.n_columns, dtype=np.int64)
     perm[new.dofs()] = prol.dofs()
-    rhs = cs.rhs
-    return CoarseSystem(block_sizes=tuple(new.n_nodes * b for b in new.block_sizes),
-                        mass=cs.mass[perm][:, perm], stiff=cs.stiff[perm][:, perm],
-                        rhs=lambda times: rhs(times)[:, perm], z0=cs.z0[perm])
+    out = CoarseSystem(block_sizes=tuple(new.n_nodes * b for b in new.block_sizes),
+                       mass=cs.mass[perm][:, perm], stiff=cs.stiff[perm][:, perm],
+                       load=cs.load[perm], z0=cs.z0[perm], profile=cs.profile)
+    out._load_norm_sq = cs.load_norm_sq()
+    return out
 
 
 # --- basis dump (plain text, every value to 17 significant digits) ---

@@ -33,7 +33,8 @@ The forcing f^1 .. f^N is tabulated once per time grid on the coarse system
 (:meth:`CoarseSystem.forcing`), by one call of ``rhs`` with every time
 level, so the backward Euler reference and a split run on the same grid
 share one evaluation per time level, and the recorded step times hold the
-step alone.
+step alone. The forcing is a profile times one row, f^k = a_k g^, so the
+monitor's |f^k|^2_{C^-1} = a_k^2 |g^|^2_{C^-1} takes one solve with C.
 """
 
 from __future__ import annotations
@@ -92,34 +93,45 @@ class CoarseSystem:
     ``mass`` and ``stiff`` are CSR with sorted indices and exactly
     symmetric; dense arrays given here are converted once. Their rows and
     columns are grouped into consecutive mode blocks of ``block_sizes``.
-    ``rhs(times)`` takes a 1-d array of time levels and returns the forcing
-    table, row k the forcing at ``times[k]``: an array of shape
-    (len(times), dim), which may be a read-only view (a static forcing
-    broadcasts one row).
-    The factors of C and of C + tau*B are made on first use and kept (the
-    latter for the last tau only), so every run on the system shares them;
-    the operators must not change once the system is built.
+    The forcing is a(t) g^: the read-only row ``load`` g^ times the
+    vectorized time ``profile`` a, or g^ alone when ``profile`` is None.
+    The factor of C + tau*B is made on first use and kept for the last tau,
+    so every run on the system shares it; C is factored once, for
+    |g^|^2_{C^-1}, and only that number is kept. The operators must not
+    change once the system is built.
     """
 
     block_sizes: tuple
     mass: sp.csr_matrix
     stiff: sp.csr_matrix
-    rhs: Callable[[np.ndarray], np.ndarray]
+    load: np.ndarray
     z0: np.ndarray
+    profile: Optional[Callable[[np.ndarray], np.ndarray]] = None
     _forcing: tuple = field(default=(None, None), init=False, repr=False,
                             compare=False)
-    _mass_factor: Optional[SparseCholesky] = field(default=None, init=False,
-                                                   repr=False, compare=False)
+    _load_norm_sq: Optional[float] = field(default=None, init=False, repr=False,
+                                           compare=False)
     _euler_factor: tuple = field(default=(None, None), init=False, repr=False,
                                  compare=False)
 
     def __post_init__(self):
         self.mass = _csr(self.mass)
         self.stiff = _csr(self.stiff)
+        self.load = np.array(self.load, dtype=float)
+        self.load.flags.writeable = False
 
     @property
     def dim(self) -> int:
         return sum(self.block_sizes)
+
+    def rhs(self, times: np.ndarray) -> np.ndarray:
+        """Forcing table, row k the forcing a(times[k]) g^ at ``times[k]``.
+
+        A static forcing is g^ broadcast to every level, a read-only view.
+        """
+        if self.profile is None:
+            return np.broadcast_to(self.load, (len(times), len(self.load)))
+        return self.profile(times)[:, None] * self.load
 
     def forcing(self, tau: float, n_steps: int) -> np.ndarray:
         """Read-only table of f^1 .. f^N, row n holding the forcing at (n + 1) * tau.
@@ -129,7 +141,7 @@ class CoarseSystem:
         grid shares it.
         """
         key, table = self._forcing
-        if key != (self.rhs, tau, n_steps):
+        if key != (tau, n_steps):
             table = self.rhs(tau * np.arange(1, n_steps + 1))
             if table.shape != (n_steps, self.dim):
                 raise ValueError(f"rhs returned a {table.shape} table for "
@@ -140,14 +152,20 @@ class CoarseSystem:
                 raise NumericalError(f"non-finite forcing at time level {level} "
                                      f"(t = {level * tau:g})")
             table.flags.writeable = False
-            self._forcing = ((self.rhs, tau, n_steps), table)
+            self._forcing = ((tau, n_steps), table)
         return table
 
-    def mass_factor(self) -> SparseCholesky:
-        """Factor of C, made on first use and kept."""
-        if self._mass_factor is None:
-            self._mass_factor = SparseCholesky(self.mass, context="coarse mass")
-        return self._mass_factor
+    def load_norm_sq(self) -> float:
+        """|g^|^2_{C^-1} = g^ . C^-1 g^, from one factor of C that is not kept.
+
+        The factorization is also the check that C is positive definite.
+        """
+        if self._load_norm_sq is None:
+            factor = SparseCholesky(self.mass, context="coarse mass")
+            row = self.load[None, :]
+            self._load_norm_sq = float(
+                _row_dots(row, factor.solve(np.ascontiguousarray(row.T)))[0])
+        return self._load_norm_sq
 
     def euler_factor(self, tau: float) -> SparseCholesky:
         """Factor of the backward Euler matrix C + tau*B; the last tau's is kept."""
@@ -453,7 +471,7 @@ def quadratic_forms(mat, rows: np.ndarray) -> np.ndarray:
 
 
 def _energy_monitor(parts: SplitParts, config: SplitConfig, states: np.ndarray,
-                    forcing: np.ndarray, mass_factor: SparseCholesky):
+                    scale: Optional[np.ndarray], load_norm_sq: float):
     """Discrete energy and both sides of the a priori bound of a finished run.
 
     E_n = |z^n - z^{n-1}|^2_D / tau^2 + |(z^n + z^{n-1})/2|^2_B with D the
@@ -463,10 +481,9 @@ def _energy_monitor(parts: SplitParts, config: SplitConfig, states: np.ndarray,
     E_{n+1} - E_n = -2 tau |a|^2_{C + tau*theta_s*B1} + 2 tau (f^{n+1}, a).
     Young's inequality and D >= 0 then give the bound, which compares
     |(z^{n+1} + z^n)/2|^2_B with E_1 + (tau/2) sum_{k=2}^{n+1} |f^k|^2_{C^-1}
-    for n = 1..N-1; ``forcing`` stacks f^2 .. f^N, ``mass_factor`` factors C.
-
-    A static source repeats one forcing row at every level; |f|^2_{C^-1}
-    then takes one solve with C instead of one per level.
+    for n = 1..N-1. The forcing is f^k = a_k g^, so |f^k|^2_{C^-1} is
+    a_k^2 ``load_norm_sq``: ``scale`` holds a_2 .. a_N, or is None for a
+    static forcing (a_k = 1), and the monitor solves nothing.
     """
     tau = config.tau
     damping = damping_matrix(parts, config)
@@ -479,15 +496,8 @@ def _energy_monitor(parts: SplitParts, config: SplitConfig, states: np.ndarray,
         means = 0.5 * (now + prev)
         potential[rows] = quadratic_forms(parts.stiff, means)
         energy[rows] = quadratic_forms(damping, diffs) / tau ** 2 + potential[rows]
-    chunks = trajectory_chunks(len(forcing), forcing.shape[1])
-    static = all((forcing[rows] == forcing[0]).all() for rows in chunks)
-    solved = forcing[:1] if static else forcing
-    work = np.empty(len(solved))
-    for rows in chunks[:1] if static else chunks:
-        f = solved[rows]
-        work[rows] = 0.5 * tau * _row_dots(f, mass_factor.solve(np.ascontiguousarray(f.T)))
-    return (energy, potential[1:],
-            energy[0] + np.cumsum(np.broadcast_to(work, len(forcing))))
+    work = 0.5 * tau * load_norm_sq * (1.0 if scale is None else scale ** 2)
+    return energy, potential[1:], energy[0] + np.cumsum(np.broadcast_to(work, n_steps - 1))
 
 
 def _check_bound(bound_lhs: np.ndarray, bound_rhs: np.ndarray) -> None:
@@ -525,8 +535,10 @@ def march(cs: CoarseSystem, parts: SplitParts, config: SplitConfig) -> Trajector
     run.advance(range(1, n_steps), _StepOperator(parts, config).step)
     energy = bound_lhs = bound_rhs = None
     if cert.passed:
+        levels = config.tau * np.arange(2, n_steps + 1)
+        scale = None if cs.profile is None else cs.profile(levels)
         energy, bound_lhs, bound_rhs = _energy_monitor(
-            parts, config, run.states, run.forcing[1:], cs.mass_factor())
+            parts, config, run.states, scale, cs.load_norm_sq())
         _check_bound(bound_lhs, bound_rhs)
     return Trajectory(states=run.states, tau=config.tau, certificate=cert, energy=energy,
                       bound_lhs=bound_lhs, bound_rhs=bound_rhs,

@@ -107,6 +107,11 @@ def space_time(source):
     return f
 
 
+def space_load(g, source):
+    """:func:`scatter_load` of a source's spatial profile g alone."""
+    return scatter_load(g, lambda t, x, y: source.space(x, y), 0.0)
+
+
 def coarse_cell_fine_cells(g, cell):
     """Flat fine-cell ids inside one coarse cell, row-major."""
     cx, cy = cell % g.nx_coarse, cell // g.nx_coarse
@@ -189,13 +194,17 @@ def charpoly_eigs(astiff, smass):
     return np.sort(np.array([r.real for r in roots]))
 
 
-def dense_backward_euler(cmat, bmat, rhs, z0, tau, n_steps):
-    """Plain dense backward Euler history, one numpy solve per step."""
+def dense_backward_euler(cmat, bmat, load, profile, z0, tau, n_steps):
+    """Plain dense backward Euler history, one numpy solve per step.
+
+    The forcing at time t is profile(t) * load, or load when ``profile`` is
+    None; the vectorized profile is evaluated one level at a time.
+    """
     states = [np.asarray(z0, dtype=float)]
     lhs = cmat + tau * bmat
     for n in range(n_steps):
-        f = rhs((n + 1) * tau)
-        states.append(np.linalg.solve(lhs, tau * f + cmat @ states[-1]))
+        scale = 1.0 if profile is None else profile(np.array([(n + 1) * tau]))[0]
+        states.append(np.linalg.solve(lhs, tau * scale * load + cmat @ states[-1]))
     return np.array(states)
 
 

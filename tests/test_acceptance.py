@@ -28,14 +28,13 @@ def _line(num, ok, detail):
     print(f"acceptance {num}: {'PASS' if ok else 'FAIL'} {detail}")
 
 
-def _make_cs(cmat, bmat, sizes, forcing=None, z0=None):
+def _make_cs(cmat, bmat, sizes, load=None, z0=None):
     sizes = tuple(int(s) for s in sizes)
-    off = np.concatenate([[0], np.cumsum(sizes)])
-    vec = np.zeros(off[-1]) if forcing is None else np.asarray(forcing, float)
+    dim = sum(sizes)
     return splitting.CoarseSystem(
         block_sizes=sizes, mass=cmat, stiff=bmat,
-        rhs=lambda times: np.broadcast_to(vec, (len(times), len(vec))),
-        z0=np.zeros(off[-1]) if z0 is None else np.asarray(z0, float))
+        load=np.zeros(dim) if load is None else load,
+        z0=np.zeros(dim) if z0 is None else np.asarray(z0, float))
 
 
 # 1. the degenerate one-block split reproduces backward Euler
@@ -56,7 +55,7 @@ def test_acceptance_1_single_block_equals_backward_euler(ex1):
     for _ in range(20):
         n = int(rng.integers(1, 33))
         cs = _make_cs(random_spd(rng, n), random_spd(rng, n), (n,),
-                      forcing=rng.standard_normal(n),
+                      load=rng.standard_normal(n),
                       z0=rng.standard_normal(n))
         sc = SplitConfig(tau=0.05, t_final=0.5)
         s = splitting.march(cs, splitting.make_split(cs), sc)
@@ -181,7 +180,7 @@ def test_acceptance_5_energy_decay_and_bound():
         sizes = rng.integers(1, 9, size=p)
         n = int(sizes.sum())
         cs = _make_cs(random_spd(rng, n, shift=1.0), random_spd(rng, n),
-                      sizes, forcing=rng.standard_normal(n),
+                      sizes, load=rng.standard_normal(n),
                       z0=rng.standard_normal(n))
         parts = splitting.make_split(cs)
         tau = float(10.0 ** rng.uniform(-3, 1))

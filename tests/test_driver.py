@@ -17,8 +17,7 @@ from msplit.driver import ConfigError, ExperimentConfig
 from msplit.grid import GridPair
 from msplit.linalg import NumericalError
 
-from _oracles import (basis_blocks, dense_backward_euler, prolongation_matrix, scatter_load,
-                      space_time)
+from _oracles import basis_blocks, dense_backward_euler, prolongation_matrix, space_load
 from conftest import assert_basis_dump
 
 
@@ -362,7 +361,7 @@ def test_run_example_writes_outputs(tmp_path, capsys):
     g, fs = driver.build_problem(config)
     mass, stiff = (mat.toarray() for mat in fineassembly.assemble_matrices(fs))
     n_steps = round(config.t_final / config.tau)
-    fine = dense_backward_euler(mass, stiff, lambda t: scatter_load(g, space_time(fs.source), t),
+    fine = dense_backward_euler(mass, stiff, space_load(g, fs.source), fs.source.time,
                                 fs.initial_vector(), config.tau, n_steps)[-1]
     err = fine - _field_interior(tmp_path / "field_split.txt", g)
     want_l2 = np.sqrt(err @ mass @ err / (fine @ mass @ fine))
@@ -468,6 +467,15 @@ def test_sweep_rejects_unknown_axis(tmp_path):
         driver.sweep(tiny_config(output_dir=str(tmp_path)), "everything")
 
 
+def test_blocks_sweep_factors_c_once(tmp_path, factorizations):
+    # every setting reorders the one projection and carries its
+    # |g^|^2_{C^-1}: C is factored once, by project_coarse
+    config = tiny_config(output_dir=str(tmp_path), blocks_sweep=((1, 2), (2, 1)))
+    rows = driver.sweep(config, "blocks")
+    assert all(e_l2 is not None for _, e_l2, _ in rows)
+    assert factorizations.count("coarse mass") == 1
+
+
 def test_sweep_default_blocks_axis_enumerates_pairs(tmp_path):
     config = tiny_config(output_dir=str(tmp_path))
     rows = driver.sweep(config, "blocks")
@@ -533,6 +541,19 @@ def test_cli_more_modes_than_a_neighborhood_localizes_is_a_config_error(
     assert err.startswith("config error:") and f"8 (refine - 1) = {modes - 1}" in err
 
 
+def test_cli_a_singular_coarse_mass_near_the_mode_bound_exits_3(tmp_path, capsys):
+    # 7 <= 8 (r - 1) modes pass validation and the offline stage on a 4 x 4
+    # channels grid with r = 2, but the projected C is numerically singular:
+    # project_coarse's one factorization of C refuses it
+    path = tmp_path / "modes.cfg"
+    path.write_text("nx_coarse = 4\nny_coarse = 4\nrefine = 2\nkappa = channels\n"
+                    "modes = 7\nblocks = 1+6\n")
+    assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "coarse system is not positive definite (near-dependent basis)" in err
+    assert re.search(r"factorization of coarse mass met the pivot -\d\.\d{3}e-\d\d", err)
+
+
 def test_cli_permeability_out_of_range_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "exp.cfg"
     raster = tmp_path / "kappa.txt"
@@ -593,8 +614,7 @@ def test_fine_reference_loads_a_pulsed_source_once(tiny_pipe, monkeypatch):
     assert calls == []
     mass, stiff = (mat.toarray() for mat in fineassembly.assemble_matrices(fs))
     n_steps = round(config.t_final / config.tau)
-    forcing = space_time(fs.source)
-    fine = dense_backward_euler(mass, stiff, lambda t: scatter_load(fs.grid, forcing, t),
+    fine = dense_backward_euler(mass, stiff, space_load(fs.grid, fs.source), fs.source.time,
                                 fs.initial_vector(), config.tau, n_steps)[-1]
     err = fine - gmsfem.reconstruct_fine(fs, pipe.basis, pipe.prol, split.states[-1])
     assert errors["fine_e_l2"] == pytest.approx(

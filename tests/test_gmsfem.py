@@ -1089,17 +1089,26 @@ def test_cell_reconstruction_matches_the_prolongation_matrix(forced):
     _assert_close(gmsfem.reconstruct_fine(fs, basis, prol, z), pmat @ z)
 
 
-def test_projection_mass_factor_serves_the_whole_run(small, factorizations):
-    # project_coarse factors C and B once each for its definiteness check;
-    # the energy monitor reuses the factor of C, so a reference plus a split
-    # run adds only C + tau*B, the step matrix and the certificate's one
-    # matrix per condition: at theta = p/2 the condition matrix is the one
-    # the threshold needs
+def _held_factors(cs):
+    """The sparse factors a coarse system holds, in its fields or their tuples."""
+    values = [v for value in vars(cs).values()
+              for v in (value if isinstance(value, tuple) else (value,))]
+    return [v for v in values if isinstance(v, linalg.SparseCholesky)]
+
+
+def test_projection_factors_c_once_and_keeps_only_the_euler_factor(small, factorizations):
+    # project_coarse factors C and B once each for its definiteness check
+    # and keeps neither: of C's factor only |g^|^2_{C^-1} stays, which the
+    # energy monitor reads, so a reference plus a split run adds only
+    # C + tau*B, the step matrix and the certificate's one matrix per
+    # condition: at theta = p/2 the condition matrix is the one the
+    # threshold needs. The system then holds the C + tau*B factor alone
     g, fs = small
     basis = gmsfem.build_offline(fs, 4)
     prol = gmsfem.assemble_prolongation(basis, (1, 3))
     cs = gmsfem.project_coarse(fs, basis, prol)
     assert factorizations == ["coarse mass", "coarse stiffness"]
+    assert _held_factors(cs) == []
     config = splitting.SplitConfig(tau=0.05, t_final=0.2, theta_mass=1.0,
                                    theta_stiff=1.0)
     splitting.backward_euler(cs, config.tau, config.t_final)
@@ -1108,6 +1117,26 @@ def test_projection_mass_factor_serves_the_whole_run(small, factorizations):
     assert factorizations[2:] == [
         "C + tau*B (tau = 0.05)", "mass condition", "stiffness condition",
         "split step matrix"]
+    held = _held_factors(cs)
+    assert len(held) == 1 and held[0] is cs.euler_factor(config.tau)
+
+
+def test_reorder_coarse_carries_the_load_norm_and_factors_no_c(forced, factorizations):
+    # the reordered system takes |g^|^2_{C^-1} from the original instead of
+    # factoring its C, and its bound is that of the system projected for the
+    # new order to round-off
+    fs, basis, prol, _, _ = forced
+    new = gmsfem.assemble_prolongation(basis, (2, 2))
+    moved = gmsfem.reorder_coarse(gmsfem.project_coarse(fs, basis, prol), prol, new)
+    config = splitting.SplitConfig(tau=0.05, t_final=0.5, theta_mass=1.0,
+                                   theta_stiff=1.0)
+    got = splitting.march(moved, splitting.make_split(moved), config).bound_rhs
+    assert factorizations.count("coarse mass") == 1
+    direct = gmsfem.project_coarse(fs, basis, new)
+    assert direct.profile is moved.profile
+    assert np.array_equal(moved.load, direct.load)
+    want = splitting.march(direct, splitting.make_split(direct), config).bound_rhs
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # --- dump ---

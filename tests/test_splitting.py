@@ -15,24 +15,15 @@ from _oracles import (dense_backward_euler, dense_split_step, dense_threshold,
                       error_recursion_diag, random_spd)
 
 
-def make_cs(cmat, bmat, sizes, forcing=None, z0=None):
-    """Wrap dense operators into a block coarse system."""
+def make_cs(cmat, bmat, sizes, load=None, profile=None, z0=None):
+    """Wrap dense operators into a block coarse system forced by profile(t) * load."""
     sizes = tuple(sizes)
     dim = sum(sizes)
     assert cmat.shape == (dim, dim)
-    if forcing is None:
-        forcing = np.zeros(dim)
-    if not callable(forcing):
-        vec = np.asarray(forcing, dtype=float)
-        forcing = lambda t: vec  # noqa: E731
-
-    def rhs(times):
-        return np.array([forcing(t) for t in times]).reshape(len(times), dim)
-    if z0 is None:
-        z0 = np.zeros(dim)
     return splitting.CoarseSystem(block_sizes=sizes, mass=cmat, stiff=bmat,
-                                  rhs=rhs,
-                                  z0=np.asarray(z0, dtype=float))
+                                  load=np.zeros(dim) if load is None else load,
+                                  profile=profile,
+                                  z0=np.zeros(dim) if z0 is None else np.asarray(z0, float))
 
 
 HAND_C = np.eye(2)
@@ -108,13 +99,13 @@ def test_step_operator_holds_no_dense_matrix():
 
 def test_reference_and_split_run_factor_each_matrix_once(factorizations):
     # the reference and the split's first step share one factor of
-    # C + tau*B, the split step matrix is factored once, the energy
-    # monitor's factor of C is made once and kept with the system, and the
-    # certificate factors one matrix per condition once per run: at
-    # theta = p/2 = 1.5 the condition matrix is the threshold's own
+    # C + tau*B, the split step matrix is factored once, C is factored once
+    # for the energy monitor's |g^|^2_{C^-1}, of which only the number is
+    # kept, and the certificate factors one matrix per condition once per
+    # run: at theta = p/2 = 1.5 the condition matrix is the threshold's own
     rng = np.random.default_rng(8)
     cs = make_cs(random_spd(rng, 7), random_spd(rng, 7), (3, 2, 2),
-                 forcing=rng.standard_normal(7), z0=rng.standard_normal(7))
+                 load=rng.standard_normal(7), z0=rng.standard_normal(7))
     config = splitting.SplitConfig(tau=0.1, t_final=1.0, theta_mass=1.5,
                                    theta_stiff=1.5)
     certificate = ["mass condition", "stiffness condition"]
@@ -188,13 +179,13 @@ def test_backward_euler_matches_dense_oracle():
     fvec = rng.standard_normal(5)
     z0 = rng.standard_normal(5)
 
-    def forcing(t):
-        return np.sin(3.0 * t) * fvec
+    def profile(t):
+        return np.sin(3.0 * t)
 
-    cs = make_cs(cmat, bmat, (2, 3), forcing=forcing, z0=z0)
+    cs = make_cs(cmat, bmat, (2, 3), load=fvec, profile=profile, z0=z0)
     tau = 0.05
     got = splitting.backward_euler(cs, tau, 1.0).states
-    want = dense_backward_euler(cmat, bmat, forcing, z0, tau, 20)
+    want = dense_backward_euler(cmat, bmat, fvec, profile, z0, tau, 20)
     assert np.max(np.abs(got - want)) < 1e-12 * np.abs(want).max()
 
 
@@ -202,7 +193,7 @@ def test_march_first_step_is_the_backward_euler_step():
     rng = np.random.default_rng(19)
     cmat = random_spd(rng, 7)
     bmat = random_spd(rng, 7)
-    cs = make_cs(cmat, bmat, (2, 3, 2), forcing=lambda t: t * np.arange(7.0),
+    cs = make_cs(cmat, bmat, (2, 3, 2), load=np.arange(7.0), profile=lambda t: t,
                  z0=rng.standard_normal(7))
     parts = splitting.make_split(cs)
     config = splitting.SplitConfig(tau=0.1, t_final=0.5,
@@ -219,7 +210,7 @@ def test_single_block_fully_implicit_equals_backward_euler():
     n = 8
     cmat = random_spd(rng, n)
     bmat = random_spd(rng, n)
-    cs = make_cs(cmat, bmat, (n,), forcing=rng.standard_normal(n),
+    cs = make_cs(cmat, bmat, (n,), load=rng.standard_normal(n),
                  z0=rng.standard_normal(n))
     config = splitting.SplitConfig(tau=0.02, t_final=0.5)
     parts = splitting.make_split(cs)
@@ -243,7 +234,7 @@ def test_steady_state_is_preserved():
     bmat = random_spd(rng, 6)
     fvec = rng.standard_normal(6)
     steady = np.linalg.solve(bmat, fvec)
-    cs = make_cs(cmat, bmat, (3, 3), forcing=fvec, z0=steady)
+    cs = make_cs(cmat, bmat, (3, 3), load=fvec, z0=steady)
     parts = splitting.make_split(cs)
     config = splitting.SplitConfig(tau=0.1, t_final=2.0,
                                    theta_mass=1.0, theta_stiff=1.0)
@@ -272,7 +263,7 @@ def test_forced_run_satisfies_a_priori_bound():
     rng = np.random.default_rng(41)
     cmat = random_spd(rng, 6, shift=1.0)
     bmat = random_spd(rng, 6)
-    cs = make_cs(cmat, bmat, (3, 3), forcing=rng.standard_normal(6),
+    cs = make_cs(cmat, bmat, (3, 3), load=rng.standard_normal(6),
                  z0=rng.standard_normal(6))
     parts = splitting.make_split(cs)
     config = splitting.SplitConfig(tau=0.02, t_final=1.0,
@@ -284,30 +275,35 @@ def test_forced_run_satisfies_a_priori_bound():
 
 
 @pytest.mark.parametrize("pulsed", [False, True], ids=["static", "pulsed-sine"])
-def test_energy_monitor_solves_a_static_forcing_once(pulsed, monkeypatch):
-    # a static source repeats one forcing row at every level, so its
-    # |f|^2_{C^-1} takes one solve; a pulsed source still solves every row.
-    # Either way the bound is the one of solving row by row
+def test_energy_monitor_makes_no_solve(pulsed, monkeypatch):
+    # the forcing is a_k g^, so |f_k|^2_{C^-1} = a_k^2 |g^|^2_{C^-1}: one
+    # solve with C serves every run on the system, static or pulsed, and the
+    # monitor itself solves nothing. The bound is the one of solving row by row
     rng = np.random.default_rng(43)
     cmat = random_spd(rng, 6, shift=1.0)
-    vec = rng.standard_normal(6)
-    forcing = (lambda t: np.sin(7.0 * t) * vec) if pulsed else vec
-    cs = make_cs(cmat, random_spd(rng, 6), (3, 3), forcing=forcing,
+    cs = make_cs(cmat, random_spd(rng, 6), (3, 3), load=rng.standard_normal(6),
+                 profile=(lambda t: np.sin(7.0 * t)) if pulsed else None,
                  z0=rng.standard_normal(6))
     parts = splitting.make_split(cs)
     config = splitting.SplitConfig(tau=0.02, t_final=1.0,
                                    theta_mass=1.2, theta_stiff=1.2)
-    factor = cs.mass_factor()
-    solve, solved = factor.solve, []
+    solve, solved = linalg.SparseCholesky.solve, []
+    monkeypatch.setattr(linalg.SparseCholesky, "solve",
+                        lambda self, rhs: solved.append(rhs.shape) or solve(self, rhs))
+    monitor, in_monitor = splitting._energy_monitor, []
 
-    def counting(rhs):
-        solved.append(rhs.shape[1])
-        return solve(rhs)
+    def counted(*args):
+        before = len(solved)
+        out = monitor(*args)
+        in_monitor.append(len(solved) - before)
+        return out
 
-    monkeypatch.setattr(factor, "solve", counting)
+    monkeypatch.setattr(splitting, "_energy_monitor", counted)
+    cs.load_norm_sq()
+    assert solved == [(6, 1)]
     traj = splitting.march(cs, parts, config)
+    assert in_monitor == [0]
     rows = cs.forcing(config.tau, config.n_steps)[1:]
-    assert sum(solved) == (len(rows) if pulsed else 1)
     per_row = 0.5 * config.tau * np.array([f @ np.linalg.solve(cmat, f) for f in rows])
     want = traj.energy[0] + np.cumsum(per_row)
     assert np.max(np.abs(traj.bound_rhs - want)) <= 1e-12 * np.max(np.abs(want))
@@ -358,7 +354,7 @@ def _violated_bound_monitor(monkeypatch):
 def test_march_raises_when_the_a_priori_bound_fails(monkeypatch):
     rng = np.random.default_rng(41)
     cs = make_cs(random_spd(rng, 6, shift=1.0), random_spd(rng, 6), (3, 3),
-                 forcing=rng.standard_normal(6), z0=rng.standard_normal(6))
+                 load=rng.standard_normal(6), z0=rng.standard_normal(6))
     parts = splitting.make_split(cs)
     config = splitting.SplitConfig(tau=0.02, t_final=0.2,
                                    theta_mass=1.2, theta_stiff=1.2)
@@ -539,7 +535,7 @@ def test_recorded_energy_obeys_the_energy_identity():
     rng = np.random.default_rng(67)
     cmat, bmat = random_spd(rng, 7), random_spd(rng, 7)
     fvec = rng.standard_normal(7)
-    cs = make_cs(cmat, bmat, (3, 2, 2), forcing=fvec, z0=rng.standard_normal(7))
+    cs = make_cs(cmat, bmat, (3, 2, 2), load=fvec, z0=rng.standard_normal(7))
     parts = splitting.make_split(cs)
     config = splitting.SplitConfig(tau=0.2, t_final=4.0, theta_mass=1.6,
                                    theta_stiff=1.7)
@@ -573,7 +569,7 @@ def test_error_recursion_residual_is_machine_small():
     rng = np.random.default_rng(47)
     cmat = random_spd(rng, 6)
     bmat = random_spd(rng, 6)
-    cs = make_cs(cmat, bmat, (2, 4), forcing=rng.standard_normal(6),
+    cs = make_cs(cmat, bmat, (2, 4), load=rng.standard_normal(6),
                  z0=rng.standard_normal(6))
     parts = splitting.make_split(cs)
     config = splitting.SplitConfig(tau=0.05, t_final=1.0)
@@ -611,7 +607,7 @@ def test_march_raises_on_nonfinite_state():
     # the first solve; the runner must stop with a diagnosis instead of
     # marching on with non-finite states
     tiny = np.diag([1e-280, 1.0])
-    cs = make_cs(tiny, tiny, (1, 1), forcing=np.array([1e300, 0.0]))
+    cs = make_cs(tiny, tiny, (1, 1), load=np.array([1e300, 0.0]))
     parts = splitting.make_split(cs)
     config = splitting.SplitConfig(tau=1.0, t_final=1.0)
     with pytest.raises(NumericalError, match="non-finite"):
@@ -632,20 +628,25 @@ def test_overflowing_backward_euler_rhs_is_numerical_error():
 
 
 def test_reference_and_march_share_one_forcing_evaluation_per_level():
+    # one profile call with every time level makes the table both runs read;
+    # the energy monitor evaluates the profile once more, at levels 2..N
     rng = np.random.default_rng(21)
     calls = []
 
-    def forcing(t):
-        calls.append(t)
-        return np.sin(t) * np.arange(1.0, 6.0)
+    def profile(times):
+        calls.append(times.copy())
+        return np.sin(times)
 
-    cs = make_cs(random_spd(rng, 5), random_spd(rng, 5), (2, 3), forcing=forcing)
+    load = np.arange(1.0, 6.0)
+    cs = make_cs(random_spd(rng, 5), random_spd(rng, 5), (2, 3), load=load, profile=profile)
     config = splitting.SplitConfig(tau=0.1, t_final=1.0)
     reference = splitting.backward_euler(cs, config.tau, config.t_final)
     split = splitting.march(cs, splitting.make_split(cs), config)
-    assert len(calls) == config.n_steps
-    assert calls == [(n + 1) * config.tau for n in range(config.n_steps)]
-    want = dense_backward_euler(cs.mass.toarray(), cs.stiff.toarray(), forcing,
+    assert split.energy is not None
+    levels = config.tau * np.arange(1, config.n_steps + 1)
+    assert len(calls) == 2
+    assert np.array_equal(calls[0], levels) and np.array_equal(calls[1], levels[1:])
+    want = dense_backward_euler(cs.mass.toarray(), cs.stiff.toarray(), load, np.sin,
                                 cs.z0, config.tau, config.n_steps)
     assert np.allclose(reference.states, want, atol=1e-12)
     assert split.n_steps == config.n_steps
@@ -654,11 +655,11 @@ def test_reference_and_march_share_one_forcing_evaluation_per_level():
 def test_forcing_table_keeps_the_last_time_grid_read_only():
     calls = []
 
-    def forcing(t):
-        calls.append(t)
-        return np.array([t, 2.0 * t])
+    def profile(times):
+        calls.extend(times)
+        return times
 
-    cs = make_cs(np.eye(2), np.eye(2), (1, 1), forcing=forcing)
+    cs = make_cs(np.eye(2), np.eye(2), (1, 1), load=np.array([1.0, 2.0]), profile=profile)
     table = cs.forcing(0.5, 2)
     assert np.array_equal(table, [[0.5, 1.0], [1.0, 2.0]])
     assert not table.flags.writeable
@@ -670,10 +671,8 @@ def test_forcing_table_keeps_the_last_time_grid_read_only():
 
 def test_non_finite_forcing_is_reported_as_forcing():
     # a NaN source used to surface only as a non-finite state
-    def forcing(t):
-        return np.full(2, np.nan) if t > 0.5 else np.ones(2)
-
-    cs = make_cs(np.eye(2), np.eye(2), (1, 1), forcing=forcing)
+    cs = make_cs(np.eye(2), np.eye(2), (1, 1), load=np.ones(2),
+                 profile=lambda t: np.where(t > 0.5, np.nan, 1.0))
     parts = splitting.make_split(cs)
     config = splitting.SplitConfig(tau=0.1, t_final=1.0)
     with pytest.raises(NumericalError, match="non-finite forcing at time level 6"):
