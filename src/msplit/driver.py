@@ -139,6 +139,11 @@ class ExperimentConfig:
         if self.modes > 8 * (self.refine - 1):
             raise ConfigError(f"modes = {self.modes} exceeds the snapshot count that survives "
                               f"localization, 8 (refine - 1) = {8 * (self.refine - 1)}")
+        coarse = (self.nx_coarse - 1) * (self.ny_coarse - 1) * self.modes
+        fine = (self.nx_coarse * self.refine - 1) * (self.ny_coarse * self.refine - 1)
+        if coarse > fine:
+            raise ConfigError(f"{coarse} coarse dofs (interior coarse nodes times modes) "
+                              f"exceed the {fine} fine dofs, so the coarse mass is singular")
         if len(self.blocks) < 1 or any(b < 1 for b in self.blocks):
             raise ConfigError(f"block sizes must be positive, got {self.blocks}")
         if sum(self.blocks) != self.modes:

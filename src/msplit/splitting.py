@@ -29,12 +29,10 @@ are grouped into mode blocks. A split adds no matrix: it is the rule above,
 applied entry by entry to the stored entries of C and B. Neither a step nor
 the certificate reads a dense n x n matrix.
 
-The forcing f^1 .. f^N is tabulated once per time grid on the coarse system
-(:meth:`CoarseSystem.forcing`), by one call of ``rhs`` with every time
-level, so the backward Euler reference and a split run on the same grid
-share one evaluation per time level, and the recorded step times hold the
-step alone. The forcing is a profile times one row, f^k = a_k g^, so the
-monitor's |f^k|^2_{C^-1} = a_k^2 |g^|^2_{C^-1} takes one solve with C.
+The forcing is a profile times one row, f^k = a_k g^. A run evaluates the
+profile once, at every level (:meth:`CoarseSystem.scale`), and forms f^{n+1}
+outside the timed step; the monitor's |f^k|^2_{C^-1} = a_k^2 |g^|^2_{C^-1}
+reads the same a_k and takes one solve with C.
 """
 
 from __future__ import annotations
@@ -93,7 +91,7 @@ class CoarseSystem:
     ``mass`` and ``stiff`` are CSR with sorted indices and exactly
     symmetric; dense arrays given here are converted once. Their rows and
     columns are grouped into consecutive mode blocks of ``block_sizes``.
-    The forcing is a(t) g^: the read-only row ``load`` g^ times the
+    The forcing is a(t) g^: the finite read-only row ``load`` g^ times the
     vectorized time ``profile`` a, or g^ alone when ``profile`` is None.
     The factor of C + tau*B is made on first use and kept for the last tau,
     so every run on the system shares it; C is factored once, for
@@ -107,8 +105,6 @@ class CoarseSystem:
     load: np.ndarray
     z0: np.ndarray
     profile: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    _forcing: tuple = field(default=(None, None), init=False, repr=False,
-                            compare=False)
     _load_norm_sq: Optional[float] = field(default=None, init=False, repr=False,
                                            compare=False)
     _euler_factor: tuple = field(default=(None, None), init=False, repr=False,
@@ -119,6 +115,10 @@ class CoarseSystem:
         self.stiff = _csr(self.stiff)
         self.load = np.array(self.load, dtype=float)
         self.load.flags.writeable = False
+        if self.load.shape != (self.dim,):
+            raise ValueError(f"load of shape {self.load.shape} for {self.dim} dofs")
+        if not np.isfinite(self.load).all():
+            raise NumericalError("non-finite forcing: the load has a non-finite entry")
 
     @property
     def dim(self) -> int:
@@ -133,27 +133,24 @@ class CoarseSystem:
             return np.broadcast_to(self.load, (len(times), len(self.load)))
         return self.profile(times)[:, None] * self.load
 
-    def forcing(self, tau: float, n_steps: int) -> np.ndarray:
-        """Read-only table of f^1 .. f^N, row n holding the forcing at (n + 1) * tau.
+    def scale(self, tau: float, n_steps: int) -> Optional[np.ndarray]:
+        """Read-only a_1 .. a_N of the forcing a_k g^ at k * tau; None when static.
 
-        One ``rhs`` call evaluates every time level, and the table is checked
-        finite; the table of the last time grid is kept, so every run on that
-        grid shares it.
+        One ``profile`` call evaluates every time level. Rounding is monotone,
+        so a row a_k g^ is finite exactly when a_k max|g^| is.
         """
-        key, table = self._forcing
-        if key != (tau, n_steps):
-            table = self.rhs(tau * np.arange(1, n_steps + 1))
-            if table.shape != (n_steps, self.dim):
-                raise ValueError(f"rhs returned a {table.shape} table for "
-                                 f"{n_steps} time levels of {self.dim} dofs")
-            finite = np.isfinite(table).all(axis=1)
-            if not finite.all():
-                level = int(np.argmin(finite)) + 1
-                raise NumericalError(f"non-finite forcing at time level {level} "
-                                     f"(t = {level * tau:g})")
-            table.flags.writeable = False
-            self._forcing = ((tau, n_steps), table)
-        return table
+        if self.profile is None:
+            return None
+        scale = np.array(self.profile(tau * np.arange(1, n_steps + 1)), dtype=float)
+        if scale.shape != (n_steps,):
+            raise ValueError(f"profile returned {scale.shape} values for {n_steps} levels")
+        finite = np.isfinite(scale * np.abs(self.load).max(initial=0.0))
+        if not finite.all():
+            level = int(np.argmin(finite)) + 1
+            raise NumericalError(f"non-finite forcing at time level {level} "
+                                 f"(t = {level * tau:g})")
+        scale.flags.writeable = False
+        return scale
 
     def load_norm_sq(self) -> float:
         """|g^|^2_{C^-1} = g^ . C^-1 g^, from one factor of C that is not kept.
@@ -418,26 +415,26 @@ class _Run:
     """States z^0 .. z^N of one time integration, filled step by step.
 
     The states follow one leading copy of z^0 that stands in for z^{-1}, so
-    the levels [z^{n-1}; z^n] a step reads are one contiguous vector. Reads
-    f^{n+1} from ``forcing[n]``, the coarse system's table for this time
-    grid, records the wall time of each step (the forcing evaluation is not
-    part of it), and stops at the first non-finite state.
+    the levels [z^{n-1}; z^n] a step reads are one contiguous vector. f^{n+1}
+    is ``load``, or ``scale[n] * load`` with the system's a_1 .. a_N, formed
+    before the step's wall time is taken. Stops at the first non-finite state.
     """
 
     def __init__(self, cs: CoarseSystem, tau: float, n_steps: int):
         self._levels = np.empty((n_steps + 2, cs.dim))
         self._levels[:2] = cs.z0
         self.states = self._levels[1:]
-        self.forcing = cs.forcing(tau, n_steps)
+        self.load, self.scale = cs.load, cs.scale(tau, n_steps)
         self.step_seconds = np.empty(n_steps)
 
     def advance(self, steps: range, step) -> None:
         """Set z^{n+1} = step([z^{n-1}; z^n], f^{n+1}) for each n in ``steps``."""
-        states, forcing, seconds = self.states, self.forcing, self.step_seconds
+        states, load, scale, seconds = self.states, self.load, self.scale, self.step_seconds
         flat, dim = self._levels.reshape(-1), states.shape[1]
         for n in steps:
+            f_next = load if scale is None else scale[n] * load
             tic = time.perf_counter()
-            states[n + 1] = step(flat[n * dim:(n + 2) * dim], forcing[n])
+            states[n + 1] = step(flat[n * dim:(n + 2) * dim], f_next)
             seconds[n] = time.perf_counter() - tic
             if not np.isfinite(states[n + 1]).all():
                 raise NumericalError(f"non-finite state at step {n + 1}")
@@ -482,8 +479,8 @@ def _energy_monitor(parts: SplitParts, config: SplitConfig, states: np.ndarray,
     Young's inequality and D >= 0 then give the bound, which compares
     |(z^{n+1} + z^n)/2|^2_B with E_1 + (tau/2) sum_{k=2}^{n+1} |f^k|^2_{C^-1}
     for n = 1..N-1. The forcing is f^k = a_k g^, so |f^k|^2_{C^-1} is
-    a_k^2 ``load_norm_sq``: ``scale`` holds a_2 .. a_N, or is None for a
-    static forcing (a_k = 1), and the monitor solves nothing.
+    a_k^2 ``load_norm_sq``: ``scale`` holds the run's a_1 .. a_N, or is None
+    for a static forcing (a_k = 1), and the monitor solves nothing.
     """
     tau = config.tau
     damping = damping_matrix(parts, config)
@@ -496,7 +493,7 @@ def _energy_monitor(parts: SplitParts, config: SplitConfig, states: np.ndarray,
         means = 0.5 * (now + prev)
         potential[rows] = quadratic_forms(parts.stiff, means)
         energy[rows] = quadratic_forms(damping, diffs) / tau ** 2 + potential[rows]
-    work = 0.5 * tau * load_norm_sq * (1.0 if scale is None else scale ** 2)
+    work = 0.5 * tau * load_norm_sq * (1.0 if scale is None else scale[1:] ** 2)
     return energy, potential[1:], energy[0] + np.cumsum(np.broadcast_to(work, n_steps - 1))
 
 
@@ -535,10 +532,8 @@ def march(cs: CoarseSystem, parts: SplitParts, config: SplitConfig) -> Trajector
     run.advance(range(1, n_steps), _StepOperator(parts, config).step)
     energy = bound_lhs = bound_rhs = None
     if cert.passed:
-        levels = config.tau * np.arange(2, n_steps + 1)
-        scale = None if cs.profile is None else cs.profile(levels)
         energy, bound_lhs, bound_rhs = _energy_monitor(
-            parts, config, run.states, scale, cs.load_norm_sq())
+            parts, config, run.states, run.scale, cs.load_norm_sq())
         _check_bound(bound_lhs, bound_rhs)
     return Trajectory(states=run.states, tau=config.tau, certificate=cert, energy=energy,
                       bound_lhs=bound_lhs, bound_rhs=bound_rhs,

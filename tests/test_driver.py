@@ -1,16 +1,20 @@
 """Experiment driver: configs, problem builders, runs, sweeps, CLI."""
 
+import contextlib
 import dataclasses
+import io
 import math
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from msplit import cli, driver, fineassembly, gmsfem, linalg, splitting
 from msplit.driver import ConfigError, ExperimentConfig
@@ -541,13 +545,25 @@ def test_cli_more_modes_than_a_neighborhood_localizes_is_a_config_error(
     assert err.startswith("config error:") and f"8 (refine - 1) = {modes - 1}" in err
 
 
-def test_cli_a_singular_coarse_mass_near_the_mode_bound_exits_3(tmp_path, capsys):
-    # 7 <= 8 (r - 1) modes pass validation and the offline stage on a 4 x 4
-    # channels grid with r = 2, but the projected C is numerically singular:
-    # project_coarse's one factorization of C refuses it
+def test_cli_more_coarse_than_fine_dofs_is_a_config_error(tmp_path, capsys):
+    # 7 <= 8 (r - 1) modes on 4 x 4 cells with r = 2 make 9 * 7 = 63 coarse
+    # columns for 49 fine dofs, so C is singular before any work is done
     path = tmp_path / "modes.cfg"
     path.write_text("nx_coarse = 4\nny_coarse = 4\nrefine = 2\nkappa = channels\n"
                     "modes = 7\nblocks = 1+6\n")
+    assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "63 coarse dofs" in err and "49 fine dofs" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_a_singular_coarse_mass_near_the_mode_bound_exits_3(tmp_path, capsys):
+    # 5 modes on a 4 x 4 constant grid with r = 2 pass validation (45 coarse
+    # columns for 49 fine dofs) and the offline stage, but the projected C is
+    # numerically singular: project_coarse's one factorization of C refuses it
+    path = tmp_path / "modes.cfg"
+    path.write_text("nx_coarse = 4\nny_coarse = 4\nrefine = 2\nkappa = constant\n"
+                    "modes = 5\nblocks = 1+4\n")
     assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert "coarse system is not positive definite (near-dependent basis)" in err
@@ -568,6 +584,50 @@ def test_cli_permeability_out_of_range_is_a_config_error(tmp_path, capsys):
         assert cli.main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and needle in err
+
+
+@st.composite
+def small_configs(draw):
+    """Config text on 2-4 coarse cells a side, r 2-3 and at most 20 steps."""
+    refine = draw(st.integers(2, 3))
+    modes = draw(st.integers(1, 8 * (refine - 1) + 1))
+    cuts = sorted(draw(st.sets(st.integers(1, modes - 1), max_size=2))) if modes > 1 else []
+    tau, steps = draw(st.sampled_from([1e-3, 4e-3, 0.02, 0.05])), draw(st.integers(1, 20))
+    keys = dict(
+        nx_coarse=draw(st.integers(2, 4)), ny_coarse=draw(st.integers(2, 4)), refine=refine,
+        modes=modes, blocks="+".join(str(b - a) for a, b in zip([0, *cuts], [*cuts, modes])),
+        kappa=draw(st.sampled_from(["periodic", "constant", "channels"])),
+        source=draw(st.sampled_from(["exp-radial", "pulsed-sine", "constant", "zero"])),
+        initial=draw(st.sampled_from(["sine", "zero"])),
+        theta_mass=draw(st.floats(0.3, 3.0)), theta_stiff=draw(st.floats(0.3, 3.0)),
+        tau=tau, t_final=steps * tau)
+    return "".join(f"{key} = {value}\n" for key, value in keys.items())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(text=small_configs(), command=st.sampled_from(["run", "check-stability"]))
+def test_cli_exit_contract_under_a_config_fuzz(text, command):
+    # every small config ends in exit 0, 2 or 3; a failure ends in its own
+    # one-line diagnosis, never a traceback, and a certified run's errors are
+    # finite
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "fuzz.cfg"), os.path.join(tmp, "out")
+        with open(path, "w") as fh:
+            fh.write(text)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            argv = [command, path] + (["--output", out] if command == "run" else [])
+            code = cli.main(argv)
+        assert code in (0, 2, 3), text
+        err = stderr.getvalue()
+        assert "Traceback" not in err
+        if code:
+            last = err.strip().splitlines()[-1]
+            assert last.startswith("config error:" if code == 2 else "numerical failure:")
+        elif command == "run" and "stability certificate: pass" in stdout.getvalue():
+            with open(os.path.join(out, "errors.csv")) as fh:
+                row = fh.read().splitlines()[1].split(",")
+            assert np.isfinite([float(v) for v in row[1:]]).all(), text
 
 
 def test_cli_negative_kappa_seed_is_a_config_error(tmp_path, capsys):

@@ -1063,10 +1063,12 @@ def test_static_load_is_one_read_only_row(forced):
     fs, basis, prol, pmat, _ = forced
     static = Source(lambda x, y: np.exp(x * y))
     cs = gmsfem.project_coarse(dataclasses.replace(fs, source=static), basis, prol)
-    table = cs.forcing(0.1, 5)
-    assert table.shape == (5, prol.n_columns) and table.strides[0] == 0
-    assert not table.flags.writeable
-    _assert_close(table[0], pmat.T @ scatter_load(fs.grid, space_time(static), 0.0))
+    assert cs.scale(0.1, 5) is None
+    assert cs.load.shape == (prol.n_columns,) and not cs.load.flags.writeable
+    _assert_close(cs.load, pmat.T @ scatter_load(fs.grid, space_time(static), 0.0))
+    pulsed = gmsfem.project_coarse(fs, basis, prol).scale(0.1, 5)
+    assert pulsed.shape == (5,) and not pulsed.flags.writeable
+    assert np.array_equal(pulsed, fs.source.time(0.1 * np.arange(1, 6)))
 
 
 def test_non_finite_time_profile_is_reported_at_its_level(forced):
@@ -1074,7 +1076,7 @@ def test_non_finite_time_profile_is_reported_at_its_level(forced):
     source = Source(fs.source.space, lambda t: np.where(t > 0.5, np.nan, 1.0 + t))
     cs = gmsfem.project_coarse(dataclasses.replace(fs, source=source), basis, prol)
     with pytest.raises(NumericalError, match=r"non-finite forcing at time level 6 "):
-        cs.forcing(0.1, 10)
+        cs.scale(0.1, 10)
 
 
 def test_cell_moments_match_the_prolongation_matrix(forced):

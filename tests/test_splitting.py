@@ -303,7 +303,7 @@ def test_energy_monitor_makes_no_solve(pulsed, monkeypatch):
     assert solved == [(6, 1)]
     traj = splitting.march(cs, parts, config)
     assert in_monitor == [0]
-    rows = cs.forcing(config.tau, config.n_steps)[1:]
+    rows = cs.rhs(config.tau * np.arange(2, config.n_steps + 1))
     per_row = 0.5 * config.tau * np.array([f @ np.linalg.solve(cmat, f) for f in rows])
     want = traj.energy[0] + np.cumsum(per_row)
     assert np.max(np.abs(traj.bound_rhs - want)) <= 1e-12 * np.max(np.abs(want))
@@ -628,8 +628,8 @@ def test_overflowing_backward_euler_rhs_is_numerical_error():
 
 
 def test_reference_and_march_share_one_forcing_evaluation_per_level():
-    # one profile call with every time level makes the table both runs read;
-    # the energy monitor evaluates the profile once more, at levels 2..N
+    # each run calls the profile once, with every time level; the split run's
+    # energy monitor reads the same values and makes no call of its own
     rng = np.random.default_rng(21)
     calls = []
 
@@ -645,40 +645,31 @@ def test_reference_and_march_share_one_forcing_evaluation_per_level():
     assert split.energy is not None
     levels = config.tau * np.arange(1, config.n_steps + 1)
     assert len(calls) == 2
-    assert np.array_equal(calls[0], levels) and np.array_equal(calls[1], levels[1:])
+    assert all(np.array_equal(call, levels) for call in calls)
     want = dense_backward_euler(cs.mass.toarray(), cs.stiff.toarray(), load, np.sin,
                                 cs.z0, config.tau, config.n_steps)
     assert np.allclose(reference.states, want, atol=1e-12)
     assert split.n_steps == config.n_steps
 
 
-def test_forcing_table_keeps_the_last_time_grid_read_only():
-    calls = []
-
-    def profile(times):
-        calls.extend(times)
-        return times
-
-    cs = make_cs(np.eye(2), np.eye(2), (1, 1), load=np.array([1.0, 2.0]), profile=profile)
-    table = cs.forcing(0.5, 2)
-    assert np.array_equal(table, [[0.5, 1.0], [1.0, 2.0]])
-    assert not table.flags.writeable
-    assert cs.forcing(0.5, 2) is table
-    assert len(cs.forcing(0.25, 4)) == 4
-    assert cs.forcing(0.5, 2) is not table
-    assert len(calls) == 2 + 4 + 2
-
-
 def test_non_finite_forcing_is_reported_as_forcing():
-    # a NaN source used to surface only as a non-finite state
-    cs = make_cs(np.eye(2), np.eye(2), (1, 1), load=np.ones(2),
-                 profile=lambda t: np.where(t > 0.5, np.nan, 1.0))
-    parts = splitting.make_split(cs)
+    # a NaN source used to surface only as a non-finite state; a finite
+    # profile whose product with a finite load overflows is reported the
+    # same way, and a static load is checked when the system is built
     config = splitting.SplitConfig(tau=0.1, t_final=1.0)
-    with pytest.raises(NumericalError, match="non-finite forcing at time level 6"):
-        splitting.backward_euler(cs, config.tau, config.t_final)
-    with pytest.raises(NumericalError, match="non-finite forcing at time level 6"):
-        splitting.march(cs, parts, config)
+    for load, value in ((np.ones(2), np.nan), (np.array([1.0, 1e300]), 1e10)):
+        cs = make_cs(np.eye(2), np.eye(2), (1, 1), load=load,
+                     profile=lambda t, value=value: np.where(t > 0.5, value, 1.0))
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericalError, match="non-finite forcing at time level 6"):
+                splitting.backward_euler(cs, config.tau, config.t_final)
+            with pytest.raises(NumericalError, match="non-finite forcing at time level 6"):
+                splitting.march(cs, splitting.make_split(cs), config)
+    with pytest.raises(NumericalError, match="non-finite forcing"):
+        make_cs(np.eye(2), np.eye(2), (1, 1), load=np.array([1.0, np.inf]))
+    with pytest.raises(ValueError, match=r"load of shape \(3,\) for 2 dofs"):
+        splitting.CoarseSystem(block_sizes=(1, 1), mass=np.eye(2), stiff=np.eye(2),
+                               load=np.ones(3), z0=np.zeros(2))
 
 
 def test_march_reports_unstable_growth_as_numerical_error():
