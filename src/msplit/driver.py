@@ -396,12 +396,13 @@ def compare(reference: Trajectory, split: Trajectory,
     so the fine-grid norms of a reconstructed field P z are the coarse forms
     |P z|^2 = z^T C z and z^T B z: the final-time errors are
     sqrt(d^T C d / z^T C z) and sqrt(d^T B d / z^T B z) with z the reference
-    and d its difference to the split state, and the per-step history is the
-    energy form for a chunk of steps per product.
+    and d its difference to the split state. The per-step history is the
+    one a split streamed against ``reference`` recorded, or the same
+    :func:`splitting.energy_errors` for a chunk of steps per product.
     """
-    if reference.tau != split.tau or reference.states.shape != split.states.shape:
+    if reference.tau != split.tau or reference.n_steps != split.n_steps:
         raise ValueError("trajectories do not share the time grid")
-    if coarse.dim != reference.states.shape[1]:
+    if not coarse.dim == reference.states.shape[1] == split.states.shape[1]:
         raise ValueError("trajectories do not match the coarse system")
     ref_final = reference.states[-1]
     err_final = ref_final - split.states[-1]
@@ -412,15 +413,13 @@ def compare(reference: Trajectory, split: Trajectory,
         raise NumericalError("reference field vanishes at the final time; "
                              "relative errors are undefined")
     n_steps = split.n_steps
-    values = np.empty(n_steps)
-    for chunk in splitting.trajectory_chunks(n_steps, coarse.dim):
-        rows = slice(1 + chunk.start, 1 + chunk.stop)
-        refs = reference.states[rows]
-        diffs = refs - split.states[rows]
-        num = np.maximum(splitting.quadratic_forms(coarse.stiff, diffs), 0.0)
-        den = splitting.quadratic_forms(coarse.stiff, refs)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values[chunk] = np.where(den > 0.0, np.sqrt(num / den), np.inf)
+    values = split.history
+    if values is None:
+        values = np.empty(n_steps)
+        for chunk in splitting.trajectory_chunks(n_steps, coarse.dim):
+            rows = slice(1 + chunk.start, 1 + chunk.stop)
+            values[chunk] = splitting.energy_errors(coarse.stiff, reference.states[rows],
+                                                    split.states[rows])
     times = split.tau * np.arange(1, n_steps + 1)
     return ErrorReport(e_l2=err_l2 / ref_l2, e_a=err_en / ref_en,
                        history_times=times, history_values=values)
@@ -486,7 +485,7 @@ def _fine_reference_errors(pipe: Pipeline, split: Trajectory) -> dict:
 
 def _run_setting(pipe: Pipeline, theta_mass, theta_stiff,
                  reference: Trajectory) -> tuple:
-    """One split run on the pipeline's coarse system against its reference.
+    """One split run on the pipeline's coarse system, streamed against its reference.
 
     The split runs on the backward Euler reference's time step.
     """
@@ -495,7 +494,7 @@ def _run_setting(pipe: Pipeline, theta_mass, theta_stiff,
     parts = splitting.make_split(coarse)
     scfg = SplitConfig(tau=tau, t_final=pipe.config.t_final,
                        theta_mass=theta_mass, theta_stiff=theta_stiff)
-    split = splitting.march(coarse, parts, scfg)
+    split = splitting.march(coarse, parts, scfg, reference=reference)
     report = compare(reference, split, coarse)
     report.meta.update({
         "blocks": pipe.prol.block_sizes,

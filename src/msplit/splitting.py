@@ -17,8 +17,8 @@ The split keeps the diagonal mode blocks implicit (C1 = blockdiag(C),
 B1 = blockdiag(B)) and treats the coupling blocks explicitly, so the blocks
 of a solve decouple completely: one sparse factor of the whole
 block-diagonal matrix serves them all. The first step is one unsplit
-backward Euler step, the same step the backward Euler reference takes, with
-the same factor of C + tau*B. Sufficient stability conditions are checked
+backward Euler step, the step the reference takes, whose z^1 a split run
+streamed against it reuses. Sufficient stability conditions are checked
 as matrix inequalities (theta_m*C1 - C/2 and theta_s*B1 - B/2 positive
 definite, one sparse factorization each) and, when they hold, a discrete
 energy is recorded and must not grow faster than the forcing term,
@@ -58,6 +58,7 @@ __all__ = [
     "check_stability",
     "march",
     "backward_euler",
+    "energy_errors",
 ]
 
 logger = logging.getLogger(__name__)
@@ -93,10 +94,9 @@ class CoarseSystem:
     columns are grouped into consecutive mode blocks of ``block_sizes``.
     The forcing is a(t) g^: the finite read-only row ``load`` g^ times the
     vectorized time ``profile`` a, or g^ alone when ``profile`` is None.
-    The factor of C + tau*B is made on first use and kept for the last tau,
-    so every run on the system shares it; C is factored once, for
-    |g^|^2_{C^-1}, and only that number is kept. The operators must not
-    change once the system is built.
+    C is factored once, for |g^|^2_{C^-1}, and only that number is kept; no
+    run leaves a factor on the system. The operators must not change once
+    the system is built.
     """
 
     block_sizes: tuple
@@ -107,8 +107,6 @@ class CoarseSystem:
     profile: Optional[Callable[[np.ndarray], np.ndarray]] = None
     _load_norm_sq: Optional[float] = field(default=None, init=False, repr=False,
                                            compare=False)
-    _euler_factor: tuple = field(default=(None, None), init=False, repr=False,
-                                 compare=False)
 
     def __post_init__(self):
         self.mass = _csr(self.mass)
@@ -163,15 +161,6 @@ class CoarseSystem:
             self._load_norm_sq = float(
                 _row_dots(row, factor.solve(np.ascontiguousarray(row.T)))[0])
         return self._load_norm_sq
-
-    def euler_factor(self, tau: float) -> SparseCholesky:
-        """Factor of the backward Euler matrix C + tau*B; the last tau's is kept."""
-        key, factor = self._euler_factor
-        if key != tau:
-            factor = SparseCholesky(self.mass + tau * self.stiff,
-                                    context=f"C + tau*B (tau = {tau:g})")
-            self._euler_factor = (tau, factor)
-        return factor
 
 
 @dataclass
@@ -292,7 +281,8 @@ def _certify(parts: SplitParts, mat: sp.csr_matrix, theta: float, name: str) -> 
     M has no stored coupling entry (M1 = M). Otherwise K = (p/2)*M1 - M/2 is
     SPD, as lambda_max(M1^-1 M) < p for SPD M on p blocks, and the largest
     eigenvalue nu of M1 v = nu K v is 2 / (p - lambda_max(M1^-1 M)), so
-    theta* = p/2 - 1/nu: one Lanczos run through a sparse factor of K. At
+    theta* = p/2 - 1/nu: one Lanczos run through a sparse factor of K, to a
+    relative tolerance of 1e-10 (theta* is printed to four digits). At
     theta = p/2 the condition matrix is K itself, and its factor serves.
     """
     condition = _condition(parts, mat, theta)
@@ -312,7 +302,7 @@ def _certify(parts: SplitParts, mat: sp.csr_matrix, theta: float, name: str) -> 
         nu = spla.eigsh(_blockdiag(mat, parts.block_sizes), k=1, M=ceiling,
                         Minv=spla.LinearOperator((n, n), matvec=factor.solve),
                         which="LA", v0=np.random.default_rng(0).standard_normal(n),
-                        return_eigenvectors=False)[0]
+                        tol=1e-10, return_eigenvectors=False)[0]
     except spla.ArpackError as exc:
         raise NumericalError(f"{name} certificate threshold: {exc}") from exc
     return ok, theta - (0.5 * p - 1.0 / float(nu))
@@ -363,10 +353,10 @@ class _StepOperator:
 def _euler_step(cs: CoarseSystem, tau: float):
     """Unsplit backward Euler step (C + tau*B) z^{n+1} = tau*f^{n+1} + C z^n.
 
-    Solves with the coarse system's factor of C + tau*B; the returned step
-    reads z^n, the second half of the levels [z^{n-1}; z^n].
+    The factor of C + tau*B lives as long as the returned step, which reads
+    z^n, the second half of the levels [z^{n-1}; z^n].
     """
-    factor = cs.euler_factor(tau)
+    factor = SparseCholesky(cs.mass + tau * cs.stiff, context=f"C + tau*B (tau = {tau:g})")
     mass, dim = cs.mass, cs.dim
 
     def step(levels, f_next):
@@ -386,23 +376,24 @@ def damping_matrix(parts: SplitParts, config: SplitConfig) -> sp.csr_matrix:
 class Trajectory:
     """Time-stepping history with optional energy monitoring.
 
-    ``states`` holds z^0 .. z^N. When the stability certificate passes,
-    ``energy`` records the discrete energy for n = 1..N and ``bound_lhs`` /
-    ``bound_rhs`` the two sides of the a priori estimate for each split step
-    (the margin stays non-negative exactly when the estimate holds).
+    ``states`` holds z^0 .. z^N, N = ``n_steps``, or only the last levels
+    of a split run streamed against a reference, whose ``history`` is then
+    its :func:`energy_errors` against the reference for n = 1..N. When the
+    stability certificate passes, ``energy`` records the discrete energy
+    for n = 1..N and ``bound_lhs`` / ``bound_rhs`` the two sides of the a
+    priori estimate for each split step (the margin stays non-negative
+    exactly when the estimate holds).
     """
 
     states: np.ndarray
     tau: float
+    n_steps: int
     certificate: Optional[StabilityCertificate] = None
     energy: Optional[np.ndarray] = None
     bound_lhs: Optional[np.ndarray] = None
     bound_rhs: Optional[np.ndarray] = None
+    history: Optional[np.ndarray] = None
     step_seconds: Optional[np.ndarray] = None
-
-    @property
-    def n_steps(self) -> int:
-        return self.states.shape[0] - 1
 
     @property
     def bound_margin(self) -> Optional[float]:
@@ -411,46 +402,71 @@ class Trajectory:
         return float(np.min(self.bound_rhs - self.bound_lhs))
 
 
-class _Run:
-    """States z^0 .. z^N of one time integration, filled step by step.
-
-    The states follow one leading copy of z^0 that stands in for z^{-1}, so
-    the levels [z^{n-1}; z^n] a step reads are one contiguous vector. f^{n+1}
-    is ``load``, or ``scale[n] * load`` with the system's a_1 .. a_N, formed
-    before the step's wall time is taken. Stops at the first non-finite state.
-    """
-
-    def __init__(self, cs: CoarseSystem, tau: float, n_steps: int):
-        self._levels = np.empty((n_steps + 2, cs.dim))
-        self._levels[:2] = cs.z0
-        self.states = self._levels[1:]
-        self.load, self.scale = cs.load, cs.scale(tau, n_steps)
-        self.step_seconds = np.empty(n_steps)
-
-    def advance(self, steps: range, step) -> None:
-        """Set z^{n+1} = step([z^{n-1}; z^n], f^{n+1}) for each n in ``steps``."""
-        states, load, scale, seconds = self.states, self.load, self.scale, self.step_seconds
-        flat, dim = self._levels.reshape(-1), states.shape[1]
-        for n in steps:
-            f_next = load if scale is None else scale[n] * load
-            tic = time.perf_counter()
-            states[n + 1] = step(flat[n * dim:(n + 2) * dim], f_next)
-            seconds[n] = time.perf_counter() - tic
-            if not np.isfinite(states[n + 1]).all():
-                raise NumericalError(f"non-finite state at step {n + 1}")
-
-
-# Trajectory post-processing takes a chunk of time levels per matrix product:
-# a sixteenth of the levels, so that each temporary of a chunk stays far
-# below the stored trajectory, and at most this many bytes of them. At 2250
-# coarse dofs and 300 levels that is 18 levels per product.
+# A run makes its levels a chunk at a time, and the energy monitor and the
+# error history take one matrix product per chunk: a sixteenth of the
+# levels, so that a split run streamed against a stored reference adds a
+# sixteenth of its storage, and at most this many bytes of them. At 2250
+# coarse dofs and 300 levels that is 18 levels per chunk.
 TRAJECTORY_CHUNK_BYTES = 1 << 20
 
 
 def trajectory_chunks(n_levels: int, dim: int) -> list:
     """Slices that cut ``n_levels`` rows of ``dim`` values into chunks (see above)."""
     rows = max(1, min(TRAJECTORY_CHUNK_BYTES // (8 * max(dim, 1)), n_levels // 16))
-    return [slice(lo, lo + rows) for lo in range(0, n_levels, rows)]
+    return [slice(lo, min(lo + rows, n_levels)) for lo in range(0, n_levels, rows)]
+
+
+class _Run:
+    """Time levels of one integration, made step by step, a chunk at a time.
+
+    The levels follow one leading copy of z^0 that stands in for z^{-1}, so
+    the levels [z^{n-1}; z^n] a step reads are one contiguous vector. Chunk c
+    of :func:`trajectory_chunks` makes z^{c.start + 1} .. z^{c.stop}. The
+    run holds z^0 .. z^N, or without ``keep_all`` one chunk and the two
+    levels before it. f^{n+1} is ``load``, or ``scale[n] * load`` with the
+    system's a_1 .. a_N, formed before the step's wall time is taken. Stops
+    at the first non-finite state.
+    """
+
+    def __init__(self, cs: CoarseSystem, tau: float, n_steps: int, keep_all: bool = True):
+        self.chunks = trajectory_chunks(n_steps, cs.dim)
+        self._levels = np.empty((2 + (n_steps if keep_all else self.chunks[0].stop), cs.dim))
+        self._levels[:2] = cs.z0
+        self._first = 0   # the level in row 1
+        self.load, self.scale = cs.load, cs.scale(tau, n_steps)
+        self.step_seconds = np.empty(n_steps)
+
+    @property
+    def states(self) -> np.ndarray:
+        """The levels held by a finished run, z^first .. z^N."""
+        return self._levels[1:len(self.step_seconds) - self._first + 2]
+
+    def advance(self, steps: range, step, sink=None) -> None:
+        """Set z^{n+1} = step([z^{n-1}; z^n], f^{n+1}) for each n in ``steps``.
+
+        Once a chunk c's levels are all made, ``sink(c, levels)`` reads
+        z^{c.start} .. z^{c.stop}.
+        """
+        levels, load, scale, seconds = self._levels, self.load, self.scale, self.step_seconds
+        flat, dim = levels.reshape(-1), levels.shape[1]
+        for chunk in self.chunks:
+            lo, hi = max(chunk.start, steps.start), min(chunk.stop, steps.stop)
+            if lo >= hi:
+                continue
+            if hi - self._first + 2 > len(levels):
+                held = levels[chunk.start - self._first:lo - self._first + 2]
+                levels[:len(held)] = held
+                self._first = chunk.start
+            for n in range(lo, hi):
+                f_next = load if scale is None else scale[n] * load
+                row = n - self._first
+                tic = time.perf_counter()
+                levels[row + 2] = step(flat[row * dim:(row + 2) * dim], f_next)
+                seconds[n] = time.perf_counter() - tic
+                if not np.isfinite(levels[row + 2]).all():
+                    raise NumericalError(f"non-finite state at step {n + 1}")
+            if sink is not None and hi == chunk.stop:
+                sink(chunk, levels[chunk.start - self._first + 1:hi - self._first + 2])
 
 
 def _row_dots(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -467,33 +483,33 @@ def quadratic_forms(mat, rows: np.ndarray) -> np.ndarray:
     return _row_dots(rows, mat @ rows.T)
 
 
-def _energy_monitor(parts: SplitParts, config: SplitConfig, states: np.ndarray,
+def energy_errors(stiff, refs: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """|r_i - z_i|_B / |r_i|_B (inf if r_i vanishes) for the rows of ``refs``, ``states``."""
+    num = np.maximum(quadratic_forms(stiff, refs - states), 0.0)
+    den = quadratic_forms(stiff, refs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den > 0.0, np.sqrt(num / den), np.inf)
+
+
+def _energy_monitor(config: SplitConfig, energy: np.ndarray, potential: np.ndarray,
                     scale: Optional[np.ndarray], load_norm_sq: float):
     """Discrete energy and both sides of the a priori bound of a finished run.
 
     E_n = |z^n - z^{n-1}|^2_D / tau^2 + |(z^n + z^{n-1})/2|^2_B with D the
-    damping matrix, for n = 1..N. With a = (z^{n+1} - z^{n-1}) / (2 tau) a
-    split step reads (C + tau*theta_s*B1) a + (D + tau^2 B/4)(z^{n+1} - 2 z^n
-    + z^{n-1}) / tau^2 + B z^n = f^{n+1}; its product with 2 tau a is
-    E_{n+1} - E_n = -2 tau |a|^2_{C + tau*theta_s*B1} + 2 tau (f^{n+1}, a).
-    Young's inequality and D >= 0 then give the bound, which compares
-    |(z^{n+1} + z^n)/2|^2_B with E_1 + (tau/2) sum_{k=2}^{n+1} |f^k|^2_{C^-1}
-    for n = 1..N-1. The forcing is f^k = a_k g^, so |f^k|^2_{C^-1} is
-    a_k^2 ``load_norm_sq``: ``scale`` holds the run's a_1 .. a_N, or is None
-    for a static forcing (a_k = 1), and the monitor solves nothing.
+    damping matrix, and its second term, the ``potential``, for n = 1..N
+    are filled a chunk at a time by :func:`march`. With a = (z^{n+1} -
+    z^{n-1}) / (2 tau) a split step reads (C + tau*theta_s*B1) a + (D +
+    tau^2 B/4)(z^{n+1} - 2 z^n + z^{n-1}) / tau^2 + B z^n = f^{n+1}; its
+    product with 2 tau a is E_{n+1} - E_n = -2 tau |a|^2_{C + tau*theta_s*B1}
+    + 2 tau (f^{n+1}, a). Young's inequality and D >= 0 then give the bound,
+    which compares |(z^{n+1} + z^n)/2|^2_B with E_1 + (tau/2) sum_{k=2}^{n+1}
+    |f^k|^2_{C^-1} for n = 1..N-1. The forcing is f^k = a_k g^, so
+    |f^k|^2_{C^-1} is a_k^2 ``load_norm_sq``: ``scale`` holds the run's a_1
+    .. a_N, or is None for a static forcing (a_k = 1), and the monitor
+    solves nothing.
     """
-    tau = config.tau
-    damping = damping_matrix(parts, config)
-    n_steps = len(states) - 1
-    energy = np.empty(n_steps)
-    potential = np.empty(n_steps)
-    for rows in trajectory_chunks(n_steps, states.shape[1]):
-        now, prev = states[1:][rows], states[:-1][rows]
-        diffs = now - prev
-        means = 0.5 * (now + prev)
-        potential[rows] = quadratic_forms(parts.stiff, means)
-        energy[rows] = quadratic_forms(damping, diffs) / tau ** 2 + potential[rows]
-    work = 0.5 * tau * load_norm_sq * (1.0 if scale is None else scale[1:] ** 2)
+    n_steps = len(energy)
+    work = 0.5 * config.tau * load_norm_sq * (1.0 if scale is None else scale[1:] ** 2)
     return energy, potential[1:], energy[0] + np.cumsum(np.broadcast_to(work, n_steps - 1))
 
 
@@ -514,35 +530,60 @@ def _check_bound(bound_lhs: np.ndarray, bound_rhs: np.ndarray) -> None:
             f"below -1e-10 of the bound scale {scale:.3e}")
 
 
-def march(cs: CoarseSystem, parts: SplitParts, config: SplitConfig) -> Trajectory:
+def march(cs: CoarseSystem, parts: SplitParts, config: SplitConfig, *,
+          reference: Optional[Trajectory] = None) -> Trajectory:
     """Run the split scheme from t = 0 to t_final.
 
     The stability certificate is evaluated up front; on failure the run
     proceeds with a warning and without the energy monitor, which otherwise
-    is evaluated from the stored states once the march is done. A certified
-    run whose a priori bound then fails by more than round-off, 1e-10 of
-    the bound's scale max(|bound_rhs|, 1), raises :class:`NumericalError`.
+    takes each chunk of levels as it is made. A certified run whose a
+    priori bound then fails by more than round-off, 1e-10 of the bound's
+    scale max(|bound_rhs|, 1), raises :class:`NumericalError`. Given the
+    :func:`backward_euler` ``reference`` on the same system and time grid,
+    z^1 is the reference's (the same step, bit for bit), and the run keeps
+    one chunk of levels and the two before it and records its ``history``;
+    without one it factors C + tau*B for its first step and keeps every level.
     """
+    tau, n_steps = config.tau, config.n_steps
+    if reference is not None and (reference.tau != tau
+                                  or reference.states.shape != (n_steps + 1, cs.dim)):
+        raise ValueError("the reference does not share the time grid and the coarse system")
     cert = check_stability(parts, config.theta_mass, config.theta_stiff)
     if not cert.passed:
         logger.warning("%s; continuing without energy monitor", cert.describe())
-    n_steps = config.n_steps
-    run = _Run(cs, config.tau, n_steps)
-    run.advance(range(1), _euler_step(cs, config.tau))
-    run.advance(range(1, n_steps), _StepOperator(parts, config).step)
-    energy = bound_lhs = bound_rhs = None
+    run = _Run(cs, tau, n_steps, keep_all=reference is None)
+    energy, potential, history = np.empty((3, n_steps))
+    damping = damping_matrix(parts, config) if cert.passed else None
+
+    def sink(chunk, levels):
+        if cert.passed:
+            now, prev = levels[1:], levels[:-1]
+            potential[chunk] = quadratic_forms(parts.stiff, 0.5 * (now + prev))
+            energy[chunk] = quadratic_forms(damping, now - prev) / tau ** 2 + potential[chunk]
+        if reference is not None:
+            history[chunk] = energy_errors(
+                cs.stiff, reference.states[chunk.start + 1:chunk.stop + 1], levels[1:])
+
+    # the first step is a temporary: a factor of C + tau*B is freed before
+    # the split step matrix is factored
+    run.advance(range(1), _euler_step(cs, tau) if reference is None
+                else lambda levels, f_next: reference.states[1], sink)
+    run.advance(range(1, n_steps), _StepOperator(parts, config).step, sink)
+    bound_lhs = bound_rhs = None
     if cert.passed:
         energy, bound_lhs, bound_rhs = _energy_monitor(
-            parts, config, run.states, run.scale, cs.load_norm_sq())
+            config, energy, potential, run.scale, cs.load_norm_sq())
         _check_bound(bound_lhs, bound_rhs)
-    return Trajectory(states=run.states, tau=config.tau, certificate=cert, energy=energy,
-                      bound_lhs=bound_lhs, bound_rhs=bound_rhs,
+    return Trajectory(states=run.states, tau=tau, n_steps=n_steps, certificate=cert,
+                      energy=energy if cert.passed else None, bound_lhs=bound_lhs,
+                      bound_rhs=bound_rhs, history=None if reference is None else history,
                       step_seconds=run.step_seconds)
 
 
 def backward_euler(cs: CoarseSystem, tau: float, t_final: float) -> Trajectory:
-    """Unsplit backward Euler reference run on the same coarse system."""
+    """Unsplit backward Euler reference run on the same coarse system; keeps every level."""
     n_steps = SplitConfig(tau=tau, t_final=t_final).n_steps  # validates the step count
     run = _Run(cs, tau, n_steps)
     run.advance(range(n_steps), _euler_step(cs, tau))
-    return Trajectory(states=run.states, tau=tau, step_seconds=run.step_seconds)
+    return Trajectory(states=run.states, tau=tau, n_steps=n_steps,
+                      step_seconds=run.step_seconds)

@@ -7,6 +7,7 @@ smoke test's 3 x 3 config, every output under the test's own directory.
 """
 
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -45,3 +46,9 @@ def test_traced_run_and_offline_only_agree(harness, tmp_path):
     assert traced["eigenvalues"] and run.eigenvalues_match(pinned["eigenvalues"],
                                                            traced["eigenvalues"])
     assert (tmp_path / "out" / "errors.csv").exists()
+    # traced.py reads march's three positional arguments, the split's
+    # n_steps, step_seconds and bound_margin, and the reference's step_seconds
+    metrics = traced["metrics"]
+    assert metrics["splitting.steps"] == 50
+    assert math.isfinite(metrics["splitting.bound_margin"])
+    assert metrics["splitting.step_us_p50"] > 0.0 and metrics["splitting.be_step_us_p50"] > 0.0

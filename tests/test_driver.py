@@ -466,6 +466,37 @@ def test_sweep_params_axis_shares_one_reference(tmp_path, monkeypatch):
     assert rows[1][1:] == (single.e_l2, single.e_a)
 
 
+def test_sweep_params_streams_every_setting_against_one_reference(tmp_path, monkeypatch):
+    # one backward Euler run serves all four weight pairs, each split is
+    # streamed against it, and every history file is byte for byte the one
+    # of a split that kept every level, compared on full states
+    euler, march, made, marched = splitting.backward_euler, splitting.march, [], []
+
+    def recording_euler(*args):
+        made.append(euler(*args))
+        return made[-1]
+
+    def recording_march(*args, **kwargs):
+        marched.append((args, kwargs))
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(splitting, "backward_euler", recording_euler)
+    monkeypatch.setattr(splitting, "march", recording_march)
+    pairs = ((1.0, 1.0), (1.0, 1.5), (1.5, 1.0), (1.5, 1.5))
+    out = tmp_path / "sweep"
+    rows = driver.sweep(tiny_config(output_dir=str(out), params_sweep=pairs), "params")
+    assert len(made) == 1 and len(marched) == len(pairs) == len(rows)
+    reference = made[0]
+    for (label, _, _), (args, kwargs) in zip(rows, marched):
+        assert kwargs == {"reference": reference}
+        split = march(*args)
+        assert split.states.shape[0] == reference.n_steps + 1
+        want = tmp_path / "want.csv"
+        driver._write_history_csv(want, driver.compare(reference, split, args[0]))
+        got = out / f"history_{driver._sanitize(label)}.csv"
+        assert got.read_bytes() == want.read_bytes()
+
+
 def test_sweep_rejects_unknown_axis(tmp_path):
     with pytest.raises(ConfigError, match="unknown sweep axis"):
         driver.sweep(tiny_config(output_dir=str(tmp_path)), "everything")
@@ -720,8 +751,8 @@ def _violated_bound_for(monkeypatch, theta_mass):
     """Make the energy monitor report a failed bound for one mass weight."""
     monitor = splitting._energy_monitor
 
-    def violated(parts, config, *args):
-        energy, lhs, rhs = monitor(parts, config, *args)
+    def violated(config, *args):
+        energy, lhs, rhs = monitor(config, *args)
         if config.theta_mass == theta_mass:
             lhs = rhs + 1.0
         return energy, lhs, rhs

@@ -1101,10 +1101,11 @@ def _held_factors(cs):
 def test_projection_factors_c_once_and_keeps_only_the_euler_factor(small, factorizations):
     # project_coarse factors C and B once each for its definiteness check
     # and keeps neither: of C's factor only |g^|^2_{C^-1} stays, which the
-    # energy monitor reads, so a reference plus a split run adds only
-    # C + tau*B, the step matrix and the certificate's one matrix per
-    # condition: at theta = p/2 the condition matrix is the one the
-    # threshold needs. The system then holds the C + tau*B factor alone
+    # energy monitor reads, so a reference plus a split run streamed against
+    # it adds only C + tau*B, the step matrix and the certificate's one
+    # matrix per condition: at theta = p/2 the condition matrix is the one
+    # the threshold needs. Each factor lives for its run only: the system
+    # holds none afterwards
     g, fs = small
     basis = gmsfem.build_offline(fs, 4)
     prol = gmsfem.assemble_prolongation(basis, (1, 3))
@@ -1113,14 +1114,14 @@ def test_projection_factors_c_once_and_keeps_only_the_euler_factor(small, factor
     assert _held_factors(cs) == []
     config = splitting.SplitConfig(tau=0.05, t_final=0.2, theta_mass=1.0,
                                    theta_stiff=1.0)
-    splitting.backward_euler(cs, config.tau, config.t_final)
-    split = splitting.march(cs, splitting.make_split(cs), config)
+    reference = splitting.backward_euler(cs, config.tau, config.t_final)
+    split = splitting.march(cs, splitting.make_split(cs), config, reference=reference)
     assert split.energy is not None
     assert factorizations[2:] == [
         "C + tau*B (tau = 0.05)", "mass condition", "stiffness condition",
         "split step matrix"]
-    held = _held_factors(cs)
-    assert len(held) == 1 and held[0] is cs.euler_factor(config.tau)
+    assert _held_factors(cs) == []
+    assert not hasattr(cs, "euler_factor")
 
 
 def test_reorder_coarse_carries_the_load_norm_and_factors_no_c(forced, factorizations):

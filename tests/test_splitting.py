@@ -1,5 +1,6 @@
 """Three-level operator-splitting scheme on block coarse systems."""
 
+import dataclasses
 import logging
 import pathlib
 
@@ -8,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from msplit import linalg, splitting
+from msplit import driver, linalg, splitting
 from msplit.linalg import NumericalError
 
 from _oracles import (dense_backward_euler, dense_split_step, dense_threshold,
@@ -98,24 +99,28 @@ def test_step_operator_holds_no_dense_matrix():
 
 
 def test_reference_and_split_run_factor_each_matrix_once(factorizations):
-    # the reference and the split's first step share one factor of
-    # C + tau*B, the split step matrix is factored once, C is factored once
-    # for the energy monitor's |g^|^2_{C^-1}, of which only the number is
-    # kept, and the certificate factors one matrix per condition once per
-    # run: at theta = p/2 = 1.5 the condition matrix is the threshold's own
+    # a split streamed against the reference takes the reference's z^1, so
+    # C + tau*B is factored once for both; the split step matrix is factored
+    # once, C is factored once for the energy monitor's |g^|^2_{C^-1}, of
+    # which only the number is kept, and the certificate factors one matrix
+    # per condition once per run: at theta = p/2 = 1.5 the condition matrix
+    # is the threshold's own. A split without a reference factors its own
+    # C + tau*B for its first step
     rng = np.random.default_rng(8)
     cs = make_cs(random_spd(rng, 7), random_spd(rng, 7), (3, 2, 2),
                  load=rng.standard_normal(7), z0=rng.standard_normal(7))
     config = splitting.SplitConfig(tau=0.1, t_final=1.0, theta_mass=1.5,
                                    theta_stiff=1.5)
     certificate = ["mass condition", "stiffness condition"]
-    splitting.backward_euler(cs, config.tau, config.t_final)
-    split = splitting.march(cs, splitting.make_split(cs), config)
+    reference = splitting.backward_euler(cs, config.tau, config.t_final)
+    split = splitting.march(cs, splitting.make_split(cs), config, reference=reference)
     assert split.energy is not None
     assert factorizations == (["C + tau*B (tau = 0.1)"] + certificate
                               + ["split step matrix", "coarse mass"])
-    splitting.march(cs, splitting.make_split(cs), config)
+    splitting.march(cs, splitting.make_split(cs), config, reference=reference)
     assert factorizations[5:] == certificate + ["split step matrix"]
+    splitting.march(cs, splitting.make_split(cs), config)
+    assert factorizations[8:] == certificate + ["C + tau*B (tau = 0.1)", "split step matrix"]
 
 
 # --- single steps ---
@@ -372,6 +377,78 @@ def test_bound_within_round_off_passes():
     splitting._check_bound(np.empty(0), np.empty(0))
 
 
+def _outcome(run):
+    """The trajectory ``run()`` returns, or the message of its NumericalError."""
+    try:
+        return run()
+    except NumericalError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       n_steps=st.integers(1, 60), pulsed=st.booleans(),
+       theta=st.sampled_from([1.5, 2.0, 1.0, 0.3]), violate=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_streamed_split_run_matches_the_full_run_bit_for_bit(sizes, n_steps, pulsed,
+                                                             theta, violate, seed):
+    # a split streamed against the stored reference keeps only its last
+    # levels, yet its history, final state, energy, bound and step count are
+    # those of a split that kept every level, compared on full states; 60
+    # steps give a short last chunk, fewer than 16 a chunk per level. A
+    # certified run whose bound fails raises the same error either way
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    cs = make_cs(random_spd(rng, n, shift=1.0), random_spd(rng, n), sizes,
+                 load=rng.standard_normal(n),
+                 profile=(lambda t: np.sin(9.0 * t) + 1.0) if pulsed else None,
+                 z0=rng.standard_normal(n))
+    parts = splitting.make_split(cs)
+    config = splitting.SplitConfig(tau=0.05, t_final=0.05 * n_steps, theta_mass=theta,
+                                   theta_stiff=theta)
+    reference = splitting.backward_euler(cs, config.tau, config.t_final)
+    with pytest.MonkeyPatch.context() as patch:
+        if violate and n_steps >= 3:   # the violation is at split step 3
+            _violated_bound_monitor(patch)
+        full = _outcome(lambda: splitting.march(cs, parts, config))
+        streamed = _outcome(lambda: splitting.march(cs, parts, config, reference=reference))
+    if isinstance(full, str):
+        assert streamed == full
+        return
+    assert streamed.states.shape[0] <= min(n_steps + 1, 2 + max(1, n_steps // 16))
+    assert np.array_equal(streamed.states[-1], full.states[-1])
+    want = driver.compare(reference, full, cs).history_values
+    assert np.array_equal(streamed.history, want)
+    for name in ("energy", "bound_lhs", "bound_rhs"):
+        got, expected = getattr(streamed, name), getattr(full, name)
+        assert (got is None) == (expected is None) == (not full.certificate.passed)
+        assert expected is None or np.array_equal(got, expected)
+    assert streamed.bound_margin == full.bound_margin
+    assert streamed.n_steps == full.n_steps == n_steps
+    assert len(streamed.step_seconds) == len(full.step_seconds) == n_steps
+
+
+def test_streamed_split_holds_no_full_trajectory():
+    # the reference is stored; the split streamed against it holds one
+    # chunk of levels and the two before it, in a buffer of that size
+    rng = np.random.default_rng(71)
+    cs = make_cs(random_spd(rng, 7), random_spd(rng, 7), (3, 4),
+                 load=rng.standard_normal(7), z0=rng.standard_normal(7))
+    config = splitting.SplitConfig(tau=0.01, t_final=2.0)
+    reference = splitting.backward_euler(cs, config.tau, config.t_final)
+    split = splitting.march(cs, splitting.make_split(cs), config, reference=reference)
+    rows = config.n_steps // 16
+    assert split.n_steps == config.n_steps == 200
+    assert split.states.shape[0] <= rows + 2 and split.states.base.shape[0] == rows + 2
+    assert all(not (isinstance(v, np.ndarray) and v.ndim == 2)
+               for v in vars(split).values() if v is not split.states)
+    full = splitting.march(cs, splitting.make_split(cs), config)
+    assert np.array_equal(split.states, full.states[-len(split.states):])
+    with pytest.raises(ValueError, match="time grid"):
+        splitting.march(cs, splitting.make_split(cs), splitting.SplitConfig(
+            tau=0.02, t_final=2.0), reference=reference)
+
+
 # --- stability certificate ---
 
 def test_certificate_hand_case_passes_and_fails():
@@ -458,6 +535,34 @@ def test_certificate_reads_no_dense_matrix(monkeypatch):
     cert = splitting.check_stability(parts, 1.0, 1.0)
     assert cert.passed and 0.0 < cert.mass_margin < 0.5
     assert not splitting.check_stability(parts, 0.5, 0.5).passed
+
+
+def test_certificate_lanczos_tolerance_keeps_the_margins(monkeypatch):
+    # the threshold's Lanczos run stops at a relative tolerance of 1e-10;
+    # its margins stay within 1e-12 relative of a run to machine precision
+    # (tol = 0) on random block systems and a projected GMsFEM system
+    rng = np.random.default_rng(73)
+    systems = [make_cs(random_spd(rng, sum(sizes)), random_spd(rng, sum(sizes)), sizes)
+               for sizes in ((3, 5), (4, 2, 6), (2, 2, 2, 3), (10, 12))]
+    systems.append(driver.build_pipeline(dataclasses.replace(
+        driver.ExperimentConfig(), nx_coarse=4, ny_coarse=4, refine=4, kappa="channels",
+        modes=3, blocks=(1, 2), tau=0.05, t_final=0.2).validate()).coarse)
+    eigsh, tols = splitting.spla.eigsh, []
+
+    def exact(*args, **kwargs):
+        tols.append(kwargs["tol"])
+        return eigsh(*args, **dict(kwargs, tol=0))
+
+    for cs in systems:
+        parts = splitting.make_split(cs)
+        got = splitting.check_stability(parts, 1.0, 1.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(splitting.spla, "eigsh", exact)
+            want = splitting.check_stability(parts, 1.0, 1.0)
+        for margin, reference in ((got.mass_margin, want.mass_margin),
+                                  (got.stiff_margin, want.stiff_margin)):
+            assert margin == pytest.approx(reference, rel=1e-12, abs=0.0)
+    assert tols == [1e-10] * 2 * len(systems)
 
 
 @pytest.mark.parametrize("theta, count", [(1.0, 2), (1.2, 4), (0.6, 4)],
