@@ -558,7 +558,7 @@ def sweep(config: ExperimentConfig, axis: str) -> list:
 
     ``axis`` is one of ``tau``, ``params``, ``blocks``. Returns the CSV rows
     as (setting, e_l2, e_a) tuples; failed rows carry None and the sweep
-    continues. A sweep with no settings is a config error.
+    continues. A sweep with no settings, or two of one label, is a config error.
     """
     if axis not in ("tau", "params", "blocks"):
         raise ConfigError(f"unknown sweep axis {axis!r}; pick tau, params or blocks")
@@ -582,6 +582,11 @@ def sweep(config: ExperimentConfig, axis: str) -> list:
             settings.append((_blocks_label(blocks), dict(blocks=blocks)))
     if not settings:
         raise ConfigError(f"the {axis} sweep has no settings; set {axis}_sweep")
+    labels = [label for label, _ in settings]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ConfigError(f"the {axis} sweep has {labels.count(label)} settings labelled "
+                              f"{label}; each needs its own row and history file")
     _make_output_dir(config.output_dir)
     pipe = build_pipeline(config)
     report_offline(pipe.fs.n_dof, pipe.coarse.dim, pipe.seconds_offline,

@@ -8,8 +8,7 @@ rows and columns.
 
 Every fine matrix and load is a sum over coarse cells. Every coarse cell
 of the uniform grid has the same elements, so one kernel
-(:class:`CellKernel`, shared read-only per grid shape by
-:func:`cell_kernel`) holds the Q1 pattern of a cell's (r+1)^2 node box and
+(:class:`CellKernel`) holds the Q1 pattern of a cell's (r+1)^2 node box and
 the maps from its r^2 element coefficients to the box's mass and
 stiffness, and :func:`box_loads` gives the boxes' Gauss loads. The offline
 stage and the projection work box by box. :class:`BoxSum` adds boxes into
@@ -22,7 +21,6 @@ matrix is part of the fine problem (:class:`FineSystem`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,7 +33,6 @@ __all__ = [
     "Source",
     "FineSystem",
     "CellKernel",
-    "cell_kernel",
     "BoxSum",
     "assemble",
     "assemble_matrices",
@@ -139,8 +136,8 @@ class CellKernel:
     ``stiff_map``, take a cell's r^2 element coefficients (row-major,
     :meth:`coefficients`) to its data. The box nodes, row-major, are
     numbered ``pos`` (row-major by default). Each entry sums its elements in
-    ascending order, so a cell's matrices are exactly symmetric. The arrays
-    are read-only, so that callers can share a kernel (:func:`cell_kernel`).
+    ascending order, so a cell's matrices are exactly symmetric. A kernel
+    takes under a millisecond to build at r = 16, so each user builds its own.
     """
 
     def __init__(self, g: GridPair, pos: Optional[np.ndarray] = None):
@@ -158,10 +155,6 @@ class CellKernel:
         self.mass_map, self.stiff_map = (
             sp.csr_matrix((np.tile(unit.ravel(), r * r), entries), shape=(len(pattern), r * r))
             for unit in _mass_stiff_units(g))
-        for array in (self.indptr, self.indices, self.mass_map.data, self.mass_map.indices,
-                      self.mass_map.indptr, self.stiff_map.data, self.stiff_map.indices,
-                      self.stiff_map.indptr):
-            array.flags.writeable = False
         self._grid = g
 
     def coefficients(self, values) -> np.ndarray:
@@ -179,16 +172,6 @@ class CellKernel:
             (data.ravel(), (self.indices + n * np.arange(count)[:, None]).ravel(),
              np.concatenate([[0], (self.indptr[1:] + nnz * np.arange(count)[:, None]).ravel()])),
             shape=(count * n, count * n))
-
-
-@lru_cache(maxsize=16)
-def _kernel_of_shape(nx_coarse: int, ny_coarse: int, refine: int) -> CellKernel:
-    return CellKernel(GridPair(nx_coarse, ny_coarse, refine))
-
-
-def cell_kernel(g: GridPair) -> CellKernel:
-    """The row-major :class:`CellKernel` of ``g``, built once per grid shape and shared."""
-    return _kernel_of_shape(g.nx_coarse, g.ny_coarse, g.refine)
 
 
 def box_loads(g: GridPair, space, cells: np.ndarray) -> np.ndarray:
@@ -227,7 +210,7 @@ class BoxSum:
 
     def __init__(self, g: GridPair, cells, nodes: np.ndarray):
         self._grid, self._cells = g, np.asarray(cells, dtype=np.int64)
-        self._kernel = cell_kernel(g)
+        self._kernel = CellKernel(g)
         box = g.coarse_cell_boxes(self._cells).ravel()
         keep = np.isin(box, nodes)
         self._sum = sp.csr_matrix(   # S^T

@@ -38,7 +38,6 @@ are exactly symmetric CSR matrices.
 from __future__ import annotations
 
 import logging
-import mmap
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,8 +45,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .fineassembly import (BoxSum, CellKernel, FineSystem, box_loads, cell_kernel,
-                           patch_energy)
+from .fineassembly import BoxSum, CellKernel, FineSystem, box_loads, patch_energy
 from .grid import GridPair, Neighborhood, neighborhood, partition_of_unity
 from .linalg import NumericalError, SparseCholesky, eig_gsym, single_thread_blas
 from .splitting import CoarseSystem
@@ -305,19 +303,6 @@ def spectral_matrices(fs: FineSystem, nb: Neighborhood, snaps: np.ndarray,
     return astiff, smass
 
 
-def _mapped(shape) -> np.ndarray:
-    """A zero float array in its own anonymous memory mapping.
-
-    Freeing it returns its pages at once. Freeing a large array that malloc
-    made raises glibc's dynamic mmap threshold, so that later arrays up to
-    that size come from the heap, which keeps its freed pages resident.
-    """
-    size = 8 * int(np.prod(shape))
-    if size == 0:
-        return np.zeros(shape)
-    return np.frombuffer(mmap.mmap(-1, size), dtype=float).reshape(shape)
-
-
 # Two neighbouring eigenvalues of a pencil belong to one cluster when their
 # relative gap (lam_j - lam_{j-1}) / |lam_j| is below this. The smallest gap
 # at a mode cut that is not an exact degeneracy is 6.0e-3 on tiny-forced,
@@ -439,9 +424,9 @@ class _CondensedCells:
     representatives not held yet, :data:`_BATCH` at a time; the sweep over
     the node rows so condenses each kind once. Kind k's results are
     ``mapmat[slot[k]]`` and ``blocks[:, slot[k]]`` (stiffness, weighted
-    mass), in a mapped pool (:func:`_mapped`) sized to the most kinds held
-    at once: 32 of example1's 256, 5.5 MB. Each cell's arithmetic is its
-    own, so neither batch, reuse nor schedule changes a pencil's bits.
+    mass), in a pool sized to the most kinds held at once: 32 of example1's
+    256, 5.5 MB. Each cell's arithmetic is its own, so neither batch, reuse
+    nor schedule changes a pencil's bits.
 
     Every interior neighborhood is the first one (:func:`_template`) shifted
     by whole coarse cells. ``cells[i]`` are the four cells of the i-th
@@ -474,8 +459,8 @@ class _CondensedCells:
         size = np.count_nonzero(self._reads, axis=1).max(initial=0)
         n_b, n_i = 4 * r, (r - 1) ** 2
         self.slot = np.full(len(self._first), size)
-        self.mapmat = _mapped((size, n_i, n_b))
-        self.blocks = _mapped((2, size, n_b, n_b))
+        self.mapmat = np.zeros((size, n_i, n_b))
+        self.blocks = np.zeros((2, size, n_b, n_b))
         template = _template(g)
         shift = np.arange(g.ny_coarse - 1)[:, None] * g.nx_coarse + np.arange(g.nx_coarse - 1)
         self.cells = template.cells + shift.reshape(-1, 1)
@@ -508,7 +493,7 @@ class _CondensedCells:
         """
         r = self._grid.refine
         n_b, n_i = 4 * r, (r - 1) ** 2
-        self._kd = min(r, max(n_i - 1, 0))
+        self._kd = min(r, n_i - 1)
         band_size = (self._kd + 1) * n_i
         kernel = self._kernel
         rows = np.repeat(np.arange(len(kernel.indptr) - 1), np.diff(kernel.indptr))
@@ -555,7 +540,7 @@ class _CondensedCells:
         stiff[:, self._stiff_slots] = (self._stiff_map @ self._kappa[cells].T).T
         kbi = stiff[:, band_size:band_size + n_b * n_i].reshape(count, n_b, n_i)
         mapmat = np.empty((count, n_i, n_b))
-        for j, cell in enumerate(cells if n_i else ()):
+        for j, cell in enumerate(cells):
             band = stiff[j, :band_size].reshape(n_i, self._kd + 1).T
             factor, info = scipy.linalg.lapack.dpbtrf(band, lower=1, overwrite_ab=1)
             if info == 0:
@@ -649,7 +634,7 @@ def offline_modes(fs: FineSystem, n_modes: int) -> list:
     ends, reach inside only through the 2r - 3 interior nodes beside those
     edges, so two combinations per cell vanish at every node strictly
     inside the neighborhood, where a localized mode lives. A larger
-    ``n_modes`` is a ValueError.
+    ``n_modes`` is a ValueError, and so is one below 1.
 
     The solves run with every loaded OpenBLAS pinned to one thread (about
     twice as fast as two on example1's 128 x 128 pencils), or unpinned where
@@ -661,6 +646,8 @@ def offline_modes(fs: FineSystem, n_modes: int) -> list:
     if len(nodes) == 0:
         raise ValueError("grid has no interior coarse nodes")
     most = 8 * (g.refine - 1)
+    if n_modes < 1:
+        raise ValueError(f"requested {n_modes} modes; an offline stage needs at least one")
     if n_modes > most:
         raise ValueError(f"requested {n_modes} modes, but the snapshots of an interior "
                          f"neighborhood localize to at most 8 (r - 1) = {most}")
@@ -838,7 +825,7 @@ class _BasisCells:
         self._quadrants = np.where(inside, (wy - 1) * (2 * r - 1) + wx - 1, -1)
         self._box = g.coarse_cell_boxes(np.arange(n_cells))
         self._owned = np.flatnonzero((x < r) & (y < r))
-        self._kernel = cell_kernel(g)
+        self._kernel = CellKernel(g)
         self._kappa = self._kernel.coefficients(fs.kappa_cells)
         self._mass_data = self._kernel.mass_map @ np.ones(r * r)
         self.grid = g
@@ -1044,23 +1031,18 @@ def project_coarse(fs: FineSystem, basis: OfflineBasis, prol: Prolongation) -> C
 def reorder_coarse(cs: CoarseSystem, prol: Prolongation, new: Prolongation) -> CoarseSystem:
     """The coarse system ``cs`` of ``prol``'s column order in the order of ``new``.
 
-    The two orders hold the same columns, so the operators, the forcing and
-    the start vector are one symmetric permutation of ``cs``'s. Every entry
-    keeps its bits: :func:`project_coarse` sums each one over the cells in
-    cell order whatever the column order, so this is the system it makes
-    for ``new``, without the cell products. |g^|^2_{C^-1} does not depend on
-    the order, so it is carried over and C is not factored again.
+    The two orders hold the same columns, so the system is ``cs`` permuted
+    (:meth:`~msplit.splitting.CoarseSystem.permuted`), every entry keeping
+    its bits: :func:`project_coarse` sums each one over the cells in cell
+    order whatever the column order, so this is the system it makes for
+    ``new``, without the cell products and without factoring C again.
     """
     if (new.n_nodes, sum(new.block_sizes)) != (prol.n_nodes, sum(prol.block_sizes)):
         raise ValueError(f"blocks {new.block_sizes} of {new.n_nodes} nodes do not "
                          f"reorder blocks {prol.block_sizes} of {prol.n_nodes} nodes")
     perm = np.empty(prol.n_columns, dtype=np.int64)
     perm[new.dofs()] = prol.dofs()
-    out = CoarseSystem(block_sizes=tuple(new.n_nodes * b for b in new.block_sizes),
-                       mass=cs.mass[perm][:, perm], stiff=cs.stiff[perm][:, perm],
-                       load=cs.load[perm], z0=cs.z0[perm], profile=cs.profile)
-    out._load_norm_sq = cs.load_norm_sq()
-    return out
+    return cs.permuted(perm, tuple(new.n_nodes * b for b in new.block_sizes))
 
 
 # --- basis dump (plain text, every value to 17 significant digits) ---

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -94,7 +94,8 @@ class CoarseSystem:
     columns are grouped into consecutive mode blocks of ``block_sizes``.
     The forcing is a(t) g^: the finite read-only row ``load`` g^ times the
     vectorized time ``profile`` a, or g^ alone when ``profile`` is None.
-    C is factored once, for |g^|^2_{C^-1}, and only that number is kept; no
+    C is factored once, for |g^|^2_{C^-1}, and only that number is kept, in
+    ``_load_norm_sq``, which only :meth:`permuted` passes to a new system; no
     run leaves a factor on the system. The operators must not change once
     the system is built.
     """
@@ -105,7 +106,7 @@ class CoarseSystem:
     load: np.ndarray
     z0: np.ndarray
     profile: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    _load_norm_sq: Optional[float] = field(default=None, init=False, repr=False,
+    _load_norm_sq: Optional[float] = field(default=None, kw_only=True, repr=False,
                                            compare=False)
 
     def __post_init__(self):
@@ -161,6 +162,15 @@ class CoarseSystem:
             self._load_norm_sq = float(
                 _row_dots(row, factor.solve(np.ascontiguousarray(row.T)))[0])
         return self._load_norm_sq
+
+    def permuted(self, perm: np.ndarray, block_sizes: tuple) -> "CoarseSystem":
+        """This system with dof k of the copy at dof ``perm[k]``, every entry bit-equal.
+
+        |g^|^2_{C^-1} does not depend on the order, so the copy carries it over.
+        """
+        return replace(self, block_sizes=tuple(block_sizes), mass=self.mass[perm][:, perm],
+                       stiff=self.stiff[perm][:, perm], load=self.load[perm],
+                       z0=self.z0[perm], _load_norm_sq=self.load_norm_sq())
 
 
 @dataclass

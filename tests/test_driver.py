@@ -502,6 +502,28 @@ def test_sweep_rejects_unknown_axis(tmp_path):
         driver.sweep(tiny_config(output_dir=str(tmp_path)), "everything")
 
 
+@pytest.mark.parametrize("axis, key, text, label", [
+    ("tau", "tau_sweep", "1e-3, 1.0004e-3", "1.000000e-03"),
+    ("params", "params_sweep", "1,1; 1.0000001,1; 1,1", "theta_mass=1;theta_stiff=1"),
+    ("blocks", "blocks_sweep", "1+2, 2+1, 1+2", "1+2"),
+], ids=["tau", "params", "blocks"])
+def test_sweep_rejects_settings_that_share_a_label(tmp_path, capsys, monkeypatch,
+                                                   axis, key, text, label):
+    # two taus that snap to one step, or two weights equal to 6 digits,
+    # would write two rows of one label into errors.csv and one history file
+    def refuse(config):
+        raise AssertionError("the offline stage ran")
+
+    monkeypatch.setattr(driver, "build_pipeline", refuse)
+    path, out = tmp_path / "sweep.cfg", tmp_path / "out"
+    path.write_text(TINY_TEXT.replace("tau = 0.05\nt_final = 0.2", "tau = 1e-3\nt_final = 0.02")
+                    + f"{key} = {text}\n")
+    assert cli.main(["sweep", str(path), "--axis", axis, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"settings labelled {label};" in err
+    assert not out.exists()
+
+
 def test_blocks_sweep_factors_c_once(tmp_path, factorizations):
     # every setting reorders the one projection and carries its
     # |g^|^2_{C^-1}: C is factored once, by project_coarse

@@ -3,7 +3,7 @@ import pytest
 
 from msplit import driver
 from msplit.fineassembly import (BoxSum, Permeability, Source, assemble,
-                                 assemble_matrices, cell_kernel, interpolate, norms,
+                                 assemble_matrices, interpolate, norms,
                                  read_grid_file, write_field, write_grid_file)
 from msplit.grid import GridPair, neighborhood
 
@@ -126,21 +126,6 @@ def test_box_sum_matrices_match_the_quadrature_oracle(shape):
         for got_mat, want_mat in zip(got, want):
             assert (got_mat != got_mat.T).nnz == 0, name
             _assert_close(got_mat.toarray(), want_mat[np.ix_(nodes, nodes)])
-
-
-def test_box_sums_on_equal_grids_share_one_read_only_kernel():
-    # the kernel depends only on the grid shape, so it is built once for it
-    first = BoxSum(GridPair(3, 2, 4), [0, 1], np.arange(100))
-    second = BoxSum(GridPair(3, 2, 4), [4], np.arange(100))
-    kernel = first._kernel
-    assert second._kernel is kernel and cell_kernel(GridPair(3, 2, 4)) is kernel
-    assert cell_kernel(GridPair(2, 3, 4)) is not kernel
-    arrays = [kernel.indptr, kernel.indices]
-    for mat in (kernel.mass_map, kernel.stiff_map):
-        arrays += [mat.data, mat.indices, mat.indptr]
-    for array in arrays:
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 1
 
 
 @pytest.mark.parametrize("shape", GRIDS)

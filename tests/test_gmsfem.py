@@ -161,17 +161,20 @@ def test_offline_modes_rejects_oversized_request(small):
         gmsfem.offline_modes(fs, 8 * g.refine + 1)
 
 
-@pytest.mark.parametrize("refine", [2, 3])
+@pytest.mark.parametrize("refine", [1, 2, 3])
 def test_offline_modes_rejects_more_modes_than_localize(refine):
     # the localized snapshots span 8 (r - 1) directions: that many modes
-    # make a basis, one more is refused before any pencil is solved
+    # make a basis, one more is refused before any pencil is solved, and so
+    # is no mode at all; at r = 1 no count is accepted
     g = GridPair(3, 3, refine)
     fs = assemble(g, Permeability(wavy_kappa))
     most = 8 * (refine - 1)
     with pytest.raises(ValueError, match=rf"at most 8 \(r - 1\) = {most}$"):
         gmsfem.offline_modes(fs, most + 1)
-    basis = gmsfem.build_offline(fs, most)
-    assert basis.n_columns == 4 * most
+    with pytest.raises(ValueError, match="requested 0 modes; .* at least one$"):
+        gmsfem.offline_modes(fs, 0)
+    if most:
+        assert gmsfem.build_offline(fs, most).n_columns == 4 * most
 
 
 # --- static condensation against the brute-force reference route ---
@@ -914,7 +917,7 @@ def test_cell_galerkin_matches_the_sparse_product(make_fs, blocks):
         assert np.array_equal(cells.products(order[cell:cell + 1])[:, 0], batch[:, cell])
 
 
-def test_basis_cells_gather_from_the_one_copy_of_the_basis(monkeypatch):
+def test_basis_cells_gather_from_the_one_copy_of_the_basis():
     # the distinct blocks are stored once, in the basis's read-only stacked
     # array, and the cell products gather from that array, with no
     # zero-padded copy of the blocks
@@ -926,11 +929,6 @@ def test_basis_cells_gather_from_the_one_copy_of_the_basis(monkeypatch):
     assert not basis.stacked.flags.writeable and not np.any(basis.stacked[-1])
     with pytest.raises(ValueError, match="read-only"):
         basis.stacked[3, 0] = 1.0
-
-    def refuse(shape):
-        raise AssertionError("a mapped array was made")
-
-    monkeypatch.setattr(gmsfem, "_mapped", refuse)
     cells = gmsfem._BasisCells(fs, basis, gmsfem.assemble_prolongation(basis, (1, 3)))
     arrays = [value for value in vars(cells).values() if isinstance(value, np.ndarray)]
     assert any(np.shares_memory(a, basis.stacked) for a in arrays)

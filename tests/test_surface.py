@@ -133,33 +133,34 @@ def test_every_public_name_is_reached_outside_the_tests():
     assert unreached == [], f"public names only the tests reach: {unreached}"
 
 
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
 def _private_reads(path):
-    """Reads of another msplit module's underscore names in the module at ``path``."""
-    tree = ast.parse(_read(path))
-    modules = set()   # local names bound to msplit modules
+    """Uses of underscore names the module at ``path`` does not own.
+
+    An import ``from .module import _name`` of an msplit module, and any
+    ``name._attr``, read or write, on a name other than ``self`` or ``cls``.
+    """
     reads = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ImportFrom):
-            continue
-        if node.level == 0 and (node.module or "").split(".")[0] != "msplit":
-            continue
-        for alias in node.names:
-            if alias.name.startswith("_") and not alias.name.startswith("__"):
-                reads.append(f"line {node.lineno}: from {node.module} import {alias.name}")
-            if node.module in (None, "msplit"):   # `from . import grid`
-                modules.add(alias.asname or alias.name)
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in modules and node.attr.startswith("_")
-                and not node.attr.startswith("__")):
+    for node in ast.walk(ast.parse(_read(path))):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "msplit"):
+            reads.extend(f"line {node.lineno}: from {node.module} import {alias.name}"
+                         for alias in node.names if _private(alias.name))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id not in ("self", "cls") and _private(node.attr)):
             reads.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
     return reads
 
 
 def test_no_module_reads_another_modules_private_names():
-    # an underscore name belongs to its module: what another module of the
-    # package needs is public, so no module reads `module._name` of an
-    # imported msplit module or imports `from .module import _name`
+    # an underscore name belongs to its module, class or object: what
+    # another module needs is public, so no module imports
+    # `from .module import _name`, and no code reaches `name._attr` except
+    # through `self` or `cls` (another module's `module._name`, another
+    # object's private state, numpy's or scipy's private names)
     src = os.path.join(ROOT, "src", "msplit")
     reads = {entry: _private_reads(os.path.join(src, entry))
              for entry in sorted(os.listdir(src)) if entry.endswith(".py")}
