@@ -15,7 +15,7 @@ from msplit import driver, gmsfem
 
 def main():
     config = driver.ExperimentConfig()
-    g, fs = driver.build_problem(config)
+    fs = driver.build_problem(config)
     print(f"fine dofs: {fs.n_dof}")
 
     tic = time.perf_counter()

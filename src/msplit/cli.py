@@ -92,7 +92,7 @@ def _cmd_offline(args) -> int:
             os.path.dirname(os.path.abspath(dump)), os.W_OK)):
         raise ConfigError(f"cannot write the basis dump {dump!r}")
     tic = time.perf_counter()
-    _, fs = driver.build_problem(config)
+    fs = driver.build_problem(config)
     seconds_assemble = time.perf_counter() - tic
     tic = time.perf_counter()
     basis = gmsfem.build_offline(fs, config.modes)

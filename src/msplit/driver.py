@@ -326,13 +326,11 @@ def _resolve_initial(config: ExperimentConfig):
     return _sine if config.initial == "sine" else None
 
 
-def build_problem(config: ExperimentConfig):
-    """Grid and assembled fine system for a config."""
+def build_problem(config: ExperimentConfig) -> fineassembly.FineSystem:
+    """The assembled fine system of a config; its grid is ``fs.grid``."""
     g = GridPair(config.nx_coarse, config.ny_coarse, config.refine)
-    kappa = _resolve_kappa(config, g)
-    fs = assemble(g, kappa, source=_resolve_source(config),
-                  initial=_resolve_initial(config))
-    return g, fs
+    return assemble(g, _resolve_kappa(config, g), source=_resolve_source(config),
+                    initial=_resolve_initial(config))
 
 
 @dataclass
@@ -340,9 +338,7 @@ class Pipeline:
     """Everything the time stepping needs, with offline timings."""
 
     config: ExperimentConfig
-    grid: GridPair
     fs: fineassembly.FineSystem
-    basis: gmsfem.OfflineBasis
     prol: gmsfem.Prolongation
     coarse: splitting.CoarseSystem
     seconds_assemble: float
@@ -351,16 +347,14 @@ class Pipeline:
 
 def build_pipeline(config: ExperimentConfig) -> Pipeline:
     tic = time.perf_counter()
-    g, fs = build_problem(config)
+    fs = build_problem(config)
     t_assemble = time.perf_counter() - tic
     tic = time.perf_counter()
-    basis = gmsfem.build_offline(fs, config.modes)
-    prol = gmsfem.assemble_prolongation(basis, config.blocks)
-    coarse = gmsfem.project_coarse(fs, basis, prol)
+    prol = gmsfem.assemble_prolongation(gmsfem.build_offline(fs, config.modes), config.blocks)
+    coarse = gmsfem.project_coarse(fs, prol)
     t_offline = time.perf_counter() - tic
-    return Pipeline(config=config, grid=g, fs=fs, basis=basis, prol=prol,
-                    coarse=coarse, seconds_assemble=t_assemble,
-                    seconds_offline=t_offline)
+    return Pipeline(config=config, fs=fs, prol=prol, coarse=coarse,
+                    seconds_assemble=t_assemble, seconds_offline=t_offline)
 
 
 def report_offline(fine_dofs: int, coarse_dofs: int, seconds_offline: float,
@@ -455,8 +449,8 @@ def _fine_reference_errors(pipe: Pipeline, split: Trajectory) -> dict:
 
     The only step that assembles the global fine matrices, and it frees them
     on return. The source's profile g is loaded once, and step n + 1 scales
-    that load by a(t_{n+1}). Every solve must meet |A u - rhs| <= 1e-10 |rhs|
-    with A = M + tau*K.
+    that load by a_{n+1} of the coarse system's ``scale``. Every solve must
+    meet |A u - rhs| <= 1e-10 |rhs| with A = M + tau*K.
     """
     fs, config = pipe.fs, pipe.config
     n_steps = SplitConfig(tau=config.tau, t_final=config.t_final).n_steps
@@ -466,8 +460,7 @@ def _fine_reference_errors(pipe: Pipeline, split: Trajectory) -> dict:
     g, source = fs.grid, fs.source
     load = np.zeros(fs.n_dof) if source is None else fineassembly.BoxSum(
         g, np.arange(g.nx_coarse * g.ny_coarse), g.interior_fine_ids).load(source.space)
-    scale = np.ones(n_steps) if source is None or source.time is None else source.time(
-        config.tau * np.arange(1, n_steps + 1))
+    scale = pipe.coarse.scale(config.tau, n_steps)
     u = fs.initial_vector()
     for n in range(n_steps):
         rhs = mass @ u + (config.tau * scale[n]) * load
@@ -477,7 +470,7 @@ def _fine_reference_errors(pipe: Pipeline, split: Trajectory) -> dict:
         if not residual <= target:  # also catches NaN
             raise NumericalError(f"fine reference step {n + 1}: solve residual "
                                  f"{residual:.3e} exceeds {target:.3e}")
-    split_final = gmsfem.reconstruct_fine(fs, pipe.basis, pipe.prol, split.states[-1])
+    split_final = gmsfem.reconstruct_fine(fs, pipe.prol, split.states[-1])
     ref_l2, ref_en = fineassembly.norms(mass, stiff, u)
     err_l2, err_en = fineassembly.norms(mass, stiff, u - split_final)
     return {"fine_e_l2": err_l2 / ref_l2, "fine_e_a": err_en / ref_en}
@@ -537,8 +530,8 @@ def run_example(config: ExperimentConfig) -> ErrorReport:
     _write_history_csv(os.path.join(config.output_dir, "history.csv"), report)
     if config.dump_fields:
         for name, states in (("split", split.states), ("reference", reference.states)):
-            write_field(os.path.join(config.output_dir, f"field_{name}.txt"), pipe.grid,
-                        gmsfem.reconstruct_fine(pipe.fs, pipe.basis, pipe.prol, states[-1]))
+            write_field(os.path.join(config.output_dir, f"field_{name}.txt"), pipe.fs.grid,
+                        gmsfem.reconstruct_fine(pipe.fs, pipe.prol, states[-1]))
     if config.fine_reference:
         report.meta.update(_fine_reference_errors(pipe, split))
         print(f"fine-grid sanity: e_l2={report.meta['fine_e_l2']:.4e} "
@@ -603,7 +596,7 @@ def sweep(config: ExperimentConfig, axis: str) -> list:
         tic = time.perf_counter()
         try:
             if "blocks" in override:
-                prol = gmsfem.assemble_prolongation(pipe.basis, blocks)
+                prol = gmsfem.assemble_prolongation(pipe.prol.basis, blocks)
                 setting_pipe = dataclasses.replace(
                     pipe, prol=prol, coarse=gmsfem.reorder_coarse(pipe.coarse, pipe.prol, prol))
             else:

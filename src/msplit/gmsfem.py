@@ -25,8 +25,9 @@ modes by the bilinear partition of unity and energy-orthonormalizes them by
 two passes of Cholesky-QR; each distinct block is stored once
 (:class:`OfflineBasis`).
 
-The prolongation's columns are grouped by mode block, the order the split
-scheme reads (:class:`Prolongation`). It is never stored as a matrix, and
+A prolongation is a basis with its columns grouped by mode block, the
+order the split scheme reads (:class:`Prolongation`); every function that
+applies it reads the basis from it. It is never stored as a matrix, and
 no global fine matrix is assembled: the Galerkin projection, the loads, the
 moments of the initial field and the fine fields are sums over coarse cells
 of small dense products with the four corner nodes' blocks
@@ -116,32 +117,40 @@ class OfflineBasis:
         return (((cy - 1) * r + span[:, None]) * (g.nx_fine - 1) + (cx - 1) * r + span).ravel()
 
 
-@dataclass
+@dataclass(eq=False)
 class Prolongation:
-    """The column order of the coarse space.
+    """A basis and the column order of the coarse space it spans.
 
     The prolongation maps coarse coefficients to interior fine nodes; its
-    columns are the basis vectors, and it is applied coarse cell by coarse
-    cell (:func:`reconstruct_fine`, :func:`project_coarse`), never stored as
-    a matrix. Columns are ordered mode block by mode block, the order of the
-    stacked coarse vectors: block ``q`` holds modes ``m_q .. m_q + b_q`` of
-    every one of the ``n_nodes`` neighborhoods, node-major, so mode ``k`` of
-    the ``i``-th neighborhood sits in column
-    ``n_nodes * m_q + i * b_q + (k - m_q)`` (:meth:`dofs`).
+    columns are the columns of ``basis``, and it is applied coarse cell by
+    coarse cell (:func:`reconstruct_fine`, :func:`project_coarse`), never
+    stored as a matrix. Columns are ordered mode block by mode block, the
+    order of the stacked coarse vectors: block ``q`` holds modes
+    ``m_q .. m_q + b_q`` of every one of the ``n_nodes`` neighborhoods,
+    node-major, so mode ``k`` of the ``i``-th neighborhood sits in column
+    ``n_nodes * m_q + i * b_q + (k - m_q)`` (:meth:`dofs`). The block sizes
+    sum to the basis's mode count (:func:`assemble_prolongation`).
     """
 
+    basis: OfflineBasis
     block_sizes: tuple
-    n_nodes: int
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.basis.nodes)
 
     @property
     def n_columns(self) -> int:
-        return self.n_nodes * sum(self.block_sizes)
+        return self.basis.n_columns
+
+    def mode_blocks(self) -> tuple:
+        """(m_q, b_q) of each mode's block, one entry per mode."""
+        sizes = np.array(self.block_sizes)
+        return np.repeat(np.cumsum(sizes) - sizes, sizes), np.repeat(sizes, sizes)
 
     def dofs(self) -> np.ndarray:
         """(n_nodes, n_modes) array: the column of mode k of the i-th neighborhood."""
-        sizes = np.array(self.block_sizes)
-        first = np.repeat(np.cumsum(sizes) - sizes, sizes)   # first mode of each mode's block
-        size = np.repeat(sizes, sizes)
+        first, size = self.mode_blocks()
         return (self.n_nodes * first + np.arange(self.n_nodes)[:, None] * size
                 + np.arange(len(first)) - first)
 
@@ -781,7 +790,7 @@ def assemble_prolongation(basis: OfflineBasis, blocks) -> Prolongation:
     if sum(blocks) != basis.n_modes:
         raise ValueError(
             f"block sizes {blocks} do not sum to the mode count {basis.n_modes}")
-    return Prolongation(block_sizes=blocks, n_nodes=len(basis.nodes))
+    return Prolongation(basis=basis, block_sizes=blocks)
 
 
 class _BasisCells:
@@ -798,7 +807,7 @@ class _BasisCells:
     mass or stiffness over that box, from the cell kernel
     (:class:`~msplit.fineassembly.CellKernel`). A node's block holds the
     interior of its (2r+1)^2 node box, ascending, so V_c is gathered
-    straight from ``basis.stacked``, a quadrant of each corner node's box;
+    straight from ``prol.basis.stacked``, a quadrant of each corner node's box;
     the rows on that box's edge and the corners on the domain boundary,
     which have no basis, read its last row, which is zero. ``columns[c]``
     are the coarse columns of V_c's columns in ``prol``'s order, made once.
@@ -806,8 +815,8 @@ class _BasisCells:
     is its own, so a cell gives the same bits alone as in any batch.
     """
 
-    def __init__(self, fs: FineSystem, basis: OfflineBasis, prol: Prolongation):
-        g = fs.grid
+    def __init__(self, fs: FineSystem, prol: Prolongation):
+        g, basis = fs.grid, prol.basis
         r, m = g.refine, basis.n_modes
         n_cells = g.nx_coarse * g.ny_coarse
         cx, cy = np.arange(n_cells) % g.nx_coarse, np.arange(n_cells) // g.nx_coarse
@@ -829,7 +838,7 @@ class _BasisCells:
         self._kappa = self._kernel.coefficients(fs.kappa_cells)
         self._mass_data = self._kernel.mass_map @ np.ones(r * r)
         self.grid = g
-        self.n_modes, self.n_nodes = m, len(basis.nodes)
+        self.n_modes, self.n_nodes = m, prol.n_nodes
         self._prol = prol
         dofs = np.append(prol.dofs(), np.full((1, m), prol.n_columns), axis=0)
         self.columns = dofs[self.node].reshape(n_cells, -1)   # prol.n_columns for no basis
@@ -894,9 +903,7 @@ class _BasisCells:
         corner = np.maximum(node, 0)   # stands in where no node is; such slots are dropped
         rank = pair.reshape(n_cells, 4, 4) - starts[corner][:, :, None]
 
-        sizes = np.array(self._prol.block_sizes)
-        first = np.repeat(np.cumsum(sizes) - sizes, sizes)   # first mode of each mode's block
-        size = np.repeat(sizes, sizes)
+        first, size = self._prol.mode_blocks()
         dof = self._prol.dofs()
         indptr = np.zeros(n_nodes * m + 1, dtype=np.int64)
         indptr[1:][dof] = (degree * m)[:, None]
@@ -961,24 +968,15 @@ class _BasisCells:
         return full[g.interior_fine_ids]
 
 
-def _check_prolongation(basis: OfflineBasis, prol: Prolongation) -> None:
-    if prol.n_nodes != len(basis.nodes) or sum(prol.block_sizes) != basis.n_modes:
-        raise ValueError(f"prolongation of {prol.n_nodes} nodes in blocks "
-                         f"{prol.block_sizes} is not one of this basis "
-                         f"({len(basis.nodes)} nodes, {basis.n_modes} modes)")
-
-
-def reconstruct_fine(fs: FineSystem, basis: OfflineBasis, prol: Prolongation,
-                     z: np.ndarray) -> np.ndarray:
+def reconstruct_fine(fs: FineSystem, prol: Prolongation, z: np.ndarray) -> np.ndarray:
     """Map stacked block coefficients to an interior fine-grid vector, cell by cell."""
-    _check_prolongation(basis, prol)
     z = np.asarray(z, dtype=float)
     if z.shape != (prol.n_columns,):
         raise ValueError(f"expected {prol.n_columns} coefficients, got {z.shape}")
-    return _BasisCells(fs, basis, prol).field(z)
+    return _BasisCells(fs, prol).field(z)
 
 
-def project_coarse(fs: FineSystem, basis: OfflineBasis, prol: Prolongation) -> CoarseSystem:
+def project_coarse(fs: FineSystem, prol: Prolongation) -> CoarseSystem:
     """Galerkin projection of the fine system onto the block basis.
 
     Returns the coarse mass/stiffness (exactly symmetric CSR), the projected
@@ -1002,8 +1000,7 @@ def project_coarse(fs: FineSystem, basis: OfflineBasis, prol: Prolongation) -> C
     row g^ = P^T q of its profile g, the coarse system's ``load``; its
     ``profile`` is the source's a, None for a static source.
     """
-    _check_prolongation(basis, prol)
-    cells = _BasisCells(fs, basis, prol)
+    cells = _BasisCells(fs, prol)
     with single_thread_blas():
         mass, stiff = cells.assemble()
 
@@ -1037,9 +1034,9 @@ def reorder_coarse(cs: CoarseSystem, prol: Prolongation, new: Prolongation) -> C
     order whatever the column order, so this is the system it makes for
     ``new``, without the cell products and without factoring C again.
     """
-    if (new.n_nodes, sum(new.block_sizes)) != (prol.n_nodes, sum(prol.block_sizes)):
-        raise ValueError(f"blocks {new.block_sizes} of {new.n_nodes} nodes do not "
-                         f"reorder blocks {prol.block_sizes} of {prol.n_nodes} nodes")
+    if new.basis is not prol.basis:
+        raise ValueError(f"blocks {new.block_sizes} are not of the basis that blocks "
+                         f"{prol.block_sizes} order")
     perm = np.empty(prol.n_columns, dtype=np.int64)
     perm[new.dofs()] = prol.dofs()
     return cs.permuted(perm, tuple(new.n_nodes * b for b in new.block_sizes))

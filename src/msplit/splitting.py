@@ -93,7 +93,8 @@ class CoarseSystem:
     symmetric; dense arrays given here are converted once. Their rows and
     columns are grouped into consecutive mode blocks of ``block_sizes``.
     The forcing is a(t) g^: the finite read-only row ``load`` g^ times the
-    vectorized time ``profile`` a, or g^ alone when ``profile`` is None.
+    vectorized time ``profile`` a; a static forcing, ``profile`` None, is
+    a = 1.
     C is factored once, for |g^|^2_{C^-1}, and only that number is kept, in
     ``_load_norm_sq``, which only :meth:`permuted` passes to a new system; no
     run leaves a factor on the system. The operators must not change once
@@ -132,15 +133,14 @@ class CoarseSystem:
             return np.broadcast_to(self.load, (len(times), len(self.load)))
         return self.profile(times)[:, None] * self.load
 
-    def scale(self, tau: float, n_steps: int) -> Optional[np.ndarray]:
-        """Read-only a_1 .. a_N of the forcing a_k g^ at k * tau; None when static.
+    def scale(self, tau: float, n_steps: int) -> np.ndarray:
+        """Read-only a_1 .. a_N of the forcing a_k g^ at k * tau; ones when static.
 
         One ``profile`` call evaluates every time level. Rounding is monotone,
         so a row a_k g^ is finite exactly when a_k max|g^| is.
         """
-        if self.profile is None:
-            return None
-        scale = np.array(self.profile(tau * np.arange(1, n_steps + 1)), dtype=float)
+        profile = self.profile or np.ones_like
+        scale = np.array(profile(tau * np.arange(1, n_steps + 1)), dtype=float)
         if scale.shape != (n_steps,):
             raise ValueError(f"profile returned {scale.shape} values for {n_steps} levels")
         finite = np.isfinite(scale * np.abs(self.load).max(initial=0.0))
@@ -433,8 +433,8 @@ class _Run:
     the levels [z^{n-1}; z^n] a step reads are one contiguous vector. Chunk c
     of :func:`trajectory_chunks` makes z^{c.start + 1} .. z^{c.stop}. The
     run holds z^0 .. z^N, or without ``keep_all`` one chunk and the two
-    levels before it. f^{n+1} is ``load``, or ``scale[n] * load`` with the
-    system's a_1 .. a_N, formed before the step's wall time is taken. Stops
+    levels before it. f^{n+1} is ``scale[n] * load`` with the system's
+    a_1 .. a_N, formed before the step's wall time is taken. Stops
     at the first non-finite state.
     """
 
@@ -468,7 +468,7 @@ class _Run:
                 levels[:len(held)] = held
                 self._first = chunk.start
             for n in range(lo, hi):
-                f_next = load if scale is None else scale[n] * load
+                f_next = scale[n] * load
                 row = n - self._first
                 tic = time.perf_counter()
                 levels[row + 2] = step(flat[row * dim:(row + 2) * dim], f_next)
@@ -502,7 +502,7 @@ def energy_errors(stiff, refs: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 
 def _energy_monitor(config: SplitConfig, energy: np.ndarray, potential: np.ndarray,
-                    scale: Optional[np.ndarray], load_norm_sq: float):
+                    scale: np.ndarray, load_norm_sq: float):
     """Discrete energy and both sides of the a priori bound of a finished run.
 
     E_n = |z^n - z^{n-1}|^2_D / tau^2 + |(z^n + z^{n-1})/2|^2_B with D the
@@ -515,12 +515,10 @@ def _energy_monitor(config: SplitConfig, energy: np.ndarray, potential: np.ndarr
     which compares |(z^{n+1} + z^n)/2|^2_B with E_1 + (tau/2) sum_{k=2}^{n+1}
     |f^k|^2_{C^-1} for n = 1..N-1. The forcing is f^k = a_k g^, so
     |f^k|^2_{C^-1} is a_k^2 ``load_norm_sq``: ``scale`` holds the run's a_1
-    .. a_N, or is None for a static forcing (a_k = 1), and the monitor
-    solves nothing.
+    .. a_N, and the monitor solves nothing.
     """
-    n_steps = len(energy)
-    work = 0.5 * config.tau * load_norm_sq * (1.0 if scale is None else scale[1:] ** 2)
-    return energy, potential[1:], energy[0] + np.cumsum(np.broadcast_to(work, n_steps - 1))
+    work = 0.5 * config.tau * load_norm_sq * scale[1:] ** 2
+    return energy, potential[1:], energy[0] + np.cumsum(work)
 
 
 def _check_bound(bound_lhs: np.ndarray, bound_rhs: np.ndarray) -> None:

@@ -21,8 +21,8 @@ def ex1(ex1_config):
     Building the spectral modes dominates the suite's runtime, so the basis
     is built once, as the commands build it.
     """
-    g, fs = driver.build_problem(ex1_config)
-    return {"config": ex1_config, "grid": g, "fs": fs,
+    fs = driver.build_problem(ex1_config)
+    return {"config": ex1_config, "fs": fs,
             "basis6": gmsfem.build_offline(fs, 6)}
 
 
@@ -36,7 +36,7 @@ def ex1_basis10(ex1):
 def ex1_split15(ex1):
     """Prolongation and coarse system for the 1+5 split of the first problem."""
     prol = gmsfem.assemble_prolongation(ex1["basis6"], (1, 5))
-    coarse = gmsfem.project_coarse(ex1["fs"], ex1["basis6"], prol)
+    coarse = gmsfem.project_coarse(ex1["fs"], prol)
     return prol, coarse
 
 

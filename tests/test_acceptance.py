@@ -43,7 +43,7 @@ def _make_cs(cmat, bmat, sizes, load=None, z0=None):
 def test_acceptance_1_single_block_equals_backward_euler(ex1):
     tic = time.perf_counter()
     prol = gmsfem.assemble_prolongation(ex1["basis6"], (6,))
-    coarse = gmsfem.project_coarse(ex1["fs"], ex1["basis6"], prol)
+    coarse = gmsfem.project_coarse(ex1["fs"], prol)
     parts = splitting.make_split(coarse)
     config = SplitConfig(tau=TAU0, t_final=T_FINAL)
     split = splitting.march(coarse, parts, config)
@@ -79,7 +79,7 @@ def test_acceptance_2_five_splittings_error_band(ex1):
     rows = []
     for blocks in [(1, 5), (2, 4), (3, 3), (4, 2), (5, 1)]:
         prol = gmsfem.assemble_prolongation(ex1["basis6"], blocks)
-        coarse = gmsfem.project_coarse(fs, ex1["basis6"], prol)
+        coarse = gmsfem.project_coarse(fs, prol)
         parts = splitting.make_split(coarse)
         config = SplitConfig(tau=TAU0, t_final=T_FINAL)
         split = splitting.march(coarse, parts, config)
@@ -120,7 +120,7 @@ def test_acceptance_4_tau_convergence(ex1):
     tic = time.perf_counter()
     fs = ex1["fs"]
     prol = gmsfem.assemble_prolongation(ex1["basis6"], (3, 3))
-    coarse = gmsfem.project_coarse(fs, ex1["basis6"], prol)
+    coarse = gmsfem.project_coarse(fs, prol)
     parts = splitting.make_split(coarse)
     reference = splitting.backward_euler(coarse, TAU0 / 8, T_FINAL)
     ref_final = reference.states[-1]
@@ -245,7 +245,7 @@ def test_acceptance_7_offline_matches_brute_force():
 
     basis = gmsfem.build_offline(fs, 3)
     prol = gmsfem.assemble_prolongation(basis, (1, 2))
-    cs = gmsfem.project_coarse(fs, basis, prol)
+    cs = gmsfem.project_coarse(fs, prol)
     rmat = prolongation_matrix(basis, prol.block_sizes).toarray()
     dmass_all, dstiff_all = dense_q1_matrices(g, fs.kappa_cells)
     keep = g.interior_fine_ids
@@ -301,13 +301,13 @@ def test_high_contrast_trend():
         refine=config.refine, kappa="channels",
         kappa_contrast=config.kappa_contrast, kappa_seed=config.kappa_seed,
         modes=10, blocks=(1, 9), tau=config.tau, t_final=T_FINAL).validate()
-    g, fs = driver.build_problem(pipe_config)
+    fs = driver.build_problem(pipe_config)
     modes = gmsfem.offline_modes(fs, 10)
     basis = gmsfem.assemble_basis(fs, modes)
     errors = {}
     for blocks in [(1, 9), (5, 5)]:
         prol = gmsfem.assemble_prolongation(basis, blocks)
-        coarse = gmsfem.project_coarse(fs, basis, prol)
+        coarse = gmsfem.project_coarse(fs, prol)
         parts = splitting.make_split(coarse)
         scfg = SplitConfig(tau=pipe_config.tau, t_final=T_FINAL)
         split = splitting.march(coarse, parts, scfg)

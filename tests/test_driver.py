@@ -201,7 +201,7 @@ def tiny_pipe():
 def test_build_pipeline_contents(tiny_pipe):
     pipe = tiny_pipe
     assert pipe.fs.n_dof == 15 * 15
-    n_nb = len(pipe.basis.nodes)
+    n_nb = len(pipe.prol.basis.nodes)
     assert n_nb == 9
     assert pipe.prol.n_columns == 3 * n_nb
     assert pipe.coarse.block_sizes == (n_nb, 2 * n_nb)
@@ -229,17 +229,17 @@ def test_reconstruct_fine_matches_parts(tiny_pipe):
     rng = np.random.default_rng(2)
     z = rng.standard_normal(pipe.prol.n_columns)
     want = np.zeros(pipe.fs.n_dof)
-    n_nb = len(pipe.basis.nodes)
+    n_nb = len(pipe.prol.basis.nodes)
     mode = 0
     for b in pipe.prol.block_sizes:
         coeffs = z[n_nb * mode:n_nb * (mode + b)].reshape(n_nb, b)
-        for i, (sup, block) in enumerate(basis_blocks(pipe.basis)):
+        for i, (sup, block) in enumerate(basis_blocks(pipe.prol.basis)):
             want[sup] += block[:, mode:mode + b] @ coeffs[i]
         mode += b
-    got = gmsfem.reconstruct_fine(pipe.fs, pipe.basis, pipe.prol, z)
+    got = gmsfem.reconstruct_fine(pipe.fs, pipe.prol, z)
     assert np.allclose(got, want, atol=1e-14)
     with pytest.raises(ValueError, match="coefficients"):
-        gmsfem.reconstruct_fine(pipe.fs, pipe.basis, pipe.prol, z[:-1])
+        gmsfem.reconstruct_fine(pipe.fs, pipe.prol, z[:-1])
 
 
 def test_fem_coarse_run_satisfies_a_priori_bound(tiny_pipe):
@@ -275,7 +275,7 @@ def test_final_errors_are_the_fine_norms_of_the_reconstructed_fields(tiny_pipe):
     split = splitting.march(pipe.coarse, splitting.make_split(pipe.coarse),
                             splitting.SplitConfig(tau=0.05, t_final=0.2))
     report = driver.compare(euler, split, pipe.coarse)
-    pmat = prolongation_matrix(pipe.basis, pipe.prol.block_sizes)
+    pmat = prolongation_matrix(pipe.prol.basis, pipe.prol.block_sizes)
     ref, err = pmat @ euler.states[-1], pmat @ (euler.states[-1] - split.states[-1])
     for got, mat in zip((report.e_l2, report.e_a), fineassembly.assemble_matrices(pipe.fs)):
         assert got == pytest.approx(np.sqrt(err @ mat @ err / (ref @ mat @ ref)), rel=1e-10)
@@ -362,7 +362,8 @@ def test_run_example_writes_outputs(tmp_path, capsys):
     assert len(history) == 1 + round(config.t_final / config.tau)
     # the fine reference against a dense backward Euler march of its own,
     # compared with the split field written to field_split.txt
-    g, fs = driver.build_problem(config)
+    fs = driver.build_problem(config)
+    g = fs.grid
     mass, stiff = (mat.toarray() for mat in fineassembly.assemble_matrices(fs))
     n_steps = round(config.t_final / config.tau)
     fine = dense_backward_euler(mass, stiff, space_load(g, fs.source), fs.source.time,
@@ -563,7 +564,7 @@ def test_cli_offline_dump_roundtrip(tmp_path, capsys):
     assert "coarse dofs: 27" in out
     assert re.search(r"^offline stage: \d+\.\d\d s \(assembly \d+\.\d\d s\)$",
                      out, re.MULTILINE)
-    _, fs = driver.build_problem(driver.read_config(path))
+    fs = driver.build_problem(driver.read_config(path))
     basis = gmsfem.build_offline(fs, 3)
     assert len(basis.nodes) == 9
     assert_basis_dump(dump, basis)
@@ -709,12 +710,12 @@ def test_fine_reference_guards_every_solve(tiny_pipe, monkeypatch):
 
 def test_fine_reference_loads_a_pulsed_source_once(tiny_pipe, monkeypatch):
     # the profile is loaded once a run, or not at all without a source, and
-    # each step scales that load by a(t); the errors are those of a dense
-    # march that loads f(t, x, y)
+    # each step scales that load by the coarse system's a(t); the errors are
+    # those of a dense march that loads f(t, x, y)
     config = tiny_pipe.config
     fs = dataclasses.replace(
         tiny_pipe.fs, source=driver._resolve_source(tiny_config(source="pulsed-sine")))
-    pipe = dataclasses.replace(tiny_pipe, fs=fs)
+    pipe = dataclasses.replace(tiny_pipe, fs=fs, coarse=gmsfem.project_coarse(fs, tiny_pipe.prol))
     split = splitting.backward_euler(pipe.coarse, config.tau, config.t_final)
     box_loads, calls = fineassembly.box_loads, []
     monkeypatch.setattr(fineassembly, "box_loads",
@@ -722,14 +723,16 @@ def test_fine_reference_loads_a_pulsed_source_once(tiny_pipe, monkeypatch):
     errors = driver._fine_reference_errors(pipe, split)
     assert len(calls) == 1
     calls.clear()
-    unforced = dataclasses.replace(pipe, fs=dataclasses.replace(fs, source=None))
+    unforced_fs = dataclasses.replace(fs, source=None)
+    unforced = dataclasses.replace(pipe, fs=unforced_fs,
+                                   coarse=gmsfem.project_coarse(unforced_fs, pipe.prol))
     assert all(np.isfinite(v) for v in driver._fine_reference_errors(unforced, split).values())
     assert calls == []
     mass, stiff = (mat.toarray() for mat in fineassembly.assemble_matrices(fs))
     n_steps = round(config.t_final / config.tau)
     fine = dense_backward_euler(mass, stiff, space_load(fs.grid, fs.source), fs.source.time,
                                 fs.initial_vector(), config.tau, n_steps)[-1]
-    err = fine - gmsfem.reconstruct_fine(fs, pipe.basis, pipe.prol, split.states[-1])
+    err = fine - gmsfem.reconstruct_fine(fs, pipe.prol, split.states[-1])
     assert errors["fine_e_l2"] == pytest.approx(
         np.sqrt(err @ mass @ err / (fine @ mass @ fine)), rel=1e-10)
     assert errors["fine_e_a"] == pytest.approx(

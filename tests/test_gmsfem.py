@@ -799,9 +799,16 @@ def test_prolongation_shapes_and_metadata(small):
     n_nb = len(basis.nodes)
     assert prol.n_columns == 4 * n_nb
     assert prol.block_sizes == (1, 3)
+    # a prolongation holds its basis and its block sizes; the node and
+    # column counts are the basis's, and == compares identity, not arrays
+    assert prol.basis is basis and set(vars(prol)) == {"basis", "block_sizes"}
+    assert prol.n_nodes == n_nb and prol.n_columns == basis.n_columns
+    three = gmsfem.assemble_prolongation(gmsfem.build_offline(fs, 3), (3,))
+    assert (three.n_nodes, three.n_columns) == (n_nb, 3 * n_nb)
+    assert prol == prol and prol != gmsfem.assemble_prolongation(basis, (1, 3))
     # every column lives on the support of exactly one neighborhood
     for col in range(prol.n_columns):
-        rows = np.flatnonzero(gmsfem.reconstruct_fine(fs, basis, prol,
+        rows = np.flatnonzero(gmsfem.reconstruct_fine(fs, prol,
                                                       np.eye(prol.n_columns)[col]))
         assert len(rows) > 0
         assert any(np.all(np.isin(rows, sup)) for sup, _ in basis_blocks(basis))
@@ -822,7 +829,7 @@ def test_prolongation_block_identity(small):
         mode_offset += b
     rng = np.random.default_rng(7)
     z = rng.standard_normal(prol.n_columns)
-    lhs = gmsfem.reconstruct_fine(fs, basis, prol, z)
+    lhs = gmsfem.reconstruct_fine(fs, prol, z)
     offsets = np.cumsum([0] + [p.shape[1] for p in parts])
     rhs = sum(parts[q] @ z[offsets[q]:offsets[q + 1]]
               for q in range(len(parts)))
@@ -840,7 +847,7 @@ def test_prolongation_columns_follow_block_order():
         prol = gmsfem.assemble_prolongation(basis, blocks)
         assert prol.block_sizes == blocks
         assert prol.n_columns == 4 * n_nb
-        dense = np.column_stack([gmsfem.reconstruct_fine(fs, basis, prol, unit)
+        dense = np.column_stack([gmsfem.reconstruct_fine(fs, prol, unit)
                                  for unit in np.eye(prol.n_columns)])
         mode_offset = 0
         for b in blocks:
@@ -875,7 +882,7 @@ def test_coarse_blocks_match_projected_operators(small):
     g, fs = small
     basis = gmsfem.build_offline(fs, 4)
     prol = gmsfem.assemble_prolongation(basis, (1, 3))
-    cs = gmsfem.project_coarse(fs, basis, prol)
+    cs = gmsfem.project_coarse(fs, prol)
     pmat = prolongation_matrix(basis, prol.block_sizes)
     mass, stiffness = assemble_matrices(fs)
     want_mass = (pmat.T @ mass @ pmat).toarray()
@@ -903,13 +910,13 @@ def test_cell_galerkin_matches_the_sparse_product(make_fs, blocks):
     fs = make_fs()
     basis = gmsfem.build_offline(fs, 4)
     prol = gmsfem.assemble_prolongation(basis, blocks)
-    cs = gmsfem.project_coarse(fs, basis, prol)
+    cs = gmsfem.project_coarse(fs, prol)
     pmat = prolongation_matrix(basis, prol.block_sizes)
     for got, fine in zip((cs.mass, cs.stiff), assemble_matrices(fs)):
         want = sparse_galerkin(pmat, fine).toarray()
         assert np.max(np.abs(got.toarray() - want)) <= 1e-13 * np.max(np.abs(want))
     # a cell's blocks have the same bits alone as in any batch
-    cells = gmsfem._BasisCells(fs, basis, prol)
+    cells = gmsfem._BasisCells(fs, prol)
     order = np.arange(fs.grid.nx_coarse * fs.grid.ny_coarse)
     batch = cells.products(order)
     assert np.array_equal(cells.products(order[::-1]), batch[:, ::-1])
@@ -929,7 +936,7 @@ def test_basis_cells_gather_from_the_one_copy_of_the_basis():
     assert not basis.stacked.flags.writeable and not np.any(basis.stacked[-1])
     with pytest.raises(ValueError, match="read-only"):
         basis.stacked[3, 0] = 1.0
-    cells = gmsfem._BasisCells(fs, basis, gmsfem.assemble_prolongation(basis, (1, 3)))
+    cells = gmsfem._BasisCells(fs, gmsfem.assemble_prolongation(basis, (1, 3)))
     arrays = [value for value in vars(cells).values() if isinstance(value, np.ndarray)]
     assert any(np.shares_memory(a, basis.stacked) for a in arrays)
     padded = (distinct + 1) * (2 * r + 1) ** 2 * 4 * 8
@@ -952,7 +959,7 @@ def test_coarse_operators_store_the_structural_pattern(ex1_split15):
     fs = _channels_4x3()
     basis = gmsfem.build_offline(fs, 4)
     prol = gmsfem.assemble_prolongation(basis, (1, 3))
-    cs = gmsfem.project_coarse(fs, basis, prol)
+    cs = gmsfem.project_coarse(fs, prol)
     assert np.array_equal(cs.mass.indptr, cs.stiff.indptr)
     assert np.array_equal(cs.mass.indices, cs.stiff.indices)
     stored = sp.csr_matrix((np.ones(cs.mass.nnz), cs.mass.indices, cs.mass.indptr),
@@ -969,7 +976,7 @@ def test_coarse_operators_are_exactly_symmetric(small):
     g, fs = small
     basis = gmsfem.build_offline(fs, 4)
     prol = gmsfem.assemble_prolongation(basis, (2, 2))
-    cs = gmsfem.project_coarse(fs, basis, prol)
+    cs = gmsfem.project_coarse(fs, prol)
     for mat in (cs.mass, cs.stiff):
         assert sp.isspmatrix_csr(mat) and mat.has_sorted_indices
         assert (mat != mat.T).nnz == 0
@@ -979,7 +986,7 @@ def test_coarse_rhs_projects_load(small):
     g, fs = small
     basis = gmsfem.build_offline(fs, 3)
     prol = gmsfem.assemble_prolongation(basis, (3,))
-    cs = gmsfem.project_coarse(fs, basis, prol)
+    cs = gmsfem.project_coarse(fs, prol)
     t = 0.75
     want = prolongation_matrix(basis, prol.block_sizes).T @ scatter_load(
         g, space_time(fs.source), t)
@@ -992,7 +999,7 @@ def test_initial_vector_moments_and_projection(small):
     prol = gmsfem.assemble_prolongation(basis, (1, 3))
     mass, _ = assemble_matrices(fs)
     moments = prolongation_matrix(basis, prol.block_sizes).T @ (mass @ fs.initial_vector())
-    cs = gmsfem.project_coarse(fs, basis, prol)
+    cs = gmsfem.project_coarse(fs, prol)
     assert np.allclose(cs.z0, moments, atol=1e-14)
 
 
@@ -1028,7 +1035,7 @@ def test_cell_energy_gram_matches_the_fine_stiffness(forced):
 def test_cell_loads_match_the_prolongation_matrix(forced, levels):
     # the table asked for in chunks of levels is the table asked for at once
     fs, basis, prol, pmat, _ = forced
-    cs = gmsfem.project_coarse(fs, basis, prol)
+    cs = gmsfem.project_coarse(fs, prol)
     times = 0.1 * np.arange(1, 11)
     step = levels or len(times)
     got = np.concatenate([cs.rhs(times[k:k + step]) for k in range(0, len(times), step)])
@@ -1050,7 +1057,7 @@ def test_forcing_loads_the_profile_once_for_any_number_of_levels(forced, monkeyp
     counts = []
     for levels in (10, 1000):
         calls.clear()
-        table = gmsfem.project_coarse(fs, basis, prol).rhs(0.1 * np.arange(1, levels + 1))
+        table = gmsfem.project_coarse(fs, prol).rhs(0.1 * np.arange(1, levels + 1))
         assert table.shape == (levels, prol.n_columns)
         assert calls and all(call == (3, []) for call in calls)
         counts.append(len(calls))
@@ -1060,11 +1067,12 @@ def test_forcing_loads_the_profile_once_for_any_number_of_levels(forced, monkeyp
 def test_static_load_is_one_read_only_row(forced):
     fs, basis, prol, pmat, _ = forced
     static = Source(lambda x, y: np.exp(x * y))
-    cs = gmsfem.project_coarse(dataclasses.replace(fs, source=static), basis, prol)
-    assert cs.scale(0.1, 5) is None
+    cs = gmsfem.project_coarse(dataclasses.replace(fs, source=static), prol)
+    ones = cs.scale(0.1, 5)   # a static forcing is the profile a = 1
+    assert np.array_equal(ones, np.ones(5)) and not ones.flags.writeable
     assert cs.load.shape == (prol.n_columns,) and not cs.load.flags.writeable
     _assert_close(cs.load, pmat.T @ scatter_load(fs.grid, space_time(static), 0.0))
-    pulsed = gmsfem.project_coarse(fs, basis, prol).scale(0.1, 5)
+    pulsed = gmsfem.project_coarse(fs, prol).scale(0.1, 5)
     assert pulsed.shape == (5,) and not pulsed.flags.writeable
     assert np.array_equal(pulsed, fs.source.time(0.1 * np.arange(1, 6)))
 
@@ -1072,21 +1080,21 @@ def test_static_load_is_one_read_only_row(forced):
 def test_non_finite_time_profile_is_reported_at_its_level(forced):
     fs, basis, prol, _, _ = forced
     source = Source(fs.source.space, lambda t: np.where(t > 0.5, np.nan, 1.0 + t))
-    cs = gmsfem.project_coarse(dataclasses.replace(fs, source=source), basis, prol)
+    cs = gmsfem.project_coarse(dataclasses.replace(fs, source=source), prol)
     with pytest.raises(NumericalError, match=r"non-finite forcing at time level 6 "):
         cs.scale(0.1, 10)
 
 
 def test_cell_moments_match_the_prolongation_matrix(forced):
     fs, basis, prol, pmat, (mass, _) = forced
-    cs = gmsfem.project_coarse(fs, basis, prol)
+    cs = gmsfem.project_coarse(fs, prol)
     _assert_close(cs.z0, pmat.T @ (mass @ fs.initial_vector()))
 
 
 def test_cell_reconstruction_matches_the_prolongation_matrix(forced):
     fs, basis, prol, pmat, _ = forced
     z = rng_for("cell-reconstruction").standard_normal(prol.n_columns)
-    _assert_close(gmsfem.reconstruct_fine(fs, basis, prol, z), pmat @ z)
+    _assert_close(gmsfem.reconstruct_fine(fs, prol, z), pmat @ z)
 
 
 def _held_factors(cs):
@@ -1107,7 +1115,7 @@ def test_projection_factors_c_once_and_keeps_only_the_euler_factor(small, factor
     g, fs = small
     basis = gmsfem.build_offline(fs, 4)
     prol = gmsfem.assemble_prolongation(basis, (1, 3))
-    cs = gmsfem.project_coarse(fs, basis, prol)
+    cs = gmsfem.project_coarse(fs, prol)
     assert factorizations == ["coarse mass", "coarse stiffness"]
     assert _held_factors(cs) == []
     config = splitting.SplitConfig(tau=0.05, t_final=0.2, theta_mass=1.0,
@@ -1128,12 +1136,12 @@ def test_reorder_coarse_carries_the_load_norm_and_factors_no_c(forced, factoriza
     # new order to round-off
     fs, basis, prol, _, _ = forced
     new = gmsfem.assemble_prolongation(basis, (2, 2))
-    moved = gmsfem.reorder_coarse(gmsfem.project_coarse(fs, basis, prol), prol, new)
+    moved = gmsfem.reorder_coarse(gmsfem.project_coarse(fs, prol), prol, new)
     config = splitting.SplitConfig(tau=0.05, t_final=0.5, theta_mass=1.0,
                                    theta_stiff=1.0)
     got = splitting.march(moved, splitting.make_split(moved), config).bound_rhs
     assert factorizations.count("coarse mass") == 1
-    direct = gmsfem.project_coarse(fs, basis, new)
+    direct = gmsfem.project_coarse(fs, new)
     assert direct.profile is moved.profile
     assert np.array_equal(moved.load, direct.load)
     want = splitting.march(direct, splitting.make_split(direct), config).bound_rhs
@@ -1148,3 +1156,16 @@ def test_basis_roundtrip_exact(small, tmp_path):
     path = tmp_path / "basis.txt"
     gmsfem.dump_basis(basis, path)
     assert_basis_dump(path, basis)
+
+
+def test_reorder_coarse_refuses_a_prolongation_of_another_basis(forced):
+    # both orders must be of one basis object: one of another mode count is
+    # refused, and so is one of a basis built again, though bit-equal
+    fs, basis, prol, _, _ = forced
+    cs = gmsfem.project_coarse(fs, prol)
+    for other, blocks in ((gmsfem.build_offline(fs, 3), (1, 2)),
+                          (gmsfem.build_offline(fs, 4), (2, 2))):
+        with pytest.raises(ValueError, match=r"blocks \(.*\) are not of the basis"):
+            gmsfem.reorder_coarse(cs, prol, gmsfem.assemble_prolongation(other, blocks))
+    moved = gmsfem.reorder_coarse(cs, prol, gmsfem.assemble_prolongation(basis, (2, 2)))
+    assert moved.block_sizes == (2 * prol.n_nodes, 2 * prol.n_nodes)

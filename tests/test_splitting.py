@@ -315,6 +315,33 @@ def test_energy_monitor_makes_no_solve(pulsed, monkeypatch):
     assert traj.bound_margin >= 0.0
 
 
+def test_static_forcing_is_the_profile_one_bit_for_bit():
+    # a static forcing is a = 1: the system without a profile and the same
+    # system with the profile np.ones_like give the same bits, for the
+    # reference, a streamed split and a split that keeps every level
+    rng = np.random.default_rng(47)
+    cmat, bmat = random_spd(rng, 6, shift=1.0), random_spd(rng, 6)
+    load, z0 = rng.standard_normal(6), rng.standard_normal(6)
+    config = splitting.SplitConfig(tau=0.02, t_final=1.0, theta_mass=1.2, theta_stiff=1.2)
+    runs = []
+    for profile in (None, np.ones_like):
+        cs = make_cs(cmat, bmat, (2, 4), load=load, profile=profile, z0=z0)
+        scale = cs.scale(config.tau, config.n_steps)
+        assert np.array_equal(scale, np.ones(config.n_steps)) and not scale.flags.writeable
+        reference = splitting.backward_euler(cs, config.tau, config.t_final)
+        runs.append((reference,
+                     splitting.march(cs, splitting.make_split(cs), config, reference=reference),
+                     splitting.march(cs, splitting.make_split(cs), config)))
+    for static, unit in zip(*runs):
+        assert np.array_equal(static.states, unit.states)
+        for name in ("energy", "bound_lhs", "bound_rhs", "history"):
+            got, want = getattr(static, name), getattr(unit, name)
+            assert (got is None) == (want is None)
+            assert got is None or np.array_equal(got, want)
+    assert runs[0][1].certificate.passed and runs[0][1].history is not None
+    assert runs[0][1].bound_margin == runs[1][1].bound_margin
+
+
 def test_trajectory_shapes_and_times():
     cs = make_cs(HAND_C, HAND_B, (1, 1), z0=np.array([1.0, 2.0]))
     parts = splitting.make_split(cs)
