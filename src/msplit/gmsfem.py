@@ -48,7 +48,7 @@ import scipy.sparse as sp
 
 from .fineassembly import BoxSum, CellKernel, FineSystem, box_loads, patch_energy
 from .grid import GridPair, Neighborhood, neighborhood, partition_of_unity
-from .linalg import NumericalError, SparseCholesky, eig_gsym, single_thread_blas
+from .linalg import BandCholesky, NumericalError, eig_gsym, single_thread_blas
 from .splitting import CoarseSystem
 
 logger = logging.getLogger(__name__)
@@ -130,6 +130,8 @@ class Prolongation:
     node-major, so mode ``k`` of the ``i``-th neighborhood sits in column
     ``n_nodes * m_q + i * b_q + (k - m_q)`` (:meth:`dofs`). The block sizes
     sum to the basis's mode count (:func:`assemble_prolongation`).
+    ``node_order`` lists the columns node by node, in which each coarse
+    matrix has half-bandwidth (nx_coarse + 1) m - 1.
     """
 
     basis: OfflineBasis
@@ -142,6 +144,14 @@ class Prolongation:
     @property
     def n_columns(self) -> int:
         return self.basis.n_columns
+
+    @property
+    def coarse_block_sizes(self) -> tuple:
+        return tuple(self.n_nodes * b for b in self.block_sizes)
+
+    @property
+    def node_order(self) -> np.ndarray:
+        return self.dofs().ravel()
 
     def mode_blocks(self) -> tuple:
         """(m_q, b_q) of each mode's block, one entry per mode."""
@@ -988,7 +998,8 @@ def project_coarse(fs: FineSystem, prol: Prolongation) -> CoarseSystem:
     to one thread and added into the structural pattern of the coarse
     operators. On example2-synthetic the two take 0.07-0.10 s in one
     process on a shared 2-vCPU host. Both operators are checked positive
-    definite by one sparse factorization each, and neither factor is kept:
+    definite by one band factorization each, in the prolongation's node
+    order, which the system keeps as its ``order``. Neither factor is kept:
     the one of C gives |g^|^2_{C^-1} for the energy monitor. The initial
     coefficients are the moments of the initial field, its mass pairings
     with each basis function, not solved with the coarse mass: that keeps
@@ -1005,14 +1016,15 @@ def project_coarse(fs: FineSystem, prol: Prolongation) -> CoarseSystem:
         mass, stiff = cells.assemble()
 
     source = fs.source
-    cs = CoarseSystem(block_sizes=tuple(prol.n_nodes * b for b in prol.block_sizes),
+    cs = CoarseSystem(block_sizes=prol.coarse_block_sizes,
                       mass=mass, stiff=stiff, z0=np.zeros(prol.n_columns),
                       load=(np.zeros(prol.n_columns) if source is None
                             else cells.static_load(source.space)),
-                      profile=None if source is None else source.time)
+                      profile=None if source is None else source.time,
+                      order=prol.node_order)
     try:
         cs.load_norm_sq()
-        SparseCholesky(cs.stiff, context="coarse stiffness")
+        BandCholesky(cs.stiff, cs.order, context="coarse stiffness")
     except NumericalError as exc:
         raise NumericalError(
             f"coarse system is not positive definite (near-dependent basis): {exc}"
@@ -1039,7 +1051,7 @@ def reorder_coarse(cs: CoarseSystem, prol: Prolongation, new: Prolongation) -> C
                          f"{prol.block_sizes} order")
     perm = np.empty(prol.n_columns, dtype=np.int64)
     perm[new.dofs()] = prol.dofs()
-    return cs.permuted(perm, tuple(new.n_nodes * b for b in new.block_sizes))
+    return cs.permuted(perm, new.coarse_block_sizes, new.node_order)
 
 
 # --- basis dump (plain text, every value to 17 significant digits) ---

@@ -1,11 +1,10 @@
 """Symmetric positive definite solves and generalized eigenproblems.
 
-Thin, checked wrappers around scipy: one sparse factorization with the
-contract of a Cholesky one, which serves every sparse SPD matrix the
-program solves with or decides definiteness of (the coarse mass and
-time-stepping matrices, the stability certificate's condition matrices and
-the fine backward Euler matrix of the fine reference), and the generalized
-symmetric eigensolver used by the local spectral problems.
+Thin, checked wrappers around scipy: a LAPACK band Cholesky factor for every
+coarse SPD matrix the program solves with or decides definiteness of, a
+sparse factorization with the contract of a Cholesky one for the fine
+backward Euler matrix of the fine reference, and the generalized symmetric
+eigensolver used by the local spectral problems.
 Every routine verifies the property it promises and raises
 :class:`NumericalError` with context when it cannot deliver. One context
 manager pins the BLAS libraries behind numpy and scipy to a single thread
@@ -27,6 +26,7 @@ import scipy.sparse.linalg as spla
 __all__ = [
     "NumericalError",
     "EigResult",
+    "BandCholesky",
     "SparseCholesky",
     "eig_gsym",
     "single_thread_blas",
@@ -37,18 +37,58 @@ class NumericalError(RuntimeError):
     """A factorization or solve could not deliver its accuracy contract."""
 
 
+class BandCholesky:
+    """LAPACK band Cholesky factor (``dpbtrf``) of a symmetric matrix in ``order``.
+
+    Row and column k of the factored matrix are ``order[k]`` of ``mat``
+    (None: the natural order). Its lower band, kd + 1 rows of n values with
+    kd the farthest stored entry from the diagonal, is stored dense. A pivot
+    that is not positive or not finite is refused with :class:`NumericalError`.
+    :meth:`solve` takes (n,) and (n, k) right-hand sides in ``mat``'s order.
+    """
+
+    def __init__(self, mat, order: Optional[np.ndarray] = None, context: str = ""):
+        mat = sp.csr_matrix(mat, dtype=float)
+        mat.sum_duplicates()
+        n = mat.shape[0]
+        self.order = np.arange(n) if order is None else np.asarray(order)
+        self._position = position = np.argsort(self.order)   # the inverse of a permutation
+        if not np.array_equal(self.order[position], np.arange(n)):
+            raise ValueError(f"the order is not a permutation of the {n} rows")
+        row = position[np.repeat(np.arange(n), np.diff(mat.indptr))]
+        col = position[mat.indices]
+        lower = row >= col
+        row, col = row[lower], col[lower]
+        self.bandwidth = int((row - col).max(initial=0))
+        band = np.zeros((self.bandwidth + 1, n))
+        band[row - col, col] = mat.data[lower]
+        self._factor, info = scipy.linalg.lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+        pivots = self._factor[0]   # L's diagonal, and a failing pivot before its root
+        if info > 0 or not np.isfinite(pivots).all():
+            k = info - 1 if info > 0 else int(np.argmin(np.isfinite(pivots)))
+            where = f" of {context}" if context else ""
+            raise NumericalError(f"band Cholesky factorization{where} met the pivot "
+                                 f"{pivots[k]:.3e}: the matrix is not positive definite")
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        solved, _ = scipy.linalg.lapack.dpbtrs(self._factor, rhs[self.order], lower=1,
+                                               overwrite_b=1)
+        return solved[self._position]
+
+
 class SparseCholesky:
     """Sparse factorization of an SPD matrix with the contract of a Cholesky one.
+
+    It factors the fine reference's backward Euler matrix, whose band
+    (kd = 256 at 65,025 dofs, 134 MB) a fill-reducing order beats.
 
     SuperLU with a minimum-degree ordering of A + A^T, symmetric mode and a
     zero pivoting threshold takes every pivot on the diagonal of the
     reordered matrix, so the factor is Pr A Pc = L U with Pr = Pc^T. A row
     interchange (``perm_r != perm_c``, as a zero diagonal forces) or a pivot
     of U that is not positive means A is not positive definite, and the
-    factorization is refused with :class:`NumericalError`. A block-diagonal
-    matrix stays decoupled under the ordering, so one factor serves every
-    block. Solves are not residual-checked; callers check their right-hand
-    sides or the solutions.
+    factorization is refused with :class:`NumericalError`. Solves are not
+    residual-checked; callers check their right-hand sides or the solutions.
     """
 
     def __init__(self, mat, context: str = ""):

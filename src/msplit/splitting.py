@@ -15,19 +15,19 @@ With C2 = C - C1 and B2 = B - B1 this is the increment form
 one solve with theta_m*C1 + tau*theta_s*B1 per step, factored once per run.
 The split keeps the diagonal mode blocks implicit (C1 = blockdiag(C),
 B1 = blockdiag(B)) and treats the coupling blocks explicitly, so the blocks
-of a solve decouple completely: one sparse factor of the whole
-block-diagonal matrix serves them all. The first step is one unsplit
+of a solve decouple completely: one band factor of the whole block-diagonal
+matrix serves them all. The first step is one unsplit
 backward Euler step, the step the reference takes, whose z^1 a split run
 streamed against it reuses. Sufficient stability conditions are checked
 as matrix inequalities (theta_m*C1 - C/2 and theta_s*B1 - B/2 positive
-definite, one sparse factorization each) and, when they hold, a discrete
+definite, one band factorization each) and, when they hold, a discrete
 energy is recorded and must not grow faster than the forcing term,
 measured in the C^-1 norm, allows.
 
 C and B are each held once, as sparse CSR matrices whose rows and columns
 are grouped into mode blocks. A split adds no matrix: it is the rule above,
 applied entry by entry to the stored entries of C and B. Neither a step nor
-the certificate reads a dense n x n matrix.
+the certificate reads a dense n x n matrix; each factor is a band one.
 
 The forcing is a profile times one row, f^k = a_k g^. A run evaluates the
 profile once, at every level (:meth:`CoarseSystem.scale`), and forms f^{n+1}
@@ -46,7 +46,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .linalg import NumericalError, SparseCholesky
+from .linalg import BandCholesky, NumericalError
 
 __all__ = [
     "CoarseSystem",
@@ -94,7 +94,8 @@ class CoarseSystem:
     columns are grouped into consecutive mode blocks of ``block_sizes``.
     The forcing is a(t) g^: the finite read-only row ``load`` g^ times the
     vectorized time ``profile`` a; a static forcing, ``profile`` None, is
-    a = 1.
+    a = 1. Factors take rows and columns in ``order``, where the matrices
+    are banded (None: the natural order).
     C is factored once, for |g^|^2_{C^-1}, and only that number is kept, in
     ``_load_norm_sq``, which only :meth:`permuted` passes to a new system; no
     run leaves a factor on the system. The operators must not change once
@@ -107,6 +108,7 @@ class CoarseSystem:
     load: np.ndarray
     z0: np.ndarray
     profile: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    order: Optional[np.ndarray] = None
     _load_norm_sq: Optional[float] = field(default=None, kw_only=True, repr=False,
                                            compare=False)
 
@@ -125,13 +127,8 @@ class CoarseSystem:
         return sum(self.block_sizes)
 
     def rhs(self, times: np.ndarray) -> np.ndarray:
-        """Forcing table, row k the forcing a(times[k]) g^ at ``times[k]``.
-
-        A static forcing is g^ broadcast to every level, a read-only view.
-        """
-        if self.profile is None:
-            return np.broadcast_to(self.load, (len(times), len(self.load)))
-        return self.profile(times)[:, None] * self.load
+        """Forcing table, row k the forcing a(times[k]) g^ at ``times[k]``; a = 1 when static."""
+        return (self.profile or np.ones_like)(times)[:, None] * self.load
 
     def scale(self, tau: float, n_steps: int) -> np.ndarray:
         """Read-only a_1 .. a_N of the forcing a_k g^ at k * tau; ones when static.
@@ -157,20 +154,21 @@ class CoarseSystem:
         The factorization is also the check that C is positive definite.
         """
         if self._load_norm_sq is None:
-            factor = SparseCholesky(self.mass, context="coarse mass")
+            factor = BandCholesky(self.mass, self.order, context="coarse mass")
             row = self.load[None, :]
             self._load_norm_sq = float(
                 _row_dots(row, factor.solve(np.ascontiguousarray(row.T)))[0])
         return self._load_norm_sq
 
-    def permuted(self, perm: np.ndarray, block_sizes: tuple) -> "CoarseSystem":
-        """This system with dof k of the copy at dof ``perm[k]``, every entry bit-equal.
+    def permuted(self, perm: np.ndarray, block_sizes: tuple, order) -> "CoarseSystem":
+        """This system with dof k of the copy at dof ``perm[k]`` and factor ``order``.
 
-        |g^|^2_{C^-1} does not depend on the order, so the copy carries it over.
+        Every entry keeps its bits. |g^|^2_{C^-1} does not depend on the order,
+        so the copy carries it over.
         """
         return replace(self, block_sizes=tuple(block_sizes), mass=self.mass[perm][:, perm],
                        stiff=self.stiff[perm][:, perm], load=self.load[perm],
-                       z0=self.z0[perm], _load_norm_sq=self.load_norm_sq())
+                       z0=self.z0[perm], order=order, _load_norm_sq=self.load_norm_sq())
 
 
 @dataclass
@@ -189,6 +187,7 @@ class SplitParts:
     block_sizes: tuple
     mass: sp.csr_matrix
     stiff: sp.csr_matrix
+    order: Optional[np.ndarray] = None
 
     @property
     def mass_main(self) -> sp.csr_matrix:
@@ -205,7 +204,7 @@ def make_split(cs: CoarseSystem) -> SplitParts:
     The diagonal mode blocks are implicit (symmetric parts, fully decoupled
     solves) and the coupling blocks explicit.
     """
-    return SplitParts(tuple(cs.block_sizes), cs.mass, cs.stiff)
+    return SplitParts(tuple(cs.block_sizes), cs.mass, cs.stiff, cs.order)
 
 
 @dataclass(frozen=True)
@@ -286,18 +285,18 @@ def _condition(parts: SplitParts, mat: sp.csr_matrix, theta: float) -> sp.csr_ma
 def _certify(parts: SplitParts, mat: sp.csr_matrix, theta: float, name: str) -> tuple:
     """(ok, theta - theta*) of the condition theta*M1 - M/2 > 0 of M = C or B.
 
-    ``ok`` is an exact inertia test: the sparse factorization of the
+    ``ok`` is an exact inertia test: the band factorization of the
     condition matrix completes. theta* = lambda_max(M1^-1 M) / 2 is 1/2 when
     M has no stored coupling entry (M1 = M). Otherwise K = (p/2)*M1 - M/2 is
     SPD, as lambda_max(M1^-1 M) < p for SPD M on p blocks, and the largest
     eigenvalue nu of M1 v = nu K v is 2 / (p - lambda_max(M1^-1 M)), so
-    theta* = p/2 - 1/nu: one Lanczos run through a sparse factor of K, to a
+    theta* = p/2 - 1/nu: one Lanczos run through a band factor of K, to a
     relative tolerance of 1e-10 (theta* is printed to four digits). At
     theta = p/2 the condition matrix is K itself, and its factor serves.
     """
     condition = _condition(parts, mat, theta)
     try:
-        factor = SparseCholesky(condition, context=f"{name} condition")
+        factor = BandCholesky(condition, parts.order, context=f"{name} condition")
     except NumericalError:
         factor = None
     ok = factor is not None
@@ -307,7 +306,7 @@ def _certify(parts: SplitParts, mat: sp.csr_matrix, theta: float, name: str) -> 
     ceiling = condition
     if theta != 0.5 * p or factor is None:
         ceiling = _condition(parts, mat, 0.5 * p)
-        factor = SparseCholesky(ceiling, context=f"{name} condition at theta = p/2")
+        factor = BandCholesky(ceiling, parts.order, f"{name} condition at theta = p/2")
     try:
         nu = spla.eigsh(_blockdiag(mat, parts.block_sizes), k=1, M=ceiling,
                         Minv=spla.LinearOperator((n, n), matvec=factor.solve),
@@ -341,7 +340,7 @@ class _StepOperator:
 
     A step is one product with the CSR operator [-lag | tau*B + lag],
     lag = C - theta_m*C1, applied to the stacked levels [z^{n-1}; z^n], and
-    one solve with the sparse factor of the block-diagonal matrix
+    one solve with the band factor of the block-diagonal matrix
     theta_m*C1 + tau*theta_s*B1, whose blocks stay decoupled.
     """
 
@@ -351,8 +350,8 @@ class _StepOperator:
         mass_main = parts.mass_main
         lag = parts.mass - tm * mass_main
         self.explicit = sp.hstack([-lag, tau * parts.stiff + lag], format="csr")
-        self.factor = SparseCholesky(tm * mass_main + tau * ts * parts.stiff_main,
-                                     context="split step matrix")
+        self.factor = BandCholesky(tm * mass_main + tau * ts * parts.stiff_main,
+                                   parts.order, context="split step matrix")
 
     def step(self, levels: np.ndarray, f_next: np.ndarray) -> np.ndarray:
         """z^{n+1} from levels = [z^{n-1}; z^n] and f^{n+1}."""
@@ -366,7 +365,7 @@ def _euler_step(cs: CoarseSystem, tau: float):
     The factor of C + tau*B lives as long as the returned step, which reads
     z^n, the second half of the levels [z^{n-1}; z^n].
     """
-    factor = SparseCholesky(cs.mass + tau * cs.stiff, context=f"C + tau*B (tau = {tau:g})")
+    factor = BandCholesky(cs.mass + tau * cs.stiff, cs.order, f"C + tau*B (tau = {tau:g})")
     mass, dim = cs.mass, cs.dim
 
     def step(levels, f_next):
@@ -539,10 +538,12 @@ def _check_bound(bound_lhs: np.ndarray, bound_rhs: np.ndarray) -> None:
 
 
 def march(cs: CoarseSystem, parts: SplitParts, config: SplitConfig, *,
-          reference: Optional[Trajectory] = None) -> Trajectory:
+          reference: Optional[Trajectory] = None,
+          certificate: Optional[StabilityCertificate] = None) -> Trajectory:
     """Run the split scheme from t = 0 to t_final.
 
-    The stability certificate is evaluated up front; on failure the run
+    The stability certificate is evaluated up front, unless ``certificate``
+    gives it for these weights (it does not depend on tau); on failure the run
     proceeds with a warning and without the energy monitor, which otherwise
     takes each chunk of levels as it is made. A certified run whose a
     priori bound then fails by more than round-off, 1e-10 of the bound's
@@ -556,7 +557,7 @@ def march(cs: CoarseSystem, parts: SplitParts, config: SplitConfig, *,
     if reference is not None and (reference.tau != tau
                                   or reference.states.shape != (n_steps + 1, cs.dim)):
         raise ValueError("the reference does not share the time grid and the coarse system")
-    cert = check_stability(parts, config.theta_mass, config.theta_stiff)
+    cert = certificate or check_stability(parts, config.theta_mass, config.theta_stiff)
     if not cert.passed:
         logger.warning("%s; continuing without energy monitor", cert.describe())
     run = _Run(cs, tau, n_steps, keep_all=reference is None)

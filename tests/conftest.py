@@ -42,15 +42,15 @@ def ex1_split15(ex1):
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """Contexts of the sparse Cholesky factorizations made during the test."""
+    """Contexts of the band Cholesky factorizations made during the test."""
     made = []
-    init = linalg.SparseCholesky.__init__
+    init = linalg.BandCholesky.__init__
 
-    def counting(self, mat, context=""):
+    def counting(self, mat, order=None, context=""):
         made.append(context)
-        init(self, mat, context)
+        init(self, mat, order, context)
 
-    monkeypatch.setattr(linalg.SparseCholesky, "__init__", counting)
+    monkeypatch.setattr(linalg.BandCholesky, "__init__", counting)
     return made
 
 

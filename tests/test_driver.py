@@ -467,6 +467,32 @@ def test_sweep_params_axis_shares_one_reference(tmp_path, monkeypatch):
     assert rows[1][1:] == (single.e_l2, single.e_a)
 
 
+def test_tau_sweep_certifies_once_with_the_bytes_of_certifying_every_tau(tmp_path,
+                                                                         monkeypatch):
+    # neither condition depends on tau, so a five-tau sweep makes one
+    # certificate and hands it to every split run; its files are byte for
+    # byte those of a sweep whose runs each certify for themselves
+    check, march, made = splitting.check_stability, splitting.march, []
+
+    def counted(*args):
+        made.append(args[1:])
+        return check(*args)
+
+    monkeypatch.setattr(splitting, "check_stability", counted)
+    taus = (0.05, 0.04, 0.025, 0.02, 0.01)
+    driver.sweep(tiny_config(output_dir=str(tmp_path / "once"), tau_sweep=taus), "tau")
+    assert made == [(1.0, 1.0)]
+    monkeypatch.setattr(splitting, "march",
+                        lambda *args, certificate=None, **kwargs: march(*args, **kwargs))
+    driver.sweep(tiny_config(output_dir=str(tmp_path / "every"), tau_sweep=taus), "tau")
+    assert len(made) == 1 + len(taus)
+    names = sorted(path.name for path in (tmp_path / "once").iterdir())
+    assert len(names) == 1 + len(taus)
+    assert names == sorted(path.name for path in (tmp_path / "every").iterdir())
+    for name in names:
+        assert (tmp_path / "once" / name).read_bytes() == (tmp_path / "every" / name).read_bytes()
+
+
 def test_sweep_params_streams_every_setting_against_one_reference(tmp_path, monkeypatch):
     # one backward Euler run serves all four weight pairs, each split is
     # streamed against it, and every history file is byte for byte the one
@@ -489,7 +515,8 @@ def test_sweep_params_streams_every_setting_against_one_reference(tmp_path, monk
     assert len(made) == 1 and len(marched) == len(pairs) == len(rows)
     reference = made[0]
     for (label, _, _), (args, kwargs) in zip(rows, marched):
-        assert kwargs == {"reference": reference}
+        assert sorted(kwargs) == ["certificate", "reference"]
+        assert kwargs["reference"] is reference
         split = march(*args)
         assert split.states.shape[0] == reference.n_steps + 1
         want = tmp_path / "want.csv"
@@ -622,6 +649,23 @@ def test_cli_a_singular_coarse_mass_near_the_mode_bound_exits_3(tmp_path, capsys
     err = capsys.readouterr().err
     assert "coarse system is not positive definite (near-dependent basis)" in err
     assert re.search(r"factorization of coarse mass met the pivot -\d\.\d{3}e-\d\d", err)
+
+
+def test_cli_a_reference_decayed_to_round_off_exits_3(tmp_path, capsys):
+    # with no source the coarse reference falls from 3.3e-6 after one step
+    # to 4.6e-40 in 50; the split, whose stiff modes damp more weakly, does
+    # not, so its relative error would measure round-off (it read 8.1e12)
+    path = tmp_path / "decay.cfg"
+    path.write_text("nx_coarse = 4\nny_coarse = 4\nrefine = 4\nkappa = channels\n"
+                    "modes = 3\nblocks = 1+2\ntau = 4e-4\nsource = zero\nt_final = 0.02\n")
+    assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    match = re.search(r"numerical failure: reference field vanishes at the final time: "
+                      r"\|z_ref\^N\|_C = (\S+) against \|z_ref\^1\|_C = (\S+)$", err.strip())
+    assert match, err
+    final, first = (float(v) for v in match.groups())
+    assert 0.0 < final <= 1e-12 * first
+    assert not (tmp_path / "out" / "errors.csv").exists()
 
 
 def test_cli_permeability_out_of_range_is_a_config_error(tmp_path, capsys):

@@ -955,7 +955,7 @@ def _structural_pattern(basis, blocks):
 
 def test_coarse_operators_store_the_structural_pattern(ex1_split15):
     # stored entries, exact zeros included, do not depend on rounding, so
-    # neither do the sparse factorizations' ordering and fill
+    # neither does the band of the coarse factors
     fs = _channels_4x3()
     basis = gmsfem.build_offline(fs, 4)
     prol = gmsfem.assemble_prolongation(basis, (1, 3))
@@ -1098,10 +1098,10 @@ def test_cell_reconstruction_matches_the_prolongation_matrix(forced):
 
 
 def _held_factors(cs):
-    """The sparse factors a coarse system holds, in its fields or their tuples."""
+    """The band factors a coarse system holds, in its fields or their tuples."""
     values = [v for value in vars(cs).values()
               for v in (value if isinstance(value, tuple) else (value,))]
-    return [v for v in values if isinstance(v, linalg.SparseCholesky)]
+    return [v for v in values if isinstance(v, linalg.BandCholesky)]
 
 
 def test_projection_factors_c_once_and_keeps_only_the_euler_factor(small, factorizations):
@@ -1128,6 +1128,41 @@ def test_projection_factors_c_once_and_keeps_only_the_euler_factor(small, factor
         "split step matrix"]
     assert _held_factors(cs) == []
     assert not hasattr(cs, "euler_factor")
+    # the check would see a band factor held in a field or in a tuple field
+    held = dataclasses.replace(cs, profile=(linalg.BandCholesky(cs.mass, cs.order),))
+    assert len(_held_factors(held)) == 1
+
+
+def test_every_coarse_factor_is_a_band_in_node_order(ex1_split15, monkeypatch):
+    # nodes that share a coarse cell are at most nx_coarse + 1 apart, so in
+    # node order C, B, C + tau*B and the condition matrices have
+    # half-bandwidth (nx_coarse + 1) m - 1: 101 on example1, 169 on the ex2
+    # input. The block-diagonal split step matrix couples a node only to its
+    # own block's modes, nx_coarse m + max(b) - 1. An order that widens the
+    # band fails here
+    widths = {}
+    init = linalg.BandCholesky.__init__
+
+    def recording(self, mat, order=None, context=""):
+        init(self, mat, order, context)
+        widths[context] = self.bandwidth
+
+    monkeypatch.setattr(linalg.BandCholesky, "__init__", recording)
+    ex2 = driver.parse_config("kappa = channels\nmodes = 10\nblocks = 1+9\n")
+    fs = driver.build_problem(ex2)
+    prol = gmsfem.assemble_prolongation(gmsfem.build_offline(fs, 10), (1, 9))
+    for (prol, cs), want in ((ex1_split15, 101), ((prol, gmsfem.project_coarse(fs, prol)), 169)):
+        nx, m = prol.basis.grid.nx_coarse, prol.basis.n_modes
+        assert want == (nx + 1) * m - 1
+        assert np.array_equal(cs.order, prol.node_order)
+        linalg.BandCholesky(cs.mass, cs.order, "coarse mass")
+        linalg.BandCholesky(cs.stiff, cs.order, "coarse stiffness")
+        splitting.march(cs, splitting.make_split(cs), splitting.SplitConfig(tau=2e-4, t_final=4e-4))
+        assert widths == {"coarse mass": want, "coarse stiffness": want,
+                          "mass condition": want, "stiffness condition": want,
+                          "C + tau*B (tau = 0.0002)": want,
+                          "split step matrix": nx * m + max(prol.block_sizes) - 1}
+        widths.clear()
 
 
 def test_reorder_coarse_carries_the_load_norm_and_factors_no_c(forced, factorizations):
@@ -1167,5 +1202,11 @@ def test_reorder_coarse_refuses_a_prolongation_of_another_basis(forced):
                           (gmsfem.build_offline(fs, 4), (2, 2))):
         with pytest.raises(ValueError, match=r"blocks \(.*\) are not of the basis"):
             gmsfem.reorder_coarse(cs, prol, gmsfem.assemble_prolongation(other, blocks))
-    moved = gmsfem.reorder_coarse(cs, prol, gmsfem.assemble_prolongation(basis, (2, 2)))
-    assert moved.block_sizes == (2 * prol.n_nodes, 2 * prol.n_nodes)
+    new = gmsfem.assemble_prolongation(basis, (2, 2))
+    moved = gmsfem.reorder_coarse(cs, prol, new)
+    assert moved.block_sizes == new.coarse_block_sizes == (2 * prol.n_nodes, 2 * prol.n_nodes)
+    # the node order moves with the dofs: in their node orders the two
+    # systems are one matrix, bit for bit, so they factor alike
+    assert np.array_equal(moved.order, new.node_order)
+    for got, want in ((moved.mass, cs.mass), (moved.stiff, cs.stiff)):
+        assert (got[moved.order][:, moved.order] != want[cs.order][:, cs.order]).nnz == 0

@@ -292,8 +292,8 @@ def test_energy_monitor_makes_no_solve(pulsed, monkeypatch):
     parts = splitting.make_split(cs)
     config = splitting.SplitConfig(tau=0.02, t_final=1.0,
                                    theta_mass=1.2, theta_stiff=1.2)
-    solve, solved = linalg.SparseCholesky.solve, []
-    monkeypatch.setattr(linalg.SparseCholesky, "solve",
+    solve, solved = linalg.BandCholesky.solve, []
+    monkeypatch.setattr(linalg.BandCholesky, "solve",
                         lambda self, rhs: solved.append(rhs.shape) or solve(self, rhs))
     monitor, in_monitor = splitting._energy_monitor, []
 
@@ -606,14 +606,14 @@ def test_certificate_factors_the_condition_once_at_p_half(theta, count, factoriz
     assert cert.passed == (theta >= 1.0)
     # the same margins from factors of their own: refuse the condition
     # matrices, so the threshold factors the matrix at p/2 separately
-    init = linalg.SparseCholesky.__init__
+    init = linalg.BandCholesky.__init__
 
-    def refuse_conditions(self, mat, context=""):
+    def refuse_conditions(self, mat, order=None, context=""):
         if context.endswith("condition"):
             raise NumericalError("refused")
-        init(self, mat, context)
+        init(self, mat, order, context)
 
-    monkeypatch.setattr(linalg.SparseCholesky, "__init__", refuse_conditions)
+    monkeypatch.setattr(linalg.BandCholesky, "__init__", refuse_conditions)
     own = splitting.check_stability(parts, theta, theta)
     assert not own.passed
     assert (own.mass_margin, own.stiff_margin) == (cert.mass_margin, cert.stiff_margin)
@@ -621,7 +621,7 @@ def test_certificate_factors_the_condition_once_at_p_half(theta, count, factoriz
 
 @pytest.mark.parametrize("theta", [0.8, 1.3])
 def test_conditions_and_damping_equal_dense_formulas(theta, monkeypatch):
-    # the block-by-block condition matrices handed to the sparse factor and
+    # the block-by-block condition matrices handed to the band factor and
     # the damping matrix are bit-equal to theta*M1 - M/2 formed densely
     rng = np.random.default_rng(53)
     cmat, bmat = (0.5 * (m + m.T) for m in (random_spd(rng, 7), random_spd(rng, 7)))
@@ -629,13 +629,13 @@ def test_conditions_and_damping_equal_dense_formulas(theta, monkeypatch):
     want_mass = theta * parts.mass_main.toarray() - 0.5 * cmat
     want_stiff = theta * parts.stiff_main.toarray() - 0.5 * bmat
     given = {}
-    factor = splitting.SparseCholesky
+    factor = splitting.BandCholesky
 
-    def recording(mat, context=""):
+    def recording(mat, order=None, context=""):
         given[context] = mat.toarray()
-        return factor(mat, context)
+        return factor(mat, order, context)
 
-    monkeypatch.setattr(splitting, "SparseCholesky", recording)
+    monkeypatch.setattr(splitting, "BandCholesky", recording)
     cert = splitting.check_stability(parts, theta, theta)
     assert np.array_equal(given["mass condition"], want_mass)
     assert np.array_equal(given["stiffness condition"], want_stiff)
