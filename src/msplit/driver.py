@@ -335,11 +335,16 @@ def build_problem(config: ExperimentConfig) -> fineassembly.FineSystem:
 
 @dataclass
 class Pipeline:
-    """Everything the time stepping needs, with offline timings."""
+    """Everything the time stepping needs, with offline timings.
+
+    ``prol`` carries the offline basis, which only a fine field
+    reconstructed from coarse coefficients reads; a run that reconstructs
+    none drops it (None) once the coarse system is projected.
+    """
 
     config: ExperimentConfig
     fs: fineassembly.FineSystem
-    prol: gmsfem.Prolongation
+    prol: Optional[gmsfem.Prolongation]
     coarse: splitting.CoarseSystem
     seconds_assemble: float
     seconds_offline: float
@@ -481,21 +486,22 @@ def _run_setting(pipe: Pipeline, theta_mass, theta_stiff,
                  reference: Trajectory, certificates: dict) -> tuple:
     """One split run on the pipeline's coarse system, streamed against its reference.
 
-    The split runs on the backward Euler reference's time step. Its certificate
-    is made once per (blocks, theta_mass, theta_stiff), kept in ``certificates``.
+    The split runs on the backward Euler reference's time step and the
+    pipeline config's blocks. Its certificate is made once per (blocks,
+    theta_mass, theta_stiff), kept in ``certificates``.
     """
     tau = reference.tau
-    coarse = pipe.coarse
+    coarse, blocks = pipe.coarse, tuple(pipe.config.blocks)
     parts = splitting.make_split(coarse)
     scfg = SplitConfig(tau=tau, t_final=pipe.config.t_final,
                        theta_mass=theta_mass, theta_stiff=theta_stiff)
-    key = (pipe.prol.block_sizes, theta_mass, theta_stiff)
+    key = (blocks, theta_mass, theta_stiff)
     split = splitting.march(coarse, parts, scfg, reference=reference,
                             certificate=certificates.get(key))
     certificates[key] = split.certificate
     report = compare(reference, split, coarse)
     report.meta.update({
-        "blocks": pipe.prol.block_sizes,
+        "blocks": blocks,
         "theta_mass": theta_mass,
         "theta_stiff": theta_stiff,
         "tau": tau,
@@ -520,6 +526,8 @@ def run_example(config: ExperimentConfig) -> ErrorReport:
     config.validate()
     _make_output_dir(config.output_dir)
     pipe = build_pipeline(config)
+    if not (config.dump_fields or config.fine_reference):
+        pipe.prol = None   # the basis: no step reads it
     report_offline(pipe.fs.n_dof, pipe.coarse.dim, pipe.seconds_offline,
                    pipe.seconds_assemble)
     tic = time.perf_counter()
@@ -603,7 +611,8 @@ def sweep(config: ExperimentConfig, axis: str) -> list:
             if "blocks" in override:
                 prol = gmsfem.assemble_prolongation(pipe.prol.basis, blocks)
                 setting_pipe = dataclasses.replace(
-                    pipe, prol=prol, coarse=gmsfem.reorder_coarse(pipe.coarse, pipe.prol, prol))
+                    pipe, config=dataclasses.replace(config, blocks=blocks), prol=prol,
+                    coarse=gmsfem.reorder_coarse(pipe.coarse, pipe.prol, prol))
             else:
                 setting_pipe = pipe
             if (blocks, tau) != reference_key:

@@ -888,8 +888,8 @@ class _BasisCells:
     def assemble(self) -> tuple:
         """The coarse mass and stiffness, in the prolongation's column order.
 
-        Both are CSR in one pattern with sorted indices: every mode pair of
-        every two nodes that share a coarse cell, explicit zeros included.
+        Both are CSR on one pair of index arrays, sorted: every mode pair
+        of every two nodes that share a coarse cell, explicit zeros included.
         Each entry sums the cells' exactly symmetric blocks in cell order
         (:data:`_BATCH` cells per :meth:`products` call), so both operators
         are exactly symmetric.
@@ -928,11 +928,10 @@ class _BasisCells:
         index = np.int32 if nnz < 2 ** 31 else np.int64
         indices = np.empty(nnz + 1, dtype=index)
         indices[slot] = np.broadcast_to(dof[corner][:, None, None], (n_cells, 4, m, 4, m)).ravel()
-        indptr = indptr.astype(index)
+        indices, indptr = indices[:nnz].copy(), indptr.astype(index)
         return tuple(
             sp.csr_matrix((np.bincount(slot, weights=gram.ravel(), minlength=nnz + 1)[:nnz],
-                           indices[:nnz].copy(), indptr.copy()),
-                          shape=(n_nodes * m, n_nodes * m))
+                           indices, indptr), shape=(n_nodes * m, n_nodes * m))
             for gram in grams)
 
     def _pairings(self, weights) -> np.ndarray:

@@ -42,7 +42,8 @@ class BandCholesky:
 
     Row and column k of the factored matrix are ``order[k]`` of ``mat``
     (None: the natural order). Its lower band, kd + 1 rows of n values with
-    kd the farthest stored entry from the diagonal, is stored dense. A pivot
+    kd the farthest stored entry from the diagonal, is stored dense, in
+    LAPACK's column-major layout, so ``dpbtrf`` factors it in place. A pivot
     that is not positive or not finite is refused with :class:`NumericalError`.
     :meth:`solve` takes (n,) and (n, k) right-hand sides in ``mat``'s order.
     """
@@ -55,13 +56,21 @@ class BandCholesky:
         self._position = position = np.argsort(self.order)   # the inverse of a permutation
         if not np.array_equal(self.order[position], np.arange(n)):
             raise ValueError(f"the order is not a permutation of the {n} rows")
-        row = position[np.repeat(np.arange(n), np.diff(mat.indptr))]
+        # one pass over the stored entries: entry (i, j) of the lower band
+        # sits at i - j + (kd + 1) j of the column-major band, and an upper
+        # one is written to a slot past its end
         col = position[mat.indices]
-        lower = row >= col
-        row, col = row[lower], col[lower]
-        self.bandwidth = int((row - col).max(initial=0))
-        band = np.zeros((self.bandwidth + 1, n))
-        band[row - col, col] = mat.data[lower]
+        offset = np.repeat(position, np.diff(mat.indptr))
+        offset -= col
+        self.bandwidth = kd = max(int(offset.max(initial=0)), 0)
+        col *= kd + 1
+        col += offset
+        np.putmask(col, offset < 0, (kd + 1) * n)
+        del offset
+        flat = np.zeros((kd + 1) * n + 1)
+        flat[col] = mat.data
+        del col
+        band = flat[:-1].reshape((kd + 1, n), order="F")
         self._factor, info = scipy.linalg.lapack.dpbtrf(band, lower=1, overwrite_ab=1)
         pivots = self._factor[0]   # L's diagonal, and a failing pivot before its root
         if info > 0 or not np.isfinite(pivots).all():

@@ -24,10 +24,12 @@ definite, one band factorization each) and, when they hold, a discrete
 energy is recorded and must not grow faster than the forcing term,
 measured in the C^-1 norm, allows.
 
-C and B are each held once, as sparse CSR matrices whose rows and columns
-are grouped into mode blocks. A split adds no matrix: it is the rule above,
-applied entry by entry to the stored entries of C and B. Neither a step nor
-the certificate reads a dense n x n matrix; each factor is a band one.
+C and B are held once, as CSR matrices on one shared sorted pattern whose
+rows and columns are grouped into mode blocks. A split adds no matrix: it is
+one mask over that pattern, which stored entries lie in a diagonal block,
+and every operator of a step, of the certificate and of the energy monitor
+is formed from that mask and the data arrays of C and B. Neither a step
+nor the certificate reads a dense n x n matrix; each factor is a band one.
 
 The forcing is a profile times one row, f^k = a_k g^. A run evaluates the
 profile once, at every level (:meth:`CoarseSystem.scale`), and forms f^{n+1}
@@ -65,10 +67,37 @@ logger = logging.getLogger(__name__)
 
 
 def _csr(mat) -> sp.csr_matrix:
-    """``mat`` as CSR with sorted indices; a dense array is converted."""
+    """``mat`` as CSR with sorted indices and no duplicates; a dense array is converted."""
     out = mat.tocsr() if sp.issparse(mat) else sp.csr_matrix(np.asarray(mat, dtype=float))
-    out.sort_indices()
+    out.sum_duplicates()
     return out
+
+
+def _one_pattern(mass: sp.csr_matrix, stiff: sp.csr_matrix) -> tuple:
+    """``mass`` and ``stiff`` on one pair of sorted index arrays, the union of their patterns.
+
+    An entry that one of them does not store is an explicit zero of it.
+    """
+    if mass.shape != stiff.shape:
+        raise ValueError(f"mass of shape {mass.shape} and stiffness of shape {stiff.shape}")
+    data = (mass.data, stiff.data)
+    if not (np.array_equal(mass.indptr, stiff.indptr)
+            and np.array_equal(mass.indices, stiff.indices)):
+        def keys(mat):
+            rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+            return rows * mat.shape[1] + mat.indices
+
+        def ones(mat):
+            return sp.csr_matrix((np.ones(mat.nnz), mat.indices, mat.indptr), shape=mat.shape)
+
+        union = ones(mass) + ones(stiff)
+        slots = keys(union)
+        data = [np.zeros(union.nnz), np.zeros(union.nnz)]
+        for values, mat in zip(data, (mass, stiff)):
+            values[np.searchsorted(slots, keys(mat))] = mat.data
+        mass = union
+    out = sp.csr_matrix((data[0], mass.indices, mass.indptr), shape=mass.shape)
+    return out, sp.csr_matrix((data[1], out.indices, out.indptr), shape=out.shape)
 
 
 def _in_blocks(mat: sp.csr_matrix, block_sizes) -> np.ndarray:
@@ -77,21 +106,47 @@ def _in_blocks(mat: sp.csr_matrix, block_sizes) -> np.ndarray:
     return np.repeat(block, np.diff(mat.indptr)) == block[mat.indices]
 
 
-def _blockdiag(mat: sp.csr_matrix, block_sizes) -> sp.csr_matrix:
-    """blockdiag(mat): the stored entries of CSR ``mat`` inside a diagonal block."""
-    out = mat.copy()
-    out.data[~_in_blocks(mat, block_sizes)] = 0.0
-    out.eliminate_zeros()
-    return out
+def _kept(pattern: sp.csr_matrix, data: np.ndarray, keep: np.ndarray) -> sp.csr_matrix:
+    """The CSR matrix of the entries of ``pattern`` where ``keep`` holds, valued ``data``.
+
+    The entries keep their order, as ``eliminate_zeros`` keeps it.
+    """
+    indptr = np.concatenate(([0], np.cumsum(keep)))[pattern.indptr]
+    return sp.csr_matrix((data[keep], pattern.indices[keep], indptr), shape=pattern.shape)
+
+
+def _side_by_side(pattern: sp.csr_matrix, left: np.ndarray, right: np.ndarray) -> sp.csr_matrix:
+    """The n x 2n CSR matrix [L | R] of two value arrays ``left``, ``right`` on ``pattern``.
+
+    Each row holds L's nonzero entries, then R's at their columns plus n, as
+    ``sp.hstack`` of the two with their zeros eliminated stores them.
+    """
+    n = pattern.shape[1]
+    keep_left, keep_right = left != 0.0, right != 0.0
+    before_left = np.concatenate(([0], np.cumsum(keep_left)))[pattern.indptr]
+    before_right = np.concatenate(([0], np.cumsum(keep_right)))[pattern.indptr]
+    total = int(before_left[-1] + before_right[-1])
+    indices = np.empty(total, dtype=np.int32 if 2 * n < 2 ** 31 else np.int64)
+    data = np.empty(total)
+    # the k-th kept entry of L follows the kept entries of R in the rows
+    # before its own, and the k-th of R those of L up to its own row
+    dest = np.arange(before_left[-1]) + np.repeat(before_right[:-1], np.diff(before_left))
+    indices[dest], data[dest] = pattern.indices[keep_left], left[keep_left]
+    dest = np.arange(before_right[-1]) + np.repeat(before_left[1:], np.diff(before_right))
+    indices[dest], data[dest] = pattern.indices[keep_right] + n, right[keep_right]
+    return sp.csr_matrix((data, indices, before_left + before_right),
+                         shape=(pattern.shape[0], 2 * n))
 
 
 @dataclass
 class CoarseSystem:
     """Coarse mass/stiffness with projected forcing and initial state.
 
-    ``mass`` and ``stiff`` are CSR with sorted indices and exactly
-    symmetric; dense arrays given here are converted once. Their rows and
-    columns are grouped into consecutive mode blocks of ``block_sizes``.
+    ``mass`` and ``stiff`` are exactly symmetric CSR matrices on one sorted
+    pattern: they share their index arrays, and where the two given differ
+    in pattern, each stores the other's entries as explicit zeros; dense
+    arrays given here are converted once. Their rows and columns are
+    grouped into consecutive mode blocks of ``block_sizes``.
     The forcing is a(t) g^: the finite read-only row ``load`` g^ times the
     vectorized time ``profile`` a; a static forcing, ``profile`` None, is
     a = 1. Factors take rows and columns in ``order``, where the matrices
@@ -113,8 +168,7 @@ class CoarseSystem:
                                            compare=False)
 
     def __post_init__(self):
-        self.mass = _csr(self.mass)
-        self.stiff = _csr(self.stiff)
+        self.mass, self.stiff = _one_pattern(_csr(self.mass), _csr(self.stiff))
         self.load = np.array(self.load, dtype=float)
         self.load.flags.writeable = False
         if self.load.shape != (self.dim,):
@@ -175,9 +229,14 @@ class CoarseSystem:
 class SplitParts:
     """Additive two-part split of the coarse mass and stiffness.
 
-    ``mass``/``stiff`` are the coarse system's own CSR operators (shared,
-    not copied); the implicit parts C1 = blockdiag(C), B1 = blockdiag(B) are
-    formed, as CSR, only when read. The explicit rests are C - C1 and B - B1.
+    ``mass``/``stiff`` are the coarse system's own CSR operators on their
+    shared pattern (not copied), and the split is one mask over that
+    pattern, ``inside``: which stored entries lie in a diagonal block, made
+    once per split. The implicit parts C1 = blockdiag(C), B1 = blockdiag(B)
+    are the entries inside; the explicit rests C - C1 and B - B1 the ones
+    outside. Every operator of a run is formed from the mask and the two
+    data arrays; :attr:`mass_main` and :attr:`stiff_main` form C1 and B1 as
+    CSR when read.
     """
 
     # the only split rule; a class constant, not a field, kept because the
@@ -188,14 +247,22 @@ class SplitParts:
     mass: sp.csr_matrix
     stiff: sp.csr_matrix
     order: Optional[np.ndarray] = None
+    inside: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.inside = _in_blocks(self.mass, self.block_sizes)
+
+    def main(self, mat: sp.csr_matrix) -> sp.csr_matrix:
+        """blockdiag(mat) of M = C or B: its nonzero stored entries inside a block."""
+        return _kept(mat, mat.data, self.inside & (mat.data != 0.0))
 
     @property
     def mass_main(self) -> sp.csr_matrix:
-        return _blockdiag(self.mass, self.block_sizes)
+        return self.main(self.mass)
 
     @property
     def stiff_main(self) -> sp.csr_matrix:
-        return _blockdiag(self.stiff, self.block_sizes)
+        return self.main(self.stiff)
 
 
 def make_split(cs: CoarseSystem) -> SplitParts:
@@ -274,11 +341,11 @@ def _condition(parts: SplitParts, mat: sp.csr_matrix, theta: float) -> sp.csr_ma
     """The certified matrix theta*M1 - M/2 of M = C or B, as CSR.
 
     M1 = blockdiag(M) is symmetric, so it is its own symmetric part. The
-    matrix has the stored entries of M: theta*m - m/2 inside a diagonal
-    block and -m/2 outside it.
+    matrix has the stored entries of M, on its index arrays: theta*m - m/2
+    inside a diagonal block and -m/2 outside it.
     """
     d = mat.data
-    data = np.where(_in_blocks(mat, parts.block_sizes), theta * d - 0.5 * d, -0.5 * d)
+    data = np.where(parts.inside, theta * d - 0.5 * d, -0.5 * d)
     return sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
 
 
@@ -300,7 +367,7 @@ def _certify(parts: SplitParts, mat: sp.csr_matrix, theta: float, name: str) -> 
     except NumericalError:
         factor = None
     ok = factor is not None
-    if not mat.data[~_in_blocks(mat, parts.block_sizes)].any():
+    if not mat.data[~parts.inside].any():
         return ok, theta - 0.5
     p, n = len(parts.block_sizes), mat.shape[0]
     ceiling = condition
@@ -308,7 +375,7 @@ def _certify(parts: SplitParts, mat: sp.csr_matrix, theta: float, name: str) -> 
         ceiling = _condition(parts, mat, 0.5 * p)
         factor = BandCholesky(ceiling, parts.order, f"{name} condition at theta = p/2")
     try:
-        nu = spla.eigsh(_blockdiag(mat, parts.block_sizes), k=1, M=ceiling,
+        nu = spla.eigsh(parts.main(mat), k=1, M=ceiling,
                         Minv=spla.LinearOperator((n, n), matvec=factor.solve),
                         which="LA", v0=np.random.default_rng(0).standard_normal(n),
                         tol=1e-10, return_eigenvectors=False)[0]
@@ -341,17 +408,21 @@ class _StepOperator:
     A step is one product with the CSR operator [-lag | tau*B + lag],
     lag = C - theta_m*C1, applied to the stacked levels [z^{n-1}; z^n], and
     one solve with the band factor of the block-diagonal matrix
-    theta_m*C1 + tau*theta_s*B1, whose blocks stay decoupled.
+    theta_m*C1 + tau*theta_s*B1, whose blocks stay decoupled. Both are
+    formed from the split's mask and the data of C and B, and store what
+    sparse algebra on C1 and B1 stores: every nonzero entry, in order.
     """
 
     def __init__(self, parts: SplitParts, config: SplitConfig):
         tm, ts, tau = config.theta_mass, config.theta_stiff, config.tau
         self.tau = tau
-        mass_main = parts.mass_main
-        lag = parts.mass - tm * mass_main
-        self.explicit = sp.hstack([-lag, tau * parts.stiff + lag], format="csr")
-        self.factor = BandCholesky(tm * mass_main + tau * ts * parts.stiff_main,
-                                   parts.order, context="split step matrix")
+        inside, c, b = parts.inside, parts.mass.data, parts.stiff.data
+        lag = np.where(inside, c - tm * c, c)
+        self.explicit = _side_by_side(parts.mass, -lag, tau * b + lag)
+        del lag
+        main = np.where(inside, tm * c + tau * ts * b, 0.0)
+        self.factor = BandCholesky(_kept(parts.mass, main, main != 0.0), parts.order,
+                                   context="split step matrix")
 
     def step(self, levels: np.ndarray, f_next: np.ndarray) -> np.ndarray:
         """z^{n+1} from levels = [z^{n-1}; z^n] and f^{n+1}."""
@@ -375,10 +446,15 @@ def _euler_step(cs: CoarseSystem, tau: float):
 
 
 def damping_matrix(parts: SplitParts, config: SplitConfig) -> sp.csr_matrix:
-    """Energy weight D = tau*(theta_m*C1 - C/2) + (tau^2/2)*(theta_s*B1 - B/2), as CSR."""
+    """Energy weight D = tau*(theta_m*C1 - C/2) + (tau^2/2)*(theta_s*B1 - B/2), as CSR.
+
+    It stores the nonzero entries of the shared pattern, as the sum of the
+    two condition matrices does.
+    """
     tau = config.tau
-    return (tau * _condition(parts, parts.mass, config.theta_mass)
-            + tau ** 2 / 2 * _condition(parts, parts.stiff, config.theta_stiff))
+    data = (tau * _condition(parts, parts.mass, config.theta_mass).data
+            + tau ** 2 / 2 * _condition(parts, parts.stiff, config.theta_stiff).data)
+    return _kept(parts.mass, data, data != 0.0)
 
 
 @dataclass
@@ -493,10 +569,13 @@ def quadratic_forms(mat, rows: np.ndarray) -> np.ndarray:
 
 
 def energy_errors(stiff, refs: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """|r_i - z_i|_B / |r_i|_B (inf if r_i vanishes) for the rows of ``refs``, ``states``."""
-    num = np.maximum(quadratic_forms(stiff, refs - states), 0.0)
-    den = quadratic_forms(stiff, refs)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    """|r_i - z_i|_B / |r_i|_B (inf if r_i vanishes) for the rows of ``refs``, ``states``.
+
+    A state that has grown past the float range gives inf or NaN, silently.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        num = np.maximum(quadratic_forms(stiff, refs - states), 0.0)
+        den = quadratic_forms(stiff, refs)
         return np.where(den > 0.0, np.sqrt(num / den), np.inf)
 
 
@@ -566,9 +645,13 @@ def march(cs: CoarseSystem, parts: SplitParts, config: SplitConfig, *,
 
     def sink(chunk, levels):
         if cert.passed:
+            # a state growing past the float range overflows these forms
+            # before it overflows itself; the step that makes it inf raises
             now, prev = levels[1:], levels[:-1]
-            potential[chunk] = quadratic_forms(parts.stiff, 0.5 * (now + prev))
-            energy[chunk] = quadratic_forms(damping, now - prev) / tau ** 2 + potential[chunk]
+            with np.errstate(over="ignore", invalid="ignore"):
+                potential[chunk] = quadratic_forms(parts.stiff, 0.5 * (now + prev))
+                energy[chunk] = (quadratic_forms(damping, now - prev) / tau ** 2
+                                 + potential[chunk])
         if reference is not None:
             history[chunk] = energy_errors(
                 cs.stiff, reference.states[chunk.start + 1:chunk.stop + 1], levels[1:])

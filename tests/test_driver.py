@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import weakref
 
 import numpy as np
 import pytest
@@ -382,6 +383,42 @@ def test_run_example_writes_outputs(tmp_path, capsys):
     assert np.all(raw[0] == 0.0) and np.all(raw[:, -1] == 0.0)
 
 
+@pytest.mark.parametrize("dump_fields, fine_reference",
+                         [(False, False), (True, False), (False, True)])
+def test_the_stepping_stage_holds_the_basis_only_to_reconstruct_a_field(
+        tmp_path, monkeypatch, dump_fields, fine_reference):
+    # only a fine field reconstructed from coarse coefficients reads the
+    # offline basis: a run that writes none drops it once the coarse system
+    # is projected, so it is gone when the split run starts; one that
+    # dumps the fields keeps it and writes the fields of the final levels
+    bases, alive, runs = [], [], []
+    build, march = gmsfem.build_offline, splitting.march
+
+    def recording(*args, **kwargs):
+        basis = build(*args, **kwargs)
+        bases.append(weakref.ref(basis))
+        return basis
+
+    def spy(*args, **kwargs):
+        alive.append(bases[-1]() is not None)
+        runs.append(march(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(gmsfem, "build_offline", recording)
+    monkeypatch.setattr(splitting, "march", spy)
+    config = tiny_config(output_dir=str(tmp_path / "run"), dump_fields=dump_fields,
+                         fine_reference=fine_reference)
+    with contextlib.redirect_stdout(io.StringIO()):
+        driver.run_example(config)
+    assert alive == [dump_fields or fine_reference]
+    if dump_fields:
+        pipe = driver.build_pipeline(config)
+        field = gmsfem.reconstruct_fine(pipe.fs, pipe.prol, runs[-1].states[-1])
+        fineassembly.write_field(tmp_path / "want.txt", pipe.fs.grid, field)
+        assert ((tmp_path / "run" / "field_split.txt").read_bytes()
+                == (tmp_path / "want.txt").read_bytes())
+
+
 def test_run_example_deterministic(tmp_path):
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
     driver.run_example(tiny_config(output_dir=str(a_dir)))
@@ -666,6 +703,27 @@ def test_cli_a_reference_decayed_to_round_off_exits_3(tmp_path, capsys):
     final, first = (float(v) for v in match.groups())
     assert 0.0 < final <= 1e-12 * first
     assert not (tmp_path / "out" / "errors.csv").exists()
+
+
+def test_cli_an_overflowing_run_exits_3_without_a_numpy_warning(tmp_path):
+    # the certificate fails (theta_mass 0.3), the run goes on without the
+    # energy monitor and its state grows until it overflows at step 517; the
+    # error history's forms overflow first, silently, and the run ends with
+    # its one failure line
+    path = tmp_path / "overflow.cfg"
+    path.write_text("nx_coarse = 2\nny_coarse = 5\nrefine = 2\nkappa = constant\n"
+                    "modes = 4\nblocks = 2+2\ntheta_mass = 0.3\ntheta_stiff = 1.5\n"
+                    "tau = 2.5e-4\nt_final = 0.25\n")
+    env = dict(os.environ, PYTHONWARNINGS="always")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(pathlib.Path(__file__).resolve().parent.parent / "src"),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "msplit", "run", str(path), "--output", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 3, proc.stderr
+    assert "numerical failure: non-finite state at step 517" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr, proc.stderr
 
 
 def test_cli_permeability_out_of_range_is_a_config_error(tmp_path, capsys):

@@ -115,6 +115,28 @@ def test_band_cholesky_solves_a_block_stencil_in_any_order(width, height, modes,
                 BandCholesky(sp.csr_matrix(bad), order, "probe")
 
 
+def test_band_cholesky_factors_the_band_in_place(monkeypatch):
+    # the lower band is scattered straight into LAPACK's column-major
+    # layout, so dpbtrf factors the array it is given, not a copy of it
+    seen = []
+    dpbtrf = scipy.linalg.lapack.dpbtrf
+
+    def spy(band, *args, **kwargs):
+        factor, info = dpbtrf(band, *args, **kwargs)
+        seen.append((band.flags.f_contiguous, np.shares_memory(factor, band)))
+        return factor, info
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", spy)
+    rng = rng_for("band_in_place")
+    dense = block_stencil_spd(rng, 3, 4, 2)
+    n = len(dense)
+    for order in (None, rng.permutation(n)):
+        factor = BandCholesky(sp.csr_matrix(dense), order, "probe")
+        rhs = rng.standard_normal(n)
+        assert np.linalg.norm(dense @ factor.solve(rhs) - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    assert seen == [(True, True), (True, True)]
+
+
 def test_band_cholesky_reports_the_failing_pivot_and_refuses_nan_and_a_bad_order():
     # dpbtrf leaves the failing pivot, before its square root, on the band's
     # diagonal row: 1 - 2^2 / 1 = -3 here. A NaN entry is refused too

@@ -45,15 +45,20 @@ def test_split_parts_sum_to_operators():
 
 def test_split_stores_no_matrix():
     # a split is a rule over the coarse system's own C and B: its only
-    # arrays are those two, shared
+    # matrices are those two, shared, and its one array besides is the mask
+    # of their shared pattern's entries inside a diagonal block
     rng = np.random.default_rng(4)
     cs = make_cs(random_spd(rng, 7), random_spd(rng, 7), (3, 2, 2))
     parts = splitting.make_split(cs)
-    arrays = [v for v in vars(parts).values()
-              if isinstance(v, np.ndarray) or sp.issparse(v)]
-    assert len(arrays) == 2
-    assert any(a is cs.mass for a in arrays)
-    assert any(a is cs.stiff for a in arrays)
+    matrices = [v for v in vars(parts).values() if sp.issparse(v)]
+    assert len(matrices) == 2
+    assert any(a is cs.mass for a in matrices)
+    assert any(a is cs.stiff for a in matrices)
+    arrays = [v for v in vars(parts).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 1 and arrays[0] is parts.inside
+    assert parts.inside.dtype == bool and parts.inside.shape == (cs.mass.nnz,)
+    block = np.repeat([0, 1, 2], (3, 2, 2))
+    assert np.array_equal(parts.inside.reshape(7, 7), block[:, None] == block)
 
 
 def test_block_diagonal_split_structure():
@@ -84,6 +89,28 @@ def test_coarse_system_stores_dense_operators_as_csr():
     for mat, dense in ((cs.mass, HAND_C), (cs.stiff, HAND_B)):
         assert sp.isspmatrix_csr(mat) and mat.has_sorted_indices
         assert np.array_equal(mat.toarray(), dense)
+
+
+def test_coarse_system_holds_c_and_b_on_one_pattern():
+    # C and B share one pair of sorted index arrays: a hand-built pair of
+    # differing patterns is held on their union, each storing the other's
+    # entries as explicit zeros, and a permuted or projected system shares
+    # its arrays too
+    cmat = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 2.0]]))
+    bmat = sp.csr_matrix(np.array([[3.0, 0.0, 1.0], [0.0, 3.0, 0.0], [1.0, 0.0, 3.0]]))
+    cs = make_cs(cmat, bmat, (2, 1))
+    projected = driver.build_pipeline(dataclasses.replace(
+        driver.ExperimentConfig(), nx_coarse=4, ny_coarse=4, refine=4, modes=3,
+        blocks=(1, 2), tau=0.05, t_final=0.2).validate()).coarse
+    for system in (cs, cs.permuted(np.array([2, 0, 1]), (1, 2), None), projected):
+        assert np.shares_memory(system.mass.indices, system.stiff.indices)
+        assert np.shares_memory(system.mass.indptr, system.stiff.indptr)
+        assert system.mass.has_canonical_format
+    assert cs.mass.nnz == 7
+    assert np.array_equal(cs.mass.toarray(), cmat.toarray())
+    assert np.array_equal(cs.stiff.toarray(), bmat.toarray())
+    assert np.count_nonzero(cs.mass.data == 0.0) == 2
+    assert np.count_nonzero(cs.stiff.data == 0.0) == 2
 
 
 def test_step_operator_holds_no_dense_matrix():
@@ -619,36 +646,75 @@ def test_certificate_factors_the_condition_once_at_p_half(theta, count, factoriz
     assert (own.mass_margin, own.stiff_margin) == (cert.mass_margin, cert.stiff_margin)
 
 
+def differing_patterns():
+    """A 7 x 7 system whose C (tridiagonal, with explicit zeros inside the
+    first block, at (1, 2), and coupling two blocks, at (0, 5)) and B
+    (entries two off the diagonal) differ in pattern."""
+    pairs = [(0, 1), (2, 3), (3, 4), (4, 5), (5, 6), (1, 2), (0, 5)]
+    rows = [*range(7)] + [i for i, j in pairs] + [j for i, j in pairs]
+    cols = [*range(7)] + [j for i, j in pairs] + [i for i, j in pairs]
+    values = [4.0] * 7 + 2 * ([-1.0] * 5 + [0.0, 0.0])
+    cmat = sp.csr_matrix((values, (rows, cols)), shape=(7, 7))
+    bmat = sp.diags([1.0, 5.0, 1.0], [-2, 0, 2], shape=(7, 7), format="csr")
+    return cmat, bmat
+
+
+def assert_same_csr(got, want):
+    """Two CSR matrices store the same entries in the same order, bit for bit."""
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 @pytest.mark.parametrize("theta", [0.8, 1.3])
 def test_conditions_and_damping_equal_dense_formulas(theta, monkeypatch):
     # the block-by-block condition matrices handed to the band factor and
-    # the damping matrix are bit-equal to theta*M1 - M/2 formed densely
+    # the damping matrix are bit-equal to theta*M1 - M/2 formed densely; the
+    # explicit step operator and the split step matrix store, entry for
+    # entry and in order, what sparse algebra on C, B and their diagonal
+    # blocks C1, B1 stores: [-lag | tau*B + lag] with lag = C - tm*C1, and
+    # tm*C1 + tau*ts*B1. So does a system whose C and B differ in pattern,
+    # and tm = 1, where lag has no entry inside a block
     rng = np.random.default_rng(53)
-    cmat, bmat = (0.5 * (m + m.T) for m in (random_spd(rng, 7), random_spd(rng, 7)))
-    parts = splitting.make_split(make_cs(cmat, bmat, (3, 2, 2)))
-    want_mass = theta * parts.mass_main.toarray() - 0.5 * cmat
-    want_stiff = theta * parts.stiff_main.toarray() - 0.5 * bmat
+    sizes, tau = (3, 2, 2), 0.3
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    inside = sp.csr_matrix((block[:, None] == block).astype(float))
+    dense = tuple(sp.csr_matrix(0.5 * (m + m.T)) for m in (random_spd(rng, 7), random_spd(rng, 7)))
     given = {}
     factor = splitting.BandCholesky
 
     def recording(mat, order=None, context=""):
-        given[context] = mat.toarray()
+        given[context] = mat
         return factor(mat, order, context)
 
     monkeypatch.setattr(splitting, "BandCholesky", recording)
-    cert = splitting.check_stability(parts, theta, theta)
-    assert np.array_equal(given["mass condition"], want_mass)
-    assert np.array_equal(given["stiffness condition"], want_stiff)
-    assert cert.mass_ok == (np.linalg.eigvalsh(want_mass).min() > 0.0)
-    assert cert.stiff_ok == (np.linalg.eigvalsh(want_stiff).min() > 0.0)
-    assert cert.mass_margin == pytest.approx(theta - dense_threshold(cmat, (3, 2, 2)),
-                                             rel=1e-12)
-    assert cert.stiff_margin == pytest.approx(theta - dense_threshold(bmat, (3, 2, 2)),
-                                              rel=1e-12)
-    config = splitting.SplitConfig(tau=0.3, t_final=0.3, theta_mass=theta,
-                                   theta_stiff=theta)
-    assert np.array_equal(splitting.damping_matrix(parts, config).toarray(),
-                          0.3 * want_mass + 0.3 ** 2 / 2 * want_stiff)
+    for csr_c, csr_b in (dense, differing_patterns()):
+        cmat, bmat = csr_c.toarray(), csr_b.toarray()
+        parts = splitting.make_split(make_cs(csr_c, csr_b, sizes))
+        want_mass = theta * parts.mass_main.toarray() - 0.5 * cmat
+        want_stiff = theta * parts.stiff_main.toarray() - 0.5 * bmat
+        cert = splitting.check_stability(parts, theta, theta)
+        assert np.array_equal(given["mass condition"].toarray(), want_mass)
+        assert np.array_equal(given["stiffness condition"].toarray(), want_stiff)
+        assert cert.mass_ok == (np.linalg.eigvalsh(want_mass).min() > 0.0)
+        assert cert.stiff_ok == (np.linalg.eigvalsh(want_stiff).min() > 0.0)
+        assert cert.mass_margin == pytest.approx(theta - dense_threshold(cmat, sizes),
+                                                 rel=1e-12)
+        assert cert.stiff_margin == pytest.approx(theta - dense_threshold(bmat, sizes),
+                                                  rel=1e-12)
+        config = splitting.SplitConfig(tau=tau, t_final=tau, theta_mass=theta,
+                                       theta_stiff=theta)
+        assert np.array_equal(splitting.damping_matrix(parts, config).toarray(),
+                              tau * want_mass + tau ** 2 / 2 * want_stiff)
+        mass_main, stiff_main = (m.multiply(inside).tocsr() for m in (csr_c, csr_b))
+        for tm in (theta, 1.0):
+            config = splitting.SplitConfig(tau=tau, t_final=tau, theta_mass=tm,
+                                           theta_stiff=theta)
+            op = splitting._StepOperator(parts, config)
+            lag = csr_c - tm * mass_main
+            assert_same_csr(op.explicit, sp.hstack([-lag, tau * csr_b + lag], format="csr"))
+            assert_same_csr(given["split step matrix"],
+                            tm * mass_main + tau * theta * stiff_main)
 
 
 def test_damping_matrix_hand_value():
