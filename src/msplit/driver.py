@@ -487,11 +487,11 @@ def _run_setting(pipe: Pipeline, theta_mass, theta_stiff,
     """One split run on the pipeline's coarse system, streamed against its reference.
 
     The split runs on the backward Euler reference's time step and the
-    pipeline config's blocks. Its certificate is made once per (blocks,
+    coarse system's blocks. Its certificate is made once per (blocks,
     theta_mass, theta_stiff), kept in ``certificates``.
     """
     tau = reference.tau
-    coarse, blocks = pipe.coarse, tuple(pipe.config.blocks)
+    coarse, blocks = pipe.coarse, tuple(pipe.coarse.block_sizes)
     parts = splitting.make_split(coarse)
     scfg = SplitConfig(tau=tau, t_final=pipe.config.t_final,
                        theta_mass=theta_mass, theta_stiff=theta_stiff)
@@ -595,31 +595,30 @@ def sweep(config: ExperimentConfig, axis: str) -> list:
                               f"{label}; each needs its own row and history file")
     _make_output_dir(config.output_dir)
     pipe = build_pipeline(config)
+    pipe.prol = None   # the basis: no setting reads it
     report_offline(pipe.fs.n_dof, pipe.coarse.dim, pipe.seconds_offline,
                    pipe.seconds_assemble)
 
     rows, certificates = [], {}
-    # settings that share blocks and tau share one backward Euler reference
-    reference_key = reference = None
+    # C and B do not depend on the blocks, so settings that share tau share
+    # one backward Euler reference
+    reference_tau = reference = None
     for label, override in settings:
-        blocks = override.get("blocks", config.blocks)
         tau = override.get("tau", config.tau)
         theta_mass = override.get("theta_mass", config.theta_mass)
         theta_stiff = override.get("theta_stiff", config.theta_stiff)
         tic = time.perf_counter()
         try:
-            if "blocks" in override:
-                prol = gmsfem.assemble_prolongation(pipe.prol.basis, blocks)
-                setting_pipe = dataclasses.replace(
-                    pipe, config=dataclasses.replace(config, blocks=blocks), prol=prol,
-                    coarse=gmsfem.reorder_coarse(pipe.coarse, pipe.prol, prol))
-            else:
-                setting_pipe = pipe
-            if (blocks, tau) != reference_key:
-                reference_key = reference = None
+            setting_pipe = pipe
+            if "blocks" in override:   # the same system, other labels
+                setting_pipe = dataclasses.replace(pipe, coarse=dataclasses.replace(
+                    pipe.coarse, block_sizes=override["blocks"],
+                    _load_norm_sq=pipe.coarse.load_norm_sq()))
+            if tau != reference_tau:
+                reference_tau = reference = None
                 reference = splitting.backward_euler(setting_pipe.coarse, tau,
                                                      config.t_final)
-                reference_key = (blocks, tau)
+                reference_tau = tau
             split, report = _run_setting(setting_pipe, theta_mass, theta_stiff,
                                          reference, certificates)
         except NumericalError as exc:

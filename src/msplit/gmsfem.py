@@ -25,8 +25,8 @@ modes by the bilinear partition of unity and energy-orthonormalizes them by
 two passes of Cholesky-QR; each distinct block is stored once
 (:class:`OfflineBasis`).
 
-A prolongation is a basis with its columns grouped by mode block, the
-order the split scheme reads (:class:`Prolongation`); every function that
+A prolongation is a basis and the mode blocks the split scheme reads
+(:class:`Prolongation`), its columns node by node; every function that
 applies it reads the basis from it. It is never stored as a matrix, and
 no global fine matrix is assembled: the Galerkin projection, the loads, the
 moments of the initial field and the fine fields are sums over coarse cells
@@ -66,7 +66,6 @@ __all__ = [
     "assemble_prolongation",
     "reconstruct_fine",
     "project_coarse",
-    "reorder_coarse",
     "dump_basis",
 ]
 
@@ -119,50 +118,24 @@ class OfflineBasis:
 
 @dataclass(eq=False)
 class Prolongation:
-    """A basis and the column order of the coarse space it spans.
+    """A basis and the mode blocks of the coarse space it spans.
 
     The prolongation maps coarse coefficients to interior fine nodes; its
     columns are the columns of ``basis``, and it is applied coarse cell by
     coarse cell (:func:`reconstruct_fine`, :func:`project_coarse`), never
-    stored as a matrix. Columns are ordered mode block by mode block, the
-    order of the stacked coarse vectors: block ``q`` holds modes
-    ``m_q .. m_q + b_q`` of every one of the ``n_nodes`` neighborhoods,
-    node-major, so mode ``k`` of the ``i``-th neighborhood sits in column
-    ``n_nodes * m_q + i * b_q + (k - m_q)`` (:meth:`dofs`). The block sizes
-    sum to the basis's mode count (:func:`assemble_prolongation`).
-    ``node_order`` lists the columns node by node, in which each coarse
-    matrix has half-bandwidth (nx_coarse + 1) m - 1.
+    stored as a matrix. Column ``i * m + k`` is mode ``k`` of the ``i``-th
+    neighborhood of the m-mode basis, the order in which each coarse matrix
+    has half-bandwidth (nx_coarse + 1) m - 1. ``block_sizes`` group every
+    node's modes into consecutive blocks and sum to the mode count
+    (:func:`assemble_prolongation`); they do not move a column.
     """
 
     basis: OfflineBasis
     block_sizes: tuple
 
     @property
-    def n_nodes(self) -> int:
-        return len(self.basis.nodes)
-
-    @property
     def n_columns(self) -> int:
         return self.basis.n_columns
-
-    @property
-    def coarse_block_sizes(self) -> tuple:
-        return tuple(self.n_nodes * b for b in self.block_sizes)
-
-    @property
-    def node_order(self) -> np.ndarray:
-        return self.dofs().ravel()
-
-    def mode_blocks(self) -> tuple:
-        """(m_q, b_q) of each mode's block, one entry per mode."""
-        sizes = np.array(self.block_sizes)
-        return np.repeat(np.cumsum(sizes) - sizes, sizes), np.repeat(sizes, sizes)
-
-    def dofs(self) -> np.ndarray:
-        """(n_nodes, n_modes) array: the column of mode k of the i-th neighborhood."""
-        first, size = self.mode_blocks()
-        return (self.n_nodes * first + np.arange(self.n_nodes)[:, None] * size
-                + np.arange(len(first)) - first)
 
 
 def _cell_nodes(g: GridPair, cell: int):
@@ -789,7 +762,7 @@ def build_offline(fs: FineSystem, n_modes: int) -> OfflineBasis:
 
 
 def assemble_prolongation(basis: OfflineBasis, blocks) -> Prolongation:
-    """The prolongation of ``basis`` with its columns in mode-block order.
+    """The prolongation of ``basis`` split into the mode blocks ``blocks``.
 
     ``blocks`` partitions the per-node mode count: block q takes modes
     ``offset_q .. offset_q + blocks[q]`` of every neighborhood.
@@ -804,7 +777,7 @@ def assemble_prolongation(basis: OfflineBasis, blocks) -> Prolongation:
 
 
 class _BasisCells:
-    """The basis coarse cell by coarse cell in one column order, and the cells' fine matrices.
+    """The basis coarse cell by coarse cell, and the cells' fine matrices.
 
     A basis column of node i vanishes outside the four coarse cells around
     i, so every fine-scale quantity of a run is a sum over coarse cells of
@@ -817,16 +790,16 @@ class _BasisCells:
     mass or stiffness over that box, from the cell kernel
     (:class:`~msplit.fineassembly.CellKernel`). A node's block holds the
     interior of its (2r+1)^2 node box, ascending, so V_c is gathered
-    straight from ``prol.basis.stacked``, a quadrant of each corner node's box;
+    straight from ``basis.stacked``, a quadrant of each corner node's box;
     the rows on that box's edge and the corners on the domain boundary,
     which have no basis, read its last row, which is zero. ``columns[c]``
-    are the coarse columns of V_c's columns in ``prol``'s order, made once.
+    are the coarse columns of V_c's columns, node by node, made once.
     All take the cells :data:`_BATCH` at a time, and each cell's arithmetic
     is its own, so a cell gives the same bits alone as in any batch.
     """
 
-    def __init__(self, fs: FineSystem, prol: Prolongation):
-        g, basis = fs.grid, prol.basis
+    def __init__(self, fs: FineSystem, basis: OfflineBasis):
+        g = fs.grid
         r, m = g.refine, basis.n_modes
         n_cells = g.nx_coarse * g.ny_coarse
         cx, cy = np.arange(n_cells) % g.nx_coarse, np.arange(n_cells) // g.nx_coarse
@@ -848,10 +821,10 @@ class _BasisCells:
         self._kappa = self._kernel.coefficients(fs.kappa_cells)
         self._mass_data = self._kernel.mass_map @ np.ones(r * r)
         self.grid = g
-        self.n_modes, self.n_nodes = m, prol.n_nodes
-        self._prol = prol
-        dofs = np.append(prol.dofs(), np.full((1, m), prol.n_columns), axis=0)
-        self.columns = dofs[self.node].reshape(n_cells, -1)   # prol.n_columns for no basis
+        self.n_modes, self.n_nodes, self.n_columns = m, len(basis.nodes), basis.n_columns
+        self.columns = np.where(self.node[:, :, None] >= 0,   # n_columns for no basis
+                                self.node[:, :, None] * m + np.arange(m),
+                                self.n_columns).reshape(n_cells, -1)
 
     def _mass(self, count: int) -> sp.csr_matrix:
         """Block-diagonal mass of ``count`` cells; every cell has the same."""
@@ -886,7 +859,7 @@ class _BasisCells:
         return np.stack(grams)
 
     def assemble(self) -> tuple:
-        """The coarse mass and stiffness, in the prolongation's column order.
+        """The coarse mass and stiffness, node by node.
 
         Both are CSR on one pair of index arrays, sorted: every mode pair
         of every two nodes that share a coarse cell, explicit zeros included.
@@ -900,10 +873,10 @@ class _BasisCells:
         for cells in self.batches():
             grams[:, cells] = self.products(cells)
 
-        # The rows of node i hold, block by block, that block's modes of every
-        # node j that shares a cell with i, ascending: deg(i) m entries.
-        # ``pairs`` lists those (i, j) node-major, and a cell's corner pair
-        # (k, l) is pair ``rank`` of its row node.
+        # The rows of node i hold the modes of every node j that shares a
+        # cell with i, ascending: deg(i) m entries. ``pairs`` lists those
+        # (i, j) node-major, and a cell's corner pair (k, l) is pair ``rank``
+        # of its row node.
         node = self.node
         shared = (node >= 0)[:, :, None] & (node >= 0)[:, None, :]
         keys = np.where(shared, node[:, :, None] * n_nodes + node[:, None, :], n_nodes ** 2)
@@ -913,21 +886,16 @@ class _BasisCells:
         corner = np.maximum(node, 0)   # stands in where no node is; such slots are dropped
         rank = pair.reshape(n_cells, 4, 4) - starts[corner][:, :, None]
 
-        first, size = self._prol.mode_blocks()
-        dof = self._prol.dofs()
-        indptr = np.zeros(n_nodes * m + 1, dtype=np.int64)
-        indptr[1:][dof] = (degree * m)[:, None]
-        np.cumsum(indptr, out=indptr)
+        dof = self.columns.reshape(n_cells, 4, m)
+        indptr = np.concatenate(([0], np.cumsum(np.repeat(degree * m, m))))
         nnz = int(indptr[-1])
         # slot[c, k, a, l, b]: where entry (mode a of corner k, mode b of
         # corner l) of cell c's block goes; nnz, past the end, for no basis
-        slot = (indptr[dof[corner]][:, :, :, None, None]
-                + (degree[corner][:, :, None] * first)[:, :, None, None, :]
-                + rank[:, :, None, :, None] * size + np.arange(m) - first)
+        slot = indptr[dof][:, :, :, None, None] + rank[:, :, None, :, None] * m + np.arange(m)
         slot = np.where(shared[:, :, None, :, None], slot, nnz).ravel()
         index = np.int32 if nnz < 2 ** 31 else np.int64
         indices = np.empty(nnz + 1, dtype=index)
-        indices[slot] = np.broadcast_to(dof[corner][:, None, None], (n_cells, 4, m, 4, m)).ravel()
+        indices[slot] = np.broadcast_to(dof[:, None, None], (n_cells, 4, m, 4, m)).ravel()
         indices, indptr = indices[:nnz].copy(), indptr.astype(index)
         return tuple(
             sp.csr_matrix((np.bincount(slot, weights=gram.ravel(), minlength=nnz + 1)[:nnz],
@@ -939,7 +907,7 @@ class _BasisCells:
 
         Each column sums its cells in cell order.
         """
-        out = np.zeros(self._prol.n_columns + 1)
+        out = np.zeros(self.n_columns + 1)
         for cells in self.batches():
             pairs = self.gather(cells).transpose(0, 2, 1) @ weights(cells)[:, :, None]
             out += np.bincount(self.columns[cells].ravel(), weights=pairs.ravel(),
@@ -978,15 +946,15 @@ class _BasisCells:
 
 
 def reconstruct_fine(fs: FineSystem, prol: Prolongation, z: np.ndarray) -> np.ndarray:
-    """Map stacked block coefficients to an interior fine-grid vector, cell by cell."""
+    """Map coarse coefficients, node by node, to an interior fine-grid vector, cell by cell."""
     z = np.asarray(z, dtype=float)
     if z.shape != (prol.n_columns,):
         raise ValueError(f"expected {prol.n_columns} coefficients, got {z.shape}")
-    return _BasisCells(fs, prol).field(z)
+    return _BasisCells(fs, prol.basis).field(z)
 
 
 def project_coarse(fs: FineSystem, prol: Prolongation) -> CoarseSystem:
-    """Galerkin projection of the fine system onto the block basis.
+    """Galerkin projection of the fine system onto the basis, node by node.
 
     Returns the coarse mass/stiffness (exactly symmetric CSR), the projected
     forcing, and the initial coarse coefficients, each a sum over coarse
@@ -997,9 +965,10 @@ def project_coarse(fs: FineSystem, prol: Prolongation) -> CoarseSystem:
     to one thread and added into the structural pattern of the coarse
     operators. On example2-synthetic the two take 0.07-0.10 s in one
     process on a shared 2-vCPU host. Both operators are checked positive
-    definite by one band factorization each, in the prolongation's node
-    order, which the system keeps as its ``order``. Neither factor is kept:
-    the one of C gives |g^|^2_{C^-1} for the energy monitor. The initial
+    definite by one band factorization each, in the node order they are
+    stored in; the system's ``block_sizes`` are the prolongation's mode
+    blocks, a label over that order. Neither factor is kept: the one of C
+    gives |g^|^2_{C^-1} for the energy monitor. The initial
     coefficients are the moments of the initial field, its mass pairings
     with each basis function, not solved with the coarse mass: that keeps
     the initial vector free of the near-dependent basis combinations that a
@@ -1010,20 +979,19 @@ def project_coarse(fs: FineSystem, prol: Prolongation) -> CoarseSystem:
     row g^ = P^T q of its profile g, the coarse system's ``load``; its
     ``profile`` is the source's a, None for a static source.
     """
-    cells = _BasisCells(fs, prol)
+    cells = _BasisCells(fs, prol.basis)
     with single_thread_blas():
         mass, stiff = cells.assemble()
 
     source = fs.source
-    cs = CoarseSystem(block_sizes=prol.coarse_block_sizes,
+    cs = CoarseSystem(block_sizes=prol.block_sizes,
                       mass=mass, stiff=stiff, z0=np.zeros(prol.n_columns),
                       load=(np.zeros(prol.n_columns) if source is None
                             else cells.static_load(source.space)),
-                      profile=None if source is None else source.time,
-                      order=prol.node_order)
+                      profile=None if source is None else source.time)
     try:
         cs.load_norm_sq()
-        BandCholesky(cs.stiff, cs.order, context="coarse stiffness")
+        BandCholesky(cs.stiff, context="coarse stiffness")
     except NumericalError as exc:
         raise NumericalError(
             f"coarse system is not positive definite (near-dependent basis): {exc}"
@@ -1034,23 +1002,6 @@ def project_coarse(fs: FineSystem, prol: Prolongation) -> CoarseSystem:
         values[fs.grid.interior_fine_ids] = u0
         cs.z0 = cells.moments(values)
     return cs
-
-
-def reorder_coarse(cs: CoarseSystem, prol: Prolongation, new: Prolongation) -> CoarseSystem:
-    """The coarse system ``cs`` of ``prol``'s column order in the order of ``new``.
-
-    The two orders hold the same columns, so the system is ``cs`` permuted
-    (:meth:`~msplit.splitting.CoarseSystem.permuted`), every entry keeping
-    its bits: :func:`project_coarse` sums each one over the cells in cell
-    order whatever the column order, so this is the system it makes for
-    ``new``, without the cell products and without factoring C again.
-    """
-    if new.basis is not prol.basis:
-        raise ValueError(f"blocks {new.block_sizes} are not of the basis that blocks "
-                         f"{prol.block_sizes} order")
-    perm = np.empty(prol.n_columns, dtype=np.int64)
-    perm[new.dofs()] = prol.dofs()
-    return cs.permuted(perm, new.coarse_block_sizes, new.node_order)
 
 
 # --- basis dump (plain text, every value to 17 significant digits) ---

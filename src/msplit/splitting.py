@@ -24,12 +24,13 @@ definite, one band factorization each) and, when they hold, a discrete
 energy is recorded and must not grow faster than the forcing term,
 measured in the C^-1 norm, allows.
 
-C and B are held once, as CSR matrices on one shared sorted pattern whose
-rows and columns are grouped into mode blocks. A split adds no matrix: it is
-one mask over that pattern, which stored entries lie in a diagonal block,
-and every operator of a step, of the certificate and of the energy monitor
-is formed from that mask and the data arrays of C and B. Neither a step
-nor the certificate reads a dense n x n matrix; each factor is a band one.
+C and B are held once, as CSR matrices on one shared sorted pattern, node
+by node, where they are banded; a dof's block is its mode's. A split adds
+no matrix: it is one mask over that pattern, which stored entries join two
+dofs of one block, and every operator of a step, of the certificate and of
+the energy monitor is formed from that mask and the data arrays of C and B.
+Neither a step nor the certificate reads a dense n x n matrix; each factor
+is a band one.
 
 The forcing is a profile times one row, f^k = a_k g^. A run evaluates the
 profile once, at every level (:meth:`CoarseSystem.scale`), and forms f^{n+1}
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -100,10 +101,9 @@ def _one_pattern(mass: sp.csr_matrix, stiff: sp.csr_matrix) -> tuple:
     return out, sp.csr_matrix((data[1], out.indices, out.indptr), shape=out.shape)
 
 
-def _in_blocks(mat: sp.csr_matrix, block_sizes) -> np.ndarray:
-    """Mask of the stored entries of CSR ``mat`` inside a diagonal block."""
-    block = np.repeat(np.arange(len(block_sizes)), block_sizes)
-    return np.repeat(block, np.diff(mat.indptr)) == block[mat.indices]
+def _in_blocks(mat: sp.csr_matrix, labels: np.ndarray) -> np.ndarray:
+    """Mask of the stored entries of CSR ``mat`` whose row and column have one block label."""
+    return np.repeat(labels, np.diff(mat.indptr)) == labels[mat.indices]
 
 
 def _kept(pattern: sp.csr_matrix, data: np.ndarray, keep: np.ndarray) -> sp.csr_matrix:
@@ -145,16 +145,15 @@ class CoarseSystem:
     ``mass`` and ``stiff`` are exactly symmetric CSR matrices on one sorted
     pattern: they share their index arrays, and where the two given differ
     in pattern, each stores the other's entries as explicit zeros; dense
-    arrays given here are converted once. Their rows and columns are
-    grouped into consecutive mode blocks of ``block_sizes``.
+    arrays given here are converted once. Rows and columns run node by
+    node, and ``block_sizes`` are the mode blocks of one node, a label over
+    its dofs (:func:`make_split`); a hand-built system is one node.
     The forcing is a(t) g^: the finite read-only row ``load`` g^ times the
     vectorized time ``profile`` a; a static forcing, ``profile`` None, is
-    a = 1. Factors take rows and columns in ``order``, where the matrices
-    are banded (None: the natural order).
-    C is factored once, for |g^|^2_{C^-1}, and only that number is kept, in
-    ``_load_norm_sq``, which only :meth:`permuted` passes to a new system; no
-    run leaves a factor on the system. The operators must not change once
-    the system is built.
+    a = 1. C is factored once, for |g^|^2_{C^-1}, and only that number is
+    kept, in ``_load_norm_sq``, which a copy with other ``block_sizes``
+    (``dataclasses.replace``) carries over; no run leaves a factor on the
+    system. The operators must not change once the system is built.
     """
 
     block_sizes: tuple
@@ -163,12 +162,14 @@ class CoarseSystem:
     load: np.ndarray
     z0: np.ndarray
     profile: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    order: Optional[np.ndarray] = None
     _load_norm_sq: Optional[float] = field(default=None, kw_only=True, repr=False,
                                            compare=False)
 
     def __post_init__(self):
         self.mass, self.stiff = _one_pattern(_csr(self.mass), _csr(self.stiff))
+        if self.dim % sum(self.block_sizes):
+            raise ValueError(f"{self.dim} dofs are not whole nodes of the mode blocks "
+                             f"{tuple(self.block_sizes)}")
         self.load = np.array(self.load, dtype=float)
         self.load.flags.writeable = False
         if self.load.shape != (self.dim,):
@@ -178,7 +179,7 @@ class CoarseSystem:
 
     @property
     def dim(self) -> int:
-        return sum(self.block_sizes)
+        return self.mass.shape[0]
 
     def rhs(self, times: np.ndarray) -> np.ndarray:
         """Forcing table, row k the forcing a(times[k]) g^ at ``times[k]``; a = 1 when static."""
@@ -208,21 +209,11 @@ class CoarseSystem:
         The factorization is also the check that C is positive definite.
         """
         if self._load_norm_sq is None:
-            factor = BandCholesky(self.mass, self.order, context="coarse mass")
+            factor = BandCholesky(self.mass, context="coarse mass")
             row = self.load[None, :]
             self._load_norm_sq = float(
                 _row_dots(row, factor.solve(np.ascontiguousarray(row.T)))[0])
         return self._load_norm_sq
-
-    def permuted(self, perm: np.ndarray, block_sizes: tuple, order) -> "CoarseSystem":
-        """This system with dof k of the copy at dof ``perm[k]`` and factor ``order``.
-
-        Every entry keeps its bits. |g^|^2_{C^-1} does not depend on the order,
-        so the copy carries it over.
-        """
-        return replace(self, block_sizes=tuple(block_sizes), mass=self.mass[perm][:, perm],
-                       stiff=self.stiff[perm][:, perm], load=self.load[perm],
-                       z0=self.z0[perm], order=order, _load_norm_sq=self.load_norm_sq())
 
 
 @dataclass
@@ -231,12 +222,13 @@ class SplitParts:
 
     ``mass``/``stiff`` are the coarse system's own CSR operators on their
     shared pattern (not copied), and the split is one mask over that
-    pattern, ``inside``: which stored entries lie in a diagonal block, made
-    once per split. The implicit parts C1 = blockdiag(C), B1 = blockdiag(B)
-    are the entries inside; the explicit rests C - C1 and B - B1 the ones
-    outside. Every operator of a run is formed from the mask and the two
-    data arrays; :attr:`mass_main` and :attr:`stiff_main` form C1 and B1 as
-    CSR when read.
+    pattern, ``inside``: which stored entries join two dofs of one block,
+    made once per split; ``block_sizes`` count each block's dofs. The
+    implicit parts C1 = blockdiag(C), B1 = blockdiag(B) are the entries
+    inside; the explicit rests C - C1 and B - B1 the ones outside. Every
+    operator of a run is formed from the mask and the two data arrays;
+    :attr:`mass_main` and :attr:`stiff_main` form C1 and B1 as CSR when
+    read.
     """
 
     # the only split rule; a class constant, not a field, kept because the
@@ -246,11 +238,7 @@ class SplitParts:
     block_sizes: tuple
     mass: sp.csr_matrix
     stiff: sp.csr_matrix
-    order: Optional[np.ndarray] = None
-    inside: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.inside = _in_blocks(self.mass, self.block_sizes)
+    inside: np.ndarray = field(repr=False)
 
     def main(self, mat: sp.csr_matrix) -> sp.csr_matrix:
         """blockdiag(mat) of M = C or B: its nonzero stored entries inside a block."""
@@ -269,9 +257,13 @@ def make_split(cs: CoarseSystem) -> SplitParts:
     """Split the coarse operators into implicit and explicit parts.
 
     The diagonal mode blocks are implicit (symmetric parts, fully decoupled
-    solves) and the coupling blocks explicit.
+    solves) and the coupling blocks explicit. A dof's block is its mode's:
+    every node's modes fall into the same consecutive ``cs.block_sizes``.
     """
-    return SplitParts(tuple(cs.block_sizes), cs.mass, cs.stiff, cs.order)
+    sizes, nodes = cs.block_sizes, cs.dim // sum(cs.block_sizes)
+    labels = np.tile(np.repeat(np.arange(len(sizes)), sizes), nodes)
+    return SplitParts(tuple(nodes * int(b) for b in sizes), cs.mass, cs.stiff,
+                      _in_blocks(cs.mass, labels))
 
 
 @dataclass(frozen=True)
@@ -363,7 +355,7 @@ def _certify(parts: SplitParts, mat: sp.csr_matrix, theta: float, name: str) -> 
     """
     condition = _condition(parts, mat, theta)
     try:
-        factor = BandCholesky(condition, parts.order, context=f"{name} condition")
+        factor = BandCholesky(condition, context=f"{name} condition")
     except NumericalError:
         factor = None
     ok = factor is not None
@@ -373,7 +365,7 @@ def _certify(parts: SplitParts, mat: sp.csr_matrix, theta: float, name: str) -> 
     ceiling = condition
     if theta != 0.5 * p or factor is None:
         ceiling = _condition(parts, mat, 0.5 * p)
-        factor = BandCholesky(ceiling, parts.order, f"{name} condition at theta = p/2")
+        factor = BandCholesky(ceiling, f"{name} condition at theta = p/2")
     try:
         nu = spla.eigsh(parts.main(mat), k=1, M=ceiling,
                         Minv=spla.LinearOperator((n, n), matvec=factor.solve),
@@ -421,7 +413,7 @@ class _StepOperator:
         self.explicit = _side_by_side(parts.mass, -lag, tau * b + lag)
         del lag
         main = np.where(inside, tm * c + tau * ts * b, 0.0)
-        self.factor = BandCholesky(_kept(parts.mass, main, main != 0.0), parts.order,
+        self.factor = BandCholesky(_kept(parts.mass, main, main != 0.0),
                                    context="split step matrix")
 
     def step(self, levels: np.ndarray, f_next: np.ndarray) -> np.ndarray:
@@ -436,7 +428,7 @@ def _euler_step(cs: CoarseSystem, tau: float):
     The factor of C + tau*B lives as long as the returned step, which reads
     z^n, the second half of the levels [z^{n-1}; z^n].
     """
-    factor = BandCholesky(cs.mass + tau * cs.stiff, cs.order, f"C + tau*B (tau = {tau:g})")
+    factor = BandCholesky(cs.mass + tau * cs.stiff, f"C + tau*B (tau = {tau:g})")
     mass, dim = cs.mass, cs.dim
 
     def step(levels, f_next):

@@ -135,25 +135,22 @@ def basis_blocks(basis):
     return out
 
 
-def prolongation_matrix(basis, block_sizes):
+def prolongation_matrix(basis):
     """The prolongation of ``basis`` as one sparse matrix, from coordinate triplets.
 
-    Block q takes modes m_q .. m_q + b_q of every node, node-major: column
-    n_nodes * m_q + i * b_q + (k - m_q) is mode k of the i-th node, stored
-    on its support (:func:`basis_blocks`). Rows are the interior fine nodes.
+    Columns run node by node: column i * m + k is mode k of the i-th node of
+    the m-mode basis, stored on its support (:func:`basis_blocks`). Rows are
+    the interior fine nodes.
     """
-    n_nodes = len(basis.nodes)
+    m = basis.n_modes
     rows, cols, vals = [], [], []
-    first = 0
-    for b in block_sizes:
-        for i, (sup, vec) in enumerate(basis_blocks(basis)):
-            for k in range(first, first + b):
-                rows.append(sup)
-                cols.append(np.full(len(sup), n_nodes * first + i * b + k - first))
-                vals.append(vec[:, k])
-        first += b
+    for i, (sup, vec) in enumerate(basis_blocks(basis)):
+        for k in range(m):
+            rows.append(sup)
+            cols.append(np.full(len(sup), i * m + k))
+            vals.append(vec[:, k])
     return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(basis.grid.n_interior_fine, n_nodes * first))
+                         shape=(basis.grid.n_interior_fine, len(basis.nodes) * m))
 
 
 def sparse_galerkin(prol, fine):
@@ -230,15 +227,32 @@ def random_spd(rng, n, shift=1.0):
     return shift * np.eye(n) + low @ low.T
 
 
-def dense_threshold(mmat, block_sizes):
+def block_stencil_spd(rng, width, height, modes):
+    """SPD matrix of a width x height node grid, ``modes`` dofs a node, in node order.
+
+    The identity plus a random positive semidefinite block on the dofs of
+    each 2 x 2 node cell, as the coarse matrices are sums over coarse cells.
+    """
+    n = width * height * modes
+    mat = np.eye(n)
+    for cy in range(height - 1):
+        for cx in range(width - 1):
+            nodes = np.array([0, 1, width, width + 1]) + cy * width + cx
+            dofs = (nodes[:, None] * modes + np.arange(modes)).ravel()
+            mat[np.ix_(dofs, dofs)] += random_spd(rng, len(dofs), shift=0.0)
+    return mat
+
+
+def dense_threshold(mmat, labels):
     """Certificate threshold lambda_max(M1^-1 M) / 2 by one dense eigensolve.
 
-    M1 keeps the diagonal blocks of ``mmat`` over consecutive blocks of
-    ``block_sizes``; the pencil (M, M1) goes to ``scipy.linalg.eigh``.
+    M1 keeps the entries of ``mmat`` whose row and column carry one block
+    label, ``labels`` one per dof; the pencil (M, M1) goes to
+    ``scipy.linalg.eigh``.
     """
     mmat = np.asarray(mmat, dtype=float)
-    block = np.repeat(np.arange(len(block_sizes)), block_sizes)
-    m1 = np.where(block[:, None] == block[None, :], mmat, 0.0)
+    labels = np.asarray(labels)
+    m1 = np.where(labels[:, None] == labels[None, :], mmat, 0.0)
     return 0.5 * scipy.linalg.eigh(mmat, m1, eigvals_only=True)[-1]
 
 

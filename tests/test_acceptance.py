@@ -246,7 +246,7 @@ def test_acceptance_7_offline_matches_brute_force():
     basis = gmsfem.build_offline(fs, 3)
     prol = gmsfem.assemble_prolongation(basis, (1, 2))
     cs = gmsfem.project_coarse(fs, prol)
-    rmat = prolongation_matrix(basis, prol.block_sizes).toarray()
+    rmat = prolongation_matrix(basis).toarray()
     dmass_all, dstiff_all = dense_q1_matrices(g, fs.kappa_cells)
     keep = g.interior_fine_ids
     coarse_dev = max(

@@ -205,7 +205,7 @@ def test_build_pipeline_contents(tiny_pipe):
     n_nb = len(pipe.prol.basis.nodes)
     assert n_nb == 9
     assert pipe.prol.n_columns == 3 * n_nb
-    assert pipe.coarse.block_sizes == (n_nb, 2 * n_nb)
+    assert pipe.coarse.block_sizes == (1, 2)
     assert pipe.coarse.dim == pipe.prol.n_columns
 
 
@@ -230,13 +230,9 @@ def test_reconstruct_fine_matches_parts(tiny_pipe):
     rng = np.random.default_rng(2)
     z = rng.standard_normal(pipe.prol.n_columns)
     want = np.zeros(pipe.fs.n_dof)
-    n_nb = len(pipe.prol.basis.nodes)
-    mode = 0
-    for b in pipe.prol.block_sizes:
-        coeffs = z[n_nb * mode:n_nb * (mode + b)].reshape(n_nb, b)
-        for i, (sup, block) in enumerate(basis_blocks(pipe.prol.basis)):
-            want[sup] += block[:, mode:mode + b] @ coeffs[i]
-        mode += b
+    coeffs = z.reshape(len(pipe.prol.basis.nodes), -1)   # node by node
+    for i, (sup, block) in enumerate(basis_blocks(pipe.prol.basis)):
+        want[sup] += block @ coeffs[i]
     got = gmsfem.reconstruct_fine(pipe.fs, pipe.prol, z)
     assert np.allclose(got, want, atol=1e-14)
     with pytest.raises(ValueError, match="coefficients"):
@@ -276,7 +272,7 @@ def test_final_errors_are_the_fine_norms_of_the_reconstructed_fields(tiny_pipe):
     split = splitting.march(pipe.coarse, splitting.make_split(pipe.coarse),
                             splitting.SplitConfig(tau=0.05, t_final=0.2))
     report = driver.compare(euler, split, pipe.coarse)
-    pmat = prolongation_matrix(pipe.prol.basis, pipe.prol.block_sizes)
+    pmat = prolongation_matrix(pipe.prol.basis)
     ref, err = pmat @ euler.states[-1], pmat @ (euler.states[-1] - split.states[-1])
     for got, mat in zip((report.e_l2, report.e_a), fineassembly.assemble_matrices(pipe.fs)):
         assert got == pytest.approx(np.sqrt(err @ mat @ err / (ref @ mat @ ref)), rel=1e-10)
@@ -390,7 +386,8 @@ def test_the_stepping_stage_holds_the_basis_only_to_reconstruct_a_field(
     # only a fine field reconstructed from coarse coefficients reads the
     # offline basis: a run that writes none drops it once the coarse system
     # is projected, so it is gone when the split run starts; one that
-    # dumps the fields keeps it and writes the fields of the final levels
+    # dumps the fields keeps it and writes the fields of the final levels.
+    # A sweep writes no field, so none of its settings runs with the basis
     bases, alive, runs = [], [], []
     build, march = gmsfem.build_offline, splitting.march
 
@@ -417,6 +414,10 @@ def test_the_stepping_stage_holds_the_basis_only_to_reconstruct_a_field(
         fineassembly.write_field(tmp_path / "want.txt", pipe.fs.grid, field)
         assert ((tmp_path / "run" / "field_split.txt").read_bytes()
                 == (tmp_path / "want.txt").read_bytes())
+    alive.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        driver.sweep(dataclasses.replace(config, output_dir=str(tmp_path / "sweep")), "blocks")
+    assert alive == [False, False]
 
 
 def test_run_example_deterministic(tmp_path):
@@ -434,30 +435,39 @@ def test_sweep_blocks_matches_single_run(tmp_path):
                          blocks_sweep=((1, 2), (2, 1)))
     rows = driver.sweep(config, "blocks")
     assert [r[0] for r in rows] == ["1+2", "2+1"]
-    single = driver.run_example(tiny_config(output_dir=str(tmp_path / "one")))
-    assert rows[0][1] == pytest.approx(single.e_l2, rel=1e-12)
-    assert rows[0][2] == pytest.approx(single.e_a, rel=1e-12)
+    for row, blocks in zip(rows, config.blocks_sweep):
+        single = driver.run_example(tiny_config(output_dir=str(tmp_path / row[0]),
+                                                blocks=blocks))
+        assert row[1] == pytest.approx(single.e_l2, rel=1e-12)
+        assert row[2] == pytest.approx(single.e_a, rel=1e-12)
     assert (tmp_path / "sweep" / "errors.csv").exists()
     assert (tmp_path / "sweep" / "history_1+2.csv").exists()
     assert (tmp_path / "sweep" / "history_2+1.csv").exists()
 
 
 def test_blocks_sweep_makes_the_cell_products_once(tmp_path, monkeypatch):
-    # the settings of a blocks sweep reorder one projection; each cell's
-    # Galerkin blocks are made once, and every row has the bits of a run
-    # built for that setting alone
-    calls = []
-    products = gmsfem._BasisCells.products
+    # the settings of a blocks sweep relabel one projection, whose C and B
+    # do not depend on the blocks: each cell's Galerkin blocks are made
+    # once, one backward Euler reference serves every setting, and every
+    # row has the bits of a run built for that setting alone
+    calls, references = [], []
+    products, euler = gmsfem._BasisCells.products, splitting.backward_euler
 
     def counting(self, cells):
         calls.append(len(cells))
         return products(self, cells)
 
+    def counted(*args):
+        references.append(args[1:])
+        return euler(*args)
+
     monkeypatch.setattr(gmsfem._BasisCells, "products", counting)
+    monkeypatch.setattr(splitting, "backward_euler", counted)
     config = tiny_config(source="pulsed-sine", output_dir=str(tmp_path / "sweep"),
                          blocks_sweep=((2, 1), (1, 1, 1), (1, 2)))
     rows = driver.sweep(config, "blocks")
     assert sum(calls) == config.nx_coarse * config.ny_coarse
+    assert references == [(config.tau, config.t_final)]
     for (label, e_l2, e_a), blocks in zip(rows, config.blocks_sweep):
         out = tmp_path / label
         single = driver.run_example(dataclasses.replace(config, blocks=blocks,
@@ -590,7 +600,7 @@ def test_sweep_rejects_settings_that_share_a_label(tmp_path, capsys, monkeypatch
 
 
 def test_blocks_sweep_factors_c_once(tmp_path, factorizations):
-    # every setting reorders the one projection and carries its
+    # every setting relabels the one projection and carries its
     # |g^|^2_{C^-1}: C is factored once, by project_coarse
     config = tiny_config(output_dir=str(tmp_path), blocks_sweep=((1, 2), (2, 1)))
     rows = driver.sweep(config, "blocks")

@@ -682,11 +682,13 @@ def test_every_neighborhood_is_the_template_shifted(make_fs, monkeypatch):
 
 
 def test_basis_cells_bind_the_column_order_once():
-    # the cell products read the prolongation's column order from the
-    # object they were made with; no method takes it again
+    # the cell products number the columns node by node once, from the
+    # basis they were made with; no method takes a basis or a
+    # prolongation again
     for name, method in vars(gmsfem._BasisCells).items():
         if callable(method) and name != "__init__":
-            assert "prol" not in inspect.signature(method).parameters, name
+            params = inspect.signature(method).parameters
+            assert "prol" not in params and "basis" not in params, name
 
 
 def test_basis_energy_orthonormal_per_neighborhood(small):
@@ -799,12 +801,12 @@ def test_prolongation_shapes_and_metadata(small):
     n_nb = len(basis.nodes)
     assert prol.n_columns == 4 * n_nb
     assert prol.block_sizes == (1, 3)
-    # a prolongation holds its basis and its block sizes; the node and
-    # column counts are the basis's, and == compares identity, not arrays
+    # a prolongation holds its basis and its block sizes; the column count
+    # is the basis's, and == compares identity, not arrays
     assert prol.basis is basis and set(vars(prol)) == {"basis", "block_sizes"}
-    assert prol.n_nodes == n_nb and prol.n_columns == basis.n_columns
+    assert prol.n_columns == basis.n_columns
     three = gmsfem.assemble_prolongation(gmsfem.build_offline(fs, 3), (3,))
-    assert (three.n_nodes, three.n_columns) == (n_nb, 3 * n_nb)
+    assert three.n_columns == 3 * n_nb
     assert prol == prol and prol != gmsfem.assemble_prolongation(basis, (1, 3))
     # every column lives on the support of exactly one neighborhood
     for col in range(prol.n_columns):
@@ -818,26 +820,24 @@ def test_prolongation_block_identity(small):
     g, fs = small
     basis = gmsfem.build_offline(fs, 4)
     prol = gmsfem.assemble_prolongation(basis, (2, 2))
-    # per-block parts built straight from the basis, node-major within a block
-    parts = []
-    mode_offset = 0
-    for b in prol.block_sizes:
-        part = np.zeros((fs.n_dof, b * len(basis.nodes)))
-        for i, (sup, block) in enumerate(basis_blocks(basis)):
-            part[sup, i * b:(i + 1) * b] = block[:, mode_offset:mode_offset + b]
-        parts.append(part)
-        mode_offset += b
+    # per-block parts built straight from the basis: block q takes its
+    # modes of every node, at the node's columns of those modes
+    m = basis.n_modes
+    labels = np.tile(np.repeat([0, 1], prol.block_sizes), len(basis.nodes))
+    parts = [np.zeros((fs.n_dof, prol.n_columns)) for _ in prol.block_sizes]
+    for i, (sup, block) in enumerate(basis_blocks(basis)):
+        for k in range(m):
+            parts[labels[i * m + k]][sup, i * m + k] = block[:, k]
     rng = np.random.default_rng(7)
     z = rng.standard_normal(prol.n_columns)
     lhs = gmsfem.reconstruct_fine(fs, prol, z)
-    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
-    rhs = sum(parts[q] @ z[offsets[q]:offsets[q + 1]]
-              for q in range(len(parts)))
+    rhs = sum(part @ z for part in parts)
     assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
-def test_prolongation_columns_follow_block_order():
-    # four interior coarse nodes, so node-major and mode-major orders differ
+def test_prolongation_columns_follow_node_order():
+    # four interior coarse nodes, so node-major and mode-major orders
+    # differ: column i * m + k is mode k of node i, whatever the blocks
     g = GridPair(3, 3, 3)
     fs = assemble(g, Permeability(wavy_kappa))
     basis = gmsfem.build_offline(fs, 4)
@@ -849,15 +849,11 @@ def test_prolongation_columns_follow_block_order():
         assert prol.n_columns == 4 * n_nb
         dense = np.column_stack([gmsfem.reconstruct_fine(fs, prol, unit)
                                  for unit in np.eye(prol.n_columns)])
-        mode_offset = 0
-        for b in blocks:
-            for i, (sup, block) in enumerate(basis_blocks(basis)):
-                for k in range(mode_offset, mode_offset + b):
-                    col = n_nb * mode_offset + i * b + (k - mode_offset)
-                    want = np.zeros(fs.n_dof)
-                    want[sup] = block[:, k]
-                    assert np.array_equal(dense[:, col], want), (blocks, i, k)
-            mode_offset += b
+        for i, (sup, block) in enumerate(basis_blocks(basis)):
+            for k in range(4):
+                want = np.zeros(fs.n_dof)
+                want[sup] = block[:, k]
+                assert np.array_equal(dense[:, 4 * i + k], want), (blocks, i, k)
 
 
 def test_prolongation_validates_blocks(small):
@@ -883,7 +879,7 @@ def test_coarse_blocks_match_projected_operators(small):
     basis = gmsfem.build_offline(fs, 4)
     prol = gmsfem.assemble_prolongation(basis, (1, 3))
     cs = gmsfem.project_coarse(fs, prol)
-    pmat = prolongation_matrix(basis, prol.block_sizes)
+    pmat = prolongation_matrix(basis)
     mass, stiffness = assemble_matrices(fs)
     want_mass = (pmat.T @ mass @ pmat).toarray()
     want_stiff = (pmat.T @ stiffness @ pmat).toarray()
@@ -911,12 +907,12 @@ def test_cell_galerkin_matches_the_sparse_product(make_fs, blocks):
     basis = gmsfem.build_offline(fs, 4)
     prol = gmsfem.assemble_prolongation(basis, blocks)
     cs = gmsfem.project_coarse(fs, prol)
-    pmat = prolongation_matrix(basis, prol.block_sizes)
+    pmat = prolongation_matrix(basis)
     for got, fine in zip((cs.mass, cs.stiff), assemble_matrices(fs)):
         want = sparse_galerkin(pmat, fine).toarray()
         assert np.max(np.abs(got.toarray() - want)) <= 1e-13 * np.max(np.abs(want))
     # a cell's blocks have the same bits alone as in any batch
-    cells = gmsfem._BasisCells(fs, prol)
+    cells = gmsfem._BasisCells(fs, basis)
     order = np.arange(fs.grid.nx_coarse * fs.grid.ny_coarse)
     batch = cells.products(order)
     assert np.array_equal(cells.products(order[::-1]), batch[:, ::-1])
@@ -936,20 +932,20 @@ def test_basis_cells_gather_from_the_one_copy_of_the_basis():
     assert not basis.stacked.flags.writeable and not np.any(basis.stacked[-1])
     with pytest.raises(ValueError, match="read-only"):
         basis.stacked[3, 0] = 1.0
-    cells = gmsfem._BasisCells(fs, gmsfem.assemble_prolongation(basis, (1, 3)))
+    cells = gmsfem._BasisCells(fs, basis)
     arrays = [value for value in vars(cells).values() if isinstance(value, np.ndarray)]
     assert any(np.shares_memory(a, basis.stacked) for a in arrays)
     padded = (distinct + 1) * (2 * r + 1) ** 2 * 4 * 8
     assert all(a.nbytes < padded for a in arrays if a is not basis.stacked)
 
 
-def _structural_pattern(basis, blocks):
+def _structural_pattern(basis):
     """Dense mask of every mode pair of every two nodes that share a coarse cell."""
     g = basis.grid
     cx, cy = basis.nodes % (g.nx_coarse + 1), basis.nodes // (g.nx_coarse + 1)
     share = ((np.abs(cx[:, None] - cx[None, :]) <= 1)
              & (np.abs(cy[:, None] - cy[None, :]) <= 1))
-    node = np.concatenate([np.repeat(np.arange(len(basis.nodes)), b) for b in blocks])
+    node = np.repeat(np.arange(len(basis.nodes)), basis.n_modes)
     return share[np.ix_(node, node)]
 
 
@@ -964,7 +960,7 @@ def test_coarse_operators_store_the_structural_pattern(ex1_split15):
     assert np.array_equal(cs.mass.indices, cs.stiff.indices)
     stored = sp.csr_matrix((np.ones(cs.mass.nnz), cs.mass.indices, cs.mass.indptr),
                            shape=cs.mass.shape).toarray() > 0.0
-    assert np.array_equal(stored, _structural_pattern(basis, (1, 3)))
+    assert np.array_equal(stored, _structural_pattern(basis))
     # the sparse products' counts: 43^2 node pairs times the mode pairs
     _, ex1_coarse = ex1_split15
     assert ex1_coarse.mass.nnz == ex1_coarse.stiff.nnz == 66564
@@ -988,7 +984,7 @@ def test_coarse_rhs_projects_load(small):
     prol = gmsfem.assemble_prolongation(basis, (3,))
     cs = gmsfem.project_coarse(fs, prol)
     t = 0.75
-    want = prolongation_matrix(basis, prol.block_sizes).T @ scatter_load(
+    want = prolongation_matrix(basis).T @ scatter_load(
         g, space_time(fs.source), t)
     assert np.allclose(cs.rhs(np.array([t]))[0], want, atol=1e-14)
 
@@ -998,7 +994,7 @@ def test_initial_vector_moments_and_projection(small):
     basis = gmsfem.build_offline(fs, 4)
     prol = gmsfem.assemble_prolongation(basis, (1, 3))
     mass, _ = assemble_matrices(fs)
-    moments = prolongation_matrix(basis, prol.block_sizes).T @ (mass @ fs.initial_vector())
+    moments = prolongation_matrix(basis).T @ (mass @ fs.initial_vector())
     cs = gmsfem.project_coarse(fs, prol)
     assert np.allclose(cs.z0, moments, atol=1e-14)
 
@@ -1014,7 +1010,7 @@ def forced():
                   initial=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
     basis = gmsfem.build_offline(fs, 4)
     prol = gmsfem.assemble_prolongation(basis, (1, 3))
-    return fs, basis, prol, prolongation_matrix(basis, prol.block_sizes), assemble_matrices(fs)
+    return fs, basis, prol, prolongation_matrix(basis), assemble_matrices(fs)
 
 
 def _assert_close(got, want):
@@ -1129,22 +1125,22 @@ def test_projection_factors_c_once_and_keeps_only_the_euler_factor(small, factor
     assert _held_factors(cs) == []
     assert not hasattr(cs, "euler_factor")
     # the check would see a band factor held in a field or in a tuple field
-    held = dataclasses.replace(cs, profile=(linalg.BandCholesky(cs.mass, cs.order),))
+    held = dataclasses.replace(cs, profile=(linalg.BandCholesky(cs.mass),))
     assert len(_held_factors(held)) == 1
 
 
 def test_every_coarse_factor_is_a_band_in_node_order(ex1_split15, monkeypatch):
-    # nodes that share a coarse cell are at most nx_coarse + 1 apart, so in
-    # node order C, B, C + tau*B and the condition matrices have
-    # half-bandwidth (nx_coarse + 1) m - 1: 101 on example1, 169 on the ex2
-    # input. The block-diagonal split step matrix couples a node only to its
-    # own block's modes, nx_coarse m + max(b) - 1. An order that widens the
-    # band fails here
+    # C and B are stored node by node, and nodes that share a coarse cell
+    # are at most nx_coarse + 1 apart, so C, B, C + tau*B and the condition
+    # matrices have half-bandwidth (nx_coarse + 1) m - 1: 101 on example1,
+    # 169 on the ex2 input. The block-diagonal split step matrix couples a
+    # node only to its own block's modes, nx_coarse m + max(b) - 1. A
+    # layout that widens the band fails here
     widths = {}
     init = linalg.BandCholesky.__init__
 
-    def recording(self, mat, order=None, context=""):
-        init(self, mat, order, context)
+    def recording(self, mat, context=""):
+        init(self, mat, context)
         widths[context] = self.bandwidth
 
     monkeypatch.setattr(linalg.BandCholesky, "__init__", recording)
@@ -1154,33 +1150,14 @@ def test_every_coarse_factor_is_a_band_in_node_order(ex1_split15, monkeypatch):
     for (prol, cs), want in ((ex1_split15, 101), ((prol, gmsfem.project_coarse(fs, prol)), 169)):
         nx, m = prol.basis.grid.nx_coarse, prol.basis.n_modes
         assert want == (nx + 1) * m - 1
-        assert np.array_equal(cs.order, prol.node_order)
-        linalg.BandCholesky(cs.mass, cs.order, "coarse mass")
-        linalg.BandCholesky(cs.stiff, cs.order, "coarse stiffness")
+        linalg.BandCholesky(cs.mass, "coarse mass")
+        linalg.BandCholesky(cs.stiff, "coarse stiffness")
         splitting.march(cs, splitting.make_split(cs), splitting.SplitConfig(tau=2e-4, t_final=4e-4))
         assert widths == {"coarse mass": want, "coarse stiffness": want,
                           "mass condition": want, "stiffness condition": want,
                           "C + tau*B (tau = 0.0002)": want,
                           "split step matrix": nx * m + max(prol.block_sizes) - 1}
         widths.clear()
-
-
-def test_reorder_coarse_carries_the_load_norm_and_factors_no_c(forced, factorizations):
-    # the reordered system takes |g^|^2_{C^-1} from the original instead of
-    # factoring its C, and its bound is that of the system projected for the
-    # new order to round-off
-    fs, basis, prol, _, _ = forced
-    new = gmsfem.assemble_prolongation(basis, (2, 2))
-    moved = gmsfem.reorder_coarse(gmsfem.project_coarse(fs, prol), prol, new)
-    config = splitting.SplitConfig(tau=0.05, t_final=0.5, theta_mass=1.0,
-                                   theta_stiff=1.0)
-    got = splitting.march(moved, splitting.make_split(moved), config).bound_rhs
-    assert factorizations.count("coarse mass") == 1
-    direct = gmsfem.project_coarse(fs, new)
-    assert direct.profile is moved.profile
-    assert np.array_equal(moved.load, direct.load)
-    want = splitting.march(direct, splitting.make_split(direct), config).bound_rhs
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # --- dump ---
@@ -1191,22 +1168,3 @@ def test_basis_roundtrip_exact(small, tmp_path):
     path = tmp_path / "basis.txt"
     gmsfem.dump_basis(basis, path)
     assert_basis_dump(path, basis)
-
-
-def test_reorder_coarse_refuses_a_prolongation_of_another_basis(forced):
-    # both orders must be of one basis object: one of another mode count is
-    # refused, and so is one of a basis built again, though bit-equal
-    fs, basis, prol, _, _ = forced
-    cs = gmsfem.project_coarse(fs, prol)
-    for other, blocks in ((gmsfem.build_offline(fs, 3), (1, 2)),
-                          (gmsfem.build_offline(fs, 4), (2, 2))):
-        with pytest.raises(ValueError, match=r"blocks \(.*\) are not of the basis"):
-            gmsfem.reorder_coarse(cs, prol, gmsfem.assemble_prolongation(other, blocks))
-    new = gmsfem.assemble_prolongation(basis, (2, 2))
-    moved = gmsfem.reorder_coarse(cs, prol, new)
-    assert moved.block_sizes == new.coarse_block_sizes == (2 * prol.n_nodes, 2 * prol.n_nodes)
-    # the node order moves with the dofs: in their node orders the two
-    # systems are one matrix, bit for bit, so they factor alike
-    assert np.array_equal(moved.order, new.node_order)
-    for got, want in ((moved.mass, cs.mass), (moved.stiff, cs.stiff)):
-        assert (got[moved.order][:, moved.order] != want[cs.order][:, cs.order]).nnz == 0

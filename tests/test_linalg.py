@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from msplit.linalg import BandCholesky, NumericalError, SparseCholesky, eig_gsym
 
-from _oracles import charpoly_eigs, random_spd
+from _oracles import block_stencil_spd, charpoly_eigs, random_spd
 from conftest import rng_for
 
 
@@ -64,43 +64,27 @@ def test_sparse_cholesky_is_linear(n, seed, a, b):
     assert np.allclose(combined, separate, atol=1e-8)
 
 
-def block_stencil_spd(rng, width, height, modes):
-    """SPD matrix of a width x height node grid, ``modes`` dofs a node, in node order.
-
-    The identity plus a random positive semidefinite block on the dofs of
-    each 2 x 2 node cell, as the coarse matrices are sums over coarse cells.
-    """
-    n = width * height * modes
-    mat = np.eye(n)
-    for cy in range(height - 1):
-        for cx in range(width - 1):
-            nodes = np.array([0, 1, width, width + 1]) + cy * width + cx
-            dofs = (nodes[:, None] * modes + np.arange(modes)).ravel()
-            mat[np.ix_(dofs, dofs)] += random_spd(rng, len(dofs), shift=0.0)
-    return mat
-
-
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(width=st.integers(2, 5), height=st.integers(2, 5), modes=st.integers(1, 4),
        k=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))
 def test_band_cholesky_solves_a_block_stencil_in_any_order(width, height, modes, k, seed):
-    # the stencil given with its dofs shuffled: in node order the band has
-    # half-width (width + 2) modes - 1, and in any order (a random one, the
-    # natural one) every solve meets a relative residual of 1e-12
+    # the stencil is factored in the order it is given: in node order the
+    # band has half-width (width + 2) modes - 1, and in any order (node
+    # order, a random one) every solve meets a relative residual of 1e-12
+    # and leaves its right-hand side as it was
     rng = np.random.default_rng(seed)
     dense = block_stencil_spd(rng, width, height, modes)
     n = len(dense)
     shuffle = rng.permutation(n)
-    mat = sp.csr_matrix(dense[np.ix_(shuffle, shuffle)])
-    node_order = np.argsort(shuffle)
-    assert BandCholesky(mat, node_order).bandwidth == (width + 2) * modes - 1
+    assert BandCholesky(sp.csr_matrix(dense)).bandwidth == (width + 2) * modes - 1
     many = rng.standard_normal((n, k))
-    for order in (node_order, rng.permutation(n), None):
-        factor = BandCholesky(mat, order, "probe")
+    for mat in (sp.csr_matrix(dense), sp.csr_matrix(dense[np.ix_(shuffle, shuffle)])):
+        factor = BandCholesky(mat, "probe")
         for rhs in (rng.standard_normal(n), np.ascontiguousarray(many),
                     np.asfortranarray(many)):
+            given = rhs.copy()
             x = factor.solve(rhs)
-            assert x.shape == rhs.shape
+            assert x.shape == rhs.shape and np.array_equal(rhs, given)
             assert np.linalg.norm(mat @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
     # shifted below its smallest eigenvalue, or with one dof decoupled and
     # zeroed, the matrix is refused in every order, naming the context
@@ -109,10 +93,10 @@ def test_band_cholesky_solves_a_block_stencil_in_any_order(width, height, modes,
     dof = int(rng.integers(n))
     singular[dof, :] = singular[:, dof] = 0.0
     for bad in (dense - (lowest + 0.5) * np.eye(n), singular):
-        for order in (node_order, rng.permutation(n)):
+        for order in (np.arange(n), shuffle):
             with pytest.raises(NumericalError, match="factorization of probe met the pivot "
                                                      r".*not positive definite"):
-                BandCholesky(sp.csr_matrix(bad), order, "probe")
+                BandCholesky(sp.csr_matrix(bad[np.ix_(order, order)]), "probe")
 
 
 def test_band_cholesky_factors_the_band_in_place(monkeypatch):
@@ -130,23 +114,21 @@ def test_band_cholesky_factors_the_band_in_place(monkeypatch):
     rng = rng_for("band_in_place")
     dense = block_stencil_spd(rng, 3, 4, 2)
     n = len(dense)
-    for order in (None, rng.permutation(n)):
-        factor = BandCholesky(sp.csr_matrix(dense), order, "probe")
+    for order in (np.arange(n), rng.permutation(n)):
+        mat = dense[np.ix_(order, order)]
+        factor = BandCholesky(sp.csr_matrix(mat), "probe")
         rhs = rng.standard_normal(n)
-        assert np.linalg.norm(dense @ factor.solve(rhs) - rhs) <= 1e-12 * np.linalg.norm(rhs)
+        assert np.linalg.norm(mat @ factor.solve(rhs) - rhs) <= 1e-12 * np.linalg.norm(rhs)
     assert seen == [(True, True), (True, True)]
 
 
-def test_band_cholesky_reports_the_failing_pivot_and_refuses_nan_and_a_bad_order():
+def test_band_cholesky_reports_the_failing_pivot_and_refuses_nan():
     # dpbtrf leaves the failing pivot, before its square root, on the band's
     # diagonal row: 1 - 2^2 / 1 = -3 here. A NaN entry is refused too
     with pytest.raises(NumericalError, match=r"of probe met the pivot -3\.000e\+00"):
         BandCholesky(np.array([[1.0, 2.0], [2.0, 1.0]]), context="probe")
     with pytest.raises(NumericalError, match="met the pivot nan"):
         BandCholesky(np.array([[1.0, np.nan], [np.nan, 1.0]]), context="probe")
-    for order in ([0, 0], [1], [0, 2]):
-        with pytest.raises(ValueError, match="not a permutation of the 2 rows"):
-            BandCholesky(np.eye(2), np.array(order))
 
 
 def test_eig_gsym_basic_properties():

@@ -12,15 +12,18 @@ from hypothesis import given, settings, strategies as st
 from msplit import driver, linalg, splitting
 from msplit.linalg import NumericalError
 
-from _oracles import (dense_backward_euler, dense_split_step, dense_threshold,
-                      error_recursion_diag, random_spd)
+from _oracles import (block_stencil_spd, dense_backward_euler, dense_split_step,
+                      dense_threshold, error_recursion_diag, random_spd)
 
 
 def make_cs(cmat, bmat, sizes, load=None, profile=None, z0=None):
-    """Wrap dense operators into a block coarse system forced by profile(t) * load."""
+    """Wrap operators into a coarse system forced by profile(t) * load.
+
+    ``sizes`` are the mode blocks of one node, so a system of as many dofs
+    is one node with consecutive blocks.
+    """
     sizes = tuple(sizes)
-    dim = sum(sizes)
-    assert cmat.shape == (dim, dim)
+    dim = cmat.shape[0]
     return splitting.CoarseSystem(block_sizes=sizes, mass=cmat, stiff=bmat,
                                   load=np.zeros(dim) if load is None else load,
                                   profile=profile,
@@ -94,15 +97,15 @@ def test_coarse_system_stores_dense_operators_as_csr():
 def test_coarse_system_holds_c_and_b_on_one_pattern():
     # C and B share one pair of sorted index arrays: a hand-built pair of
     # differing patterns is held on their union, each storing the other's
-    # entries as explicit zeros, and a permuted or projected system shares
-    # its arrays too
+    # entries as explicit zeros, and a projected system shares its arrays
+    # too
     cmat = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 2.0]]))
     bmat = sp.csr_matrix(np.array([[3.0, 0.0, 1.0], [0.0, 3.0, 0.0], [1.0, 0.0, 3.0]]))
     cs = make_cs(cmat, bmat, (2, 1))
     projected = driver.build_pipeline(dataclasses.replace(
         driver.ExperimentConfig(), nx_coarse=4, ny_coarse=4, refine=4, modes=3,
         blocks=(1, 2), tau=0.05, t_final=0.2).validate()).coarse
-    for system in (cs, cs.permuted(np.array([2, 0, 1]), (1, 2), None), projected):
+    for system in (cs, projected):
         assert np.shares_memory(system.mass.indices, system.stiff.indices)
         assert np.shares_memory(system.mass.indptr, system.stiff.indptr)
         assert system.mass.has_canonical_format
@@ -562,7 +565,8 @@ def test_certificate_margin_and_verdict_match_the_dense_pencil():
         sizes = tuple(int(b) for b in rng.integers(1, 9, size=int(rng.integers(1, 5))))
         cmat, bmat = random_spd(rng, sum(sizes)), random_spd(rng, sum(sizes))
         parts = splitting.make_split(make_cs(cmat, bmat, sizes))
-        want_c, want_b = dense_threshold(cmat, sizes), dense_threshold(bmat, sizes)
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        want_c, want_b = dense_threshold(cmat, labels), dense_threshold(bmat, labels)
         for step in (-0.3, -1e-6, 1e-6, 0.3):
             tm, ts = want_c + step, want_b - step
             cert = splitting.check_stability(parts, tm, ts)
@@ -635,10 +639,10 @@ def test_certificate_factors_the_condition_once_at_p_half(theta, count, factoriz
     # matrices, so the threshold factors the matrix at p/2 separately
     init = linalg.BandCholesky.__init__
 
-    def refuse_conditions(self, mat, order=None, context=""):
+    def refuse_conditions(self, mat, context=""):
         if context.endswith("condition"):
             raise NumericalError("refused")
-        init(self, mat, order, context)
+        init(self, mat, context)
 
     monkeypatch.setattr(linalg.BandCholesky, "__init__", refuse_conditions)
     own = splitting.check_stability(parts, theta, theta)
@@ -668,39 +672,45 @@ def assert_same_csr(got, want):
 
 @pytest.mark.parametrize("theta", [0.8, 1.3])
 def test_conditions_and_damping_equal_dense_formulas(theta, monkeypatch):
-    # the block-by-block condition matrices handed to the band factor and
-    # the damping matrix are bit-equal to theta*M1 - M/2 formed densely; the
+    # the condition matrices handed to the band factor and the damping
+    # matrix are bit-equal to theta*M1 - M/2 formed densely, with M1 = M
+    # where row and column carry one block label and 0 elsewhere; the
     # explicit step operator and the split step matrix store, entry for
-    # entry and in order, what sparse algebra on C, B and their diagonal
-    # blocks C1, B1 stores: [-lag | tau*B + lag] with lag = C - tm*C1, and
+    # entry and in order, what sparse algebra on C, B and their in-block
+    # parts C1, B1 stores: [-lag | tau*B + lag] with lag = C - tm*C1, and
     # tm*C1 + tau*ts*B1. So does a system whose C and B differ in pattern,
-    # and tm = 1, where lag has no entry inside a block
+    # one of three nodes whose labels interleave (blocks 1+2 of every node:
+    # 0 1 1 0 1 1 0 1 1), and tm = 1, where lag has no entry inside a block
     rng = np.random.default_rng(53)
-    sizes, tau = (3, 2, 2), 0.3
-    block = np.repeat(np.arange(len(sizes)), sizes)
-    inside = sp.csr_matrix((block[:, None] == block).astype(float))
+    tau = 0.3
     dense = tuple(sp.csr_matrix(0.5 * (m + m.T)) for m in (random_spd(rng, 7), random_spd(rng, 7)))
+    nodes = tuple(sp.csr_matrix(0.5 * (m + m.T)) for m in (random_spd(rng, 9), random_spd(rng, 9)))
     given = {}
     factor = splitting.BandCholesky
 
-    def recording(mat, order=None, context=""):
+    def recording(mat, context=""):
         given[context] = mat
-        return factor(mat, order, context)
+        return factor(mat, context)
 
     monkeypatch.setattr(splitting, "BandCholesky", recording)
-    for csr_c, csr_b in (dense, differing_patterns()):
+    for (csr_c, csr_b), sizes, labels in (
+            (dense, (3, 2, 2), [0, 0, 0, 1, 1, 2, 2]),
+            (differing_patterns(), (3, 2, 2), [0, 0, 0, 1, 1, 2, 2]),
+            (nodes, (1, 2), [0, 1, 1] * 3)):
         cmat, bmat = csr_c.toarray(), csr_b.toarray()
+        same = np.equal.outer(labels, labels)
+        inside = sp.csr_matrix(same.astype(float))
         parts = splitting.make_split(make_cs(csr_c, csr_b, sizes))
-        want_mass = theta * parts.mass_main.toarray() - 0.5 * cmat
-        want_stiff = theta * parts.stiff_main.toarray() - 0.5 * bmat
+        want_mass = theta * np.where(same, cmat, 0.0) - 0.5 * cmat
+        want_stiff = theta * np.where(same, bmat, 0.0) - 0.5 * bmat
         cert = splitting.check_stability(parts, theta, theta)
         assert np.array_equal(given["mass condition"].toarray(), want_mass)
         assert np.array_equal(given["stiffness condition"].toarray(), want_stiff)
         assert cert.mass_ok == (np.linalg.eigvalsh(want_mass).min() > 0.0)
         assert cert.stiff_ok == (np.linalg.eigvalsh(want_stiff).min() > 0.0)
-        assert cert.mass_margin == pytest.approx(theta - dense_threshold(cmat, sizes),
+        assert cert.mass_margin == pytest.approx(theta - dense_threshold(cmat, labels),
                                                  rel=1e-12)
-        assert cert.stiff_margin == pytest.approx(theta - dense_threshold(bmat, sizes),
+        assert cert.stiff_margin == pytest.approx(theta - dense_threshold(bmat, labels),
                                                   rel=1e-12)
         config = splitting.SplitConfig(tau=tau, t_final=tau, theta_mass=theta,
                                        theta_stiff=theta)
@@ -715,6 +725,43 @@ def test_conditions_and_damping_equal_dense_formulas(theta, monkeypatch):
             assert_same_csr(op.explicit, sp.hstack([-lag, tau * csr_b + lag], format="csr"))
             assert_same_csr(given["split step matrix"],
                             tm * mass_main + tau * theta * stiff_main)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(width=st.integers(2, 4), height=st.integers(2, 3),
+       blocks=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       theta=st.sampled_from([0.8, 1.6]), seed=st.integers(0, 2**31 - 1))
+def test_the_node_layout_is_a_relabelling_of_the_mode_block_layout(width, height, blocks,
+                                                                   theta, seed):
+    # a split labels the dofs of a system stored node by node; the same
+    # system permuted into mode-block order (block q holds its modes of
+    # every node, node-major) and hand-built as one node of blocks
+    # n_nodes * b_q is the same scheme: its reference, its split run and
+    # both certificate margins agree, after the permutation, to 1e-12
+    rng = np.random.default_rng(seed)
+    n_nodes, m = width * height, sum(blocks)
+    cmat, bmat = (0.5 * (a + a.T) for a in (block_stencil_spd(rng, width, height, m)
+                                            for _ in range(2)))
+    load, z0 = rng.standard_normal(n_nodes * m), rng.standard_normal(n_nodes * m)
+    first = np.cumsum(blocks) - blocks
+    perm = np.concatenate([(np.arange(n_nodes)[:, None] * m + np.arange(f, f + b)).ravel()
+                           for f, b in zip(first, blocks)])
+    node = make_cs(sp.csr_matrix(cmat), sp.csr_matrix(bmat), blocks, load=load, z0=z0)
+    moved = make_cs(cmat[np.ix_(perm, perm)], bmat[np.ix_(perm, perm)],
+                    [n_nodes * b for b in blocks], load=load[perm], z0=z0[perm])
+    config = splitting.SplitConfig(tau=0.1, t_final=0.5, theta_mass=theta, theta_stiff=theta)
+    runs = []
+    for cs in (node, moved):
+        parts = splitting.make_split(cs)
+        assert parts.block_sizes == tuple(n_nodes * b for b in blocks)
+        cert = splitting.check_stability(parts, theta, theta)
+        runs.append((splitting.backward_euler(cs, config.tau, config.t_final).states,
+                     splitting.march(cs, parts, config, certificate=cert).states,
+                     np.array([cert.mass_margin, cert.stiff_margin])))
+    for got, want in zip(runs[0], runs[1]):
+        if got.ndim == 2:
+            got = got[:, perm]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_damping_matrix_hand_value():
@@ -868,6 +915,10 @@ def test_non_finite_forcing_is_reported_as_forcing():
     with pytest.raises(ValueError, match=r"load of shape \(3,\) for 2 dofs"):
         splitting.CoarseSystem(block_sizes=(1, 1), mass=np.eye(2), stiff=np.eye(2),
                                load=np.ones(3), z0=np.zeros(2))
+    # the blocks are those of one node, so the dofs must make whole nodes
+    with pytest.raises(ValueError, match=r"4 dofs are not whole nodes of the mode blocks \(1, 2\)"):
+        splitting.CoarseSystem(block_sizes=(1, 2), mass=np.eye(4), stiff=np.eye(4),
+                               load=np.ones(4), z0=np.zeros(4))
 
 
 def test_march_reports_unstable_growth_as_numerical_error():
