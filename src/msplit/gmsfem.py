@@ -859,13 +859,13 @@ class _BasisCells:
         return np.stack(grams)
 
     def assemble(self) -> tuple:
-        """The coarse mass and stiffness, node by node.
+        """The coarse mass and stiffness, node by node, as CSR with sorted indices.
 
-        Both are CSR on one pair of index arrays, sorted: every mode pair
-        of every two nodes that share a coarse cell, explicit zeros included.
-        Each entry sums the cells' exactly symmetric blocks in cell order
-        (:data:`_BATCH` cells per :meth:`products` call), so both operators
-        are exactly symmetric.
+        Each stores one m x m block, explicit zeros included, for every two
+        nodes that share a coarse cell; :class:`CoarseSystem` puts the two
+        on one pair of index arrays. A block sums the cells' exactly
+        symmetric blocks in cell order (:data:`_BATCH` cells per
+        :meth:`products` call), so both operators are exactly symmetric.
         """
         m, n_nodes = self.n_modes, self.n_nodes
         n_cells = len(self.node)
@@ -873,33 +873,23 @@ class _BasisCells:
         for cells in self.batches():
             grams[:, cells] = self.products(cells)
 
-        # The rows of node i hold the modes of every node j that shares a
-        # cell with i, ascending: deg(i) m entries. ``pairs`` lists those
-        # (i, j) node-major, and a cell's corner pair (k, l) is pair ``rank``
-        # of its row node.
+        # the node pairs (i, j) that share a cell, row-major; a pair with a
+        # corner that has no basis takes the key n_nodes^2, which sorts last
         node = self.node
         shared = (node >= 0)[:, :, None] & (node >= 0)[:, None, :]
         keys = np.where(shared, node[:, :, None] * n_nodes + node[:, None, :], n_nodes ** 2)
         pairs, pair = np.unique(keys.ravel(), return_inverse=True)
-        starts = np.searchsorted(pairs, np.arange(n_nodes + 1) * n_nodes)
-        degree = np.diff(starts)
-        corner = np.maximum(node, 0)   # stands in where no node is; such slots are dropped
-        rank = pair.reshape(n_cells, 4, 4) - starts[corner][:, :, None]
-
-        dof = self.columns.reshape(n_cells, 4, m)
-        indptr = np.concatenate(([0], np.cumsum(np.repeat(degree * m, m))))
-        nnz = int(indptr[-1])
-        # slot[c, k, a, l, b]: where entry (mode a of corner k, mode b of
-        # corner l) of cell c's block goes; nnz, past the end, for no basis
-        slot = indptr[dof][:, :, :, None, None] + rank[:, :, None, :, None] * m + np.arange(m)
-        slot = np.where(shared[:, :, None, :, None], slot, nnz).ravel()
-        index = np.int32 if nnz < 2 ** 31 else np.int64
-        indices = np.empty(nnz + 1, dtype=index)
-        indices[slot] = np.broadcast_to(dof[:, None, None], (n_cells, 4, m, 4, m)).ravel()
-        indices, indptr = indices[:nnz].copy(), indptr.astype(index)
+        n_pairs = len(pairs) - int(pairs[-1] == n_nodes ** 2)
+        rows, columns = np.divmod(pairs[:n_pairs], n_nodes)
+        # entry (mode a of corner k, mode b of corner l) of cell c's block
+        # is entry (a, b) of block pair[c, k, l]
+        entry = ((pair.reshape(n_cells, 4, 1, 4, 1) * m + np.arange(m)[:, None, None]) * m
+                 + np.arange(m)).ravel()
+        row_start = np.searchsorted(rows, np.arange(n_nodes + 1))
         return tuple(
-            sp.csr_matrix((np.bincount(slot, weights=gram.ravel(), minlength=nnz + 1)[:nnz],
-                           indices, indptr), shape=(n_nodes * m, n_nodes * m))
+            sp.bsr_matrix((np.bincount(entry, weights=gram.ravel())[:n_pairs * m * m]
+                           .reshape(n_pairs, m, m), columns, row_start),
+                          shape=(n_nodes * m, n_nodes * m)).tocsr()
             for gram in grams)
 
     def _pairings(self, weights) -> np.ndarray:

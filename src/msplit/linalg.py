@@ -40,35 +40,25 @@ class NumericalError(RuntimeError):
 class BandCholesky:
     """LAPACK band Cholesky factor (``dpbtrf``) of a symmetric matrix.
 
-    Its lower band, kd + 1 rows of n values with kd the farthest stored
-    entry from the diagonal, is stored dense, in LAPACK's column-major
-    layout, so ``dpbtrf`` factors it in place. The matrix is factored in
-    its own order: the coarse matrices are stored node by node, where the
-    band is narrow. A pivot that is not positive or not finite is refused
-    with :class:`NumericalError`. :meth:`solve` takes (n,) and (n, k)
-    right-hand sides.
+    Only the lower triangle is read: each of its stored entries (i, j), as
+    COO, goes straight to row i - j of column j of the lower band, kd + 1
+    rows of n values with kd the farthest stored entry from the diagonal,
+    held dense in LAPACK's column-major layout, so ``dpbtrf`` factors it in
+    place. The matrix is factored in its own order: the coarse matrices are
+    stored node by node, where the band is narrow. A pivot that is not
+    positive or not finite is refused with :class:`NumericalError`.
+    :meth:`solve` takes (n,) and (n, k) right-hand sides.
     """
 
     def __init__(self, mat, context: str = ""):
         mat = sp.csr_matrix(mat, dtype=float)
         mat.sum_duplicates()
-        n = mat.shape[0]
-        # one pass over the stored entries: entry (i, j) of the lower band
-        # sits at i - j + (kd + 1) j of the column-major band, and an upper
-        # one is written to a slot past its end. col is made before offset:
-        # the other order left a later peak RSS 0.6 MB higher on example2
-        col = mat.indices.astype(np.int64)
-        offset = np.repeat(np.arange(n), np.diff(mat.indptr))
-        offset -= col
-        self.bandwidth = kd = max(int(offset.max(initial=0)), 0)
-        col *= kd + 1
-        col += offset
-        np.putmask(col, offset < 0, (kd + 1) * n)
-        del offset
-        flat = np.zeros((kd + 1) * n + 1)
-        flat[col] = mat.data
-        del col
-        band = flat[:-1].reshape((kd + 1, n), order="F")
+        lower = sp.tril(mat, format="coo")
+        offset = lower.row - lower.col
+        self.bandwidth = kd = int(offset.max(initial=0))
+        band = np.zeros((kd + 1, mat.shape[0]), order="F")
+        band[offset, lower.col] = lower.data
+        del lower, offset
         self._factor, info = scipy.linalg.lapack.dpbtrf(band, lower=1, overwrite_ab=1)
         pivots = self._factor[0]   # L's diagonal, and a failing pivot before its root
         if info > 0 or not np.isfinite(pivots).all():

@@ -41,6 +41,7 @@ reads the same a_k and takes one solve with C.
 from __future__ import annotations
 
 import logging
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -77,28 +78,22 @@ def _csr(mat) -> sp.csr_matrix:
 def _one_pattern(mass: sp.csr_matrix, stiff: sp.csr_matrix) -> tuple:
     """``mass`` and ``stiff`` on one pair of sorted index arrays, the union of their patterns.
 
-    An entry that one of them does not store is an explicit zero of it.
+    Where the patterns differ, each matrix goes through COO to CSR together
+    with the other's stored positions as explicit zeros; that conversion
+    sums the duplicate positions and keeps the zeros.
     """
     if mass.shape != stiff.shape:
         raise ValueError(f"mass of shape {mass.shape} and stiffness of shape {stiff.shape}")
-    data = (mass.data, stiff.data)
     if not (np.array_equal(mass.indptr, stiff.indptr)
             and np.array_equal(mass.indices, stiff.indices)):
-        def keys(mat):
-            rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-            return rows * mat.shape[1] + mat.indices
-
-        def ones(mat):
-            return sp.csr_matrix((np.ones(mat.nnz), mat.indices, mat.indptr), shape=mat.shape)
-
-        union = ones(mass) + ones(stiff)
-        slots = keys(union)
-        data = [np.zeros(union.nnz), np.zeros(union.nnz)]
-        for values, mat in zip(data, (mass, stiff)):
-            values[np.searchsorted(slots, keys(mat))] = mat.data
-        mass = union
-    out = sp.csr_matrix((data[0], mass.indices, mass.indptr), shape=mass.shape)
-    return out, sp.csr_matrix((data[1], out.indices, out.indptr), shape=out.shape)
+        first, second = mass.tocoo(), stiff.tocoo()
+        where = (np.concatenate((first.row, second.row)),
+                 np.concatenate((first.col, second.col)))
+        mass, stiff = (sp.coo_matrix((values, where), shape=mass.shape).tocsr()
+                       for values in (np.concatenate((first.data, np.zeros(second.nnz))),
+                                      np.concatenate((np.zeros(first.nnz), second.data))))
+    out = sp.csr_matrix((mass.data, mass.indices, mass.indptr), shape=mass.shape)
+    return out, sp.csr_matrix((stiff.data, out.indices, out.indptr), shape=out.shape)
 
 
 def _in_blocks(mat: sp.csr_matrix, labels: np.ndarray) -> np.ndarray:
@@ -113,29 +108,6 @@ def _kept(pattern: sp.csr_matrix, data: np.ndarray, keep: np.ndarray) -> sp.csr_
     """
     indptr = np.concatenate(([0], np.cumsum(keep)))[pattern.indptr]
     return sp.csr_matrix((data[keep], pattern.indices[keep], indptr), shape=pattern.shape)
-
-
-def _side_by_side(pattern: sp.csr_matrix, left: np.ndarray, right: np.ndarray) -> sp.csr_matrix:
-    """The n x 2n CSR matrix [L | R] of two value arrays ``left``, ``right`` on ``pattern``.
-
-    Each row holds L's nonzero entries, then R's at their columns plus n, as
-    ``sp.hstack`` of the two with their zeros eliminated stores them.
-    """
-    n = pattern.shape[1]
-    keep_left, keep_right = left != 0.0, right != 0.0
-    before_left = np.concatenate(([0], np.cumsum(keep_left)))[pattern.indptr]
-    before_right = np.concatenate(([0], np.cumsum(keep_right)))[pattern.indptr]
-    total = int(before_left[-1] + before_right[-1])
-    indices = np.empty(total, dtype=np.int32 if 2 * n < 2 ** 31 else np.int64)
-    data = np.empty(total)
-    # the k-th kept entry of L follows the kept entries of R in the rows
-    # before its own, and the k-th of R those of L up to its own row
-    dest = np.arange(before_left[-1]) + np.repeat(before_right[:-1], np.diff(before_left))
-    indices[dest], data[dest] = pattern.indices[keep_left], left[keep_left]
-    dest = np.arange(before_right[-1]) + np.repeat(before_left[1:], np.diff(before_right))
-    indices[dest], data[dest] = pattern.indices[keep_right] + n, right[keep_right]
-    return sp.csr_matrix((data, indices, before_left + before_right),
-                         shape=(pattern.shape[0], 2 * n))
 
 
 @dataclass
@@ -166,10 +138,12 @@ class CoarseSystem:
                                            compare=False)
 
     def __post_init__(self):
+        sizes = tuple(self.block_sizes)
+        if not sizes or not all(isinstance(b, numbers.Integral) and b > 0 for b in sizes):
+            raise ValueError(f"block sizes must be positive integers, got {sizes}")
         self.mass, self.stiff = _one_pattern(_csr(self.mass), _csr(self.stiff))
-        if self.dim % sum(self.block_sizes):
-            raise ValueError(f"{self.dim} dofs are not whole nodes of the mode blocks "
-                             f"{tuple(self.block_sizes)}")
+        if self.dim % sum(sizes):
+            raise ValueError(f"{self.dim} dofs are not whole nodes of the mode blocks {sizes}")
         self.load = np.array(self.load, dtype=float)
         self.load.flags.writeable = False
         if self.load.shape != (self.dim,):
@@ -402,7 +376,9 @@ class _StepOperator:
     one solve with the band factor of the block-diagonal matrix
     theta_m*C1 + tau*theta_s*B1, whose blocks stay decoupled. Both are
     formed from the split's mask and the data of C and B, and store what
-    sparse algebra on C1 and B1 stores: every nonzero entry, in order.
+    sparse algebra on C1 and B1 stores: every nonzero entry, in order. The
+    explicit operator is the two parts' nonzero entries joined by
+    ``sp.hstack``.
     """
 
     def __init__(self, parts: SplitParts, config: SplitConfig):
@@ -410,8 +386,10 @@ class _StepOperator:
         self.tau = tau
         inside, c, b = parts.inside, parts.mass.data, parts.stiff.data
         lag = np.where(inside, c - tm * c, c)
-        self.explicit = _side_by_side(parts.mass, -lag, tau * b + lag)
-        del lag
+        right = tau * b + lag
+        self.explicit = sp.hstack([_kept(parts.mass, -lag, lag != 0.0),
+                                   _kept(parts.mass, right, right != 0.0)], format="csr")
+        del lag, right
         main = np.where(inside, tm * c + tau * ts * b, 0.0)
         self.factor = BandCholesky(_kept(parts.mass, main, main != 0.0),
                                    context="split step matrix")

@@ -122,6 +122,21 @@ def test_band_cholesky_factors_the_band_in_place(monkeypatch):
     assert seen == [(True, True), (True, True)]
 
 
+def test_band_cholesky_reads_only_the_lower_triangle():
+    # the full matrix, its lower triangle alone, and a copy whose strictly
+    # upper entries hold other values factor to the same bits and band
+    rng = rng_for("band_lower_triangle")
+    dense = block_stencil_spd(rng, 3, 4, 2)
+    upper = np.triu(np.ones_like(dense), 1).astype(bool)
+    scrambled = np.where(upper, rng.standard_normal(dense.shape), dense)
+    factors = [BandCholesky(mat, "probe") for mat in
+               (sp.csr_matrix(dense), sp.tril(sp.csr_matrix(dense), format="csr"),
+                sp.csr_matrix(scrambled))]
+    assert {factor.bandwidth for factor in factors} == {(3 + 2) * 2 - 1}
+    for factor in factors[1:]:
+        assert np.array_equal(factor._factor, factors[0]._factor)
+
+
 def test_band_cholesky_reports_the_failing_pivot_and_refuses_nan():
     # dpbtrf leaves the failing pivot, before its square root, on the band's
     # diagonal row: 1 - 2^2 / 1 = -3 here. A NaN entry is refused too

@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -94,6 +95,24 @@ def test_coarse_system_stores_dense_operators_as_csr():
         assert np.array_equal(mat.toarray(), dense)
 
 
+def _csr_of_entries(n, rows):
+    """n x n CSR holding the (column, value) lists of ``rows`` as given, unsorted."""
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    indices = np.array([j for row in rows for j, _ in row], dtype=np.int32)
+    data = np.array([v for row in rows for _, v in row], dtype=float)
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+@st.composite
+def _entry_pairs(draw):
+    """Two random n x n CSR matrices, unsorted, with explicit zeros and duplicate positions."""
+    n = draw(st.integers(1, 5))
+    entry = st.tuples(st.integers(0, n - 1), st.sampled_from([0.0, -2.0, 1.0, 3.0]))
+    return n, [_csr_of_entries(n, draw(st.lists(st.lists(entry, max_size=2 * n),
+                                                min_size=n, max_size=n)))
+               for _ in range(2)]
+
+
 def test_coarse_system_holds_c_and_b_on_one_pattern():
     # C and B share one pair of sorted index arrays: a hand-built pair of
     # differing patterns is held on their union, each storing the other's
@@ -114,6 +133,34 @@ def test_coarse_system_holds_c_and_b_on_one_pattern():
     assert np.array_equal(cs.stiff.toarray(), bmat.toarray())
     assert np.count_nonzero(cs.mass.data == 0.0) == 2
     assert np.count_nonzero(cs.stiff.data == 0.0) == 2
+
+    # random pairs, unsorted, with explicit zeros and duplicate positions
+    # (small integers, so every sum is exact): the held pattern is the union
+    # of the stored positions and the values are the inputs'
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_entry_pairs())
+    def random_pairs(case):
+        n, given_pair = case
+        union = set()
+        dense = []
+        for mat in given_pair:
+            rows = np.repeat(np.arange(n), np.diff(mat.indptr))
+            union |= set(zip(rows.tolist(), mat.indices.tolist()))
+            dense.append(np.zeros((n, n)))
+            np.add.at(dense[-1], (rows, mat.indices), mat.data)
+        system = make_cs(*given_pair, (n,))
+        # an empty index array shares memory with nothing
+        assert system.mass.nnz == 0 or np.shares_memory(system.mass.indices,
+                                                        system.stiff.indices)
+        assert np.shares_memory(system.mass.indptr, system.stiff.indptr)
+        assert system.mass.has_canonical_format
+        held_rows = np.repeat(np.arange(n), np.diff(system.mass.indptr))
+        assert set(zip(held_rows.tolist(), system.mass.indices.tolist())) == union
+        assert system.mass.nnz == len(union)
+        for held, want in zip((system.mass, system.stiff), dense):
+            assert np.array_equal(held.toarray(), want)
+
+    random_pairs()
 
 
 def test_step_operator_holds_no_dense_matrix():
@@ -918,6 +965,16 @@ def test_non_finite_forcing_is_reported_as_forcing():
     # the blocks are those of one node, so the dofs must make whole nodes
     with pytest.raises(ValueError, match=r"4 dofs are not whole nodes of the mode blocks \(1, 2\)"):
         splitting.CoarseSystem(block_sizes=(1, 2), mass=np.eye(4), stiff=np.eye(4),
+                               load=np.ones(4), z0=np.zeros(4))
+
+
+@pytest.mark.parametrize("sizes", [(), (0,), (2, -1), (0, 4), (1.5, 2.5)])
+def test_coarse_system_refuses_block_sizes_that_are_not_positive_integers(sizes):
+    # an empty or zero block divided by zero, a negative one reached numpy's
+    # repeat in the split, and (0, 4) was taken for a 2-block split
+    with pytest.raises(ValueError, match=rf"block sizes must be positive integers, "
+                                         rf"got {re.escape(str(sizes))}"):
+        splitting.CoarseSystem(block_sizes=sizes, mass=np.eye(4), stiff=np.eye(4),
                                load=np.ones(4), z0=np.zeros(4))
 
 
